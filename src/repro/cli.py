@@ -28,6 +28,7 @@ programmatically with the :class:`~repro.runtime.ScenarioSpec` API::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -881,6 +882,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from .runtime import ScenarioSpec
 
+    if args.top is None:
+        args.top = 15 if args.scenario == "live" else 25
+    if args.scenario == "live":
+        return _profile_live(args)
     common = dict(
         name=f"profile-{args.scenario}",
         aggregate_rate=args.rate,
@@ -937,6 +942,60 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
     return 0
+
+
+def _profile_live(args: argparse.Namespace) -> int:
+    """Profile every worker process of a failure-free live chain run.
+
+    The simulator profile above sees one process; the live backend's CPU is
+    spent in forked workers, so each runs under its own cProfile and leaves a
+    ``<worker>.pstats`` in ``--out``.  Per worker this prints the non-idle
+    time (total minus the event loop's ``poll``), the share of it spent under
+    the wire codec's entry points, and the top entries.
+    """
+    import pstats
+    import tempfile
+
+    from .deploy.placement import compile as compile_topology
+    from .live.supervisor import LiveBackendUnavailable
+
+    out_dir = args.out or tempfile.mkdtemp(prefix="repro-profile-live-")
+    os.makedirs(out_dir, exist_ok=True)
+    placement = compile_topology(Topology.chain(args.depth), replicas_per_node=args.replicas)
+    try:
+        live = placement.deploy(
+            seed=args.seed,
+            aggregate_rate=args.rate,
+            source_stop_time=args.duration,
+            backend="live",
+        )
+        result = live.run(duration=args.duration + 1.0, drain_timeout=20.0, profile_dir=out_dir)
+    except LiveBackendUnavailable as error:
+        print(f"live backend unavailable: {error}", file=sys.stderr)
+        return 2
+    produced = sum(result.sources.values())
+    print(
+        f"profiled live chain-{args.depth}: {len(result.transport)} worker processes, "
+        f"{produced} source tuples, {result.total_stable} stable tuples delivered, "
+        f"{result.wall_seconds:.1f} s wall; profiles in {out_dir}"
+    )
+    codec = ("encode_payload", "encode_envelope_prefix", "decode_envelope")
+    for worker in sorted(result.transport):
+        stats = pstats.Stats(os.path.join(out_dir, f"{worker}.pstats"), stream=sys.stdout)
+        idle = wire = 0.0
+        for (filename, _, name), (_, _, tottime, cumtime, _) in stats.stats.items():
+            if filename == "~" and "poll" in name:
+                idle += tottime
+            elif name in codec and filename.endswith(os.path.join("live", "wire.py")):
+                wire += cumtime
+        busy = stats.total_tt - idle
+        print(
+            f"worker {worker}: {busy:.2f} s non-idle of {stats.total_tt:.2f} s profiled, "
+            f"wire codec {100.0 * wire / busy if busy > 0 else 0.0:.1f}% of non-idle; "
+            f"top {args.top} by {args.sort}:"
+        )
+        stats.sort_stats(args.sort).print_stats(args.top)
+    return 0 if result.eventually_consistent else 1
 
 
 def _cmd_plan_delays(args: argparse.Namespace) -> int:
@@ -1087,9 +1146,13 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of guesses.",
     )
     profile.add_argument("scenario",
-                         choices=("chain", "diamond", "fanin", "shard", "aggregate", "recovery"),
+                         choices=("chain", "diamond", "fanin", "shard", "aggregate", "recovery",
+                                  "live"),
                          help="deployment shape to profile ('recovery' crashes one replica "
-                              "mid-run and profiles the checkpoint-shipped rejoin)")
+                              "mid-run and profiles the checkpoint-shipped rejoin; 'live' "
+                              "runs chain --depth on the live backend for --duration wall "
+                              "seconds and profiles every worker process, top 15 each "
+                              "unless --top is given)")
     profile.add_argument("--depth", type=int, default=2, help="chain depth (chain only)")
     profile.add_argument("--shards", type=int, default=4, help="shard count (shard only)")
     profile.add_argument("--window-size", type=float, default=1.0,
@@ -1104,8 +1167,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--duration", type=float, default=15.0,
                          help="simulated seconds to run")
     profile.add_argument("--seed", type=int, default=1, help="determinism seed")
-    profile.add_argument("--top", type=int, default=25,
-                         help="number of entries to print")
+    profile.add_argument("--top", type=int, default=None,
+                         help="number of entries to print (default 25; live: 15 per worker)")
+    profile.add_argument("--out", default=None,
+                         help="directory for the per-worker .pstats files "
+                              "(live only; default: a fresh temporary directory)")
     profile.add_argument("--sort", choices=("cumulative", "tottime", "ncalls"),
                          default="cumulative", help="pstats sort order")
     profile.set_defaults(func=_cmd_profile)

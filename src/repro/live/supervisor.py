@@ -260,7 +260,7 @@ class LiveDeployment:
 
     # ------------------------------------------------------------------ worker plan
     def _worker_plan(
-        self, socket_dir: str, epoch: float, fault_plan: FaultPlan
+        self, socket_dir: str, epoch: float, fault_plan: FaultPlan, profile_dir: str | None
     ) -> list[WorkerSpec]:
         edge_endpoints = [plan.name for plan in self.placement.sources] + [
             plan.name for plan in self.placement.clients
@@ -286,6 +286,9 @@ class LiveDeployment:
                 endpoint_worker=endpoint_worker,
                 epoch=epoch,
                 fault_plan=fault_plan,
+                profile_path=(
+                    os.path.join(profile_dir, f"{worker}.pstats") if profile_dir else None
+                ),
             )
             for worker, endpoints in hosted_by_worker.items()
         ]
@@ -400,6 +403,7 @@ class LiveDeployment:
         startup_delay: float = _STARTUP_DELAY,
         faults: FaultPlan | None = None,
         pause: "LivePause | Sequence[LivePause] | None" = None,
+        profile_dir: str | None = None,
     ) -> LiveRunResult:
         """Run the deployment for ``duration`` wall-clock seconds and collect.
 
@@ -409,7 +413,8 @@ class LiveDeployment:
         enforces.  After ``duration`` the supervisor waits (bounded by
         ``drain_timeout``) for every client's ledger to stop growing before
         stopping the workers, so in-flight batches are not cut off
-        mid-pipeline.
+        mid-pipeline.  ``profile_dir`` (an existing directory) runs every
+        worker under cProfile and leaves one ``<worker>.pstats`` there.
         """
         kills = self._validate_kills(kill, duration)
         pauses = self._validate_pauses(pause, duration)
@@ -418,7 +423,7 @@ class LiveDeployment:
         ctx = multiprocessing.get_context("fork")
         socket_dir = tempfile.mkdtemp(prefix="repro-live-")
         epoch = time.monotonic() + startup_delay
-        specs = self._worker_plan(socket_dir, epoch, plan)
+        specs = self._worker_plan(socket_dir, epoch, plan, profile_dir)
         handles = {spec.name: self._spawn(ctx, spec) for spec in specs}
         result = LiveRunResult(duration=duration, wall_seconds=0.0)
         result.faults = plan.describe()
@@ -438,6 +443,11 @@ class LiveDeployment:
             for handle in handles.values():
                 self._collect(handle, result)
             result.wall_seconds = time.monotonic() - started_wall
+            if profile_dir is not None:
+                # Let the workers exit on their own: the profile is written
+                # after the result is sent, and the teardown below terminates.
+                for handle in handles.values():
+                    handle.process.join(timeout=10.0)
             return result
         finally:
             for handle in handles.values():

@@ -14,7 +14,9 @@ transport routes each message either
   4-byte big-endian length prefix, then queued on the outbound link to the
   worker hosting the receiver.  One Unix-domain-socket connection per worker
   pair keeps every link FIFO, matching the paper's reliable in-order
-  assumption (TCP, Section 2.2).
+  assumption (TCP, Section 2.2).  A fan-out encodes the payload once: every
+  remote receiver's frame is its own small addressed prefix plus the shared
+  payload bytes, joined into one buffer when the frame departs.
 
 **Fault injection** (:mod:`repro.live.faults`): an optional frozen
 :class:`~repro.live.faults.FaultPlan` is enforced here.  *Window* rules
@@ -72,8 +74,19 @@ MessageHandler = Callable[[Message, float], None]
 _LENGTH = struct.Struct(">I")
 #: Transport frame header: frame type, sender generation, link sequence.
 _HEADER = struct.Struct(">BIQ")
+#: Length prefix and header of an outbound frame, packed in one go.
+_FRAME_HEAD = struct.Struct(">IBIQ")
 _FT_ENVELOPE = 0
 _FT_HEARTBEAT = 1
+
+#: Largest frame a reader accepts.  The largest legitimate frames are
+#: checkpoint responses (pickled operator state plus output buffers, about
+#: 86 bytes per buffered tuple): 6.2 MB for a shard(4) node holding 72k
+#: tuples and 4.9 MB for a chain(2) node after 14 s at 4000 tuples/s, the
+#: largest the benchmark workloads produce.  256 MiB is 40x that -- three
+#: million buffered tuples -- while a corrupt length prefix, which can claim
+#: 4 GiB, no longer decides how much a reader allocates.
+_MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 #: Cap per-link buffered frames; beyond it the oldest frames are dropped.
 #: Live mode has real backpressure on sockets; this bound only matters while
@@ -113,7 +126,8 @@ class _Entry(NamedTuple):
     sender: str
     receiver: str
     kind: str
-    body: bytes
+    #: Frame body in pieces (envelope prefix + shared payload), joined once.
+    parts: tuple[bytes, ...]
 
 
 class PeerLink:
@@ -146,7 +160,9 @@ class PeerLink:
         self.connected = True
 
     # ------------------------------------------------------------------ producer
-    def enqueue(self, ftype: int, sender: str, receiver: str, kind: str, body: bytes) -> None:
+    def enqueue(
+        self, ftype: int, sender: str, receiver: str, kind: str, *parts: bytes
+    ) -> None:
         if self._closed:
             return
         while self._queue.qsize() >= _MAX_QUEUED_FRAMES:
@@ -155,7 +171,7 @@ class PeerLink:
                 self.dropped_frames += 1
             except asyncio.QueueEmpty:  # pragma: no cover - race-free in one loop
                 break
-        self._queue.put_nowait(_Entry(ftype, sender, receiver, kind, body))
+        self._queue.put_nowait(_Entry(ftype, sender, receiver, kind, parts))
         if self._task is None or self._task.done():
             self._task = self._loop.create_task(self._drain())
 
@@ -218,10 +234,15 @@ class PeerLink:
                 if wait > 0:
                     transport._record_injected(THROTTLE, entry.sender, entry.receiver)
                     await asyncio.sleep(wait)
+        length = _HEADER.size + sum(map(len, entry.parts))
+        if length > _MAX_FRAME_BYTES:
+            # The receiver would refuse it and drop the connection with it.
+            self.dead_letters += 1
+            return
         seq = self._seq
         self._seq += 1
-        frame = _HEADER.pack(entry.ftype, transport.generation, seq) + entry.body
-        payload = _LENGTH.pack(len(frame)) + frame
+        head = _FRAME_HEAD.pack(length, entry.ftype, transport.generation, seq)
+        payload = b"".join((head, *entry.parts))
 
         attempts = 0
         while not self._closed:
@@ -452,6 +473,11 @@ class LiveTransport:
             while True:
                 header = await reader.readexactly(_LENGTH.size)
                 (length,) = _LENGTH.unpack(header)
+                if length > _MAX_FRAME_BYTES:
+                    # A corrupt prefix: the stream cannot be resynchronized,
+                    # so drop the connection instead of buffering the claim.
+                    self.stats.dropped += 1
+                    break
                 frame = await reader.readexactly(length)
                 self._on_frame(frame)
         except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
@@ -465,11 +491,11 @@ class LiveTransport:
             self.stats.dropped += 1
             return
         ftype, generation, seq = _HEADER.unpack_from(frame)
-        body = frame[_HEADER.size :]
+        body = memoryview(frame)[_HEADER.size :]
         now = self.clock.now
         if ftype == _FT_HEARTBEAT:
             try:
-                peer = body.decode("utf-8")
+                peer = str(body, "utf-8")
             except UnicodeDecodeError:  # pragma: no cover - corrupt frame
                 self.stats.dropped += 1
                 return
@@ -667,6 +693,7 @@ class LiveTransport:
                 raise NetworkError(f"unknown endpoint {receiver!r}")
         now = self.clock.now
         check_windows = not self._plan.is_empty
+        encoded: bytes | None = None  # the payload, encoded for the first remote receiver
         on_the_wire: list[str] = []
         for receiver in receivers:
             self.stats.sent += 1
@@ -686,9 +713,17 @@ class LiveTransport:
                 message = Message(sender, receiver, kind, payload, sent_at=now)
                 self._loop.call_soon(self._deliver_local, message)
             else:
-                body = wire.encode_envelope(sender, receiver, kind, payload)
+                if encoded is None:
+                    encoded = wire.encode_payload(kind, payload)
                 link = self._link_to(target_worker)
-                link.enqueue(_FT_ENVELOPE, sender, receiver, kind, body)
+                link.enqueue(
+                    _FT_ENVELOPE,
+                    sender,
+                    receiver,
+                    kind,
+                    wire.encode_envelope_prefix(sender, receiver),
+                    encoded,
+                )
                 if not link.connected:
                     # Mirror the simulator's crashed-endpoint semantics: a
                     # peer whose socket last refused us is not credited with

@@ -3,14 +3,27 @@
 Everything that crosses a socket between live workers is framed by this
 module: :class:`~repro.spe.tuples.StreamTuple`,
 :class:`~repro.core.protocol.DataBatch` and every control message of
-``repro.core.protocol``.  The format is compact (zigzag varints for
-integers, IEEE-754 doubles for floats, length-prefixed UTF-8 for strings)
-and **round-trip exact**: ``decode(encode(x)) == x`` for every payload the
-protocol produces, which the Hypothesis property suite pins.
+``repro.core.protocol``.  The format is **round-trip exact**:
+``decode(encode(x)) == x`` for every payload the protocol produces, which
+the Hypothesis property suite pins.
+
+Tuples travel **columnar** (wire format v2, byte-level layout in DESIGN.md,
+"Wire format"): a batch is one type-code column, packed little-endian
+``tuple_id`` / ``stime`` columns, two sparse columns (``undo_from_id``,
+``stable_seq``) and then *schema runs* -- maximal stretches of consecutive
+tuples with the same key tuple.  A run writes its key names once and one
+column per key: packed int64 or float64 when every value of the column has
+exactly that type, otherwise the tagged per-value stream (``_w_value``) for
+that column alone.  The choice is made from the column's contents; there is
+no option that selects an encoding.  Control messages keep the compact
+scalar encoding (zigzag varints, length-prefixed UTF-8).
 
 Every frame starts with a single version byte (:data:`WIRE_VERSION`);
 decoding any other version raises :class:`WireError` so incompatible
-workers fail loudly instead of mis-parsing each other.
+workers fail loudly instead of mis-parsing each other.  A malformed frame
+(truncated, bit-flipped, absurd lengths) raises :class:`WireError` and
+nothing else: every read is bounds-checked against the remaining bytes
+before anything is allocated.
 
 Two payload kinds cannot be encoded field-by-field:
 
@@ -32,7 +45,10 @@ from __future__ import annotations
 import io
 import pickle
 import struct
-from typing import Any, Callable
+import sys
+from array import array
+from itertools import groupby
+from typing import Any, Callable, Sequence
 
 from ..core.protocol import (
     CHECKPOINT_REQUEST,
@@ -62,7 +78,8 @@ from ..errors import ReproError
 from ..spe.tuples import StreamTuple, TupleType
 
 #: Current wire format version; bump on any incompatible change.
-WIRE_VERSION = 1
+#: 2 = columnar tuple batches (1 was one self-describing record per tuple).
+WIRE_VERSION = 2
 
 
 class WireError(ReproError):
@@ -91,17 +108,15 @@ _NODE_STATES: tuple[NodeState, ...] = (
 )
 _NODE_STATE_INDEX = {member: index + 1 for index, member in enumerate(_NODE_STATES)}
 
-_FLOAT = struct.Struct(">d")
-
 
 # --------------------------------------------------------------------------- primitives
-def _w_uvarint(out: io.BytesIO, value: int) -> None:
+def _w_uvarint(out: bytearray, value: int) -> None:
     if value < 0:
         raise WireError(f"uvarint cannot encode negative value {value}")
     while value >= 0x80:
-        out.write(bytes((value & 0x7F | 0x80,)))
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-    out.write(bytes((value,)))
+    out.append(value)
 
 
 def _r_uvarint(buf: memoryview, pos: int) -> tuple[int, int]:
@@ -118,7 +133,7 @@ def _r_uvarint(buf: memoryview, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _w_zigzag(out: io.BytesIO, value: int) -> None:
+def _w_zigzag(out: bytearray, value: int) -> None:
     # Arbitrary-precision zigzag (payload ints are unbounded Python ints).
     _w_uvarint(out, value << 1 if value >= 0 else ((-value) << 1) - 1)
 
@@ -128,39 +143,71 @@ def _r_zigzag(buf: memoryview, pos: int) -> tuple[int, int]:
     return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
 
 
-def _w_float(out: io.BytesIO, value: float) -> None:
-    out.write(_FLOAT.pack(value))
+def _r_byte(buf: memoryview, pos: int) -> tuple[int, int]:
+    if pos >= len(buf):
+        raise WireError("truncated frame")
+    return buf[pos], pos + 1
 
 
-def _r_float(buf: memoryview, pos: int) -> tuple[float, int]:
-    if pos + 8 > len(buf):
-        raise WireError("truncated float")
-    return _FLOAT.unpack_from(buf, pos)[0], pos + 8
+def _r_span(buf: memoryview, pos: int, length: int) -> tuple[memoryview, int]:
+    """``length`` bytes at ``pos`` (a view, no copy), checked against the frame."""
+    end = pos + length
+    if end > len(buf):
+        raise WireError(f"truncated frame: {length} bytes wanted, {len(buf) - pos} left")
+    return buf[pos:end], end
 
 
-def _w_str(out: io.BytesIO, value: str) -> None:
+def _w_str(out: bytearray, value: str) -> None:
     data = value.encode("utf-8")
     _w_uvarint(out, len(data))
-    out.write(data)
+    out += data
 
 
 def _r_str(buf: memoryview, pos: int) -> tuple[str, int]:
     length, pos = _r_uvarint(buf, pos)
-    if pos + length > len(buf):
+    end = pos + length
+    if end > len(buf):
         raise WireError("truncated string")
-    return bytes(buf[pos:pos + length]).decode("utf-8"), pos + length
+    try:
+        return str(buf[pos:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise WireError(f"malformed string: {exc}") from None
 
 
-def _w_bytes(out: io.BytesIO, value: bytes) -> None:
+def _w_bytes(out: bytearray, value: bytes) -> None:
     _w_uvarint(out, len(value))
-    out.write(value)
+    out += value
 
 
-def _r_bytes(buf: memoryview, pos: int) -> tuple[bytes, int]:
+def _r_bytes(buf: memoryview, pos: int) -> tuple[memoryview, int]:
     length, pos = _r_uvarint(buf, pos)
-    if pos + length > len(buf):
-        raise WireError("truncated bytes")
-    return bytes(buf[pos:pos + length]), pos + length
+    return _r_span(buf, pos, length)
+
+
+# Packed columns are little-endian on the wire whatever the host is.
+_SWAP = sys.byteorder != "little"
+_INT64 = "q"
+_FLOAT64 = "d"
+_ONE_FLOAT = struct.Struct("<d")
+
+
+def _packed(typecode: str, values: Sequence) -> bytes:
+    """8 bytes per value; OverflowError/TypeError when a value does not fit."""
+    column = array(typecode, values)
+    if _SWAP:
+        column.byteswap()
+    return column.tobytes()
+
+
+def _r_packed(buf: memoryview, pos: int, typecode: str, count: int) -> tuple[list, int]:
+    end = pos + 8 * count
+    if end > len(buf):
+        raise WireError(f"truncated column: {count} values announced, {len(buf) - pos} bytes left")
+    column = array(typecode)
+    column.frombytes(buf[pos:end])
+    if _SWAP:
+        column.byteswap()
+    return column.tolist(), end
 
 
 # --------------------------------------------------------------------------- values
@@ -169,30 +216,29 @@ def _r_bytes(buf: memoryview, pos: int) -> tuple[bytes, int]:
 _V_NONE, _V_FALSE, _V_TRUE, _V_INT, _V_FLOAT, _V_STR, _V_PICKLE = range(7)
 
 
-def _w_value(out: io.BytesIO, value: Any) -> None:
+def _w_value(out: bytearray, value: Any) -> None:
     if value is None:
-        out.write(bytes((_V_NONE,)))
+        out.append(_V_NONE)
     elif value is False:
-        out.write(bytes((_V_FALSE,)))
+        out.append(_V_FALSE)
     elif value is True:
-        out.write(bytes((_V_TRUE,)))
+        out.append(_V_TRUE)
     elif type(value) is int:
-        out.write(bytes((_V_INT,)))
+        out.append(_V_INT)
         _w_zigzag(out, value)
     elif type(value) is float:
-        out.write(bytes((_V_FLOAT,)))
-        _w_float(out, value)
+        out.append(_V_FLOAT)
+        out += _ONE_FLOAT.pack(value)
     elif type(value) is str:
-        out.write(bytes((_V_STR,)))
+        out.append(_V_STR)
         _w_str(out, value)
     else:
-        out.write(bytes((_V_PICKLE,)))
+        out.append(_V_PICKLE)
         _w_bytes(out, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _r_value(buf: memoryview, pos: int) -> tuple[Any, int]:
-    tag = buf[pos]
-    pos += 1
+    tag, pos = _r_byte(buf, pos)
     if tag == _V_NONE:
         return None, pos
     if tag == _V_FALSE:
@@ -202,22 +248,31 @@ def _r_value(buf: memoryview, pos: int) -> tuple[Any, int]:
     if tag == _V_INT:
         return _r_zigzag(buf, pos)
     if tag == _V_FLOAT:
-        return _r_float(buf, pos)
+        span, pos = _r_span(buf, pos, 8)
+        return _ONE_FLOAT.unpack(span)[0], pos
     if tag == _V_STR:
         return _r_str(buf, pos)
     if tag == _V_PICKLE:
         data, pos = _r_bytes(buf, pos)
-        return pickle.loads(data), pos
+        return _unpickle(pickle.loads, data), pos
     raise WireError(f"unknown value tag {tag}")
 
 
-def _w_opt_state(out: io.BytesIO, state: NodeState | None) -> None:
-    out.write(bytes((0 if state is None else _NODE_STATE_INDEX[state],)))
+def _unpickle(loads: Callable[[Any], Any], data: Any) -> Any:
+    try:
+        return loads(data)
+    except WireError:
+        raise
+    except Exception as exc:  # corrupt pickle bytes can raise anything
+        raise WireError(f"malformed pickled value: {type(exc).__name__}: {exc}") from None
+
+
+def _w_opt_state(out: bytearray, state: NodeState | None) -> None:
+    out.append(0 if state is None else _NODE_STATE_INDEX[state])
 
 
 def _r_opt_state(buf: memoryview, pos: int) -> tuple[NodeState | None, int]:
-    index = buf[pos]
-    pos += 1
+    index, pos = _r_byte(buf, pos)
     if index == 0:
         return None, pos
     if index > len(_NODE_STATES):
@@ -253,20 +308,19 @@ def clear_filters() -> None:
     _FILTERS.clear()
 
 
-def _w_filter(out: io.BytesIO, filter: object | None) -> None:
+def _w_filter(out: bytearray, filter: object | None) -> None:
     if filter is None:
-        out.write(b"\x00")
+        out.append(0)
         return
     name = getattr(filter, "name", None)
     if not isinstance(name, str) or not name:
         raise WireError(f"cannot serialize subscription filter without a name: {filter!r}")
-    out.write(b"\x01")
+    out.append(1)
     _w_str(out, name)
 
 
 def _r_filter(buf: memoryview, pos: int) -> tuple[object | None, int]:
-    flag = buf[pos]
-    pos += 1
+    flag, pos = _r_byte(buf, pos)
     if flag == 0:
         return None, pos
     name, pos = _r_str(buf, pos)
@@ -296,88 +350,171 @@ def _dumps_checkpoint(checkpoint: Any) -> bytes:
     return out.getvalue()
 
 
-def _loads_checkpoint(data: bytes) -> Any:
+def _loads_checkpoint(data: memoryview) -> Any:
     return _CheckpointUnpickler(io.BytesIO(data)).load()
 
 
-# --------------------------------------------------------------------------- tuples
-def _w_tuple(out: io.BytesIO, item: StreamTuple) -> None:
-    try:
-        type_index = _TUPLE_TYPE_INDEX[item.tuple_type]
-    except KeyError:
-        raise WireError(f"unknown tuple type {item.tuple_type!r}") from None
-    flags = (item.undo_from_id is not None) | ((item.stable_seq is not None) << 1)
-    out.write(bytes((type_index, flags)))
-    _w_zigzag(out, item.tuple_id)
-    _w_float(out, item.stime)
-    if item.undo_from_id is not None:
-        _w_zigzag(out, item.undo_from_id)
-    if item.stable_seq is not None:
-        _w_zigzag(out, item.stable_seq)
-    _w_uvarint(out, len(item.values))
-    for key, value in item.values.items():
-        _w_str(out, key)
+# --------------------------------------------------------------------------- tuples (columnar)
+#: Value-column encodings, chosen per column from its contents.
+_C_INT64, _C_FLOAT64, _C_TAGGED = range(3)
+_ALL_INT = {int}
+_ALL_FLOAT = {float}
+
+
+def _w_sparse(out: bytearray, column: list) -> None:
+    """Optional int64 column: ``0`` (all ``None``) or ``1`` + presence bytes + values."""
+    if column.count(None) == len(column):
+        out.append(0)
+        return
+    out.append(1)
+    out += bytes([value is not None for value in column])
+    out += _packed(_INT64, [value for value in column if value is not None])
+
+
+def _r_sparse(buf: memoryview, pos: int, count: int) -> tuple[list, int]:
+    mode, pos = _r_byte(buf, pos)
+    if mode == 0:
+        return [None] * count, pos
+    if mode != 1:
+        raise WireError(f"unknown sparse column mode {mode}")
+    span, pos = _r_span(buf, pos, count)
+    presence = bytes(span)
+    present = presence.count(1)
+    if present + presence.count(0) != count:
+        raise WireError("sparse column presence bytes must be 0 or 1")
+    values, pos = _r_packed(buf, pos, _INT64, present)
+    following = iter(values)
+    return [next(following) if flag else None for flag in presence], pos
+
+
+def _w_column(out: bytearray, column: tuple) -> None:
+    kinds = set(map(type, column))
+    if kinds == _ALL_FLOAT:
+        out.append(_C_FLOAT64)
+        out += _packed(_FLOAT64, column)
+        return
+    if kinds == _ALL_INT:
+        try:
+            packed = _packed(_INT64, column)
+        except OverflowError:  # an int beyond 64 bits: varints for this column
+            pass
+        else:
+            out.append(_C_INT64)
+            out += packed
+            return
+    out.append(_C_TAGGED)
+    for value in column:
         _w_value(out, value)
 
 
-def _r_tuple(buf: memoryview, pos: int) -> tuple[StreamTuple, int]:
-    type_index = buf[pos]
-    flags = buf[pos + 1]
-    pos += 2
-    if type_index >= len(_TUPLE_TYPES):
-        raise WireError(f"unknown tuple type index {type_index}")
-    tuple_id, pos = _r_zigzag(buf, pos)
-    stime, pos = _r_float(buf, pos)
-    undo_from_id: int | None = None
-    stable_seq: int | None = None
-    if flags & 1:
-        undo_from_id, pos = _r_zigzag(buf, pos)
-    if flags & 2:
-        stable_seq, pos = _r_zigzag(buf, pos)
-    count, pos = _r_uvarint(buf, pos)
-    values: dict[str, Any] = {}
+def _r_column(buf: memoryview, pos: int, count: int) -> tuple[list, int]:
+    encoding, pos = _r_byte(buf, pos)
+    if encoding == _C_INT64:
+        return _r_packed(buf, pos, _INT64, count)
+    if encoding == _C_FLOAT64:
+        return _r_packed(buf, pos, _FLOAT64, count)
+    if encoding != _C_TAGGED:
+        raise WireError(f"unknown value column encoding {encoding}")
+    column = []
     for _ in range(count):
-        key, pos = _r_str(buf, pos)
-        values[key], pos = _r_value(buf, pos)
-    return (
-        StreamTuple(
-            tuple_type=_TUPLE_TYPES[type_index],
-            tuple_id=tuple_id,
-            stime=stime,
-            values=values,
-            undo_from_id=undo_from_id,
-            stable_seq=stable_seq,
-        ),
-        pos,
-    )
+        value, pos = _r_value(buf, pos)
+        column.append(value)
+    return column, pos
+
+
+def _w_tuples(out: bytearray, tuples: Sequence[StreamTuple]) -> None:
+    count = len(tuples)
+    _w_uvarint(out, count)
+    if not count:
+        return
+    try:
+        out += bytes([_TUPLE_TYPE_INDEX[item.tuple_type] for item in tuples])
+    except KeyError as exc:
+        raise WireError(f"unknown tuple type {exc.args[0]!r}") from None
+    try:
+        out += _packed(_INT64, [item.tuple_id for item in tuples])
+        out += _packed(_FLOAT64, [item.stime for item in tuples])
+        _w_sparse(out, [item.undo_from_id for item in tuples])
+        _w_sparse(out, [item.stable_seq for item in tuples])
+    except (OverflowError, TypeError) as exc:
+        raise WireError(f"tuple header field does not fit its packed column: {exc}") from None
+    # Schema runs: key names once per run, then one column per key.
+    payloads = [item.values for item in tuples]
+    start = 0
+    for keys, run in groupby(map(tuple, payloads)):
+        length = len(list(run))
+        _w_uvarint(out, length)
+        _w_uvarint(out, len(keys))
+        if keys:
+            for key in keys:
+                _w_str(out, key)
+            rows = [payload.values() for payload in payloads[start : start + length]]
+            for column in zip(*rows):
+                _w_column(out, column)
+        start += length
+
+
+def _r_tuples(buf: memoryview, pos: int) -> tuple[list[StreamTuple], int]:
+    count, pos = _r_uvarint(buf, pos)
+    if not count:
+        return [], pos
+    # The type column needs ``count`` bytes, so a corrupt count fails here
+    # before any list of that size exists.
+    span, pos = _r_span(buf, pos, count)
+    try:
+        types = [_TUPLE_TYPES[code] for code in span]
+    except IndexError:
+        raise WireError(f"unknown tuple type index {max(span)}") from None
+    ids, pos = _r_packed(buf, pos, _INT64, count)
+    stimes, pos = _r_packed(buf, pos, _FLOAT64, count)
+    undo_from_ids, pos = _r_sparse(buf, pos, count)
+    stable_seqs, pos = _r_sparse(buf, pos, count)
+    payloads: list[dict] = []
+    while len(payloads) < count:
+        length, pos = _r_uvarint(buf, pos)
+        if not 0 < length <= count - len(payloads):
+            raise WireError(f"schema run of {length} tuples in a batch of {count}")
+        n_keys, pos = _r_uvarint(buf, pos)
+        if not n_keys:
+            payloads += [{} for _ in range(length)]
+            continue
+        keys = []
+        for _ in range(n_keys):
+            key, pos = _r_str(buf, pos)
+            keys.append(key)
+        columns = []
+        for _ in range(n_keys):
+            column, pos = _r_column(buf, pos, length)
+            columns.append(column)
+        payloads += [dict(zip(keys, row)) for row in zip(*columns)]
+    return StreamTuple.from_columns(types, ids, stimes, payloads, undo_from_ids, stable_seqs), pos
 
 
 def encode_tuple(item: StreamTuple) -> bytes:
     """Standalone versioned encoding of one tuple (tests, debugging)."""
-    out = io.BytesIO()
-    out.write(bytes((WIRE_VERSION,)))
-    _w_tuple(out, item)
-    return out.getvalue()
+    out = bytearray((WIRE_VERSION,))
+    _w_tuples(out, (item,))
+    return bytes(out)
 
 
 def decode_tuple(data: bytes) -> StreamTuple:
     buf = memoryview(data)
     _check_version(buf)
-    item, pos = _r_tuple(buf, 1)
+    items, pos = _r_tuples(buf, 1)
     _check_consumed(buf, pos)
-    return item
+    if len(items) != 1:
+        raise WireError(f"expected one tuple, frame holds {len(items)}")
+    return items[0]
 
 
 # --------------------------------------------------------------------------- payload codecs
-def _w_batch(out: io.BytesIO, batch: DataBatch) -> None:
+def _w_batch(out: bytearray, batch: DataBatch) -> None:
     _w_str(out, batch.stream)
     _w_str(out, batch.producer)
     _w_opt_state(out, batch.producer_node_state)
     _w_opt_state(out, batch.producer_stream_state)
-    out.write(b"\x01" if batch.replay else b"\x00")
-    _w_uvarint(out, len(batch.tuples))
-    for item in batch.tuples:
-        _w_tuple(out, item)
+    out.append(bool(batch.replay))
+    _w_tuples(out, batch.tuples)
 
 
 def _r_batch(buf: memoryview, pos: int) -> tuple[DataBatch, int]:
@@ -385,13 +522,8 @@ def _r_batch(buf: memoryview, pos: int) -> tuple[DataBatch, int]:
     producer, pos = _r_str(buf, pos)
     node_state, pos = _r_opt_state(buf, pos)
     stream_state, pos = _r_opt_state(buf, pos)
-    replay = bool(buf[pos])
-    pos += 1
-    count, pos = _r_uvarint(buf, pos)
-    tuples = []
-    for _ in range(count):
-        item, pos = _r_tuple(buf, pos)
-        tuples.append(item)
+    replay, pos = _r_byte(buf, pos)
+    tuples, pos = _r_tuples(buf, pos)
     return (
         DataBatch(
             stream=stream,
@@ -399,17 +531,17 @@ def _r_batch(buf: memoryview, pos: int) -> tuple[DataBatch, int]:
             producer=producer,
             producer_node_state=node_state,
             producer_stream_state=stream_state,
-            replay=replay,
+            replay=bool(replay),
         ),
         pos,
     )
 
 
-def _w_subscribe(out: io.BytesIO, request: SubscribeRequest) -> None:
+def _w_subscribe(out: bytearray, request: SubscribeRequest) -> None:
     _w_str(out, request.stream)
     _w_str(out, request.subscriber)
     _w_zigzag(out, request.last_stable_seq)
-    out.write(bytes(((request.had_tentative) | (request.replay_tentative << 1),)))
+    out.append(bool(request.had_tentative) | (bool(request.replay_tentative) << 1))
     _w_filter(out, request.filter)
 
 
@@ -417,8 +549,7 @@ def _r_subscribe(buf: memoryview, pos: int) -> tuple[SubscribeRequest, int]:
     stream, pos = _r_str(buf, pos)
     subscriber, pos = _r_str(buf, pos)
     last_stable_seq, pos = _r_zigzag(buf, pos)
-    flags = buf[pos]
-    pos += 1
+    flags, pos = _r_byte(buf, pos)
     filter, pos = _r_filter(buf, pos)
     return (
         SubscribeRequest(
@@ -433,7 +564,7 @@ def _r_subscribe(buf: memoryview, pos: int) -> tuple[SubscribeRequest, int]:
     )
 
 
-def _w_unsubscribe(out: io.BytesIO, request: UnsubscribeRequest) -> None:
+def _w_unsubscribe(out: bytearray, request: UnsubscribeRequest) -> None:
     _w_str(out, request.stream)
     _w_str(out, request.subscriber)
 
@@ -444,7 +575,7 @@ def _r_unsubscribe(buf: memoryview, pos: int) -> tuple[UnsubscribeRequest, int]:
     return UnsubscribeRequest(stream=stream, subscriber=subscriber), pos
 
 
-def _w_heartbeat_request(out: io.BytesIO, request: HeartbeatRequest) -> None:
+def _w_heartbeat_request(out: bytearray, request: HeartbeatRequest) -> None:
     _w_str(out, request.requester)
     _w_uvarint(out, len(request.streams))
     for stream in request.streams:
@@ -461,7 +592,7 @@ def _r_heartbeat_request(buf: memoryview, pos: int) -> tuple[HeartbeatRequest, i
     return HeartbeatRequest(requester=requester, streams=tuple(streams)), pos
 
 
-def _w_heartbeat_response(out: io.BytesIO, response: HeartbeatResponse) -> None:
+def _w_heartbeat_response(out: bytearray, response: HeartbeatResponse) -> None:
     _w_str(out, response.responder)
     _w_opt_state(out, response.node_state)
     _w_uvarint(out, len(response.stream_states))
@@ -491,7 +622,7 @@ def _r_heartbeat_response(buf: memoryview, pos: int) -> tuple[HeartbeatResponse,
     )
 
 
-def _w_reconcile_request(out: io.BytesIO, request: ReconcileRequest) -> None:
+def _w_reconcile_request(out: bytearray, request: ReconcileRequest) -> None:
     _w_str(out, request.requester)
     _w_zigzag(out, request.request_id)
 
@@ -502,21 +633,23 @@ def _r_reconcile_request(buf: memoryview, pos: int) -> tuple[ReconcileRequest, i
     return ReconcileRequest(requester=requester, request_id=request_id), pos
 
 
-def _w_reconcile_reply(out: io.BytesIO, reply: ReconcileReply) -> None:
+def _w_reconcile_reply(out: bytearray, reply: ReconcileReply) -> None:
     _w_str(out, reply.responder)
     _w_zigzag(out, reply.request_id)
-    out.write(b"\x01" if reply.granted else b"\x00")
+    out.append(bool(reply.granted))
 
 
 def _r_reconcile_reply(buf: memoryview, pos: int) -> tuple[ReconcileReply, int]:
     responder, pos = _r_str(buf, pos)
     request_id, pos = _r_zigzag(buf, pos)
-    granted = bool(buf[pos])
-    pos += 1
-    return ReconcileReply(responder=responder, request_id=request_id, granted=granted), pos
+    granted, pos = _r_byte(buf, pos)
+    return (
+        ReconcileReply(responder=responder, request_id=request_id, granted=bool(granted)),
+        pos,
+    )
 
 
-def _w_checkpoint_request(out: io.BytesIO, request: CheckpointRequest) -> None:
+def _w_checkpoint_request(out: bytearray, request: CheckpointRequest) -> None:
     _w_str(out, request.requester)
 
 
@@ -525,27 +658,26 @@ def _r_checkpoint_request(buf: memoryview, pos: int) -> tuple[CheckpointRequest,
     return CheckpointRequest(requester=requester), pos
 
 
-def _w_checkpoint_response(out: io.BytesIO, response: CheckpointResponse) -> None:
+def _w_checkpoint_response(out: bytearray, response: CheckpointResponse) -> None:
     _w_str(out, response.responder)
     if response.checkpoint is None:
-        out.write(b"\x00")
+        out.append(0)
     else:
-        out.write(b"\x01")
+        out.append(1)
         _w_bytes(out, _dumps_checkpoint(response.checkpoint))
 
 
 def _r_checkpoint_response(buf: memoryview, pos: int) -> tuple[CheckpointResponse, int]:
     responder, pos = _r_str(buf, pos)
-    flag = buf[pos]
-    pos += 1
+    flag, pos = _r_byte(buf, pos)
     checkpoint = None
     if flag:
         data, pos = _r_bytes(buf, pos)
-        checkpoint = _loads_checkpoint(data)
+        checkpoint = _unpickle(_loads_checkpoint, data)
     return CheckpointResponse(responder=responder, checkpoint=checkpoint), pos
 
 
-def _w_source_resubscribe(out: io.BytesIO, request: SourceResubscribe) -> None:
+def _w_source_resubscribe(out: bytearray, request: SourceResubscribe) -> None:
     _w_str(out, request.stream)
     _w_str(out, request.subscriber)
     _w_zigzag(out, request.after_tuple_id)
@@ -575,7 +707,7 @@ _CODECS: dict[str, tuple[int, Callable, Callable]] = {
     CHECKPOINT_RESPONSE: (8, _w_checkpoint_response, _r_checkpoint_response),
     SOURCE_RESUBSCRIBE: (9, _w_source_resubscribe, _r_source_resubscribe),
 }
-_KIND_BY_INDEX = {index: kind for kind, (index, _, _) in _CODECS.items()}
+_DECODERS = {index: (kind, decoder) for kind, (index, _, decoder) in _CODECS.items()}
 
 
 def _check_version(buf: memoryview) -> None:
@@ -592,61 +724,71 @@ def _check_consumed(buf: memoryview, pos: int) -> None:
         raise WireError(f"{len(buf) - pos} trailing bytes after decoded frame")
 
 
-# --------------------------------------------------------------------------- public API
-def encode_message(kind: str, payload: Any) -> bytes:
-    """Encode one protocol message as a versioned frame."""
+def _w_message(out: bytearray, kind: str, payload: Any) -> None:
     try:
         index, encoder, _ = _CODECS[kind]
     except KeyError:
         raise WireError(f"unknown message kind {kind!r}") from None
-    out = io.BytesIO()
-    out.write(bytes((WIRE_VERSION, index)))
+    out.append(index)
     encoder(out, payload)
-    return out.getvalue()
+
+
+def _r_message(buf: memoryview, pos: int) -> tuple[str, Any]:
+    """Kind byte + payload filling the rest of the frame."""
+    index, pos = _r_byte(buf, pos)
+    try:
+        kind, decoder = _DECODERS[index]
+    except KeyError:
+        raise WireError(f"unknown message kind index {index}") from None
+    payload, pos = decoder(buf, pos)
+    _check_consumed(buf, pos)
+    return kind, payload
+
+
+# --------------------------------------------------------------------------- public API
+def encode_message(kind: str, payload: Any) -> bytes:
+    """Encode one protocol message as a versioned frame."""
+    out = bytearray((WIRE_VERSION,))
+    _w_message(out, kind, payload)
+    return bytes(out)
 
 
 def decode_message(data: bytes) -> tuple[str, Any]:
     """Decode a frame produced by :func:`encode_message`."""
     buf = memoryview(data)
     _check_version(buf)
-    if len(buf) < 2:
-        raise WireError("truncated frame: missing message kind")
-    kind = _KIND_BY_INDEX.get(buf[1])
-    if kind is None:
-        raise WireError(f"unknown message kind index {buf[1]}")
-    _, _, decoder = _CODECS[kind]
-    payload, pos = decoder(buf, 2)
-    _check_consumed(buf, pos)
-    return kind, payload
+    return _r_message(buf, 1)
+
+
+def encode_envelope_prefix(sender: str, receiver: str) -> bytes:
+    """The addressed head of an envelope: version byte, sender, receiver."""
+    out = bytearray((WIRE_VERSION,))
+    _w_str(out, sender)
+    _w_str(out, receiver)
+    return bytes(out)
+
+
+def encode_payload(kind: str, payload: Any) -> bytes:
+    """The receiver-independent tail of an envelope: kind byte + payload.
+
+    ``encode_envelope_prefix(s, r) + encode_payload(k, p)`` is
+    ``encode_envelope(s, r, k, p)``; a fan-out encodes the tail once.
+    """
+    out = bytearray()
+    _w_message(out, kind, payload)
+    return bytes(out)
 
 
 def encode_envelope(sender: str, receiver: str, kind: str, payload: Any) -> bytes:
     """Encode an addressed frame (sender/receiver prefix + message)."""
-    try:
-        index, encoder, _ = _CODECS[kind]
-    except KeyError:
-        raise WireError(f"unknown message kind {kind!r}") from None
-    out = io.BytesIO()
-    out.write(bytes((WIRE_VERSION,)))
-    _w_str(out, sender)
-    _w_str(out, receiver)
-    out.write(bytes((index,)))
-    encoder(out, payload)
-    return out.getvalue()
+    return encode_envelope_prefix(sender, receiver) + encode_payload(kind, payload)
 
 
 def decode_envelope(data: bytes) -> tuple[str, str, str, Any]:
-    """Decode a frame produced by :func:`encode_envelope`."""
+    """Decode a frame produced by :func:`encode_envelope` (any bytes-like object)."""
     buf = memoryview(data)
     _check_version(buf)
     sender, pos = _r_str(buf, 1)
     receiver, pos = _r_str(buf, pos)
-    if pos >= len(buf):
-        raise WireError("truncated envelope: missing message kind")
-    kind = _KIND_BY_INDEX.get(buf[pos])
-    if kind is None:
-        raise WireError(f"unknown message kind index {buf[pos]}")
-    _, _, decoder = _CODECS[kind]
-    payload, end = decoder(buf, pos + 1)
-    _check_consumed(buf, end)
+    kind, payload = _r_message(buf, pos)
     return sender, receiver, kind, payload

@@ -82,6 +82,9 @@ class WorkerSpec:
     generation: int = 0
     #: Scheduled wire/window faults this worker's transport enforces.
     fault_plan: FaultPlan = FaultPlan()
+    #: Where to dump a cProfile of this process (``repro profile live``);
+    #: ``None`` (the default) runs unprofiled.
+    profile_path: str | None = None
 
 
 @dataclass
@@ -388,12 +391,21 @@ def _result(stack: FragmentStack, clock: LiveClock, transport: LiveTransport) ->
 # --------------------------------------------------------------------------- process entry
 def worker_main(spec: WorkerSpec, placement: Placement, deploy_kwargs: dict, conn) -> None:
     """Process entry point (target of ``multiprocessing.Process``)."""
+    profiler = None
+    if spec.profile_path is not None:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        profiler.enable()
     try:
         asyncio.run(_worker_async(spec, placement, deploy_kwargs, conn))
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         pass
     finally:
         conn.close()
+        if profiler is not None:
+            profiler.disable()
+            profiler.dump_stats(spec.profile_path)
 
 
 async def _worker_async(

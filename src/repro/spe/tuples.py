@@ -33,7 +33,7 @@ model is built for per-instance cost rather than generic convenience:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class TupleType(str, Enum):
@@ -288,6 +288,50 @@ class StreamTuple:
         t.is_undo = False
         t.is_rec_done = True
         return t
+
+    @classmethod
+    def from_columns(
+        cls,
+        tuple_types: Sequence[TupleType],
+        tuple_ids: Sequence[int],
+        stimes: Sequence[float],
+        values: Sequence[Mapping[str, Any]],
+        undo_from_ids: Sequence[int | None],
+        stable_seqs: Sequence[int | None],
+    ) -> "list[StreamTuple]":
+        """Create one tuple per row of six equal-length columns.
+
+        The bulk sibling of ``__init__`` for decoders that hold a batch
+        column-wise: each payload mapping is attached as is (no copy), and the
+        predicate flags are looked up once per stretch of equal types rather
+        than once per tuple.
+        """
+        tuples = []
+        append = tuples.append
+        last_type = None
+        for tuple_type, tuple_id, stime, payload, undo_from_id, stable_seq in zip(
+            tuple_types, tuple_ids, stimes, values, undo_from_ids, stable_seqs
+        ):
+            if tuple_type is not last_type:
+                predicates = _PREDICATES_BY_TYPE[tuple_type]
+                last_type = tuple_type
+            t = _new(cls)
+            t.tuple_type = tuple_type
+            t.tuple_id = tuple_id
+            t.stime = stime
+            t.values = payload
+            t.undo_from_id = undo_from_id
+            t.stable_seq = stable_seq
+            (
+                t.is_data,
+                t.is_stable,
+                t.is_tentative,
+                t.is_boundary,
+                t.is_undo,
+                t.is_rec_done,
+            ) = predicates
+            append(t)
+        return tuples
 
     # ---------------------------------------------------------------- transforms
     def as_tentative(self) -> "StreamTuple":

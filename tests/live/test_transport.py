@@ -1,0 +1,231 @@
+"""In-process tests of the live transport's framing (tier-1, no fork).
+
+Two :class:`~repro.live.transport.LiveTransport` instances share one asyncio
+loop and talk over temporary Unix sockets, exactly as two worker processes
+would; a raw socket connection plays the misbehaving peer.  Pinned here: a
+fan-out encodes its payload once, malformed and oversized frames are counted
+drops that never take the receiver down, and sequence/generation admission
+holds for frames assembled in one buffer.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import shutil
+import tempfile
+import time
+
+import pytest
+
+from repro.core.protocol import DATA, HEARTBEAT_REQUEST, DataBatch, HeartbeatRequest
+from repro.core.states import NodeState
+from repro.live import transport as transport_module
+from repro.live import wire
+from repro.live.clock import LiveClock
+from repro.live.faults import DUPLICATE, FaultPlan, LinkRule
+from repro.live.transport import LiveTransport
+from repro.spe.tuples import StreamTuple
+
+#: endpoint -> worker: one producer on worker ``wa``, two consumers on ``wb``.
+ENDPOINTS = {"src": "wa", "n1": "wb", "n2": "wb"}
+
+
+class Fabric:
+    """Two started transports plus the messages each ``wb`` endpoint received."""
+
+    def __init__(self, fault_plan: FaultPlan | None = None) -> None:
+        # Unix socket paths are limited to ~100 bytes: keep the directory short.
+        self.directory = tempfile.mkdtemp(prefix="rt-")
+        self.sockets = {w: f"{self.directory}/{w}.sock" for w in ("wa", "wb")}
+        clock = LiveClock(time.monotonic())
+        self.a, self.b = (
+            LiveTransport(
+                worker, self.sockets[worker], ENDPOINTS, self.sockets, clock,
+                fault_plan=fault_plan,
+            )
+            for worker in ("wa", "wb")
+        )
+        self.received: dict[str, list] = {"n1": [], "n2": []}
+        for endpoint, inbox in self.received.items():
+            self.b.register(endpoint, lambda message, now, inbox=inbox: inbox.append(message))
+
+    async def __aenter__(self) -> "Fabric":
+        await self.a.start()
+        await self.b.start()
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.a.close()
+        await self.b.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    async def raw_peer(self):
+        """A bare connection to ``wb``'s socket (the misbehaving peer)."""
+        return await asyncio.open_unix_connection(self.sockets["wb"])
+
+
+async def eventually(condition, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.005)
+
+
+def batch(first_id: int = 0) -> DataBatch:
+    tuples = [
+        StreamTuple.insertion(first_id + i, 0.25 * i, {"seq": i, "value": i / 2})
+        for i in range(5)
+    ]
+    return DataBatch.of("s", [*tuples, StreamTuple.boundary(first_id + 5, 2.0)], "src",
+                        NodeState.STABLE, NodeState.STABLE)
+
+
+def frame(generation: int, seq: int, body: bytes, ftype: int = 0) -> bytes:
+    """One on-the-wire frame as a peer of the given generation would stamp it."""
+    header = transport_module._HEADER.pack(ftype, generation, seq)
+    return transport_module._LENGTH.pack(len(header) + len(body)) + header + body
+
+
+def envelope(receiver: str = "n1", first_id: int = 0) -> bytes:
+    # "ghost" is no known endpoint, so its frames form a link of their own and
+    # never collide with the sequence numbers of the real ``wa`` -> ``wb`` link.
+    return wire.encode_envelope("ghost", receiver, DATA, batch(first_id))
+
+
+def run(coroutine) -> None:
+    asyncio.run(asyncio.wait_for(coroutine, timeout=30.0))
+
+
+# ---------------------------------------------------------------------- encode once
+def test_send_many_encodes_the_payload_once_per_call(monkeypatch):
+    calls = []
+    encode_payload = wire.encode_payload
+
+    def counting(kind, payload):
+        calls.append(kind)
+        return encode_payload(kind, payload)
+
+    monkeypatch.setattr(wire, "encode_payload", counting)
+
+    async def scenario():
+        async with Fabric() as fabric:
+            sent = batch()
+            assert fabric.a.send_many("src", ("n1", "n2"), DATA, sent) == ["n1", "n2"]
+            await eventually(lambda: all(fabric.received.values()))
+            assert calls == [DATA]
+            for endpoint, inbox in fabric.received.items():
+                (message,) = inbox
+                assert (message.sender, message.receiver, message.kind) == ("src", endpoint, DATA)
+                assert message.payload == sent
+            # One frame per receiver still crossed the socket.
+            assert fabric.a.transport_stats()["links"]["wb"]["frames_sent"] >= 2
+            # A second call encodes again (once), and control messages ride the same path.
+            request = HeartbeatRequest("src", ("s",))
+            fabric.a.send_many("src", ("n2", "n1"), HEARTBEAT_REQUEST, request)
+            await eventually(lambda: all(len(inbox) == 2 for inbox in fabric.received.values()))
+            assert calls == [DATA, HEARTBEAT_REQUEST]
+            assert fabric.received["n1"][1].payload == request
+
+    run(scenario())
+
+
+def test_local_delivery_never_encodes(monkeypatch):
+    monkeypatch.setattr(wire, "encode_payload", lambda kind, payload: pytest.fail("encoded"))
+
+    async def scenario():
+        async with Fabric() as fabric:
+            assert fabric.b.send_many("n1", ("n2",), DATA, batch()) == ["n2"]
+            await eventually(lambda: fabric.received["n2"])
+            assert fabric.received["n2"][0].payload == batch()
+
+    run(scenario())
+
+
+# ---------------------------------------------------------------------- malformed input
+def test_garbage_and_oversized_frames_are_counted_drops():
+    async def scenario():
+        async with Fabric() as fabric:
+            reader, writer = await fabric.raw_peer()
+            good = envelope()
+            # Garbage bodies: random bytes, a truncated envelope, a v1 frame,
+            # and a frame shorter than the transport header.
+            garbage = [b"\xff" * 40, good[: len(good) // 2], b"\x01" + good[1:]]
+            for seq, body in enumerate(garbage):
+                writer.write(frame(0, seq, body))
+            writer.write(transport_module._LENGTH.pack(3) + b"abc")
+            await writer.drain()
+            await eventually(lambda: fabric.b.stats.dropped == len(garbage) + 1)
+            assert not fabric.received["n1"]
+            # The same connection's reader is still running.
+            writer.write(frame(0, 10, good))
+            await writer.drain()
+            await eventually(lambda: len(fabric.received["n1"]) == 1)
+            # An absurd length prefix is refused without reading (or allocating)
+            # the claimed body, and that connection is closed.
+            writer.write(transport_module._LENGTH.pack(transport_module._MAX_FRAME_BYTES + 1))
+            writer.write(b"x" * 64)
+            await writer.drain()
+            await eventually(lambda: fabric.b.stats.dropped == len(garbage) + 2)
+            assert await reader.read() == b""  # EOF: the receiver hung up
+            writer.close()
+            # A fresh connection -- a raw one and the real link -- still delivers.
+            _, fresh = await fabric.raw_peer()
+            fresh.write(frame(0, 11, envelope(first_id=100)))
+            await fresh.drain()
+            assert fabric.a.send("src", "n1", DATA, batch(200))
+            await eventually(lambda: len(fabric.received["n1"]) == 3)
+            assert {m.payload.tuples[0].tuple_id for m in fabric.received["n1"]} == {0, 100, 200}
+            fresh.close()
+
+    run(scenario())
+
+
+def test_frame_bound_covers_the_largest_legitimate_frames():
+    # The bound must refuse only nonsense: the 32-bit prefix can claim 4 GiB,
+    # the largest measured checkpoint frames are a few MB.
+    assert 64 * 2**20 <= transport_module._MAX_FRAME_BYTES < 2**32
+
+
+# ---------------------------------------------------------------------- admission
+def test_sequence_dedup_and_stale_generation_rejection():
+    async def scenario():
+        async with Fabric() as fabric:
+            _, writer = await fabric.raw_peer()
+            delivered = lambda: len(fabric.received["n1"])  # noqa: E731
+
+            async def push(generation: int, seq: int, first_id: int) -> None:
+                writer.write(frame(generation, seq, envelope(first_id=first_id)))
+                await writer.drain()
+
+            await push(1, 0, 0)
+            await eventually(lambda: delivered() == 1)
+            await push(1, 0, 0)  # the same stamped frame again: shed
+            await eventually(lambda: fabric.b.duplicates_rejected == 1)
+            await push(0, 5, 10)  # a predecessor's zombie write: stale generation
+            await eventually(lambda: fabric.b.stale_rejected == 1)
+            await push(1, 1, 20)
+            await eventually(lambda: delivered() == 2)
+            await push(2, 0, 30)  # respawned sender: sequence restarts
+            await eventually(lambda: delivered() == 3)
+            assert [m.payload.tuples[0].tuple_id for m in fabric.received["n1"]] == [0, 20, 30]
+            assert fabric.b.stats.dropped == 2
+            writer.close()
+
+    run(scenario())
+
+
+def test_link_stamps_monotonic_sequences_and_duplicates_are_shed():
+    plan = FaultPlan(seed=3, rules=(LinkRule(DUPLICATE, sender="src", receiver="n1"),))
+
+    async def scenario():
+        async with Fabric(fault_plan=plan) as fabric:
+            for index in range(4):
+                assert fabric.a.send("src", "n1", DATA, batch(index * 10))
+            await eventually(lambda: len(fabric.received["n1"]) == 4)
+            await eventually(lambda: fabric.b.duplicates_rejected == 4)
+            # Every frame arrived once, in order, although each was written twice.
+            assert [m.payload.tuples[0].tuple_id for m in fabric.received["n1"]] == [0, 10, 20, 30]
+            assert fabric.a.injected[DUPLICATE] == 4
+            assert fabric.b.stale_rejected == 0
+
+    run(scenario())

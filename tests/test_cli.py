@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import pstats
+
 import pytest
 
 from repro import cli
@@ -307,6 +310,38 @@ def test_profile_shard_sort_by_tottime(capsys):
     assert code == 0
     assert "top 4 by tottime" in out
     assert "Ordered by: internal time" in out
+
+
+@pytest.mark.skipif(
+    os.environ.get("REPRO_LIVE_TESTS") != "1",
+    reason="forks live worker processes; set REPRO_LIVE_TESTS=1 to run",
+)
+def test_profile_live_writes_one_profile_per_worker(capsys, tmp_path):
+    code = cli.main(
+        ["profile", "live", "--depth", "2", "--rate", "300", "--duration", "2",
+         "--out", str(tmp_path)]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "profiled live chain-2: 3 worker processes" in out
+    # The edge worker plus one worker per node replica, each a loadable profile
+    # that saw the codec run.
+    assert sorted(os.listdir(tmp_path)) == ["edge.pstats", "node1-r0.pstats", "node2-r0.pstats"]
+    for name in os.listdir(tmp_path):
+        functions = {key[2] for key in pstats.Stats(str(tmp_path / name)).stats}
+        assert "decode_envelope" in functions and "encode_payload" in functions
+    assert out.count("wire codec") == 3
+    assert out.count("due to restriction <15>") == 3
+
+
+def test_profile_live_without_fork_is_a_one_line_error(capsys, monkeypatch, tmp_path):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    code = cli.main(["profile", "live", "--duration", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "live backend unavailable" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 # --------------------------------------------------------------------------- network faults
