@@ -2,35 +2,31 @@
 
 The paper proposes truncating output buffers as downstream neighbors
 acknowledge data, and bounding them for convergent-capable diagrams.  This
-benchmark measures the output-buffer footprint with and without periodic
-truncation during a failure-free run, and verifies that truncation keeps the
-buffer bounded without affecting what the client receives.
+benchmark measures the output-buffer footprint with and without the
+checkpoint acknowledgments that drive truncation during a failure-free run,
+and verifies that truncation keeps the buffer bounded without affecting what
+the client receives.
 """
 
 from __future__ import annotations
 
 from conftest import print_results
 
-from repro.runtime import ScenarioSpec
+from repro.experiments import buffer_bound_run
 
 
 def _run(truncate: bool) -> dict:
-    runtime = ScenarioSpec.single_node(
-        name="buffer-truncation", replicated=False, aggregate_rate=150.0, duration=30.0
-    ).build()
-    node = runtime.node(0, 0)
-    if truncate:
-        runtime.simulator.schedule_periodic(
-            1.0,
-            lambda now: [m.truncate_delivered() for m in node.data_path.outputs()],
-            description="truncate output buffers",
-        )
-    runtime.run()
-    manager = node.data_path.outputs()[0]
+    result = buffer_bound_run(
+        max_output_tuples=None,
+        block_on_full=True,
+        aggregate_rate=150.0,
+        duration=30.0,
+        checkpoint_interval=1.0 if truncate else None,
+    )
     return {
-        "buffered": manager.buffered_tuples,
-        "stable_received": runtime.client.metrics.consistency.total_stable,
-        "proc_new": runtime.client.proc_new,
+        "buffered": result.buffered_tuples,
+        "stable_received": result.client_stable,
+        "proc_new": result.proc_new,
     }
 
 

@@ -16,7 +16,8 @@ that axis.  It measures the per-tuple cost of the data plane two ways:
 Wall-clock readings are best-of-``ROUNDS`` and recorded in ``extra_info`` as
 ``*_wall_ms`` / ``*_tuples_per_sec``; ``check_bench_regression.py`` tracks
 those warn-only (noisy runners must not flake CI) while the deterministic
-companion metrics (output counts, simulator events, Proc_new) stay hard-fail.
+companion metrics (output counts, simulator events, Proc_new, and the
+output-buffer retention at the end of the run) stay hard-fail.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ BATCH_TUPLES = 20  # tuples per pushed batch, mirroring the transport batching
 
 SHARD_RATE = 1200.0
 SHARD_DURATION = 15.0
+#: The retention check reruns shard(4) this many times longer: buffers that
+#: are truncated on checkpoint acknowledgments end both runs equally full.
+RETENTION_STRETCH = 3
 
 
 def build_fragment_engine() -> LocalEngine:
@@ -173,6 +177,24 @@ def test_shard4_deployment_hot_path(run_once, benchmark):
     benchmark.extra_info["shard4_hot_path_events"] = row["events_fired"]
     benchmark.extra_info["shard4_hot_path_proc_new"] = round(row["proc_new"], 6)
     benchmark.extra_info["shard4_hot_path_stable_tuples"] = row["stable_tuples"]
+    # Bounded retention (Section 8.1): what the output buffers hold at the end
+    # is a few checkpoint windows, and a run three times as long ends the same.
+    stretched = shard_throughput_run(
+        4, aggregate_rate=SHARD_RATE, duration=SHARD_DURATION * RETENTION_STRETCH
+    )
+    ratio = stretched["output_buffered_end"] / row["output_buffered_end"]
+    benchmark.extra_info["shard4_output_buffered_end"] = row["output_buffered_end"]
+    benchmark.extra_info["shard4_retention_ratio"] = round(ratio, 4)
+    print_results(
+        "shard(4) output-buffer retention",
+        [
+            f"buffered at end  {row['output_buffered_end']:>8} tuples after {SHARD_DURATION:.0f} s",
+            f"                 {stretched['output_buffered_end']:>8} tuples after "
+            f"{SHARD_DURATION * RETENTION_STRETCH:.0f} s (ratio {ratio:.2f})",
+        ],
+    )
 
     assert row["eventually_consistent"]
     assert row["stable_tuples"] > 0
+    assert row["output_buffered_end"] < row["stable_tuples"]
+    assert ratio < 1.5

@@ -16,7 +16,10 @@ Only metrics whose name marks them as regression-tracked are compared:
 * ``*_stable_tuples`` -- *fewer* delivered stable tuples means the
   deployment stopped keeping up (inverted check);
 * ``*_recovery_s`` -- longer modeled recovery time means a crashed replica
-  takes longer to rejoin (the checkpoint-shipped recovery axis).
+  takes longer to rejoin (the checkpoint-shipped recovery axis);
+* ``*_output_buffered_end`` / ``*_retention_ratio`` -- more tuples left in
+  the output buffers, or a longer run ending with more of them, means the
+  acknowledgment-driven truncation stopped bounding retention.
 
 Improvements never fail the check; refresh the baseline deliberately with
 ``--write-baseline`` after a change that is supposed to move the numbers.
@@ -46,7 +49,15 @@ DEFAULT_WALL_TOLERANCE = 0.50
 #: Metric-name suffixes where *larger* is worse.  Only deterministic
 #: simulation metrics are hard-tracked; wall-clock readings vary with the
 #: host and are tracked warn-only (below) instead.
-LARGER_IS_WORSE = ("_events", "events_fired", "proc_new", "_undos", "_recovery_s")
+LARGER_IS_WORSE = (
+    "_events",
+    "events_fired",
+    "proc_new",
+    "_undos",
+    "_recovery_s",
+    "_output_buffered_end",
+    "_retention_ratio",
+)
 
 #: Metric-name suffixes where *smaller* is worse.
 SMALLER_IS_WORSE = ("_stable_tuples",)

@@ -156,8 +156,11 @@ class DPCConfig:
     * ``checkpoint_interval`` -- cadence (seconds) at which a STABLE replica
       captures a recovery checkpoint of its whole fragment so a crashed peer
       can rejoin from shipped state plus a short replay suffix instead of
-      replaying the entire retained window.  ``None`` disables periodic
-      capture, forcing full-replay recovery.
+      replaying the entire retained window.  Each capture is acknowledged
+      upstream (clients acknowledge their ledger on the same cadence), which
+      is what truncates output buffers and source logs (Section 8.1).
+      ``None`` disables periodic capture and the acknowledgments with it:
+      full-replay recovery, everything retained.
     * ``checkpoint_transfer_cost`` -- simulated seconds per checkpointed
       state item when shipping a recovery checkpoint between replicas, on
       top of the fixed ``checkpoint_cost``; makes transfer non-instantaneous

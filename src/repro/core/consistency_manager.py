@@ -43,6 +43,7 @@ from .protocol import (
     RECONCILE_REQUEST,
     SUBSCRIBE,
     UNSUBSCRIBE,
+    CheckpointAck,
     HeartbeatRequest,
     HeartbeatResponse,
     ReconcileReply,
@@ -168,6 +169,27 @@ class ConsistencyManager:
             return self.monitors[stream]
         except KeyError as exc:
             raise ProtocolError(f"unknown input stream {stream!r}") from exc
+
+    def acknowledge_inputs(self, registry) -> None:
+        """Acknowledge every input stream's covered position to all its producers.
+
+        Called when the owner's durable state covers what the monitors have
+        received (a node right after a recovery capture or adoption, a client
+        for its recorded ledger).  Every producer replica is told, subscribed
+        or not: the backup must be able to truncate too.  ``registry`` is the
+        deployment's :class:`~repro.statexfer.PeerRegistry`, the one seam
+        acknowledgments travel through on both backends.
+        """
+        consumer = self.owner.endpoint
+        for stream, monitor in self.monitors.items():
+            through = (
+                monitor.source_position
+                if monitor.track_source_ids
+                else monitor.stable_received - 1
+            )
+            ack = CheckpointAck(stream=stream, consumer=consumer, through=through)
+            for producer in monitor.producers:
+                registry.acknowledge(producer, ack)
 
     # ------------------------------------------------------------------ lifecycle
     def attach_external_driver(self) -> None:

@@ -11,18 +11,19 @@ by an :class:`OutputStreamManager`:
   :class:`repro.core.protocol.SubscribeRequest`);
 * each subscriber has a cursor into the buffer; flushing sends it everything
   appended since its cursor;
-* buffers can be truncated once every replica of every downstream neighbor
-  has acknowledged a prefix (Section 8.1), or capped with the policies of
+* the buffer is truncated once every replica of every downstream neighbor has
+  acknowledged a prefix (Section 8.1, :meth:`OutputStreamManager.acknowledge`),
+  and can additionally be capped with the policies of
   :class:`repro.config.BufferPolicy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..config import BufferPolicy
-from ..errors import BufferOverflowError, ProtocolError
+from ..errors import BufferOverflowError, BufferTruncatedError, ProtocolError
 from ..spe.streams import StreamWriter
 from ..spe.tuples import StreamTuple
 from .protocol import DATA, SubscribeRequest, TupleBatch
@@ -68,7 +69,19 @@ class OutputStreamManager:
         self._buffer: list[StreamTuple] = []
         self._base_index = 0  # index of _buffer[0] in the full history
         self._stable_seq = -1  # sequence number of the last stable tuple produced
+        #: Sequence number of the last stable tuple dropped from the front of
+        #: the buffer (-1: every stable tuple ever produced is still held).
+        self._dropped_seq = -1
         self._subscriptions: dict[str, _Subscription] = {}
+        #: consumer replica -> last stable seq its durable state covers.  One
+        #: entry per replica the deployment wires to this stream, subscribed
+        #: here or not; -1 until the replica's first acknowledgment, so a
+        #: silent consumer pins the buffer.
+        self._acks: dict[str, int] = {}
+        #: Optional callback handed every dropped prefix (oldest first) just
+        #: before it is discarded; the control plane keeps its load history
+        #: through it once the buffer no longer holds the whole run.
+        self.truncation_observer: Callable[[list[StreamTuple]], None] | None = None
         #: Largest serialization timestamp ever appended (the control plane
         #: aligns reconfiguration cuts to the bucket boundary past this).
         self.last_appended_stime = float("-inf")
@@ -98,18 +111,29 @@ class OutputStreamManager:
                 )
             # Convergent-capable diagrams may drop the oldest buffered tuples.
             self._drop_oldest(1)
-        physical = self._relabel(item)
-        if physical.is_stable:
-            self._stable_seq += 1
-            # Stamp the replica-independent position onto the tuple so that a
-            # subscriber connected to several replicas of this stream can
-            # discard stable tuples it already received elsewhere.
-            physical = physical.with_stable_seq(self._stable_seq)
-            self.stable_produced += 1
-        elif physical.is_tentative:
-            self.tentative_produced += 1
-        elif physical.is_undo:
+        # Relabel onto the physical stream.  A stable tuple is built with the
+        # replica-independent position stamped on it (one allocation), so a
+        # subscriber connected to several replicas of this stream can discard
+        # stable tuples it already received elsewhere.
+        writer = self._writer
+        if item.is_data:
+            if item.is_stable:
+                self._stable_seq = stable_seq = self._stable_seq + 1
+                physical = writer.data(item.stime, item.values, True, stable_seq)
+                self.stable_produced += 1
+            else:
+                physical = writer.data(item.stime, item.values, False)
+                self.tentative_produced += 1
+        elif item.is_undo:
+            # Cross-node undo semantics: revoke everything after the last
+            # stable tuple the subscriber received (see protocol.py), so the
+            # specific id does not need to be mapped between replicas.
+            physical = writer.undo(item.stime, item.undo_from_id or -1)
             self.undos_produced += 1
+        elif item.is_boundary:
+            physical = writer.boundary(max(item.stime, writer.last_boundary_stime))
+        else:
+            physical = writer.rec_done(item.stime)
         self._buffer.append(physical)
         if physical.stime > self.last_appended_stime:
             self.last_appended_stime = physical.stime
@@ -118,19 +142,6 @@ class OutputStreamManager:
     def append_all(self, items: Iterable[StreamTuple]) -> list[StreamTuple]:
         append = self.append
         return [append(item) for item in items]
-
-    def _relabel(self, item: StreamTuple) -> StreamTuple:
-        if item.is_data:
-            # Fast path: relabeled data tuples share the payload mapping.
-            return self._writer.data(item.stime, item.values, item.is_stable)
-        if item.is_undo:
-            # Cross-node undo semantics: revoke everything after the last
-            # stable tuple the subscriber received (see protocol.py), so the
-            # specific id does not need to be mapped between replicas.
-            return self._writer.undo(item.stime, item.undo_from_id or -1)
-        if item.is_boundary:
-            return self._writer.boundary(max(item.stime, self._writer.last_boundary_stime))
-        return self._writer.rec_done(item.stime)
 
     # ------------------------------------------------------------------ state transfer
     def snapshot_state(self) -> dict:
@@ -142,6 +153,7 @@ class OutputStreamManager:
             "buffer": list(self._buffer),
             "base_index": self._base_index,
             "stable_seq": self._stable_seq,
+            "dropped_seq": self._dropped_seq,
             "last_appended_stime": self.last_appended_stime,
         }
 
@@ -152,12 +164,16 @@ class OutputStreamManager:
         subscribers followed another replica while this one was down, so
         replaying the adopted buffer's historical tentative/undo tail to them
         would be harmful; a later switch-back renegotiates its own position
-        through a stable-seq :class:`SubscribeRequest`.
+        through a stable-seq :class:`SubscribeRequest`.  The partner truncated
+        its buffer on the same consumers' acknowledgments, so the adopted
+        truncation point is safe for every consumer of this replica too; the
+        locally recorded acknowledgments are kept.
         """
         self._writer.restore(state["writer"])
         self._buffer = list(state["buffer"])
         self._base_index = int(state["base_index"])
         self._stable_seq = int(state["stable_seq"])
+        self._dropped_seq = int(state["dropped_seq"])
         self.last_appended_stime = float(state["last_appended_stime"])
         end = self._end_index()
         for subscription in self._subscriptions.values():
@@ -183,7 +199,7 @@ class OutputStreamManager:
             raise ProtocolError(
                 f"subscribe for stream {request.stream!r} sent to manager of {self.stream!r}"
             )
-        start_index = self._replay_start_index(request)
+        start_index = self._replay_start_index(request.last_stable_seq, request.subscriber)
         entries = self._entries_from(start_index)
         if request.filter is not None:
             # Cursor translation for a filtered subscription: the quoted
@@ -198,13 +214,22 @@ class OutputStreamManager:
         replay.extend(entries)
         # Live delivery continues from the current end of the buffer; any
         # skipped tentative tail is intentionally dropped (paper, footnote 6).
-        self._subscriptions[request.subscriber] = _Subscription(
-            subscriber=request.subscriber,
+        self.attach_subscriber(request.subscriber, request.filter)
+        return replay
+
+    def attach_subscriber(self, subscriber: str, filter: object | None = None) -> None:
+        """Start live delivery to ``subscriber`` from the current end of the buffer.
+
+        The replay-free half of :meth:`subscribe`: deploy-time wiring (and a
+        scale-out attaching a fresh fragment to a running, already truncated
+        stream) has no history to ask for.
+        """
+        self._subscriptions[subscriber] = _Subscription(
+            subscriber=subscriber,
             next_index=self._end_index(),
             active=True,
-            filter=request.filter,
+            filter=filter,
         )
-        return replay
 
     def unsubscribe(self, subscriber: str) -> None:
         subscription = self._subscriptions.get(subscriber)
@@ -218,23 +243,58 @@ class OutputStreamManager:
         offset = index - self._base_index
         return self._buffer[offset if offset > 0 else 0:]
 
-    def _replay_start_index(self, request: SubscribeRequest) -> int:
-        """Index in the full history where this subscriber's replay starts."""
-        # Find the buffered entry holding stable tuple #last_stable_seq and
-        # start right after it; if the subscriber is ahead of everything we
-        # have buffered, start at the end.
-        if request.last_stable_seq < 0:
-            return self._base_index
-        for position, entry in enumerate(self._buffer):
-            if entry.stable_seq is not None and entry.stable_seq == request.last_stable_seq:
-                return self._base_index + position + 1
-        if request.last_stable_seq >= self._stable_seq:
+    def _replay_start_index(self, last_stable_seq: int, subscriber: str) -> int:
+        """Index in the full history right after stable tuple #``last_stable_seq``.
+
+        A negative position asks for the whole history.  A position inside
+        the truncated prefix is served from the truncation point when the
+        subscriber's *own* acknowledgment covers that prefix: the request was
+        in flight while the subscriber caught up elsewhere and acknowledged.
+        Otherwise :class:`BufferTruncatedError` is raised -- replaying only
+        what is retained would silently rebuild wrong state at the subscriber.
+        """
+        if last_stable_seq <= self._dropped_seq:
+            if (
+                last_stable_seq == self._dropped_seq
+                or self._acks.get(subscriber, -1) >= self._dropped_seq
+            ):
+                return self._base_index
+            raise BufferTruncatedError(
+                f"cannot replay stream {self.stream!r} at {self.owner!r} from stable seq "
+                f"{last_stable_seq}: buffer truncated through stable seq "
+                f"{self._dropped_seq} (first retained index {self._base_index})"
+            )
+        offset = self._offset_of(last_stable_seq)
+        if offset is None:
+            # The subscriber is ahead of everything produced here.
             return self._end_index()
-        # The subscriber is behind the truncation point.
-        raise ProtocolError(
-            f"cannot replay stream {self.stream!r} from stable seq "
-            f"{request.last_stable_seq}: buffer truncated"
-        )
+        return self._base_index + offset + 1
+
+    def _offset_of(self, stable_seq: int) -> int | None:
+        """Buffer offset of stable tuple #``stable_seq``, or None if not held.
+
+        Stamped positions increase along the buffer, so this is a binary
+        search; an unstamped entry (boundary, tentative, undo) is resolved
+        through the next stamped one after it.  O(log n) probes plus the
+        unstamped runs crossed, which never total more than the buffer.
+        """
+        buffer = self._buffer
+        low, high = 0, len(buffer)
+        while low < high:
+            middle = probe = (low + high) // 2
+            while probe < high and buffer[probe].stable_seq is None:
+                probe += 1
+            if probe == high:
+                high = middle
+                continue
+            found = buffer[probe].stable_seq
+            if found == stable_seq:
+                return probe
+            if found < stable_seq:
+                low = probe + 1
+            else:
+                high = middle
+        return None
 
     @staticmethod
     def _trim_tentative_tail(entries: list[StreamTuple]) -> list[StreamTuple]:
@@ -297,17 +357,70 @@ class OutputStreamManager:
             subscription.next_index = self._end_index()
 
     # ------------------------------------------------------------------ truncation
-    def _drop_oldest(self, count: int) -> None:
-        del self._buffer[:count]
+    def _drop_oldest(self, count: int) -> int:
+        buffer = self._buffer
+        for position in range(count - 1, -1, -1):
+            stable_seq = buffer[position].stable_seq
+            if stable_seq is not None:
+                self._dropped_seq = stable_seq
+                break
+        if self.truncation_observer is not None:
+            self.truncation_observer(buffer[:count])
+        del buffer[:count]
         self._base_index += count
+        return count
+
+    def add_consumer(self, consumer: str) -> None:
+        """Declare a downstream replica whose acknowledgments gate truncation."""
+        self._acks.setdefault(consumer, -1)
+
+    def remove_consumer(self, consumer: str) -> None:
+        """Forget a decommissioned consumer (it stops pinning the buffer)."""
+        self._acks.pop(consumer, None)
+
+    def acknowledge(self, consumer: str, through_seq: int) -> int:
+        """Record that ``consumer``'s durable state covers stable tuple #``through_seq``.
+
+        The acknowledgment-driven truncation of Section 8.1: the prefix up to
+        and including the smallest position acknowledged over *all* declared
+        consumers is dropped, because every path by which one of them can
+        resubscribe (checkpoint adoption, own-cursor replay, upstream switch)
+        resumes at or past its last acknowledgment.  A consumer that never
+        acknowledged -- down, in UP_FAILURE, or simply not captured yet --
+        pins the buffer; with no declared consumers nothing is ever dropped.
+        The latest acknowledgment wins even when it is lower: a replica that
+        adopted an older partner checkpoint re-acknowledges the adopted
+        cursor.  Returns the number of tuples discarded.
+        """
+        acks = self._acks
+        if consumer not in acks:
+            return 0
+        acks[consumer] = through_seq
+        safe_seq = min(acks.values())
+        if safe_seq <= self._dropped_seq:
+            return 0
+        offset = self._offset_of(safe_seq)
+        if offset is None:
+            return 0  # ahead of what this replica has produced so far
+        return self._drop_oldest(offset + 1)
+
+    @property
+    def acked_through(self) -> int:
+        """Stable seq every declared consumer has acknowledged (-1: none yet)."""
+        return min(self._acks.values(), default=-1)
+
+    @property
+    def truncated_tuples(self) -> int:
+        """Tuples dropped from the front of the buffer so far."""
+        return self._base_index
 
     def truncate_delivered(self) -> int:
-        """Drop the prefix every active subscriber has already received.
+        """Drop the prefix every active subscriber has already been *sent*.
 
-        Returns the number of tuples discarded.  This is the acknowledgment-
-        driven truncation of Section 8.1; callers decide when it is safe
-        (e.g. only while every downstream replica is subscribed and caught
-        up).
+        Delivery-cursor truncation for callers that manage a single manager by
+        hand; deployments truncate through :meth:`acknowledge`, which also
+        covers consumer replicas that are not subscribed here.  Returns the
+        number of tuples discarded.
         """
         if not self._subscriptions:
             return 0
@@ -331,7 +444,8 @@ class OutputStreamManager:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<OutputStreamManager {self.owner}:{self.stream} buffered={len(self._buffer)} "
-            f"stable_seq={self._stable_seq} subscribers={self.subscribers()}>"
+            f"truncated={self._base_index} stable_seq={self._stable_seq} "
+            f"subscribers={self.subscribers()}>"
         )
 
 

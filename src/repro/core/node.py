@@ -42,6 +42,7 @@ from ..statexfer import PeerRegistry, RecoveryCheckpoint, adopt_checkpoint, capt
 from .consistency_manager import ConsistencyManager
 from .data_path import DataPath
 from .protocol import (
+    CHECKPOINT_ACK,
     CHECKPOINT_REQUEST,
     CHECKPOINT_RESPONSE,
     DATA,
@@ -49,6 +50,7 @@ from .protocol import (
     SOURCE_RESUBSCRIBE,
     SUBSCRIBE,
     UNSUBSCRIBE,
+    CheckpointAck,
     CheckpointRequest,
     CheckpointResponse,
     HeartbeatResponse,
@@ -277,14 +279,15 @@ class ProcessingNode:
 
     def register_subscriber(self, stream: str, subscriber: str, subscription_filter=None) -> None:
         """Attach a downstream subscriber at build time (no replay needed)."""
-        self.data_path.output(stream).subscribe(
-            SubscribeRequest(
-                stream=stream,
-                subscriber=subscriber,
-                last_stable_seq=-1,
-                filter=subscription_filter,
-            )
-        )
+        self.data_path.output(stream).attach_subscriber(subscriber, subscription_filter)
+
+    def register_consumer(self, stream: str, consumer: str) -> None:
+        """Declare a downstream replica wired to ``stream`` (subscribed here or not).
+
+        The output buffer keeps everything ``consumer`` has not acknowledged;
+        see :meth:`~repro.core.data_path.OutputStreamManager.acknowledge`.
+        """
+        self.data_path.output(stream).add_consumer(consumer)
 
     def subscribe_live(self, stream: str) -> None:
         """Subscribe to ``stream``'s primary producer from the monitor's cursor.
@@ -350,6 +353,10 @@ class ProcessingNode:
     def _on_message(self, message: Message, now: float) -> None:
         if self._crashed:
             return
+        if message.kind == CHECKPOINT_ACK:
+            # Only touches the output managers, so it is safe mid-adoption.
+            self.on_checkpoint_ack(message.payload)
+            return
         if self._adopting:
             # While adopting a partner checkpoint, data and control traffic is
             # dropped: stale-cursor flushes racing the adoption would
@@ -403,6 +410,11 @@ class ProcessingNode:
 
     def _on_unsubscribe(self, request: UnsubscribeRequest) -> None:
         self.data_path.output(request.stream).unsubscribe(request.subscriber)
+
+    def on_checkpoint_ack(self, ack: CheckpointAck) -> None:
+        """A downstream replica's durable state covers ``ack.through``: truncate."""
+        if not self._crashed:
+            self.data_path.output(ack.stream).acknowledge(ack.consumer, ack.through)
 
     def _on_data(self, batch: TupleBatch, sender: str, now: float) -> None:
         if batch.producer_node_state is not None:
@@ -607,10 +619,12 @@ class ProcessingNode:
         """Periodically capture the fragment for checkpoint-shipped recovery.
 
         Only while the node is clean and STABLE: a checkpoint taken during
-        tentative processing or reconciliation would ship unstable state.
-        The capture is a pure in-memory read (no simulated events), but it
-        acknowledges the captured input positions to the data sources so they
-        can truncate the log prefixes the checkpoint now covers.
+        tentative processing or reconciliation would ship unstable state --
+        which is also why a replica in UP_FAILURE pins its producers' buffers.
+        The capture is a pure in-memory read (no simulated events); right
+        after it the captured input positions are acknowledged to every
+        producer replica, so output buffers and source logs drop the prefixes
+        the checkpoint now covers.
         """
         interval = self.config.checkpoint_interval
         registry = self.statexfer_registry
@@ -628,12 +642,7 @@ class ProcessingNode:
         self._next_recovery_capture_at = now + interval
         self._recovery_checkpoint = capture_checkpoint(self, now)
         self.recovery_checkpoints_taken += 1
-        for stream, monitor in self.cm.monitors.items():
-            if not monitor.track_source_ids:
-                continue
-            source = registry.source_of(stream)
-            if source is not None:
-                source.acknowledge_checkpoint(self.endpoint, monitor.source_position)
+        self.cm.acknowledge_inputs(registry)
 
     # ------------------------------------------------------------------ ConsistencyOwner interface
     def on_input_failure(self, stream: str, now: float) -> None:
@@ -890,6 +899,13 @@ class ProcessingNode:
         self._fragment_dirty = False
         self._reconciling = False
         now = self.simulator.now
+        registry = self.statexfer_registry
+        if registry is not None and self.config.checkpoint_interval is not None:
+            # Tell the producers what this incarnation actually holds before
+            # asking them for anything: the frozen pre-crash positions here,
+            # nothing at all in a respawned live worker -- whose predecessor's
+            # acknowledgments must not vouch for state it no longer has.
+            self.cm.acknowledge_inputs(registry)
         if self._begin_checkpoint_recovery(now):
             return
         self._legacy_recover(now, mode="replay")
@@ -1055,6 +1071,10 @@ class ProcessingNode:
             self._legacy_recover(now, mode="replay-fallback")
             return
         adopt_checkpoint(self, checkpoint, now)
+        # The adopted cursors may lie below this replica's own last
+        # acknowledgment; re-acknowledge them *before* resubscribing so no
+        # producer truncates past the position the replay starts from.
+        self.cm.acknowledge_inputs(self.statexfer_registry)
         self._resubscribe_from_adopted(now)
         replayed = self._pending_replay_estimate()
         self.recoveries.append(
@@ -1073,7 +1093,6 @@ class ProcessingNode:
 
     def _resubscribe_from_adopted(self, now: float) -> None:
         """Resubscribe every input from the adopted checkpoint's cursors."""
-        registry = self.statexfer_registry
         for monitor in self.cm.monitors.values():
             monitor.last_boundary_arrival = now
             primary = monitor.primary
@@ -1164,6 +1183,8 @@ class ProcessingNode:
                 "tentative": manager.tentative_produced,
                 "undos": manager.undos_produced,
                 "buffered": manager.buffered_tuples,
+                "acked_through": manager.acked_through,
+                "truncated": manager.truncated_tuples,
             }
             for manager in self.data_path.outputs()
         }

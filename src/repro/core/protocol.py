@@ -10,7 +10,9 @@ matches the communication the paper describes:
 * keep-alive requests and responses advertising per-stream consistency
   states (``HEARTBEAT_REQUEST`` / ``HEARTBEAT_RESPONSE``, Section 4.2.3);
 * the inter-replica protocol that staggers reconciliations
-  (``RECONCILE_REQUEST`` / ``RECONCILE_REPLY``, Section 4.4.3 and Figure 9).
+  (``RECONCILE_REQUEST`` / ``RECONCILE_REPLY``, Section 4.4.3 and Figure 9);
+* the acknowledgments that let producers truncate their output buffers and
+  source logs (``CHECKPOINT_ACK``, Section 8.1).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ RECONCILE_REPLY = "reconcile_reply"
 CHECKPOINT_REQUEST = "checkpoint_request"
 CHECKPOINT_RESPONSE = "checkpoint_response"
 SOURCE_RESUBSCRIBE = "source_resubscribe"
+CHECKPOINT_ACK = "checkpoint_ack"
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,24 @@ class SourceResubscribe:
     stream: str
     subscriber: str
     after_tuple_id: int
+
+
+@dataclass(frozen=True)
+class CheckpointAck:
+    """Tell one producer of ``stream`` what ``consumer``'s durable state covers.
+
+    ``through`` is a position in the producer's own coordinates: the stable
+    sequence number of the last covered tuple for a stream produced by a
+    node, the log tuple id for a stream produced by a data source (-1:
+    nothing yet).  Sent to *every* producer replica of the stream, subscribed
+    or not, right after the consumer captured a recovery checkpoint (a client
+    acknowledges its recorded ledger): whichever replica the consumer later
+    resubscribes to has only dropped what the consumer no longer needs.
+    """
+
+    stream: str
+    consumer: str
+    through: int
 
 
 @dataclass(frozen=True)

@@ -273,8 +273,11 @@ def deploy_placement(
                 upstream_group[0].register_subscriber(
                     upstream_stream, node.endpoint, subscription_filter=consumer_filter
                 )
-                if push_state:
-                    for upstream in upstream_group:
+                for upstream in upstream_group:
+                    # Every upstream replica retains what this replica has
+                    # not acknowledged, whichever one it is subscribed to.
+                    upstream.register_consumer(upstream_stream, node.endpoint)
+                    if push_state:
                         upstream.add_state_watcher(node.endpoint)
 
     # --- clients: one per sink ------------------------------------------------------
@@ -293,19 +296,23 @@ def deploy_placement(
             producers=sink_names, push_producers=sink_names if push_state else ()
         )
         sink_group[0].register_subscriber(plan.stream, client.endpoint)
-        if push_state:
-            for node in sink_group:
+        for node in sink_group:
+            node.register_consumer(plan.stream, client.endpoint)
+            if push_state:
                 node.add_state_watcher(client.endpoint)
         cluster.clients.append(client)
 
     # --- state-transfer peer registry -----------------------------------------------
     # Checkpoint-shipped recovery discovers partners and prices replay
-    # suffixes through this registry (zero simulated messages); nodes built
-    # outside the deploy layer keep registry=None and fall back to full
-    # subscription replay.
+    # suffixes through this registry, and checkpoint acknowledgments travel
+    # through it (zero simulated messages either way); nodes built outside
+    # the deploy layer keep registry=None: they fall back to full
+    # subscription replay and nothing upstream of them is truncated.
     registry = PeerRegistry()
     for source in cluster.sources:
         registry.register_source(source)
+    for client in cluster.clients:
+        client.statexfer_registry = registry
     for group in cluster.nodes:
         for node in group:
             registry.register_node(node)
@@ -381,6 +388,18 @@ class Deployment:
         #: every handoff (including legacy-path handoffs whose records cannot
         #: carry the count without perturbing pinned summaries).
         self.handoff_trimmed_total = 0
+        #: Split replica -> per-bucket count of the stable tuples its output
+        #: buffer has truncated: with the retained suffix, the load history
+        #: :meth:`observed_bucket_loads` reports.
+        self._truncated_loads: dict[str, dict[int, float]] = {}
+        if self.current_assignment is not None:
+            producer = placement.shard_producer
+            stream = placement.node_plan(producer).output_stream
+            for replica in cluster.node_group(producer):
+                counts = self._truncated_loads[replica.endpoint] = {}
+                replica.data_path.output(stream).truncation_observer = (
+                    lambda dropped, counts=counts: self._count_loads(dropped, counts)
+                )
 
     # ------------------------------------------------------------------ delegation
     @property
@@ -421,32 +440,36 @@ class Deployment:
     def observed_bucket_loads(self) -> dict[int, float]:
         """Per-hash-bucket tuple counts observed at the split router so far.
 
-        Replicas produce identical stable streams, but their *retained*
-        buffers can differ: a replica that recovered through checkpoint
-        adoption holds only the suffix its partner's checkpoint shipped, so
-        reading a fixed replica can badly undercount the load history.  The
-        measurement therefore uses the live replica retaining the most stable
-        tuples (ties resolve to the lowest replica index, which keeps the
-        historical replica-0 behaviour whenever the buffers agree), keyed by
-        the deployment's shard spec.  This is the input :meth:`plan_rebalance`
-        feeds to the planner.
+        A replica's history is what its output buffer has truncated (counted
+        as it was dropped) plus what it still retains.  Replicas produce
+        identical stable streams, but their histories can differ: a replica
+        that recovered through checkpoint adoption holds only the suffix its
+        partner's checkpoint shipped, so reading a fixed replica can badly
+        undercount.  The measurement therefore uses the live replica with the
+        longest history (ties resolve to the lowest replica index, which
+        keeps the historical replica-0 behaviour whenever they agree), keyed
+        by the deployment's shard spec.  This is the input
+        :meth:`plan_rebalance` feeds to the planner.
         """
-        assignment = self._require_sharded()
+        self._require_sharded()
         producer = self.placement.shard_producer
         group = self.cluster.node_group(producer)
         stream = self.placement.node_plan(producer).output_stream
         candidates = [replica for replica in group if not replica._crashed] or group
-        buffers = [
-            [item for item in r.data_path.output(stream).buffered_items() if item.is_stable]
-            for r in candidates
-        ]
-        items = max(buffers, key=len)
-        spec = assignment.spec
-        loads: dict[int, float] = {}
+        histories = []
+        for replica in candidates:
+            loads = dict(self._truncated_loads.get(replica.endpoint, ()))
+            self._count_loads(replica.data_path.output(stream).buffered_items(), loads)
+            histories.append(loads)
+        return max(histories, key=lambda loads: sum(loads.values()))
+
+    def _count_loads(self, items, loads: dict[int, float]) -> None:
+        """Add the stable tuples among ``items`` to the per-bucket ``loads``."""
+        spec = self.current_assignment.spec
         for item in items:
-            bucket = spec.bucket_of(spec.key_of(item.values))
-            loads[bucket] = loads.get(bucket, 0.0) + 1.0
-        return loads
+            if item.is_stable:
+                bucket = spec.bucket_of(spec.key_of(item.values))
+                loads[bucket] = loads.get(bucket, 0.0) + 1.0
 
     def plan_rebalance(self, tolerance: float = 0.10) -> RebalancePlan:
         """Ask the planner for a plan against the *observed* bucket loads."""
@@ -1033,8 +1056,11 @@ class Deployment:
             split_group[0].register_subscriber(
                 split_stream, node.endpoint, subscription_filter=slice_filter
             )
-            if self.push_state:
-                for upstream in split_group:
+            for upstream in split_group:
+                # Pins the split's buffers from here until the new replica's
+                # first capture acknowledges its (seeded) cursor.
+                upstream.register_consumer(split_stream, node.endpoint)
+                if self.push_state:
                     upstream.add_state_watcher(node.endpoint)
             self.registry.register_node(node)
             node.statexfer_registry = self.registry
@@ -1055,8 +1081,9 @@ class Deployment:
                 push_producers=group_endpoints if self.push_state else (),
             )
             group[0].register_subscriber(node_plan.output_stream, merge_node.endpoint)
-            if self.push_state:
-                for node in group:
+            for node in group:
+                node.register_consumer(node_plan.output_stream, merge_node.endpoint)
+                if self.push_state:
                     node.add_state_watcher(merge_node.endpoint)
             # The held checkpoint has the old port layout; adopting it after
             # the rewiring would restore a short port_boundaries list.
@@ -1089,6 +1116,7 @@ class Deployment:
             manager = split_node.data_path.output(split_stream)
             for endpoint in endpoints:
                 manager.unsubscribe(endpoint)
+                manager.remove_consumer(endpoint)
                 split_node.remove_state_watcher(endpoint)
 
         # 2. Rewire the merge's fan-in arity down one port, live.

@@ -48,5 +48,9 @@ class ProtocolError(ReproError):
     """A DPC protocol invariant was violated (bad state transition, etc.)."""
 
 
+class BufferTruncatedError(ProtocolError):
+    """A replay was requested from a position inside a truncated buffer prefix."""
+
+
 class BufferOverflowError(ReproError):
     """A bounded buffer filled up and the configured policy forbids growth."""

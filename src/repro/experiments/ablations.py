@@ -199,7 +199,7 @@ def buffer_bound_run(
     label: str | None = None,
     aggregate_rate: float = 150.0,
     duration: float = 30.0,
-    truncate_period: float | None = None,
+    checkpoint_interval: float | None = None,
 ) -> BufferBoundResult:
     """Run a failure-free deployment under one output-buffer policy.
 
@@ -207,12 +207,13 @@ def buffer_bound_run(
     :class:`~repro.errors.BufferOverflowError` (the back-pressure signal of
     Section 8.1, which in a full deployment propagates to the sources); with
     ``block_on_full=False`` the oldest tuples are dropped, which is only safe
-    for convergent-capable diagrams.  ``truncate_period`` enables the
+    for convergent-capable diagrams.  ``checkpoint_interval`` is the cadence
+    on which the client acknowledges what it recorded, i.e. the
     acknowledgment-driven truncation that keeps buffers small in the absence
-    of failures.
+    of failures; the default ``None`` retains the whole run.
     """
     policy = BufferPolicy(max_output_tuples=max_output_tuples, block_on_full=block_on_full)
-    config = DPCConfig(buffer_policy=policy)
+    config = DPCConfig(buffer_policy=policy, checkpoint_interval=checkpoint_interval)
     runtime = ScenarioSpec.single_node(
         name="buffer-bounds",
         replicated=False,
@@ -221,12 +222,6 @@ def buffer_bound_run(
         duration=duration,
     ).build()
     node = runtime.node(0, 0)
-    if truncate_period is not None:
-        runtime.simulator.schedule_periodic(
-            truncate_period,
-            lambda now: [m.truncate_delivered() for m in node.data_path.outputs()],
-            description="truncate output buffers",
-        )
     overflowed = False
     try:
         runtime.run()

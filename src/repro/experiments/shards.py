@@ -233,6 +233,13 @@ def _measure_throughput(spec: ScenarioSpec, label: str) -> dict:
         "operators": sum(
             len(node.diagram.operators) for group in runtime.cluster.nodes for node in group
         ),
+        # Tuples still held in output buffers at the end: bounded by the
+        # checkpoint-acknowledgment window, not by the run length.
+        "output_buffered_end": sum(
+            output["buffered"]
+            for node in runtime.cluster.all_nodes()
+            for output in node.statistics()["outputs"].values()
+        ),
     }
 
 

@@ -135,6 +135,8 @@ class LiveRunResult:
     nodes: dict = field(default_factory=dict)
     #: source name -> tuples produced
     sources: dict = field(default_factory=dict)
+    #: source name -> log entries still retained when the run stopped
+    source_logs: dict = field(default_factory=dict)
     kills: list = field(default_factory=list)
     pauses: list = field(default_factory=list)
     #: Digest of the enforced fault plan (``FaultPlan.describe()``).
@@ -559,6 +561,7 @@ class LiveDeployment:
         result.clients.update(payload["clients"])
         result.nodes.update(payload["nodes"])
         result.sources.update(payload["sources"])
+        result.source_logs.update(payload["source_logs"])
         result.tentative_phase.update(payload.get("tentative_phase", {}))
         transport = payload.get("transport")
         if transport is not None:

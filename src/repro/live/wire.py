@@ -51,6 +51,7 @@ from itertools import groupby
 from typing import Any, Callable, Sequence
 
 from ..core.protocol import (
+    CHECKPOINT_ACK,
     CHECKPOINT_REQUEST,
     CHECKPOINT_RESPONSE,
     DATA,
@@ -61,6 +62,7 @@ from ..core.protocol import (
     SOURCE_RESUBSCRIBE,
     SUBSCRIBE,
     UNSUBSCRIBE,
+    CheckpointAck,
     CheckpointRequest,
     CheckpointResponse,
     DataBatch,
@@ -693,6 +695,19 @@ def _r_source_resubscribe(buf: memoryview, pos: int) -> tuple[SourceResubscribe,
     )
 
 
+def _w_checkpoint_ack(out: bytearray, ack: CheckpointAck) -> None:
+    _w_str(out, ack.stream)
+    _w_str(out, ack.consumer)
+    _w_zigzag(out, ack.through)
+
+
+def _r_checkpoint_ack(buf: memoryview, pos: int) -> tuple[CheckpointAck, int]:
+    stream, pos = _r_str(buf, pos)
+    consumer, pos = _r_str(buf, pos)
+    through, pos = _r_zigzag(buf, pos)
+    return CheckpointAck(stream=stream, consumer=consumer, through=through), pos
+
+
 #: kind -> (wire index, encoder, decoder).  The index is the on-wire byte;
 #: the table order is frozen (append-only) so workers of one version agree.
 _CODECS: dict[str, tuple[int, Callable, Callable]] = {
@@ -706,6 +721,7 @@ _CODECS: dict[str, tuple[int, Callable, Callable]] = {
     CHECKPOINT_REQUEST: (7, _w_checkpoint_request, _r_checkpoint_request),
     CHECKPOINT_RESPONSE: (8, _w_checkpoint_response, _r_checkpoint_response),
     SOURCE_RESUBSCRIBE: (9, _w_source_resubscribe, _r_source_resubscribe),
+    CHECKPOINT_ACK: (10, _w_checkpoint_ack, _r_checkpoint_ack),
 }
 _DECODERS = {index: (kind, decoder) for kind, (index, _, decoder) in _CODECS.items()}
 

@@ -29,6 +29,7 @@ from typing import Any, Callable, Mapping
 
 from ..config import DPCConfig, SimulationConfig
 from ..core.node import ProcessingNode
+from ..core.protocol import CHECKPOINT_ACK, CheckpointAck
 from ..deploy.filters import SubscriptionFilter
 from ..deploy.placement import (
     FRAGMENT_ENTRY,
@@ -55,11 +56,20 @@ class RemotePeerRegistry(PeerRegistry):
     ``remote = True`` switches :meth:`ProcessingNode._begin_checkpoint_recovery`
     to blind partner selection (no cross-process peeking); lookups of peers
     hosted elsewhere return ``None``, which every registry consumer already
-    treats as "not available" (replay estimates become 0, source log
-    truncation is skipped -- both documented live deviations).
+    treats as "not available" (replay estimates become 0 -- a documented
+    live deviation).  Checkpoint acknowledgments travel as ``CHECKPOINT_ACK``
+    messages through the transport, which delivers to co-hosted producers
+    without encoding and sheds frames to a peer that is down.
     """
 
     remote = True
+
+    def __init__(self, network: LiveTransport) -> None:
+        super().__init__()
+        self._network = network
+
+    def acknowledge(self, producer: str, ack: CheckpointAck) -> None:
+        self._network.send(ack.consumer, producer, CHECKPOINT_ACK, ack)
 
 
 @dataclass(frozen=True)
@@ -271,10 +281,11 @@ def build_fragment_stack(
                     head.register_subscriber(
                         upstream_stream, node_name, subscription_filter=consumer_filter
                     )
-                if push_state:
-                    for upstream_name in upstream_names:
-                        upstream = stack.nodes.get(upstream_name)
-                        if upstream is not None:
+                for upstream_name in upstream_names:
+                    upstream = stack.nodes.get(upstream_name)
+                    if upstream is not None:
+                        upstream.register_consumer(upstream_stream, node_name)
+                        if push_state:
                             upstream.add_state_watcher(node_name)
 
     # --- clients: one per sink -----------------------------------------------------
@@ -296,16 +307,19 @@ def build_fragment_stack(
         head = stack.nodes.get(sink_names[0])
         if head is not None:
             head.register_subscriber(plan.stream, plan.name)
-        if push_state:
-            for sink_name in sink_names:
-                sink = stack.nodes.get(sink_name)
-                if sink is not None:
+        for sink_name in sink_names:
+            sink = stack.nodes.get(sink_name)
+            if sink is not None:
+                sink.register_consumer(plan.stream, plan.name)
+                if push_state:
                     sink.add_state_watcher(plan.name)
 
     # --- state-transfer peer registry (local peers only) -----------------------------
-    registry = RemotePeerRegistry()
+    registry = RemotePeerRegistry(network)
     for source in stack.sources.values():
         registry.register_source(source)
+    for client in stack.clients.values():
+        client.statexfer_registry = registry
     for node in stack.nodes.values():
         registry.register_node(node)
         node.statexfer_registry = registry
@@ -376,6 +390,7 @@ def _result(stack: FragmentStack, clock: LiveClock, transport: LiveTransport) ->
         "now": clock.now,
         "events_fired": clock.events_fired,
         "sources": {s.name: s.tuples_produced for s in stack.sources.values()},
+        "source_logs": {s.name: len(s.log) for s in stack.sources.values()},
         "nodes": {
             endpoint: {"statistics": node.statistics(), "recoveries": list(node.recoveries)}
             for endpoint, node in stack.nodes.items()

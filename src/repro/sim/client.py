@@ -51,6 +51,13 @@ class ClientApplication:
             owner=self, simulator=simulator, network=network, config=self.config, rng_seed=rng_seed
         )
         self._started = False
+        #: Peer registry wired by the deploy layer (``None``: hand-built, no
+        #: acknowledgments).  A client never redoes, so what it has recorded
+        #: is durable: it acknowledges its ledger position to every replica of
+        #: its sink on the recovery-checkpoint cadence, from the arrival that
+        #: comes due (no timer of its own).
+        self.statexfer_registry = None
+        self._next_ack_at = 0.0
         network.register(self.endpoint, self._on_message)
 
     # ------------------------------------------------------------------ wiring
@@ -91,11 +98,22 @@ class ClientApplication:
             return
         if batch.replay:
             self.cm.note_replay(batch.stream)
-        record_arrival = self.cm.monitor(batch.stream).record_tuple
+        monitor = self.cm.monitor(batch.stream)
+        record_arrival = monitor.record_tuple
         for item in batch.tuples:
             if record_arrival(item, now) == "duplicate":
                 continue
             self._record(item, now, role)
+        # The monitor buffers stable arrivals for a redo; a client has none.
+        monitor.clear_stable_buffer()
+        interval = self.config.checkpoint_interval
+        if (
+            interval is not None
+            and self.statexfer_registry is not None
+            and now + 1e-9 >= self._next_ack_at
+        ):
+            self._next_ack_at = now + interval
+            self.cm.acknowledge_inputs(self.statexfer_registry)
 
     def _record(self, item: StreamTuple, now: float, role: str) -> None:
         if item.is_boundary:

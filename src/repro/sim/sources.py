@@ -22,7 +22,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-from ..core.protocol import DATA, SOURCE_RESUBSCRIBE, SourceResubscribe, TupleBatch
+from ..core.protocol import (
+    CHECKPOINT_ACK,
+    DATA,
+    SOURCE_RESUBSCRIBE,
+    CheckpointAck,
+    SourceResubscribe,
+    TupleBatch,
+)
 from ..errors import SimulationError
 from ..spe.streams import StreamLog, StreamWriter
 from ..spe.tuples import StreamTuple
@@ -96,13 +103,16 @@ class DataSource:
         #: (their cursor was repositioned while they were disconnected).
         self._pending_replay: set[str] = set()
         self._started = False
-        # Addressable for cursor-repositioning requests from recovering nodes.
+        # Addressable for cursor-repositioning requests from recovering nodes
+        # and for checkpoint acknowledgments.
         network.register(self.name, self._on_message)
 
     # ------------------------------------------------------------------ messages
     def _on_message(self, message, now: float) -> None:
         if message.kind == SOURCE_RESUBSCRIBE:
             self._on_resubscribe(message.payload)
+        elif message.kind == CHECKPOINT_ACK:
+            self.on_checkpoint_ack(message.payload)
 
     def _on_resubscribe(self, request: SourceResubscribe) -> None:
         """Reposition one subscriber's cursor and replay the suffix after it.
@@ -295,19 +305,22 @@ class DataSource:
                 self._subscribers[endpoint] = pending[-1].tuple_id
 
     # ------------------------------------------------------------------ checkpoint retention
-    def acknowledge_checkpoint(self, endpoint: str, tuple_id: int) -> int:
-        """Record that ``endpoint`` durably checkpointed through ``tuple_id``.
+    def on_checkpoint_ack(self, ack: CheckpointAck) -> int:
+        """Record that ``ack.consumer`` durably checkpointed through ``ack.through``.
 
         The log prefix that *every* subscriber has acknowledged is truncated
         (subscribers that never acknowledged pin the log at its start), so
         retained-log memory is bounded by the checkpoint cadence instead of
-        growing for the whole run.  Returns the number of entries truncated.
+        growing for the whole run.  The latest acknowledgment wins even when
+        it is lower (a replica that adopted an older partner checkpoint
+        re-acknowledges the adopted cursor).  Returns the number of entries
+        truncated.
         """
-        if endpoint not in self._subscribers:
+        if ack.consumer not in self._subscribers:
             return 0
         acks = self._checkpoint_acks
-        acks[endpoint] = max(acks.get(endpoint, -1), tuple_id)
-        safe = min(acks.get(ep, -1) for ep in self._subscribers)
+        acks[ack.consumer] = ack.through
+        safe = min(acks.get(endpoint, -1) for endpoint in self._subscribers)
         if safe < 0:
             return 0
         return self.log.truncate_through(safe)

@@ -40,7 +40,13 @@ class StreamWriter:
     def tentative(self, stime: float, values: Mapping[str, Any]) -> StreamTuple:
         return StreamTuple.tentative(self._take_id(), stime, values)
 
-    def data(self, stime: float, values: Mapping[str, Any], stable: bool) -> StreamTuple:
+    def data(
+        self,
+        stime: float,
+        values: Mapping[str, Any],
+        stable: bool,
+        stable_seq: int | None = None,
+    ) -> StreamTuple:
         """Emit a data tuple **sharing** ``values`` (relabeling fast path).
 
         Callers must hand over a mapping that is already frozen by convention
@@ -49,7 +55,7 @@ class StreamWriter:
         """
         tuple_id = self.next_id
         self.next_id = tuple_id + 1
-        return StreamTuple.data(tuple_id, stime, values, stable)
+        return StreamTuple.data(tuple_id, stime, values, stable, stable_seq)
 
     def boundary(self, stime: float) -> StreamTuple:
         """Emit a boundary; boundaries must carry non-decreasing stimes."""

@@ -24,9 +24,10 @@ model is built for per-instance cost rather than generic convenience:
   and, for the transforms, skipping payload-dict allocation entirely: the
   copy *shares* the source tuple's ``values`` mapping.
 * Instances are immutable **by convention**: nothing in the codebase ever
-  mutates a tuple (payload dicts included) after construction, and
-  checkpoint containers deep-copy whatever they capture, so sharing payload
-  mappings across relabeled copies is safe.  ``__slots__`` still rejects
+  mutates a tuple (payload dicts included) after construction, so relabeled
+  copies share payload mappings and ``copy.copy`` / ``copy.deepcopy`` return
+  the tuple itself -- a checkpoint container that deep-copies captured
+  state holds the buffered tuples by reference.  ``__slots__`` still rejects
   foreign attributes outright.
 """
 
@@ -205,7 +206,12 @@ class StreamTuple:
 
     @classmethod
     def data(
-        cls, tuple_id: int, stime: float, values: Mapping[str, Any], stable: bool
+        cls,
+        tuple_id: int,
+        stime: float,
+        values: Mapping[str, Any],
+        stable: bool,
+        stable_seq: int | None = None,
     ) -> "StreamTuple":
         """Create a data tuple **sharing** ``values`` (no defensive copy).
 
@@ -213,14 +219,15 @@ class StreamTuple:
         for relabeling paths whose payload already belongs to another tuple
         (SUnion serialization, SOutput forwarding, the node data path): the
         payload of a constructed tuple is frozen by convention, so re-wrapping
-        it needs no copy.
+        it needs no copy.  The node data path passes the ``stable_seq`` it
+        stamps, so a buffered output tuple costs one allocation.
         """
         t = _new(cls)
         t.tuple_id = tuple_id
         t.stime = stime
         t.values = values
         t.undo_from_id = None
-        t.stable_seq = None
+        t.stable_seq = stable_seq
         t.is_data = True
         t.is_boundary = False
         t.is_undo = False
@@ -450,8 +457,14 @@ class StreamTuple:
 
     __hash__ = None  # mutable payload mapping: identity-free hashing is a bug farm
 
+    def __copy__(self) -> "StreamTuple":
+        return self
+
+    def __deepcopy__(self, memo) -> "StreamTuple":
+        return self
+
     def __getstate__(self):
-        """Slot state for pickling / deep-copying (checkpoint containers)."""
+        """Slot state for pickling (live checkpoints cross processes by pickle)."""
         return None, {slot: getattr(self, slot) for slot in StreamTuple.__slots__}
 
     def __setstate__(self, state) -> None:

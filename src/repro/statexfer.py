@@ -19,6 +19,10 @@ this module, so the shipping logic exists exactly once:
   fresh fragment subscribes from the donor's stable position instead of
   replaying the whole retained log
   (:meth:`repro.deploy.Deployment.scale_out`).
+* **Checkpoint acknowledgments**: what a capture (or adoption) covers is
+  acknowledged to every producer of the captured input cursors through
+  :meth:`PeerRegistry.acknowledge`, which is what bounds output buffers and
+  source logs by the checkpoint cadence instead of the run length.
 
 Transfers are modelled as non-instantaneous: :func:`transfer_delay` prices a
 checkpoint by its item count (``checkpoint_cost`` fixed part plus
@@ -40,6 +44,7 @@ from .spe.operators import SJoin, SOutput, SUnion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
     from .config import DPCConfig
+    from .core.protocol import CheckpointAck
     from .core.node import ProcessingNode
     from .sim.sources import DataSource
 
@@ -196,12 +201,14 @@ class PeerRegistry:
     deployment; a recovering node uses the registry to *discover* whether a
     partner holds a usable checkpoint (and to price the replay suffix)
     without spending simulated network events on discovery.  The transfer
-    itself still travels as messages with a size-proportional delay.
+    itself still travels as messages with a size-proportional delay.  It is
+    also the seam checkpoint acknowledgments travel through: a direct call
+    here (zero simulated messages), a wire message on the live backend.
     """
 
     def __init__(self) -> None:
         self._nodes: dict[str, "ProcessingNode"] = {}
-        self._sources: dict[str, "DataSource"] = {}
+        self._sources: dict[str, "DataSource"] = {}  # by stream
 
     def register_node(self, node: "ProcessingNode") -> None:
         self._nodes[node.endpoint] = node
@@ -218,6 +225,16 @@ class PeerRegistry:
 
     def source_of(self, stream: str) -> "DataSource | None":
         return self._sources.get(stream)
+
+    def acknowledge(self, producer: str, ack: "CheckpointAck") -> None:
+        """Deliver ``ack`` to the node replica or data source named ``producer``.
+
+        Producers the registry does not know (decommissioned, hand-wired) are
+        skipped: an acknowledgment only ever permits dropping data.
+        """
+        peer = self._nodes.get(producer) or self._sources.get(ack.stream)
+        if peer is not None:
+            peer.on_checkpoint_ack(ack)
 
 
 # --------------------------------------------------------------------------- SJoin bucket handoff

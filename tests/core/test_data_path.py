@@ -5,7 +5,7 @@ import pytest
 from repro.config import BufferPolicy
 from repro.core.data_path import DataPath, OutputStreamManager
 from repro.core.protocol import SubscribeRequest
-from repro.errors import BufferOverflowError, ProtocolError
+from repro.errors import BufferOverflowError, BufferTruncatedError, ProtocolError
 from repro.spe.tuples import StreamTuple
 
 
@@ -102,6 +102,174 @@ def test_replay_from_truncated_position_raises():
     mgr.truncate_delivered()
     with pytest.raises(ProtocolError):
         mgr.subscribe(SubscribeRequest(stream="out", subscriber="late", last_stable_seq=1))
+
+
+# --------------------------------------------------------------------------- acknowledged truncation
+def boundary(i):
+    return StreamTuple.boundary(i, i * 0.1)
+
+
+def acked_manager(*consumers, n=10):
+    mgr = OutputStreamManager("out", owner="node1")
+    for consumer in consumers:
+        mgr.add_consumer(consumer)
+    mgr.append_all([stable(i) for i in range(n)])
+    return mgr
+
+
+def test_acknowledge_truncates_through_the_minimum_over_all_consumers():
+    mgr = acked_manager("a", "b")
+    assert mgr.acknowledge("a", 6) == 0  # b has not acknowledged: pinned
+    assert mgr.acked_through == -1 and mgr.buffered_tuples == 10
+    assert mgr.acknowledge("b", 3) == 4
+    assert mgr.acked_through == 3 and mgr.truncated_tuples == 4
+    assert [t.stable_seq for t in mgr.buffered_items()] == [4, 5, 6, 7, 8, 9]
+    assert mgr.acknowledge("b", 9) == 3  # now a's 6 is the minimum
+    assert mgr.acked_through == 6 and mgr.buffered_tuples == 3
+
+
+def test_unsubscribed_backup_replica_truncates_on_acks_alone():
+    """Consumers are subscribed to the *other* producer replica; this one has
+    no subscription at all and must still be able to drop what they cover."""
+    mgr = acked_manager("a", "b")
+    assert mgr.subscribers() == []
+    mgr.acknowledge("a", 4)
+    assert mgr.acknowledge("b", 7) == 5
+    assert mgr.truncate_delivered() == 0  # the delivery-cursor rule has nothing to go on
+
+
+def test_silent_consumer_pins_the_buffer():
+    mgr = acked_manager("up", "down")
+    for through in range(10):
+        assert mgr.acknowledge("up", through) == 0
+    assert mgr.buffered_tuples == 10 and mgr.truncated_tuples == 0
+
+
+def test_without_declared_consumers_nothing_is_truncated():
+    mgr = acked_manager()
+    assert mgr.acknowledge("stranger", 9) == 0
+    assert mgr.buffered_tuples == 10 and mgr.acked_through == -1
+
+
+def test_acknowledgments_of_filtered_slices_quote_stamps_with_gaps():
+    """Each filtered consumer acknowledges the last stamp of *its* slice; the
+    minimum is still a stamped position of the full stream."""
+    mgr = acked_manager("even", "odd")
+    mgr.acknowledge("even", 8)  # received stamps 0, 2, ..., 8
+    assert mgr.acknowledge("odd", 5) == 6  # received stamps 1, 3, 5
+    assert mgr.buffered_items()[0].stable_seq == 6
+    # The odd consumer resubscribes from its own cursor: 7 and 9 are replayed.
+    replay = mgr.subscribe(SubscribeRequest(stream="out", subscriber="odd", last_stable_seq=5))
+    assert [t.stable_seq for t in replay] == [6, 7, 8, 9]
+
+
+def test_ack_below_the_truncation_point_is_a_noop():
+    mgr = acked_manager("a")
+    assert mgr.acknowledge("a", 5) == 6
+    assert mgr.acknowledge("a", 2) == 0  # a re-acknowledged an older adopted cursor
+    assert mgr.acked_through == 2  # the latest acknowledgment wins ...
+    assert mgr.truncated_tuples == 6  # ... but nothing comes back
+    assert mgr.acknowledge("a", 5) == 0
+    assert mgr.acknowledge("a", 6) == 1
+
+
+def test_ack_ahead_of_local_production_is_a_noop():
+    """A replica that adopted an older partner checkpoint trails its consumers."""
+    mgr = acked_manager("a", n=3)
+    assert mgr.acknowledge("a", 7) == 0
+    assert mgr.buffered_tuples == 3
+
+
+def test_truncation_keeps_control_tuples_after_the_acknowledged_position():
+    mgr = OutputStreamManager("out", owner="node1")
+    mgr.add_consumer("a")
+    mgr.append_all([boundary(0), stable(1), boundary(2), tentative(3), stable(4), boundary(5)])
+    assert mgr.acknowledge("a", 0) == 2  # the leading boundary goes with stable #0
+    assert [t.is_boundary for t in mgr.buffered_items()] == [True, False, False, True]
+    replay = mgr.subscribe(SubscribeRequest(stream="out", subscriber="a", last_stable_seq=0))
+    assert [t.tuple_id for t in replay] == [2, 3, 4]  # through the last stable tuple
+
+
+def test_resubscribe_at_the_truncation_point_replays_the_retained_suffix():
+    mgr = acked_manager("a")
+    mgr.acknowledge("a", 5)
+    replay = mgr.subscribe(SubscribeRequest(stream="out", subscriber="a", last_stable_seq=5))
+    assert [t.stable_seq for t in replay] == [6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("position", [-1, 0, 4])
+def test_replay_from_inside_the_truncated_prefix_raises_typed_error(position):
+    """A full replay (or any cursor below the truncation point) must not
+    silently replay only the retained suffix."""
+    mgr = acked_manager("a")
+    mgr.acknowledge("a", 5)
+    with pytest.raises(BufferTruncatedError) as error:
+        mgr.subscribe(SubscribeRequest(stream="out", subscriber="late", last_stable_seq=position))
+    assert "truncated through stable seq 5" in str(error.value)
+    assert "first retained index 6" in str(error.value)
+    assert isinstance(error.value, ProtocolError)
+
+
+def test_stale_inflight_subscribe_is_served_when_the_subscribers_own_ack_covers_it():
+    """The subscriber caught up through its old connection and acknowledged
+    while its SUBSCRIBE (quoting the older cursor) was still in flight."""
+    mgr = acked_manager("a", "b")
+    mgr.acknowledge("a", 6)
+    mgr.acknowledge("b", 6)
+    replay = mgr.subscribe(SubscribeRequest(stream="out", subscriber="a", last_stable_seq=3))
+    assert [t.stable_seq for t in replay] == [7, 8, 9]
+    # A respawned incarnation first withdraws what its predecessor vouched for.
+    mgr.acknowledge("a", -1)
+    with pytest.raises(BufferTruncatedError):
+        mgr.subscribe(SubscribeRequest(stream="out", subscriber="a", last_stable_seq=-1))
+
+
+def test_attach_subscriber_needs_no_history():
+    """Scale-out wires a fresh subscriber to a running, truncated stream."""
+    mgr = acked_manager("a")
+    mgr.acknowledge("a", 5)
+    mgr.attach_subscriber("fresh")
+    assert mgr.pending_for("fresh") == []
+    mgr.append(stable(10))
+    assert [t.stable_seq for t in mgr.pending_for("fresh")] == [10]
+
+
+def test_removed_consumer_stops_pinning():
+    mgr = acked_manager("a", "retired")
+    mgr.acknowledge("a", 7)
+    mgr.remove_consumer("retired")
+    assert mgr.acknowledge("a", 8) == 9
+
+
+def test_snapshot_and_restore_carry_the_truncation_point():
+    donor = acked_manager("a")
+    donor.acknowledge("a", 5)
+    adopter = OutputStreamManager("out", owner="node1'")
+    adopter.add_consumer("a")
+    adopter.restore_state(donor.snapshot_state())
+    assert adopter.truncated_tuples == 6 and adopter.buffered_tuples == 4
+    with pytest.raises(BufferTruncatedError):
+        adopter.subscribe(SubscribeRequest(stream="out", subscriber="a", last_stable_seq=2))
+    assert adopter.acknowledge("a", 7) == 2  # stamps located in the adopted buffer
+
+
+def test_truncation_observer_sees_every_dropped_prefix():
+    mgr = acked_manager("a")
+    seen = []
+    mgr.truncation_observer = lambda dropped: seen.extend(t.stable_seq for t in dropped)
+    mgr.acknowledge("a", 2)
+    mgr.acknowledge("a", 6)
+    assert seen == [0, 1, 2, 3, 4, 5, 6]
+
+
+def test_policy_drops_move_the_truncation_point_too():
+    policy = BufferPolicy(max_output_tuples=2, block_on_full=False)
+    mgr = OutputStreamManager("out", owner="node1", buffer_policy=policy)
+    mgr.append_all([stable(0), stable(1), stable(2)])
+    with pytest.raises(BufferTruncatedError):
+        mgr.subscribe(SubscribeRequest(stream="out", subscriber="d", last_stable_seq=-1))
+    replay = mgr.subscribe(SubscribeRequest(stream="out", subscriber="d", last_stable_seq=0))
+    assert [t.stable_seq for t in replay] == [1, 2]
 
 
 def test_bounded_buffer_blocks_when_full():

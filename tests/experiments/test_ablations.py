@@ -98,7 +98,7 @@ def test_buffer_unbounded_with_truncation_stays_small():
         block_on_full=True,
         aggregate_rate=120.0,
         duration=20.0,
-        truncate_period=1.0,
+        checkpoint_interval=1.0,
         label="unbounded + truncation",
     )
     unbounded = buffer_bound_run(

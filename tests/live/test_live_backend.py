@@ -115,6 +115,39 @@ def test_live_sigkill_recovery_checkpoint_path():
     assert result.eventually_consistent
 
 
+@live_only
+@pytest.mark.skipif(not _fork_available(), reason="no fork start method")
+def test_live_retention_stops_growing():
+    """CHECKPOINT_ACK frames cross real sockets: every worker's output
+    buffers and the edge worker's source logs end the run holding a few
+    checkpoint windows, not the run, with nothing dead-lettered and the
+    ledger still byte-identical to the simulator's."""
+    placement = compile_topology(Topology.chain(2), replicas_per_node=2)
+    interval, rate, stop = 0.5, 400.0, 6.0
+    config = DPCConfig(checkpoint_interval=interval)
+    oracle = placement.deploy(config, seed=1, aggregate_rate=rate, source_stop_time=stop)
+    oracle.start()
+    oracle.run_for(stop + 6.0)
+
+    live = placement.deploy(
+        config, seed=1, aggregate_rate=rate, source_stop_time=stop, backend="live"
+    )
+    result = live.run(duration=stop + 1.0, drain_timeout=15.0)
+    assert result.stable_rows() == stable_ledger_rows(oracle.clients[0])
+    assert result.dead_letters == 0
+
+    windows = 4 * interval * rate  # generous: acks trail captures by one interval
+    produced = sum(result.sources.values())
+    assert produced >= 10 * interval * rate
+    for name, retained in result.source_logs.items():
+        assert retained <= windows, (name, retained)
+    for endpoint, node in result.nodes.items():
+        for stream, stats in node["statistics"]["outputs"].items():
+            assert stats["buffered"] <= windows, (endpoint, stream, stats)
+            assert stats["truncated"] >= stats["stable"] - windows, (endpoint, stream, stats)
+            assert stats["acked_through"] >= 0, (endpoint, stream, stats)
+
+
 def test_fork_unavailable_raises_cleanly(monkeypatch):
     """Platforms without fork get a typed, actionable error (runs untagged)."""
     import multiprocessing

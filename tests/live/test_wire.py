@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import (
+    CHECKPOINT_ACK,
     CHECKPOINT_REQUEST,
     CHECKPOINT_RESPONSE,
     DATA,
@@ -25,6 +26,7 @@ from repro.core.protocol import (
     SOURCE_RESUBSCRIBE,
     SUBSCRIBE,
     UNSUBSCRIBE,
+    CheckpointAck,
     CheckpointRequest,
     CheckpointResponse,
     DataBatch,
@@ -338,6 +340,7 @@ def control_messages(draw):
                 CHECKPOINT_REQUEST,
                 CHECKPOINT_RESPONSE,
                 SOURCE_RESUBSCRIBE,
+                CHECKPOINT_ACK,
             ]
         )
     )
@@ -375,11 +378,17 @@ def control_messages(draw):
         payload = CheckpointRequest(requester=draw(names))
     elif kind == CHECKPOINT_RESPONSE:
         payload = CheckpointResponse(responder=draw(names), checkpoint=None)
-    else:
+    elif kind == SOURCE_RESUBSCRIBE:
         payload = SourceResubscribe(
             stream=draw(names),
             subscriber=draw(names),
             after_tuple_id=draw(st.integers(min_value=-1, max_value=2**40)),
+        )
+    else:
+        payload = CheckpointAck(
+            stream=draw(names),
+            consumer=draw(names),
+            through=draw(st.integers(min_value=-1, max_value=2**40)),
         )
     return kind, payload
 
@@ -397,6 +406,18 @@ def test_control_message_round_trip(message):
         assert dict(decoded.stream_states) == dict(payload.stream_states)
     else:
         assert decoded == payload
+
+
+def test_checkpoint_ack_is_a_small_typed_frame_without_pickle():
+    """One acknowledgment per producer per checkpoint interval: it must stay
+    a few bytes of varints and strings, and never touch the pickle escape."""
+    ack = CheckpointAck(stream="node1.out", consumer="node2'", through=123456)
+    frame = wire.encode_envelope("node2'", "node1", CHECKPOINT_ACK, ack)
+    assert wire.decode_envelope(frame) == ("node2'", "node1", CHECKPOINT_ACK, ack)
+    assert len(frame) < 40
+    assert b"\x80\x05" not in frame  # no pickle protocol header anywhere
+    nothing_yet = CheckpointAck(stream="s", consumer="c", through=-1)
+    assert wire.decode_message(wire.encode_message(CHECKPOINT_ACK, nothing_yet))[1] == nothing_yet
 
 
 # ---------------------------------------------------------------------- filters
@@ -474,6 +495,7 @@ def _fuzz_frames():
         ),
         wire.encode_envelope("a", "b", RECONCILE_REPLY, ReconcileReply("a", 7, True)),
         wire.encode_envelope("a", "b", CHECKPOINT_RESPONSE, CheckpointResponse("a", {"k": [1]})),
+        wire.encode_envelope("node2", "node1", CHECKPOINT_ACK, CheckpointAck("s", "node2", 70000)),
     ]
 
 

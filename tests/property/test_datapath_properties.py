@@ -1,10 +1,12 @@
 """Property-based tests for output-stream replay and the consistency ledger."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.data_path import OutputStreamManager
 from repro.core.protocol import SubscribeRequest
+from repro.errors import BufferTruncatedError
 from repro.metrics.consistency import ConsistencyTracker
 from repro.spe.tuples import StreamTuple
 
@@ -74,6 +76,69 @@ def test_truncate_delivered_never_drops_undelivered_tuples(n_tuples, batches):
         manager.truncate_delivered()
         assert manager.pending_for("down") == []
     assert manager.stable_produced == produced
+
+
+_KINDS = st.sampled_from(["stable", "stable", "stable", "tentative", "boundary", "undo"])
+
+
+def _append(manager, kind, i):
+    if kind == "stable":
+        manager.append(StreamTuple.insertion(i, float(i), {"seq": i}))
+    elif kind == "tentative":
+        manager.append(StreamTuple.tentative(i, float(i), {"seq": i}))
+    elif kind == "boundary":
+        manager.append(StreamTuple.boundary(i, float(i)))
+    else:
+        manager.append(StreamTuple.undo(i, float(i), -1))
+
+
+@COMMON
+@given(
+    st.lists(_KINDS, min_size=0, max_size=60),
+    st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(min_value=-1, max_value=50)),
+        max_size=12,
+    ),
+    st.integers(min_value=-1, max_value=50),
+)
+def test_acknowledged_truncation_matches_a_linear_scan_model(kinds, acks, cursor):
+    """The stamp lookup is a binary search over a buffer with unstamped
+    entries; a plain list scan over an untruncated twin is the oracle.  A
+    resubscribe at or past the truncation point gets exactly the untruncated
+    replay, one below it gets the typed error unless the subscriber itself
+    acknowledged past it."""
+    manager = OutputStreamManager("out", owner="node1")
+    reference = OutputStreamManager("out", owner="node1")  # never truncated
+    for consumer in "abc":
+        manager.add_consumer(consumer)
+    for i, kind in enumerate(kinds):
+        _append(manager, kind, i)
+        _append(reference, kind, i)
+    history = reference.buffered_items()
+    stamps = [t.stable_seq for t in history]
+    latest = {"a": -1, "b": -1, "c": -1}
+    dropped = 0
+    for consumer, through in acks:
+        manager.acknowledge(consumer, through)
+        latest[consumer] = through
+        safe = min(latest.values())
+        if safe in stamps:
+            dropped = max(dropped, stamps.index(safe) + 1)
+        assert manager.truncated_tuples == dropped
+        assert manager.buffered_items() == history[dropped:]
+    request = SubscribeRequest(
+        stream="out", subscriber="a", last_stable_seq=cursor, replay_tentative=True
+    )
+    dropped_stamps = [stamp for stamp in stamps[:dropped] if stamp is not None]
+    if not dropped_stamps or cursor >= dropped_stamps[-1]:
+        assert manager.subscribe(request) == reference.subscribe(request)
+    elif latest["a"] >= dropped_stamps[-1]:
+        # Stale in-flight request of a subscriber whose own acknowledgment
+        # covers the truncated prefix: served from the truncation point.
+        assert manager.subscribe(request) == history[dropped:]
+    else:
+        with pytest.raises(BufferTruncatedError):
+            manager.subscribe(request)
 
 
 # --------------------------------------------------------------------------- consistency ledger

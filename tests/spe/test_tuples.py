@@ -117,13 +117,24 @@ def test_equality_matches_field_comparison():
     assert a != "not a tuple"
 
 
-def test_deepcopy_round_trips_slots():
-    """Checkpoint containers deep-copy buffered tuples; slots must survive."""
+def test_copy_and_deepcopy_return_the_tuple_itself():
+    """Tuples are immutable by convention: checkpoint containers that
+    deep-copy captured state hold buffered tuples by reference."""
     import copy
 
     original = StreamTuple.insertion(7, 1.25, {"seq": 7}).with_stable_seq(3)
-    clone = copy.deepcopy(original)
-    assert clone == original
+    assert copy.copy(original) is original
+    assert copy.deepcopy(original) is original
+    assert copy.deepcopy({"buffer": [original]})["buffer"][0] is original
+
+
+def test_pickle_round_trips_slots():
+    """Live checkpoints cross processes by pickle; slots must survive."""
+    import pickle
+
+    original = StreamTuple.insertion(7, 1.25, {"seq": 7}).with_stable_seq(3)
+    clone = pickle.loads(pickle.dumps(original, protocol=pickle.HIGHEST_PROTOCOL))
+    assert clone == original and clone is not original
     assert clone.values == original.values and clone.values is not original.values
     assert clone.is_stable and clone.stable_seq == 3
 

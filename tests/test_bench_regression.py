@@ -27,6 +27,9 @@ def test_tracked_direction_classification():
     assert cbr.tracked_direction("shard(4)_events") == 1
     assert cbr.tracked_direction("failure_8s_proc_new") == 1
     assert cbr.tracked_direction("shard(4)_stable_tuples") == -1
+    # Bounded retention: more tuples left buffered, or growth with run length.
+    assert cbr.tracked_direction("shard4_output_buffered_end") == 1
+    assert cbr.tracked_direction("shard4_retention_ratio") == 1
     # Wall-clock-derived metrics are informational, never trend-gated.
     assert cbr.tracked_direction("shard4_vs_chain_speedup") == 0
     assert cbr.tracked_direction("wall_seconds") == 0
@@ -40,6 +43,20 @@ def test_compare_flags_event_and_proc_new_regressions():
     slower = {"t": {"x_events": 1000.0, "x_proc_new": 1.2, "x_stable_tuples": 500.0}}
     regressions, _ = cbr.compare(baseline, slower, tolerance=0.10)
     assert len(regressions) == 1 and "x_proc_new" in regressions[0]
+
+
+def test_compare_gates_output_buffer_retention():
+    baseline = {"t": {"shard4_output_buffered_end": 3194.0, "shard4_retention_ratio": 1.0}}
+    unbounded = {"t": {"shard4_output_buffered_end": 71028.0, "shard4_retention_ratio": 3.0}}
+    regressions, _ = cbr.compare(baseline, unbounded, tolerance=0.10)
+    assert len(regressions) == 2
+    tighter = {"t": {"shard4_output_buffered_end": 1600.0, "shard4_retention_ratio": 1.0}}
+    regressions, _ = cbr.compare(baseline, tighter, tolerance=0.10)
+    assert not regressions
+    # The checked-in baseline carries both, so dropping them fails the gate.
+    checked_in = json.loads((_SCRIPT.parent / "BENCH_baseline.json").read_text(encoding="utf-8"))
+    assert checked_in["test_shard4_deployment_hot_path"]["shard4_retention_ratio"] < 1.5
+    assert "shard4_output_buffered_end" in checked_in["test_shard4_deployment_hot_path"]
 
 
 def test_compare_inverts_delivered_tuple_direction():
