@@ -16,8 +16,9 @@ that axis.  It measures the per-tuple cost of the data plane two ways:
 Wall-clock readings are best-of-``ROUNDS`` and recorded in ``extra_info`` as
 ``*_wall_ms`` / ``*_tuples_per_sec``; ``check_bench_regression.py`` tracks
 those warn-only (noisy runners must not flake CI) while the deterministic
-companion metrics (output counts, simulator events, Proc_new, and the
-output-buffer retention at the end of the run) stay hard-fail.
+companion metrics (output counts, simulator events, Proc_new, the
+output-buffer retention at the end of the run, and the client stores' packed
+bytes per ledger tuple) stay hard-fail.
 """
 
 from __future__ import annotations
@@ -185,12 +186,18 @@ def test_shard4_deployment_hot_path(run_once, benchmark):
     ratio = stretched["output_buffered_end"] / row["output_buffered_end"]
     benchmark.extra_info["shard4_output_buffered_end"] = row["output_buffered_end"]
     benchmark.extra_info["shard4_retention_ratio"] = round(ratio, 4)
+    # The client's own stores: sealed ledger bytes + arrival-column bytes per
+    # delivered tuple (an object per tuple was ~600).
+    benchmark.extra_info["shard4_client_bytes_per_tuple"] = round(
+        row["client_bytes_per_tuple"], 2
+    )
     print_results(
         "shard(4) output-buffer retention",
         [
             f"buffered at end  {row['output_buffered_end']:>8} tuples after {SHARD_DURATION:.0f} s",
             f"                 {stretched['output_buffered_end']:>8} tuples after "
             f"{SHARD_DURATION * RETENTION_STRETCH:.0f} s (ratio {ratio:.2f})",
+            f"client stores    {row['client_bytes_per_tuple']:>8.1f} packed bytes per ledger tuple",
         ],
     )
 
@@ -198,3 +205,4 @@ def test_shard4_deployment_hot_path(run_once, benchmark):
     assert row["stable_tuples"] > 0
     assert row["output_buffered_end"] < row["stable_tuples"]
     assert ratio < 1.5
+    assert row["client_bytes_per_tuple"] < 120

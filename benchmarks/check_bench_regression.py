@@ -19,7 +19,10 @@ Only metrics whose name marks them as regression-tracked are compared:
   takes longer to rejoin (the checkpoint-shipped recovery axis);
 * ``*_output_buffered_end`` / ``*_retention_ratio`` -- more tuples left in
   the output buffers, or a longer run ending with more of them, means the
-  acknowledgment-driven truncation stopped bounding retention.
+  acknowledgment-driven truncation stopped bounding retention;
+* ``*_client_bytes_per_tuple`` -- more bytes per delivered tuple in the
+  client's ledger segments and arrival columns means the instrument went
+  back to storing objects.
 
 Improvements never fail the check; refresh the baseline deliberately with
 ``--write-baseline`` after a change that is supposed to move the numbers.
@@ -57,6 +60,7 @@ LARGER_IS_WORSE = (
     "_recovery_s",
     "_output_buffered_end",
     "_retention_ratio",
+    "_client_bytes_per_tuple",
 )
 
 #: Metric-name suffixes where *smaller* is worse.

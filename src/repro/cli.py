@@ -949,9 +949,10 @@ def _profile_live(args: argparse.Namespace) -> int:
 
     The simulator profile above sees one process; the live backend's CPU is
     spent in forked workers, so each runs under its own cProfile and leaves a
-    ``<worker>.pstats`` in ``--out``.  Per worker this prints the non-idle
-    time (total minus the event loop's ``poll``), the share of it spent under
-    the wire codec's entry points, and the top entries.
+    ``<worker>.pstats`` in ``--out``.  Per worker this prints its own CPU
+    seconds and peak RSS, the non-idle time (total minus the event loop's
+    ``poll``), the share of it spent under the wire codec's entry points, and
+    the top entries.
     """
     import pstats
     import tempfile
@@ -989,8 +990,11 @@ def _profile_live(args: argparse.Namespace) -> int:
             elif name in codec and filename.endswith(os.path.join("live", "wire.py")):
                 wire += cumtime
         busy = stats.total_tt - idle
+        usage = result.workers[worker]
         print(
-            f"worker {worker}: {busy:.2f} s non-idle of {stats.total_tt:.2f} s profiled, "
+            f"worker {worker}: {usage['cpu_s']:.2f} s CPU, peak RSS "
+            f"{usage['peak_rss_mb']:.1f} MB; {busy:.2f} s non-idle of "
+            f"{stats.total_tt:.2f} s profiled, "
             f"wire codec {100.0 * wire / busy if busy > 0 else 0.0:.1f}% of non-idle; "
             f"top {args.top} by {args.sort}:"
         )

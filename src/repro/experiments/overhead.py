@@ -82,7 +82,7 @@ def serialization_overhead(
         duration=duration,
     )
     runtime = spec.run()
-    latencies = [r.latency for r in runtime.client.metrics.latency.records]
+    latencies = runtime.client.metrics.latency.latencies(new_only=False)
     parameter = bucket_size if use_sunion else 0.0
     return OverheadRow(parameter_ms=parameter * 1000.0, latency=LatencySummary.from_values(latencies))
 

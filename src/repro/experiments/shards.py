@@ -240,6 +240,10 @@ def _measure_throughput(spec: ScenarioSpec, label: str) -> dict:
             for node in runtime.cluster.all_nodes()
             for output in node.statistics()["outputs"].values()
         ),
+        # What the client's own instrument holds per delivered tuple: sealed
+        # ledger segments plus packed arrival columns.
+        "client_bytes_per_tuple": sum(c.metrics.packed_bytes for c in runtime.clients)
+        / max(sum(len(c.metrics.consistency.ledger) for c in runtime.clients), 1),
     }
 
 

@@ -36,9 +36,10 @@ from typing import Sequence
 from ..config import DPCConfig, SimulationConfig
 from ..deploy.placement import Placement
 from ..errors import ConfigurationError, ReproError, SimulationError
+from ..spe.tuple_codec import decode_tuples
 from ..workloads.generators import PayloadFactory, default_payload_factory
 from .faults import FaultPlan
-from .worker import WorkerSpec, worker_main
+from .worker import WorkerSpec, stable_rows, worker_main
 
 #: Seconds between the fork and the shared epoch: every worker must have
 #: built its fragment and bound its socket by then.
@@ -129,7 +130,9 @@ class LiveRunResult:
 
     duration: float
     wall_seconds: float
-    #: client name -> {"summary", "stable_rows", "eventually_consistent"}
+    #: client name -> {"summary", "ledger_segments", "eventually_consistent"};
+    #: the segments are the client ledger in the tuple codec, as its worker
+    #: sealed them (rows are decoded on demand by :meth:`stable_rows`).
     clients: dict = field(default_factory=dict)
     #: replica endpoint -> {"statistics", "recoveries"}
     nodes: dict = field(default_factory=dict)
@@ -145,6 +148,8 @@ class LiveRunResult:
     transport: dict = field(default_factory=dict)
     #: client name -> {"first", "last", "count"} wall window of tentative output.
     tentative_phase: dict = field(default_factory=dict)
+    #: worker name -> {"cpu_s", "peak_rss_mb"} of that process when it reported.
+    workers: dict = field(default_factory=dict)
 
     @property
     def eventually_consistent(self) -> bool:
@@ -158,7 +163,12 @@ class LiveRunResult:
         return self.clients[name]
 
     def stable_rows(self, name: str | None = None) -> list:
-        return self.client(name)["stable_rows"]
+        """The client's stable ledger rows, decoded one segment at a time."""
+        return [
+            row
+            for segment in self.client(name)["ledger_segments"]
+            for row in stable_rows(decode_tuples(segment))
+        ]
 
     def recoveries(self) -> list[dict]:
         return [
@@ -169,7 +179,7 @@ class LiveRunResult:
 
     @property
     def total_stable(self) -> int:
-        return sum(len(c["stable_rows"]) for c in self.clients.values())
+        return sum(c["summary"]["total_stable"] for c in self.clients.values())
 
     @property
     def total_tentative(self) -> int:
@@ -566,6 +576,7 @@ class LiveDeployment:
         transport = payload.get("transport")
         if transport is not None:
             result.transport[handle.spec.name] = transport
+        result.workers[handle.spec.name] = payload["usage"]
 
 
 # --------------------------------------------------------------------------- entry point

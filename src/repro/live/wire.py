@@ -7,16 +7,11 @@ module: :class:`~repro.spe.tuples.StreamTuple`,
 ``decode(encode(x)) == x`` for every payload the protocol produces, which
 the Hypothesis property suite pins.
 
-Tuples travel **columnar** (wire format v2, byte-level layout in DESIGN.md,
-"Wire format"): a batch is one type-code column, packed little-endian
-``tuple_id`` / ``stime`` columns, two sparse columns (``undo_from_id``,
-``stable_seq``) and then *schema runs* -- maximal stretches of consecutive
-tuples with the same key tuple.  A run writes its key names once and one
-column per key: packed int64 or float64 when every value of the column has
-exactly that type, otherwise the tagged per-value stream (``_w_value``) for
-that column alone.  The choice is made from the column's contents; there is
-no option that selects an encoding.  Control messages keep the compact
-scalar encoding (zigzag varints, length-prefixed UTF-8).
+Tuples travel **columnar** (wire format v2): a ``DATA`` batch embeds one run
+of the shared tuple codec (:mod:`repro.spe.tuple_codec`, byte-level layout in
+DESIGN.md, "Tuple codec") -- the same encoding the client ledger seals its
+segments in.  Control messages keep the compact scalar encoding (zigzag
+varints, length-prefixed UTF-8).
 
 Every frame starts with a single version byte (:data:`WIRE_VERSION`);
 decoding any other version raises :class:`WireError` so incompatible
@@ -44,11 +39,7 @@ from __future__ import annotations
 
 import io
 import pickle
-import struct
-import sys
-from array import array
-from itertools import groupby
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..core.protocol import (
     CHECKPOINT_ACK,
@@ -76,30 +67,27 @@ from ..core.protocol import (
 )
 from ..core.states import NodeState
 from ..deploy.filters import SubscriptionFilter
-from ..errors import ReproError
-from ..spe.tuples import StreamTuple, TupleType
+from ..spe.tuple_codec import (
+    WireError,
+    _check_consumed,
+    _r_byte,
+    _r_bytes,
+    _r_str,
+    _r_tuples,
+    _r_uvarint,
+    _r_zigzag,
+    _unpickle,
+    _w_bytes,
+    _w_str,
+    _w_tuples,
+    _w_uvarint,
+    _w_zigzag,
+)
+from ..spe.tuples import StreamTuple
 
 #: Current wire format version; bump on any incompatible change.
 #: 2 = columnar tuple batches (1 was one self-describing record per tuple).
 WIRE_VERSION = 2
-
-
-class WireError(ReproError):
-    """A frame could not be encoded or decoded."""
-
-
-# --------------------------------------------------------------------------- enum tables
-#: Fixed on-wire order of tuple types (index = wire byte).  Append-only.
-_TUPLE_TYPES: tuple[TupleType, ...] = (
-    TupleType.INSERTION,
-    TupleType.TENTATIVE,
-    TupleType.BOUNDARY,
-    TupleType.UNDO,
-    TupleType.REC_DONE,
-    TupleType.UP_FAILURE,
-    TupleType.REC_REQUEST,
-)
-_TUPLE_TYPE_INDEX = {member: index for index, member in enumerate(_TUPLE_TYPES)}
 
 #: Fixed on-wire order of node states (0 is reserved for "absent").
 _NODE_STATES: tuple[NodeState, ...] = (
@@ -109,164 +97,6 @@ _NODE_STATES: tuple[NodeState, ...] = (
     NodeState.FAILURE,
 )
 _NODE_STATE_INDEX = {member: index + 1 for index, member in enumerate(_NODE_STATES)}
-
-
-# --------------------------------------------------------------------------- primitives
-def _w_uvarint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise WireError(f"uvarint cannot encode negative value {value}")
-    while value >= 0x80:
-        out.append(value & 0x7F | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _r_uvarint(buf: memoryview, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(buf):
-            raise WireError("truncated varint")
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
-def _w_zigzag(out: bytearray, value: int) -> None:
-    # Arbitrary-precision zigzag (payload ints are unbounded Python ints).
-    _w_uvarint(out, value << 1 if value >= 0 else ((-value) << 1) - 1)
-
-
-def _r_zigzag(buf: memoryview, pos: int) -> tuple[int, int]:
-    raw, pos = _r_uvarint(buf, pos)
-    return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
-
-
-def _r_byte(buf: memoryview, pos: int) -> tuple[int, int]:
-    if pos >= len(buf):
-        raise WireError("truncated frame")
-    return buf[pos], pos + 1
-
-
-def _r_span(buf: memoryview, pos: int, length: int) -> tuple[memoryview, int]:
-    """``length`` bytes at ``pos`` (a view, no copy), checked against the frame."""
-    end = pos + length
-    if end > len(buf):
-        raise WireError(f"truncated frame: {length} bytes wanted, {len(buf) - pos} left")
-    return buf[pos:end], end
-
-
-def _w_str(out: bytearray, value: str) -> None:
-    data = value.encode("utf-8")
-    _w_uvarint(out, len(data))
-    out += data
-
-
-def _r_str(buf: memoryview, pos: int) -> tuple[str, int]:
-    length, pos = _r_uvarint(buf, pos)
-    end = pos + length
-    if end > len(buf):
-        raise WireError("truncated string")
-    try:
-        return str(buf[pos:end], "utf-8"), end
-    except UnicodeDecodeError as exc:
-        raise WireError(f"malformed string: {exc}") from None
-
-
-def _w_bytes(out: bytearray, value: bytes) -> None:
-    _w_uvarint(out, len(value))
-    out += value
-
-
-def _r_bytes(buf: memoryview, pos: int) -> tuple[memoryview, int]:
-    length, pos = _r_uvarint(buf, pos)
-    return _r_span(buf, pos, length)
-
-
-# Packed columns are little-endian on the wire whatever the host is.
-_SWAP = sys.byteorder != "little"
-_INT64 = "q"
-_FLOAT64 = "d"
-_ONE_FLOAT = struct.Struct("<d")
-
-
-def _packed(typecode: str, values: Sequence) -> bytes:
-    """8 bytes per value; OverflowError/TypeError when a value does not fit."""
-    column = array(typecode, values)
-    if _SWAP:
-        column.byteswap()
-    return column.tobytes()
-
-
-def _r_packed(buf: memoryview, pos: int, typecode: str, count: int) -> tuple[list, int]:
-    end = pos + 8 * count
-    if end > len(buf):
-        raise WireError(f"truncated column: {count} values announced, {len(buf) - pos} bytes left")
-    column = array(typecode)
-    column.frombytes(buf[pos:end])
-    if _SWAP:
-        column.byteswap()
-    return column.tolist(), end
-
-
-# --------------------------------------------------------------------------- values
-# Payload values are overwhelmingly ints / floats / strs; a tag byte plus a
-# pickle escape hatch covers the rest without inflating the common case.
-_V_NONE, _V_FALSE, _V_TRUE, _V_INT, _V_FLOAT, _V_STR, _V_PICKLE = range(7)
-
-
-def _w_value(out: bytearray, value: Any) -> None:
-    if value is None:
-        out.append(_V_NONE)
-    elif value is False:
-        out.append(_V_FALSE)
-    elif value is True:
-        out.append(_V_TRUE)
-    elif type(value) is int:
-        out.append(_V_INT)
-        _w_zigzag(out, value)
-    elif type(value) is float:
-        out.append(_V_FLOAT)
-        out += _ONE_FLOAT.pack(value)
-    elif type(value) is str:
-        out.append(_V_STR)
-        _w_str(out, value)
-    else:
-        out.append(_V_PICKLE)
-        _w_bytes(out, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def _r_value(buf: memoryview, pos: int) -> tuple[Any, int]:
-    tag, pos = _r_byte(buf, pos)
-    if tag == _V_NONE:
-        return None, pos
-    if tag == _V_FALSE:
-        return False, pos
-    if tag == _V_TRUE:
-        return True, pos
-    if tag == _V_INT:
-        return _r_zigzag(buf, pos)
-    if tag == _V_FLOAT:
-        span, pos = _r_span(buf, pos, 8)
-        return _ONE_FLOAT.unpack(span)[0], pos
-    if tag == _V_STR:
-        return _r_str(buf, pos)
-    if tag == _V_PICKLE:
-        data, pos = _r_bytes(buf, pos)
-        return _unpickle(pickle.loads, data), pos
-    raise WireError(f"unknown value tag {tag}")
-
-
-def _unpickle(loads: Callable[[Any], Any], data: Any) -> Any:
-    try:
-        return loads(data)
-    except WireError:
-        raise
-    except Exception as exc:  # corrupt pickle bytes can raise anything
-        raise WireError(f"malformed pickled value: {type(exc).__name__}: {exc}") from None
 
 
 def _w_opt_state(out: bytearray, state: NodeState | None) -> None:
@@ -354,142 +184,6 @@ def _dumps_checkpoint(checkpoint: Any) -> bytes:
 
 def _loads_checkpoint(data: memoryview) -> Any:
     return _CheckpointUnpickler(io.BytesIO(data)).load()
-
-
-# --------------------------------------------------------------------------- tuples (columnar)
-#: Value-column encodings, chosen per column from its contents.
-_C_INT64, _C_FLOAT64, _C_TAGGED = range(3)
-_ALL_INT = {int}
-_ALL_FLOAT = {float}
-
-
-def _w_sparse(out: bytearray, column: list) -> None:
-    """Optional int64 column: ``0`` (all ``None``) or ``1`` + presence bytes + values."""
-    if column.count(None) == len(column):
-        out.append(0)
-        return
-    out.append(1)
-    out += bytes([value is not None for value in column])
-    out += _packed(_INT64, [value for value in column if value is not None])
-
-
-def _r_sparse(buf: memoryview, pos: int, count: int) -> tuple[list, int]:
-    mode, pos = _r_byte(buf, pos)
-    if mode == 0:
-        return [None] * count, pos
-    if mode != 1:
-        raise WireError(f"unknown sparse column mode {mode}")
-    span, pos = _r_span(buf, pos, count)
-    presence = bytes(span)
-    present = presence.count(1)
-    if present + presence.count(0) != count:
-        raise WireError("sparse column presence bytes must be 0 or 1")
-    values, pos = _r_packed(buf, pos, _INT64, present)
-    following = iter(values)
-    return [next(following) if flag else None for flag in presence], pos
-
-
-def _w_column(out: bytearray, column: tuple) -> None:
-    kinds = set(map(type, column))
-    if kinds == _ALL_FLOAT:
-        out.append(_C_FLOAT64)
-        out += _packed(_FLOAT64, column)
-        return
-    if kinds == _ALL_INT:
-        try:
-            packed = _packed(_INT64, column)
-        except OverflowError:  # an int beyond 64 bits: varints for this column
-            pass
-        else:
-            out.append(_C_INT64)
-            out += packed
-            return
-    out.append(_C_TAGGED)
-    for value in column:
-        _w_value(out, value)
-
-
-def _r_column(buf: memoryview, pos: int, count: int) -> tuple[list, int]:
-    encoding, pos = _r_byte(buf, pos)
-    if encoding == _C_INT64:
-        return _r_packed(buf, pos, _INT64, count)
-    if encoding == _C_FLOAT64:
-        return _r_packed(buf, pos, _FLOAT64, count)
-    if encoding != _C_TAGGED:
-        raise WireError(f"unknown value column encoding {encoding}")
-    column = []
-    for _ in range(count):
-        value, pos = _r_value(buf, pos)
-        column.append(value)
-    return column, pos
-
-
-def _w_tuples(out: bytearray, tuples: Sequence[StreamTuple]) -> None:
-    count = len(tuples)
-    _w_uvarint(out, count)
-    if not count:
-        return
-    try:
-        out += bytes([_TUPLE_TYPE_INDEX[item.tuple_type] for item in tuples])
-    except KeyError as exc:
-        raise WireError(f"unknown tuple type {exc.args[0]!r}") from None
-    try:
-        out += _packed(_INT64, [item.tuple_id for item in tuples])
-        out += _packed(_FLOAT64, [item.stime for item in tuples])
-        _w_sparse(out, [item.undo_from_id for item in tuples])
-        _w_sparse(out, [item.stable_seq for item in tuples])
-    except (OverflowError, TypeError) as exc:
-        raise WireError(f"tuple header field does not fit its packed column: {exc}") from None
-    # Schema runs: key names once per run, then one column per key.
-    payloads = [item.values for item in tuples]
-    start = 0
-    for keys, run in groupby(map(tuple, payloads)):
-        length = len(list(run))
-        _w_uvarint(out, length)
-        _w_uvarint(out, len(keys))
-        if keys:
-            for key in keys:
-                _w_str(out, key)
-            rows = [payload.values() for payload in payloads[start : start + length]]
-            for column in zip(*rows):
-                _w_column(out, column)
-        start += length
-
-
-def _r_tuples(buf: memoryview, pos: int) -> tuple[list[StreamTuple], int]:
-    count, pos = _r_uvarint(buf, pos)
-    if not count:
-        return [], pos
-    # The type column needs ``count`` bytes, so a corrupt count fails here
-    # before any list of that size exists.
-    span, pos = _r_span(buf, pos, count)
-    try:
-        types = [_TUPLE_TYPES[code] for code in span]
-    except IndexError:
-        raise WireError(f"unknown tuple type index {max(span)}") from None
-    ids, pos = _r_packed(buf, pos, _INT64, count)
-    stimes, pos = _r_packed(buf, pos, _FLOAT64, count)
-    undo_from_ids, pos = _r_sparse(buf, pos, count)
-    stable_seqs, pos = _r_sparse(buf, pos, count)
-    payloads: list[dict] = []
-    while len(payloads) < count:
-        length, pos = _r_uvarint(buf, pos)
-        if not 0 < length <= count - len(payloads):
-            raise WireError(f"schema run of {length} tuples in a batch of {count}")
-        n_keys, pos = _r_uvarint(buf, pos)
-        if not n_keys:
-            payloads += [{} for _ in range(length)]
-            continue
-        keys = []
-        for _ in range(n_keys):
-            key, pos = _r_str(buf, pos)
-            keys.append(key)
-        columns = []
-        for _ in range(n_keys):
-            column, pos = _r_column(buf, pos, length)
-            columns.append(column)
-        payloads += [dict(zip(keys, row)) for row in zip(*columns)]
-    return StreamTuple.from_columns(types, ids, stimes, payloads, undo_from_ids, stable_seqs), pos
 
 
 def encode_tuple(item: StreamTuple) -> bytes:
@@ -733,11 +427,6 @@ def _check_version(buf: memoryview) -> None:
         raise WireError(
             f"unsupported wire version {buf[0]} (this process speaks {WIRE_VERSION})"
         )
-
-
-def _check_consumed(buf: memoryview, pos: int) -> None:
-    if pos != len(buf):
-        raise WireError(f"{len(buf) - pos} trailing bytes after decoded frame")
 
 
 def _w_message(out: bytearray, kind: str, payload: Any) -> None:

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import asyncio
 import random
+import resource
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..config import DPCConfig, SimulationConfig
 from ..core.node import ProcessingNode
@@ -40,14 +41,12 @@ from ..deploy.placement import (
 from ..errors import ConfigurationError
 from ..sim.client import ClientApplication
 from ..sim.sources import DataSource
+from ..spe.tuples import StreamTuple
 from ..statexfer import PeerRegistry
 from . import wire
 from .clock import LiveClock
 from .faults import FaultPlan
 from .transport import LiveTransport
-
-#: Seconds between control-pipe polls inside a worker's asyncio loop.
-_CONTROL_POLL = 0.05
 
 
 class RemotePeerRegistry(PeerRegistry):
@@ -327,12 +326,12 @@ def build_fragment_stack(
 
 
 # --------------------------------------------------------------------------- results
-def stable_ledger_rows(client: ClientApplication) -> list:
-    """Replica-independent form of a client's stable ledger.
+def stable_rows(ledger: Iterable[StreamTuple]) -> list:
+    """Replica-independent form of the stable tuples of a ledger.
 
-    (stable_seq, repr(stime), sorted payload items) -- the same row form the
-    parity harness extracts from a simulator run; ``repr`` keeps floats exact
-    and picklable-comparable across processes.
+    (stable_seq, repr(stime), sorted payload items) -- the row form the parity
+    harness compares between a live and a simulator run; ``repr`` keeps floats
+    exact.
     """
     return [
         (
@@ -340,9 +339,14 @@ def stable_ledger_rows(client: ClientApplication) -> list:
             repr(item.stime),
             tuple(sorted((key, repr(value)) for key, value in item.values.items())),
         )
-        for item in client.metrics.consistency.ledger
+        for item in ledger
         if item.is_stable
     ]
+
+
+def stable_ledger_rows(client: ClientApplication) -> list:
+    """:func:`stable_rows` of a client's ledger."""
+    return stable_rows(client.metrics.consistency.ledger)
 
 
 def _client_result(client: ClientApplication) -> dict:
@@ -350,7 +354,9 @@ def _client_result(client: ClientApplication) -> dict:
 
     return {
         "summary": client.summary(),
-        "stable_rows": stable_ledger_rows(client),
+        # The ledger's sealed segments verbatim plus its encoded tail: rows
+        # are built by whoever reads them (``LiveRunResult.stable_rows``).
+        "ledger_segments": client.metrics.consistency.ledger.segments(),
         "eventually_consistent": client_is_eventually_consistent(client),
     }
 
@@ -363,7 +369,7 @@ def _status(stack: FragmentStack, clock: LiveClock, transport: LiveTransport) ->
             for name, client in stack.clients.items()
         },
         "stable": {
-            name: sum(1 for item in client.metrics.consistency.ledger if item.is_stable)
+            name: client.metrics.consistency.total_stable
             for name, client in stack.clients.items()
         },
         "peers": {
@@ -400,6 +406,11 @@ def _result(stack: FragmentStack, clock: LiveClock, transport: LiveTransport) ->
             name: _tentative_phase(c) for name, c in stack.clients.items()
         },
         "transport": transport.transport_stats(),
+        # This process's own cost, read when the result is built.
+        "usage": {
+            "cpu_s": time.process_time(),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        },
     }
 
 
@@ -463,22 +474,30 @@ async def _worker_async(
             # fall back to full subscription replay.
             node.recover()
 
-    try:
-        while True:
-            handled = False
-            while conn.poll():
-                try:
-                    request = conn.recv()
-                except EOFError:
-                    return
+    # The control pipe is a reader of the loop: an idle worker sleeps, and
+    # "status" / "stop" are answered the moment they arrive.
+    loop = asyncio.get_running_loop()
+    stopped = loop.create_future()
+
+    def on_control() -> None:
+        try:
+            while not stopped.done() and conn.poll():
+                request = conn.recv()
                 if request == "status":
                     conn.send(("status", _status(stack, clock, transport)))
-                    handled = True
                 elif request == "stop":
                     conn.send(("result", _result(stack, clock, transport)))
-                    return
-            await asyncio.sleep(_CONTROL_POLL if not handled else 0.0)
+                    stopped.set_result(None)
+        except EOFError:  # the supervisor went away
+            stopped.set_result(None)
+        except Exception as exc:  # fail the worker, as a raise in its main task would
+            stopped.set_exception(exc)
+
+    loop.add_reader(conn.fileno(), on_control)
+    try:
+        await stopped
     finally:
+        loop.remove_reader(conn.fileno())
         await transport.close()
 
 

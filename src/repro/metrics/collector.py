@@ -5,17 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..spe.tuples import StreamTuple
+from .arrivals import RowView
 from .consistency import ConsistencyTracker
-from .latency import LatencyTracker, OutputRecord
+from .latency import LatencyTracker
 
 
 @dataclass(slots=True)
 class TraceEntry:
     """One row of the client trace (what Figure 11 plots).
 
-    A slotted, non-frozen dataclass: one is allocated per received tuple, so
-    construction must be a plain ``__init__`` (no ``object.__setattr__``
-    indirection) -- treat instances as immutable by convention.
+    Built on demand by iterating :attr:`MetricsCollector.trace`; the collector
+    stores packed columns, not entries.
     """
 
     time: float
@@ -30,27 +30,32 @@ class MetricsCollector:
 
     stream: str
     sequence_attribute: str = "seq"
-    keep_trace: bool = True
     latency: LatencyTracker = field(default_factory=LatencyTracker)
     consistency: ConsistencyTracker = field(default_factory=ConsistencyTracker)
-    trace: list[TraceEntry] = field(default_factory=list)
 
-    def observe(self, item: StreamTuple, now: float) -> OutputRecord | None:
-        """Record one received tuple; returns the latency record for data tuples."""
+    def observe(self, item: StreamTuple, now: float) -> bool:
+        """Record one received tuple; returns whether it was new output."""
         self.consistency.observe(item)
-        record = None
         if item.is_data:
-            record = self.latency.observe(now, item.stime, item.tuple_type.value)
-        if self.keep_trace:
-            self.trace.append(
-                TraceEntry(
-                    time=now,
-                    stime=item.stime,
-                    tuple_type=item.tuple_type.value,
-                    sequence=item.value(self.sequence_attribute) if item.is_data else None,
-                )
+            return self.latency.observe(
+                now, item.stime, item.tuple_type, item.values.get(self.sequence_attribute)
             )
-        return record
+        self.latency.arrivals.append(now, item.stime, item.tuple_type, False, 0)
+        return False
+
+    @property
+    def trace(self) -> RowView:
+        """Every observed tuple as a :class:`TraceEntry`, built per iteration."""
+        return RowView(self.latency.arrivals, _trace_entry, data_only=False)
+
+    @property
+    def packed_bytes(self) -> int:
+        """Bytes of the sealed ledger segments plus the arrival columns.
+
+        Deterministic for a run (it excludes the open ledger tail, which is
+        bounded by one segment): the number the retention gate tracks.
+        """
+        return self.consistency.ledger.sealed_bytes + self.latency.arrivals.nbytes
 
     # ------------------------------------------------------------------ summaries
     def summary(self) -> dict:
@@ -64,3 +69,7 @@ class MetricsCollector:
             "total_undos": self.consistency.total_undos,
             "total_rec_done": self.consistency.total_rec_done,
         }
+
+
+def _trace_entry(time: float, stime: float, tuple_type: str, _is_new: bool, sequence) -> TraceEntry:
+    return TraceEntry(time, stime, tuple_type, sequence)

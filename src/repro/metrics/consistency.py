@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..spe.tuples import StreamTuple
+from .ledger import TupleLedger
 
 
 @dataclass
@@ -35,40 +36,24 @@ class ConsistencyTracker:
     total_rec_done: int = 0
     #: The client-visible sequence after applying undos: stable prefix plus the
     #: current tentative suffix.
-    ledger: list[StreamTuple] = field(default_factory=list)
-    keep_ledger: bool = True
+    ledger: TupleLedger = field(default_factory=TupleLedger)
 
     def observe(self, item: StreamTuple) -> None:
         """Account for one received tuple."""
         if item.is_stable:
             self.total_stable += 1
             self.tentative_since_stable = 0
-            if self.keep_ledger:
-                self.ledger.append(item)
+            self.ledger.append(item)
         elif item.is_tentative:
             self.total_tentative += 1
             self.tentative_since_stable += 1
-            if self.keep_ledger:
-                self.ledger.append(item)
+            self.ledger.append(item)
         elif item.is_undo:
             self.total_undos += 1
             self.tentative_since_stable = 0
-            if self.keep_ledger:
-                self._apply_undo()
+            self.ledger.drop_tentative_suffix()
         elif item.is_rec_done:
             self.total_rec_done += 1
-
-    def _apply_undo(self) -> None:
-        """Drop the tentative suffix after the last stable tuple in the ledger."""
-        last_stable = None
-        for index in range(len(self.ledger) - 1, -1, -1):
-            if self.ledger[index].is_stable:
-                last_stable = index
-                break
-        if last_stable is None:
-            self.ledger.clear()
-        else:
-            del self.ledger[last_stable + 1:]
 
     # ------------------------------------------------------------------ summaries
     @property
@@ -85,7 +70,7 @@ class ConsistencyTracker:
 
     def has_pending_tentative(self) -> bool:
         """True while the ledger still ends with uncorrected tentative tuples."""
-        return any(item.is_tentative for item in self.ledger)
+        return self.ledger.tentative > 0
 
 
 def eventually_consistent(

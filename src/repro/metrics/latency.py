@@ -11,15 +11,17 @@ tuples; this module computes both given a recorded output trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
+
+from .arrivals import ArrivalLog, RowView
 
 
 @dataclass(slots=True)
 class OutputRecord:
-    """One tuple observed by a client: when it arrived and what it was.
+    """One data tuple observed by a client: when it arrived and what it was.
 
-    Slotted and non-frozen (allocated per observed data tuple); treat
-    instances as immutable by convention.
+    Built on demand by iterating :attr:`LatencyTracker.records`; the tracker
+    stores packed columns, not records.
     """
 
     arrival_time: float
@@ -44,14 +46,17 @@ class LatencyTracker:
     max_gap: float = 0.0
     _last_new_arrival: float | None = None
     new_tuples: int = 0
-    records: list[OutputRecord] = field(default_factory=list)
-    keep_records: bool = True
+    #: One row per observed tuple (the collector also logs non-data arrivals
+    #: here, which :attr:`records` skips).
+    arrivals: ArrivalLog = field(default_factory=ArrivalLog)
 
-    def observe(self, arrival_time: float, stime: float, tuple_type: str) -> OutputRecord:
-        """Record one received data tuple and update the running maxima."""
+    def observe(
+        self, arrival_time: float, stime: float, tuple_type: str, sequence: Any = 0
+    ) -> bool:
+        """Record one received data tuple; returns whether it was new output."""
         is_new = stime > self.max_stime_seen
-        latency = arrival_time - stime
         if is_new:
+            latency = arrival_time - stime
             self.max_stime_seen = stime
             self.new_tuples += 1
             if latency > self.max_latency:
@@ -61,18 +66,15 @@ class LatencyTracker:
                 if gap > self.max_gap:
                     self.max_gap = gap
             self._last_new_arrival = arrival_time
-        record = OutputRecord(
-            arrival_time=arrival_time,
-            stime=stime,
-            tuple_type=tuple_type,
-            is_new=is_new,
-            latency=latency,
-        )
-        if self.keep_records:
-            self.records.append(record)
-        return record
+        self.arrivals.append(arrival_time, stime, tuple_type, is_new, sequence)
+        return is_new
 
     # ------------------------------------------------------------------ summaries
+    @property
+    def records(self) -> RowView:
+        """The observed data tuples as :class:`OutputRecord` entries, built per iteration."""
+        return RowView(self.arrivals, _record, data_only=True)
+
     @property
     def proc_new(self) -> float:
         """Maximum end-to-end latency of any new output tuple (Proc_new)."""
@@ -83,11 +85,15 @@ class LatencyTracker:
         return max(self.max_latency - normal_latency, 0.0)
 
     def latencies(self, new_only: bool = True) -> list[float]:
-        return [r.latency for r in self.records if r.is_new or not new_only]
+        return self.arrivals.latencies(new_only)
 
     def average_latency(self, new_only: bool = True) -> float:
         values = self.latencies(new_only)
         return sum(values) / len(values) if values else 0.0
+
+
+def _record(time: float, stime: float, tuple_type: str, is_new: bool, _sequence) -> OutputRecord:
+    return OutputRecord(time, stime, tuple_type, is_new, time - stime)
 
 
 def proc_new(records: Iterable[OutputRecord]) -> float:

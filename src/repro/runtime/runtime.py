@@ -24,7 +24,6 @@ import time
 
 from ..deploy import Autoscaler, Deployment, compile as compile_topology
 from ..errors import SimulationError
-from ..metrics.consistency import duplicate_stable_values
 from ..sim.client import ClientApplication
 from ..sim.cluster import Cluster
 from ..sim.event_loop import Simulator
@@ -42,8 +41,7 @@ def client_is_eventually_consistent(client: ClientApplication) -> bool:
         return False
     if sequence != sorted(sequence):
         return False
-    ledger = client.metrics.consistency.ledger
-    if duplicate_stable_values(ledger, client.metrics.sequence_attribute):
+    if len(set(sequence)) != len(sequence):  # a duplicate stable value
         return False
     missing = set(range(min(sequence), max(sequence) + 1)) - set(sequence)
     return not missing

@@ -35,7 +35,6 @@ class ClientApplication:
         network: Network,
         config: DPCConfig | None = None,
         sequence_attribute: str = "seq",
-        keep_trace: bool = True,
         rng_seed: int | None = None,
     ) -> None:
         self.name = name
@@ -44,9 +43,7 @@ class ClientApplication:
         self.simulator = simulator
         self.network = network
         self.config = config or DPCConfig()
-        self.metrics = MetricsCollector(
-            stream=stream, sequence_attribute=sequence_attribute, keep_trace=keep_trace
-        )
+        self.metrics = MetricsCollector(stream=stream, sequence_attribute=sequence_attribute)
         self.cm = ConsistencyManager(
             owner=self, simulator=simulator, network=network, config=self.config, rng_seed=rng_seed
         )

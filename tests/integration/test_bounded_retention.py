@@ -7,10 +7,16 @@ buffers it would need and rejoins with a clean ledger, ``checkpoint_interval
 truncated prefix.
 """
 
+import gc
+import sys
+import types
+
 import pytest
 
 from repro.core.states import NodeState
+from repro.metrics.ledger import SEGMENT_TUPLES
 from repro.runtime import ScenarioSpec
+from repro.spe.tuples import StreamTuple
 
 CHECKPOINT_INTERVAL = 2.0
 
@@ -112,6 +118,39 @@ def test_client_does_not_accumulate_a_redo_buffer():
         assert client.metrics.consistency.total_stable > 500
         for monitor in client.cm.monitors.values():
             assert monitor.stable_buffer == []
+
+
+def held_by(root) -> tuple[int, int]:
+    """(bytes, StreamTuples) reachable from ``root``, every object counted once."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, size, tuples = set(), [root], 0, 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        size += sys.getsizeof(obj)
+        tuples += type(obj) is StreamTuple
+        stack.extend(gc.get_referents(obj))
+    return size, tuples
+
+
+def test_client_stores_hold_columns_not_one_object_per_tuple():
+    """The instrument itself: sealed ledger segments + packed arrival columns.
+
+    Before the ledger was sealed, shard(4) held ~600 bytes per delivered tuple
+    in the client's stores (a StreamTuple, its payload dict and boxed values,
+    an OutputRecord and a TraceEntry each).
+    """
+    runtime = shard4(30.0, rate=1200.0).run()
+    metrics = runtime.client.metrics
+    delivered = len(metrics.consistency.ledger)
+    assert delivered > 30_000 and delivered == len(metrics.trace)
+    size, tuples = held_by(metrics)
+    assert size / delivered <= 120, f"{size / delivered:.0f} bytes per ledger tuple"
+    # No StreamTuple older than one segment is alive in the stores.
+    assert tuples < SEGMENT_TUPLES
+    assert_ledger_clean(runtime)
 
 
 # --------------------------------------------------------------------------- pinning

@@ -148,6 +148,30 @@ def test_live_retention_stops_growing():
             assert stats["acked_through"] >= 0, (endpoint, stream, stats)
 
 
+@live_only
+@pytest.mark.skipif(not _fork_available(), reason="no fork start method")
+def test_live_edge_worker_retention_matches_the_node_workers():
+    """Each worker reports its own CPU and peak RSS, and the edge worker --
+    every source, plus the client that logs every output tuple -- stays in
+    the node workers' band: the ledger is sealed segments and the result is
+    those segments, not a row list.  (With a StreamTuple, a record and a
+    trace entry per tuple, plus ``repr`` rows and their pickle at "stop", the
+    edge worker ended this run ~40 MB above the others.)  The CI live-smoke
+    job selects this test with ``-k retention``."""
+    placement = compile_topology(Topology.chain(2), replicas_per_node=1)
+    stop = 6.0
+    live = placement.deploy(seed=3, aggregate_rate=4000.0, source_stop_time=stop, backend="live")
+    result = live.run(duration=stop + 1.0, drain_timeout=20.0)
+    assert result.eventually_consistent and result.dead_letters == 0
+    assert result.total_stable == len(result.stable_rows()) > 20_000
+    assert sorted(result.workers) == ["edge", "node1-r0", "node2-r0"]
+    assert all(usage["cpu_s"] > 0 for usage in result.workers.values())
+    edge = result.workers["edge"]["peak_rss_mb"]
+    nodes = [usage["peak_rss_mb"] for name, usage in result.workers.items() if name != "edge"]
+    assert edge <= max(nodes) + 15.0, result.workers
+    assert edge <= 2.0 * min(nodes), result.workers
+
+
 def test_fork_unavailable_raises_cleanly(monkeypatch):
     """Platforms without fork get a typed, actionable error (runs untagged)."""
     import multiprocessing

@@ -10,11 +10,12 @@ from repro.spe.tuples import StreamTuple
 
 def test_latency_tracker_counts_only_new_tuples():
     tracker = LatencyTracker()
-    tracker.observe(arrival_time=1.0, stime=0.8, tuple_type="insertion")
-    tracker.observe(arrival_time=2.0, stime=1.8, tuple_type="tentative")
+    # observe() returns whether the tuple was new output (no record is allocated).
+    assert tracker.observe(arrival_time=1.0, stime=0.8, tuple_type="insertion") is True
+    assert tracker.observe(arrival_time=2.0, stime=1.8, tuple_type="tentative") is True
     # A correction for an old stime is not new output.
-    record = tracker.observe(arrival_time=10.0, stime=0.9, tuple_type="insertion")
-    assert not record.is_new
+    assert tracker.observe(arrival_time=10.0, stime=0.9, tuple_type="insertion") is False
+    assert [record.is_new for record in tracker.records] == [True, True, False]
     assert tracker.new_tuples == 2
     assert tracker.proc_new == pytest.approx(0.2)
 

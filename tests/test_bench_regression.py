@@ -30,6 +30,8 @@ def test_tracked_direction_classification():
     # Bounded retention: more tuples left buffered, or growth with run length.
     assert cbr.tracked_direction("shard4_output_buffered_end") == 1
     assert cbr.tracked_direction("shard4_retention_ratio") == 1
+    # The client's own stores: packed bytes per ledger tuple.
+    assert cbr.tracked_direction("shard4_client_bytes_per_tuple") == 1
     # Wall-clock-derived metrics are informational, never trend-gated.
     assert cbr.tracked_direction("shard4_vs_chain_speedup") == 0
     assert cbr.tracked_direction("wall_seconds") == 0
@@ -57,6 +59,16 @@ def test_compare_gates_output_buffer_retention():
     checked_in = json.loads((_SCRIPT.parent / "BENCH_baseline.json").read_text(encoding="utf-8"))
     assert checked_in["test_shard4_deployment_hot_path"]["shard4_retention_ratio"] < 1.5
     assert "shard4_output_buffered_end" in checked_in["test_shard4_deployment_hot_path"]
+
+
+def test_compare_gates_client_store_bytes_per_tuple():
+    baseline = {"t": {"shard4_client_bytes_per_tuple": 75.04}}
+    objects_again = {"t": {"shard4_client_bytes_per_tuple": 630.0}}
+    regressions, _ = cbr.compare(baseline, objects_again, tolerance=0.10)
+    assert len(regressions) == 1 and "client_bytes_per_tuple" in regressions[0]
+    assert not cbr.compare(baseline, {"t": {"shard4_client_bytes_per_tuple": 70.0}}, 0.10)[0]
+    checked_in = json.loads((_SCRIPT.parent / "BENCH_baseline.json").read_text(encoding="utf-8"))
+    assert checked_in["test_shard4_deployment_hot_path"]["shard4_client_bytes_per_tuple"] < 120
 
 
 def test_compare_inverts_delivered_tuple_direction():
