@@ -1,23 +1,19 @@
-"""Filtered subscriptions: split-egress cost, multicast vs producer-side routing.
+"""Filtered subscriptions: what the split router puts on the wire.
 
 Not a paper figure: the paper's deployments never fan one stream out to
-parallel consumers of disjoint slices.  The sharded scale-out does -- and
-until the `repro.deploy` control plane, the split router multicast its
-*full* output to every shard replica, which dropped the foreign ~ (N-1)/N
-at an ingress Filter after paying for serialization and transport.  With
-filtered subscriptions the slice predicate runs at the producer, so each
-shard replica only ever receives its 1/N.
+parallel consumers of disjoint slices.  The sharded scale-out does, through
+filtered subscriptions: the slice predicate runs at the producer, so each
+shard replica only ever receives its 1/N of the split's output.
 
-Measured for shard(4), same seed, same workload, both routing modes:
+Measured for shard(4):
 
-* **split egress** -- tuples put on the wire by the split replicas (the
-  producer-side routing win; asserted to drop >= 3x) and (batch, receiver)
-  sends;
-* **ledger identity** -- the merged client ledger must be byte-identical
-  between the modes: routing is a pure optimization of the data path;
-* **throughput** -- wall-clock tuples/sec for both modes (informational) and
-  the deterministic event / Proc_new / delivered-tuple metrics tracked
-  against ``BENCH_baseline.json``.
+* **split egress** -- tuples put on the wire by the split replicas and
+  (batch, receiver) sends.  With one replica per shard every stable tuple
+  leaves the split about once; a split shipping its full stream to every
+  shard would send N times that (72 104 against 18 473 tuples here), which
+  is what the ``BENCH_baseline.json`` gate on the absolute count catches;
+* **throughput** -- wall-clock tuples/sec (informational) and the
+  deterministic event / Proc_new / delivered-tuple metrics, also tracked.
 
 A second benchmark closes the control loop the ROADMAP named: a zipfian
 hot-key workload, a mid-run ``Deployment.apply(plan)`` bucket handoff, and
@@ -38,13 +34,11 @@ DURATION = 15.0
 SHARDS = 4
 SEED = 1
 REBALANCE_SEEDS = (1, 2, 3)
-#: Availability bound X (DPCConfig default) for the routing runs.
+#: Availability bound X (DPCConfig default) for the routing run.
 BOUND_X = 3.0
-#: The headline claim: producer-side routing cuts split egress >= 3x.
-MIN_EGRESS_DROP = 3.0
 
 
-def routing_run(filtered: bool) -> dict:
+def routing_run() -> dict:
     spec = ScenarioSpec.sharded(
         shards=SHARDS,
         aggregate_rate=RATE,
@@ -52,7 +46,6 @@ def routing_run(filtered: bool) -> dict:
         warmup=DURATION,
         settle=0.0,
         seed=SEED,
-        filtered_routing=filtered,
     )
     runtime = spec.build()
     started = time.perf_counter()
@@ -61,55 +54,34 @@ def routing_run(filtered: bool) -> dict:
     split = runtime.node_group("split")
     summary = runtime.client.summary()
     return {
-        "label": "filtered" if filtered else "multicast",
         "egress_tuples": sum(node.tuples_sent for node in split),
         "egress_batches": sum(node.batches_sent for node in split),
         "events_fired": runtime.simulator.events_fired,
         "stable_tuples": summary["total_stable"],
         "proc_new": summary["proc_new"],
         "tuples_per_second": summary["total_stable"] / wall if wall > 0 else float("inf"),
-        "ledger": runtime.client.stable_sequence,
         "consistent": runtime.eventually_consistent(),
     }
 
 
-def test_filtered_routing_split_egress(run_once, benchmark):
-    rows = run_once(lambda: [routing_run(False), routing_run(True)])
-    multicast, filtered = rows
-    drop = multicast["egress_tuples"] / filtered["egress_tuples"]
-    lines = [
-        (
-            f"{row['label']:<10} egress_tuples={row['egress_tuples']:>7} "
+def test_filtered_subscription_split_egress(run_once, benchmark):
+    row = run_once(routing_run)
+    print_results(
+        f"Filtered subscriptions: shard({SHARDS}) split egress",
+        [
+            f"egress_tuples={row['egress_tuples']:>7} "
             f"sends={row['egress_batches']:>5} events={row['events_fired']:>6} "
             f"tuples/s={row['tuples_per_second']:>8.0f} Proc_new={row['proc_new']:.3f}s "
             f"consistent={'yes' if row['consistent'] else 'NO'}"
-        )
-        for row in rows
-    ]
-    lines.append(
-        f"filtered vs multicast: {drop:.2f}x fewer split-egress tuples, "
-        f"ledgers identical={multicast['ledger'] == filtered['ledger']}"
+        ],
     )
-    print_results(
-        f"Filtered subscriptions: shard({SHARDS}) split egress, multicast vs filtered",
-        lines,
-    )
+    benchmark.extra_info["filtered_split_egress_tuples"] = row["egress_tuples"]
+    benchmark.extra_info["filtered_events"] = row["events_fired"]
+    benchmark.extra_info["filtered_proc_new"] = round(row["proc_new"], 6)
+    benchmark.extra_info["filtered_stable_tuples"] = row["stable_tuples"]
 
-    for row in rows:
-        label = row["label"]
-        benchmark.extra_info[f"{label}_split_egress_tuples"] = row["egress_tuples"]
-        benchmark.extra_info[f"{label}_events"] = row["events_fired"]
-        benchmark.extra_info[f"{label}_proc_new"] = round(row["proc_new"], 6)
-        benchmark.extra_info[f"{label}_stable_tuples"] = row["stable_tuples"]
-    benchmark.extra_info["egress_drop"] = round(drop, 3)
-
-    # Routing is a pure data-path optimization: identical merged ledger.
-    assert multicast["ledger"] == filtered["ledger"]
-    for row in rows:
-        assert row["consistent"], row["label"]
-        assert row["proc_new"] < BOUND_X, f"{row['label']}: {row['proc_new']:.3f}"
-    # The headline claim: the split stops over-sending N-fold.
-    assert drop >= MIN_EGRESS_DROP, f"split egress only dropped {drop:.2f}x"
+    assert row["consistent"]
+    assert row["proc_new"] < BOUND_X, f"{row['proc_new']:.3f}"
 
 
 def test_live_rebalance_consistency(run_once, benchmark):

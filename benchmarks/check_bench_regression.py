@@ -15,6 +15,8 @@ Only metrics whose name marks them as regression-tracked are compared:
 * ``*proc_new`` -- higher Proc_new means worse availability;
 * ``*_stable_tuples`` -- *fewer* delivered stable tuples means the
   deployment stopped keeping up (inverted check);
+* ``*_egress_tuples`` -- more tuples put on the wire by the split router
+  means producer-side routing stopped cutting each shard's slice;
 * ``*_recovery_s`` -- longer modeled recovery time means a crashed replica
   takes longer to rejoin (the checkpoint-shipped recovery axis);
 * ``*_output_buffered_end`` / ``*_retention_ratio`` -- more tuples left in
@@ -57,6 +59,7 @@ LARGER_IS_WORSE = (
     "events_fired",
     "proc_new",
     "_undos",
+    "_egress_tuples",
     "_recovery_s",
     "_output_buffered_end",
     "_retention_ratio",

@@ -46,10 +46,6 @@ def main() -> None:
     for edge in placement.filtered_subscriptions():
         print(f"  filtered subscription: {edge.producer} -> {edge.consumer} "
               f"({edge.filter_name})")
-    # Placements are diffable: compare against a multicast compilation.
-    multicast = deploy.compile(topology, replicas_per_node=2, filtered_routing=False)
-    for line in placement.diff(multicast):
-        print(f"  vs multicast: {line}")
 
     # --- 2. deploy: materialize the plan -------------------------------------
     deployment = placement.deploy(

@@ -63,9 +63,6 @@ from .sim import (
     FailureInjector,
     Network,
     Simulator,
-    build_chain_cluster,
-    build_dag_cluster,
-    build_single_node_cluster,
 )
 from .core import NodeState, ProcessingNode, choose_upstream
 from .spe import (
@@ -134,9 +131,6 @@ __all__ = [
     "FailureInjector",
     "Network",
     "Simulator",
-    "build_chain_cluster",
-    "build_dag_cluster",
-    "build_single_node_cluster",
     # SPE
     "StreamTuple",
     "TupleType",

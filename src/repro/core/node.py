@@ -675,8 +675,8 @@ class ProcessingNode:
         """Drop buffered tentative tuples of ``stream`` from the fragment's SUnions.
 
         The serializer is not necessarily the fragment's entry operator (a
-        shard fragment filters its key-hash slice at the ingress, in front of
-        its SUnion), so the search walks downstream from each entry until it
+        ``diagram_factory`` fragment may put operators in front of its
+        SUnion), so the search walks downstream from each entry until it
         reaches the first SUnion.
         """
         for operator_name, _port in self.engine.entry_operators(stream):

@@ -1,12 +1,12 @@
 """The deployment control plane: compile -> place -> deploy -> reconfigure.
 
-This package layers deployment into three explicit steps (replacing the
-monolithic one-shot cluster builders):
+This package layers deployment into three explicit steps:
 
 * :func:`compile` -- turn a :class:`~repro.topology.Topology` into a
   :class:`Placement`: a pure, inspectable, diffable plan of sources, replica
   groups, fragment shapes, and (optionally content-filtered) subscriptions;
-* :meth:`Placement.deploy` -- materialize the plan onto a fresh simulator,
+* :meth:`Placement.deploy` -- materialize the plan (one placement walk,
+  :mod:`repro.deploy.wiring`, for the simulator and the live workers alike),
   returning a live :class:`Deployment` handle that owns the cluster;
 * :meth:`Deployment.apply` -- reconfigure the *running* deployment from a
   :class:`~repro.sharding.RebalancePlan`: bucket handoff between shard
@@ -22,9 +22,9 @@ from .filters import SubscriptionFilter
 from .placement import (
     FRAGMENT_ENTRY,
     FRAGMENT_FANIN,
-    FRAGMENT_INGRESS_FILTER,
     FRAGMENT_RELAY,
     ClientPlan,
+    DeployOptions,
     NodePlan,
     Placement,
     SourcePlan,
@@ -36,10 +36,10 @@ __all__ = [
     "AutoscalePolicy",
     "Autoscaler",
     "ClientPlan",
+    "DeployOptions",
     "Deployment",
     "FRAGMENT_ENTRY",
     "FRAGMENT_FANIN",
-    "FRAGMENT_INGRESS_FILTER",
     "FRAGMENT_RELAY",
     "NodePlan",
     "Placement",

@@ -1,15 +1,16 @@
 """The deploy half of the deployment control plane.
 
 :func:`deploy_placement` materializes a compiled
-:class:`~repro.deploy.placement.Placement` onto a fresh simulator and wraps
-the result in a :class:`Deployment`: the live handle owning the cluster
-(simulator, network, sources, replica groups, clients) *and* the two
-control-plane capabilities the one-shot builders could never express:
+:class:`~repro.deploy.placement.Placement` onto a fresh simulator -- through
+the one placement walk of :mod:`repro.deploy.wiring` -- and wraps the result
+in a :class:`Deployment`: the live handle owning the cluster (simulator,
+network, sources, replica groups, clients) *and* the control-plane
+capabilities a one-shot build cannot express:
 
 * **filtered subscriptions** -- the plan's filtered edges are wired through
   shared :class:`~repro.deploy.SubscriptionFilter` objects, so a shard
-  fragment's key-hash slice is carved out at the *producer* and the split
-  router no longer multicasts the full stream to every shard replica;
+  fragment's key-hash slice is carved out at the *producer*: the split
+  router ships each shard replica only its slice;
 
 * **live reconfiguration** -- :meth:`Deployment.apply` takes a
   :class:`~repro.sharding.RebalancePlan` and performs the bucket handoff on
@@ -18,29 +19,29 @@ control-plane capabilities the one-shot builders could never express:
   of each tuple and the merged ledger stays gap-free and duplicate-free
   across the handoff), and once the boundary has drained through the data
   path the moved buckets' SJoin state is shipped from the old owner to the
-  new one through the existing checkpoint containers.
+  new one through the existing checkpoint containers;
+
+* **elasticity** -- :meth:`Deployment.scale_out` / :meth:`Deployment.scale_in`
+  attach and retire shard fragments on the running cluster by extending the
+  placement and wiring the new edges through the same walk.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import TYPE_CHECKING, Callable, Sequence
-
 import warnings
 from dataclasses import replace as dataclass_replace
 
-from ..config import DPCConfig, SimulationConfig
 from ..core.node import ProcessingNode
 from ..core.states import NodeState
 from ..errors import ConfigurationError, SimulationError
 from ..sharding import RebalancePlan, ShardAssignment, ShardPlanner
 from ..sim.client import ClientApplication
+from ..sim.cluster import Cluster
 from ..sim.event_loop import Simulator
 from ..sim.events import EventKind
 from ..sim.failures import FailureInjector
 from ..sim.network import Network
-from ..sim.sources import DataSource
 from ..spe.query_diagram import InputBinding
 from ..statexfer import (
     PeerRegistry,
@@ -50,286 +51,31 @@ from ..statexfer import (
     seed_cursors,
     transfer_delay,
 )
-from ..workloads.generators import PayloadFactory, default_payload_factory
 from .filters import SubscriptionFilter
-from .placement import (
-    FRAGMENT_ENTRY,
-    FRAGMENT_INGRESS_FILTER,
-    FRAGMENT_RELAY,
-    NodePlan,
-    Placement,
-    SubscriptionPlan,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..spe.query_diagram import QueryDiagram
+from .placement import DeployOptions, NodePlan, Placement, SubscriptionPlan
+from .wiring import Wiring, wire_placement
 
 
-def deploy_placement(
-    placement: Placement,
-    config: DPCConfig | None = None,
-    sim_config: SimulationConfig | None = None,
-    *,
-    aggregate_rate: float = 300.0,
-    payload_factory: PayloadFactory = default_payload_factory,
-    join_state_size: int | None = 100,
-    per_node_delay: float | None = None,
-    diagram_factory: "Callable[[str, Sequence[str], str], QueryDiagram] | None" = None,
-    seed: int | None = None,
-    rate_profile: Callable[[float], float] | None = None,
-    source_stop_time: float | None = None,
-) -> "Deployment":
-    """Instantiate ``placement`` on a fresh simulator.
-
-    The walk mirrors the documented behaviour of the historical
-    ``build_dag_cluster`` exactly (those builders now delegate here): one
-    logging source per source stream, one replica group per node plan with
-    the fragment shape the plan chose, multicast fan-out over the batch
-    transport, push-based state advertisement whenever the keepalive cadence
-    allows it, and one measuring client per sink.  ``seed`` reproduces the
-    deployment's randomness; see the builder's docstring.
-
-    What the plan adds: edges marked *filtered* share one
-    :class:`SubscriptionFilter` per consumer fragment, registered both at
-    every producer replica (build-time subscription) and in every consumer
-    replica's input monitor (carried on later re-subscriptions), so the
-    producer only ships each consumer its slice.
-    """
-    # Imported late: repro.sim.cluster imports this module's shims' home.
-    from ..sim.cluster import (
-        Cluster,
-        _node_delay_budgets,
-        merge_diagram,
-        relay_diagram,
-        shard_relay_diagram,
-    )
-
-    topology = placement.topology
-    config = config or DPCConfig()
-    sim_config = sim_config or SimulationConfig()
-    config.validate()
-    sim_config.validate()
-
+def deploy_placement(placement: Placement, options: DeployOptions) -> "Deployment":
+    """Instantiate ``placement`` on a fresh simulator, hosting every endpoint."""
     simulator = Simulator()
-    network = Network(simulator, default_latency=sim_config.network_latency)
-    failures = FailureInjector(simulator=simulator, network=network)
+    network = Network(simulator, default_latency=options.sim_config.network_latency)
+    wiring = wire_placement(
+        placement, simulator, network, PeerRegistry(), lambda endpoint: True, options
+    )
     cluster = Cluster(
-        simulator=simulator, network=network, failures=failures, topology=topology
+        simulator=simulator,
+        network=network,
+        failures=FailureInjector(simulator=simulator, network=network),
+        sources=list(wiring.sources.values()),
+        clients=list(wiring.clients.values()),
+        topology=placement.topology,
     )
-
-    delay_budgets = _node_delay_budgets(topology, config, per_node_delay)
-    # One offset for every source: the whole workload shifts in time (so runs
-    # with different seeds genuinely differ) while the sources stay mutually
-    # aligned, which the end-of-run consistency accounting relies on.
-    start_offset = (
-        random.Random(seed).uniform(0.0, sim_config.batch_interval * 0.5)
-        if seed is not None
-        else 0.0
-    )
-
-    # --- sources ---------------------------------------------------------------
-    source_by_stream: dict[str, DataSource] = {}
-    for plan in placement.sources:
-        source = DataSource(
-            name=plan.name,
-            stream=plan.stream,
-            simulator=simulator,
-            network=network,
-            # Divided, not multiplied by the (1/n) share: the historical
-            # builder computed rate/n, and `a/n` vs `a*(1/n)` differ by an
-            # ulp for some stream counts -- enough to shift every seeded
-            # emission time and break cross-version reproducibility.
-            rate=aggregate_rate / len(placement.sources),
-            boundary_interval=config.boundary_interval,
-            batch_interval=sim_config.batch_interval,
-            payload=payload_factory(plan.payload_index, len(placement.sources)),
-            start_time=start_offset,
-            stop_time=source_stop_time,
-            # The same profile object for every source: profiles are pure
-            # functions of the emission stime, so shared use keeps the
-            # interleaved sources aligned (tie groups stay intact).
-            rate_profile=rate_profile,
-        )
-        cluster.sources.append(source)
-        source_by_stream[plan.stream] = source
-
-    # --- subscription filters (one shared object per filtered consumer) --------
-    subscription_filters: dict[str, SubscriptionFilter] = {}
-    for edge in placement.filtered_subscriptions():
-        spec = topology.node(edge.consumer)
-        if spec.select is None:  # pragma: no cover - placement guarantees it
-            raise ConfigurationError(
-                f"filtered subscription of {edge.consumer!r} has no predicate"
-            )
-        subscription_filters[edge.consumer] = SubscriptionFilter(
-            spec.select, name=edge.filter_name or f"{edge.consumer}.slice"
-        )
-
-    # --- processing nodes --------------------------------------------------------
     for plan in placement.nodes:
-        spec = topology.node(plan.name)
-        group: list[ProcessingNode] = []
-        node_join_state = join_state_size if plan.stateful else None
-        for node_name in plan.replica_names:
-            if plan.fragment == FRAGMENT_ENTRY:
-                if diagram_factory is not None:
-                    diagram = diagram_factory(node_name, plan.inputs, plan.output_stream)
-                else:
-                    diagram = merge_diagram(
-                        node_name,
-                        plan.inputs,
-                        plan.output_stream,
-                        bucket_size=config.bucket_size,
-                        join_state_size=node_join_state,
-                        select=spec.select,
-                    )
-            elif plan.fragment == FRAGMENT_INGRESS_FILTER:
-                # Legacy multicast routing: the slice is dropped at the
-                # fragment's ingress, after crossing the network.
-                diagram = shard_relay_diagram(
-                    node_name,
-                    plan.inputs[0],
-                    plan.output_stream,
-                    bucket_size=config.bucket_size,
-                    select=spec.select,
-                    join_state_size=node_join_state,
-                )
-            elif plan.fragment == FRAGMENT_RELAY:
-                # A filtered consumer's slice already arrives pre-cut (the
-                # predicate ran at the producer): its fragment is a plain
-                # relay and carries no select of its own.
-                filtered = plan.name in subscription_filters
-                diagram = relay_diagram(
-                    node_name,
-                    plan.inputs[0],
-                    plan.output_stream,
-                    bucket_size=config.bucket_size,
-                    select=None if filtered else spec.select,
-                    join_state_size=node_join_state,
-                )
-            else:  # FRAGMENT_FANIN
-                diagram = merge_diagram(
-                    node_name,
-                    plan.inputs,
-                    plan.output_stream,
-                    bucket_size=config.bucket_size,
-                    join_state_size=node_join_state,
-                    select=spec.select,
-                )
-            partners = [other for other in plan.replica_names if other != node_name]
-            node = ProcessingNode(
-                name=node_name,
-                diagram=diagram,
-                simulator=simulator,
-                network=network,
-                config=config,
-                sim_config=sim_config,
-                assigned_delay=delay_budgets[plan.name],
-                replica_partners=partners,
-                rng_seed=seed,
-            )
-            group.append(node)
+        group = [wiring.nodes[name] for name in plan.replica_names]
         cluster.nodes.append(group)
         cluster.node_groups[plan.name] = group
-
-    # --- wiring: sources -> consuming node replicas -------------------------------
-    for source in cluster.sources:
-        consumers: list[ProcessingNode] = []
-        for spec in topology.consumers_of(source.stream):
-            for node in cluster.node_groups[spec.name]:
-                source.subscribe(node.endpoint)
-                consumers.append(node)
-        cluster.stream_consumers[source.stream] = consumers
-    for spec in topology:
-        for node in cluster.node_groups[spec.name]:
-            for stream in spec.inputs:
-                if stream not in source_by_stream:
-                    continue
-                source = source_by_stream[stream]
-                node.register_input_stream(
-                    source.stream, producers=[source.name], source_producers=[source.name]
-                )
-
-    # --- wiring: node -> node edges ------------------------------------------------
-    # Nodes push their DPC state to registered watchers every keepalive period
-    # (replacing probe round trips) whenever the push cadence can keep up with
-    # the configured keepalive; otherwise consumers fall back to probing.
-    push_state = config.keepalive_period + 1e-12 >= sim_config.batch_interval
-    for spec in topology:
-        consumer_filter = subscription_filters.get(spec.name)
-        for upstream_spec in topology.upstream_nodes(spec):
-            upstream_group = cluster.node_groups[upstream_spec.name]
-            upstream_stream = upstream_spec.output_stream
-            upstream_names = [n.endpoint for n in upstream_group]
-            for node in cluster.node_groups[spec.name]:
-                node.register_input_stream(
-                    upstream_stream,
-                    producers=upstream_names,
-                    push_producers=upstream_names if push_state else (),
-                    subscription_filter=consumer_filter,
-                )
-                # Every downstream replica initially reads from the first
-                # upstream replica; DPC switches it if that replica fails.
-                upstream_group[0].register_subscriber(
-                    upstream_stream, node.endpoint, subscription_filter=consumer_filter
-                )
-                for upstream in upstream_group:
-                    # Every upstream replica retains what this replica has
-                    # not acknowledged, whichever one it is subscribed to.
-                    upstream.register_consumer(upstream_stream, node.endpoint)
-                    if push_state:
-                        upstream.add_state_watcher(node.endpoint)
-
-    # --- clients: one per sink ------------------------------------------------------
-    for plan in placement.clients:
-        sink_group = cluster.node_groups[plan.sink]
-        client = ClientApplication(
-            name=plan.name,
-            stream=plan.stream,
-            simulator=simulator,
-            network=network,
-            config=config,
-            rng_seed=seed,
-        )
-        sink_names = [n.endpoint for n in sink_group]
-        client.register_upstream(
-            producers=sink_names, push_producers=sink_names if push_state else ()
-        )
-        sink_group[0].register_subscriber(plan.stream, client.endpoint)
-        for node in sink_group:
-            node.register_consumer(plan.stream, client.endpoint)
-            if push_state:
-                node.add_state_watcher(client.endpoint)
-        cluster.clients.append(client)
-
-    # --- state-transfer peer registry -----------------------------------------------
-    # Checkpoint-shipped recovery discovers partners and prices replay
-    # suffixes through this registry, and checkpoint acknowledgments travel
-    # through it (zero simulated messages either way); nodes built outside
-    # the deploy layer keep registry=None: they fall back to full
-    # subscription replay and nothing upstream of them is truncated.
-    registry = PeerRegistry()
-    for source in cluster.sources:
-        registry.register_source(source)
-    for client in cluster.clients:
-        client.statexfer_registry = registry
-    for group in cluster.nodes:
-        for node in group:
-            registry.register_node(node)
-            node.statexfer_registry = registry
-
-    deployment = Deployment(
-        placement=placement,
-        cluster=cluster,
-        config=config,
-        sim_config=sim_config,
-        subscription_filters=subscription_filters,
-        join_state_size=join_state_size,
-        seed=seed,
-        registry=registry,
-        delay_budgets=delay_budgets,
-        push_state=push_state,
-    )
+    deployment = Deployment(placement, cluster, wiring)
     cluster.deployment = deployment
     return deployment
 
@@ -337,33 +83,19 @@ def deploy_placement(
 class Deployment:
     """A live deployment: the cluster plus its reconfiguration control plane."""
 
-    def __init__(
-        self,
-        placement: Placement,
-        cluster,
-        config: DPCConfig,
-        sim_config: SimulationConfig,
-        subscription_filters: dict[str, SubscriptionFilter],
-        join_state_size: int | None,
-        seed: int | None = None,
-        registry: PeerRegistry | None = None,
-        delay_budgets: dict[str, float] | None = None,
-        push_state: bool = False,
-    ) -> None:
+    def __init__(self, placement: Placement, cluster: Cluster, wiring: Wiring) -> None:
+        #: The plan of what is deployed *now*: the elastic paths replace it
+        #: as they attach and retire fragments.
         self.placement = placement
         self.cluster = cluster
-        self.config = config
-        self.sim_config = sim_config
+        #: What the placement walk built and its context (clock, network,
+        #: deploy options, delay budgets); the elastic paths extend it.
+        self.wiring = wiring
+        self.config = wiring.options.config
+        self.sim_config = wiring.options.sim_config
+        self.registry = wiring.registry
         #: Consumer node name -> the shared filter of its filtered subscription.
-        self.subscription_filters = subscription_filters
-        self.join_state_size = join_state_size
-        #: Deployment-construction context the elastic paths replay when they
-        #: attach a fragment to the running cluster (None/empty when the
-        #: deployment was hand-wired rather than built by deploy_placement).
-        self.seed = seed
-        self.registry = registry
-        self.delay_budgets = dict(delay_budgets or {})
-        self.push_state = push_state
+        self.subscription_filters = wiring.filters
         #: The bucket assignment currently routing the shard fragments (None
         #: for unsharded deployments); advanced by :meth:`apply`.
         self.current_assignment: ShardAssignment | None = placement.topology.shard_assignment
@@ -516,11 +248,6 @@ class Deployment:
         :attr:`rebalances`).  No-op plans return immediately.
         """
         assignment = self._require_sharded()
-        if not self.placement.filtered_routing:
-            raise ConfigurationError(
-                "live rebalance needs filtered subscriptions; this deployment was "
-                "compiled with filtered_routing=False (multicast routing)"
-            )
         if plan.before != assignment:
             raise ConfigurationError(
                 "rebalance plan was computed against a different assignment than "
@@ -840,16 +567,6 @@ class Deployment:
         Returns the reconfiguration record of the expansion plan.
         """
         assignment = self._require_sharded()
-        if not self.placement.filtered_routing:
-            raise ConfigurationError(
-                "scale-out needs filtered subscriptions; this deployment was "
-                "compiled with filtered_routing=False (multicast routing)"
-            )
-        if self.registry is None or not self.delay_budgets:
-            raise ConfigurationError(
-                "scale-out needs a deployment built by deploy_placement (the "
-                "attach path replays its wiring context)"
-            )
         if self._pending_handoff is not None:
             raise SimulationError(
                 "cannot scale out while a prior handoff is still pending"
@@ -950,141 +667,87 @@ class Deployment:
         assignment = self._require_sharded()
         return assignment.spec.shards - len(self.decommissioned)
 
-    def _attach_shard_fragment(self, index: int) -> str:
-        """Attach one new shard fragment (replica group + wiring) at ``index``."""
-        from ..sim.cluster import relay_diagram
-
-        shard_names = self.placement.shard_fragments
-        split_name = self.placement.shard_producer
-        split_plan = self.placement.node_plan(split_name)
-        split_stream = split_plan.output_stream
-        template = self.placement.node_plan(shard_names[0])
-        merge_name = next(
-            plan.consumer
-            for plan in self.placement.subscriptions
-            if plan.producer == shard_names[0] and plan.kind == "node->node"
+    def _active_shard(self) -> str:
+        """Name of the lowest-indexed shard fragment still backed by replicas."""
+        return next(
+            name
+            for index, name in enumerate(self.placement.shard_fragments)
+            if index not in self.decommissioned
         )
+
+    def _shard_edges(self, name: str) -> tuple[SubscriptionPlan, SubscriptionPlan]:
+        """The two edges of shard fragment ``name``: split -> shard, shard -> merge."""
+        edges = self.placement.subscriptions
+        return (
+            next(edge for edge in edges if edge.consumer == name),
+            next(edge for edge in edges if edge.producer == name),
+        )
+
+    def _replan(
+        self, nodes: tuple[NodePlan, ...], subscriptions: tuple[SubscriptionPlan, ...], merge: str
+    ) -> None:
+        """Replace the placement; the merge's port order follows its incoming edges."""
+        inputs = tuple(edge.stream for edge in subscriptions if edge.consumer == merge)
+        self.placement = dataclass_replace(
+            self.placement,
+            nodes=tuple(
+                dataclass_replace(plan, inputs=inputs) if plan.name == merge else plan
+                for plan in nodes
+            ),
+            subscriptions=subscriptions,
+        )
+
+    def _attach_shard_fragment(self, index: int) -> str:
+        """Attach one new shard fragment (replica group + wiring) at ``index``.
+
+        The placement grows by the fragment's NodePlan and its two edges
+        (split -> shard, filtered; shard -> merge), modelled on an active
+        shard, and the walk's own build and per-edge functions wire them.
+        """
+        placement, wiring = self.placement, self.wiring
+        template = placement.node_plan(self._active_shard())
         name = f"shard{index + 1}"
         if name in self.cluster.node_groups or name in self.retired_groups:
             raise ConfigurationError(f"shard fragment {name!r} already exists")
-
-        replica_names = tuple(name + "'" * r for r in range(len(template.replica_names)))
-        node_plan = NodePlan(
+        node_plan = dataclass_replace(
+            template,
             name=name,
-            fragment=FRAGMENT_RELAY,
-            inputs=(split_stream,),
             output_stream=f"{name}.out",
-            replica_names=replica_names,
-            stateful=template.stateful,
-            has_select=True,
-            select_at="ingress",
-            is_sink=False,
+            replica_names=tuple(name + "'" * r for r in range(template.replicas)),
             shard_index=index,
         )
-        self.placement = dataclass_replace(
-            self.placement,
-            nodes=self.placement.nodes + (node_plan,),
-            subscriptions=self.placement.subscriptions
-            + (
-                SubscriptionPlan(
-                    stream=split_stream,
-                    producer=split_name,
-                    consumer=name,
-                    kind="node->node",
-                    filtered=True,
-                    filter_name=f"{name}.slice",
-                ),
-                SubscriptionPlan(
-                    stream=node_plan.output_stream,
-                    producer=name,
-                    consumer=merge_name,
-                    kind="node->node",
-                ),
-            ),
+        template_feed, template_drain = self._shard_edges(template.name)
+        feed = dataclass_replace(template_feed, consumer=name, filter_name=f"{name}.slice")
+        drain = dataclass_replace(template_drain, producer=name, stream=node_plan.output_stream)
+        self._replan(
+            placement.nodes + (node_plan,), placement.subscriptions + (feed, drain), drain.consumer
         )
         # The fresh slice owns nothing until the cut installs its predicate.
-        slice_filter = SubscriptionFilter(lambda values: False, name=f"{name}.slice")
-        self.subscription_filters[name] = slice_filter
-
-        budget = self.delay_budgets.get(name, self.delay_budgets[shard_names[0]])
-        node_join = self.join_state_size if node_plan.stateful else None
-        group: list[ProcessingNode] = []
-        for node_name in replica_names:
-            diagram = relay_diagram(
-                node_name,
-                split_stream,
-                node_plan.output_stream,
-                bucket_size=self.config.bucket_size,
-                select=None,
-                join_state_size=node_join,
-            )
-            partners = [other for other in replica_names if other != node_name]
-            group.append(
-                ProcessingNode(
-                    name=node_name,
-                    diagram=diagram,
-                    simulator=self.simulator,
-                    network=self.network,
-                    config=self.config,
-                    sim_config=self.sim_config,
-                    assigned_delay=budget,
-                    replica_partners=partners,
-                    rng_seed=self.seed,
-                )
-            )
+        wiring.filters[name] = SubscriptionFilter(lambda values: False, name=feed.filter_name)
+        wiring.delay_budgets[name] = wiring.delay_budgets[template.name]
+        group = wiring.build_group(node_plan, select=None)
         self.cluster.nodes.append(group)
         self.cluster.node_groups[name] = group
-
+        # Pins the split's buffers from here until the new replicas' first
+        # captures acknowledge their (seeded) cursors.
+        wiring.connect(feed)
         now = self.simulator.now
-        split_group = self.cluster.node_group(split_name)
-        split_endpoints = [replica.endpoint for replica in split_group]
-        merge_group = self.cluster.node_group(merge_name)
-        donor_index = next(
-            i for i in range(len(shard_names)) if i not in self.decommissioned
-        )
         donor = next(
-            (r for r in self.cluster.node_group(shard_names[donor_index]) if not r._crashed),
-            None,
+            (r for r in self.cluster.node_group(template.name) if not r._crashed), None
         )
-        for node in group:
-            node.register_input_stream(
-                split_stream,
-                producers=split_endpoints,
-                push_producers=split_endpoints if self.push_state else (),
-                subscription_filter=slice_filter,
-            )
-            split_group[0].register_subscriber(
-                split_stream, node.endpoint, subscription_filter=slice_filter
-            )
-            for upstream in split_group:
-                # Pins the split's buffers from here until the new replica's
-                # first capture acknowledges its (seeded) cursor.
-                upstream.register_consumer(split_stream, node.endpoint)
-                if self.push_state:
-                    upstream.add_state_watcher(node.endpoint)
-            self.registry.register_node(node)
-            node.statexfer_registry = self.registry
         if donor is not None:
             checkpoint = capture_checkpoint(donor, now)
             for node in group:
                 seed_cursors(node, checkpoint, now)
 
         # Widen the merge's fan-in by one port, live.
-        group_endpoints = [replica.endpoint for replica in group]
+        merge_group = self.cluster.node_group(drain.consumer)
         for merge_node in merge_group:
             sunion_name = f"{merge_node.name}.sunion"
             port = merge_node.diagram.operator(sunion_name).add_port()
-            merge_node.diagram.bind_input(node_plan.output_stream, sunion_name, port)
-            merge_node.register_input_stream(
-                node_plan.output_stream,
-                producers=group_endpoints,
-                push_producers=group_endpoints if self.push_state else (),
-            )
-            group[0].register_subscriber(node_plan.output_stream, merge_node.endpoint)
-            for node in group:
-                node.register_consumer(node_plan.output_stream, merge_node.endpoint)
-                if self.push_state:
-                    node.add_state_watcher(merge_node.endpoint)
+            merge_node.diagram.bind_input(drain.stream, sunion_name, port)
+        wiring.connect(drain)
+        for merge_node in merge_group:
             # The held checkpoint has the old port layout; adopting it after
             # the rewiring would restore a short port_boundaries list.
             merge_node.invalidate_recovery_checkpoint()
@@ -1093,58 +756,43 @@ class Deployment:
         return name
 
     def _decommission(self, index: int, record: dict) -> None:
-        """Retire a drained shard fragment: rewire, unsubscribe, unregister."""
-        shard_names = self.placement.shard_fragments
-        name = shard_names[index]
+        """Retire a drained shard fragment: the attach path, inverted."""
+        placement = self.placement
+        name = placement.shard_fragments[index]
         group = self.cluster.node_groups.get(name)
         if group is None:
             return  # already decommissioned
-        split_name = self.placement.shard_producer
-        split_stream = self.placement.node_plan(split_name).output_stream
-        shard_stream = self.placement.node_plan(name).output_stream
-        merge_name = next(
-            plan.consumer
-            for plan in self.placement.subscriptions
-            if plan.producer == name and plan.kind == "node->node"
-        )
-        merge_group = self.cluster.node_group(merge_name)
-        endpoints = [replica.endpoint for replica in group]
-
-        # 1. Stop feeding the retired fragment (unsubscribe *before* the
-        #    endpoints leave the network: send_many rejects unknown receivers).
-        for split_node in self.cluster.node_group(split_name):
-            manager = split_node.data_path.output(split_stream)
-            for endpoint in endpoints:
-                manager.unsubscribe(endpoint)
-                manager.remove_consumer(endpoint)
-                split_node.remove_state_watcher(endpoint)
+        feed, drain = self._shard_edges(name)
+        # 1. Stop feeding the retired fragment.
+        self.wiring.disconnect(feed)
 
         # 2. Rewire the merge's fan-in arity down one port, live.
+        merge_group = self.cluster.node_group(drain.consumer)
         for merge_node in merge_group:
-            binding = next(
-                b for b in merge_node.diagram.inputs if b.stream == shard_stream
-            )
+            binding = next(b for b in merge_node.diagram.inputs if b.stream == drain.stream)
             merge_node.diagram.operator(binding.operator).remove_port(binding.port)
             merge_node.diagram.inputs = [
                 b
                 if b.operator != binding.operator or b.port < binding.port
                 else InputBinding(b.stream, b.operator, b.port - 1)
                 for b in merge_node.diagram.inputs
-                if b.stream != shard_stream
+                if b.stream != drain.stream
             ]
-            merge_node.deregister_input_stream(shard_stream)
             merge_node.invalidate_recovery_checkpoint()
+        self.wiring.disconnect(drain)
 
-        # 3. Retire the replicas: cancel their timers, leave the network.
-        for node in group:
-            for merge_node in merge_group:
-                node.data_path.output(shard_stream).unsubscribe(merge_node.endpoint)
-                node.remove_state_watcher(merge_node.endpoint)
-            if self.registry is not None:
-                self.registry.unregister_node(node.endpoint)
-            node.retire()
+        # 3. Retire the replicas: cancel their timers, leave the network and
+        #    the peer registry.
+        self.wiring.retire_group(name)
 
-        # 4. Forget the group; the NodePlan stays (positional shard indexing).
+        # 4. The plan follows the deployment: the fragment's edges and filter
+        #    go; its NodePlan stays (shard indexing is positional).
+        self._replan(
+            placement.nodes,
+            tuple(edge for edge in placement.subscriptions if edge not in (feed, drain)),
+            drain.consumer,
+        )
+        del self.subscription_filters[name]
         self.cluster.nodes.remove(group)
         del self.cluster.node_groups[name]
         self.retired_groups[name] = group

@@ -7,14 +7,11 @@ which replica processes run which fragment shape, and which subscriptions
 a placement can be printed, asserted against, and :meth:`diffed
 <Placement.diff>` against another placement before anything runs.
 
-:meth:`Placement.deploy` is the other half: it materializes the plan onto a
-fresh simulator and returns a live :class:`~repro.deploy.Deployment` handle
-(see :mod:`repro.deploy.deployment`).
-
-The legacy one-shot builders (:func:`repro.sim.cluster.build_dag_cluster`
-and :func:`~repro.sim.cluster.build_chain_cluster`) are thin shims over this
-pipeline, so the two paths are the same code and produce identical
-deployments.
+:meth:`Placement.deploy` is the other half: it declares the deploy options once
+(:class:`DeployOptions`) and hands the resolved values to the chosen backend
+-- the simulator (:mod:`repro.deploy.deployment`) or forked worker processes
+(:mod:`repro.live.supervisor`); both build through the one placement walk of
+:mod:`repro.deploy.wiring`.
 """
 
 from __future__ import annotations
@@ -22,20 +19,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from ..config import DPCConfig, SimulationConfig
 from ..errors import ConfigurationError
 from ..topology import Topology
 from ..workloads.generators import PayloadFactory, default_payload_factory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import DelayAssignment, DPCConfig, SimulationConfig
+    from ..config import DelayAssignment
     from ..spe.query_diagram import QueryDiagram
     from .deployment import Deployment
 
-#: Fragment shapes the deploy step knows how to instantiate.
-FRAGMENT_ENTRY = "entry"  # SUnion over sources (+ optional SJoin / Filter) + SOutput
-FRAGMENT_RELAY = "relay"  # 1-ary SUnion (+ optional SJoin / egress Filter) + SOutput
-FRAGMENT_INGRESS_FILTER = "ingress-filter"  # ingress Filter -> SUnion (+ SJoin) + SOutput
-FRAGMENT_FANIN = "fanin"  # SUnion over several upstream streams + SOutput
+#: Fragment shapes a node plan can take: one SUnion over the plan's inputs
+#: (+ optional SJoin / Filter) + SOutput, named for what feeds it.
+FRAGMENT_ENTRY = "entry"  # every input is a source stream (honours diagram_factory)
+FRAGMENT_RELAY = "relay"  # one upstream node
+FRAGMENT_FANIN = "fanin"  # several upstream streams
+
+
+@dataclass(frozen=True)
+class DeployOptions:
+    """The resolved arguments of one :meth:`Placement.deploy` call.
+
+    Defaults live on :meth:`Placement.deploy` only; both backends, the
+    placement walk and the elastic attach path read the values from here.
+    """
+
+    config: DPCConfig
+    sim_config: SimulationConfig
+    aggregate_rate: float
+    payload_factory: PayloadFactory
+    join_state_size: int | None
+    per_node_delay: float | None
+    diagram_factory: "Callable[[str, Sequence[str], str], QueryDiagram] | None"
+    seed: int | None
+    rate_profile: "Callable[[float], float] | None"
+    source_stop_time: float | None
 
 
 @dataclass(frozen=True)
@@ -107,7 +125,6 @@ class Placement:
 
     topology: Topology
     replicas_per_node: int
-    filtered_routing: bool
     sources: tuple[SourcePlan, ...]
     nodes: tuple[NodePlan, ...]
     subscriptions: tuple[SubscriptionPlan, ...]
@@ -145,7 +162,6 @@ class Placement:
         return {
             "topology": self.topology.name,
             "replicas_per_node": self.replicas_per_node,
-            "filtered_routing": self.filtered_routing,
             "sources": [
                 {"stream": s.stream, "name": s.name, "rate_share": s.rate_share}
                 for s in self.sources
@@ -267,42 +283,27 @@ class Placement:
         """Materialize this plan on an execution backend.
 
         ``backend="sim"`` (the default) instantiates the plan on a fresh
-        discrete-event simulator and returns a :class:`Deployment` --
-        byte-identical to the historical behavior.  ``backend="live"``
-        returns a :class:`repro.live.supervisor.LiveDeployment` that runs
-        the same fragments as real OS processes over asyncio sockets in
-        wall-clock time (raises
-        :class:`~repro.live.supervisor.LiveBackendUnavailable` on platforms
-        without the ``fork`` multiprocessing start method).
+        discrete-event simulator and returns a :class:`Deployment`.
+        ``backend="live"`` returns a
+        :class:`repro.live.supervisor.LiveDeployment` that runs the same
+        fragments as real OS processes over asyncio sockets in wall-clock
+        time (raises :class:`~repro.live.supervisor.LiveBackendUnavailable`
+        on platforms without the ``fork`` multiprocessing start method).
 
+        ``seed`` makes the deployment's randomness reproducible: it seeds
+        every consistency manager's tie-breaking RNG and shifts the sources'
+        start by a seed-derived fraction of a batch interval.
+        ``per_node_delay`` overrides the delay budget D of every node
+        (default: the Section 6.3 delay planner over the deployment graph).
         ``source_stop_time`` bounds every source's production to stimes at
         or below it (both backends), which is how the live/sim parity
         harness pins a finite, backend-independent workload.
         """
-        if backend == "live":
-            from ..live.supervisor import deploy_live
-
-            return deploy_live(
-                self,
-                config=config,
-                sim_config=sim_config,
-                aggregate_rate=aggregate_rate,
-                payload_factory=payload_factory,
-                join_state_size=join_state_size,
-                per_node_delay=per_node_delay,
-                diagram_factory=diagram_factory,
-                seed=seed,
-                rate_profile=rate_profile,
-                source_stop_time=source_stop_time,
-            )
-        if backend != "sim":
-            raise ConfigurationError(
-                f"unknown deployment backend {backend!r}; expected 'sim' or 'live'"
-            )
-        from .deployment import deploy_placement
-
-        return deploy_placement(
-            self,
+        config = config or DPCConfig()
+        sim_config = sim_config or SimulationConfig()
+        config.validate()
+        sim_config.validate()
+        options = DeployOptions(
             config=config,
             sim_config=sim_config,
             aggregate_rate=aggregate_rate,
@@ -314,6 +315,17 @@ class Placement:
             rate_profile=rate_profile,
             source_stop_time=source_stop_time,
         )
+        if backend == "live":
+            from ..live.supervisor import LiveDeployment
+
+            return LiveDeployment(self, options)
+        if backend != "sim":
+            raise ConfigurationError(
+                f"unknown deployment backend {backend!r}; expected 'sim' or 'live'"
+            )
+        from .deployment import deploy_placement
+
+        return deploy_placement(self, options)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -326,21 +338,14 @@ class Placement:
 def compile(  # noqa: A001 - the control-plane verb, deliberately builtin-shadowing
     topology: Topology,
     replicas_per_node: int = 2,
-    *,
-    filtered_routing: bool = True,
 ) -> Placement:
     """Compile ``topology`` into a :class:`Placement`.
 
-    The plan mirrors the walk the cluster builder has always performed --
-    entry nodes run the Figure 12 merge fragment, single-input internal nodes
-    relay, multi-input internal nodes fan in, and each sink feeds one client
-    -- with one new decision: a node whose spec asks for an *ingress* select
-    (the shard fragments of ``Topology.shard``) is planned as a **filtered
-    subscription** when ``filtered_routing`` is on, so its slice predicate
-    runs at the producer and the fragment itself is a plain relay.  With
-    ``filtered_routing`` off the predicate stays in the fragment (an ingress
-    Filter) and the producer multicasts the full stream -- the legacy
-    data path, kept for comparison benchmarks.
+    Entry nodes run the Figure 12 merge fragment, single-input internal nodes
+    relay, multi-input internal nodes fan in, and each sink feeds one client.
+    A node whose spec asks for an *ingress* select (the shard fragments of
+    ``Topology.shard``) is planned as a **filtered subscription**: its slice
+    predicate runs at the producer and the fragment itself is a plain relay.
     """
     if replicas_per_node < 1:
         raise ConfigurationError("replicas_per_node must be >= 1")
@@ -367,16 +372,15 @@ def compile(  # noqa: A001 - the control-plane verb, deliberately builtin-shadow
             spec.name + ("" if r == 0 else "'" * r) for r in range(replicas)
         )
         stateful = spec.stateful if spec.stateful is not None else topology.is_entry(spec)
-        ingress_select = spec.select is not None and spec.select_at == "ingress"
-        filtered = ingress_select and filtered_routing
+        filtered = spec.select is not None and spec.select_at == "ingress"
         if topology.is_entry(spec):
             fragment = FRAGMENT_ENTRY
         elif len(input_streams) == 1:
-            fragment = FRAGMENT_INGRESS_FILTER if ingress_select and not filtered else FRAGMENT_RELAY
+            fragment = FRAGMENT_RELAY
         else:
             fragment = FRAGMENT_FANIN
         index: int | None = None
-        if ingress_select and topology.shard_assignment is not None:
+        if filtered and topology.shard_assignment is not None:
             index = shard_index
             shard_index += 1
         node_plans.append(
@@ -433,7 +437,6 @@ def compile(  # noqa: A001 - the control-plane verb, deliberately builtin-shadow
     return Placement(
         topology=topology,
         replicas_per_node=replicas_per_node,
-        filtered_routing=filtered_routing,
         sources=sources,
         nodes=tuple(node_plans),
         subscriptions=tuple(subscription_plans),

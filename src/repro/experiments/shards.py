@@ -3,7 +3,7 @@
 The paper never deploys more than a chain, but its DPC machinery is
 topology-agnostic; combined with the :mod:`repro.sharding` planner it gives
 an N-way key-hash sharded deployment (``Topology.shard``: split -> N shard
-fragments filtering their slice at the ingress -> fan-in SUnion merge).
+fragments each subscribed to their slice -> fan-in SUnion merge).
 These runners exercise the two questions that shape asks:
 
 * **shard-kill** -- crash *every* replica of one shard, so the merge cannot

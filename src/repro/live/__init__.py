@@ -9,8 +9,8 @@ transport differ (see ``repro.core.clock`` and DESIGN.md, "Live backend").
 
 Import surface:
 
-* :func:`repro.live.supervisor.deploy_live` / ``Placement.deploy(backend="live")``
-* :class:`repro.live.supervisor.LiveDeployment` and its ``run()`` result
+* ``Placement.deploy(backend="live")``, which returns a
+  :class:`repro.live.supervisor.LiveDeployment`, and its ``run()`` result
 * :class:`repro.live.supervisor.LiveBackendUnavailable` for platforms
   without the ``fork`` multiprocessing start method
 """

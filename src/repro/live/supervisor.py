@@ -1,9 +1,10 @@
 """Process supervisor for the live execution backend.
 
-:func:`deploy_live` (reached through ``Placement.deploy(backend="live")``)
-compiles a worker plan from the placement -- one worker process per node
-replica plus one *edge* worker hosting every data source and client proxy --
-and :meth:`LiveDeployment.run` orchestrates a wall-clock run:
+``Placement.deploy(backend="live")`` binds the placement to a
+:class:`LiveDeployment`; :func:`hosted_by_worker` assigns its endpoints to
+workers -- one worker process per node replica plus one *edge* worker
+hosting every data source and client proxy -- and
+:meth:`LiveDeployment.run` orchestrates a wall-clock run:
 
 1. create a socket directory and the address book (endpoint -> worker ->
    Unix socket path);
@@ -33,11 +34,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..config import DPCConfig, SimulationConfig
-from ..deploy.placement import Placement
+from ..deploy.placement import DeployOptions, Placement
 from ..errors import ConfigurationError, ReproError, SimulationError
 from ..spe.tuple_codec import decode_tuples
-from ..workloads.generators import PayloadFactory, default_payload_factory
 from .faults import FaultPlan
 from .worker import WorkerSpec, stable_rows, worker_main
 
@@ -252,42 +251,41 @@ class _WorkerHandle:
         self.killed = False
 
 
+def hosted_by_worker(placement: Placement) -> dict[str, list[str]]:
+    """Worker name -> the endpoints it hosts.
+
+    One *edge* worker hosts every source and client; every node replica gets
+    a worker of its own, so killing a worker kills exactly one replica.
+    """
+    hosted = {
+        "edge": [plan.name for plan in placement.sources]
+        + [plan.name for plan in placement.clients]
+    }
+    for plan in placement.nodes:
+        for index, endpoint in enumerate(plan.replica_names):
+            hosted[f"{plan.name}-r{index}"] = [endpoint]
+    return hosted
+
+
 class LiveDeployment:
     """A placement bound to the live backend, ready to run."""
 
-    def __init__(
-        self,
-        placement: Placement,
-        config: DPCConfig,
-        sim_config: SimulationConfig,
-        deploy_kwargs: dict,
-    ) -> None:
+    def __init__(self, placement: Placement, options: DeployOptions) -> None:
         require_fork()
         self.placement = placement
-        self.config = config
-        self.sim_config = sim_config
-        #: kwargs forwarded verbatim to ``build_fragment_stack`` (minus the
-        #: per-worker clock/network/hosts, which each worker supplies).
-        self.deploy_kwargs = dict(deploy_kwargs)
+        #: The resolved deploy options every worker hands to the placement walk.
+        self.options = options
 
     # ------------------------------------------------------------------ worker plan
     def _worker_plan(
         self, socket_dir: str, epoch: float, fault_plan: FaultPlan, profile_dir: str | None
     ) -> list[WorkerSpec]:
-        edge_endpoints = [plan.name for plan in self.placement.sources] + [
-            plan.name for plan in self.placement.clients
-        ]
-        hosted_by_worker: dict[str, list[str]] = {"edge": edge_endpoints}
-        for plan in self.placement.nodes:
-            for index, endpoint in enumerate(plan.replica_names):
-                hosted_by_worker[f"{plan.name}-r{index}"] = [endpoint]
+        hosted = hosted_by_worker(self.placement)
         worker_sockets = {
-            worker: os.path.join(socket_dir, f"{worker}.sock") for worker in hosted_by_worker
+            worker: os.path.join(socket_dir, f"{worker}.sock") for worker in hosted
         }
         endpoint_worker = {
-            endpoint: worker
-            for worker, endpoints in hosted_by_worker.items()
-            for endpoint in endpoints
+            endpoint: worker for worker, endpoints in hosted.items() for endpoint in endpoints
         }
         return [
             WorkerSpec(
@@ -302,14 +300,14 @@ class LiveDeployment:
                     os.path.join(profile_dir, f"{worker}.pstats") if profile_dir else None
                 ),
             )
-            for worker, endpoints in hosted_by_worker.items()
+            for worker, endpoints in hosted.items()
         ]
 
     def _spawn(self, ctx, spec: WorkerSpec) -> _WorkerHandle:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=worker_main,
-            args=(spec, self.placement, self.deploy_kwargs, child_conn),
+            args=(spec, self.placement, self.options, child_conn),
             name=f"repro-live-{spec.name}",
             daemon=True,
         )
@@ -577,42 +575,3 @@ class LiveDeployment:
         if transport is not None:
             result.transport[handle.spec.name] = transport
         result.workers[handle.spec.name] = payload["usage"]
-
-
-# --------------------------------------------------------------------------- entry point
-def deploy_live(
-    placement: Placement,
-    config: DPCConfig | None = None,
-    sim_config: SimulationConfig | None = None,
-    *,
-    aggregate_rate: float = 300.0,
-    payload_factory: PayloadFactory = default_payload_factory,
-    join_state_size: int | None = 100,
-    per_node_delay: float | None = None,
-    diagram_factory=None,
-    seed: int | None = None,
-    rate_profile=None,
-    source_stop_time: float | None = None,
-) -> LiveDeployment:
-    """Bind ``placement`` to the live backend (compare ``deploy_placement``)."""
-    config = config or DPCConfig()
-    sim_config = sim_config or SimulationConfig()
-    config.validate()
-    sim_config.validate()
-    return LiveDeployment(
-        placement,
-        config,
-        sim_config,
-        deploy_kwargs=dict(
-            config=config,
-            sim_config=sim_config,
-            aggregate_rate=aggregate_rate,
-            payload_factory=payload_factory,
-            join_state_size=join_state_size,
-            per_node_delay=per_node_delay,
-            diagram_factory=diagram_factory,
-            seed=seed,
-            rate_profile=rate_profile,
-            source_stop_time=source_stop_time,
-        ),
-    )

@@ -90,13 +90,20 @@ def eventually_consistent(
 
 
 def duplicate_stable_values(received: Iterable[StreamTuple], attribute: str) -> list:
-    """Stable attribute values that appear more than once (should be empty)."""
+    """Stable attribute values that appear more than once (should be empty).
+
+    Equality decides, never object identity: a NaN equals nothing, itself
+    included, so it is not a duplicate -- whether two tuples share one float
+    object or were decoded from a sealed segment into two.
+    """
     seen: set = set()
     duplicates: list = []
     for item in received:
         if not item.is_stable:
             continue
         value = item.value(attribute)
+        if value != value:
+            continue
         if value in seen:
             duplicates.append(value)
         seen.add(value)

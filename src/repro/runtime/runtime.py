@@ -57,9 +57,7 @@ class SimulationRuntime:
         # Compile -> place -> deploy: the runtime owns the Deployment handle;
         # self.cluster stays as the familiar accessor for everything wired.
         self.placement = compile_topology(
-            self.topology,
-            replicas_per_node=spec.replicas_per_node,
-            filtered_routing=spec.filtered_routing,
+            self.topology, replicas_per_node=spec.replicas_per_node
         )
         self.deployment: Deployment = self.placement.deploy(
             spec.dpc_config(),

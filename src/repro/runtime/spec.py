@@ -79,23 +79,18 @@ class ScenarioSpec:
     #: cadence in simulated seconds.  A spec-level knob so recovery-mode
     #: comparisons don't have to rebuild the whole DPCConfig.
     checkpoint_interval: float | None | str = "inherit"
-    # --- routing / reconfiguration --------------------------------------------
-    #: Producer-side evaluation of ingress-select predicates (filtered
-    #: subscriptions).  False restores the legacy multicast + ingress-Filter
-    #: data path (kept for comparison benchmarks).
-    filtered_routing: bool = True
+    # --- reconfiguration ------------------------------------------------------
     #: Apply a load-driven rebalance to the live deployment at this simulated
     #: time: observed bucket loads -> ShardPlanner.rebalance -> Deployment.apply.
-    #: Requires a sharded topology and filtered routing.
+    #: Requires a sharded topology.
     rebalance_at: float | None = None
     #: Peak-to-mean tolerance handed to the planner by the mid-run rebalance.
     rebalance_tolerance: float = 0.10
     #: Watermark policy of the elastic autoscaler loop (None disables it).
     #: The runtime arms an :class:`~repro.deploy.Autoscaler` on the deployment,
     #: which drives ``Deployment.scale_out`` / ``scale_in`` from per-shard
-    #: processing rates.  Requires a sharded topology with filtered routing,
-    #: and switches the DPC config to priced (non-instantaneous, abortable)
-    #: bucket handoffs.
+    #: processing rates.  Requires a sharded topology, and switches the DPC
+    #: config to priced (non-instantaneous, abortable) bucket handoffs.
     autoscale: AutoscalePolicy | None = None
     #: Zipfian skew of the hot-key workload (set by ``sharded(skew=...)``).
     #: Resolved into a payload factory at build time so a later
@@ -134,11 +129,6 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     "rebalance_at requires a sharded topology (Topology.shard); "
                     f"topology {topology.name!r} has no shard assignment"
-                )
-            if not self.filtered_routing:
-                raise ConfigurationError(
-                    "rebalance_at requires filtered_routing=True (live rebalance "
-                    "rides on producer-side subscription filters)"
                 )
             if self.rebalance_at <= 0:
                 raise ConfigurationError("rebalance_at must be positive")
@@ -190,11 +180,6 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     "autoscale requires a sharded topology (Topology.shard); "
                     f"topology {topology.name!r} has no shard assignment"
-                )
-            if not self.filtered_routing:
-                raise ConfigurationError(
-                    "autoscale requires filtered_routing=True (elastic scale-out "
-                    "rides on producer-side subscription filters)"
                 )
             initial = topology.shard_assignment.spec.shards
             if initial < self.autoscale.min_shards:

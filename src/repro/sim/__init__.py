@@ -6,14 +6,7 @@ from .network import Network, Message, NetworkStats
 from .failures import FailureInjector, FailureRecord, FailureType
 from .sources import DataSource, sequential_payload
 from .client import ClientApplication
-from .cluster import (
-    Cluster,
-    build_chain_cluster,
-    build_dag_cluster,
-    build_single_node_cluster,
-    merge_diagram,
-    relay_diagram,
-)
+from .cluster import Cluster, merge_diagram
 
 __all__ = [
     "Event",
@@ -29,9 +22,5 @@ __all__ = [
     "sequential_payload",
     "ClientApplication",
     "Cluster",
-    "build_chain_cluster",
-    "build_dag_cluster",
-    "build_single_node_cluster",
     "merge_diagram",
-    "relay_diagram",
 ]

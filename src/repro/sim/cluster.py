@@ -1,40 +1,27 @@
-"""Cluster container, fragment diagram factories, and the legacy builders.
-
-The paper's experiments use two deployment shapes -- a single (optionally
-replicated) processing node fed by three data sources (Figures 10 and 12,
-Table III, Figure 13) and a chain of up to four replicated nodes
-(Figures 15, 16, 18, 19, 20) -- but its query diagrams are general DAGs.
-
-Deployment construction lives in the layered :mod:`repro.deploy` control
-plane: ``compile(topology)`` produces an inspectable
-:class:`~repro.deploy.Placement`, and ``placement.deploy(...)`` materializes
-it into a live :class:`~repro.deploy.Deployment`.  The historical one-shot
-builders survive here as thin shims over that pipeline --
-:func:`build_dag_cluster` compiles-and-deploys in one call and returns the
-deployment's :class:`Cluster`, and :func:`build_chain_cluster` is the sugar
-that compiles the paper's chain shape to a path topology first.
+"""Cluster container and the fragment diagram factory.
 
 :class:`Cluster` owns the simulator, network, failure injector, sources,
-nodes, and clients of one such deployment and provides the small amount of
-orchestration the experiments need (start everything, run for a while, look at
-the client's metrics).  The fragment diagram factories
-(:func:`merge_diagram`, :func:`relay_diagram`, :func:`shard_relay_diagram`)
-also live here; the deploy step instantiates them per replica.
+nodes, and clients of one simulated deployment and provides the small amount
+of orchestration the experiments need (start everything, run for a while,
+look at the client's metrics).  Clusters are built by the :mod:`repro.deploy`
+control plane: ``compile(topology)`` produces an inspectable
+:class:`~repro.deploy.Placement`, and ``placement.deploy(...)`` materializes
+it into a :class:`~repro.deploy.Deployment` whose ``.cluster`` is this class.
+
+:func:`merge_diagram` is the one fragment shape every replica runs; the
+placement walk instantiates it per replica.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from ..config import DPCConfig, SimulationConfig
-from ..core.delay_planner import DelayPlanner
 from ..core.node import ProcessingNode
 from ..errors import ConfigurationError
 from ..spe.operators import Filter, SJoin, SOutput, SUnion
 from ..spe.query_diagram import QueryDiagram
 from ..topology import SelectPredicate, Topology
-from ..workloads.generators import PayloadFactory, default_payload_factory
 from .client import ClientApplication
 from .event_loop import Simulator
 from .failures import FailureInjector
@@ -56,8 +43,6 @@ class Cluster:
     clients: list[ClientApplication] = field(default_factory=list)
     #: Replica groups by logical node name (the canonical addressing).
     node_groups: dict[str, list[ProcessingNode]] = field(default_factory=dict)
-    #: Source stream name -> processing-node replicas consuming it directly.
-    stream_consumers: dict[str, list[ProcessingNode]] = field(default_factory=dict)
     #: The deployment graph this cluster was built from (None for hand wiring).
     topology: Topology | None = None
     #: Logical nodes a live reconfiguration has drained (they route no data
@@ -65,8 +50,7 @@ class Cluster:
     #: injection consults it at fire time so kill schedules validated against
     #: the compile-time topology cannot target an already-drained node.
     drained_nodes: set[str] = field(default_factory=set)
-    #: The control-plane handle that built this cluster (None for hand wiring
-    #: or direct builder use before the deployment handle is attached).
+    #: The control-plane handle that built this cluster (None for hand wiring).
     deployment: object | None = None
 
     # ------------------------------------------------------------------ access helpers
@@ -119,11 +103,11 @@ class Cluster:
 
     def consumers_of(self, stream: str) -> list[ProcessingNode]:
         """Processing nodes directly consuming source stream ``stream``."""
-        consumers = self.stream_consumers.get(stream)
-        if consumers is not None:
-            return consumers
-        # Hand-wired legacy clusters: every first-group node reads every source.
-        return self.nodes[0] if self.nodes else []
+        return [
+            replica
+            for spec in self.topology.consumers_of(stream)
+            for replica in self.node_groups[spec.name]
+        ]
 
     def source(self, index: int) -> DataSource:
         return self.sources[index]
@@ -170,7 +154,7 @@ class Cluster:
         }
 
 
-# --------------------------------------------------------------------------- diagram factories
+# --------------------------------------------------------------------------- diagram factory
 def merge_diagram(
     name: str,
     input_streams: Sequence[str],
@@ -179,12 +163,15 @@ def merge_diagram(
     join_state_size: int | None = None,
     select: SelectPredicate | None = None,
 ) -> QueryDiagram:
-    """The first-node fragment: SUnion over the sources (+ optional SJoin) + SOutput.
+    """The fragment every replica runs: SUnion (+ SJoin) (+ Filter) + SOutput.
 
-    Matches the experimental setup of Section 5.2 / Figure 12: "an SUnion that
-    merges these streams into one, an SJoin with a 100-tuple state size, and an
-    SOutput".  ``select`` optionally inserts a deterministic Filter before the
-    SOutput (the branch-partitioning fragments of DAG deployments).
+    Over several source streams this is the experimental setup of Section
+    5.2 / Figure 12: "an SUnion that merges these streams into one, an SJoin
+    with a 100-tuple state size, and an SOutput".  Over one upstream stream
+    it is a relay, over several a cross-node fan-in.  ``join_state_size``
+    gives the fragment the deployment's stateful SJoin; ``select`` inserts a
+    deterministic Filter before the SOutput (the branch-partitioning
+    fragments of DAG deployments).
     """
     diagram = QueryDiagram(name=name)
     merge = SUnion(name=f"{name}.sunion", arity=len(input_streams), bucket_size=bucket_size)
@@ -208,251 +195,3 @@ def merge_diagram(
     diagram.bind_output(output_stream, soutput)
     diagram.validate()
     return diagram
-
-
-def relay_diagram(
-    name: str,
-    input_stream: str,
-    output_stream: str,
-    bucket_size: float,
-    select: SelectPredicate | None = None,
-    join_state_size: int | None = None,
-) -> QueryDiagram:
-    """A downstream-node fragment: a single-input SUnion followed by an SOutput.
-
-    ``select`` optionally inserts a deterministic Filter between the two --
-    the fragment run by the partitioned branches of a diamond deployment.
-    ``join_state_size`` optionally gives the relay the deployment's stateful
-    SJoin (nodes marked ``stateful`` in the topology).
-    """
-    diagram = QueryDiagram(name=name)
-    sunion = SUnion(name=f"{name}.sunion", arity=1, bucket_size=bucket_size)
-    diagram.add_operator(sunion)
-    last = sunion
-    if join_state_size is not None:
-        sjoin = SJoin(name=f"{name}.sjoin", state_size=join_state_size)
-        diagram.add_operator(sjoin)
-        diagram.connect(last, sjoin)
-        last = sjoin
-    if select is not None:
-        selector = Filter(name=f"{name}.filter", predicate=select)
-        diagram.add_operator(selector)
-        diagram.connect(last, selector)
-        last = selector
-    soutput = SOutput(name=f"{name}.soutput")
-    diagram.add_operator(soutput)
-    diagram.connect(last, soutput)
-    diagram.bind_input(input_stream, sunion)
-    diagram.bind_output(output_stream, soutput)
-    diagram.validate()
-    return diagram
-
-
-def shard_relay_diagram(
-    name: str,
-    input_stream: str,
-    output_stream: str,
-    bucket_size: float,
-    select: SelectPredicate,
-    join_state_size: int | None = None,
-) -> QueryDiagram:
-    """A shard fragment: ingress Filter (key-hash slice) -> SUnion [-> SJoin] -> SOutput.
-
-    Unlike :func:`relay_diagram` (which filters *after* the SUnion), the
-    shard placement drops foreign-slice tuples before they are serialized,
-    so the SUnion's buckets, the stateful join, the redo-driven
-    reconciliation, and the SOutput's stream all carry only this shard's 1/N
-    of the data.  Boundary, UNDO, and REC_DONE tuples pass through the
-    filter untouched (the base operator routes control tuples around
-    ``_process_data``), so failure detection and bucket stabilization behave
-    exactly as in a relay.
-    """
-    diagram = QueryDiagram(name=name)
-    selector = Filter(name=f"{name}.filter", predicate=select)
-    diagram.add_operator(selector)
-    sunion = SUnion(name=f"{name}.sunion", arity=1, bucket_size=bucket_size)
-    diagram.add_operator(sunion)
-    diagram.connect(selector, sunion)
-    last: Filter | SUnion | SJoin = sunion
-    if join_state_size is not None:
-        sjoin = SJoin(name=f"{name}.sjoin", state_size=join_state_size)
-        diagram.add_operator(sjoin)
-        diagram.connect(last, sjoin)
-        last = sjoin
-    soutput = SOutput(name=f"{name}.soutput")
-    diagram.add_operator(soutput)
-    diagram.connect(last, soutput)
-    diagram.bind_input(input_stream, selector)
-    diagram.bind_output(output_stream, soutput)
-    diagram.validate()
-    return diagram
-
-
-# --------------------------------------------------------------------------- cluster builders
-def _node_delay_budgets(
-    topology: Topology, config: DPCConfig, per_node_delay: float | None
-) -> dict[str, float]:
-    """Per-node delay budgets D for every logical node of ``topology``.
-
-    An explicit ``per_node_delay`` overrides every node (the chain
-    experiments assign D per node directly).  Otherwise the budgets come
-    from a :class:`~repro.core.delay_planner.DelayPlanner` over the
-    deployment graph, so the UNIFORM strategy splits the end-to-end bound X
-    along the *longest* entry-to-sink path -- short branches under-use the
-    budget instead of over-assigning it when paths reconverge.
-    """
-    if per_node_delay is not None:
-        return {name: per_node_delay for name in topology.node_names}
-    try:
-        planner = DelayPlanner.for_topology(
-            topology,
-            total_budget=config.max_incremental_latency,
-            queuing_allowance=config.queuing_allowance,
-        )
-        return dict(planner.plan(config.delay_assignment).per_node)
-    except ConfigurationError:
-        # Degenerate planner input (e.g. queuing allowance >= X): keep the
-        # legacy clamped scalar semantics of DPCConfig.node_delay.
-        fallback = config.node_delay(topology.depth())
-        return {name: fallback for name in topology.node_names}
-
-
-def build_dag_cluster(
-    topology: Topology,
-    replicas_per_node: int = 2,
-    aggregate_rate: float = 300.0,
-    config: DPCConfig | None = None,
-    sim_config: SimulationConfig | None = None,
-    payload_factory: PayloadFactory = default_payload_factory,
-    join_state_size: int | None = 100,
-    per_node_delay: float | None = None,
-    diagram_factory: Callable[[str, Sequence[str], str], QueryDiagram] | None = None,
-    seed: int | None = None,
-    filtered_routing: bool = True,
-) -> Cluster:
-    """Build an arbitrary replicated-DAG deployment.
-
-    The builder walks ``topology`` in topological order:
-
-    * every source stream gets one logging :class:`DataSource` (the aggregate
-      rate is split evenly across them);
-    * every node spec becomes a replica group.  *Entry* nodes (all inputs are
-      source streams) run the Figure 12 fragment (``diagram_factory`` or an
-      SUnion + optional SJoin + SOutput); internal nodes with several inputs
-      run a cross-node fan-in fragment (one SUnion merging every upstream
-      output stream); single-input internal nodes run relay fragments;
-    * every output stream is multicast to all of its downstream subscribers
-      (fan-out rides the existing ``send_many`` transport), and each
-      downstream replica group registers every upstream replica as a
-      switchable producer of that input stream;
-    * every sink node feeds one measuring :class:`ClientApplication` (the
-      first is named ``client``, further sinks ``client2``, ``client3``, ...).
-
-    ``per_node_delay`` overrides the delay budget D of every node; when
-    omitted, per-node budgets come from the Section 6.3 delay planner over
-    the deployment graph (UNIFORM divides X by the longest path).
-
-    ``seed`` makes the deployment's randomness explicit and reproducible: it
-    seeds every consistency manager's tie-breaking RNG and staggers the
-    sources' start times by a seed-derived fraction of a batch interval, so
-    two clusters built with the same seed behave identically and different
-    seeds produce measurably different (but statistically equivalent) runs.
-    ``seed=None`` keeps the exact unjittered timing of the default deployment.
-
-    This function is now a thin shim over the layered control plane: it
-    compiles the topology into a :class:`~repro.deploy.Placement` and deploys
-    it (``repro.deploy.compile(...).deploy(...)``), returning the deployment's
-    cluster.  Callers that want the live reconfiguration surface (filtered
-    subscription handles, ``apply(RebalancePlan)``) should use the
-    :mod:`repro.deploy` API directly -- or reach it through
-    ``cluster.deployment``.
-
-    ``filtered_routing`` selects the data path for ingress-select consumers
-    (the shard fragments): ``True`` evaluates their slice predicate at the
-    producer (filtered subscriptions), ``False`` keeps the legacy multicast +
-    ingress-Filter placement.
-    """
-    from ..deploy import compile as compile_topology
-
-    placement = compile_topology(
-        topology, replicas_per_node=replicas_per_node, filtered_routing=filtered_routing
-    )
-    deployment = placement.deploy(
-        config,
-        sim_config,
-        aggregate_rate=aggregate_rate,
-        payload_factory=payload_factory,
-        join_state_size=join_state_size,
-        per_node_delay=per_node_delay,
-        diagram_factory=diagram_factory,
-        seed=seed,
-    )
-    return deployment.cluster
-
-
-def build_chain_cluster(
-    chain_depth: int = 1,
-    replicas_per_node: int = 2,
-    n_input_streams: int = 3,
-    aggregate_rate: float = 300.0,
-    config: DPCConfig | None = None,
-    sim_config: SimulationConfig | None = None,
-    payload_factory: PayloadFactory = default_payload_factory,
-    join_state_size: int | None = 100,
-    per_node_delay: float | None = None,
-    diagram_factory: Callable[[str, Sequence[str], str], QueryDiagram] | None = None,
-    seed: int | None = None,
-    filtered_routing: bool = True,
-) -> Cluster:
-    """Build the replicated chain deployment of Figure 14.
-
-    ``chain_depth`` = 1 with ``replicas_per_node`` = 2 gives the single
-    replicated-node setup of Figure 12; ``replicas_per_node`` = 1 gives the
-    unreplicated single-node setup of Figure 10.  The chain is sugar: it
-    compiles to a path :class:`~repro.topology.Topology` and is wired by
-    :func:`build_dag_cluster`.
-
-    ``per_node_delay`` overrides the delay budget D assigned to every node;
-    when omitted it is derived from the Section 6.3 delay planner (UNIFORM
-    splits X across the chain, FULL assigns X minus the queuing allowance to
-    every node).
-    """
-    if chain_depth < 1:
-        raise ConfigurationError("chain_depth must be >= 1")
-    if n_input_streams < 1:
-        raise ConfigurationError("n_input_streams must be >= 1")
-    return build_dag_cluster(
-        Topology.chain(chain_depth, n_input_streams=n_input_streams),
-        replicas_per_node=replicas_per_node,
-        aggregate_rate=aggregate_rate,
-        config=config,
-        sim_config=sim_config,
-        payload_factory=payload_factory,
-        join_state_size=join_state_size,
-        per_node_delay=per_node_delay,
-        diagram_factory=diagram_factory,
-        seed=seed,
-        filtered_routing=filtered_routing,
-    )
-
-
-def build_single_node_cluster(
-    n_input_streams: int = 3,
-    aggregate_rate: float = 300.0,
-    replicated: bool = False,
-    config: DPCConfig | None = None,
-    sim_config: SimulationConfig | None = None,
-    join_state_size: int | None = None,
-    payload_factory: PayloadFactory = default_payload_factory,
-) -> Cluster:
-    """Single processing node (Figure 10 without replica, Figure 12 with)."""
-    return build_chain_cluster(
-        chain_depth=1,
-        replicas_per_node=2 if replicated else 1,
-        n_input_streams=n_input_streams,
-        aggregate_rate=aggregate_rate,
-        config=config,
-        sim_config=sim_config,
-        join_state_size=join_state_size,
-        payload_factory=payload_factory,
-    )

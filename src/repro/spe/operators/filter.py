@@ -24,9 +24,7 @@ class Filter(StatelessOperator):
     therefore keep seeing the upstream id space -- which is also why
     :meth:`handle_undo` forwards UNDO tuples verbatim: their ``undo_from_id``
     already names a position in exactly that space.  This keeps the
-    per-tuple cost of the sharded deployments' ingress filters (which test
-    every tuple of the split's full output stream on every shard) to one
-    predicate call.
+    per-tuple cost of a filter to one predicate call.
     """
 
     def __init__(self, name: str, predicate: Predicate, output_schema: Schema = ANY_SCHEMA) -> None:

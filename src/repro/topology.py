@@ -88,11 +88,13 @@ class NodeSpec:
     * ``"egress"`` (default) -- between the node's SUnion and its SOutput;
       branch nodes of reconvergent (diamond) deployments use this to emit
       disjoint partitions of the fanned-out stream.
-    * ``"ingress"`` -- in front of the node's SUnion, so the fragment only
-      serializes, buffers, and emits its own slice of the input.  This is
-      the sharded scale-out placement (``Topology.shard``): per-shard work
-      drops to 1/N while boundaries, undos, and REC_DONE markers still flow
-      through untouched.  Only single-input internal nodes support it.
+    * ``"ingress"`` -- before the tuples reach the node: the deployment
+      evaluates the predicate at the *producer* (a filtered subscription),
+      so the fragment only receives, serializes, buffers, and emits its own
+      slice of the input.  This is the sharded scale-out placement
+      (``Topology.shard``): per-shard work drops to 1/N while boundaries,
+      undos, and REC_DONE markers still flow through untouched.  Only
+      single-input internal nodes support it.
 
     ``stateful`` places the deployment's stateful operator (the SJoin whose
     state the checkpoints capture): ``None`` keeps the legacy placement
@@ -249,9 +251,9 @@ class Topology:
     ) -> "Topology":
         """N-way key-hash sharded scale-out: split -> N shards -> fan-in merge.
 
-        ``split`` merges the source streams and multicasts its output to
-        every shard; ``shard1`` ... ``shardN`` each keep only their slice of
-        the key space (an *ingress* key-hash filter ahead of their SUnion,
+        ``split`` merges the source streams and routes its output to the
+        shards; ``shard1`` ... ``shardN`` each receive only their slice of
+        the key space (an *ingress* key-hash select, evaluated at the split,
         so per-shard serialization, buffering, and output work is 1/N); and
         ``merge`` reunites the slices with an N-way fan-in SUnion.
 
@@ -440,9 +442,9 @@ class Topology:
                     f"node name {spec.name!r} is reserved for source streams "
                     f"(s1, s2, ...); rename the node"
                 )
-            # Ingress filters slot in front of a relay fragment's single
-            # SUnion; entry fragments (which merge several source streams)
-            # and fan-in fragments have no single ingress point to filter.
+            # An ingress select is one filtered subscription to one upstream
+            # node; entry fragments (fed by sources) and fan-in fragments
+            # have no single producer to evaluate it.
             if spec.select_at == "ingress" and (
                 len(spec.inputs) != 1 or self.is_entry(spec)
             ):

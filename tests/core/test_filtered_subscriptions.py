@@ -108,7 +108,7 @@ def test_empty_replay_response_is_sent_and_clears_awaiting_replay():
     from repro.config import DPCConfig, SimulationConfig
     from repro.core.node import ProcessingNode
     from repro.core.protocol import DATA, SUBSCRIBE
-    from repro.sim.cluster import relay_diagram
+    from repro.sim.cluster import merge_diagram
     from repro.sim.event_loop import Simulator
     from repro.sim.network import Network
 
@@ -117,7 +117,7 @@ def test_empty_replay_response_is_sent_and_clears_awaiting_replay():
     filt = SubscriptionFilter(even, name="even.slice")
     producer = ProcessingNode(
         name="split",
-        diagram=relay_diagram("split", "s1", "split.out", bucket_size=0.1),
+        diagram=merge_diagram("split", ["s1"], "split.out", bucket_size=0.1),
         simulator=sim,
         network=net,
         config=DPCConfig(),
@@ -125,7 +125,7 @@ def test_empty_replay_response_is_sent_and_clears_awaiting_replay():
     )
     consumer = ProcessingNode(
         name="shard1",
-        diagram=relay_diagram("shard1", "split.out", "shard1.out", bucket_size=0.1),
+        diagram=merge_diagram("shard1", ["split.out"], "shard1.out", bucket_size=0.1),
         simulator=sim,
         network=net,
         config=DPCConfig(),

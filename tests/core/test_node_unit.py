@@ -7,7 +7,7 @@ from repro.core.node import ProcessingNode
 from repro.core.protocol import DATA, SUBSCRIBE, DataBatch, SubscribeRequest
 from repro.core.states import NodeState
 from repro.errors import ProtocolError
-from repro.sim.cluster import merge_diagram, relay_diagram
+from repro.sim.cluster import merge_diagram
 from repro.sim.event_loop import Simulator
 from repro.sim.network import Message, Network
 from repro.spe.tuples import StreamTuple
@@ -78,7 +78,7 @@ def test_output_stream_states_follow_node_state():
 
 
 def test_per_stream_granularity_keeps_unaffected_outputs_stable():
-    diagram = relay_diagram("node1", "in", "out", bucket_size=0.1)
+    diagram = merge_diagram("node1", ["in"], "out", bucket_size=0.1)
     sim, net, node = make_node(diagram=diagram, config=DPCConfig(per_stream_granularity=True))
     node.register_input_stream("in", producers=["src"], source_producers=["src"])
     node.cm.set_state(NodeState.UP_FAILURE)
@@ -90,7 +90,7 @@ def test_per_stream_granularity_keeps_unaffected_outputs_stable():
 
 
 def test_tentative_input_takes_checkpoint_and_dirties_fragment():
-    diagram = relay_diagram("node1", "in", "out", bucket_size=0.1)
+    diagram = merge_diagram("node1", ["in"], "out", bucket_size=0.1)
     sim, net, node = make_node(diagram=diagram)
     node.register_input_stream("in", producers=["up", "up'"])
     batch = DataBatch.of("in", [StreamTuple.tentative(0, 0.05, {"seq": 0})], producer="up")
@@ -103,7 +103,7 @@ def test_tentative_input_takes_checkpoint_and_dirties_fragment():
 
 
 def test_crash_and_recover_resubscribes():
-    diagram = relay_diagram("node2", "node1.out", "out", bucket_size=0.1)
+    diagram = merge_diagram("node2", ["node1.out"], "out", bucket_size=0.1)
     sim, net, node = make_node(diagram=diagram, name="node2")
     requests = []
     net.register("node1", lambda msg, now: requests.append(msg))

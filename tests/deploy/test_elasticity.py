@@ -114,14 +114,6 @@ def test_scale_out_attaches_a_live_fragment():
     assert_ledger_clean(runtime)
 
 
-def test_scale_out_requires_the_deploy_placement_context():
-    runtime = running(
-        priced_spec(1, warmup=4.0, settle=4.0, filtered_routing=False), 4.0
-    )
-    with pytest.raises(ConfigurationError, match="filtered"):
-        runtime.deployment.scale_out()
-
-
 def test_subscribe_live_replays_the_uncovered_suffix():
     runtime = running(priced_spec(1), 12.0)
     deployment = runtime.deployment
@@ -151,6 +143,7 @@ def test_scale_in_decommissions_the_drained_fragment():
     split_name = deployment.placement.shard_producer
     split_stream = deployment.placement.node_plan(split_name).output_stream
     retired_endpoints = [n.endpoint for n in runtime.cluster.node_groups["shard3"]]
+    before = deployment.placement
     record = deployment.scale_in(2)
     assert record["scale_in"] == {"retired": "shard3", "shards": 2}
     runtime.run_for(15.0)
@@ -164,10 +157,29 @@ def test_scale_in_decommissions_the_drained_fragment():
     for split_node in runtime.node_group(split_name):
         remaining = split_node.data_path.output(split_stream).subscribers()
         assert not set(retired_endpoints) & set(remaining)
-    if deployment.registry is not None:
-        for endpoint in retired_endpoints:
-            assert endpoint not in deployment.registry._nodes
+    for endpoint in retired_endpoints:
+        assert endpoint not in deployment.registry._nodes
+    # The plan follows the deployment: both edges of the retired fragment and
+    # its filter are gone; its NodePlan stays (shard indexing is positional).
+    after = deployment.placement
+    changes = before.diff(after)
+    assert "subscription split -> shard3 removed" in changes
+    assert "subscription shard3 -> merge removed" in changes
+    assert "shard3" not in deployment.subscription_filters
+    assert "shard3" not in [edge.consumer for edge in after.filtered_subscriptions()]
+    assert after.shard_fragments == before.shard_fragments
+    assert after.node_plan("merge").inputs == ("shard1.out", "shard2.out")
     runtime.run_for(7.0)
+    assert_ledger_clean(runtime)
+    # With shard 0 retired too, a scale-out still finds the split and the
+    # merge -- through an active fragment's edges.
+    deployment.scale_in(0)
+    runtime.run_for(12.0)
+    assert 0 in deployment.decommissioned
+    record = deployment.scale_out(count=1)
+    assert record["scale_out"]["added"] == ["shard4"]
+    runtime.run_for(12.0)
+    assert record["completed"]
     assert_ledger_clean(runtime)
 
 
@@ -340,11 +352,6 @@ def test_observed_bucket_loads_skip_crashed_replicas():
 def test_autoscale_requires_a_sharded_topology():
     with pytest.raises(ConfigurationError, match="sharded"):
         ScenarioSpec.chain(1, autoscale=AutoscalePolicy()).validate()
-
-
-def test_autoscale_requires_filtered_routing():
-    with pytest.raises(ConfigurationError, match="filtered_routing"):
-        priced_spec(1, filtered_routing=False, autoscale=AutoscalePolicy()).validate()
 
 
 def test_autoscale_floor_cannot_exceed_the_deployed_shards():

@@ -4,7 +4,7 @@ import pytest
 
 from repro import deploy
 from repro.errors import ConfigurationError
-from repro.topology import Topology
+from repro.topology import NodeSpec, Topology
 
 
 def test_chain_placement_plans_entry_and_relays():
@@ -42,20 +42,12 @@ def test_shard_placement_plans_filtered_subscriptions():
         assert placement.node_plan(name).stateful
 
 
-def test_multicast_compilation_keeps_ingress_filters():
-    placement = deploy.compile(Topology.shard(2), filtered_routing=False)
-    assert placement.filtered_subscriptions() == []
-    for name in placement.shard_fragments:
-        assert placement.node_plan(name).fragment == deploy.FRAGMENT_INGRESS_FILTER
-
-
 def test_describe_is_plain_data():
     import json
 
     placement = deploy.compile(Topology.shard(2))
     rendered = json.dumps(placement.describe(), sort_keys=True)
     assert "shard1.slice" in rendered
-    assert "filtered_routing" in rendered
 
 
 def test_diff_reports_structural_changes():
@@ -67,8 +59,13 @@ def test_diff_reports_structural_changes():
     assert "shard3" in changes and "added" in changes
     d = deploy.compile(Topology.shard(2), replicas_per_node=3)
     assert any("replicas 2 -> 3" in line for line in a.diff(d))
-    e = deploy.compile(Topology.shard(2), filtered_routing=False)
-    assert any("filtered True -> False" in line for line in a.diff(e))
+
+    def selecting(select_at):
+        consumer = NodeSpec("b", ("a",), select=lambda values: True, select_at=select_at)
+        return deploy.compile(Topology([NodeSpec("a", ("s1",)), consumer]))
+
+    changes = selecting("ingress").diff(selecting("egress"))
+    assert any("filtered True -> False" in line for line in changes)
 
 
 def test_compile_validates_replicas():

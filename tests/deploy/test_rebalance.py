@@ -240,21 +240,6 @@ def test_apply_requires_a_sharded_deployment():
         runtime.deployment.plan_rebalance()
 
 
-def test_apply_requires_filtered_routing():
-    spec = ScenarioSpec.sharded(
-        shards=2, aggregate_rate=60.0, warmup=4.0, settle=4.0, filtered_routing=False
-    )
-    runtime = spec.build()
-    runtime.start()
-    runtime.run_for(4.0)
-    deployment = runtime.deployment
-    plan = ShardPlanner(deployment.current_assignment.spec).drain(
-        deployment.current_assignment, 1
-    )
-    with pytest.raises(ConfigurationError, match="filtered"):
-        deployment.apply(plan)
-
-
 def test_apply_refuses_mid_failure():
     spec = ScenarioSpec.sharded(
         shards=2, aggregate_rate=90.0, warmup=6.0, settle=25.0, seed=1
@@ -286,11 +271,6 @@ def test_noop_plan_is_recorded_without_reconfiguring():
 def test_rebalance_at_requires_sharded_topology():
     with pytest.raises(ConfigurationError, match="sharded"):
         ScenarioSpec.chain(1, rebalance_at=5.0).validate()
-
-
-def test_rebalance_at_requires_filtered_routing():
-    with pytest.raises(ConfigurationError, match="filtered_routing"):
-        skewed_spec(1, filtered_routing=False).validate()
 
 
 def test_rebalance_at_must_fall_inside_the_run():

@@ -8,8 +8,9 @@ availability within the bound and eventual consistency.
 import pytest
 
 from repro.config import DelayPolicy, DPCConfig
+from repro.deploy import compile as compile_topology
 from repro.experiments import availability_run, check_eventual_consistency
-from repro.sim.cluster import build_chain_cluster, build_single_node_cluster
+from repro.topology import Topology
 from repro.workloads import FailureSpec, Scenario, single_failure
 
 RATE = 60.0  # tuples/second, kept small so the suite stays fast
@@ -23,7 +24,8 @@ def stable_sequence_is_complete(client) -> bool:
 
 
 def test_failure_free_run_produces_only_stable_output():
-    cluster = build_single_node_cluster(aggregate_rate=RATE)
+    placement = compile_topology(Topology.chain(1), replicas_per_node=1)
+    cluster = placement.deploy(aggregate_rate=RATE, join_state_size=None).cluster
     cluster.start()
     cluster.run_for(15.0)
     client = cluster.client
@@ -35,7 +37,8 @@ def test_failure_free_run_produces_only_stable_output():
 
 
 def test_short_failure_is_fully_masked():
-    cluster = build_single_node_cluster(aggregate_rate=RATE, replicated=True)
+    placement = compile_topology(Topology.chain(1), replicas_per_node=2)
+    cluster = placement.deploy(aggregate_rate=RATE, join_state_size=None).cluster
     single_failure(kind="disconnect", start=5.0, duration=2.0, settle=20.0).run(cluster)
     client = cluster.client
     assert client.n_tentative == 0
@@ -44,7 +47,8 @@ def test_short_failure_is_fully_masked():
 
 
 def test_long_failure_single_node_reaches_eventual_consistency():
-    cluster = build_single_node_cluster(aggregate_rate=RATE, replicated=False)
+    placement = compile_topology(Topology.chain(1), replicas_per_node=1)
+    cluster = placement.deploy(aggregate_rate=RATE, join_state_size=None).cluster
     single_failure(kind="disconnect", start=5.0, duration=10.0, settle=25.0).run(cluster)
     client = cluster.client
     assert client.n_tentative > 0
@@ -64,7 +68,8 @@ def test_replicated_node_maintains_availability_through_long_failure():
 
 
 def test_overlapping_failures_on_two_streams():
-    cluster = build_single_node_cluster(aggregate_rate=RATE, replicated=False)
+    placement = compile_topology(Topology.chain(1), replicas_per_node=1)
+    cluster = placement.deploy(aggregate_rate=RATE, join_state_size=None).cluster
     scenario = Scenario(
         warmup=5.0,
         settle=25.0,
@@ -82,7 +87,8 @@ def test_failure_during_recovery_triggers_second_reconciliation():
     # A slow redo rate keeps the first reconciliation running long enough for
     # the second failure (which starts one second later) to interrupt it.
     config = DPCConfig(max_incremental_latency=3.0, redo_rate=150.0)
-    cluster = build_single_node_cluster(aggregate_rate=RATE, replicated=False, config=config)
+    placement = compile_topology(Topology.chain(1), replicas_per_node=1)
+    cluster = placement.deploy(config, aggregate_rate=RATE, join_state_size=None).cluster
     scenario = Scenario(
         warmup=5.0,
         settle=35.0,
@@ -101,9 +107,8 @@ def test_failure_during_recovery_triggers_second_reconciliation():
 
 def test_chain_recovers_level_by_level():
     config = DPCConfig(max_incremental_latency=4.0)
-    cluster = build_chain_cluster(
-        chain_depth=2, replicas_per_node=2, aggregate_rate=RATE, config=config, join_state_size=None
-    )
+    placement = compile_topology(Topology.chain(2), replicas_per_node=2)
+    cluster = placement.deploy(config, aggregate_rate=RATE, join_state_size=None).cluster
     scenario = Scenario(
         warmup=5.0,
         settle=30.0,
@@ -130,7 +135,8 @@ def test_delay_policy_reduces_tentative_tuples():
 
 
 def test_node_crash_and_recovery_with_replica():
-    cluster = build_single_node_cluster(aggregate_rate=RATE, replicated=True)
+    placement = compile_topology(Topology.chain(1), replicas_per_node=2)
+    cluster = placement.deploy(aggregate_rate=RATE, join_state_size=None).cluster
     node_to_crash = cluster.nodes[0][0]
     cluster.simulator.schedule_at(5.0, lambda now: node_to_crash.crash())
     cluster.simulator.schedule_at(15.0, lambda now: node_to_crash.recover())

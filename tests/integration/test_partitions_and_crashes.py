@@ -7,8 +7,9 @@ must mask by switching to another replica of the affected upstream neighbor.
 """
 
 from repro.config import DPCConfig
+from repro.deploy import compile as compile_topology
 from repro.experiments import check_eventual_consistency
-from repro.sim.cluster import build_chain_cluster
+from repro.topology import Topology
 from repro.workloads import FailureSpec, Scenario
 
 RATE = 60.0
@@ -24,13 +25,8 @@ def stable_sequence_is_complete(client) -> bool:
 def test_partition_between_chain_levels_is_masked_by_switching():
     """node2 loses its link to node1 but can still reach node1's replica."""
     config = DPCConfig(max_incremental_latency=3.0)
-    cluster = build_chain_cluster(
-        chain_depth=2,
-        replicas_per_node=2,
-        aggregate_rate=RATE,
-        config=config,
-        join_state_size=None,
-    )
+    placement = compile_topology(Topology.chain(2), replicas_per_node=2)
+    cluster = placement.deploy(config, aggregate_rate=RATE, join_state_size=None).cluster
     upstream = cluster.node(0, 0)
     downstream = cluster.node(1, 0)
     cluster.failures.partition(upstream.endpoint, downstream.endpoint, start=5.0, duration=10.0)
@@ -48,12 +44,8 @@ def test_partition_between_chain_levels_is_masked_by_switching():
 
 def test_crash_of_client_upstream_replica_is_invisible():
     config = DPCConfig(max_incremental_latency=3.0)
-    cluster = build_chain_cluster(
-        chain_depth=1,
-        replicas_per_node=2,
-        aggregate_rate=RATE,
-        config=config,
-    )
+    placement = compile_topology(Topology.chain(1), replicas_per_node=2)
+    cluster = placement.deploy(config, aggregate_rate=RATE).cluster
     scenario = Scenario(
         warmup=5.0,
         settle=25.0,
@@ -71,12 +63,8 @@ def test_crash_of_client_upstream_replica_is_invisible():
 
 def test_crashed_replica_recovers_and_catches_up():
     config = DPCConfig(max_incremental_latency=3.0)
-    cluster = build_chain_cluster(
-        chain_depth=1,
-        replicas_per_node=2,
-        aggregate_rate=RATE,
-        config=config,
-    )
+    placement = compile_topology(Topology.chain(1), replicas_per_node=2)
+    cluster = placement.deploy(config, aggregate_rate=RATE).cluster
     crashed = cluster.node(0, 0)
     scenario = Scenario(
         warmup=5.0,
@@ -104,12 +92,8 @@ def test_simultaneous_crash_and_stream_failure():
     converges to the complete stable stream.
     """
     config = DPCConfig(max_incremental_latency=3.0)
-    cluster = build_chain_cluster(
-        chain_depth=1,
-        replicas_per_node=2,
-        aggregate_rate=RATE,
-        config=config,
-    )
+    placement = compile_topology(Topology.chain(1), replicas_per_node=2)
+    cluster = placement.deploy(config, aggregate_rate=RATE).cluster
     scenario = Scenario(
         warmup=5.0,
         settle=35.0,

@@ -57,16 +57,6 @@ def test_shard_fragments_receive_their_slice_and_own_the_join():
     assert any(isinstance(op, SUnion) for op in split_ops)
 
 
-def test_multicast_routing_keeps_the_ingress_filter():
-    """filtered_routing=False restores the legacy multicast + ingress Filter."""
-    runtime = small_shard_spec(shards=2, filtered_routing=False).build()
-    shard_node = runtime.node("shard1")
-    ops = shard_node.diagram.operators
-    entry = shard_node.diagram.inputs[0].operator
-    assert isinstance(ops[entry], Filter)
-    assert shard_node.cm.monitor("split.out").subscription_filter is None
-
-
 def test_shard_slices_are_disjoint_and_cover_the_stream():
     runtime = small_shard_spec(shards=4, settle=8.0).run()
     merge_counts = group_output_counts(runtime, "merge")

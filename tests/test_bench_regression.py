@@ -61,6 +61,15 @@ def test_compare_gates_output_buffer_retention():
     assert "shard4_output_buffered_end" in checked_in["test_shard4_deployment_hot_path"]
 
 
+def test_compare_gates_split_egress():
+    baseline = {"t": {"filtered_split_egress_tuples": 18473.0}}
+    full_stream_to_every_shard = {"t": {"filtered_split_egress_tuples": 72104.0}}
+    regressions, _ = cbr.compare(baseline, full_stream_to_every_shard, tolerance=0.10)
+    assert len(regressions) == 1 and "split_egress_tuples" in regressions[0]
+    checked_in = json.loads((_SCRIPT.parent / "BENCH_baseline.json").read_text(encoding="utf-8"))
+    assert "filtered_split_egress_tuples" in checked_in["test_filtered_subscription_split_egress"]
+
+
 def test_compare_gates_client_store_bytes_per_tuple():
     baseline = {"t": {"shard4_client_bytes_per_tuple": 75.04}}
     objects_again = {"t": {"shard4_client_bytes_per_tuple": 630.0}}

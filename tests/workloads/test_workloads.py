@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.cluster import build_single_node_cluster
+from repro.deploy import compile as compile_topology
+from repro.topology import Topology
 from repro.workloads.generators import (
     interleaved_sequence,
     network_monitoring,
@@ -57,14 +58,16 @@ def test_single_failure_helper():
 
 
 def test_scenario_rejects_unknown_failure_kind():
-    cluster = build_single_node_cluster(aggregate_rate=30.0)
+    placement = compile_topology(Topology.chain(1), replicas_per_node=1)
+    cluster = placement.deploy(aggregate_rate=30.0, join_state_size=None).cluster
     scenario = Scenario(failures=[FailureSpec("meteor", 1.0, 1.0)])
     with pytest.raises(ValueError):
         scenario.inject(cluster)
 
 
 def test_scenario_inject_schedules_failures():
-    cluster = build_single_node_cluster(aggregate_rate=30.0)
+    placement = compile_topology(Topology.chain(1), replicas_per_node=1)
+    cluster = placement.deploy(aggregate_rate=30.0, join_state_size=None).cluster
     scenario = Scenario(
         warmup=1.0,
         settle=1.0,
