@@ -24,7 +24,11 @@ Only metrics whose name marks them as regression-tracked are compared:
   acknowledgment-driven truncation stopped bounding retention;
 * ``*_client_bytes_per_tuple`` -- more bytes per delivered tuple in the
   client's ledger segments and arrival columns means the instrument went
-  back to storing objects.
+  back to storing objects;
+* ``*_per_source_tuple`` -- exact work counters of a profiled run (calls,
+  ``StreamTuple`` row constructions).  Their baseline entries are **upper
+  bounds**, not measurements: exceeding one fails with no tolerance, and
+  ``--write-baseline`` keeps the bound already checked in.
 
 Improvements never fail the check; refresh the baseline deliberately with
 ``--write-baseline`` after a change that is supposed to move the numbers.
@@ -64,7 +68,11 @@ LARGER_IS_WORSE = (
     "_output_buffered_end",
     "_retention_ratio",
     "_client_bytes_per_tuple",
+    "_per_source_tuple",
 )
+
+#: Tracked metrics whose baseline value is a fixed upper bound (tolerance 0).
+UPPER_BOUNDS = ("_per_source_tuple",)
 
 #: Metric-name suffixes where *smaller* is worse.
 SMALLER_IS_WORSE = ("_stable_tuples",)
@@ -173,7 +181,7 @@ def compare(
             else:
                 change = (value - base) / abs(base)
             if direction:
-                regressed = direction * change > tolerance
+                regressed = direction * change > (0 if metric.endswith(UPPER_BOUNDS) else tolerance)
                 verdict = "REGRESSION" if regressed else "ok"
                 lines.append(
                     f"{test}.{metric}: {base:g} -> {value:g} ({change:+.1%}) [{verdict}]"
@@ -215,6 +223,11 @@ def main(argv: list[str] | None = None) -> int:
 
     current = merge_metrics(args.results)
     if args.write_baseline:
+        if args.baseline.exists():
+            for test, extra in json.loads(args.baseline.read_text(encoding="utf-8")).items():
+                for metric, bound in extra.items():
+                    if metric.endswith(UPPER_BOUNDS) and metric in current.get(test, {}):
+                        current[test][metric] = bound
         args.baseline.write_text(
             json.dumps(current, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

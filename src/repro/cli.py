@@ -877,9 +877,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     hot-path overhaul (slotted tuples, batch operator loops) was driven by
     exactly this view of a shard(4) run.
     """
-    import cProfile
-    import pstats
-
     from .runtime import ScenarioSpec
 
     if args.top is None:
@@ -924,12 +921,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     else:
         spec = ScenarioSpec(chain_depth=args.depth, **common)
     runtime = spec.build()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        runtime.run()
-    finally:
-        profiler.disable()
+    stats, counters = runtime.run_profiled()
+    stats.stream = sys.stdout
     stable = sum(c.summary()["total_stable"] for c in runtime.clients)
     wall = runtime.wall_seconds
     print(
@@ -939,8 +932,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if wall > 0:
         print(f"wall time {wall * 1000:.1f} ms -> {stable / wall:,.0f} stable tuples/s")
     print(f"top {args.top} by {args.sort}:")
-    stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
+    print(
+        f"per source tuple: {counters['calls_per_source_tuple']:.1f} calls, "
+        f"{counters['row_constructions_per_source_tuple']:.2f} StreamTuple row constructions"
+    )
     return 0
 
 

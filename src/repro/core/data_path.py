@@ -19,14 +19,30 @@ by an :class:`OutputStreamManager`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+import re
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import accumulate, compress, islice, repeat
+from operator import not_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..config import BufferPolicy
 from ..errors import BufferOverflowError, BufferTruncatedError, ProtocolError
 from ..spe.streams import StreamWriter
-from ..spe.tuples import StreamTuple
+from ..spe.tuples import (
+    BOUNDARY,
+    EMPTY_BLOCK,
+    NO_VALUES,
+    REC_DONE,
+    STABLE,
+    UNDO,
+    StreamTuple,
+    TupleBlock,
+)
 from .protocol import DATA, SubscribeRequest, TupleBatch
+
+_NOT_STABLE = re.compile(rb"[^\x00]+")
+_REC_DONE_CODE = bytes([REC_DONE])
 
 
 @dataclass
@@ -63,11 +79,24 @@ class OutputStreamManager:
         self.owner = owner
         self.buffer_policy = buffer_policy or BufferPolicy()
         self._writer = StreamWriter(stream_name=f"{owner}:{stream}")
-        #: Relabeled tuples in production order.  Stable entries carry their
-        #: stamped ``stable_seq`` directly on the tuple (no wrapper records:
-        #: one list cell per buffered tuple).
-        self._buffer: list[StreamTuple] = []
-        self._base_index = 0  # index of _buffer[0] in the full history
+        #: The retained tuples in production order, as parallel columns (no
+        #: object per buffered tuple).  Row ``i`` has history index
+        #: ``_base_index + i``; its physical id follows from the index (see
+        #: :meth:`_ids`).  ``_seqs[i]`` is the stamped position of the last
+        #: stable tuple at or before row ``i`` -- non-decreasing, hence
+        #: bisectable, and the row's own ``stable_seq`` wherever the row is
+        #: stable.  ``_undos`` maps the history index of an UNDO row to its
+        #: ``undo_from_id``.
+        self._codes = bytearray()
+        self._stimes: list[float] = []
+        self._values: list = []
+        self._seqs: list[int] = []
+        self._undos: dict[int, int] = {}
+        self._base_index = 0  # history index of row 0
+        #: History indexes at which an id was spent on a tuple that was never
+        #: buffered (the UNDO opening a ``had_tentative`` replay): rows at or
+        #: past such an index carry an id one larger than rows before it.
+        self._id_skips: list[int] = []
         self._stable_seq = -1  # sequence number of the last stable tuple produced
         #: Sequence number of the last stable tuple dropped from the front of
         #: the buffer (-1: every stable tuple ever produced is still held).
@@ -78,10 +107,10 @@ class OutputStreamManager:
         #: here or not; -1 until the replica's first acknowledgment, so a
         #: silent consumer pins the buffer.
         self._acks: dict[str, int] = {}
-        #: Optional callback handed every dropped prefix (oldest first) just
-        #: before it is discarded; the control plane keeps its load history
-        #: through it once the buffer no longer holds the whole run.
-        self.truncation_observer: Callable[[list[StreamTuple]], None] | None = None
+        #: Optional callback handed every dropped prefix (oldest first, one
+        #: block) just before it is discarded; the control plane keeps its
+        #: load history through it once the buffer no longer holds the whole run.
+        self.truncation_observer: Callable[[TupleBlock], None] | None = None
         #: Largest serialization timestamp ever appended (the control plane
         #: aligns reconfiguration cuts to the bucket boundary past this).
         self.last_appended_stime = float("-inf")
@@ -94,64 +123,124 @@ class OutputStreamManager:
     @property
     def is_full(self) -> bool:
         limit = self.buffer_policy.max_output_tuples
-        return limit is not None and len(self._buffer) >= limit
+        return limit is not None and len(self._codes) >= limit
 
     def append(self, item: StreamTuple) -> StreamTuple:
-        """Relabel ``item`` onto the physical stream and buffer it.
+        """Relabel one tuple onto the physical stream: a block of one."""
+        return self.append_all((item,))[0]
 
-        Raises :class:`BufferOverflowError` when the buffer is bounded, full,
-        and configured to block (the back-pressure behaviour of Section 8.1
-        for deterministic operators).
+    def append_all(self, items: Iterable[StreamTuple]) -> TupleBlock:
+        """Relabel ``items`` onto the physical stream and buffer them.
+
+        Every stable tuple is stamped with its replica-independent position,
+        so a subscriber connected to several replicas of this stream can
+        discard stable tuples it already received elsewhere.  Returns the
+        physical tuples as one block.  Raises :class:`BufferOverflowError`
+        when the buffer is bounded, full, and configured to block (the
+        back-pressure behaviour of Section 8.1 for deterministic operators).
         """
-        if self.is_full:
-            if self.buffer_policy.block_on_full:
-                raise BufferOverflowError(
-                    f"output buffer for {self.stream!r} at {self.owner!r} is full "
-                    f"({len(self._buffer)} tuples)"
-                )
-            # Convergent-capable diagrams may drop the oldest buffered tuples.
-            self._drop_oldest(1)
-        # Relabel onto the physical stream.  A stable tuple is built with the
-        # replica-independent position stamped on it (one allocation), so a
-        # subscriber connected to several replicas of this stream can discard
-        # stable tuples it already received elsewhere.
-        writer = self._writer
-        if item.is_data:
-            if item.is_stable:
-                self._stable_seq = stable_seq = self._stable_seq + 1
-                physical = writer.data(item.stime, item.values, True, stable_seq)
-                self.stable_produced += 1
-            else:
-                physical = writer.data(item.stime, item.values, False)
-                self.tentative_produced += 1
-        elif item.is_undo:
-            # Cross-node undo semantics: revoke everything after the last
-            # stable tuple the subscriber received (see protocol.py), so the
-            # specific id does not need to be mapped between replicas.
-            physical = writer.undo(item.stime, item.undo_from_id or -1)
-            self.undos_produced += 1
-        elif item.is_boundary:
-            physical = writer.boundary(max(item.stime, writer.last_boundary_stime))
+        block = TupleBlock.of(items)
+        first = self._end_index()
+        if self.buffer_policy.max_output_tuples is None:
+            for start, stop in block.run_edges():
+                self._extend(block, start, stop)
         else:
-            physical = writer.rec_done(item.stime)
-        self._buffer.append(physical)
-        if physical.stime > self.last_appended_stime:
-            self.last_appended_stime = physical.stime
-        return physical
+            # A bounded buffer overflows (or drops its oldest tuple) at one
+            # specific row: feed it a row at a time.
+            for position in range(len(block)):
+                if self.is_full:
+                    if self.buffer_policy.block_on_full:
+                        raise BufferOverflowError(
+                            f"output buffer for {self.stream!r} at {self.owner!r} is full "
+                            f"({len(self._codes)} tuples)"
+                        )
+                    # Convergent-capable diagrams may drop the oldest buffered tuples.
+                    self._drop_oldest(1)
+                self._extend(block, position, position + 1)
+        return self._block(first)
 
-    def append_all(self, items: Iterable[StreamTuple]) -> list[StreamTuple]:
-        append = self.append
-        return [append(item) for item in items]
+    def _extend(self, block: TupleBlock, start: int, stop: int) -> None:
+        """Buffer rows ``[start, stop)`` of a fragment's output: one data run or one control row."""
+        codes, stimes = block.codes[start:stop], block.stimes[start:stop]
+        code = codes[0]
+        if code < BOUNDARY:
+            stable = codes.count(STABLE)
+            first = self._stable_seq + 1
+            if stable == len(codes):
+                self._seqs.extend(range(first, first + stable))
+            elif not stable:
+                self._seqs.extend(repeat(first - 1, len(codes)))
+            else:
+                self._seqs.extend(islice(accumulate(map(not_, codes), initial=first - 1), 1, None))
+            self._stable_seq += stable
+            self.stable_produced += stable
+            self.tentative_produced += len(codes) - stable
+            self._values.extend(block.values[start:stop])
+        else:
+            if code == BOUNDARY:
+                stimes = (max(stimes[0], self._writer.last_boundary_stime),)
+                self._writer.last_boundary_stime = stimes[0]
+            elif code == UNDO:
+                # Cross-node undo semantics: revoke everything after the last
+                # stable tuple the subscriber received (see protocol.py), so the
+                # specific id does not need to be mapped between replicas.
+                undo_from = block.undo_from_ids[start] if block.undo_from_ids else None
+                self._undos[self._end_index()] = -1 if undo_from is None else undo_from
+                self.undos_produced += 1
+            else:
+                codes = _REC_DONE_CODE
+            self._seqs.append(self._stable_seq)
+            self._values.append(NO_VALUES)
+        self._writer.next_id += len(codes)
+        self._codes += codes
+        self._stimes.extend(stimes)
+        self.last_appended_stime = max(self.last_appended_stime, max(stimes))
+
+    def _ids(self, start: int, stop: int) -> Sequence[int]:
+        """Physical ids of history indexes ``[start, stop)``."""
+        skips = self._id_skips
+        before, through = bisect_right(skips, start), bisect_right(skips, stop - 1)
+        if before == through:
+            return range(start + before, stop + before)
+        return [index + bisect_right(skips, index) for index in range(start, stop)]
+
+    def _block(self, start: int, stop: int | None = None) -> TupleBlock:
+        """History indexes ``[start, stop)`` of the buffer as one block."""
+        base = self._base_index
+        start = max(start, base)
+        stop = self._end_index() if stop is None else stop
+        if start >= stop:
+            return EMPTY_BLOCK
+        codes = bytes(self._codes[start - base : stop - base])
+        seqs = undos = None
+        if STABLE in codes:
+            seqs = self._seqs[start - base : stop - base]
+            if codes.count(STABLE) != len(codes):
+                for match in _NOT_STABLE.finditer(codes):  # one iteration per run of them
+                    seqs[match.start() : match.end()] = [None] * (match.end() - match.start())
+        if UNDO in codes:
+            undos = [None] * len(codes)
+            for index, undo_from in self._undos.items():
+                if start <= index < stop:
+                    undos[index - start] = undo_from
+        return TupleBlock(
+            codes,
+            self._ids(start, stop),
+            self._stimes[start - base : stop - base],
+            self._values[start - base : stop - base],
+            undos,
+            seqs,
+        )
 
     # ------------------------------------------------------------------ state transfer
     def snapshot_state(self) -> dict:
-        """Capture this manager's transferable state (tuples are immutable,
-        so a shallow buffer copy suffices)."""
+        """Capture this manager's transferable state (the buffer as one block)."""
         return {
             "stream": self.stream,
             "writer": self._writer.snapshot(),
-            "buffer": list(self._buffer),
+            "buffer": self._block(self._base_index),
             "base_index": self._base_index,
+            "id_skips": list(self._id_skips),
             "stable_seq": self._stable_seq,
             "dropped_seq": self._dropped_seq,
             "last_appended_stime": self.last_appended_stime,
@@ -169,12 +258,25 @@ class OutputStreamManager:
         truncation point is safe for every consumer of this replica too; the
         locally recorded acknowledgments are kept.
         """
+        buffer: TupleBlock = state["buffer"]
         self._writer.restore(state["writer"])
-        self._buffer = list(state["buffer"])
-        self._base_index = int(state["base_index"])
+        self._base_index = base = int(state["base_index"])
+        self._id_skips = list(state["id_skips"])
         self._stable_seq = int(state["stable_seq"])
-        self._dropped_seq = int(state["dropped_seq"])
+        self._dropped_seq = seq = int(state["dropped_seq"])
         self.last_appended_stime = float(state["last_appended_stime"])
+        self._codes = bytearray(buffer.codes)
+        self._stimes = list(buffer.stimes)
+        self._values = list(buffer.values)
+        self._seqs = [
+            (seq := seq if stamped is None else stamped)
+            for stamped in buffer.stable_seqs or repeat(None, len(buffer))
+        ]
+        self._undos = {
+            base + offset: undo_from
+            for offset, undo_from in enumerate(buffer.undo_from_ids or ())
+            if undo_from is not None
+        }
         end = self._end_index()
         for subscription in self._subscriptions.values():
             subscription.next_index = end
@@ -188,7 +290,7 @@ class OutputStreamManager:
     def subscribers(self) -> list[str]:
         return [s.subscriber for s in self._subscriptions.values() if s.active]
 
-    def subscribe(self, request: SubscribeRequest) -> list[StreamTuple]:
+    def subscribe(self, request: SubscribeRequest) -> TupleBlock:
         """Register a subscriber and compute its initial replay.
 
         Returns the tuples to send immediately (the replay).  Subsequent
@@ -200,18 +302,17 @@ class OutputStreamManager:
                 f"subscribe for stream {request.stream!r} sent to manager of {self.stream!r}"
             )
         start_index = self._replay_start_index(request.last_stable_seq, request.subscriber)
-        entries = self._entries_from(start_index)
+        replay = self._block(start_index)
         if request.filter is not None:
             # Cursor translation for a filtered subscription: the quoted
             # position was located in full-stream coordinates above; only the
             # slice passing the filter is actually replayed.
-            entries = [item for item in entries if request.filter.passes(item)]
+            replay = request.filter.select(replay)
         if not request.replay_tentative:
-            entries = self._trim_tentative_tail(entries)
-        replay: list[StreamTuple] = []
+            replay = self._trim_tentative_tail(replay)
         if request.had_tentative:
-            replay.append(self._writer.undo(0.0, -1))
-        replay.extend(entries)
+            self._id_skips.append(self._end_index())
+            replay = TupleBlock.concat(((self._writer.undo(0.0, -1),), replay))
         # Live delivery continues from the current end of the buffer; any
         # skipped tentative tail is intentionally dropped (paper, footnote 6).
         self.attach_subscriber(request.subscriber, request.filter)
@@ -237,11 +338,7 @@ class OutputStreamManager:
             subscription.active = False
 
     def _end_index(self) -> int:
-        return self._base_index + len(self._buffer)
-
-    def _entries_from(self, index: int) -> list[StreamTuple]:
-        offset = index - self._base_index
-        return self._buffer[offset if offset > 0 else 0:]
+        return self._base_index + len(self._codes)
 
     def _replay_start_index(self, last_stable_seq: int, subscriber: str) -> int:
         """Index in the full history right after stable tuple #``last_stable_seq``.
@@ -264,60 +361,35 @@ class OutputStreamManager:
                 f"{last_stable_seq}: buffer truncated through stable seq "
                 f"{self._dropped_seq} (first retained index {self._base_index})"
             )
-        offset = self._offset_of(last_stable_seq)
-        if offset is None:
-            # The subscriber is ahead of everything produced here.
-            return self._end_index()
-        return self._base_index + offset + 1
+        # Past everything produced here, the search lands on the end index.
+        return self._base_index + self._offset_after(last_stable_seq)
 
-    def _offset_of(self, stable_seq: int) -> int | None:
-        """Buffer offset of stable tuple #``stable_seq``, or None if not held.
+    def _offset_after(self, stable_seq: int) -> int:
+        """Buffer offset right after stable tuple #``stable_seq`` (one binary search).
 
-        Stamped positions increase along the buffer, so this is a binary
-        search; an unstamped entry (boundary, tentative, undo) is resolved
-        through the next stamped one after it.  O(log n) probes plus the
-        unstamped runs crossed, which never total more than the buffer.
+        The buffer length when that tuple has not been produced here yet.
         """
-        buffer = self._buffer
-        low, high = 0, len(buffer)
-        while low < high:
-            middle = probe = (low + high) // 2
-            while probe < high and buffer[probe].stable_seq is None:
-                probe += 1
-            if probe == high:
-                high = middle
-                continue
-            found = buffer[probe].stable_seq
-            if found == stable_seq:
-                return probe
-            if found < stable_seq:
-                low = probe + 1
-            else:
-                high = middle
-        return None
+        return min(bisect_left(self._seqs, stable_seq) + 1, len(self._seqs))
 
     @staticmethod
-    def _trim_tentative_tail(entries: list[StreamTuple]) -> list[StreamTuple]:
+    def _trim_tentative_tail(entries: TupleBlock) -> TupleBlock:
         """Drop everything after the last stable data tuple in ``entries``."""
-        last_stable = None
-        for position, item in enumerate(entries):
-            if item.is_stable:
-                last_stable = position
-        if last_stable is None:
-            return [item for item in entries if not item.is_data]
+        last_stable = entries.codes.rfind(STABLE)
+        if last_stable < 0:
+            return entries.take([i for i, code in enumerate(entries.codes) if code >= BOUNDARY])
         return entries[: last_stable + 1]
 
-    def pending_for(self, subscriber: str) -> list[StreamTuple]:
+    def pending_for(self, subscriber: str) -> TupleBlock:
         """Tuples appended since the subscriber's cursor (filter applied)."""
         subscription = self._subscriptions.get(subscriber)
         if subscription is None or not subscription.active:
-            return []
-        entries = self._entries_from(subscription.next_index)
+            return EMPTY_BLOCK
+        entries = self._block(subscription.next_index)
         if subscription.filter is not None:
-            entries = [item for item in entries if subscription.filter.passes(item)]
+            entries = subscription.filter.select(entries)
         return entries
 
-    def pending_batches(self) -> list[tuple[list[StreamTuple], list[str]]]:
+    def pending_batches(self) -> list[tuple[TupleBlock, list[str]]]:
         """Pending tuples grouped by subscriber cursor, for multicast delivery.
 
         Subscribers that are caught up to the same position *and* share the
@@ -336,14 +408,17 @@ class OutputStreamManager:
                 continue
             key = (subscription.next_index, subscription.filter_key)
             groups.setdefault(key, []).append(subscription)
-        batches: list[tuple[list[StreamTuple], list[str]]] = []
+        batches: list[tuple[TupleBlock, list[str]]] = []
+        slices: dict[int, TupleBlock] = {}
         for (index, _filter_key), subscriptions in sorted(
             groups.items(), key=lambda item: item[0]
         ):
-            entries = self._entries_from(index)
+            entries = slices.get(index)
+            if entries is None:
+                entries = slices[index] = self._block(index)
             filter_ = subscriptions[0].filter
             if filter_ is not None:
-                entries = [item for item in entries if filter_.passes(item)]
+                entries = filter_.select(entries)
             if not entries:
                 for subscription in subscriptions:
                     subscription.next_index = end
@@ -358,16 +433,14 @@ class OutputStreamManager:
 
     # ------------------------------------------------------------------ truncation
     def _drop_oldest(self, count: int) -> int:
-        buffer = self._buffer
-        for position in range(count - 1, -1, -1):
-            stable_seq = buffer[position].stable_seq
-            if stable_seq is not None:
-                self._dropped_seq = stable_seq
-                break
+        self._dropped_seq = max(self._dropped_seq, self._seqs[count - 1])
+        base = self._base_index
         if self.truncation_observer is not None:
-            self.truncation_observer(buffer[:count])
-        del buffer[:count]
-        self._base_index += count
+            self.truncation_observer(self._block(base, base + count))
+        del self._codes[:count], self._stimes[:count], self._values[:count], self._seqs[:count]
+        for index in [index for index in self._undos if index < base + count]:
+            del self._undos[index]
+        self._base_index = base + count
         return count
 
     def add_consumer(self, consumer: str) -> None:
@@ -397,12 +470,9 @@ class OutputStreamManager:
             return 0
         acks[consumer] = through_seq
         safe_seq = min(acks.values())
-        if safe_seq <= self._dropped_seq:
-            return 0
-        offset = self._offset_of(safe_seq)
-        if offset is None:
-            return 0  # ahead of what this replica has produced so far
-        return self._drop_oldest(offset + 1)
+        if safe_seq <= self._dropped_seq or safe_seq > self._stable_seq:
+            return 0  # nothing new, or ahead of what this replica has produced so far
+        return self._drop_oldest(self._offset_after(safe_seq))
 
     @property
     def acked_through(self) -> int:
@@ -435,15 +505,19 @@ class OutputStreamManager:
 
     @property
     def buffered_tuples(self) -> int:
-        return len(self._buffer)
+        return len(self._codes)
 
-    def buffered_items(self) -> list[StreamTuple]:
+    def buffered_items(self) -> TupleBlock:
         """The buffered tuples, in production order (diagnostics and tests)."""
-        return list(self._buffer)
+        return self._block(self._base_index)
+
+    def stable_payloads(self) -> Iterator[Mapping]:
+        """Payload mappings of the buffered stable tuples, read in place."""
+        return compress(self._values, map(not_, self._codes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<OutputStreamManager {self.owner}:{self.stream} buffered={len(self._buffer)} "
+            f"<OutputStreamManager {self.owner}:{self.stream} buffered={len(self._codes)} "
             f"truncated={self._base_index} stable_seq={self._stable_seq} "
             f"subscribers={self.subscribers()}>"
         )
@@ -479,7 +553,7 @@ class DataPath:
     def make_batch(
         self,
         stream: str,
-        tuples: list[StreamTuple],
+        tuples: Iterable[StreamTuple],
         node_state=None,
         stream_state=None,
         replay: bool = False,

@@ -19,9 +19,10 @@ needs for failure detection and healing:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from ..spe.tuples import StreamTuple
+from ..spe.tuples import BOUNDARY, STABLE, BlockBuffer, StreamTuple, TupleBlock
 from .states import NodeState
 
 
@@ -100,7 +101,11 @@ class InputStreamMonitor:
     awaiting_replay: bool = False
 
     # --- redo buffer ----------------------------------------------------------
-    stable_buffer: list[StreamTuple] = field(default_factory=list)
+    #: Accepted stable and boundary rows since the last checkpoint: the blocks
+    #: as they arrived, folded into one growable buffer only when a redo
+    #: reads it (in the steady state it is cleared unread, every tick).
+    _arrived: list = field(default_factory=list)
+    _redo: BlockBuffer = field(default_factory=BlockBuffer)
 
     # --- statistics -----------------------------------------------------------
     tentative_received: int = 0
@@ -126,6 +131,57 @@ class InputStreamMonitor:
         return any(info.is_source for info in self.producers.values())
 
     # ------------------------------------------------------------------ arrivals
+    def record_block(self, block: TupleBlock, now: float) -> TupleBlock:
+        """Record one batch of arrivals; returns the rows the consumer should process.
+
+        The steady state -- a run of stable and boundary rows, no replay
+        awaited -- is recorded with one duplicate-prefix cut: ids (source
+        streams) and stamped positions (node streams) increase along a batch,
+        so what another replica or an earlier delivery already covered is a
+        prefix.  Everything else (tentative rows, UNDO / REC_DONE, duplicates
+        in the middle of a node stream, the replay gate) goes row by row
+        through :meth:`record_tuple`, which is also what defines the result.
+        """
+        codes, seqs = block.codes, block.stable_seqs
+        stable, boundaries = codes.count(STABLE), codes.count(BOUNDARY)
+        if (
+            self.awaiting_replay
+            or stable + boundaries != len(codes)
+            or (seqs is not None and self.track_source_ids)
+            or (
+                seqs is not None
+                and stable
+                and not (
+                    seqs.count(None) == boundaries
+                    and seqs[codes.find(STABLE)] >= self.stable_received
+                )
+            )
+        ):
+            record = self.record_tuple
+            return block.take([i for i, item in enumerate(block) if record(item, now) == "accept"])
+        if boundaries:
+            self.last_boundary_arrival = now
+            at = codes.find(BOUNDARY)
+            while at >= 0:
+                self.last_boundary_stime = max(self.last_boundary_stime, block.stimes[at])
+                at = codes.find(BOUNDARY, at + 1)
+        if self.track_source_ids:
+            # Re-deliveries below the processed cursor (data and punctuation).
+            cut = bisect_right(block.ids, self.source_position)
+            if cut:
+                block = block[cut:]
+                codes = block.codes
+                stable = codes.count(STABLE)
+        if stable:
+            last = codes.rfind(STABLE)
+            self.last_data_arrival = now
+            self.stable_received = seqs[last] + 1 if seqs else self.stable_received + stable
+            if self.track_source_ids:
+                self.source_position = block.ids[last]
+            self.tentative_since_stable = 0
+        self._arrived.append(block)
+        return block
+
     def record_tuple(self, item: StreamTuple, now: float) -> str:
         """Update detection evidence and the redo buffer for one arrival.
 
@@ -170,7 +226,7 @@ class InputStreamMonitor:
             if self.track_source_ids:
                 self.source_position = item.tuple_id
             self.tentative_since_stable = 0
-            self.stable_buffer.append(item)
+            self._arrived.append((item,))
             return "accept"
         if item.is_boundary:
             self.last_boundary_arrival = now
@@ -187,7 +243,7 @@ class InputStreamMonitor:
                 # watermark past the replayed data.  It still counts as
                 # liveness evidence (above), but is not processed.
                 return "duplicate"
-            self.stable_buffer.append(item)
+            self._arrived.append((item,))
             return "accept"
         if item.is_tentative:
             self.last_data_arrival = now
@@ -257,13 +313,22 @@ class InputStreamMonitor:
         self.tentative_since_stable = 0
 
     # ------------------------------------------------------------------ redo buffer
-    def take_stable_buffer(self) -> list[StreamTuple]:
+    @property
+    def stable_buffer(self) -> BlockBuffer:
+        """The redo buffer, ordered by arrival (trim it in place; grow it by arrivals only)."""
+        for block in self._arrived:
+            self._redo.extend(block)
+        self._arrived.clear()
+        return self._redo
+
+    def take_stable_buffer(self) -> TupleBlock:
         """Return and keep the buffered stable tuples (ordered by arrival)."""
-        return list(self.stable_buffer)
+        return self.stable_buffer[:]
 
     def clear_stable_buffer(self) -> None:
-        self.stable_buffer.clear()
+        self._arrived.clear()
+        self._redo.clear()
 
     @property
     def buffered_stable_tuples(self) -> int:
-        return sum(1 for item in self.stable_buffer if item.is_data)
+        return self.stable_buffer.data_rows

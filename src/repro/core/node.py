@@ -37,7 +37,7 @@ from ..spe.checkpoint import DiagramCheckpoint
 from ..spe.engine import LocalEngine
 from ..spe.operators.sunion import SUnion
 from ..spe.query_diagram import QueryDiagram
-from ..spe.tuples import StreamTuple
+from ..spe.tuples import REC_DONE, TENTATIVE, UNDO, TupleBlock
 from ..statexfer import PeerRegistry, RecoveryCheckpoint, adopt_checkpoint, capture_checkpoint, transfer_delay
 from .consistency_manager import ConsistencyManager
 from .data_path import DataPath
@@ -434,28 +434,21 @@ class ProcessingNode:
             # replay-flagged batch predates the cursor reset and is covered
             # by the adopted checkpoint plus the replay.
             return
-        feed_fragment = role == "primary" and not self._reconciling
-        record_arrival = monitor.record_tuple
-        to_feed: list[StreamTuple] = []
-        append = to_feed.append
-        saw_tentative = False
-        for item in batch.tuples:
-            if record_arrival(item, now) == "duplicate":
-                continue
-            if item.is_undo:
-                self.apply_local_undo(stream, now)
-                continue
-            if item.is_rec_done:
-                continue
-            if feed_fragment:
-                append(item)
-                if item.is_tentative:
-                    saw_tentative = True
-        if to_feed:
-            if saw_tentative:
+        accepted = monitor.record_block(batch.tuples, now)
+        codes = accepted.codes
+        if UNDO in codes:
+            self.apply_local_undo(stream, now)
+        if role != "primary" or self._reconciling:
+            return
+        if UNDO in codes or REC_DONE in codes:
+            # Consumed above (UNDO) or by the monitor (REC_DONE); not fed.
+            accepted = accepted.take(
+                [i for i, code in enumerate(codes) if code != UNDO and code != REC_DONE]
+            )
+        if accepted:
+            if TENTATIVE in accepted.codes:
                 self._set_dirty(True)
-            outputs = self.engine.push(stream, to_feed)
-            self._handle_fragment_outputs(outputs)
+            self._handle_fragment_outputs(self.engine.push(stream, accepted))
 
     # ------------------------------------------------------------------ fragment outputs
     def _set_dirty(self, dirty: bool) -> None:
@@ -482,7 +475,7 @@ class ProcessingNode:
         through the delay-policy-driven force emissions; when the hold is
         released, whatever the watermark already stabilized is emitted.
         """
-        released: list[tuple[str, list[StreamTuple]]] = []
+        released: list[tuple[str, TupleBlock]] = []
         for operator in self.diagram:
             if not isinstance(operator, SUnion):
                 continue
@@ -497,7 +490,7 @@ class ProcessingNode:
             outputs = self.engine.push_operator_outputs(operator_name, produced)
             self._handle_fragment_outputs(outputs)
 
-    def _handle_fragment_outputs(self, outputs: Mapping[str, list[StreamTuple]]) -> None:
+    def _handle_fragment_outputs(self, outputs: Mapping[str, TupleBlock]) -> None:
         for stream, tuples in outputs.items():
             if tuples:
                 self.data_path.output(stream).append_all(tuples)
@@ -800,8 +793,7 @@ class ProcessingNode:
             if position >= len(buffer):
                 continue
             take = buffer[position: position + budget]
-            data_count = sum(1 for item in take if item.is_data)
-            budget -= max(data_count, 1)
+            budget -= max(take.data_rows, 1)
             self._redo_positions[stream] = position + len(take)
             for operator_name, port in self.engine.entry_operators(stream):
                 outputs = self.engine.push_operator(operator_name, port, take)
@@ -826,9 +818,7 @@ class ProcessingNode:
         for binding in self.diagram.outputs:
             soutput = self.engine.soutput_for(binding.stream)
             tail = soutput.end_reconciliation(stime=now)
-            manager = self.data_path.output(binding.stream)
-            for item in tail:
-                manager.append(item)
+            self.data_path.output(binding.stream).append_all(tail)
         self._flush_outputs(now)
         for monitor in self.cm.monitors.values():
             monitor.clear_stable_buffer()
@@ -855,9 +845,7 @@ class ProcessingNode:
         for binding in self.diagram.outputs:
             soutput = self.engine.soutput_for(binding.stream)
             tail = soutput.end_reconciliation(stime=now)
-            manager = self.data_path.output(binding.stream)
-            for item in tail:
-                manager.append(item)
+            self.data_path.output(binding.stream).append_all(tail)
         self._flush_outputs(now)
         # Keep only the input that was not reprocessed yet; it belongs to the
         # new checkpoint interval.

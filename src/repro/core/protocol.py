@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..spe.tuples import StreamTuple
+from ..spe.tuples import StreamTuple, TupleBlock
 from .states import NodeState
 
 # Message kind identifiers.
@@ -41,8 +41,8 @@ CHECKPOINT_ACK = "checkpoint_ack"
 class DataBatch:
     """A batch of tuples for one stream, sent producer -> subscriber.
 
-    One network event carries the whole vector of tuples (the batched tuple
-    transport).  Processing nodes piggyback their DPC state on every batch so
+    One network event carries the whole run of tuples as one
+    :class:`~repro.spe.tuples.TupleBlock` (the batched tuple transport).  Processing nodes piggyback their DPC state on every batch so
     that, while data flows, downstream consistency managers need no separate
     keep-alive round trips; sources leave the state fields ``None``.
 
@@ -56,7 +56,7 @@ class DataBatch:
     """
 
     stream: str
-    tuples: tuple[StreamTuple, ...]
+    tuples: TupleBlock
     producer: str
     producer_node_state: NodeState | None = None
     producer_stream_state: NodeState | None = None
@@ -74,7 +74,7 @@ class DataBatch:
     ) -> "DataBatch":
         return cls(
             stream=stream,
-            tuples=tuple(tuples),
+            tuples=TupleBlock.of(tuples),
             producer=producer,
             producer_node_state=node_state,
             producer_stream_state=stream_state,

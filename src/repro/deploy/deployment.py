@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace as dataclass_replace
+from itertools import compress
+from operator import not_
 
 from ..core.node import ProcessingNode
 from ..core.states import NodeState
@@ -130,7 +133,9 @@ class Deployment:
             for replica in cluster.node_group(producer):
                 counts = self._truncated_loads[replica.endpoint] = {}
                 replica.data_path.output(stream).truncation_observer = (
-                    lambda dropped, counts=counts: self._count_loads(dropped, counts)
+                    lambda dropped, counts=counts: self._count_loads(
+                        compress(dropped.values, map(not_, dropped.codes)), counts
+                    )
                 )
 
     # ------------------------------------------------------------------ delegation
@@ -191,17 +196,20 @@ class Deployment:
         histories = []
         for replica in candidates:
             loads = dict(self._truncated_loads.get(replica.endpoint, ()))
-            self._count_loads(replica.data_path.output(stream).buffered_items(), loads)
+            self._count_loads(replica.data_path.output(stream).stable_payloads(), loads)
             histories.append(loads)
         return max(histories, key=lambda loads: sum(loads.values()))
 
-    def _count_loads(self, items, loads: dict[int, float]) -> None:
-        """Add the stable tuples among ``items`` to the per-bucket ``loads``."""
+    def _count_loads(self, payloads, loads: dict[int, float]) -> None:
+        """Add stable tuples, given by their ``payloads``, to the per-bucket ``loads``.
+
+        The distinct (tie-grouped) shard keys are counted first, so each is
+        hashed to its bucket once, however many tuples carry it.
+        """
         spec = self.current_assignment.spec
-        for item in items:
-            if item.is_stable:
-                bucket = spec.bucket_of(spec.key_of(item.values))
-                loads[bucket] = loads.get(bucket, 0.0) + 1.0
+        for key, count in Counter(map(spec.key_of, payloads)).items():
+            bucket = spec.bucket_of(key)
+            loads[bucket] = loads.get(bucket, 0.0) + count
 
     def plan_rebalance(self, tolerance: float = 0.10) -> RebalancePlan:
         """Ask the planner for a plan against the *observed* bucket loads."""

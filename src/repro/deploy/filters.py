@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..spe.tuples import StreamTuple
+    from ..spe.tuples import StreamTuple, TupleBlock
 
 #: Deterministic tuple predicate (same shape as repro.topology.SelectPredicate).
 Predicate = Callable[[Mapping[str, Any]], bool]
@@ -106,6 +106,27 @@ class SubscriptionFilter:
         if not item.is_data:
             return True
         return bool(self.predicate_for(item.stime)(item.values))
+
+    def select(self, block: "TupleBlock") -> "TupleBlock":
+        """The rows of ``block`` that reach this subscription's consumer.
+
+        One comprehension over the type and payload columns when a single
+        epoch governs the whole slice (always, until the first
+        :meth:`advance`; afterwards whenever the slice lies past the last
+        cut); a slice that straddles a cut looks the epoch up per row.
+        """
+        codes, values = block.codes, block.values
+        last_cut, predicate = self._epochs[-1]
+        if len(self._epochs) == 1 or min(block.stimes, default=last_cut) >= last_cut:
+            picks = [i for i, code in enumerate(codes) if code > 1 or predicate(values[i])]
+        else:
+            predicate_for = self.predicate_for
+            picks = [
+                i
+                for i, (code, stime) in enumerate(zip(codes, block.stimes))
+                if code > 1 or predicate_for(stime)(values[i])
+            ]
+        return block.take(picks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SubscriptionFilter {self.name!r} epochs={len(self._epochs)}>"

@@ -223,7 +223,7 @@ def _r_batch(buf: memoryview, pos: int) -> tuple[DataBatch, int]:
     return (
         DataBatch(
             stream=stream,
-            tuples=tuple(tuples),
+            tuples=tuples,
             producer=producer,
             producer_node_state=node_state,
             producer_stream_state=stream_state,

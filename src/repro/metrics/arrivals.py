@@ -11,17 +11,16 @@ iterated and never stored.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Iterator
+from itertools import repeat
+from typing import Any, Callable, Iterator, Sequence
 
-from ..spe.tuples import DATA_TYPES, TupleType
+from ..spe.tuples import CODE_BY_TYPE, TYPE_BY_CODE
 
-#: Type names by column code.  The data types come first in ``TupleType``, so
-#: ``code < _DATA_CODES`` reads "data tuple".
-_TYPE_NAMES = tuple(member.value for member in TupleType)
-_TYPE_CODES = {name: code for code, name in enumerate(_TYPE_NAMES)}
-_DATA_CODES = len(DATA_TYPES)
+#: Type names by column code: the block type codes, so ``code < _DATA_CODES``
+#: reads "data tuple".
+_TYPE_NAMES = tuple(member.value for member in TYPE_BY_CODE)
+_DATA_CODES = 2
 _INT64_LIMIT = 2**63
-assert {_TYPE_NAMES[code] for code in range(_DATA_CODES)} == {t.value for t in DATA_TYPES}
 
 
 class ArrivalLog:
@@ -42,20 +41,32 @@ class ArrivalLog:
         self, time: float, stime: float, tuple_type: str, is_new: bool, sequence: Any
     ) -> None:
         """Add one row; ``sequence`` is ignored (read back ``None``) for non-data rows."""
-        code = _TYPE_CODES[tuple_type]
-        self.stimes.append(stime)
-        self.times.append(time)
-        self.codes.append(code)
-        self.new.append(is_new)
+        self.extend(time, (stime,), bytes((CODE_BY_TYPE[tuple_type],)), (is_new,), [sequence])
+
+    def extend(
+        self,
+        time: float,
+        stimes: Sequence[float],
+        codes: bytes,
+        new: Sequence[bool],
+        sequences: list,
+    ) -> None:
+        """Add one row per entry of the parallel columns, all arrived at ``time``."""
+        self.stimes.extend(stimes)
+        self.times.extend(repeat(time, len(codes)))
+        self.codes += codes
+        self.new += bytes(new)
         column = self.sequences
         if type(column) is not list and not (
-            type(sequence) is int and -_INT64_LIMIT <= sequence < _INT64_LIMIT
+            # ``type(...) is int`` also keeps bools out of the packed column,
+            # where they would read back 0 / 1.
+            set(map(type, sequences)) <= {int}
+            and (not sequences or -_INT64_LIMIT <= min(sequences) and max(sequences) < _INT64_LIMIT)
         ):
             # One-way and amortised O(1): once a list, the column is never
-            # examined or converted again.  (``type(...) is int`` also keeps
-            # bools out of the packed column, where they would read back 0 / 1.)
+            # examined or converted again.
             self.sequences = column = list(column)
-        column.append(sequence)
+        column.extend(sequences)
 
     def __len__(self) -> int:
         return len(self.codes)

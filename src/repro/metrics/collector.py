@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..spe.tuples import StreamTuple
+from ..spe.tuples import BOUNDARY, StreamTuple, TupleBlock
 from .arrivals import RowView
 from .consistency import ConsistencyTracker
 from .latency import LatencyTracker
@@ -35,13 +35,20 @@ class MetricsCollector:
 
     def observe(self, item: StreamTuple, now: float) -> bool:
         """Record one received tuple; returns whether it was new output."""
-        self.consistency.observe(item)
-        if item.is_data:
-            return self.latency.observe(
-                now, item.stime, item.tuple_type, item.values.get(self.sequence_attribute)
-            )
-        self.latency.arrivals.append(now, item.stime, item.tuple_type, False, 0)
-        return False
+        return self.observe_block(TupleBlock.of((item,)), now) > 0
+
+    def observe_block(self, block: TupleBlock, now: float) -> int:
+        """Record a block that arrived at ``now``; returns how many tuples were new output."""
+        new = 0
+        attribute = self.sequence_attribute
+        for run in block.runs():
+            self.consistency.observe_run(run)
+            if run.codes[0] < BOUNDARY:
+                sequences = [values.get(attribute) for values in run.values]
+                new += self.latency.observe_run(now, run.stimes, run.codes, sequences)
+            else:
+                self.latency.arrivals.extend(now, run.stimes, run.codes, (False,), [0])
+        return new
 
     @property
     def trace(self) -> RowView:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..spe.tuples import StreamTuple
+from ..spe.tuples import BOUNDARY, REC_DONE, STABLE, UNDO, StreamTuple, TupleBlock
 from .ledger import TupleLedger
 
 
@@ -39,20 +39,27 @@ class ConsistencyTracker:
     ledger: TupleLedger = field(default_factory=TupleLedger)
 
     def observe(self, item: StreamTuple) -> None:
-        """Account for one received tuple."""
-        if item.is_stable:
-            self.total_stable += 1
-            self.tentative_since_stable = 0
-            self.ledger.append(item)
-        elif item.is_tentative:
-            self.total_tentative += 1
-            self.tentative_since_stable += 1
-            self.ledger.append(item)
-        elif item.is_undo:
+        """Account for one received tuple: a block of one."""
+        self.observe_run(TupleBlock.of((item,)))
+
+    def observe_run(self, run: TupleBlock) -> None:
+        """Account for a data run, or for one control row (see :meth:`TupleBlock.runs`)."""
+        codes = run.codes
+        code = codes[0]
+        if code < BOUNDARY:
+            stable = codes.count(STABLE)
+            self.total_stable += stable
+            self.total_tentative += len(codes) - stable
+            if stable:
+                self.tentative_since_stable = len(codes) - 1 - codes.rfind(STABLE)
+            else:
+                self.tentative_since_stable += len(codes)
+            self.ledger.extend(run)
+        elif code == UNDO:
             self.total_undos += 1
             self.tentative_since_stable = 0
             self.ledger.drop_tentative_suffix()
-        elif item.is_rec_done:
+        elif code == REC_DONE:
             self.total_rec_done += 1
 
     # ------------------------------------------------------------------ summaries

@@ -11,8 +11,11 @@ tuples; this module computes both given a recorded output trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from itertools import accumulate, compress
+from operator import gt
+from typing import Any, Iterable, Sequence
 
+from ..spe.tuples import CODE_BY_TYPE
 from .arrivals import ArrivalLog, RowView
 
 
@@ -54,20 +57,26 @@ class LatencyTracker:
         self, arrival_time: float, stime: float, tuple_type: str, sequence: Any = 0
     ) -> bool:
         """Record one received data tuple; returns whether it was new output."""
-        is_new = stime > self.max_stime_seen
-        if is_new:
-            latency = arrival_time - stime
-            self.max_stime_seen = stime
-            self.new_tuples += 1
-            if latency > self.max_latency:
-                self.max_latency = latency
+        code = bytes((CODE_BY_TYPE[tuple_type],))
+        return self.observe_run(arrival_time, (stime,), code, [sequence]) > 0
+
+    def observe_run(
+        self, arrival_time: float, stimes: Sequence[float], codes: bytes, sequences: list
+    ) -> int:
+        """Record a run of data tuples that arrived together; returns how many were new."""
+        seen = list(accumulate(stimes, max, initial=self.max_stime_seen))
+        new = list(map(gt, stimes, seen))
+        count = sum(new)
+        if count:
+            self.max_stime_seen = seen[-1]
+            self.new_tuples += count
+            # The oldest new stime of the run has the largest latency.
+            self.max_latency = max(self.max_latency, arrival_time - min(compress(stimes, new)))
             if self._last_new_arrival is not None:
-                gap = arrival_time - self._last_new_arrival
-                if gap > self.max_gap:
-                    self.max_gap = gap
+                self.max_gap = max(self.max_gap, arrival_time - self._last_new_arrival)
             self._last_new_arrival = arrival_time
-        self.arrivals.append(arrival_time, stime, tuple_type, is_new, sequence)
-        return is_new
+        self.arrivals.extend(arrival_time, stimes, codes, new, sequences)
+        return count
 
     # ------------------------------------------------------------------ summaries
     @property

@@ -6,17 +6,17 @@ tuple.  An UNDO revokes the tuples *after the last stable tuple* and nothing
 else; everything up to the last stable tuple is therefore immutable, and the
 ledger seals that prefix -- in fixed-size segments -- into the columnar tuple
 encoding (:mod:`repro.spe.tuple_codec`, ~46 bytes per tuple, round-trip
-exact).  Only the open tail holds :class:`~repro.spe.tuples.StreamTuple`
-objects.  Reads decode one segment at a time.
+exact).  The open tail is a :class:`~repro.spe.tuples.BlockBuffer`; rows are
+built only by whoever reads them, one segment at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..spe.tuple_codec import decode_tuples, encode_tuples
-from ..spe.tuples import StreamTuple
+from ..spe.tuples import STABLE, TENTATIVE, BlockBuffer, StreamTuple, TupleBlock
 
 #: Tuples per sealed segment.  Large enough that the codec's per-run header
 #: and key names amortise to nothing, small enough that the open tail and one
@@ -38,7 +38,7 @@ class TupleLedger(Sequence):
         self._size = SEGMENT_TUPLES
         #: Encoded segments of exactly ``_size`` tuples each.
         self._sealed: list[bytes] = []
-        self._tail: list[StreamTuple] = []
+        self._tail = BlockBuffer()
         #: Index in ``_tail`` of the last stable tuple; -1 when the tail has
         #: none (then the last stable tuple, if any, ends the last segment).
         self._last_stable = -1
@@ -47,16 +47,23 @@ class TupleLedger(Sequence):
 
     # ------------------------------------------------------------------ mutation
     def append(self, item: StreamTuple) -> None:
+        self.extend((item,))
+
+    def extend(self, rows: Iterable[StreamTuple]) -> None:
+        """Append a run of data tuples (one block; no row object is built)."""
+        block = TupleBlock.of(rows)
         tail = self._tail
-        tail.append(item)
-        if item.is_stable:
-            # The tail now ends with a stable tuple: all of it is immutable.
-            while len(tail) >= self._size:
+        tail.extend(block)
+        self.tentative += block.codes.count(TENTATIVE)
+        last_stable = block.codes.rfind(STABLE)
+        if last_stable >= 0:
+            # Through its last stable tuple the tail is immutable: seal every
+            # full segment of that prefix.
+            immutable = len(tail) - (len(block) - 1 - last_stable)
+            for _ in range(immutable // self._size):
                 self._sealed.append(encode_tuples(tail[: self._size]))
                 del tail[: self._size]
-            self._last_stable = len(tail) - 1
-        else:
-            self.tentative += 1
+            self._last_stable = immutable % self._size - 1
 
     def drop_tentative_suffix(self) -> None:
         """Apply an UNDO: revoke every tuple after the last stable one.
@@ -66,7 +73,7 @@ class TupleLedger(Sequence):
         (the whole tail goes) and when there is none (the ledger empties).
         """
         keep = self._last_stable + 1
-        self.tentative -= len(self._tail) - keep
+        self.tentative -= self._tail.codes.count(TENTATIVE, keep)
         del self._tail[keep:]
 
     def clear(self) -> None:

@@ -31,6 +31,7 @@ from ..sim.events import EventKind
 from ..sim.failures import FailureInjector, FailureRecord
 from ..sim.network import Network
 from ..sim.sources import DataSource
+from ..spe import tuples
 from .spec import ScenarioSpec
 
 
@@ -160,6 +161,38 @@ class SimulationRuntime:
     def run_for(self, duration: float) -> "SimulationRuntime":
         """Advance the (started) simulation by ``duration`` seconds."""
         return self.run(duration=duration)
+
+    def run_profiled(self) -> "tuple[pstats.Stats, dict[str, float]]":
+        """Run the scenario under cProfile; returns the stats and two exact counters.
+
+        Per source tuple produced: ``calls_per_source_tuple`` is every call
+        the profiler saw, ``row_constructions_per_source_tuple`` the calls of
+        the two functions of :mod:`repro.spe.tuples` that build a
+        :class:`~repro.spe.tuples.StreamTuple`.  Both repeat exactly for a
+        seed, so they gate the block data path where seconds cannot: a
+        per-row loop on the stable spine shows up as >= 1 construction per
+        tuple and hop.
+        """
+        import cProfile  # not at module level: only profiled runs pay the import
+        import pstats
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            self.run()
+        finally:
+            profiler.disable()
+        stats = pstats.Stats(profiler)
+        constructors = {
+            (code.co_filename, code.co_firstlineno, code.co_name)
+            for code in (tuples._row.__code__, tuples.StreamTuple.__init__.__code__)
+        }
+        rows = sum(stats.stats[key][1] for key in constructors if key in stats.stats)
+        produced = sum(source.tuples_produced for source in self.sources)
+        return stats, {
+            "calls_per_source_tuple": stats.total_calls / produced,
+            "row_constructions_per_source_tuple": rows / produced,
+        }
 
     # ------------------------------------------------------------------ results
     def eventually_consistent(self) -> bool:

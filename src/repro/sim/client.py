@@ -21,7 +21,7 @@ from ..core.states import NodeState
 from ..metrics.collector import MetricsCollector
 from ..core.clock import Clock
 from ..sim.network import Message, Network
-from ..spe.tuples import StreamTuple
+from ..spe.tuples import BOUNDARY, TENTATIVE, StreamTuple
 
 
 class ClientApplication:
@@ -96,11 +96,13 @@ class ClientApplication:
         if batch.replay:
             self.cm.note_replay(batch.stream)
         monitor = self.cm.monitor(batch.stream)
-        record_arrival = monitor.record_tuple
-        for item in batch.tuples:
-            if record_arrival(item, now) == "duplicate":
-                continue
-            self._record(item, now, role)
+        block = monitor.record_block(batch.tuples, now)
+        # Punctuation is not output; fresh tentative data is taken from the
+        # primary connection only.
+        unwanted = (BOUNDARY, TENTATIVE) if role == "correcting" else (BOUNDARY,)
+        if any(code in block.codes for code in unwanted):
+            block = block.take([i for i, code in enumerate(block.codes) if code not in unwanted])
+        self.metrics.observe_block(block, now)
         # The monitor buffers stable arrivals for a redo; a client has none.
         monitor.clear_stable_buffer()
         interval = self.config.checkpoint_interval
@@ -111,14 +113,6 @@ class ClientApplication:
         ):
             self._next_ack_at = now + interval
             self.cm.acknowledge_inputs(self.statexfer_registry)
-
-    def _record(self, item: StreamTuple, now: float, role: str) -> None:
-        if item.is_boundary:
-            return
-        if role == "correcting" and item.is_tentative:
-            # Fresh tentative data is taken from the primary connection only.
-            return
-        self.metrics.observe(item, now)
 
     # ------------------------------------------------------------------ ConsistencyOwner interface
     def on_input_failure(self, stream: str, now: float) -> None:

@@ -32,7 +32,7 @@ from ..core.protocol import (
 )
 from ..errors import SimulationError
 from ..spe.streams import StreamLog, StreamWriter
-from ..spe.tuples import StreamTuple
+from ..spe.tuples import BOUNDARY, NO_VALUES, STABLE, TupleBlock
 from ..core.clock import Clock
 from .events import EventKind
 from .network import Network
@@ -144,7 +144,7 @@ class DataSource:
             TupleBatch.of(self.stream, pending, producer=self.name, replay=True),
         )
         if sent and pending:
-            self._subscribers[endpoint] = pending[-1].tuple_id
+            self._subscribers[endpoint] = pending.ids[-1]
 
     # ------------------------------------------------------------------ subscriptions
     def subscribe(self, endpoint: str) -> None:
@@ -235,34 +235,38 @@ class DataSource:
     def _produce_until(self, now: float) -> None:
         """Generate data and boundary tuples with stimes up to ``now``.
 
-        The loop state and collaborator methods are hoisted into locals: at
-        high rates this loop constructs most of the tuples in a run.  The
-        payload mapping is materialized exactly once per tuple (``dict`` of
-        whatever the generator returns, which may be a reused mapping) and
-        attached without a second defensive copy.
+        The tick's tuples are produced straight into columns and logged as
+        one block: at high rates this loop makes most of the tuples in a run.
+        The payload mapping is materialized exactly once per tuple (``dict``
+        of whatever the generator returns, which may be a reused mapping).
         """
         period = 1.0 / self.rate
         rate_profile = self.rate_profile
-        writer = self._writer
-        log_append = self.log.append
         payload = self.payload
         boundaries_enabled = self._boundaries_enabled
         boundary_interval = self.boundary_interval
         next_tuple_time = self._next_tuple_time
         next_boundary_time = self._next_boundary_time
         sequence = self._sequence
+        codes = bytearray()
+        stimes: list[float] = []
+        values: list = []
         while next_tuple_time <= now or (boundaries_enabled and next_boundary_time <= now):
             if (
                 boundaries_enabled
                 and next_boundary_time <= next_tuple_time
                 and next_boundary_time <= now
             ):
-                log_append(writer.boundary(next_boundary_time))
+                self._writer.advance_boundary(next_boundary_time)
+                codes.append(BOUNDARY)
+                stimes.append(next_boundary_time)
+                values.append(NO_VALUES)
                 next_boundary_time += boundary_interval
                 continue
             if next_tuple_time <= now:
-                values = dict(payload(sequence, next_tuple_time))
-                log_append(writer.data(next_tuple_time, values, True))
+                codes.append(STABLE)
+                stimes.append(next_tuple_time)
+                values.append(dict(payload(sequence, next_tuple_time)))
                 sequence += 1
                 if rate_profile is None:
                     next_tuple_time += period
@@ -279,6 +283,10 @@ class DataSource:
         self._next_tuple_time = next_tuple_time
         self._next_boundary_time = next_boundary_time
         self._sequence = sequence
+        if codes:
+            self.log.extend(
+                TupleBlock(bytes(codes), self._writer.take(len(codes)), stimes, values)
+            )
 
     def _flush(self) -> None:
         """Deliver the pending suffix of the log to every connected subscriber.
@@ -302,7 +310,7 @@ class DataSource:
                 TupleBatch.of(self.stream, pending, producer=self.name),
             )
             for endpoint in sent:
-                self._subscribers[endpoint] = pending[-1].tuple_id
+                self._subscribers[endpoint] = pending.ids[-1]
 
     # ------------------------------------------------------------------ checkpoint retention
     def on_checkpoint_ack(self, ack: CheckpointAck) -> int:

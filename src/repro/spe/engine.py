@@ -24,7 +24,7 @@ from .checkpoint import DiagramCheckpoint
 from .operators.base import Operator
 from .operators.soutput import SOutput
 from .query_diagram import QueryDiagram
-from .tuples import StreamTuple
+from .tuples import BOUNDARY, StreamTuple, TupleBlock
 
 
 class LocalEngine:
@@ -46,41 +46,30 @@ class LocalEngine:
             name: [(c.target, c.port) for c in diagram.downstream_of(name)]
             for name in diagram.operators
         }
+        self._output_streams = diagram.output_streams
 
     # ------------------------------------------------------------------ execution
-    def push(self, input_stream: str, tuples: Iterable[StreamTuple]) -> dict[str, list[StreamTuple]]:
+    def push(self, input_stream: str, tuples: Iterable[StreamTuple]) -> dict[str, TupleBlock]:
         """Push ``tuples`` arriving on ``input_stream`` through the fragment.
 
-        Returns a mapping of external output stream name to the tuples
-        produced on it by this batch.
+        Returns a mapping of external output stream name to the block of
+        tuples produced on it by this batch.
         """
-        bindings = [b for b in self.diagram.inputs if b.stream == input_stream]
+        bindings = self.entry_operators(input_stream)
         if not bindings:
             raise DiagramError(
                 f"fragment {self.diagram.name!r} has no input stream {input_stream!r}"
             )
-        tuples = list(tuples)
-        outputs: dict[str, list[StreamTuple]] = {o.stream: [] for o in self.diagram.outputs}
-        work: deque[tuple[str, int, list[StreamTuple]]] = deque()
-        for binding in bindings:
-            if tuples:
-                work.append((binding.operator, binding.port, tuples))
-        self._drain(work, outputs)
-        return outputs
+        runs = TupleBlock.of(tuples).runs()
+        return self._drain(deque((operator, port, runs) for operator, port in bindings))
 
-    def push_operator(self, operator_name: str, port: int, tuples: Iterable[StreamTuple]) -> dict[str, list[StreamTuple]]:
+    def push_operator(self, operator_name: str, port: int, tuples: Iterable[StreamTuple]) -> dict[str, TupleBlock]:
         """Push a batch directly into an operator (used by the node's input SUnions)."""
-        outputs: dict[str, list[StreamTuple]] = {o.stream: [] for o in self.diagram.outputs}
-        work: deque[tuple[str, int, list[StreamTuple]]] = deque()
-        tuples = list(tuples)
-        if tuples:
-            work.append((operator_name, port, tuples))
-        self._drain(work, outputs)
-        return outputs
+        return self._drain(deque([(operator_name, port, TupleBlock.of(tuples).runs())]))
 
     def push_operator_outputs(
         self, operator_name: str, produced: Iterable[StreamTuple]
-    ) -> dict[str, list[StreamTuple]]:
+    ) -> dict[str, TupleBlock]:
         """Route tuples already produced by ``operator_name`` to its consumers.
 
         Used when the processing node forces an SUnion to emit buffered
@@ -88,42 +77,37 @@ class LocalEngine:
         :meth:`push`, so this method injects them into the downstream
         connections (and output bindings) of the producing operator.
         """
-        produced = list(produced)
-        outputs: dict[str, list[StreamTuple]] = {o.stream: [] for o in self.diagram.outputs}
-        stream = self._output_of.get(operator_name)
-        if stream is not None:
-            outputs[stream].extend(produced)
-        work: deque[tuple[str, int, list[StreamTuple]]] = deque()
+        outputs: dict[str, list] = {stream: [] for stream in self._output_streams}
+        work: deque = deque()
+        self._route(operator_name, TupleBlock.of(produced).runs(), work, outputs)
+        return self._drain(work, outputs)
+
+    def _route(self, operator_name: str, produced: list, work: deque, outputs: dict) -> None:
         if produced:
+            stream = self._output_of.get(operator_name)
+            if stream is not None:
+                outputs[stream] += produced
             for target, port in self._downstream[operator_name]:
                 work.append((target, port, produced))
-        self._drain(work, outputs)
-        return outputs
 
-    def _drain(
-        self,
-        work: deque,
-        outputs: dict[str, list[StreamTuple]],
-    ) -> None:
-        # Batch-at-a-time execution: each work item carries a vector of tuples
-        # that the operator consumes run-to-completion before its outputs are
-        # forwarded, also as one batch, to every downstream connection.
+    def _drain(self, work: deque, outputs: dict | None = None) -> dict[str, TupleBlock]:
+        # Block-at-a-time execution: a work item carries the runs of one batch
+        # (data runs and one-row control blocks, see TupleBlock.runs), which
+        # the operator consumes run-to-completion before its output runs are
+        # forwarded, as they are, to every downstream connection.  Only what
+        # leaves the fragment is concatenated, once per output stream.
+        if outputs is None:
+            outputs = {stream: [] for stream in self._output_streams}
         operators = self._operators
-        output_of = self._output_of
-        downstream = self._downstream
-        popleft = work.popleft
-        append = work.append
         while work:
-            operator_name, port, items = popleft()
-            produced = operators[operator_name].process_batch(port, items)
-            self.tuples_processed += sum(1 for item in items if item.is_data)
-            if not produced:
-                continue
-            stream = output_of.get(operator_name)
-            if stream is not None:
-                outputs[stream].extend(produced)
-            for target, target_port in downstream[operator_name]:
-                append((target, target_port, produced))
+            operator_name, port, runs = work.popleft()
+            for run in runs:
+                if run.codes[0] < BOUNDARY:
+                    self.tuples_processed += len(run.codes)
+            if runs:
+                produced = operators[operator_name].process_runs(port, runs)
+                self._route(operator_name, produced, work, outputs)
+        return {stream: TupleBlock.concat(runs) for stream, runs in outputs.items()}
 
     # ------------------------------------------------------------------ checkpoint / restore
     def checkpoint(self, created_at: float = 0.0) -> DiagramCheckpoint:
@@ -177,6 +161,7 @@ class LocalEngine:
 
     def entry_operators(self, input_stream: str) -> list[tuple[str, int]]:
         """(operator, port) pairs fed by external ``input_stream``."""
+        # Read live: elastic rewiring binds and unbinds inputs of a running fragment.
         return [
             (b.operator, b.port) for b in self.diagram.inputs if b.stream == input_stream
         ]

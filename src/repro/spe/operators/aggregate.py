@@ -29,7 +29,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ...errors import OperatorError
 from ..accumulators import Accumulator, is_incremental, make_accumulator
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import StreamTuple
+from ..tuples import TENTATIVE, StreamTuple, TupleBlock
 from ..windows import WindowSpec
 from .base import Operator
 
@@ -208,14 +208,11 @@ class Aggregate(Operator):
         return _CellState([spec.make_accumulator() for spec in self.specs])
 
     def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
+        """Whole-window mode: one cell per window the tuple falls into."""
         extracted = [spec.extract(item.values) for spec in self.specs]
         key = self._group_key(item.values)
         cells = self._cells
-        if self._pane_mode:
-            indices: Sequence[int] = (self.window.pane_index(item.stime),)
-        else:
-            indices = self.window.window_indices(item.stime)
-        for index in indices:
+        for index in self.window.window_indices(item.stime):
             cell = cells.get((index, key))
             if cell is None:
                 cell = self._new_cell()
@@ -223,66 +220,27 @@ class Aggregate(Operator):
             cell.add(extracted, item.is_tentative)
         return []
 
-    def process_batch(self, port: int, items: Sequence[StreamTuple]) -> list[StreamTuple]:
-        """Batch entry point with the per-tuple work hoisted into locals.
-
-        In pane mode the inner loop touches exactly one cell per data tuple;
-        the attribute extraction, group keying, and cell lookup run on local
-        bindings so the hot path performs no repeated attribute loads.
-        """
-        self._check_port(port)
-        out: list[StreamTuple] = []
-        extend = out.extend
+    def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
+        """Pane mode: each row updates exactly one ``(pane, group)`` cell, read
+        straight from the stime / payload / type columns."""
+        if not self._pane_mode:
+            return super()._process_run(port, run)
         cells = self._cells
-        window = self.window
-        pane_mode = self._pane_mode
-        pane_index = window.pane_index if pane_mode else None
-        window_indices = window.window_indices
+        pane_index = self.window.pane_index
         attributes = tuple(spec.attribute for spec in self.specs)
         group_attrs = self.group_by
-        new_cell = self._new_cell
-        cells_get = cells.get
-        for item in items:
-            if item.is_data:
-                tentative = item.is_tentative
-                if tentative:
-                    self._seen_tentative_input = True
-                values = item.values
-                extracted = [
-                    1 if attr is None else values.get(attr) for attr in attributes
-                ]
-                key = (
-                    tuple(values.get(attr) for attr in group_attrs) if group_attrs else ()
-                )
-                if pane_mode:
-                    cell_key = (pane_index(item.stime), key)
-                    cell = cells_get(cell_key)
-                    if cell is None:
-                        cell = new_cell()
-                        cells[cell_key] = cell
-                    cell.add(extracted, tentative)
-                else:
-                    for index in window_indices(item.stime):
-                        cell_key = (index, key)
-                        cell = cells_get(cell_key)
-                        if cell is None:
-                            cell = new_cell()
-                            cells[cell_key] = cell
-                        cell.add(extracted, tentative)
-            elif item.is_boundary:
-                extend(self._accept_boundary(port, item))
-            elif item.is_undo:
-                extend(self.handle_undo(port, item))
-            elif item.is_rec_done:
-                extend(self.handle_rec_done(port, item))
-            else:
-                raise OperatorError(
-                    f"operator {self.name!r} cannot process {item.tuple_type}"
-                )
-        return out
+        for stime, values, code in zip(run.stimes, run.values, run.codes):
+            extracted = [1 if attr is None else values.get(attr) for attr in attributes]
+            key = tuple(values.get(attr) for attr in group_attrs) if group_attrs else ()
+            cell_key = (pane_index(stime), key)
+            cell = cells.get(cell_key)
+            if cell is None:
+                cell = cells[cell_key] = self._new_cell()
+            cell.add(extracted, code == TENTATIVE)
+        return []
 
     # ------------------------------------------------------------------ window closing
-    def _on_watermark(self, previous: float, current: float) -> list[StreamTuple]:
+    def _on_watermark(self, previous: float, current: float) -> list[TupleBlock]:
         if self._last_closed_watermark > float("-inf"):
             previous = max(previous, self._last_closed_watermark)
         window = self.window
@@ -326,7 +284,7 @@ class Aggregate(Operator):
         self._last_closed_watermark = max(self._last_closed_watermark, current)
         if self._pane_mode:
             self._collect_dead_panes(current)
-        return out
+        return TupleBlock.of(out).runs()
 
     def _collect_dead_panes(self, watermark: float) -> None:
         """Drop panes whose last containing window the watermark closed."""

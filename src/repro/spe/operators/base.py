@@ -26,7 +26,7 @@ from ...errors import OperatorError
 from ..checkpoint import OperatorCheckpoint
 from ..schema import ANY_SCHEMA, Schema
 from ..streams import StreamWriter
-from ..tuples import StreamTuple
+from ..tuples import BOUNDARY, REC_DONE, TENTATIVE, UNDO, StreamTuple, TupleBlock
 
 
 class Operator:
@@ -101,69 +101,63 @@ class Operator:
         self.arity -= 1
 
     # ------------------------------------------------------------------ public API
-    def process(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        """Process one input tuple and return the output tuples it triggers."""
-        self._check_port(port)
-        # Dispatch on the predicate flags precomputed at tuple construction;
-        # most frequent kind (data) first.
-        if item.is_data:
-            if item.is_tentative:
-                self._seen_tentative_input = True
-            return self._process_data(port, item)
-        if item.is_boundary:
-            return self._accept_boundary(port, item)
-        if item.is_undo:
-            return self.handle_undo(port, item)
-        if item.is_rec_done:
-            return self.handle_rec_done(port, item)
-        raise OperatorError(f"operator {self.name!r} cannot process {item.tuple_type}")
+    def process(self, port: int, item: StreamTuple) -> TupleBlock:
+        """Process one input tuple: a row is a block of one."""
+        return self.process_batch(port, (item,))
 
-    def process_batch(self, port: int, items: Iterable[StreamTuple]) -> list[StreamTuple]:
-        """Process a sequence of tuples from one port, concatenating outputs.
+    def process_batch(self, port: int, items: Iterable[StreamTuple]) -> TupleBlock:
+        """Process a sequence of tuples from one port; the outputs as one block."""
+        return TupleBlock.concat(self.process_runs(port, TupleBlock.of(items).runs()))
 
-        This is the engine's entry point into every operator (the engine is
-        batch-at-a-time); operators with a cheaper whole-batch strategy
-        (Filter, Map, SUnion, SJoin, SOutput) override it.  The base version
-        hoists the per-tuple dispatch out of :meth:`process`.
+    def process_runs(self, port: int, runs: Iterable[TupleBlock]) -> list[TupleBlock]:
+        """Process the runs of one batch (see :meth:`TupleBlock.runs`); returns runs.
+
+        The engine's entry point into every operator.  Each data run goes to
+        :meth:`_process_run` as one block, each BOUNDARY / UNDO / REC_DONE
+        row to its handler, so whatever state a control tuple changes is
+        re-read before the next data row is touched.  What comes back is
+        again a list of data runs and one-row control blocks: nothing is
+        concatenated or split again between two operators.
         """
         self._check_port(port)
-        out: list[StreamTuple] = []
-        extend = out.extend
-        process_data = self._process_data
-        for item in items:
-            if item.is_data:
-                if item.is_tentative:
+        out: list[TupleBlock] = []
+        for run in runs:
+            code = run.codes[0]
+            if code < BOUNDARY:
+                if TENTATIVE in run.codes:
                     self._seen_tentative_input = True
-                extend(process_data(port, item))
-            elif item.is_boundary:
-                extend(self._accept_boundary(port, item))
-            elif item.is_undo:
-                extend(self.handle_undo(port, item))
-            elif item.is_rec_done:
-                extend(self.handle_rec_done(port, item))
+                out += self._process_run(port, run)
+            elif code == BOUNDARY:
+                out += self._accept_boundary(port, run)
+            elif code == UNDO:
+                out += self.handle_undo(port, run)
+            elif code == REC_DONE:
+                out += self.handle_rec_done(port, run)
             else:
                 raise OperatorError(
-                    f"operator {self.name!r} cannot process {item.tuple_type}"
+                    f"operator {self.name!r} cannot process {run[0].tuple_type}"
                 )
         return out
 
     # ------------------------------------------------------------------ boundaries
-    def _accept_boundary(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        previous = self.watermark
-        if item.stime > self._port_boundaries[port]:
-            self._port_boundaries[port] = item.stime
-        new_watermark = self.watermark
-        out: list[StreamTuple] = []
+    def _accept_boundary(self, port: int, boundary: TupleBlock) -> list[TupleBlock]:
+        stime = boundary.stimes[0]
+        boundaries = self._port_boundaries
+        previous = min(boundaries)
+        if stime > boundaries[port]:
+            boundaries[port] = stime
+        new_watermark = min(boundaries)
+        out: list[TupleBlock] = []
         if new_watermark > previous:
-            out.extend(self._on_watermark(previous, new_watermark))
+            out += self._on_watermark(previous, new_watermark)
         bound = self._boundary_to_emit(new_watermark)
         if bound > self._emitted_watermark and bound > float("-inf"):
             self._emitted_watermark = bound
-            out.append(self.writer.boundary(bound))
+            out.append(self.writer.control(BOUNDARY, bound))
         return out
 
-    def _on_watermark(self, previous: float, current: float) -> list[StreamTuple]:
-        """Hook for windowed operators: emit results closed by the new watermark."""
+    def _on_watermark(self, previous: float, current: float) -> list[TupleBlock]:
+        """Hook for windowed operators: emit (as runs) what the new watermark closes."""
         return []
 
     def _boundary_to_emit(self, watermark: float) -> float:
@@ -176,24 +170,33 @@ class Operator:
         return watermark
 
     # ------------------------------------------------------------------ undo / rec_done
-    def handle_undo(self, port: int, item: StreamTuple) -> list[StreamTuple]:
+    def handle_undo(self, port: int, undo: TupleBlock) -> list[TupleBlock]:
         """Per-operator undo: restore own checkpoint and forward the undo.
 
         The undo forwarded downstream revokes everything this operator emitted
         after its checkpointed position.
         """
-        undo_from = self.writer.next_id - 1
         if self._own_checkpoint is not None:
             self.restore(self._own_checkpoint)
-            undo_from = self.writer.next_id - 1
-        return [self.writer.undo(item.stime, undo_from)]
+        return [self.writer.control(UNDO, undo.stimes[0], self.writer.next_id - 1)]
 
-    def handle_rec_done(self, port: int, item: StreamTuple) -> list[StreamTuple]:
+    def handle_rec_done(self, port: int, rec_done: TupleBlock) -> list[TupleBlock]:
         """Forward the end-of-reconciliation marker."""
         self._seen_tentative_input = False
-        return [self.writer.rec_done(item.stime)]
+        return [self.writer.control(REC_DONE, rec_done.stimes[0])]
 
     # ------------------------------------------------------------------ data processing
+    def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
+        """Process one run of data rows (no control rows); returns output runs.
+
+        Operators with a column strategy override this; the default builds
+        the rows and hands them to :meth:`_process_data` one at a time.
+        """
+        out: list[StreamTuple] = []
+        for item in run:
+            out.extend(self._process_data(port, item))
+        return TupleBlock.of(out).runs()
+
     def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
         raise NotImplementedError
 
@@ -209,12 +212,8 @@ class Operator:
         return self.writer.insertion(stime, values)
 
     def _forward(self, item: StreamTuple, tentative: bool) -> StreamTuple:
-        """Re-emit ``item``'s payload on this operator's output, allocation-free.
-
-        The output tuple gets a fresh stream-local id and the requested
-        stability label but *shares* the input's payload mapping.
-        """
-        return self.writer.data(item.stime, item.values, stable=not tentative)
+        """Re-emit ``item``'s payload on this operator's output, sharing the mapping."""
+        return StreamTuple.data(self.writer.take(1)[0], item.stime, item.values, not tentative)
 
     # ------------------------------------------------------------------ checkpointing
     def checkpoint_state(self) -> dict:
@@ -282,10 +281,6 @@ def chain_process(operators: Sequence[Operator], items: Iterable[StreamTuple]) -
     Utility used by tests and by simple examples; the full engine lives in
     :mod:`repro.spe.engine`.
     """
-    current = list(items)
     for op in operators:
-        nxt: list[StreamTuple] = []
-        for item in current:
-            nxt.extend(op.process(0, item))
-        current = nxt
-    return current
+        items = op.process_batch(0, items)
+    return list(items)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import StreamTuple
+from ..tuples import TupleBlock
 from .base import StatelessOperator
 
 Predicate = Callable[[Mapping[str, Any]], bool]
@@ -31,31 +31,16 @@ class Filter(StatelessOperator):
         super().__init__(name, output_schema=output_schema)
         self.predicate = predicate
 
-    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        if not self.predicate(item.values):
-            return []
-        return [item]
-
-    def process_batch(self, port: int, items: Iterable[StreamTuple]) -> list[StreamTuple]:
-        """Bulk fast path: one predicate call per data tuple, no dispatch cost."""
-        self._check_port(port)
+    def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
+        """One predicate call per row; the matching rows pass through unchanged."""
         predicate = self.predicate
-        out: list[StreamTuple] = []
-        append = out.append
-        for item in items:
-            if item.is_data:
-                if item.is_tentative:
-                    self._seen_tentative_input = True
-                if predicate(item.values):
-                    append(item)
-            else:
-                out.extend(self.process(port, item))
-        return out
+        kept = run.take([i for i, values in enumerate(run.values) if predicate(values)])
+        return [kept] if kept else []
 
-    def handle_undo(self, port: int, item: StreamTuple) -> list[StreamTuple]:
+    def handle_undo(self, port: int, undo: TupleBlock) -> list[TupleBlock]:
         """Forward the undo verbatim: it names a position in the pass-through id space."""
-        return [item]
+        return [undo]
 
-    def handle_rec_done(self, port: int, item: StreamTuple) -> list[StreamTuple]:
+    def handle_rec_done(self, port: int, rec_done: TupleBlock) -> list[TupleBlock]:
         self._seen_tentative_input = False
-        return [item]
+        return [rec_done]

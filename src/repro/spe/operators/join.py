@@ -93,7 +93,7 @@ class Join(Operator):
             del self._buffers[port][0: len(self._buffers[port]) - self.state_size]
         return out
 
-    def _on_watermark(self, previous: float, current: float) -> list[StreamTuple]:
+    def _on_watermark(self, previous: float, current: float) -> list:
         # A buffered tuple with stime + window < watermark can never match a
         # future tuple (future tuples have stime >= watermark).
         for port in (0, 1):

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import StreamTuple
+from ..tuples import TupleBlock
 from .base import StatelessOperator
 
 Transform = Callable[[Mapping[str, Any]], Mapping[str, Any]]
@@ -24,24 +24,8 @@ class Map(StatelessOperator):
         super().__init__(name, output_schema=output_schema)
         self.transform = transform
 
-    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        values = dict(self.transform(item.values))
-        return [self.writer.data(item.stime, values, stable=not item.is_tentative)]
-
-    def process_batch(self, port: int, items: Iterable[StreamTuple]) -> list[StreamTuple]:
-        """Bulk fast path: one transform call and one tuple per data tuple."""
-        self._check_port(port)
+    def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
+        """One transform call per row; ids, stimes and labels stay columns."""
         transform = self.transform
-        writer_data = self.writer.data
-        out: list[StreamTuple] = []
-        append = out.append
-        for item in items:
-            if item.is_data:
-                if item.is_tentative:
-                    self._seen_tentative_input = True
-                    append(writer_data(item.stime, dict(transform(item.values)), False))
-                else:
-                    append(writer_data(item.stime, dict(transform(item.values)), True))
-            else:
-                out.extend(self.process(port, item))
-        return out
+        values = [dict(transform(values)) for values in run.values]
+        return [TupleBlock(run.codes, self.writer.take(len(run)), run.stimes, values)]

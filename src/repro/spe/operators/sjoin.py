@@ -16,11 +16,11 @@ the node non-trivial state to checkpoint and redo.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ...errors import OperatorError
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import StreamTuple
+from ..tuples import TENTATIVE, BlockBuffer, StreamTuple, TupleBlock
 from .base import Operator
 
 SJoinPredicate = Callable[[Mapping[str, Any], Mapping[str, Any]], bool]
@@ -72,71 +72,56 @@ class SJoin(Operator):
         self.emit_matches = emit_matches
         self.left_prefix = left_prefix
         self.right_prefix = right_prefix
-        self._state: list[StreamTuple] = []
+        #: The most recent ``state_size`` input tuples, as columns.
+        self._state = BlockBuffer()
 
     # ------------------------------------------------------------------ data path
-    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        out: list[StreamTuple] = []
+    def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
+        """Pass-through: relabel the run and slide the state window over it."""
         if self.emit_matches:
-            for candidate in self._state:
-                if abs(candidate.stime - item.stime) > self.window:
-                    continue
-                if not self.predicate(candidate.values, item.values):
-                    continue
-                values: dict[str, Any] = {}
-                for key, value in candidate.values.items():
-                    values[self.left_prefix + key] = value
-                for key, value in item.values.items():
-                    values[self.right_prefix + key] = value
-                tentative = candidate.is_tentative or item.is_tentative
-                out.append(self._emit(item.stime, values, tentative=tentative))
-        else:
-            out.append(self._forward(item, tentative=item.is_tentative))
-        self._state.append(item)
-        if len(self._state) > self.state_size:
-            del self._state[0: len(self._state) - self.state_size]
-        return out
+            return super()._process_run(port, run)
+        self._remember(run)
+        return [run.relabeled(self.writer.take(len(run)))]
 
-    def process_batch(self, port: int, items) -> list[StreamTuple]:
-        """Bulk fast path for the pass-through configuration (no match output).
-
-        One relabeled output tuple (sharing the input payload) and one state
-        append per data tuple; the match-emitting configuration falls back to
-        the generic per-tuple path.
-        """
-        if self.emit_matches:
-            return super().process_batch(port, items)
-        self._check_port(port)
-        out: list[StreamTuple] = []
-        append = out.append
-        writer_data = self.writer.data
+    def _remember(self, rows: Iterable[StreamTuple]) -> None:
         state = self._state
-        state_size = self.state_size
-        for item in items:
-            if item.is_data:
-                if item.is_tentative:
-                    self._seen_tentative_input = True
-                    append(writer_data(item.stime, item.values, False))
-                else:
-                    append(writer_data(item.stime, item.values, True))
-                state.append(item)
-                if len(state) > state_size:
-                    del state[0]
-            else:
-                out.extend(self.process(port, item))
-                state = self._state  # _on_watermark rebinds the state list
+        state.extend(rows)
+        if len(state) > self.state_size:
+            del state[: len(state) - self.state_size]
+
+    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
+        """Match-emitting configuration: one output tuple per join match."""
+        out: list[StreamTuple] = []
+        state = self._state
+        for stime, candidate, code in zip(state.stimes, state.values, state.codes):
+            if abs(stime - item.stime) > self.window:
+                continue
+            if not self.predicate(candidate, item.values):
+                continue
+            values: dict[str, Any] = {}
+            for key, value in candidate.items():
+                values[self.left_prefix + key] = value
+            for key, value in item.values.items():
+                values[self.right_prefix + key] = value
+            tentative = code == TENTATIVE or item.is_tentative
+            out.append(self._emit(item.stime, values, tentative=tentative))
+        self._remember((item,))
         return out
 
-    def _on_watermark(self, previous: float, current: float) -> list[StreamTuple]:
-        self._state = [t for t in self._state if t.stime + self.window >= current]
+    def _on_watermark(self, previous: float, current: float) -> list[TupleBlock]:
+        state, window = self._state, self.window
+        if state and min(state.stimes) + window < current:
+            self._state = BlockBuffer(
+                state.take([i for i, stime in enumerate(state.stimes) if stime + window >= current])
+            )
         return []
 
     # ------------------------------------------------------------------ checkpointing
     def _checkpoint_state(self) -> dict:
-        return {"state": list(self._state)}
+        return {"state": self._state[:]}
 
     def _restore_state(self, state: Mapping[str, Any]) -> None:
-        self._state = list(state.get("state", ()))
+        self._state = BlockBuffer(state.get("state", ()))
 
     @property
     def buffered_tuples(self) -> int:

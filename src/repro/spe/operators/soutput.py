@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import StreamTuple
+from ..tuples import REC_DONE, STABLE, TENTATIVE, UNDO, TupleBlock
 from .base import Operator
 
 
@@ -69,21 +69,21 @@ class SOutput(Operator):
         self._duplicates_to_drop = self._stable_since_checkpoint
         self._undo_pending = self._tentative_since_stable > 0
 
-    def end_reconciliation(self, stime: float) -> list[StreamTuple]:
+    def end_reconciliation(self, stime: float) -> TupleBlock:
         """Exit reconciliation and emit the REC_DONE marker."""
-        out: list[StreamTuple] = []
+        out: list[TupleBlock] = []
         if self._undo_pending:
             # Nothing corrected the tentative suffix (e.g. it turned out to be
             # correct as-is is impossible under redo, but the failure may have
             # produced no stable replacements); still revoke it so downstream
             # state converges.
             out.append(self._make_undo(stime))
-        out.append(self.writer.rec_done(stime))
+        out.append(self.writer.control(REC_DONE, stime))
         self._reconciling = False
         self._duplicates_to_drop = 0
         self._stable_since_checkpoint = 0
         self._tentative_since_stable = 0
-        return out
+        return TupleBlock.concat(out)
 
     @property
     def is_reconciling(self) -> bool:
@@ -95,69 +95,51 @@ class SOutput(Operator):
         return self._last_stable_out_id
 
     # ------------------------------------------------------------------ data path
-    def _make_undo(self, stime: float) -> StreamTuple:
+    def _make_undo(self, stime: float) -> TupleBlock:
         self._undo_pending = False
         self._tentative_since_stable = 0
         self.undos_emitted += 1
-        return self.writer.undo(stime, self._last_stable_out_id)
+        return self.writer.control(UNDO, stime, self._last_stable_out_id)
 
-    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        out: list[StreamTuple] = []
-        if self.downgrade_to_tentative and item.is_stable:
-            item = item.as_tentative()
-        if self._reconciling and item.is_stable and self._duplicates_to_drop > 0:
-            self._duplicates_to_drop -= 1
-            return out
-        if self._reconciling and self._undo_pending:
-            out.append(self._make_undo(item.stime))
-        if item.is_stable:
-            forwarded = self.writer.data(item.stime, item.values, True)
-            self._last_stable_out_id = forwarded.tuple_id
-            self._stable_since_checkpoint += 1
-            self._tentative_since_stable = 0
-            self.stable_forwarded += 1
+    def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
+        """Forward a data run: one relabel, counters read off the type column.
+
+        While reconciling, the stable duplicates the redo regenerates are cut
+        out first and the pending UNDO precedes whatever is left.
+        """
+        codes = run.codes
+        if self.downgrade_to_tentative:
+            codes = bytes([TENTATIVE]) * len(codes)
+        out = []
+        if self._reconciling:
+            if self._duplicates_to_drop and STABLE in codes:
+                kept = []
+                for position, code in enumerate(codes):
+                    if code == STABLE and self._duplicates_to_drop:
+                        self._duplicates_to_drop -= 1
+                    else:
+                        kept.append(position)
+                run = run.take(kept)
+                codes = run.codes  # not downgraded: a downgraded run has no stable row
+                if not kept:
+                    return []
+            if self._undo_pending:
+                out.append(self._make_undo(run.stimes[0]))
+        forwarded = run.relabeled(self.writer.take(len(codes)), codes)
+        stable = codes.count(STABLE)
+        if stable:
+            last = codes.rfind(STABLE)
+            self._last_stable_out_id = forwarded.ids[last]
+            self._stable_since_checkpoint += stable
+            self._tentative_since_stable = len(codes) - 1 - last
+            self.stable_forwarded += stable
         else:
-            forwarded = self.writer.data(item.stime, item.values, False)
-            self._tentative_since_stable += 1
-            self.tentative_forwarded += 1
+            self._tentative_since_stable += len(codes)
+        self.tentative_forwarded += len(codes) - stable
         out.append(forwarded)
         return out
 
-    def process_batch(self, port: int, items) -> list[StreamTuple]:
-        """Bulk fast path for the steady state (no reconciliation, no downgrade).
-
-        The forwarded tuple shares the input's payload mapping; reconciliation
-        and downgrade episodes fall back to the per-tuple path, re-checked on
-        every tuple because an UNDO in the batch can flip the mode mid-batch.
-        """
-        self._check_port(port)
-        out: list[StreamTuple] = []
-        append = out.append
-        writer_data = self.writer.data
-        for item in items:
-            if item.is_data and not self._reconciling and not self.downgrade_to_tentative:
-                if item.is_stable:
-                    forwarded = writer_data(item.stime, item.values, True)
-                    self._last_stable_out_id = forwarded.tuple_id
-                    self._stable_since_checkpoint += 1
-                    self._tentative_since_stable = 0
-                    self.stable_forwarded += 1
-                else:
-                    self._seen_tentative_input = True
-                    forwarded = writer_data(item.stime, item.values, False)
-                    self._tentative_since_stable += 1
-                    self.tentative_forwarded += 1
-                append(forwarded)
-            else:
-                out.extend(self.process(port, item))
-        return out
-
-    def handle_rec_done(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        """Forward REC_DONE coming from upstream operators in the fragment."""
-        self._seen_tentative_input = False
-        return [self.writer.rec_done(item.stime)]
-
-    def _accept_boundary(self, port: int, item: StreamTuple) -> list[StreamTuple]:
+    def _accept_boundary(self, port: int, boundary: TupleBlock) -> list[TupleBlock]:
         """Swallow punctuation while the fragment's output is downgraded.
 
         Tentative output carries no boundaries (Section 6): while the node is
@@ -172,7 +154,7 @@ class SOutput(Operator):
         """
         if self.downgrade_to_tentative:
             return []
-        return super()._accept_boundary(port, item)
+        return super()._accept_boundary(port, boundary)
 
     def reset_recovery_flags(self) -> None:
         """Clear transient failure-handling flags after a checkpoint adoption.

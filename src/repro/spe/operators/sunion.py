@@ -18,12 +18,26 @@ input buffering for reconciliation -- lives in
 from __future__ import annotations
 
 import math
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Any, Mapping
 
 from ...errors import OperatorError
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import StreamTuple
+from ..streams import strictly_increasing
+from ..tuples import TENTATIVE, TupleBlock
 from .base import Operator
+
+
+def _ids_grow_per_port(entries: list[tuple[int, TupleBlock]]) -> bool:
+    """Whether tuple ids strictly increase along the (port-sorted) entries of each port."""
+    last_port = last_id = None
+    for port, block in entries:
+        ids = block.ids
+        if not strictly_increasing(ids) or (port == last_port and ids[0] <= last_id):
+            return False
+        last_port, last_id = port, ids[-1]
+    return True
 
 
 def bucket_index(stime: float, bucket_size: float) -> int:
@@ -58,8 +72,9 @@ class SUnion(Operator):
         if bucket_size <= 0:
             raise OperatorError(f"bucket_size must be positive, got {bucket_size}")
         self.bucket_size = bucket_size
-        #: bucket index -> list of (port, tuple) awaiting stability.
-        self._buckets: dict[int, list[tuple[int, StreamTuple]]] = {}
+        #: bucket index -> (port, block slice) entries awaiting stability, in
+        #: arrival order.
+        self._buckets: dict[int, list[tuple[int, TupleBlock]]] = {}
         #: Highest bucket boundary (stime) already emitted.
         self._emitted_through = float("-inf")
         #: Optional clock (set by the processing node) used to record when a
@@ -77,62 +92,41 @@ class SUnion(Operator):
         self.late_drops = 0
 
     # ------------------------------------------------------------------ buffering
-    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        index = bucket_index(item.stime, self.bucket_size)
-        if (index + 1) * self.bucket_size <= self._emitted_through:
-            # The bucket covering this stime was already emitted; the tuple is
-            # late (typically a replay after a failure) and will reach the
-            # downstream state through reconciliation instead.
-            self.late_drops += 1
-            return []
-        if index not in self._buckets and self.arrival_clock is not None:
-            self._bucket_first_arrival[index] = float(self.arrival_clock())
-        self._buckets.setdefault(index, []).append((port, item))
+    def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
+        """Bucket a data run as block slices (one slice per bucket it spans).
+
+        Every row is bucketed by the same ``floor(stime / bucket_size)``; a
+        run whose smallest and largest stime share a bucket (the common case:
+        upstream emits one bucket at a time) is filed whole.
+        """
+        size = self.bucket_size
+        stimes = run.stimes
+        low = int(math.floor(min(stimes) / size))
+        if low == int(math.floor(max(stimes) / size)):
+            pieces = [(low, run)]
+        else:
+            indices = [int(math.floor(stime / size)) for stime in stimes]
+            pieces, start = [], 0
+            for index, rows in groupby(indices):
+                stop = start + len(list(rows))
+                pieces.append((index, run[start:stop]))
+                start = stop
+        for index, piece in pieces:
+            if (index + 1) * size <= self._emitted_through:
+                # The bucket covering these stimes was already emitted; the
+                # tuples are late (typically a replay after a failure) and
+                # reach the downstream state through reconciliation instead.
+                self.late_drops += len(piece)
+                continue
+            entries = self._buckets.get(index)
+            if entries is None:
+                if self.arrival_clock is not None:
+                    self._bucket_first_arrival[index] = float(self.arrival_clock())
+                entries = self._buckets[index] = []
+            entries.append((port, piece))
         return []
 
-    def process_batch(self, port: int, items) -> list[StreamTuple]:
-        """Bucket a whole batch with the per-tuple float math hoisted.
-
-        Identical semantics to pushing each tuple through :meth:`process`
-        (same ``floor(stime / bucket_size)`` arithmetic, so buckets cannot
-        shift), but the attribute lookups, the late-drop comparison bound,
-        and the bucket-dict handling are resolved once per batch instead of
-        once per tuple.  Control tuples fall back to the single-tuple path,
-        after which the hoisted locals are refreshed (a boundary can emit
-        buckets and advance ``_emitted_through``).
-        """
-        self._check_port(port)
-        out: list[StreamTuple] = []
-        buckets = self._buckets
-        bucket_size = self.bucket_size
-        clock = self.arrival_clock
-        floor = math.floor
-        emitted_through = self._emitted_through
-        for item in items:
-            if item.is_data:
-                if item.is_tentative:
-                    self._seen_tentative_input = True
-                index = int(floor(item.stime / bucket_size))
-                if (index + 1) * bucket_size <= emitted_through:
-                    self.late_drops += 1
-                    continue
-                entries = buckets.get(index)
-                if entries is not None:
-                    entries.append((port, item))
-                else:
-                    if clock is not None:
-                        self._bucket_first_arrival[index] = float(clock())
-                    buckets[index] = [(port, item)]
-            else:
-                out.extend(self.process(port, item))
-                # The fallback can emit buckets (boundary) or restore a
-                # checkpoint (undo), which *rebinds* self._buckets — refresh
-                # every hoisted local before touching another data tuple.
-                buckets = self._buckets
-                emitted_through = self._emitted_through
-        return out
-
-    def _on_watermark(self, previous: float, current: float) -> list[StreamTuple]:
+    def _on_watermark(self, previous: float, current: float) -> list[TupleBlock]:
         if self.hold_buckets:
             return []
         return self._emit_stable_through(current)
@@ -169,44 +163,54 @@ class SUnion(Operator):
         super().remove_port(port)
         for index, entries in self._buckets.items():
             self._buckets[index] = [
-                (p - 1 if p > port else p, item) for p, item in entries
+                (p - 1 if p > port else p, block) for p, block in entries
             ]
 
-    def release_held_buckets(self) -> list[StreamTuple]:
+    def release_held_buckets(self) -> TupleBlock:
         """Emit every bucket the current watermark already stabilized.
 
         Called by the node when it leaves failure handling without having
         processed anything tentative (the failure was masked): the buckets
         buffered while :attr:`hold_buckets` was set can be emitted stably.
         """
-        return self._emit_stable_through(self.watermark)
+        return TupleBlock.concat(self._emit_stable_through(self.watermark))
 
     # ------------------------------------------------------------------ emission
-    def _bucket_is_complete(self, index: int, watermark: float) -> bool:
-        """A bucket is stable once the watermark passes its upper edge."""
-        return watermark >= (index + 1) * self.bucket_size
+    def _serialize_bucket(self, index: int, tentative: bool = False) -> TupleBlock:
+        """Remove bucket ``index`` and emit it in ``(stime, port, tuple_id)`` order.
 
-    def _serialize_bucket(self, entries: list[tuple[int, StreamTuple]]) -> list[StreamTuple]:
-        ordered = sorted(entries, key=lambda e: (e[1].stime, e[0], e[1].tuple_id))
-        writer_data = self.writer.data
-        return [
-            writer_data(item.stime, item.values, stable=not item.is_tentative)
-            for _port, item in ordered
-        ]
+        The entries are laid out by port (arrival order within a port) and
+        stable-sorted by stime: one argsort of a float column and one gather
+        per column -- or nothing at all for the common bucket that arrives in
+        order.  That equals the key order whenever ids grow along each
+        port's arrivals (one producer numbered them); otherwise the full keys
+        are sorted.  The emitted block is relabeled onto this operator's
+        stream (stability labels kept, or all tentative for a forced emission).
+        """
+        entries = self._buckets.pop(index)
+        self._bucket_first_arrival.pop(index, None)
+        self._emitted_through = max(self._emitted_through, (index + 1) * self.bucket_size)
+        if len(entries) > 1:
+            entries.sort(key=itemgetter(0))
+        merged = TupleBlock.concat([block for _port, block in entries])
+        stimes = merged.stimes
+        if not _ids_grow_per_port(entries):
+            ports = chain.from_iterable(repeat(port, len(block)) for port, block in entries)
+            keys = list(zip(stimes, ports, merged.ids))
+            merged = merged.take(sorted(range(len(keys)), key=keys.__getitem__))
+        elif sorted(stimes) != list(stimes):
+            merged = merged.take(sorted(range(len(stimes)), key=stimes.__getitem__))
+        rows = len(merged.codes)
+        codes = bytes([TENTATIVE]) * rows if tentative else merged.codes
+        return merged.relabeled(self.writer.take(rows), codes)
 
-    def _emit_stable_through(self, watermark: float) -> list[StreamTuple]:
-        """Emit, in order, every buffered bucket the watermark has stabilized."""
-        ready = sorted(
-            index for index in self._buckets if self._bucket_is_complete(index, watermark)
-        )
-        out: list[StreamTuple] = []
-        for index in ready:
-            out.extend(self._serialize_bucket(self._buckets.pop(index)))
-            self._bucket_first_arrival.pop(index, None)
-            self._emitted_through = max(self._emitted_through, (index + 1) * self.bucket_size)
-        return out
+    def _emit_stable_through(self, watermark: float) -> list[TupleBlock]:
+        """Emit, in order, every buffered bucket the watermark has stabilized (one run each)."""
+        size = self.bucket_size
+        ready = [index for index in self._buckets if watermark >= (index + 1) * size]
+        return [self._serialize_bucket(index) for index in sorted(ready)]
 
-    def force_emit_pending(self) -> list[StreamTuple]:
+    def force_emit_pending(self) -> TupleBlock:
         """Emit every buffered bucket regardless of stability, labelled tentative.
 
         Used when a failure makes it impossible to ever stabilize the buckets
@@ -214,7 +218,7 @@ class SUnion(Operator):
         """
         return self._force_emit(sorted(self._buckets))
 
-    def force_emit_held_longer_than(self, now: float, min_hold: float) -> list[StreamTuple]:
+    def force_emit_held_longer_than(self, now: float, min_hold: float) -> TupleBlock:
         """Tentatively emit the buckets buffered for at least ``min_hold`` seconds.
 
         This is the knob the delay policies of Section 6 turn: under
@@ -229,16 +233,8 @@ class SUnion(Operator):
         )
         return self._force_emit(ready)
 
-    def _force_emit(self, indices: list[int]) -> list[StreamTuple]:
-        out: list[StreamTuple] = []
-        for index in indices:
-            for _port, item in sorted(
-                self._buckets.pop(index), key=lambda e: (e[1].stime, e[0], e[1].tuple_id)
-            ):
-                out.append(self.writer.data(item.stime, item.values, stable=False))
-            self._bucket_first_arrival.pop(index, None)
-            self._emitted_through = max(self._emitted_through, (index + 1) * self.bucket_size)
-        return out
+    def _force_emit(self, indices: list[int]) -> TupleBlock:
+        return TupleBlock.concat([self._serialize_bucket(index, tentative=True) for index in indices])
 
     def drop_tentative(self) -> int:
         """Remove buffered tentative tuples (an UNDO arrived on the input).
@@ -248,8 +244,14 @@ class SUnion(Operator):
         """
         dropped = 0
         for index in list(self._buckets):
-            kept = [(port, item) for port, item in self._buckets[index] if not item.is_tentative]
-            dropped += len(self._buckets[index]) - len(kept)
+            kept = []
+            for port, block in self._buckets[index]:
+                tentative = block.codes.count(TENTATIVE)
+                if tentative:
+                    dropped += tentative
+                    block = block.take([i for i, code in enumerate(block.codes) if code != TENTATIVE])
+                if block:
+                    kept.append((port, block))
             if kept:
                 self._buckets[index] = kept
             else:
@@ -261,7 +263,7 @@ class SUnion(Operator):
     @property
     def pending_tuples(self) -> int:
         """Number of buffered data tuples not yet emitted."""
-        return sum(len(entries) for entries in self._buckets.values())
+        return sum(len(block) for entries in self._buckets.values() for _port, block in entries)
 
     @property
     def pending_buckets(self) -> list[int]:
@@ -271,7 +273,7 @@ class SUnion(Operator):
     def _checkpoint_state(self) -> dict:
         return {
             "buckets": {
-                str(index): [(port, item) for port, item in entries]
+                str(index): list(entries)
                 for index, entries in self._buckets.items()
             },
             "first_arrival": {str(index): t for index, t in self._bucket_first_arrival.items()},
@@ -281,7 +283,7 @@ class SUnion(Operator):
 
     def _restore_state(self, state: Mapping[str, Any]) -> None:
         self._buckets = {
-            int(index): [(int(port), item) for port, item in entries]
+            int(index): [(int(port), TupleBlock.of(block)) for port, block in entries]
             for index, entries in state.get("buckets", {}).items()
         }
         self._bucket_first_arrival = {

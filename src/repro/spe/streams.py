@@ -15,10 +15,25 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Any
+from operator import lt
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import StreamError
-from .tuples import StreamTuple, TupleType
+from .tuples import (
+    BOUNDARY,
+    NO_VALUES,
+    REC_DONE,
+    UNDO,
+    BlockBuffer,
+    StreamTuple,
+    TupleBlock,
+    TupleType,
+)
+
+
+def strictly_increasing(ids: Sequence[int]) -> bool:
+    """Whether an id column grows along its rows (a ``range`` answers in O(1))."""
+    return ids.step > 0 if type(ids) is range else all(map(lt, ids, ids[1:]))
 
 
 @dataclass
@@ -29,55 +44,48 @@ class StreamWriter:
     next_id: int = 0
     last_boundary_stime: float = float("-inf")
 
-    def _take_id(self) -> int:
-        tuple_id = self.next_id
-        self.next_id += 1
-        return tuple_id
+    def take(self, count: int) -> range:
+        """The next ``count`` ids: relabeling a run is this plus a new block."""
+        first = self.next_id
+        self.next_id = first + count
+        return range(first, first + count)
 
     def insertion(self, stime: float, values: Mapping[str, Any]) -> StreamTuple:
-        return StreamTuple.insertion(self._take_id(), stime, values)
+        return StreamTuple.insertion(self.take(1)[0], stime, values)
 
     def tentative(self, stime: float, values: Mapping[str, Any]) -> StreamTuple:
-        return StreamTuple.tentative(self._take_id(), stime, values)
+        return StreamTuple.tentative(self.take(1)[0], stime, values)
 
-    def data(
-        self,
-        stime: float,
-        values: Mapping[str, Any],
-        stable: bool,
-        stable_seq: int | None = None,
-    ) -> StreamTuple:
-        """Emit a data tuple **sharing** ``values`` (relabeling fast path).
-
-        Callers must hand over a mapping that is already frozen by convention
-        (typically the payload of an existing tuple); see
-        :meth:`StreamTuple.data`.
-        """
-        tuple_id = self.next_id
-        self.next_id = tuple_id + 1
-        return StreamTuple.data(tuple_id, stime, values, stable, stable_seq)
-
-    def boundary(self, stime: float) -> StreamTuple:
-        """Emit a boundary; boundaries must carry non-decreasing stimes."""
+    def advance_boundary(self, stime: float) -> None:
+        """Record a boundary at ``stime``; boundaries must carry non-decreasing stimes."""
         if stime < self.last_boundary_stime:
             raise StreamError(
                 f"boundary stime {stime} moves backwards on {self.stream_name!r} "
                 f"(last was {self.last_boundary_stime})"
             )
         self.last_boundary_stime = stime
-        return StreamTuple.boundary(self._take_id(), stime)
+
+    def control(self, code: int, stime: float, undo_from_id: int | None = None) -> TupleBlock:
+        """Emit one control tuple (a type code of :mod:`.tuples`) as a block of one."""
+        if code == BOUNDARY:
+            self.advance_boundary(stime)
+        undo = None if undo_from_id is None else (undo_from_id,)
+        return TupleBlock(bytes((code,)), self.take(1), (stime,), (NO_VALUES,), undo)
+
+    def boundary(self, stime: float) -> StreamTuple:
+        return self.control(BOUNDARY, stime)[0]
 
     def undo(self, stime: float, undo_from_id: int) -> StreamTuple:
-        return StreamTuple.undo(self._take_id(), stime, undo_from_id)
+        return self.control(UNDO, stime, undo_from_id)[0]
 
     def rec_done(self, stime: float) -> StreamTuple:
-        return StreamTuple.rec_done(self._take_id(), stime)
+        return self.control(REC_DONE, stime)[0]
 
     def relabel(self, item: StreamTuple) -> StreamTuple:
         """Re-emit ``item`` on this stream with a fresh local id."""
         if item.is_boundary:
             return self.boundary(max(item.stime, self.last_boundary_stime))
-        return item.with_id(self._take_id())
+        return item.with_id(self.take(1)[0])
 
     def snapshot(self) -> dict:
         """State needed to restore this writer (used by node checkpoints)."""
@@ -90,11 +98,11 @@ class StreamWriter:
 
 @dataclass
 class StreamLog:
-    """Append-only log of the tuples produced on one stream.
+    """Append-only log of the tuples produced on one stream, held as columns.
 
     The log supports the three operations DPC needs:
 
-    * ``append`` new tuples as they are produced;
+    * ``extend`` with new tuples as they are produced;
     * ``replay_after(tuple_id)`` for a downstream replica that subscribes with
       the id of the last (stable) tuple it received;
     * ``truncate_through(tuple_id)`` once every replica of every downstream
@@ -103,7 +111,7 @@ class StreamLog:
 
     stream_name: str
     max_tuples: int | None = None
-    _entries: list[StreamTuple] = field(default_factory=list)
+    _entries: BlockBuffer = field(default_factory=BlockBuffer)
     _truncated_through: int = -1
 
     def __len__(self) -> int:
@@ -120,37 +128,33 @@ class StreamLog:
     @property
     def last_id(self) -> int:
         """Id of the most recently appended tuple, or -1 when empty."""
-        if self._entries:
-            return self._entries[-1].tuple_id
-        return self._truncated_through
+        ids = self._entries.ids
+        return ids[-1] if ids else self._truncated_through
 
     @property
     def is_full(self) -> bool:
         return self.max_tuples is not None and len(self._entries) >= self.max_tuples
 
     def append(self, item: StreamTuple) -> None:
-        """Append one tuple; ids must be strictly increasing."""
-        if self._entries and item.tuple_id <= self._entries[-1].tuple_id:
-            raise StreamError(
-                f"tuple id {item.tuple_id} not increasing on {self.stream_name!r} "
-                f"(last was {self._entries[-1].tuple_id})"
-            )
-        if item.tuple_id <= self._truncated_through:
-            raise StreamError(
-                f"tuple id {item.tuple_id} was already truncated on {self.stream_name!r}"
-            )
-        self._entries.append(item)
+        self.extend((item,))
 
     def extend(self, items: Iterable[StreamTuple]) -> None:
-        for item in items:
-            self.append(item)
+        """Append a run of tuples; ids must be strictly increasing."""
+        block = TupleBlock.of(items)
+        ids = block.ids
+        if ids and not (ids[0] > self.last_id and strictly_increasing(ids)):
+            raise StreamError(
+                f"tuple ids {ids[0]}..{ids[-1]} not increasing on {self.stream_name!r} "
+                f"(last was {self.last_id}, truncated through {self._truncated_through})"
+            )
+        self._entries.extend(block)
 
     def _suffix_start(self, tuple_id: int) -> int:
         """Index of the first entry with id > ``tuple_id`` (ids are sorted)."""
-        return bisect_right(self._entries, tuple_id, key=lambda t: t.tuple_id)
+        return bisect_right(self._entries.ids, tuple_id)
 
-    def replay_after(self, tuple_id: int) -> list[StreamTuple]:
-        """All tuples with id strictly greater than ``tuple_id``.
+    def replay_after(self, tuple_id: int) -> TupleBlock:
+        """All tuples with id strictly greater than ``tuple_id``, as one block.
 
         Raises :class:`StreamError` if that suffix is no longer available
         because the log was truncated past it.  Appends keep ids strictly
@@ -175,10 +179,8 @@ class StreamLog:
 
     def last_stable_id(self) -> int:
         """Id of the last stable data tuple in the log, or -1 if none."""
-        for item in reversed(self._entries):
-            if item.is_stable:
-                return item.tuple_id
-        return -1
+        last = self._entries.codes.rfind(0)
+        return self._entries.ids[last] if last >= 0 else -1
 
     def tail_after_last_stable(self) -> list[StreamTuple]:
         """The (tentative) suffix following the last stable tuple."""

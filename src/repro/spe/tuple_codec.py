@@ -32,25 +32,11 @@ from itertools import groupby
 from typing import Any, Callable, Sequence
 
 from ..errors import ReproError
-from .tuples import StreamTuple, TupleType
+from .tuples import EMPTY_BLOCK, TYPE_BY_CODE, StreamTuple, TupleBlock
 
 
 class WireError(ReproError):
     """A frame could not be encoded or decoded."""
-
-
-# --------------------------------------------------------------------------- enum tables
-#: Fixed on-wire order of tuple types (index = wire byte).  Append-only.
-_TUPLE_TYPES: tuple[TupleType, ...] = (
-    TupleType.INSERTION,
-    TupleType.TENTATIVE,
-    TupleType.BOUNDARY,
-    TupleType.UNDO,
-    TupleType.REC_DONE,
-    TupleType.UP_FAILURE,
-    TupleType.REC_REQUEST,
-)
-_TUPLE_TYPE_INDEX = {member: index for index, member in enumerate(_TUPLE_TYPES)}
 
 
 # --------------------------------------------------------------------------- primitives
@@ -219,9 +205,9 @@ _ALL_INT = {int}
 _ALL_FLOAT = {float}
 
 
-def _w_sparse(out: bytearray, column: list) -> None:
+def _w_sparse(out: bytearray, column: list | None) -> None:
     """Optional int64 column: ``0`` (all ``None``) or ``1`` + presence bytes + values."""
-    if column.count(None) == len(column):
+    if column is None or column.count(None) == len(column):
         out.append(0)
         return
     out.append(1)
@@ -229,10 +215,10 @@ def _w_sparse(out: bytearray, column: list) -> None:
     out += _packed(_INT64, [value for value in column if value is not None])
 
 
-def _r_sparse(buf: memoryview, pos: int, count: int) -> tuple[list, int]:
+def _r_sparse(buf: memoryview, pos: int, count: int) -> tuple[list | None, int]:
     mode, pos = _r_byte(buf, pos)
     if mode == 0:
-        return [None] * count, pos
+        return None, pos
     if mode != 1:
         raise WireError(f"unknown sparse column mode {mode}")
     span, pos = _r_span(buf, pos, count)
@@ -281,23 +267,24 @@ def _r_column(buf: memoryview, pos: int, count: int) -> tuple[list, int]:
 
 
 def _w_tuples(out: bytearray, tuples: Sequence[StreamTuple]) -> None:
-    count = len(tuples)
+    """Encode a run from its columns (a row sequence is made a block first)."""
+    block = TupleBlock.of(tuples)
+    count = len(block)
     _w_uvarint(out, count)
     if not count:
         return
+    if max(block.codes) >= len(TYPE_BY_CODE):
+        raise WireError(f"unknown tuple type code {max(block.codes)}")
+    out += block.codes
     try:
-        out += bytes([_TUPLE_TYPE_INDEX[item.tuple_type] for item in tuples])
-    except KeyError as exc:
-        raise WireError(f"unknown tuple type {exc.args[0]!r}") from None
-    try:
-        out += _packed(_INT64, [item.tuple_id for item in tuples])
-        out += _packed(_FLOAT64, [item.stime for item in tuples])
-        _w_sparse(out, [item.undo_from_id for item in tuples])
-        _w_sparse(out, [item.stable_seq for item in tuples])
+        out += _packed(_INT64, block.ids)
+        out += _packed(_FLOAT64, block.stimes)
+        _w_sparse(out, block.undo_from_ids)
+        _w_sparse(out, block.stable_seqs)
     except (OverflowError, TypeError) as exc:
         raise WireError(f"tuple header field does not fit its packed column: {exc}") from None
     # Schema runs: key names once per run, then one column per key.
-    payloads = [item.values for item in tuples]
+    payloads = block.values
     start = 0
     for keys, run in groupby(map(tuple, payloads)):
         length = len(list(run))
@@ -312,17 +299,17 @@ def _w_tuples(out: bytearray, tuples: Sequence[StreamTuple]) -> None:
         start += length
 
 
-def _r_tuples(buf: memoryview, pos: int) -> tuple[list[StreamTuple], int]:
+def _r_tuples(buf: memoryview, pos: int) -> tuple[TupleBlock, int]:
+    """Decode a run straight into a block: no row object is built."""
     count, pos = _r_uvarint(buf, pos)
     if not count:
-        return [], pos
+        return EMPTY_BLOCK, pos
     # The type column needs ``count`` bytes, so a corrupt count fails here
     # before any list of that size exists.
     span, pos = _r_span(buf, pos, count)
-    try:
-        types = [_TUPLE_TYPES[code] for code in span]
-    except IndexError:
-        raise WireError(f"unknown tuple type index {max(span)}") from None
+    codes = bytes(span)
+    if max(codes) >= len(TYPE_BY_CODE):
+        raise WireError(f"unknown tuple type index {max(codes)}")
     ids, pos = _r_packed(buf, pos, _INT64, count)
     stimes, pos = _r_packed(buf, pos, _FLOAT64, count)
     undo_from_ids, pos = _r_sparse(buf, pos, count)
@@ -345,7 +332,7 @@ def _r_tuples(buf: memoryview, pos: int) -> tuple[list[StreamTuple], int]:
             column, pos = _r_column(buf, pos, length)
             columns.append(column)
         payloads += [dict(zip(keys, row)) for row in zip(*columns)]
-    return StreamTuple.from_columns(types, ids, stimes, payloads, undo_from_ids, stable_seqs), pos
+    return TupleBlock(codes, ids, stimes, payloads, undo_from_ids, stable_seqs), pos
 
 
 # --------------------------------------------------------------------------- standalone runs
@@ -361,7 +348,7 @@ def encode_tuples(tuples: Sequence[StreamTuple]) -> bytes:
     return bytes(out)
 
 
-def decode_tuples(data: bytes) -> list[StreamTuple]:
+def decode_tuples(data: bytes) -> TupleBlock:
     """Decode a run produced by :func:`encode_tuples` (any bytes-like object)."""
     buf = memoryview(data)
     items, pos = _r_tuples(buf, 0)

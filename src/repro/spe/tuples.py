@@ -5,44 +5,43 @@ The paper (Section 4.1, Table I) extends the classic Borealis tuple
 
     (tuple_type, tuple_id, tuple_stime, a1, ..., am)
 
-This module provides :class:`StreamTuple`, the immutable value object used on
-every stream in the reproduction, plus :class:`TupleType` covering both the
-data-stream types (INSERTION, TENTATIVE, BOUNDARY, UNDO, REC_DONE) and the
-control-stream signals SUnion/SOutput send to the Consistency Manager
-(UP_FAILURE, REC_REQUEST).
+Two representations of that model live here (see DESIGN.md, "Performance"):
 
-Hot-path design (see DESIGN.md, "Performance"): a simulated run pushes tens
-of thousands of tuples through every operator of every replica, so the tuple
-model is built for per-instance cost rather than generic convenience:
+* :class:`TupleBlock` -- a run of tuples held **column-wise**: one type-code
+  byte per row, an id column, ``stimes`` and payload-mapping lists, and two
+  sparse columns (``undo_from_id``, ``stable_seq``).  It is the unit of work
+  from the data sources to the client ledger: sources, logs, network batches,
+  operators, output buffers, the wire codec and the ledger produce and
+  consume blocks, so a stable tuple crossing a node costs a few C-level list
+  operations, not a Python object per hop.  :class:`BlockBuffer` is its
+  growable sibling for the places that accumulate rows.
+* :class:`StreamTuple` -- one row as a ``__slots__`` object whose type
+  predicates (``is_data``, ``is_stable``, ...) are plain attributes.  A block
+  is a ``Sequence[StreamTuple]``: rows are built only when someone indexes or
+  iterates it (control-tuple handlers, operators that work row by row, tests).
 
-* ``StreamTuple`` is a ``__slots__`` class.  The type predicates
-  (``is_data``, ``is_stable``, ...) are **plain attributes** precomputed from
-  the interned :class:`TupleType` at construction -- reading one costs a slot
-  load, not a property call plus an ``Enum`` membership test.
-* The factory classmethods and the copying transforms build instances with
-  ``object.__new__`` and direct slot stores, skipping ``__init__`` dispatch
-  and, for the transforms, skipping payload-dict allocation entirely: the
-  copy *shares* the source tuple's ``values`` mapping.
-* Instances are immutable **by convention**: nothing in the codebase ever
-  mutates a tuple (payload dicts included) after construction, so relabeled
-  copies share payload mappings and ``copy.copy`` / ``copy.deepcopy`` return
-  the tuple itself -- a checkpoint container that deep-copies captured
-  state holds the buffered tuples by reference.  ``__slots__`` still rejects
-  foreign attributes outright.
+Rows, blocks and payload mappings are immutable **by convention**: nothing
+mutates them after construction, so relabeled blocks share the ``stimes`` /
+``values`` lists of the block they came from, and ``copy.copy`` /
+``copy.deepcopy`` return the object itself -- a checkpoint that deep-copies
+captured state holds buffered tuples by reference.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Sequence
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Mapping
 
 
 class TupleType(str, Enum):
-    """Tuple types from Table I of the paper.
+    """Tuple types from Table I of the paper (members are interned singletons).
 
-    Members are interned singletons; the predicate table below precomputes
-    each member's classification once so per-tuple code never re-tests
-    membership in a set of string enums.
+    The definition order is the *type code* of a row in a :class:`TupleBlock`
+    and the type byte of the wire format: append-only.
     """
 
     #: Regular stable tuple.
@@ -62,39 +61,27 @@ class TupleType(str, Enum):
     REC_REQUEST = "rec_request"
 
 
-#: tuple_type -> (is_data, is_stable, is_tentative, is_boundary, is_undo,
-#: is_rec_done), unpacked into the slots of every constructed tuple.
-_PREDICATES_BY_TYPE: dict[TupleType, tuple[bool, bool, bool, bool, bool, bool]] = {
-    TupleType.INSERTION: (True, True, False, False, False, False),
-    TupleType.TENTATIVE: (True, False, True, False, False, False),
-    TupleType.BOUNDARY: (False, False, False, True, False, False),
-    TupleType.UNDO: (False, False, False, False, True, False),
-    TupleType.REC_DONE: (False, False, False, False, False, True),
-    TupleType.UP_FAILURE: (False, False, False, False, False, False),
-    TupleType.REC_REQUEST: (False, False, False, False, False, False),
-}
-
+#: Type code -> member, and back.  Codes 0 and 1 are the data types, so
+#: ``code < 2`` reads "data row" and ``code == 0`` "stable row".
+TYPE_BY_CODE: tuple[TupleType, ...] = tuple(TupleType)
+CODE_BY_TYPE = {member: code for code, member in enumerate(TYPE_BY_CODE)}
+STABLE, TENTATIVE, BOUNDARY, UNDO, REC_DONE = range(5)
 
 #: Tuple types that carry application data (payload values).
 DATA_TYPES = frozenset({TupleType.INSERTION, TupleType.TENTATIVE})
 
 #: Tuple types that may legally appear on a data stream between nodes.
-STREAM_TYPES = frozenset(
-    {
-        TupleType.INSERTION,
-        TupleType.TENTATIVE,
-        TupleType.BOUNDARY,
-        TupleType.UNDO,
-        TupleType.REC_DONE,
-    }
-)
+STREAM_TYPES = frozenset(TYPE_BY_CODE[:5])
 
+#: code -> (is_data, is_stable, is_tentative, is_boundary, is_undo, is_rec_done).
+_PREDICATES = tuple(
+    (code < 2, code == 0, code == 1, code == 2, code == 3, code == 4)
+    for code in range(len(TYPE_BY_CODE))
+)
+_CONTROL_ROW = re.compile(rb"[^\x00\x01]")
+#: Payload of every control tuple built column-wise (never mutated, like all payloads).
+NO_VALUES: Mapping[str, Any] = {}
 _new = object.__new__
-_INSERTION = TupleType.INSERTION
-_TENTATIVE = TupleType.TENTATIVE
-_BOUNDARY = TupleType.BOUNDARY
-_UNDO = TupleType.UNDO
-_REC_DONE = TupleType.REC_DONE
 
 
 class StreamTuple:
@@ -129,19 +116,9 @@ class StreamTuple:
     """
 
     __slots__ = (
-        "tuple_type",
-        "tuple_id",
-        "stime",
-        "values",
-        "undo_from_id",
-        "stable_seq",
-        "is_data",
-        "is_stable",
-        "is_tentative",
-        "is_boundary",
-        "is_undo",
-        "is_rec_done",
-    )
+        "tuple_type", "tuple_id", "stime", "values", "undo_from_id", "stable_seq",
+        "is_data", "is_stable", "is_tentative", "is_boundary", "is_undo", "is_rec_done",
+    )  # fmt: skip
 
     def __init__(
         self,
@@ -158,51 +135,20 @@ class StreamTuple:
         self.values = {} if values is None else values
         self.undo_from_id = undo_from_id
         self.stable_seq = stable_seq
-        (
-            self.is_data,
-            self.is_stable,
-            self.is_tentative,
-            self.is_boundary,
-            self.is_undo,
-            self.is_rec_done,
-        ) = _PREDICATES_BY_TYPE[tuple_type]
+        flags = _PREDICATES[CODE_BY_TYPE[tuple_type]]
+        self.is_data, self.is_stable, self.is_tentative = flags[:3]
+        self.is_boundary, self.is_undo, self.is_rec_done = flags[3:]
 
     # ---------------------------------------------------------------- classmethods
     @classmethod
     def insertion(cls, tuple_id: int, stime: float, values: Mapping[str, Any]) -> "StreamTuple":
         """Create a stable data tuple (the payload mapping is copied)."""
-        t = _new(cls)
-        t.tuple_type = _INSERTION
-        t.tuple_id = tuple_id
-        t.stime = stime
-        t.values = dict(values)
-        t.undo_from_id = None
-        t.stable_seq = None
-        t.is_data = True
-        t.is_stable = True
-        t.is_tentative = False
-        t.is_boundary = False
-        t.is_undo = False
-        t.is_rec_done = False
-        return t
+        return _row(STABLE, tuple_id, stime, dict(values))
 
     @classmethod
     def tentative(cls, tuple_id: int, stime: float, values: Mapping[str, Any]) -> "StreamTuple":
         """Create a tentative data tuple (the payload mapping is copied)."""
-        t = _new(cls)
-        t.tuple_type = _TENTATIVE
-        t.tuple_id = tuple_id
-        t.stime = stime
-        t.values = dict(values)
-        t.undo_from_id = None
-        t.stable_seq = None
-        t.is_data = True
-        t.is_stable = False
-        t.is_tentative = True
-        t.is_boundary = False
-        t.is_undo = False
-        t.is_rec_done = False
-        return t
+        return _row(TENTATIVE, tuple_id, stime, dict(values))
 
     @classmethod
     def data(
@@ -213,132 +159,23 @@ class StreamTuple:
         stable: bool,
         stable_seq: int | None = None,
     ) -> "StreamTuple":
-        """Create a data tuple **sharing** ``values`` (no defensive copy).
-
-        The allocation-free sibling of :meth:`insertion` / :meth:`tentative`
-        for relabeling paths whose payload already belongs to another tuple
-        (SUnion serialization, SOutput forwarding, the node data path): the
-        payload of a constructed tuple is frozen by convention, so re-wrapping
-        it needs no copy.  The node data path passes the ``stable_seq`` it
-        stamps, so a buffered output tuple costs one allocation.
-        """
-        t = _new(cls)
-        t.tuple_id = tuple_id
-        t.stime = stime
-        t.values = values
-        t.undo_from_id = None
-        t.stable_seq = stable_seq
-        t.is_data = True
-        t.is_boundary = False
-        t.is_undo = False
-        t.is_rec_done = False
-        if stable:
-            t.tuple_type = _INSERTION
-            t.is_stable = True
-            t.is_tentative = False
-        else:
-            t.tuple_type = _TENTATIVE
-            t.is_stable = False
-            t.is_tentative = True
-        return t
+        """Create a data tuple **sharing** ``values`` (no defensive copy)."""
+        return _row(STABLE if stable else TENTATIVE, tuple_id, stime, values, None, stable_seq)
 
     @classmethod
     def boundary(cls, tuple_id: int, stime: float) -> "StreamTuple":
         """Create a boundary tuple promising no later tuple has stime < ``stime``."""
-        t = _new(cls)
-        t.tuple_type = _BOUNDARY
-        t.tuple_id = tuple_id
-        t.stime = stime
-        t.values = {}
-        t.undo_from_id = None
-        t.stable_seq = None
-        t.is_data = False
-        t.is_stable = False
-        t.is_tentative = False
-        t.is_boundary = True
-        t.is_undo = False
-        t.is_rec_done = False
-        return t
+        return _row(BOUNDARY, tuple_id, stime, {})
 
     @classmethod
     def undo(cls, tuple_id: int, stime: float, undo_from_id: int) -> "StreamTuple":
         """Create an undo tuple revoking every tuple after ``undo_from_id``."""
-        t = _new(cls)
-        t.tuple_type = _UNDO
-        t.tuple_id = tuple_id
-        t.stime = stime
-        t.values = {}
-        t.undo_from_id = undo_from_id
-        t.stable_seq = None
-        t.is_data = False
-        t.is_stable = False
-        t.is_tentative = False
-        t.is_boundary = False
-        t.is_undo = True
-        t.is_rec_done = False
-        return t
+        return _row(UNDO, tuple_id, stime, {}, undo_from_id)
 
     @classmethod
     def rec_done(cls, tuple_id: int, stime: float) -> "StreamTuple":
         """Create a tuple marking the end of a burst of corrections."""
-        t = _new(cls)
-        t.tuple_type = _REC_DONE
-        t.tuple_id = tuple_id
-        t.stime = stime
-        t.values = {}
-        t.undo_from_id = None
-        t.stable_seq = None
-        t.is_data = False
-        t.is_stable = False
-        t.is_tentative = False
-        t.is_boundary = False
-        t.is_undo = False
-        t.is_rec_done = True
-        return t
-
-    @classmethod
-    def from_columns(
-        cls,
-        tuple_types: Sequence[TupleType],
-        tuple_ids: Sequence[int],
-        stimes: Sequence[float],
-        values: Sequence[Mapping[str, Any]],
-        undo_from_ids: Sequence[int | None],
-        stable_seqs: Sequence[int | None],
-    ) -> "list[StreamTuple]":
-        """Create one tuple per row of six equal-length columns.
-
-        The bulk sibling of ``__init__`` for decoders that hold a batch
-        column-wise: each payload mapping is attached as is (no copy), and the
-        predicate flags are looked up once per stretch of equal types rather
-        than once per tuple.
-        """
-        tuples = []
-        append = tuples.append
-        last_type = None
-        for tuple_type, tuple_id, stime, payload, undo_from_id, stable_seq in zip(
-            tuple_types, tuple_ids, stimes, values, undo_from_ids, stable_seqs
-        ):
-            if tuple_type is not last_type:
-                predicates = _PREDICATES_BY_TYPE[tuple_type]
-                last_type = tuple_type
-            t = _new(cls)
-            t.tuple_type = tuple_type
-            t.tuple_id = tuple_id
-            t.stime = stime
-            t.values = payload
-            t.undo_from_id = undo_from_id
-            t.stable_seq = stable_seq
-            (
-                t.is_data,
-                t.is_stable,
-                t.is_tentative,
-                t.is_boundary,
-                t.is_undo,
-                t.is_rec_done,
-            ) = predicates
-            append(t)
-        return tuples
+        return _row(REC_DONE, tuple_id, stime, {})
 
     # ---------------------------------------------------------------- transforms
     def as_tentative(self) -> "StreamTuple":
@@ -346,91 +183,32 @@ class StreamTuple:
 
         The copy shares this tuple's payload mapping and **deliberately drops
         ``stable_seq`` and ``undo_from_id``**: a relabeled data tuple is a
-        *new fact on a new stream position*.  ``stable_seq`` is the stamped
-        position in a producer's logical *stable* stream -- a tentative copy
-        has no such position (only stable tuples are numbered), and the
-        stability downgrade happens before the data path stamps positions
-        anyway.  ``undo_from_id`` only ever travels on UNDO tuples, which are
-        not data and are returned unchanged.  Non-data tuples (boundaries,
-        undos, REC_DONE) pass through as ``self``.
+        *new fact on a new stream position* (only stable tuples are numbered,
+        and ``undo_from_id`` only ever travels on UNDO tuples).  Non-data
+        tuples pass through as ``self``.
         """
-        if not self.is_data:
-            return self
-        t = _new(StreamTuple)
-        t.tuple_type = _TENTATIVE
-        t.tuple_id = self.tuple_id
-        t.stime = self.stime
-        t.values = self.values
-        t.undo_from_id = None
-        t.stable_seq = None
-        t.is_data = True
-        t.is_stable = False
-        t.is_tentative = True
-        t.is_boundary = False
-        t.is_undo = False
-        t.is_rec_done = False
-        return t
+        return _row(TENTATIVE, self.tuple_id, self.stime, self.values) if self.is_data else self
 
     def as_stable(self) -> "StreamTuple":
         """Return a stable copy of this tuple (data tuples only).
 
-        Mirror of :meth:`as_tentative`: shares the payload and drops
-        ``stable_seq`` / ``undo_from_id``.  The dropped ``stable_seq`` is
+        Mirror of :meth:`as_tentative`.  The dropped ``stable_seq`` is
         load-bearing -- an upgraded tuple must *not* carry the position some
         other producer stamped on its tentative ancestor; the data path of
         whichever node emits the stable version assigns the authoritative
         position when it appends the tuple to its output buffer.
         """
-        if not self.is_data:
-            return self
-        t = _new(StreamTuple)
-        t.tuple_type = _INSERTION
-        t.tuple_id = self.tuple_id
-        t.stime = self.stime
-        t.values = self.values
-        t.undo_from_id = None
-        t.stable_seq = None
-        t.is_data = True
-        t.is_stable = True
-        t.is_tentative = False
-        t.is_boundary = False
-        t.is_undo = False
-        t.is_rec_done = False
-        return t
+        return _row(STABLE, self.tuple_id, self.stime, self.values) if self.is_data else self
 
     def with_id(self, tuple_id: int) -> "StreamTuple":
         """Return a copy of this tuple carrying a different stream-local id."""
-        t = _new(StreamTuple)
-        t.tuple_type = self.tuple_type
-        t.tuple_id = tuple_id
-        t.stime = self.stime
-        t.values = self.values
-        t.undo_from_id = self.undo_from_id
-        t.stable_seq = self.stable_seq
-        t.is_data = self.is_data
-        t.is_stable = self.is_stable
-        t.is_tentative = self.is_tentative
-        t.is_boundary = self.is_boundary
-        t.is_undo = self.is_undo
-        t.is_rec_done = self.is_rec_done
-        return t
+        code = CODE_BY_TYPE[self.tuple_type]
+        return _row(code, tuple_id, self.stime, self.values, self.undo_from_id, self.stable_seq)
 
     def with_stable_seq(self, stable_seq: int) -> "StreamTuple":
         """Return a copy carrying its position in the logical stable stream."""
-        t = _new(StreamTuple)
-        t.tuple_type = self.tuple_type
-        t.tuple_id = self.tuple_id
-        t.stime = self.stime
-        t.values = self.values
-        t.undo_from_id = self.undo_from_id
-        t.stable_seq = stable_seq
-        t.is_data = self.is_data
-        t.is_stable = self.is_stable
-        t.is_tentative = self.is_tentative
-        t.is_boundary = self.is_boundary
-        t.is_undo = self.is_undo
-        t.is_rec_done = self.is_rec_done
-        return t
+        code = CODE_BY_TYPE[self.tuple_type]
+        return _row(code, self.tuple_id, self.stime, self.values, self.undo_from_id, stable_seq)
 
     def with_values(self, values: Mapping[str, Any]) -> "StreamTuple":
         """Return a copy of this tuple with different attribute values (copied)."""
@@ -457,20 +235,10 @@ class StreamTuple:
 
     __hash__ = None  # mutable payload mapping: identity-free hashing is a bug farm
 
-    def __copy__(self) -> "StreamTuple":
+    def __deepcopy__(self, memo=None) -> "StreamTuple":
         return self
 
-    def __deepcopy__(self, memo) -> "StreamTuple":
-        return self
-
-    def __getstate__(self):
-        """Slot state for pickling (live checkpoints cross processes by pickle)."""
-        return None, {slot: getattr(self, slot) for slot in StreamTuple.__slots__}
-
-    def __setstate__(self, state) -> None:
-        _dict, slots = state
-        for slot, value in slots.items():
-            setattr(self, slot, value)
+    __copy__ = __deepcopy__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = self.tuple_type.value.upper()
@@ -481,14 +249,249 @@ class StreamTuple:
         return f"<{kind} id={self.tuple_id} stime={self.stime:.3f}>"
 
 
+def _row(code, tuple_id, stime, values, undo_from_id=None, stable_seq=None) -> StreamTuple:
+    """Build one row; every :class:`StreamTuple` not made by ``__init__`` comes from here."""
+    t = _new(StreamTuple)
+    t.tuple_type = TYPE_BY_CODE[code]
+    t.tuple_id = tuple_id
+    t.stime = stime
+    t.values = values
+    t.undo_from_id = undo_from_id
+    t.stable_seq = stable_seq
+    t.is_data, t.is_stable, t.is_tentative, t.is_boundary, t.is_undo, t.is_rec_done = (
+        _PREDICATES[code]
+    )
+    return t
+
+
+# --------------------------------------------------------------------------- blocks
+def _sparse(column: Sequence | None) -> Sequence | None:
+    """``None`` for a sparse column without a single value."""
+    return None if column is None or column.count(None) == len(column) else column
+
+
+class TupleBlock(Sequence):
+    """A run of tuples as parallel columns; a ``Sequence[StreamTuple]``.
+
+    ``codes`` is one type code per row (``bytes``), ``ids`` any int sequence
+    (a ``range`` when one writer numbered the run), ``stimes`` and ``values``
+    lists that relabeled blocks **share by reference** and nobody mutates;
+    ``undo_from_ids`` / ``stable_seqs`` are ``None`` when no row has a value,
+    else full-length lists with ``None`` holes.  The payload column holds row
+    mappings because predicates and transforms are user callables over one
+    mapping.  Indexing or iterating builds :class:`StreamTuple` rows.
+    """
+
+    __slots__ = ("codes", "ids", "stimes", "values", "undo_from_ids", "stable_seqs")
+
+    def __init__(self, codes, ids, stimes, values, undo_from_ids=None, stable_seqs=None) -> None:
+        self.codes = codes
+        self.ids = ids
+        self.stimes = stimes
+        self.values = values
+        self.undo_from_ids = undo_from_ids
+        self.stable_seqs = stable_seqs
+
+    @staticmethod
+    def of(rows: "Iterable[StreamTuple]") -> "TupleBlock":
+        """``rows`` as a block: the adapter at every entry point that takes tuples."""
+        if rows.__class__ is TupleBlock:
+            return rows
+        if isinstance(rows, TupleBlock):  # a buffer: detach from its growing columns
+            return rows[:]
+        rows = tuple(rows)
+        if not rows:
+            return EMPTY_BLOCK
+        return TupleBlock(
+            bytes([CODE_BY_TYPE[row.tuple_type] for row in rows]),
+            [row.tuple_id for row in rows],
+            [row.stime for row in rows],
+            [row.values for row in rows],
+            _sparse([row.undo_from_id for row in rows]),
+            _sparse([row.stable_seq for row in rows]),
+        )
+
+    @staticmethod
+    def concat(parts: "Iterable[Iterable[StreamTuple]]") -> "TupleBlock":
+        """The parts (blocks or row lists) as one block, in order."""
+        blocks = [block for block in map(TupleBlock.of, parts) if block.codes]
+        if len(blocks) < 2:
+            return blocks[0] if blocks else EMPTY_BLOCK
+        return TupleBlock(
+            b"".join([block.codes for block in blocks]),
+            list(chain.from_iterable([block.ids for block in blocks])),
+            list(chain.from_iterable([block.stimes for block in blocks])),
+            list(chain.from_iterable([block.values for block in blocks])),
+            _joined([block.undo_from_ids for block in blocks], blocks),
+            _joined([block.stable_seqs for block in blocks], blocks),
+        )
+
+    # ---------------------------------------------------------------- rows
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def _pick(self, pick) -> "TupleBlock":
+        """A block of ``pick(column)`` for every column (a slice, a gather, ...)."""
+        undos, seqs = self.undo_from_ids, self.stable_seqs
+        return TupleBlock(
+            bytes(pick(self.codes)),
+            pick(self.ids),
+            pick(self.stimes),
+            pick(self.values),
+            _sparse(undos and pick(undos)),
+            _sparse(seqs and pick(seqs)),
+        )
+
+    def __getitem__(self, index):
+        undos, seqs = self.undo_from_ids, self.stable_seqs
+        if isinstance(index, slice):
+            if undos is seqs:  # neither sparse column: nothing to normalise
+                codes = bytes(self.codes[index])
+                return TupleBlock(codes, self.ids[index], self.stimes[index], self.values[index])
+            return self._pick(itemgetter(index))
+        head = self.codes[index], self.ids[index], self.stimes[index], self.values[index]
+        return _row(*head, undos and undos[index], seqs and seqs[index])
+
+    def __iter__(self) -> Iterator[StreamTuple]:
+        n = len(self.codes)
+        undos = self.undo_from_ids or repeat(None, n)
+        seqs = self.stable_seqs or repeat(None, n)
+        return map(_row, self.codes, self.ids, self.stimes, self.values, undos, seqs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __add__(self, other) -> "TupleBlock":
+        return TupleBlock.concat((self, other))
+
+    def __deepcopy__(self, memo=None) -> "TupleBlock":
+        return self
+
+    __copy__ = __deepcopy__
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} {len(self)} rows, {self.data_rows} data>"
+
+    # ---------------------------------------------------------------- columns
+    @property
+    def data_rows(self) -> int:
+        """Number of data rows (stable + tentative)."""
+        return self.codes.count(STABLE) + self.codes.count(TENTATIVE)
+
+    def run_edges(self) -> list[tuple[int, int]]:
+        """``(start, stop)`` of every maximal data run and every control row, in order."""
+        codes = self.codes
+        data, rows = self.data_rows, len(codes)
+        if rows < 2 or data == rows:
+            return [(0, rows)] if rows else []
+        if data == rows - 1 and codes[-1] > TENTATIVE:  # the common shape: a run, then its boundary
+            return [(0, data), (data, rows)]
+        edges, start = [], 0
+        for match in _CONTROL_ROW.finditer(codes):
+            at = match.start()
+            if at > start:
+                edges.append((start, at))
+            edges.append((at, at + 1))
+            start = at + 1
+        if start < len(codes):
+            edges.append((start, len(codes)))
+        return edges
+
+    def runs(self) -> "list[TupleBlock]":
+        """Split at control rows: maximal data runs and one-row control blocks.
+
+        Operators and monitors handle a data run column-wise and a control
+        row (BOUNDARY / UNDO / REC_DONE) through its row handler, re-reading
+        their state between runs -- exactly where a control tuple can change it.
+        """
+        edges = self.run_edges()
+        return [self] if len(edges) == 1 else [self[start:stop] for start, stop in edges]
+
+    def take(self, picks: Sequence[int]) -> "TupleBlock":
+        """The rows at ``picks``, in that order (``self`` when that is every row in order)."""
+        if len(picks) == len(self.codes) and list(picks) == list(range(len(picks))):
+            return self
+        if len(picks) < 2:
+            return self[picks[0] : picks[0] + 1] if picks else EMPTY_BLOCK
+        return self._pick(itemgetter(*picks))
+
+    def relabeled(self, ids: Sequence[int], codes: bytes | None = None) -> "TupleBlock":
+        """The same data rows on another stream: new ids, shared stimes and payloads.
+
+        Positional metadata (``stable_seq``, ``undo_from_id``) does not
+        survive, as for :meth:`StreamTuple.as_tentative`.
+        """
+        return TupleBlock(self.codes if codes is None else codes, ids, self.stimes, self.values)
+
+
+EMPTY_BLOCK = TupleBlock(b"", range(0), (), ())
+
+
+def _joined(columns: list, blocks: "list[TupleBlock]") -> list | None:
+    """The sparse ``columns`` of ``blocks`` as one column (``None`` when none has a value)."""
+    if columns.count(None) == len(columns):
+        return None
+    filled = [c or repeat(None, len(b.codes)) for c, b in zip(columns, blocks)]
+    return list(chain.from_iterable(filled))
+
+
+class BlockBuffer(TupleBlock):
+    """Growable columns: a block one owner extends and trims in place.
+
+    Slices (``buffer[a:b]``) are independent :class:`TupleBlock` copies, so
+    what leaves the buffer never sees it grow.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, rows: "Iterable[StreamTuple]" = ()) -> None:
+        super().__init__(bytearray(), [], [], [])
+        if rows:
+            self.extend(rows)
+
+    def extend(self, rows: "Iterable[StreamTuple]") -> None:
+        block = TupleBlock.of(rows)
+        for name in ("undo_from_ids", "stable_seqs"):
+            mine, theirs = getattr(self, name), getattr(block, name)
+            if mine is None and theirs is not None:
+                mine = [None] * len(self.codes)
+                setattr(self, name, mine)
+            if mine is not None:
+                mine.extend(theirs or repeat(None, len(block.codes)))
+        self.codes += block.codes
+        self.ids.extend(block.ids)
+        self.stimes.extend(block.stimes)
+        self.values.extend(block.values)
+
+    def __delitem__(self, index: slice) -> None:
+        del self.codes[index], self.ids[index], self.stimes[index], self.values[index]
+        for column in (self.undo_from_ids, self.stable_seqs):
+            if column is not None:
+                del column[index]
+
+    def clear(self) -> None:
+        if self.codes:
+            del self[:]
+
+    def __deepcopy__(self, memo) -> TupleBlock:
+        return self[:]
+
+    __copy__ = None  # a shallow copy would share the growing columns
+
+
+# --------------------------------------------------------------------------- helpers
 def count_tentative(tuples: Iterable[StreamTuple]) -> int:
     """Number of tentative tuples in ``tuples``."""
-    return sum(1 for t in tuples if t.is_tentative)
+    return TupleBlock.of(tuples).codes.count(TENTATIVE)
 
 
 def count_stable(tuples: Iterable[StreamTuple]) -> int:
     """Number of stable data tuples in ``tuples``."""
-    return sum(1 for t in tuples if t.is_stable)
+    return TupleBlock.of(tuples).codes.count(STABLE)
 
 
 def data_only(tuples: Iterable[StreamTuple]) -> list[StreamTuple]:
@@ -498,8 +501,4 @@ def data_only(tuples: Iterable[StreamTuple]) -> list[StreamTuple]:
 
 def max_stime(tuples: Iterable[StreamTuple], default: float = float("-inf")) -> float:
     """Largest stime among ``tuples`` or ``default`` when empty."""
-    best = default
-    for t in tuples:
-        if t.stime > best:
-            best = t.stime
-    return best
+    return max(chain((default,), TupleBlock.of(tuples).stimes))

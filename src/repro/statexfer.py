@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from .errors import CheckpointError
 from .spe.checkpoint import OperatorCheckpoint
 from .spe.operators import SJoin, SOutput, SUnion
+from .spe.tuples import TupleBlock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
     from .config import DPCConfig
@@ -95,7 +96,7 @@ def _custom_items(state: Mapping[str, Any]) -> int:
     custom = state.get("custom") or {}
     total = 0
     for value in custom.values():
-        if isinstance(value, (list, tuple, set, dict)):
+        if isinstance(value, (list, tuple, set, dict, TupleBlock)):
             total += len(value)
     return total
 

@@ -6,7 +6,7 @@ from repro.config import BufferPolicy
 from repro.core.data_path import DataPath, OutputStreamManager
 from repro.core.protocol import SubscribeRequest
 from repro.errors import BufferOverflowError, BufferTruncatedError, ProtocolError
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import StreamTuple, TupleType
 
 
 def stable(i):
@@ -27,6 +27,17 @@ def test_append_relabels_and_stamps_stable_seq():
     assert third.stable_seq == 1
     assert mgr.stable_seq == 1
     assert mgr.stable_produced == 2 and mgr.tentative_produced == 1
+
+
+def test_undo_after_tuple_zero_keeps_its_position():
+    """Only a missing ``undo_from_id`` becomes -1: "undo everything after tuple 0"
+    (an SOutput that had forwarded exactly one stable tuple) is not "undo everything"."""
+    mgr = OutputStreamManager("s", "n")
+    assert mgr.append(StreamTuple.undo(5, 1.0, 0)).undo_from_id == 0
+    assert mgr.append(StreamTuple.undo(6, 1.0, 7)).undo_from_id == 7
+    assert mgr.append(StreamTuple(TupleType.UNDO, 8, 1.0)).undo_from_id == -1
+    assert [t.undo_from_id for t in mgr.buffered_items()] == [0, 7, -1]
+    assert mgr.undos_produced == 3
 
 
 def test_subscribe_from_scratch_replays_everything():

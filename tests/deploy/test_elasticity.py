@@ -340,6 +340,35 @@ def test_observed_bucket_loads_survive_a_truncated_replica_buffer():
     assert deployment.observed_bucket_loads() == full
 
 
+def test_observed_bucket_loads_equal_a_per_row_count_across_a_truncation():
+    """Counting distinct keys (and reading the buffer's columns in place) is the
+    same measurement as hashing every stable tuple, before and after a truncation."""
+    spec = ScenarioSpec.sharded(
+        shards=4, skew=1.2, aggregate_rate=120.0, warmup=12.0, settle=0.0, seed=1,
+        checkpoint_interval=None,
+    )
+    runtime = running(spec, 12.0)
+    deployment = runtime.deployment
+    shard_spec = deployment.current_assignment.spec
+    split_name = deployment.placement.shard_producer
+    stream = deployment.placement.node_plan(split_name).output_stream
+    manager = runtime.node_group(split_name)[0].data_path.output(stream)
+    reference: dict[int, float] = {}
+    for item in manager.buffered_items():  # nothing truncated yet: the whole history
+        if item.is_stable:
+            bucket = shard_spec.bucket_of(shard_spec.key_of(item.values))
+            reference[bucket] = reference.get(bucket, 0.0) + 1.0
+    assert manager.truncated_tuples == 0 and len(reference) > 4
+    assert deployment.observed_bucket_loads() == reference
+    plan = deployment.plan_rebalance()
+    manager._drop_oldest(manager.buffered_tuples // 2)
+    for replica in runtime.node_group(split_name)[1:]:
+        replica.crash()  # leave only the truncated replica to read
+    assert manager.truncated_tuples > 0
+    assert deployment.observed_bucket_loads() == reference
+    assert deployment.plan_rebalance() == plan and not plan.is_noop
+
+
 def test_observed_bucket_loads_skip_crashed_replicas():
     runtime = running(priced_spec(1, warmup=10.0, settle=10.0), 10.0)
     deployment = runtime.deployment

@@ -1,0 +1,317 @@
+"""Block-split equivalence: however a row sequence is cut into blocks, the result is the same.
+
+The data path moves tuples as column blocks (``repro.spe.tuples.TupleBlock``)
+and splits a block at its control rows.  That is a replacement of the
+row-at-a-time path, not a second mode, so for every converted component the
+reference is itself fed one row at a time: outputs (type, id, stime, payload,
+``stable_seq``, ``undo_from_id``) and ``checkpoint_state()`` must not depend
+on where the block boundaries fall.
+"""
+
+import copy
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.config import BufferPolicy
+from repro.core.data_path import OutputStreamManager
+from repro.core.input_streams import InputStreamMonitor
+from repro.core.protocol import SubscribeRequest
+from repro.deploy.filters import SubscriptionFilter
+from repro.errors import BufferOverflowError, BufferTruncatedError
+from repro.spe.operators import Aggregate, AggregateSpec, Filter, Map, SJoin, SOutput, SUnion
+from repro.spe.tuple_codec import decode_tuples, encode_tuples
+from repro.spe.tuples import StreamTuple, TupleBlock, TupleType
+from repro.spe.windows import WindowSpec
+
+COMMON = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+KINDS = st.sampled_from(
+    ["stable"] * 6 + ["tentative"] * 2 + ["boundary"] * 2 + ["undo", "rec_done"]
+)
+
+
+@st.composite
+def streams(draw, min_size=1, max_size=40, kinds=KINDS, stamped=False):
+    """A well-formed stream: increasing ids, non-decreasing boundaries, jittered stimes."""
+    rows, boundary, stime, seq = [], 0.0, 0.0, draw(st.integers(0, 5))
+    for tuple_id in range(draw(st.integers(min_size, max_size))):
+        kind = draw(kinds)
+        stime = max(0.0, stime + draw(st.sampled_from([0.0, 0.01, 0.04, 0.09, -0.03])))
+        if kind == "boundary":
+            boundary = max(boundary, stime)
+            rows.append(StreamTuple.boundary(tuple_id, boundary))
+        elif kind == "undo":
+            rows.append(StreamTuple.undo(tuple_id, stime, draw(st.sampled_from([-1, 0, tuple_id]))))
+        elif kind == "rec_done":
+            rows.append(StreamTuple.rec_done(tuple_id, stime))
+        else:
+            values = {"seq": tuple_id, "value": float(tuple_id % 7)}
+            stable_seq = None
+            if kind == "stable" and stamped:
+                stable_seq, seq = seq, seq + draw(st.integers(1, 2))  # gaps: a filtered slice
+            rows.append(StreamTuple.data(tuple_id, stime, values, kind == "stable", stable_seq))
+    return rows
+
+
+@st.composite
+def cut_into_blocks(draw, rows):
+    """``rows`` as consecutive blocks at drawn cut points (empty blocks included)."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=6)))
+    edges = [0, *cuts, len(rows)]
+    return [TupleBlock.of(rows[a:b]) for a, b in zip(edges, edges[1:])]
+
+
+def fields(rows):
+    return [
+        (r.tuple_type, r.tuple_id, r.stime, r.values, r.stable_seq, r.undo_from_id) for r in rows
+    ]
+
+
+def plain(state):
+    """A checkpoint state with every block replaced by its rows (block cuts erased)."""
+    if isinstance(state, TupleBlock):
+        return fields(state)
+    if isinstance(state, dict):
+        if "buckets" in state:  # SUnion: (port, block) entries -> (port, row) entries
+            state = dict(state)
+            state["buckets"] = {
+                index: [(port, row) for port, block in entries for row in fields(block)]
+                for index, entries in state["buckets"].items()
+            }
+        return {key: plain(value) for key, value in state.items()}
+    if isinstance(state, (list, tuple)):
+        return [plain(value) for value in state]
+    return state
+
+
+def assert_same_operator(make, rows, blocks, port_of=lambda row: 0, prepare=lambda op: None):
+    by_row, by_block = make(), make()
+    prepare(by_row), prepare(by_block)
+    expected = [out for row in rows for out in by_row.process(port_of(row), row)]
+    produced = []
+    for block in blocks:
+        # A block arrives on one port: cut it further wherever the port changes.
+        start = 0
+        for position in range(1, len(block) + 1):
+            if position == len(block) or port_of(block[position]) != port_of(block[start]):
+                produced += by_block.process_batch(port_of(block[start]), block[start:position])
+                start = position
+    assert fields(produced) == fields(expected)
+    assert plain(by_block.checkpoint_state()) == plain(by_row.checkpoint_state())
+    return by_row, by_block
+
+
+# --------------------------------------------------------------------------- operators
+@COMMON
+@given(st.data())
+def test_stateless_and_join_operators(data):
+    rows = data.draw(streams())
+    blocks = data.draw(cut_into_blocks(rows))
+    assert_same_operator(lambda: Filter("f", lambda v: v["seq"] % 3 != 0), rows, blocks)
+    assert_same_operator(lambda: Map("m", lambda v: {**v, "twice": v["seq"] * 2}), rows, blocks)
+    assert_same_operator(lambda: SJoin("j", window=0.2, state_size=5), rows, blocks)
+    assert_same_operator(
+        lambda: SJoin("jm", window=0.2, state_size=5, emit_matches=True,
+                      predicate=lambda old, new: old["seq"] % 2 == new["seq"] % 2),
+        rows, blocks,
+    )
+    assert_same_operator(
+        lambda: Aggregate(
+            "a", WindowSpec.sliding(size=0.2, slide=0.1),
+            [AggregateSpec("n", "count"), AggregateSpec("total", "sum", "value")],
+            group_by=("value",),
+        ),
+        rows, blocks,
+    )
+
+
+@COMMON
+@given(st.data(), st.booleans())
+def test_sunion_single_port(data, hold):
+    rows = data.draw(streams())
+    blocks = data.draw(cut_into_blocks(rows))
+
+    def prepare(op):
+        op.hold_buckets = hold
+
+    by_row, by_block = assert_same_operator(
+        lambda: SUnion("u", arity=1, bucket_size=0.1), rows, blocks, prepare=prepare
+    )
+    assert by_block.late_drops == by_row.late_drops
+    assert fields(by_block.force_emit_pending()) == fields(by_row.force_emit_pending())
+
+
+@COMMON
+@given(st.data())
+def test_sunion_three_ports_with_port_removal(data):
+    rows = data.draw(streams(kinds=st.sampled_from(["stable"] * 5 + ["tentative", "boundary"])))
+    ports = data.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+    port_by_id = {row.tuple_id: port for row, port in zip(rows, ports)}
+    blocks = data.draw(cut_into_blocks(rows))
+    by_row, by_block = assert_same_operator(
+        lambda: SUnion("u", arity=3, bucket_size=0.1), rows, blocks,
+        port_of=lambda row: port_by_id[row.tuple_id],
+    )
+    for op in (by_row, by_block):
+        op.remove_port(1)
+    assert plain(by_block.checkpoint_state()) == plain(by_row.checkpoint_state())
+    closing = StreamTuple.boundary(10_000, 100.0)
+    outputs = [
+        fields(list(op.process(0, closing)) + list(op.process(1, closing)))
+        for op in (by_row, by_block)
+    ]
+    assert outputs[0] == outputs[1]
+
+
+@COMMON
+@given(st.data(), st.booleans(), st.integers(0, 4))
+def test_soutput_modes(data, downgrade, already_forwarded):
+    rows = data.draw(streams())
+    blocks = data.draw(cut_into_blocks(rows))
+
+    def prepare(op):
+        # A reconciliation in progress: some regenerated stable tuples are
+        # duplicates to drop, and a tentative suffix awaits its UNDO.
+        for i in range(already_forwarded):
+            op.process(0, StreamTuple.insertion(i, 0.0, {"seq": -i}))
+        op.process(0, StreamTuple.tentative(99, 0.0, {"seq": -99}))
+        op.begin_reconciliation()
+        op.downgrade_to_tentative = downgrade
+
+    by_row, by_block = assert_same_operator(lambda: SOutput("o"), rows, blocks, prepare=prepare)
+    for name in ("stable_forwarded", "tentative_forwarded", "undos_emitted",
+                 "last_stable_out_id", "is_reconciling", "_duplicates_to_drop", "_undo_pending"):
+        assert getattr(by_block, name) == getattr(by_row, name), name
+    assert fields(by_block.end_reconciliation(9.0)) == fields(by_row.end_reconciliation(9.0))
+
+
+# --------------------------------------------------------------------------- input monitor
+MONITOR_FIELDS = (
+    "last_boundary_arrival", "last_boundary_stime", "last_data_arrival", "tentative_since_stable",
+    "rec_done_received", "stable_received", "source_position", "awaiting_replay",
+    "tentative_received", "undos_received",
+)
+
+
+@COMMON
+@given(st.data(), st.booleans(), st.booleans(), st.integers(0, 8))
+def test_input_monitor(data, from_source, awaiting_replay, already_received):
+    rows = data.draw(streams(stamped=not from_source))
+    blocks = data.draw(cut_into_blocks(rows))
+
+    def monitor():
+        m = InputStreamMonitor(stream="s")
+        m.add_producer("up", is_source=from_source)
+        # Part of the stream was already delivered (by another replica, or
+        # before a cursor rewind): a duplicate prefix by position or by id.
+        m.stable_received = already_received
+        m.source_position = already_received - 1 if from_source else -1
+        m.awaiting_replay = awaiting_replay
+        return m
+
+    by_row, by_block = monitor(), monitor()
+    expected = [row for row in rows if by_row.record_tuple(row, 1.5) == "accept"]
+    accepted = [row for block in blocks for row in by_block.record_block(block, 1.5)]
+    assert fields(accepted) == fields(expected)
+    for name in MONITOR_FIELDS:
+        assert getattr(by_block, name) == getattr(by_row, name), name
+    assert len(by_block.stable_buffer) == len(by_row.stable_buffer)  # in rows
+    assert fields(by_block.take_stable_buffer()) == fields(by_row.take_stable_buffer())
+    assert by_block.buffered_stable_tuples == by_row.buffered_stable_tuples
+
+
+# --------------------------------------------------------------------------- output buffer
+def feed(manager, pieces):
+    """Append ``pieces`` (rows or blocks); returns the physical rows and the overflow row."""
+    physical, seen = [], 0
+    for piece in pieces:
+        try:
+            physical += manager.append_all(piece) if isinstance(piece, TupleBlock) else [
+                manager.append(piece)
+            ]
+        except BufferOverflowError:
+            return physical, manager.truncated_tuples + manager.buffered_tuples
+        seen += 1
+    return physical, None
+
+
+@COMMON
+@given(st.data(), st.sampled_from([None, 5, 12]), st.booleans())
+def test_output_buffer(data, limit, block_on_full):
+    rows = data.draw(streams())
+    blocks = data.draw(cut_into_blocks(rows))
+    policy = BufferPolicy(max_output_tuples=limit, block_on_full=block_on_full)
+    by_row = OutputStreamManager("s", "n", policy)
+    by_block = OutputStreamManager("s", "n", policy)
+    # A filtered subscription whose predicate changes at a cut (two epochs).
+    filters = []
+    for manager in (by_row, by_block):
+        filter_ = SubscriptionFilter(lambda v: v["seq"] % 2 == 0, "slice")
+        filter_.advance(0.15, lambda v: v["seq"] % 3 == 0)
+        manager.attach_subscriber("filtered", filter_)
+        manager.attach_subscriber("plain")
+        manager.add_consumer("plain")
+        filters.append(filter_)
+    expected, overflow_row = feed(by_row, rows)
+    physical, overflow_block = feed(by_block, blocks)
+    assert overflow_block == overflow_row  # raises (or drops) at the same row
+    if overflow_row is None and limit is None:
+        assert fields(physical) == fields(expected)
+    assert fields(by_block.buffered_items()) == fields(by_row.buffered_items())
+    assert by_block.truncated_tuples == by_row.truncated_tuples
+    for subscriber in ("filtered", "plain"):
+        assert fields(by_block.pending_for(subscriber)) == fields(by_row.pending_for(subscriber))
+    assert fields(by_block.pending_for("filtered")) == fields(
+        [row for row in by_row.pending_for("plain") if filters[0].passes(row)]
+    )
+    # Acknowledgments, replay positions and truncation errors at the same places.
+    produced = by_row.stable_seq
+    for through in sorted(data.draw(st.lists(st.integers(-1, produced + 2), max_size=3))):
+        assert by_block.acknowledge("plain", through) == by_row.acknowledge("plain", through)
+        assert fields(by_block.buffered_items()) == fields(by_row.buffered_items())
+    for position in range(-1, produced + 2):
+        outcomes = []
+        for manager in (by_row, by_block):
+            manager = copy.copy(manager)  # subscribe() may spend an id; probe a shallow copy
+            manager._writer = copy.copy(manager._writer)
+            manager._id_skips = list(manager._id_skips)
+            manager._subscriptions = dict(manager._subscriptions)
+            request = SubscribeRequest(
+                stream="s", subscriber="late", last_stable_seq=position,
+                had_tentative=position % 2 == 0, replay_tentative=position % 3 == 0,
+            )
+            try:
+                outcomes.append(fields(manager.subscribe(request)))
+            except BufferTruncatedError:
+                outcomes.append("truncated")
+        assert outcomes[0] == outcomes[1], position
+
+
+# --------------------------------------------------------------------------- codec
+@COMMON
+@given(st.data())
+def test_codec_round_trips_blocks_with_sparse_columns_and_schema_runs(data):
+    rows = data.draw(streams(min_size=0, stamped=data.draw(st.booleans())))
+    if rows and data.draw(st.booleans()):  # a second schema run
+        rows.append(StreamTuple.data(len(rows), 9.0, {"other": "x", "n": 2**70}, True, None))
+    block = TupleBlock.of(rows)
+    decoded = decode_tuples(encode_tuples(block))
+    assert isinstance(decoded, TupleBlock)
+    assert decoded == block and fields(decoded) == fields(rows)
+    assert encode_tuples(decoded) == encode_tuples(rows)  # rows and blocks encode alike
+    for cut in data.draw(st.lists(st.integers(0, len(rows)), max_size=3)):
+        assert decode_tuples(encode_tuples(block[:cut])) + decode_tuples(
+            encode_tuples(block[cut:])
+        ) == block
+
+
+def test_a_row_is_a_block_of_one():
+    row = StreamTuple(TupleType.UNDO, 3, 1.5, undo_from_id=0)
+    block = TupleBlock.of([row])
+    assert len(block) == 1 and block[0] == row and list(block) == [row]
+    assert block.undo_from_ids == [0] and block.stable_seqs is None
+    assert TupleBlock.of(block) is block and block.runs() == [block]
+    with pytest.raises(IndexError):
+        block[1]

@@ -80,6 +80,34 @@ def test_compare_gates_client_store_bytes_per_tuple():
     assert checked_in["test_shard4_deployment_hot_path"]["shard4_client_bytes_per_tuple"] < 120
 
 
+def test_compare_gates_calls_per_source_tuple_as_an_upper_bound():
+    assert cbr.tracked_direction("calls_per_source_tuple") == 1
+    bound = {"t": {"calls_per_source_tuple": 120.0}}
+    # An upper bound, not a measurement: no tolerance above it, any value below passes.
+    assert cbr.compare(bound, {"t": {"calls_per_source_tuple": 120.5}}, tolerance=0.10)[0]
+    assert not cbr.compare(bound, {"t": {"calls_per_source_tuple": 77.1}}, tolerance=0.10)[0]
+    assert cbr.compare(bound, {"t": {}}, tolerance=0.10)[0]  # dropping it fails too
+    checked_in = json.loads((_SCRIPT.parent / "BENCH_baseline.json").read_text(encoding="utf-8"))
+    assert checked_in["test_shard4_deployment_hot_path"]["calls_per_source_tuple"] <= 120
+
+
+def test_compare_gates_row_constructions_per_source_tuple(tmp_path):
+    assert cbr.tracked_direction("row_constructions_per_source_tuple") == 1
+    bound = {"t": {"row_constructions_per_source_tuple": 4.0}}
+    per_row_loop_again = {"t": {"row_constructions_per_source_tuple": 21.1}}
+    regressions, _ = cbr.compare(bound, per_row_loop_again, tolerance=0.10)
+    assert len(regressions) == 1 and "row_constructions" in regressions[0]
+    assert not cbr.compare(bound, {"t": {"row_constructions_per_source_tuple": 0.0}}, 0.10)[0]
+    checked_in = json.loads((_SCRIPT.parent / "BENCH_baseline.json").read_text(encoding="utf-8"))
+    assert checked_in["test_shard4_deployment_hot_path"]["row_constructions_per_source_tuple"] <= 4
+    # Rewriting the baseline from a run keeps the bound, not the measurement.
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(bound), encoding="utf-8")
+    run = bench_json(tmp_path / "run.json", {"t": {"row_constructions_per_source_tuple": 0.3}})
+    assert cbr.main([str(run), "--baseline", str(baseline), "--write-baseline"]) == 0
+    assert json.loads(baseline.read_text(encoding="utf-8")) == bound
+
+
 def test_compare_inverts_delivered_tuple_direction():
     baseline = {"t": {"x_stable_tuples": 500.0}}
     # Fewer delivered tuples is a regression ...
