@@ -21,7 +21,11 @@ output-buffer retention at the end of the run, and the client stores' packed
 bytes per ledger tuple) stay hard-fail.  So do the two exact work counters of
 one profiled shard(4) run -- calls and ``StreamTuple`` row constructions per
 source tuple -- which are checked against fixed upper bounds: seconds cannot
-tell a re-introduced per-row loop from a noisy host, counts can.
+tell a re-introduced per-row loop from a noisy host, counts can.  The same
+call counter is gated on the two failure scenarios of the end-to-end
+benchmark: the (100, 1) window with a replica crash, where a per-row loop in
+the pane Aggregate roughly doubles it, and the chain-4 disconnect, whose cost
+is per-batch overhead on the failure path.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import time
 
 from conftest import full_sweep, print_results
 
+from repro.config import DPCConfig
 from repro.experiments import shard_throughput_run
 from repro.runtime import ScenarioSpec
 from repro.spe.engine import LocalEngine
@@ -227,3 +232,33 @@ def test_shard4_deployment_hot_path(run_once, benchmark):
     assert row["output_buffered_end"] < row["stable_tuples"]
     assert ratio < 1.5
     assert row["client_bytes_per_tuple"] < 120
+
+
+def test_failure_path_work_counters(run_once, benchmark):
+    """Calls per source tuple of sim-window-crash and sim-chain4-disconnect (seed 1)."""
+    scenarios = {
+        "window_crash": ScenarioSpec.windowed_aggregate(
+            window_size=100, window_slide=1, aggregate_rate=2400, replicas_per_node=2,
+            checkpoint_interval=2, warmup=20, settle=30, seed=1,
+        ).with_failure("crash", start=20, duration=10, node_replica=0),
+        "chain4_disconnect": ScenarioSpec.chain(
+            4, replicas_per_node=2, aggregate_rate=150, per_node_delay=2.0,
+            config=DPCConfig(max_incremental_latency=8.0), warmup=10, settle=45, seed=1,
+        ).with_failure("silence", start=10, duration=30, stream_index=0),
+    }
+
+    def profile_all() -> dict:
+        return {
+            f"{label}_calls_per_source_tuple": spec.build().run_profiled()[1]["calls_per_source_tuple"]
+            for label, spec in scenarios.items()
+        }
+
+    counters = run_once(profile_all)
+    for name, value in counters.items():
+        benchmark.extra_info[name] = round(value, 3)
+    print_results(
+        "failure-path exact work counters (cProfile)",
+        [f"{name:<42} {value:>8.2f}" for name, value in counters.items()],
+    )
+    # Row by row, the pane Aggregate alone made 20.6 of 45.0 calls per source tuple.
+    assert counters["window_crash_calls_per_source_tuple"] <= 30

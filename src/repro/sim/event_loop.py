@@ -2,7 +2,8 @@
 
 The paper evaluates DPC on a cluster of real machines; this reproduction
 substitutes a virtual-time simulator (see DESIGN.md, Substitutions).  The
-simulator owns a priority queue of :class:`~repro.sim.events.Event` objects
+simulator owns a priority queue of ``(time, sequence, event)`` entries (plain
+tuples, so the heap compares in C; see :class:`~repro.sim.events.Event`)
 and advances a virtual clock from event to event.  All protocol components --
 nodes, data sources, clients, the failure injector -- schedule their work
 through it, so a whole distributed scenario is a single-threaded, perfectly
@@ -46,7 +47,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._running = False
         self._cancelled_pending = 0
         #: Number of events executed so far (for diagnostics and tests).
@@ -71,8 +72,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f}, current time is {self._now:.6f}"
             )
-        event = Event.at(time, callback, kind, description)
-        heapq.heappush(self._queue, event)
+        event = Event(time, callback, kind, description)
+        heapq.heappush(self._queue, (time, event.sequence, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -94,7 +95,7 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        self._queue = [e for e in self._queue if not e.cancelled]
+        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_pending = 0
 
@@ -153,10 +154,9 @@ class Simulator:
         fired = 0
         try:
             while self._queue:
-                event = self._queue[0]
-                if event.time > end_time:
+                if self._queue[0][0] > end_time:
                     break
-                heapq.heappop(self._queue)
+                event = heapq.heappop(self._queue)[2]
                 if event.cancelled:
                     if event.counted:
                         self._cancelled_pending -= 1
@@ -181,7 +181,7 @@ class Simulator:
     def step(self) -> bool:
         """Fire the single next event; returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 if event.counted:
                     self._cancelled_pending -= 1
@@ -195,7 +195,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled ones)."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if not entry[2].cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:.3f} pending={self.pending_events}>"

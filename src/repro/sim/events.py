@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Callable
 
 #: Callback signature: receives the simulation time at which the event fires.
 EventCallback = Callable[[float], None]
@@ -24,40 +23,35 @@ class EventKind(str, Enum):
     INTERNAL = "internal"
 
 
-@dataclass(order=True)
 class Event:
     """One scheduled callback.
 
-    Events are ordered by ``(time, sequence)`` so that events scheduled for
-    the same instant fire in scheduling order, which keeps runs deterministic.
+    The simulator queues ``(time, sequence, event)`` entries, so events
+    scheduled for the same instant fire in scheduling order (which keeps runs
+    deterministic) and the heap orders plain tuples, never events.
     """
 
-    time: float
-    sequence: int = field(compare=True)
-    callback: EventCallback = field(compare=False)
-    kind: EventKind = field(compare=False, default=EventKind.INTERNAL)
-    description: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    fired: bool = field(compare=False, default=False)
-    #: True when Simulator.cancel counted this event toward heap compaction
-    #: (distinguishes it from events cancelled directly via Event.cancel).
-    counted: bool = field(compare=False, default=False)
+    __slots__ = (
+        "time", "sequence", "callback", "kind", "description", "cancelled", "fired", "counted"
+    )
 
-    @classmethod
-    def at(
-        cls,
+    def __init__(
+        self,
         time: float,
         callback: EventCallback,
         kind: EventKind = EventKind.INTERNAL,
         description: str = "",
-    ) -> "Event":
-        return cls(
-            time=time,
-            sequence=next(_event_ids),
-            callback=callback,
-            kind=kind,
-            description=description,
-        )
+    ) -> None:
+        self.time = time
+        self.sequence = next(_event_ids)
+        self.callback = callback
+        self.kind = kind
+        self.description = description
+        self.cancelled = False
+        self.fired = False
+        #: True when Simulator.cancel counted this event toward heap compaction
+        #: (distinguishes it from events cancelled directly via Event.cancel).
+        self.counted = False
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when it comes due."""

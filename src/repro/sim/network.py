@@ -24,15 +24,20 @@ from .events import EventKind
 MessageHandler = Callable[["Message", float], None]
 
 
-@dataclass(frozen=True)
 class Message:
-    """One message in flight between two endpoints."""
+    """One message in flight between two endpoints (treated as immutable)."""
 
-    sender: str
-    receiver: str
-    kind: str
-    payload: Any
-    sent_at: float
+    __slots__ = ("sender", "receiver", "kind", "payload", "sent_at")
+
+    def __init__(self, sender: str, receiver: str, kind: str, payload: Any, sent_at: float) -> None:
+        self.sender = sender
+        self.receiver = receiver
+        self.kind = kind
+        self.payload = payload
+        self.sent_at = sent_at
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Message {self.sender}->{self.receiver}:{self.kind} sent_at={self.sent_at:.3f}>"
 
 
 @dataclass
@@ -45,8 +50,10 @@ class NetworkStats:
     by_kind: dict = field(default_factory=dict)
 
     def record(self, kind: str, outcome: str) -> None:
-        self.by_kind.setdefault(kind, {"sent": 0, "delivered": 0, "dropped": 0})
-        self.by_kind[kind][outcome] += 1
+        counts = self.by_kind.get(kind)
+        if counts is None:
+            counts = self.by_kind[kind] = {"sent": 0, "delivered": 0, "dropped": 0}
+        counts[outcome] += 1
 
 
 class Network:

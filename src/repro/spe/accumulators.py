@@ -5,6 +5,8 @@ accumulator per (pane, group, spec) instead of buffering every raw input
 value per overlapping window.  The contract every accumulator honours:
 
 * ``add(value)`` -- fold one input value in, O(1);
+* ``add_many(values)`` -- the state after one ``add`` per value, in order,
+  in one call (the pane kernel folds a whole run's column at once);
 * ``merge(other)`` -- fold another accumulator's partial in, O(1) for the
   incremental builtins (this is what closing a window does: merge the
   ``ceil(size/slide)`` pane partials in pane order);
@@ -25,6 +27,7 @@ any spec is custom (see ``DESIGN.md``, "Window acceleration").
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import OperatorError
@@ -38,6 +41,9 @@ class Accumulator:
     kind = "abstract"
 
     def add(self, value: Any) -> None:
+        raise NotImplementedError
+
+    def add_many(self, values: Sequence[Any]) -> None:
         raise NotImplementedError
 
     def merge(self, other: "Accumulator") -> None:
@@ -75,6 +81,9 @@ class CountAccumulator(Accumulator):
     def add(self, value: Any) -> None:
         self.n += 1
 
+    def add_many(self, values: Sequence[Any]) -> None:
+        self.n += len(values)
+
     def merge(self, other: "CountAccumulator") -> None:
         self.n += other.n
 
@@ -89,6 +98,14 @@ class CountAccumulator(Accumulator):
         self.n = int(state["n"])
 
 
+def _left_fold(total: Any, values: Sequence[Any]) -> Any:
+    """One ``total + value`` per value, in order.  Never the ``sum`` builtin: it
+    is compensated from Python 3.12 on and would change result floats."""
+    for value in values:
+        total = total + value
+    return total
+
+
 class SumAccumulator(Accumulator):
     """Running total, folded exactly like ``sum(values)`` (left fold from 0)."""
 
@@ -100,6 +117,9 @@ class SumAccumulator(Accumulator):
 
     def add(self, value: Any) -> None:
         self.total = self.total + value
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        self.total = _left_fold(self.total, values)
 
     def merge(self, other: "SumAccumulator") -> None:
         self.total = self.total + other.total
@@ -128,6 +148,10 @@ class AvgAccumulator(Accumulator):
     def add(self, value: Any) -> None:
         self.total = self.total + value
         self.n += 1
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        self.total = _left_fold(self.total, values)
+        self.n += len(values)
 
     def merge(self, other: "AvgAccumulator") -> None:
         self.total = self.total + other.total
@@ -161,6 +185,12 @@ class MinAccumulator(Accumulator):
             self.has_value = True
         elif value < self.best:
             self.best = value
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        # The builtin makes the loop's ``value < best`` comparisons, in order.
+        if values:
+            self.best = min(chain((self.best,), values)) if self.has_value else min(values)
+            self.has_value = True
 
     def merge(self, other: "MinAccumulator") -> None:
         if other.has_value:
@@ -196,6 +226,11 @@ class MaxAccumulator(Accumulator):
             self.has_value = True
         elif value > self.best:
             self.best = value
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        if values:
+            self.best = max(chain((self.best,), values)) if self.has_value else max(values)
+            self.has_value = True
 
     def merge(self, other: "MaxAccumulator") -> None:
         if other.has_value:
@@ -234,6 +269,9 @@ class BufferingAccumulator(Accumulator):
 
     def add(self, value: Any) -> None:
         self.values.append(value)
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        self.values.extend(values)
 
     def merge(self, other: "BufferingAccumulator") -> None:
         self.values.extend(other.values)

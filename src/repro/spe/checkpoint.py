@@ -21,8 +21,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..errors import CheckpointError
-
 _checkpoint_ids = itertools.count()
 
 
@@ -55,26 +53,17 @@ class DiagramCheckpoint:
     def capture(
         cls,
         created_at: float,
-        operator_states: Mapping[str, Mapping[str, Any]],
+        operators: Mapping[str, OperatorCheckpoint],
         extra: Mapping[str, Any] | None = None,
     ) -> "DiagramCheckpoint":
+        """Collect already-captured operator checkpoints (each one is its own
+        deep copy, and every reader goes through ``state_copy()``)."""
         return cls(
             checkpoint_id=next(_checkpoint_ids),
             created_at=created_at,
-            operators={
-                name: OperatorCheckpoint.capture(name, state)
-                for name, state in operator_states.items()
-            },
+            operators=dict(operators),
             extra=copy.deepcopy(dict(extra or {})),
         )
-
-    def operator_state(self, operator_name: str) -> dict:
-        try:
-            return self.operators[operator_name].state_copy()
-        except KeyError as exc:
-            raise CheckpointError(
-                f"checkpoint {self.checkpoint_id} has no state for operator {operator_name!r}"
-            ) from exc
 
     def matches(self, operator_names: set[str]) -> bool:
         """True when this checkpoint covers exactly ``operator_names``."""

@@ -112,11 +112,9 @@ class LocalEngine:
     # ------------------------------------------------------------------ checkpoint / restore
     def checkpoint(self, created_at: float = 0.0) -> DiagramCheckpoint:
         """Snapshot the state of every operator in the fragment."""
-        states = {name: {"op": op.checkpoint()} for name, op in self.diagram.operators.items()}
-        # DiagramCheckpoint deep-copies; wrap OperatorCheckpoint objects directly.
         return DiagramCheckpoint.capture(
             created_at=created_at,
-            operator_states={name: dict(state["op"].state) for name, state in states.items()},
+            operators={name: op.checkpoint() for name, op in self.diagram.operators.items()},
         )
 
     def restore(self, snapshot: DiagramCheckpoint) -> None:
@@ -126,12 +124,10 @@ class LocalEngine:
                 f"checkpoint {snapshot.checkpoint_id} does not match fragment "
                 f"{self.diagram.name!r}"
             )
-        from .checkpoint import OperatorCheckpoint
-
         for name, operator in self.diagram.operators.items():
             if isinstance(operator, SOutput) or getattr(operator, "survives_restore", False):
                 continue
-            operator.restore(OperatorCheckpoint(operator_name=name, state=snapshot.operator_state(name)))
+            operator.restore(snapshot.operators[name])
 
     # ------------------------------------------------------------------ helpers
     def soutputs(self) -> list[SOutput]:

@@ -126,13 +126,6 @@ class _CellState:
         self.count += 1
         self.has_tentative = self.has_tentative or tentative
 
-    def snapshot(self) -> dict:
-        return {
-            "accumulators": [accumulator.snapshot() for accumulator in self.accumulators],
-            "count": self.count,
-            "has_tentative": self.has_tentative,
-        }
-
 
 class Aggregate(Operator):
     """Windowed grouped aggregate.
@@ -179,6 +172,8 @@ class Aggregate(Operator):
         if not self.specs:
             raise OperatorError(f"aggregate {name!r} needs at least one aggregate spec")
         self.group_by = tuple(group_by)
+        #: Distinct accumulated attributes (None = count's constant 1 per row).
+        self._attributes = tuple(dict.fromkeys(spec.attribute for spec in self.specs))
         self.emit_empty_windows = emit_empty_windows
         supported = window.pane is not None and all(spec.incremental for spec in self.specs)
         if incremental is None:
@@ -221,23 +216,49 @@ class Aggregate(Operator):
         return []
 
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
-        """Pane mode: each row updates exactly one ``(pane, group)`` cell, read
-        straight from the stime / payload / type columns."""
+        """Pane mode: one bulk fold per ``(pane span, group)`` of the run, read
+        straight from the stime / payload / type columns.  Rows are grouped by
+        key in row order, so cells are created and fed exactly as a row-by-row
+        walk would; whole-window mode stays the one row consumer."""
         if not self._pane_mode:
             return super()._process_run(port, run)
-        cells = self._cells
-        pane_index = self.window.pane_index
-        attributes = tuple(spec.attribute for spec in self.specs)
-        group_attrs = self.group_by
-        for stime, values, code in zip(run.stimes, run.values, run.codes):
-            extracted = [1 if attr is None else values.get(attr) for attr in attributes]
-            key = tuple(values.get(attr) for attr in group_attrs) if group_attrs else ()
-            cell_key = (pane_index(stime), key)
-            cell = cells.get(cell_key)
-            if cell is None:
-                cell = cells[cell_key] = self._new_cell()
-            cell.add(extracted, code == TENTATIVE)
+        values, codes, group_attrs = run.values, run.codes, self.group_by
+        for pane, start, stop in self.window.pane_spans(run.stimes):
+            tentative = TENTATIVE in codes[start:stop]
+            if not group_attrs:
+                self._fold((pane, ()), values[start:stop], tentative)
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for row in range(start, stop):
+                payload = values[row]
+                key = tuple(payload.get(attr) for attr in group_attrs)
+                members = groups.get(key)
+                if members is None:
+                    members = groups[key] = []
+                members.append(row)
+            for key, members in groups.items():
+                self._fold(
+                    (pane, key),
+                    [values[row] for row in members],
+                    tentative and any(codes[row] == TENTATIVE for row in members),
+                )
         return []
+
+    def _fold(self, cell_key: tuple[int, tuple], rows: Sequence[Mapping], tentative: bool) -> None:
+        """Fold ``rows`` into one cell: one column per attribute, one ``add_many`` per spec."""
+        cell = self._cells.get(cell_key)
+        if cell is None:
+            cell = self._cells[cell_key] = self._new_cell()
+        columns = {
+            attr: [1] * len(rows)
+            if attr is None
+            else [v for row in rows if (v := row.get(attr)) is not None]
+            for attr in self._attributes
+        }
+        for accumulator, spec in zip(cell.accumulators, self.specs):
+            accumulator.add_many(columns[spec.attribute])
+        cell.count += len(rows)
+        cell.has_tentative = cell.has_tentative or tentative
 
     # ------------------------------------------------------------------ window closing
     def _on_watermark(self, previous: float, current: float) -> list[TupleBlock]:
@@ -280,7 +301,10 @@ class Aggregate(Operator):
             for (pane, key), cell in self._cells.items():
                 by_pane.setdefault(pane, {})[key] = cell
         for index in sorted(closed):
-            out.extend(self._emit_window(index, by_pane))
+            if self._pane_mode:
+                out.extend(self._emit_window_from_panes(index, by_pane))
+            else:
+                out.extend(self._emit_window_from_cells(index))
         self._last_closed_watermark = max(self._last_closed_watermark, current)
         if self._pane_mode:
             self._collect_dead_panes(current)
@@ -307,26 +331,11 @@ class Aggregate(Operator):
         values["window_start"] = self.window.window_start(index)
         return self._emit(stime, values, tentative=False)
 
-    def _emit_window(
-        self,
-        index: int,
-        by_pane: dict[int, dict[tuple, _CellState]] | None = None,
-    ) -> list[StreamTuple]:
-        if self._pane_mode:
-            return self._emit_window_from_panes(index, by_pane)
-        return self._emit_window_from_cells(index)
-
     def _emit_window_from_panes(
-        self,
-        index: int,
-        by_pane: dict[int, dict[tuple, _CellState]] | None = None,
+        self, index: int, by_pane: dict[int, dict[tuple, _CellState]]
     ) -> list[StreamTuple]:
         window = self.window
         stime = window.window_end(index)
-        if by_pane is None:
-            by_pane = {}
-            for (pane, key), cell in self._cells.items():
-                by_pane.setdefault(pane, {})[key] = cell
         # Walking the pane range in ascending order keeps each group's cell
         # list in pane (stime) order without a per-window sort.
         groups: dict[tuple, list[_CellState]] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from ..errors import ConfigurationError
 
@@ -185,6 +186,33 @@ class WindowSpec:
             index += 1
         return index
 
+    def pane_spans(self, stimes: Sequence[float]) -> list[tuple[int, int, int]]:
+        """``(pane, start, stop)`` runs of consecutive rows sharing one pane.
+
+        The run-length encoding of ``[pane_index(t) for t in stimes]``: one
+        exact :meth:`pane_index` for the first row, then ``min`` / ``max``
+        against that pane's two edges on the same float grid file the whole
+        run in one span (a 0.1 s SUnion bucket inside a 1 s pane).  Only a
+        run that crosses a pane edge, or arrives unsorted, is scanned row by
+        row, with one :meth:`pane_index` per change of pane.
+        """
+        if not stimes:
+            return []
+        pane_start = self.pane_start
+        pane = self.pane_index(stimes[0])
+        low, high = pane_start(pane), pane_start(pane + 1)
+        if low <= min(stimes) and max(stimes) < high:
+            return [(pane, 0, len(stimes))]
+        spans = []
+        start = 0
+        for row, stime in enumerate(stimes):
+            if not low <= stime < high:
+                spans.append((pane, start, row))
+                pane, start = self.pane_index(stime), row
+                low, high = pane_start(pane), pane_start(pane + 1)
+        spans.append((pane, start, len(stimes)))
+        return spans
+
     def window_panes(self, index: int) -> range:
         """The panes window ``index`` is the concatenation of."""
         pane = self.pane
@@ -208,10 +236,6 @@ class WindowSpec:
     def contains(self, index: int, stime: float) -> bool:
         """True when window ``index`` covers ``stime`` (inclusive start, exclusive end)."""
         return self.window_start(index) <= stime < self.window_end(index)
-
-    def closed_windows(self, watermark: float) -> range:
-        """Empty placeholder range; see :meth:`windows_closed_by`."""
-        return range(0)
 
     def windows_closed_by(self, previous_watermark: float, watermark: float) -> range:
         """Window indices whose end falls in ``(previous_watermark, watermark]``.

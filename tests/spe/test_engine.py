@@ -154,3 +154,27 @@ def test_entry_operators():
     engine = LocalEngine(build_fragment())
     assert engine.entry_operators("in") == [("su", 0)]
     assert engine.entry_operators("unknown") == []
+
+
+def test_checkpoint_shares_each_operator_capture_and_stays_frozen():
+    """One deep copy per operator: the fragment snapshot holds the operators' own
+    captures, and later processing (before or after a restore) changes neither."""
+    diagram = build_fragment()
+    engine = LocalEngine(diagram)
+    engine.push("in", [StreamTuple.insertion(0, 0.1, {"seq": 0}), StreamTuple.boundary(1, 5.0)])
+    checkpoint = engine.checkpoint(created_at=1.0)
+    frozen = {name: snapshot.state_copy() for name, snapshot in checkpoint.operators.items()}
+    for name, operator in diagram.operators.items():
+        assert checkpoint.operators[name] is operator._own_checkpoint
+
+    def mutate():
+        engine.push("in", [StreamTuple.insertion(2, 5.1, {"seq": 1}), StreamTuple.boundary(3, 10.0)])
+        assert diagram.operator("sj").checkpoint_state() != frozen["sj"]
+        for name, operator in diagram.operators.items():
+            assert checkpoint.operators[name].state == frozen[name]
+            assert operator._own_checkpoint.state == frozen[name]
+
+    mutate()
+    engine.restore(checkpoint)
+    assert diagram.operator("sj").checkpoint_state() == frozen["sj"]
+    mutate()  # the restored state is a copy too, not the snapshot's own containers

@@ -91,6 +91,20 @@ def test_compare_gates_calls_per_source_tuple_as_an_upper_bound():
     assert checked_in["test_shard4_deployment_hot_path"]["calls_per_source_tuple"] <= 120
 
 
+def test_compare_gates_failure_path_calls_per_source_tuple():
+    """The window-crash and chain-4 disconnect call counters are upper bounds too."""
+    checked_in = json.loads((_SCRIPT.parent / "BENCH_baseline.json").read_text(encoding="utf-8"))
+    bounds = checked_in["test_failure_path_work_counters"]
+    assert bounds["window_crash_calls_per_source_tuple"] <= 30  # 45.0 with a per-row pane loop
+    assert bounds["chain4_disconnect_calls_per_source_tuple"] <= 450.3  # never above PR 20's
+    baseline = {"test_failure_path_work_counters": bounds}
+    per_row_again = {"test_failure_path_work_counters": {**bounds, "window_crash_calls_per_source_tuple": 45.0}}
+    regressions, _ = cbr.compare(baseline, per_row_again, tolerance=0.10)
+    assert len(regressions) == 1 and "window_crash_calls" in regressions[0]
+    measured = {"window_crash_calls_per_source_tuple": 20.5, "chain4_disconnect_calls_per_source_tuple": 435.0}
+    assert not cbr.compare(baseline, {"test_failure_path_work_counters": measured}, 0.10)[0]
+
+
 def test_compare_gates_row_constructions_per_source_tuple(tmp_path):
     assert cbr.tracked_direction("row_constructions_per_source_tuple") == 1
     bound = {"t": {"row_constructions_per_source_tuple": 4.0}}
