@@ -1,9 +1,9 @@
 """Live backend under injected network faults: recovery trend metrics.
 
-Deploys the chain and sharded placements with ``backend="live"`` and runs
-each under a compiled :class:`~repro.live.faults.FaultPlan` -- a stream
-disconnect for the chain, a full partition of one shard group for the
-fan-out -- measuring how the hardened transport rides through the outage.
+Runs one :class:`~repro.runtime.ScenarioSpec` per case with ``run_live()``
+-- a stream disconnect for the chain, a full partition of one shard group for
+the fan-out; the schedule compiles to a deterministic wire-level fault plan
+-- measuring how the hardened transport rides through the outage.
 
 The hard metrics are the deterministic ones: ``*_stable_tuples`` pins the
 finite workload every run must fully deliver (the ledger is byte-identical
@@ -20,11 +20,8 @@ from __future__ import annotations
 import pytest
 from conftest import full_sweep, print_results
 
-from repro.deploy.placement import compile as compile_topology
-from repro.live.faults import compile_failures
+from repro import ScenarioSpec
 from repro.live.supervisor import LiveBackendUnavailable, require_fork
-from repro.topology import Topology
-from repro.workloads.scenarios import FailureSpec
 
 STOP_QUICK = 4.0
 STOP_FULL = 8.0
@@ -41,19 +38,14 @@ def _fork_available() -> bool:
     return True
 
 
-def _faulted_run(label: str, topology, rate: float, stop: float, failures) -> dict:
-    placement = compile_topology(topology, replicas_per_node=2)
-    plan, kills = compile_failures(placement, failures, seed=SEED)
-    assert not kills
-    live = placement.deploy(
-        seed=SEED, aggregate_rate=rate, source_stop_time=stop, backend="live"
-    )
-    result = live.run(duration=stop + 1.5, faults=plan, drain_timeout=20.0)
+def _faulted_run(label: str, spec: ScenarioSpec) -> dict:
+    result = spec.run_live()
+    assert not result.kills
     phases = [p for p in result.tentative_phase.values() if p.get("count")]
     tentative_span = max(
         (p["last"] - p["first"] for p in phases), default=0.0
     )
-    heal_at = max((rule["end"] for rule in plan.describe()), default=0.0)
+    heal_at = max((rule["end"] for rule in result.faults), default=0.0)
     recovery = max(
         (p["last"] - heal_at for p in phases), default=0.0
     )
@@ -77,16 +69,21 @@ def _faulted_run(label: str, topology, rate: float, stop: float, failures) -> di
 def test_live_faults(run_once, benchmark):
     stop = STOP_FULL if full_sweep() else STOP_QUICK
 
+    # Sources stop with the run, at ``duration``: the same finite workload as
+    # the simulator oracle of the same spec.
+    run = dict(warmup=ONSET, duration=stop, seed=SEED)
+
     def sweep():
         return [
             _faulted_run(
-                "chain2_disconnect", Topology.chain(2), 90.0, stop,
-                [FailureSpec("disconnect", ONSET, OUTAGE)],
+                "chain2_disconnect",
+                ScenarioSpec.chain(2, aggregate_rate=90.0, **run).with_failure(
+                    "disconnect", duration=OUTAGE),
             ),
             _faulted_run(
-                "shard4_partition", Topology.shard(4), 120.0, stop,
-                [FailureSpec("partition", ONSET, OUTAGE,
-                             node="shard1", node_replica=-1)],
+                "shard4_partition",
+                ScenarioSpec.sharded(4, aggregate_rate=120.0, **run).with_partition(
+                    "shard1", replica=-1, duration=OUTAGE),
             ),
         ]
 

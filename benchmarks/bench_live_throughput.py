@@ -1,12 +1,12 @@
 """Live backend: wall-clock throughput over real processes and sockets.
 
 Not a paper figure: the paper measured a real Borealis deployment, and this
-benchmark is the reproduction's equivalent reality check.  The same compiled
-placements the simulator benchmarks use -- a chain and a shard(4) fan-out --
-are deployed with ``backend="live"`` (one OS process per replica plus an
-edge worker, wire-codec frames over Unix-domain sockets, wall-clock timers)
-and run against a fixed finite workload (``source_stop_time``), measuring
-stable tuples delivered per wall-clock second.
+benchmark is the reproduction's equivalent reality check.  The same specs
+the simulator benchmarks use -- a chain and a shard(4) fan-out -- run with
+``ScenarioSpec.run_live()`` (one OS process per replica plus an edge worker,
+wire-codec frames over Unix-domain sockets, wall-clock timers) against a
+fixed finite workload (sources stop at the spec's ``total_duration()``),
+measuring stable tuples delivered per wall-clock second.
 
 Unlike every other benchmark in this directory the numbers here are
 environment-bound, not deterministic: scheduling jitter moves them run to
@@ -23,9 +23,8 @@ from __future__ import annotations
 import pytest
 from conftest import full_sweep, print_results
 
-from repro.deploy.placement import compile as compile_topology
+from repro import ScenarioSpec
 from repro.live.supervisor import LiveBackendUnavailable, require_fork
-from repro.topology import Topology
 
 #: Sources stop at this stime; the workload is then finite and identical
 #: across rounds (and across backends -- see the parity tests).
@@ -44,12 +43,8 @@ def _fork_available() -> bool:
     return True
 
 
-def _live_run(label: str, topology, rate: float, stop: float) -> dict:
-    placement = compile_topology(topology, replicas_per_node=2)
-    live = placement.deploy(
-        seed=SEED, aggregate_rate=rate, source_stop_time=stop, backend="live"
-    )
-    result = live.run(duration=stop + 1.0, drain_timeout=20.0)
+def _live_run(label: str, spec: ScenarioSpec) -> dict:
+    result = spec.run_live()
     stable = result.total_stable
     return {
         "label": label,
@@ -66,10 +61,12 @@ def test_live_throughput(run_once, benchmark):
     stop = STOP_FULL if full_sweep() else STOP_QUICK
     rate = RATE_FULL if full_sweep() else RATE_QUICK
 
+    run = dict(aggregate_rate=rate, warmup=stop, settle=0.0, seed=SEED)
+
     def sweep():
         return [
-            _live_run("chain-2", Topology.chain(2), rate, stop),
-            _live_run("shard-4", Topology.shard(4), rate, stop),
+            _live_run("chain-2", ScenarioSpec.chain(2, **run)),
+            _live_run("shard-4", ScenarioSpec.sharded(4, **run)),
         ]
 
     rows = run_once(sweep)

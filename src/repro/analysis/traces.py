@@ -57,10 +57,6 @@ class TraceAnalysis:
         return not self.tentative_episodes or bool(self.correction_episodes)
 
 
-def _data_entries(trace: Sequence[TraceEntry]) -> list[TraceEntry]:
-    return [entry for entry in trace if entry.tuple_type in _DATA_TYPES]
-
-
 def tentative_episodes(trace: Sequence[TraceEntry]) -> list[Episode]:
     """Contiguous runs of tentative tuples (the failure-time output bursts)."""
     return _episodes(trace, "tentative")

@@ -10,6 +10,7 @@ without writing any code::
     python -m repro run replicas --output replicas.csv --format csv
     python -m repro scenario --depth 2 --failure disconnect --failure-duration 10
     python -m repro scenario --topology diamond --failure crash --failure-node left
+    python -m repro scenario --backend live --depth 2 --warmup 2 --settle 3 --failure crash --failure-duration 1
     python -m repro claims
     python -m repro profile shard --shards 4 --duration 15
     python -m repro plan-delays --depth 4 --budget 8 --strategy full
@@ -21,8 +22,9 @@ programmatically with the :class:`~repro.runtime.ScenarioSpec` API::
 
     from repro import ScenarioSpec
 
-    runtime = ScenarioSpec.chain(2).with_failure("disconnect", duration=10.0).run()
-    print(runtime.client.summary())
+    spec = ScenarioSpec.chain(2, warmup=2.0, settle=3.0).with_failure("disconnect", duration=1.0)
+    print(spec.run().client.summary())             # the deterministic simulator
+    print(spec.run_live().client()["summary"])     # the same schedule on forked workers
 """
 
 from __future__ import annotations
@@ -44,9 +46,14 @@ from .analysis.tables import (
 )
 from .config import DelayAssignment
 from .core.delay_planner import DelayPlanner
+from .deploy import AutoscalePolicy
+from .errors import ConfigurationError, LiveBackendUnavailable, SimulationError
 from .experiments import ablations, chains, dags, overhead, shards, single_node
 from .experiments.harness import ExperimentResult
-from .topology import Topology
+from .metrics.consistency import stable_ledger_rows
+from .runtime import ScenarioSpec
+from .runtime.runtime import LIVE_POST_STOP_SLACK
+from .workloads.generators import step_rate
 
 #: Renderers selectable with ``--format``.
 _RENDERERS: dict[str, Callable[[ResultTable], str]] = {
@@ -321,6 +328,15 @@ def _run_shard_throughput(scale: str) -> list[ResultTable]:
     return [table]
 
 
+def _live_runs(table: ResultTable, cases):
+    """Yield ``(label, spec, spec.run_live())`` per case; without fork, one 'unavailable' row."""
+    try:
+        for label, spec in cases:
+            yield label, spec, spec.run_live()
+    except LiveBackendUnavailable as error:
+        table.set("unavailable", "reason", str(error))
+
+
 def _run_live_throughput(scale: str) -> list[ResultTable]:
     """Wall-clock throughput of the live backend: chain vs shard fan-out.
 
@@ -328,27 +344,19 @@ def _run_live_throughput(scale: str) -> list[ResultTable]:
     (worker processes over Unix sockets); the numbers are environment-bound
     trend metrics, not deterministic figures.
     """
-    from .deploy.placement import compile as compile_topology
-    from .live.supervisor import LiveBackendUnavailable, require_fork
-
     table = ResultTable(
         title="Live backend: wall-clock throughput, chain vs sharded fan-out",
         row_label="deployment",
         column_label="metric",
     )
-    try:
-        require_fork()
-    except LiveBackendUnavailable as error:
-        table.set("unavailable", "reason", str(error))
-        return [table]
-    stop = 4.0 if scale != "full" else 8.0
-    rate = 240.0 if scale != "full" else 480.0
-    for label, topology in (("chain-2", Topology.chain(2)), ("shard-4", Topology.shard(4))):
-        placement = compile_topology(topology, replicas_per_node=2)
-        live = placement.deploy(
-            seed=1, aggregate_rate=rate, source_stop_time=stop, backend="live"
-        )
-        result = live.run(duration=stop + 1.0, drain_timeout=20.0)
+    run = dict(
+        aggregate_rate=240.0 if scale != "full" else 480.0,
+        warmup=4.0 if scale != "full" else 8.0,
+        settle=0.0,
+        seed=1,
+    )
+    cases = [("chain-2", ScenarioSpec.chain(2, **run)), ("shard-4", ScenarioSpec.sharded(4, **run))]
+    for label, _, result in _live_runs(table, cases):
         stable = result.total_stable
         table.set(label, "worker processes", len(result.nodes) + 1)
         table.set(label, "stable tuples", stable)
@@ -359,61 +367,36 @@ def _run_live_throughput(scale: str) -> list[ResultTable]:
 
 
 def _run_live_faults(scale: str) -> list[ResultTable]:
-    """Network-fault parity: live runs under a compiled FaultPlan vs the sim.
+    """Network-fault parity: one spec per case, run live and against its oracle.
 
-    Each case builds one failure schedule from the shared ``FailureSpec``
-    vocabulary, runs it on the simulator for the oracle ledger, compiles the
-    same schedule into a deterministic wire-level :class:`FaultPlan`, and
-    replays it on real worker processes.  "ledger matches sim" is the parity
-    claim: byte-identical stable rows in replica-independent form.
+    ``spec.run_live()`` replays the schedule on real worker processes as a
+    deterministic wire-level fault plan; ``spec.oracle()`` is the simulator
+    run of the same spec.  "ledger matches sim" is the parity claim:
+    byte-identical stable rows in replica-independent form.
     """
-    from .deploy.placement import compile as compile_topology
-    from .live.faults import compile_failures
-    from .live.supervisor import LiveBackendUnavailable, require_fork
-    from .live.worker import stable_ledger_rows
-    from .workloads.scenarios import FailureSpec, Scenario
-
     table = ResultTable(
         title="Live fault injection: disconnect/partition parity with the simulator",
         row_label="scenario",
         column_label="metric",
     )
-    try:
-        require_fork()
-    except LiveBackendUnavailable as error:
-        table.set("unavailable", "reason", str(error))
-        return [table]
-    stop = 4.0 if scale != "full" else 8.0
-    onset, outage = 1.5, 1.0
+    run = dict(warmup=1.5, duration=4.0 if scale != "full" else 8.0, seed=1)
     cases = [
-        ("chain-2 disconnect", Topology.chain(2), 90.0,
-         [FailureSpec("disconnect", onset, outage)]),
-        ("shard-4 partition", Topology.shard(4), 120.0,
-         [FailureSpec("partition", onset, outage, node="shard1", node_replica=-1)]),
+        ("chain-2 disconnect",
+         ScenarioSpec.chain(2, aggregate_rate=90.0, **run).with_failure(
+             "disconnect", duration=1.0)),
+        ("shard-4 partition",
+         ScenarioSpec.sharded(4, aggregate_rate=120.0, **run).with_partition(
+             "shard1", replica=-1, duration=1.0)),
     ]
-    for label, topology, rate, failures in cases:
-        placement = compile_topology(topology, replicas_per_node=2)
-        oracle = placement.deploy(seed=1, aggregate_rate=rate, source_stop_time=stop)
-        Scenario(failures=failures).inject(oracle.cluster)
-        oracle.start()
-        oracle.run_for(stop + 6.0)
-        sim_rows = stable_ledger_rows(oracle.clients[0])
-
-        plan, kills = compile_failures(placement, failures, seed=1)
-        live = placement.deploy(
-            seed=1, aggregate_rate=rate, source_stop_time=stop, backend="live"
-        )
-        result = live.run(
-            duration=stop + 1.5, kill=list(kills) or None, faults=plan,
-            drain_timeout=20.0,
-        )
+    for label, spec, result in _live_runs(table, cases):
         table.set(label, "stable tuples", result.total_stable)
         table.set(label, "tentative tuples", result.total_tentative)
         table.set(label, "injected faults", sum(result.injected_faults().values()))
         table.set(label, "dead letters", result.dead_letters)
         table.set(label, "reconnects", result.reconnects)
         table.set(label, "consistent", result.eventually_consistent)
-        table.set(label, "ledger matches sim", result.stable_rows() == sim_rows)
+        table.set(label, "ledger matches sim",
+                  result.stable_rows() == stable_ledger_rows(spec.oracle().client))
     return [table]
 
 
@@ -520,137 +503,133 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_scenario_live(args: argparse.Namespace) -> int:
-    """Run a scenario on the live backend (real processes, wall-clock time).
+def _shape_spec(shape: str, args: argparse.Namespace, **common) -> ScenarioSpec:
+    """The spec of one named deployment shape, from the flags that size it.
 
-    Crash failures SIGKILL a replica's worker process; disconnect and
-    partition schedules compile into a deterministic
-    :class:`~repro.live.faults.FaultPlan` enforced at the socket layer, so
-    the same ``--failure``/``--disconnect-at``/``--partition-at`` flags run
-    on either backend.  Boundary silence and the sharded control-plane
-    extras (skew, rebalance, autoscale, surge) remain simulator-only.
+    ``scenario`` (both backends), ``profile`` and ``plan-delays`` all build
+    their topology here; flags a subcommand does not define keep the spec's
+    defaults.
     """
-    from .config import DPCConfig
-    from .deploy.placement import compile as compile_topology
-    from .errors import ConfigurationError, SimulationError
-    from .live.faults import compile_failures
-    from .live.supervisor import LiveBackendUnavailable, LiveKill
-    from .workloads.scenarios import FailureSpec
-
-    for flag, value in (
-        ("--skew", args.skew),
-        ("--rebalance-at", args.rebalance_at),
-        ("--autoscale", args.autoscale or None),
-        ("--surge-at", args.surge_at),
-    ):
-        if value is not None:
-            print(
-                f"invalid scenario: {flag} is simulator-only (not supported "
-                "with --backend live)",
-                file=sys.stderr,
-            )
-            return 2
-    if args.failure == "silence":
-        print(
-            "invalid scenario: --failure silence is simulator-only; the live "
-            "backend injects crash (SIGKILL), disconnect, and partition "
-            "failures",
-            file=sys.stderr,
+    streams = getattr(args, "streams", None)
+    inputs = {} if streams is None else {"n_input_streams": streams}
+    if shape == "shard":
+        return ScenarioSpec.sharded(
+            shards=args.shards, skew=getattr(args, "skew", None), **inputs, **common
         )
-        return 2
-    streams = 3 if args.streams is None else args.streams
-    if args.topology == "shard":
-        topology = Topology.shard(args.shards, n_input_streams=streams)
-    elif args.topology == "diamond":
-        topology = Topology.diamond(n_input_streams=streams)
-    elif args.topology == "fanin":
-        topology = Topology.fanin()
-    else:
-        topology = Topology.chain(args.depth, n_input_streams=streams)
-    config = None
-    if args.checkpoint_interval is not None:
-        config = DPCConfig(
-            checkpoint_interval=(
-                None if args.checkpoint_interval <= 0 else args.checkpoint_interval
-            )
-        )
-    # Sources stop at warmup+settle; one extra wall second lets the last
-    # boundary cross the pipeline before the drain poll takes over.
-    stop = args.warmup + args.settle
-    kill = None
-
-    def _target_node(placement):
-        if args.failure_node:
-            return args.failure_node
-        if not 0 <= args.failure_level < len(placement.nodes):
+    if shape == "diamond":
+        return ScenarioSpec.diamond(**inputs, **common)
+    if shape == "fanin":
+        if streams is None:
+            return ScenarioSpec.fanin(**common)
+        if streams < 2 or streams % 2:
             raise ConfigurationError(
-                f"--failure-level {args.failure_level} out of range for "
-                f"{len(placement.nodes)} node(s)"
+                f"--streams {streams} cannot be split across the fanin topology's "
+                "2 branches (use an even count >= 2)"
             )
-        return placement.nodes[args.failure_level].name
+        return ScenarioSpec.fanin(streams_per_branch=streams // 2, **common)
+    if shape == "aggregate":
+        return ScenarioSpec.windowed_aggregate(
+            window_size=args.window_size, window_slide=args.window_slide, **common
+        )
+    return ScenarioSpec.chain(args.depth, **inputs, **common)
 
-    try:
-        placement = compile_topology(topology, replicas_per_node=args.replicas)
-        if args.failure == "crash":
-            kill = LiveKill(
-                node=_target_node(placement),
-                replica=args.failure_replica,
-                at=args.warmup,
-                downtime=args.failure_duration,
+
+def _scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
+    """The :class:`ScenarioSpec` the ``scenario`` flags describe, for either backend."""
+    if (
+        args.failure_node
+        and args.failure not in ("crash", "partition")
+        and args.partition_at is None
+    ):
+        raise ConfigurationError(
+            "--failure-node only applies to crash/partition failures "
+            "(disconnect/silence target a source stream via --failure-stream)"
+        )
+    if args.topology != "shard":
+        for flag, value in (
+            ("--skew", args.skew),
+            ("--rebalance-at", args.rebalance_at),
+            ("--autoscale", args.autoscale or None),
+        ):
+            if value is not None:
+                raise ConfigurationError(f"{flag} only applies to --topology shard")
+    if args.rebalance_tolerance is not None and args.rebalance_at is None:
+        raise ConfigurationError(
+            "--rebalance-tolerance only applies together with --rebalance-at"
+        )
+    if args.surge_until is not None and args.surge_at is None:
+        raise ConfigurationError("--surge-until only applies together with --surge-at")
+    checkpoint_interval = "inherit"
+    if args.checkpoint_interval is not None:
+        # <= 0 disables recovery checkpoints (forces full-replay recovery).
+        checkpoint_interval = (
+            None if args.checkpoint_interval <= 0 else args.checkpoint_interval
+        )
+    spec = _shape_spec(
+        args.topology,
+        args,
+        name=args.name,
+        replicas_per_node=args.replicas,
+        aggregate_rate=args.rate,
+        warmup=args.warmup,
+        settle=args.settle,
+        seed=args.seed,
+        checkpoint_interval=checkpoint_interval,
+    )
+    if args.rebalance_at is not None:
+        spec = spec.with_overrides(
+            rebalance_at=args.rebalance_at,
+            rebalance_tolerance=(
+                0.10 if args.rebalance_tolerance is None else args.rebalance_tolerance
+            ),
+        )
+    if args.autoscale:
+        spec = spec.with_overrides(
+            autoscale=AutoscalePolicy(
+                high_watermark=args.autoscale_high,
+                low_watermark=args.autoscale_low,
+                min_shards=args.shards,
+                max_shards=args.shards + 2,
             )
-        failure_specs = []
-        if args.failure == "disconnect":
-            failure_specs.append(FailureSpec(
-                "disconnect", args.warmup, args.failure_duration,
-                stream_index=args.failure_stream,
-            ))
-        if args.disconnect_at is not None:
-            failure_specs.append(FailureSpec(
-                "disconnect", args.disconnect_at, args.failure_duration,
-                stream_index=args.failure_stream,
-            ))
-        if args.failure == "partition":
-            failure_specs.append(FailureSpec(
-                "partition", args.warmup, args.failure_duration,
-                node=_target_node(placement), node_replica=args.failure_replica,
-            ))
-        if args.partition_at is not None:
-            failure_specs.append(FailureSpec(
-                "partition", args.partition_at, args.failure_duration,
-                node=_target_node(placement), node_replica=args.failure_replica,
-            ))
-        faults = None
-        if failure_specs:
-            faults, plan_kills = compile_failures(
-                placement, failure_specs, seed=args.seed or 0
-            )
-            kill = kill or (plan_kills[0] if plan_kills else None)
-        live = placement.deploy(
-            config,
-            seed=args.seed,
-            aggregate_rate=args.rate,
-            source_stop_time=stop,
-            backend="live",
         )
-        print(
-            f"scenario {args.name!r} [live]: topology={topology.name} "
-            f"nodes={','.join(topology.node_names)} replicas={args.replicas} "
-            f"rate={args.rate:g} tuples/s seed={args.seed} "
-            f"(~{stop + 1.0:g} wall seconds plus drain)"
+    # Each failure kind reads only its own target fields (stream, or node + replica).
+    failure = dict(
+        duration=args.failure_duration,
+        stream_index=args.failure_stream,
+        node=args.failure_node,
+        node_level=args.failure_level,
+        node_replica=args.failure_replica,
+    )
+    if args.failure:
+        spec = spec.with_failure(args.failure, **failure)
+    if args.disconnect_at is not None:
+        spec = spec.with_failure("disconnect", start=args.disconnect_at, **failure)
+    if args.partition_at is not None:
+        spec = spec.with_failure("partition", start=args.partition_at, **failure)
+    if args.surge_at is not None:
+        spec = spec.with_overrides(
+            rate_profile=step_rate(args.surge_at, args.surge_factor, until=args.surge_until)
         )
-        if faults is not None:
-            for rule in faults.describe():
-                window = f"t={rule['start']:g}s..{rule['end']:g}s"
-                print(f"  fault rule: {rule['kind']} on {rule['link']} {window}")
-        result = live.run(
-            duration=stop + 1.0, kill=kill, faults=faults, drain_timeout=15.0
-        )
-    except LiveBackendUnavailable as error:
-        print(f"live backend unavailable: {error}", file=sys.stderr)
-        return 2
-    except (ConfigurationError, SimulationError) as error:
-        print(f"invalid scenario: {error}", file=sys.stderr)
-        return 2
+    return spec
+
+
+def _cmd_scenario_live(spec: ScenarioSpec) -> int:
+    """Run ``spec`` on the live backend and print the live-only report.
+
+    Crashes SIGKILL a replica's worker process; disconnects and partitions
+    are enforced at the socket layer as a deterministic fault plan.
+    """
+    topology = spec.resolved_topology()
+    print(
+        f"scenario {spec.name!r} [live]: topology={topology.name} "
+        f"nodes={','.join(topology.node_names)} replicas={spec.replicas_per_node} "
+        f"rate={spec.aggregate_rate:g} tuples/s seed={spec.seed} "
+        f"(~{spec.total_duration() + LIVE_POST_STOP_SLACK:g} wall seconds plus drain)"
+    )
+    result = spec.run_live()
+    for rule in result.faults:
+        print(f"  fault rule: {rule['kind']} on {rule['link']} "
+              f"t={rule['start']:g}s..{rule['end']:g}s")
     for record in result.kills:
         print(f"  SIGKILL: {record['endpoint']} (worker {record['worker']}) "
               f"at t={record['at']:.2f}s, respawned at t={record['respawned_at']:.2f}s")
@@ -677,161 +656,19 @@ def _cmd_scenario_live(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from .errors import ConfigurationError, SimulationError
-    from .runtime import ScenarioSpec
-
-    if args.backend == "live":
-        return _cmd_scenario_live(args)
-    checkpoint_interval = "inherit"
-    if args.checkpoint_interval is not None:
-        # <= 0 disables recovery checkpoints (forces full-replay recovery).
-        checkpoint_interval = (
-            None if args.checkpoint_interval <= 0 else args.checkpoint_interval
-        )
-    common = dict(
-        name=args.name,
-        replicas_per_node=args.replicas,
-        aggregate_rate=args.rate,
-        warmup=args.warmup,
-        settle=args.settle,
-        seed=args.seed,
-        checkpoint_interval=checkpoint_interval,
-    )
-    if (
-        args.failure_node
-        and args.failure not in ("crash", "partition")
-        and args.partition_at is None
-    ):
-        print(
-            "invalid scenario: --failure-node only applies to crash/partition "
-            "failures (disconnect/silence target a source stream via "
-            "--failure-stream)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.topology != "shard":
-        for flag, value in (
-            ("--skew", args.skew),
-            ("--rebalance-at", args.rebalance_at),
-            ("--autoscale", args.autoscale or None),
-        ):
-            if value is not None:
-                print(
-                    f"invalid scenario: {flag} only applies to --topology shard",
-                    file=sys.stderr,
-                )
-                return 2
-    if args.rebalance_tolerance is not None and args.rebalance_at is None:
-        print(
-            "invalid scenario: --rebalance-tolerance only applies together with "
-            "--rebalance-at",
-            file=sys.stderr,
-        )
-        return 2
-    if args.surge_until is not None and args.surge_at is None:
-        print(
-            "invalid scenario: --surge-until only applies together with --surge-at",
-            file=sys.stderr,
-        )
-        return 2
-    streams = args.streams
     try:
-        if args.topology == "shard":
-            spec = ScenarioSpec.sharded(
-                shards=args.shards,
-                n_input_streams=3 if streams is None else streams,
-                skew=args.skew,
-                **common,
-            )
-            if args.rebalance_at is not None:
-                spec = spec.with_overrides(
-                    rebalance_at=args.rebalance_at,
-                    rebalance_tolerance=(
-                        0.10
-                        if args.rebalance_tolerance is None
-                        else args.rebalance_tolerance
-                    ),
-                )
-            if args.autoscale:
-                from .deploy import AutoscalePolicy
-
-                spec = spec.with_overrides(
-                    autoscale=AutoscalePolicy(
-                        high_watermark=args.autoscale_high,
-                        low_watermark=args.autoscale_low,
-                        min_shards=args.shards,
-                        max_shards=args.shards + 2,
-                    )
-                )
-        elif args.topology == "diamond":
-            spec = ScenarioSpec.diamond(
-                n_input_streams=3 if streams is None else streams, **common
-            )
-        elif args.topology == "fanin":
-            if streams is None:
-                spec = ScenarioSpec.fanin(**common)
-            elif streams >= 2 and streams % 2 == 0:
-                spec = ScenarioSpec.fanin(streams_per_branch=streams // 2, **common)
-            else:
-                print(
-                    f"invalid scenario: --streams {streams} cannot be split across the "
-                    "fanin topology's 2 branches (use an even count >= 2)",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            spec = ScenarioSpec(
-                chain_depth=args.depth,
-                n_input_streams=3 if streams is None else streams,
-                **common,
-            )
-        if args.failure in ("crash", "partition"):
-            if args.failure_node:
-                spec = spec.with_failure(
-                    args.failure,
-                    duration=args.failure_duration,
-                    node=args.failure_node,
-                    node_replica=args.failure_replica,
-                )
-            else:
-                spec = spec.with_failure(
-                    args.failure,
-                    duration=args.failure_duration,
-                    node_level=args.failure_level,
-                    node_replica=args.failure_replica,
-                )
-        elif args.failure:
-            spec = spec.with_failure(
-                args.failure, duration=args.failure_duration, stream_index=args.failure_stream
-            )
-        if args.disconnect_at is not None:
-            spec = spec.with_failure(
-                "disconnect",
-                start=args.disconnect_at,
-                duration=args.failure_duration,
-                stream_index=args.failure_stream,
-            )
-        if args.partition_at is not None:
-            spec = spec.with_partition(
-                node=args.failure_node,
-                node_level=args.failure_level,
-                replica=args.failure_replica,
-                start=args.partition_at,
-                duration=args.failure_duration,
-            )
-        if args.surge_at is not None:
-            from .workloads.generators import step_rate
-
-            spec = spec.with_overrides(
-                rate_profile=step_rate(
-                    args.surge_at, args.surge_factor, until=args.surge_until
-                )
-            )
+        spec = _scenario_spec(args)
+        if args.backend == "live":
+            return _cmd_scenario_live(spec)
         runtime = spec.run()
+    except LiveBackendUnavailable as error:
+        print(f"live backend unavailable: {error}", file=sys.stderr)
+        return 2
     except (ConfigurationError, SimulationError) as error:
-        # ConfigurationError: the spec was invalid up front.  SimulationError:
-        # the run refused a scheduled action mid-simulation (e.g. a rebalance
-        # colliding with failure handling that validation could not foresee).
+        # ConfigurationError: the flags or the spec were invalid up front.
+        # SimulationError: the run refused a scheduled action mid-simulation
+        # (e.g. a rebalance colliding with failure handling that validation
+        # could not foresee).
         print(f"invalid scenario: {error}", file=sys.stderr)
         return 2
     summary = runtime.client.summary()
@@ -877,12 +714,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     hot-path overhaul (slotted tuples, batch operator loops) was driven by
     exactly this view of a shard(4) run.
     """
-    from .runtime import ScenarioSpec
-
     if args.top is None:
         args.top = 15 if args.scenario == "live" else 25
-    if args.scenario == "live":
-        return _profile_live(args)
     common = dict(
         name=f"profile-{args.scenario}",
         aggregate_rate=args.rate,
@@ -891,35 +724,26 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         seed=args.seed,
         replicas_per_node=args.replicas,
     )
-    if args.scenario == "shard":
-        spec = ScenarioSpec.sharded(shards=args.shards, **common)
-    elif args.scenario == "recovery":
+    if args.scenario == "live":
+        return _profile_live(args, _shape_spec("chain", args, **common))
+    if args.scenario == "recovery":
         # Crash one replica mid-run so the profile covers capture, transfer,
         # adoption, and the post-rejoin replay suffix -- the statexfer path.
         common.update(
             replicas_per_node=max(args.replicas, 2),
             warmup=5.0,
             settle=max(args.duration - 5.0, 10.0),
+            checkpoint_interval=2.0,
         )
-        spec = ScenarioSpec.chain(
-            args.depth, checkpoint_interval=2.0, **common
-        ).with_failure(
+        spec = _shape_spec("chain", args, **common).with_failure(
             "crash",
             start=5.0,
             duration=max(args.duration * 0.4, 4.0),
             node_level=0,
             node_replica=0,
         )
-    elif args.scenario == "diamond":
-        spec = ScenarioSpec.diamond(**common)
-    elif args.scenario == "fanin":
-        spec = ScenarioSpec.fanin(**common)
-    elif args.scenario == "aggregate":
-        spec = ScenarioSpec.windowed_aggregate(
-            window_size=args.window_size, window_slide=args.window_slide, **common
-        )
     else:
-        spec = ScenarioSpec(chain_depth=args.depth, **common)
+        spec = _shape_spec(args.scenario, args, **common)
     runtime = spec.build()
     stats, counters = runtime.run_profiled()
     stats.stream = sys.stdout
@@ -940,8 +764,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_live(args: argparse.Namespace) -> int:
-    """Profile every worker process of a failure-free live chain run.
+def _profile_live(args: argparse.Namespace, spec: ScenarioSpec) -> int:
+    """Profile every worker process of a failure-free live run of ``spec``.
 
     The simulator profile above sees one process; the live backend's CPU is
     spent in forked workers, so each runs under its own cProfile and leaves a
@@ -953,20 +777,10 @@ def _profile_live(args: argparse.Namespace) -> int:
     import pstats
     import tempfile
 
-    from .deploy.placement import compile as compile_topology
-    from .live.supervisor import LiveBackendUnavailable
-
     out_dir = args.out or tempfile.mkdtemp(prefix="repro-profile-live-")
     os.makedirs(out_dir, exist_ok=True)
-    placement = compile_topology(Topology.chain(args.depth), replicas_per_node=args.replicas)
     try:
-        live = placement.deploy(
-            seed=args.seed,
-            aggregate_rate=args.rate,
-            source_stop_time=args.duration,
-            backend="live",
-        )
-        result = live.run(duration=args.duration + 1.0, drain_timeout=20.0, profile_dir=out_dir)
+        result = spec.run_live(profile_dir=out_dir)
     except LiveBackendUnavailable as error:
         print(f"live backend unavailable: {error}", file=sys.stderr)
         return 2
@@ -999,14 +813,7 @@ def _profile_live(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_delays(args: argparse.Namespace) -> int:
-    if args.topology == "diamond":
-        topology = Topology.diamond()
-    elif args.topology == "fanin":
-        topology = Topology.fanin()
-    elif args.topology == "shard":
-        topology = Topology.shard(args.shards)
-    else:
-        topology = Topology.chain(args.depth)
+    topology = _shape_spec(args.topology, args).resolved_topology()
     planner = DelayPlanner.for_topology(
         topology, total_budget=args.budget, queuing_allowance=args.queuing_allowance
     )
@@ -1135,7 +942,9 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--backend", choices=("sim", "live"), default="sim",
                           help="sim runs the deterministic simulator; live runs the same "
                                "compiled placement as real processes over Unix sockets "
-                               "in wall-clock time (crash failures only)")
+                               "in wall-clock time (crash, disconnect and partition "
+                               "failures; silence, rebalance and autoscale are "
+                               "simulator-only)")
     scenario.set_defaults(func=_cmd_scenario)
 
     profile = sub.add_parser(

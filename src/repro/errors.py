@@ -40,8 +40,12 @@ class NetworkError(SimulationError):
     """A message was sent to an unknown endpoint or over a removed link."""
 
 
-class ConfigurationError(ReproError):
+class ConfigurationError(ReproError, ValueError):
     """A configuration object holds values that are inconsistent or invalid."""
+
+
+class LiveBackendUnavailable(ReproError):
+    """The platform cannot run the live backend (no ``fork`` start method)."""
 
 
 class ProtocolError(ReproError):

@@ -59,14 +59,9 @@ class ExperimentResult:
         )
 
 
-def check_eventual_consistency(deployment) -> bool:
-    """Final stable output must be gap-free, duplicate-free, and in order.
-
-    Accepts anything with a ``client`` attribute (a
-    :class:`~repro.runtime.SimulationRuntime` or a bare
-    :class:`~repro.sim.cluster.Cluster`).
-    """
-    return client_is_eventually_consistent(deployment.client)
+#: The ledger verdict under its experiment-facing name (takes a client, or a
+#: runtime / cluster holding one as ``.client``).
+check_eventual_consistency = client_is_eventually_consistent
 
 
 def availability_run(

@@ -38,10 +38,10 @@ from zlib import crc32
 
 from ..errors import ConfigurationError
 from ..sim.failures import FailureType
+from ..workloads.scenarios import FailureSpec, resolve_failures
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (supervisor imports us)
     from ..deploy.placement import Placement
-    from ..workloads.scenarios import FailureSpec
     from .supervisor import LiveKill
 
 # Fault kinds.  The two *window* kinds reuse the simulator's FailureType
@@ -227,121 +227,48 @@ def backoff_delay(
 # ---------------------------------------------------------------------- compile
 def compile_failures(
     placement: "Placement",
-    failures: Sequence["FailureSpec"],
+    failures: Sequence[FailureSpec],
     *,
     seed: int = 0,
 ) -> "tuple[FaultPlan, tuple[LiveKill, ...]]":
     """Map a sim failure schedule onto (link rules, SIGKILL directives).
 
-    The *same* resolved :class:`FailureSpec` list the simulator's
-    ``Scenario.inject`` consumes compiles to the live equivalents:
+    The schedule is resolved by the same
+    :func:`~repro.workloads.scenarios.resolve_failures` walk the simulator's
+    ``Scenario.inject`` consumes; each resolved action compiles to its live
+    equivalent:
 
-    * ``disconnect`` -- one-way window rules from the stream's source
-      endpoint to every consumer replica (the sim severs exactly these
-      subscriptions);
-    * ``partition`` -- bidirectional window rules isolating the target
-      replica endpoint(s) from every other endpoint;
-    * ``crash`` -- a :class:`~repro.live.supervisor.LiveKill` per target
-      replica (real SIGKILL + respawn);
+    * ``disconnect`` -- a one-way window rule from the source endpoint to the
+      consumer replica (the sim severs exactly this subscription);
+    * ``partition`` -- a bidirectional window rule isolating the replica
+      endpoint from every other endpoint;
+    * ``crash`` -- a :class:`~repro.live.supervisor.LiveKill` of the replica
+      (real SIGKILL + respawn);
     * ``silence`` -- rejected: boundary silence mutes a *simulated* node's
       boundary timer, which has no wire-level analogue.
-
-    Failure starts must already be resolved (``ScenarioSpec._resolved_failures``
-    / ``as_scenario()`` does this); ``start=None`` is rejected.
     """
     from .supervisor import LiveKill
 
     rules: list[LinkRule] = []
     kills: list[LiveKill] = []
-    for spec in failures:
-        if spec.start is None:
-            raise ConfigurationError(
-                f"failure {spec.kind!r} has an unresolved start; compile from "
-                f"ScenarioSpec.as_scenario() (it resolves start=None to the warmup)"
-            )
-        if spec.start < 0 or spec.duration <= 0:
-            raise ConfigurationError(
-                f"failure {spec.kind!r} must have start >= 0 and duration > 0"
-            )
-        end = spec.start + spec.duration
-        if spec.kind == "disconnect":
-            source = _source_plan(placement, spec.stream_index)
-            consumers = _stream_consumers(placement, source.stream)
-            if not consumers:
-                raise ConfigurationError(
-                    f"disconnect targets stream {source.stream!r}, which has no consumers"
-                )
-            rules.extend(
-                LinkRule(kind=DISCONNECT, sender=source.name, receiver=endpoint,
-                         start=spec.start, end=end)
-                for endpoint in consumers
-            )
-        elif spec.kind == "partition":
-            for endpoint in _target_replicas(placement, spec):
-                rules.append(
-                    LinkRule(kind=PARTITION, sender=endpoint, receiver="*",
-                             start=spec.start, end=end, bidirectional=True)
-                )
-        elif spec.kind == "crash":
-            node, indices = _target_indices(placement, spec)
-            kills.extend(
-                LiveKill(node=node, replica=index, at=spec.start, downtime=spec.duration)
-                for index in indices
-            )
-        elif spec.kind == "silence":
-            raise ConfigurationError(
-                "failure kind 'silence' is sim-only (it mutes a simulated boundary "
-                "timer); the live backend supports disconnect/partition/crash"
-            )
+    for action in resolve_failures(placement, failures):
+        end = action.start + action.duration
+        if action.kind == "disconnect":
+            rules.append(LinkRule(kind=DISCONNECT, sender=action.source,
+                                  receiver=action.endpoint, start=action.start, end=end))
+        elif action.kind == "partition":
+            rules.append(LinkRule(kind=PARTITION, sender=action.endpoint, receiver="*",
+                                  start=action.start, end=end, bidirectional=True))
+        elif action.kind == "crash":
+            kills.append(LiveKill(node=action.node, replica=action.replica,
+                                  at=action.start, downtime=action.duration))
         else:
-            raise ConfigurationError(f"unknown failure kind {spec.kind!r}")
-    return FaultPlan(seed=seed, rules=tuple(rules)), tuple(kills)
-
-
-def _source_plan(placement: "Placement", stream_index: int):
-    if not 0 <= stream_index < len(placement.sources):
-        raise ConfigurationError(
-            f"failure targets stream {stream_index}, but the placement has "
-            f"{len(placement.sources)} input streams"
-        )
-    return placement.sources[stream_index]
-
-
-def _stream_consumers(placement: "Placement", stream: str) -> tuple[str, ...]:
-    """Replica endpoints of every node subscribed to a source stream."""
-    endpoints: list[str] = []
-    for sub in placement.subscriptions:
-        if sub.kind == "source->node" and sub.stream == stream:
-            endpoints.extend(placement.node_plan(sub.consumer).replica_names)
-    return tuple(dict.fromkeys(endpoints))
-
-
-def _target_indices(placement: "Placement", spec: "FailureSpec") -> tuple[str, list[int]]:
-    if spec.node is not None:
-        node = spec.node
-    else:
-        order = [plan.name for plan in placement.nodes]
-        if not 0 <= spec.node_level < len(order):
             raise ConfigurationError(
-                f"failure targets node level {spec.node_level}, but the placement "
-                f"has {len(order)} node(s)"
+                "failure kind 'silence' is simulator-only (it mutes a simulated "
+                "boundary timer); the live backend injects crash (SIGKILL), "
+                "disconnect, and partition failures"
             )
-        node = order[spec.node_level]
-    plan = placement.node_plan(node)
-    if spec.node_replica == -1:
-        return node, list(range(plan.replicas))
-    if not 0 <= spec.node_replica < plan.replicas:
-        raise ConfigurationError(
-            f"failure targets replica {spec.node_replica} of {node!r}, which has "
-            f"{plan.replicas} replica(s)"
-        )
-    return node, [spec.node_replica]
-
-
-def _target_replicas(placement: "Placement", spec: "FailureSpec") -> list[str]:
-    node, indices = _target_indices(placement, spec)
-    names = placement.node_plan(node).replica_names
-    return [names[index] for index in indices]
+    return FaultPlan(seed=seed, rules=tuple(rules)), tuple(kills)
 
 
 # ---------------------------------------------------------------------- chaos

@@ -35,10 +35,11 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..deploy.placement import DeployOptions, Placement
-from ..errors import ConfigurationError, ReproError, SimulationError
+from ..errors import ConfigurationError, LiveBackendUnavailable, SimulationError
+from ..metrics.consistency import stable_rows
 from ..spe.tuple_codec import decode_tuples
 from .faults import FaultPlan
-from .worker import WorkerSpec, stable_rows, worker_main
+from .worker import WorkerSpec, worker_main
 
 #: Seconds between the fork and the shared epoch: every worker must have
 #: built its fragment and bound its socket by then.
@@ -47,10 +48,6 @@ _STARTUP_DELAY = 1.0
 #: Consecutive identical ledger polls that count as "drained".
 _DRAIN_STABLE_POLLS = 3
 _DRAIN_POLL_INTERVAL = 0.3
-
-
-class LiveBackendUnavailable(ReproError):
-    """The platform cannot run the live backend (no ``fork`` start method)."""
 
 
 def require_fork() -> None:
@@ -219,16 +216,6 @@ class LiveRunResult:
             for kind, count in stats.get("injected", {}).items():
                 totals[kind] = totals.get(kind, 0) + count
         return totals
-
-    def fault_trace(self) -> list[dict]:
-        """Merged injected-fault events (worker-tagged, time-ordered)."""
-        events = [
-            dict(event, worker=worker)
-            for worker, stats in self.transport.items()
-            for event in stats.get("fault_events", [])
-        ]
-        events.sort(key=lambda event: (event["at"], event["worker"]))
-        return events
 
     def peer_transitions(self) -> list[dict]:
         """Merged liveness transitions (observer-tagged, time-ordered)."""

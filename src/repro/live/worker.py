@@ -23,13 +23,13 @@ import asyncio
 import resource
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..core.protocol import CHECKPOINT_ACK, CheckpointAck
 from ..deploy.placement import DeployOptions, Placement
 from ..deploy.wiring import Wiring, wire_placement
+from ..metrics.consistency import client_is_eventually_consistent, stable_ledger_rows
 from ..sim.client import ClientApplication
-from ..spe.tuples import StreamTuple
 from ..statexfer import PeerRegistry
 from . import wire
 from .clock import LiveClock
@@ -85,32 +85,7 @@ class WorkerSpec:
 
 
 # --------------------------------------------------------------------------- results
-def stable_rows(ledger: Iterable[StreamTuple]) -> list:
-    """Replica-independent form of the stable tuples of a ledger.
-
-    (stable_seq, repr(stime), sorted payload items) -- the row form the parity
-    harness compares between a live and a simulator run; ``repr`` keeps floats
-    exact.
-    """
-    return [
-        (
-            item.stable_seq,
-            repr(item.stime),
-            tuple(sorted((key, repr(value)) for key, value in item.values.items())),
-        )
-        for item in ledger
-        if item.is_stable
-    ]
-
-
-def stable_ledger_rows(client: ClientApplication) -> list:
-    """:func:`stable_rows` of a client's ledger."""
-    return stable_rows(client.metrics.consistency.ledger)
-
-
 def _client_result(client: ClientApplication) -> dict:
-    from ..runtime.runtime import client_is_eventually_consistent
-
     return {
         "summary": client.summary(),
         # The ledger's sealed segments verbatim plus its encoded tail: rows

@@ -115,3 +115,44 @@ def duplicate_stable_values(received: Iterable[StreamTuple], attribute: str) -> 
             duplicates.append(value)
         seen.add(value)
     return duplicates
+
+
+def client_is_eventually_consistent(client) -> bool:
+    """Final stable output must be gap-free, duplicate-free, and in order.
+
+    The one ledger verdict of both backends.  ``client`` is a
+    :class:`~repro.sim.client.ClientApplication`, or anything holding the
+    primary one as ``.client`` (a runtime, a deployment, a cluster).
+    """
+    sequence = getattr(client, "client", client).stable_sequence
+    if not sequence:
+        return False
+    if sequence != sorted(sequence):
+        return False
+    if len(set(sequence)) != len(sequence):  # a duplicate stable value
+        return False
+    missing = set(range(min(sequence), max(sequence) + 1)) - set(sequence)
+    return not missing
+
+
+def stable_rows(ledger: Iterable[StreamTuple]) -> list:
+    """Replica-independent form of the stable tuples of a ledger.
+
+    (stable_seq, repr(stime), sorted payload items) -- the row form the parity
+    harness compares between a live and a simulator run; ``repr`` keeps floats
+    exact.
+    """
+    return [
+        (
+            item.stable_seq,
+            repr(item.stime),
+            tuple(sorted((key, repr(value)) for key, value in item.values.items())),
+        )
+        for item in ledger
+        if item.is_stable
+    ]
+
+
+def stable_ledger_rows(client) -> list:
+    """:func:`stable_rows` of a client's ledger."""
+    return stable_rows(client.metrics.consistency.ledger)

@@ -5,25 +5,30 @@ owns everything one scenario run needs -- the deterministic simulator, the
 network, the wired cluster (sources, replicated processing nodes, client),
 the failure injector with the scenario's schedule, and the metrics the client
 collects -- and exposes the handful of operations experiments perform (run,
-inspect, summarize).
+inspect, summarize).  :func:`run_live` runs the same compiled spec as forked
+worker processes instead; :func:`compile_spec` is the compile both share.
 
 Typical use::
 
-    from repro.runtime import ScenarioSpec
+    from repro.runtime import ScenarioSpec, stable_ledger_rows
 
-    spec = ScenarioSpec.single_node(aggregate_rate=150.0).with_failure(
-        "disconnect", duration=10.0
+    spec = ScenarioSpec.chain(2, aggregate_rate=90.0, warmup=1.5, settle=1.5).with_failure(
+        "disconnect", duration=1.0
     )
-    runtime = spec.run()
+    runtime = spec.run()                      # the simulator
     print(runtime.client.proc_new, runtime.eventually_consistent())
+    result = spec.run_live()                  # the same schedule on real processes
+    assert result.stable_rows() == stable_ledger_rows(spec.oracle().client)
 """
 
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
-from ..deploy import Autoscaler, Deployment, compile as compile_topology
-from ..errors import SimulationError
+from ..deploy import Autoscaler, Deployment, Placement, compile as compile_topology
+from ..errors import ConfigurationError, SimulationError
+from ..metrics.consistency import client_is_eventually_consistent
 from ..sim.client import ClientApplication
 from ..sim.cluster import Cluster
 from ..sim.event_loop import Simulator
@@ -34,42 +39,71 @@ from ..sim.sources import DataSource
 from ..spe import tuples
 from .spec import ScenarioSpec
 
+if TYPE_CHECKING:  # pragma: no cover - the live backend is imported on use only
+    from ..live.supervisor import LiveRunResult
 
-def client_is_eventually_consistent(client: ClientApplication) -> bool:
-    """Final stable output must be gap-free, duplicate-free, and in order."""
-    sequence = client.stable_sequence
-    if not sequence:
-        return False
-    if sequence != sorted(sequence):
-        return False
-    if len(set(sequence)) != len(sequence):  # a duplicate stable value
-        return False
-    missing = set(range(min(sequence), max(sequence) + 1)) - set(sequence)
-    return not missing
+
+#: Wall seconds a live run keeps going after its sources stop, so the last
+#: boundary crosses the pipeline before the supervisor's drain poll takes over.
+LIVE_POST_STOP_SLACK = 1.5
+#: Bound on that drain poll (every client ledger must stop growing), wall seconds.
+LIVE_DRAIN_TIMEOUT = 20.0
+#: Virtual seconds an oracle run keeps going after its sources stop, so every
+#: in-flight bucket stabilizes.
+ORACLE_DRAIN = 6.0
+
+
+def compile_spec(spec: ScenarioSpec) -> Placement:
+    """The one compile both backends deploy: ``spec``'s placement, validated against it."""
+    placement = compile_topology(
+        spec.resolved_topology(), replicas_per_node=spec.replicas_per_node
+    )
+    spec.validate(placement)
+    return placement
+
+
+def run_live(spec: ScenarioSpec, profile_dir: str | None = None) -> "LiveRunResult":
+    """Run ``spec`` on the live backend: forked workers, wall-clock time.
+
+    The same placement, deploy options and resolved failure schedule as
+    :class:`SimulationRuntime`; crashes become SIGKILLs, disconnects and
+    partitions wire-level window rules.  Sources stop at
+    ``spec.total_duration()``, where the simulated schedule ends.  Everything
+    the live backend cannot run is rejected before a process is forked.
+    """
+    from ..live.faults import compile_failures
+
+    for name in ("rebalance_at", "autoscale"):
+        if getattr(spec, name) is not None:
+            raise ConfigurationError(
+                f"{name} is simulator-only (the live backend has no control plane yet)"
+            )
+    placement = compile_spec(spec)
+    faults, kills = compile_failures(
+        placement, spec.as_scenario().failures, seed=spec.seed or 0
+    )
+    stop = spec.total_duration()
+    live = placement.deploy(**spec.deploy_options(), source_stop_time=stop, backend="live")
+    return live.run(
+        duration=stop + LIVE_POST_STOP_SLACK,
+        kill=list(kills),
+        faults=faults,
+        drain_timeout=LIVE_DRAIN_TIMEOUT,
+        profile_dir=profile_dir,
+    )
 
 
 class SimulationRuntime:
     """One compiled, runnable scenario (see :class:`ScenarioSpec`)."""
 
-    def __init__(self, spec: ScenarioSpec) -> None:
-        spec.validate()
+    def __init__(self, spec: ScenarioSpec, source_stop_time: float | None = None) -> None:
         self.spec = spec
-        self.topology = spec.resolved_topology()
         # Compile -> place -> deploy: the runtime owns the Deployment handle;
         # self.cluster stays as the familiar accessor for everything wired.
-        self.placement = compile_topology(
-            self.topology, replicas_per_node=spec.replicas_per_node
-        )
+        self.placement = compile_spec(spec)
+        self.topology = self.placement.topology
         self.deployment: Deployment = self.placement.deploy(
-            spec.dpc_config(),
-            spec.sim_config,
-            aggregate_rate=spec.aggregate_rate,
-            payload_factory=spec.resolved_payload_factory(),
-            join_state_size=spec.join_state_size,
-            per_node_delay=spec.per_node_delay,
-            diagram_factory=spec.diagram_factory,
-            seed=spec.seed,
-            rate_profile=spec.rate_profile,
+            **spec.deploy_options(), source_stop_time=source_stop_time
         )
         self.cluster: Cluster = self.deployment.cluster
         self._scenario = spec.as_scenario()

@@ -1,12 +1,14 @@
 """Declarative scenario descriptions.
 
-A :class:`ScenarioSpec` is the single way to describe a simulated DPC
-deployment plus the experiment run on top of it: the topology (chain depth,
-replication factor, sources and their aggregate rate), the DPC and simulation
+A :class:`ScenarioSpec` is the single way to describe a DPC deployment plus
+the experiment run on top of it: the topology (chain depth, replication
+factor, sources and their aggregate rate), the DPC and simulation
 configuration, the failure schedule, the run timing, and the determinism seed.
 Compiling a spec (:meth:`ScenarioSpec.build`) produces a
 :class:`~repro.runtime.runtime.SimulationRuntime` that owns the simulator,
-cluster, failure injection, and metrics for one run.
+cluster, failure injection, and metrics for one run;
+:meth:`ScenarioSpec.run_live` runs the same compiled spec as forked worker
+processes, and :meth:`ScenarioSpec.oracle` is the simulator run it must match.
 
 Experiments, benchmarks, the CLI, and the examples all construct scenarios
 through this layer instead of hand-assembling clusters (see DESIGN.md,
@@ -19,13 +21,14 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..config import DPCConfig, SimulationConfig
-from ..deploy.autoscaler import AutoscalePolicy
+from ..deploy import AutoscalePolicy, Placement, compile as compile_topology
 from ..errors import ConfigurationError
 from ..topology import NodeSpec, Topology, as_topology
 from ..workloads.generators import PayloadFactory, default_payload_factory
-from ..workloads.scenarios import FailureSpec, Scenario
+from ..workloads.scenarios import FailureSpec, Scenario, resolve_failures
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..live.supervisor import LiveRunResult
     from ..spe.query_diagram import QueryDiagram
     from .runtime import SimulationRuntime
 
@@ -109,7 +112,12 @@ class ScenarioSpec:
     seed: int | None = None
 
     # ------------------------------------------------------------------ validation
-    def validate(self) -> None:
+    def validate(self, placement: "Placement | None" = None) -> None:
+        """Raise :class:`ConfigurationError` unless this spec can run.
+
+        The failure schedule is checked against ``placement`` -- this spec's
+        compiled placement, compiled here when the caller has not already.
+        """
         if self.chain_depth < 1:
             raise ConfigurationError("chain_depth must be >= 1")
         if self.replicas_per_node < 1:
@@ -123,7 +131,6 @@ class ScenarioSpec:
         if self.duration is not None and self.duration <= 0:
             raise ConfigurationError("duration must be positive when given")
         topology = self.resolved_topology()  # validates the graph itself
-        n_sources = len(topology.source_streams)
         if self.rebalance_at is not None:
             if topology.shard_assignment is None:
                 raise ConfigurationError(
@@ -192,33 +199,13 @@ class ScenarioSpec:
             raise ConfigurationError("hot_key_skew must be positive when given")
         if self.hot_key_count < 1:
             raise ConfigurationError("hot_key_count must be >= 1")
-        for spec in self._resolved_failures():
-            if spec.start < 0 or spec.duration <= 0:
-                raise ConfigurationError(
-                    f"failure {spec.kind!r} must have start >= 0 and duration > 0"
-                )
-            if spec.kind in ("disconnect", "silence"):
-                if not 0 <= spec.stream_index < n_sources:
-                    raise ConfigurationError(
-                        f"failure {spec.kind!r} targets stream {spec.stream_index}, but the "
-                        f"scenario has {n_sources} input streams"
-                    )
-            elif spec.kind in ("crash", "partition"):
-                if spec.node is not None:
-                    target = spec.node
-                else:
-                    order = topology.node_names
-                    if not 0 <= spec.node_level < len(order):
-                        raise ConfigurationError(
-                            f"{spec.kind} targets node level {spec.node_level}, but the "
-                            f"topology has {len(order)} node(s)"
-                        )
-                    target = order[spec.node_level]
-                topology.validate_failure_target(
-                    target, spec.node_replica, self.replicas_per_node
-                )
-            else:
-                raise ConfigurationError(f"unknown failure kind {spec.kind!r}")
+        # Every target error comes from the one resolver both backends consume.
+        failures = self._resolved_failures()
+        resolve_failures(
+            placement or compile_topology(topology, replicas_per_node=self.replicas_per_node),
+            failures,
+        )
+        for spec in failures:
             if self.duration is not None and spec.start + spec.duration > self.duration + 1e-9:
                 # A failure that outlives an explicitly truncated run would end
                 # with the deployment mid-failure: the ledger never reconciles
@@ -267,6 +254,20 @@ class ScenarioSpec:
 
     def simulation_config(self) -> SimulationConfig:
         return self.sim_config or SimulationConfig()
+
+    def deploy_options(self) -> dict:
+        """The ``Placement.deploy`` arguments this spec fixes, for either backend."""
+        return dict(
+            config=self.dpc_config(),
+            sim_config=self.sim_config,
+            aggregate_rate=self.aggregate_rate,
+            payload_factory=self.resolved_payload_factory(),
+            join_state_size=self.join_state_size,
+            per_node_delay=self.per_node_delay,
+            diagram_factory=self.diagram_factory,
+            seed=self.seed,
+            rate_profile=self.rate_profile,
+        )
 
     def total_duration(self) -> float:
         """Run length: explicit ``duration`` or warmup + failures + settle."""
@@ -510,3 +511,21 @@ class ScenarioSpec:
     def run(self) -> "SimulationRuntime":
         """Compile and run to completion (the one-liner most callers want)."""
         return self.build().run()
+
+    def run_live(self, profile_dir: str | None = None) -> "LiveRunResult":
+        """Run this spec as forked worker processes (see :func:`.runtime.run_live`)."""
+        from .runtime import run_live
+
+        return run_live(self, profile_dir)
+
+    def oracle(self) -> "SimulationRuntime":
+        """The drained simulator run whose stable ledger :meth:`run_live` must equal.
+
+        Sources stop at :meth:`total_duration` exactly as the live run's do, so
+        both backends hold the same finite workload; the simulation then keeps
+        going until every in-flight bucket has stabilized.
+        """
+        from .runtime import ORACLE_DRAIN, SimulationRuntime
+
+        stop = self.total_duration()
+        return SimulationRuntime(self, source_stop_time=stop).run(stop + ORACLE_DRAIN)

@@ -101,17 +101,6 @@ class Cluster:
                 f"node {key!r} has {len(group)} replica(s); replica {replica} does not exist"
             ) from exc
 
-    def consumers_of(self, stream: str) -> list[ProcessingNode]:
-        """Processing nodes directly consuming source stream ``stream``."""
-        return [
-            replica
-            for spec in self.topology.consumers_of(stream)
-            for replica in self.node_groups[spec.name]
-        ]
-
-    def source(self, index: int) -> DataSource:
-        return self.sources[index]
-
     def assert_kill_target_live(self, name: str) -> None:
         """Reject killing a node a live reconfiguration has already drained.
 

@@ -167,16 +167,6 @@ class DataSource:
         self._connected[endpoint] = True
         self._flush_pending_replay(endpoint)
 
-    def disconnect_all(self) -> None:
-        for endpoint in self._subscribers:
-            self._connected[endpoint] = False
-
-    def reconnect_all(self) -> None:
-        for endpoint in self._subscribers:
-            self._connected[endpoint] = True
-        for endpoint in list(self._pending_replay):
-            self._flush_pending_replay(endpoint)
-
     def _flush_pending_replay(self, endpoint: str) -> None:
         """Send the replay-flagged batch owed from a resubscribe made mid-failure."""
         if endpoint in self._pending_replay:
@@ -332,10 +322,6 @@ class DataSource:
         if safe < 0:
             return 0
         return self.log.truncate_through(safe)
-
-    def cursor_of(self, endpoint: str) -> int:
-        """Last tuple id delivered to ``endpoint`` (-1 when never delivered)."""
-        return self._subscribers.get(endpoint, -1)
 
     # ------------------------------------------------------------------ introspection
     @property

@@ -265,10 +265,6 @@ class SUnion(Operator):
         """Number of buffered data tuples not yet emitted."""
         return sum(len(block) for entries in self._buckets.values() for _port, block in entries)
 
-    @property
-    def pending_buckets(self) -> list[int]:
-        return sorted(self._buckets)
-
     # ------------------------------------------------------------------ checkpointing
     def _checkpoint_state(self) -> dict:
         return {

@@ -124,12 +124,6 @@ class QueryDiagram:
     def upstream_of(self, name: str) -> list[Connection]:
         return [c for c in self.connections if c.target == name]
 
-    def inputs_of(self, name: str) -> list[InputBinding]:
-        return [b for b in self.inputs if b.operator == name]
-
-    def stateful_operators(self) -> list[str]:
-        return [name for name, op in self.operators.items() if op.is_stateful]
-
     # ------------------------------------------------------------------ validation
     def topological_order(self) -> list[str]:
         """Operator names in dependency order; raises on cycles."""

@@ -9,7 +9,7 @@ the shape of their output streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from ..errors import SchemaError
 from .tuples import StreamTuple
@@ -60,11 +60,6 @@ class Schema:
     def of(cls, **field_types: str) -> "Schema":
         """Build a schema from keyword arguments, e.g. ``Schema.of(value="int")``."""
         return cls(tuple(Field(name, type_name) for name, type_name in field_types.items()))
-
-    @classmethod
-    def from_names(cls, names: Sequence[str]) -> "Schema":
-        """Build an untyped schema from attribute names."""
-        return cls(tuple(Field(name, "any") for name in names))
 
     @property
     def names(self) -> tuple[str, ...]:

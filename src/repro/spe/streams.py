@@ -187,9 +187,6 @@ class StreamLog:
         last = self.last_stable_id()
         return [t for t in self._entries if t.tuple_id > last and t.is_data]
 
-    def data_tuples(self) -> list[StreamTuple]:
-        return [t for t in self._entries if t.is_data]
-
     def clear(self) -> None:
         self._entries.clear()
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
+from ..errors import ConfigurationError
 from ..sim.failures import FailureRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..deploy.placement import Placement
     from ..sim.cluster import Cluster
 
 
@@ -30,9 +32,9 @@ class FailureSpec:
     canonical addressing for DAG topologies) or, for the chain experiments,
     by ``node_level`` (index into the topological order); ``node`` wins when
     both are set.  ``node_replica`` selects the replica in either case;
-    ``node_replica = -1`` crashes *every* replica of the node (resolved
-    against the actual replica count at injection time -- the branch-kill
-    schedule of the DAG experiments).
+    ``node_replica = -1`` targets *every* replica of the node (the
+    branch-kill schedule of the DAG experiments).  :func:`resolve_failures`
+    is the one place these target fields are interpreted.
 
     ``start=None`` is only meaningful inside a
     :class:`~repro.runtime.ScenarioSpec`, which resolves it to its warmup; a
@@ -46,6 +48,92 @@ class FailureSpec:
     node: str | None = None
     node_level: int = 0
     node_replica: int = 0
+
+
+@dataclass(frozen=True)
+class FailureAction:
+    """One concrete failure of a compiled placement, named by endpoint.
+
+    ``source`` is the data-source endpoint a ``disconnect`` severs from
+    ``endpoint`` (or the one a ``silence`` mutes); ``endpoint`` is the node
+    replica a disconnect starves, a ``partition`` isolates or a ``crash``
+    kills, and ``node`` / ``replica`` are that replica's logical address.
+    """
+
+    kind: str
+    start: float
+    duration: float
+    source: str | None = None
+    endpoint: str | None = None
+    node: str | None = None
+    replica: int | None = None
+
+
+def resolve_failures(
+    placement: "Placement", failures: Iterable[FailureSpec]
+) -> list[FailureAction]:
+    """Resolve a failure schedule against ``placement``, once, for every consumer.
+
+    ``ScenarioSpec.validate``, the simulator (:meth:`Scenario.inject`) and the
+    live backend (:func:`repro.live.faults.compile_failures`) all read this
+    result, so a schedule names the same endpoints -- and a bad target raises
+    the same :class:`~repro.errors.ConfigurationError` -- wherever it runs.
+    """
+    actions: list[FailureAction] = []
+    for spec in failures:
+        if spec.start is None:
+            raise ConfigurationError(
+                f"failure {spec.kind!r} has an unresolved start; only a ScenarioSpec "
+                f"resolves start=None (to its warmup)"
+            )
+        if spec.start < 0 or spec.duration <= 0:
+            raise ConfigurationError(
+                f"failure {spec.kind!r} must have start >= 0 and duration > 0"
+            )
+        window = (spec.kind, spec.start, spec.duration)
+        if spec.kind in ("disconnect", "silence"):
+            if not 0 <= spec.stream_index < len(placement.sources):
+                raise ConfigurationError(
+                    f"failure {spec.kind!r} targets stream {spec.stream_index}, but the "
+                    f"placement has {len(placement.sources)} input streams"
+                )
+            source = placement.sources[spec.stream_index]
+            if spec.kind == "silence":
+                actions.append(FailureAction(*window, source=source.name))
+                continue
+            actions.extend(
+                FailureAction(*window, source=source.name, endpoint=endpoint)
+                for plan in placement.nodes
+                if source.stream in plan.inputs
+                for endpoint in plan.replica_names
+            )
+        elif spec.kind in ("crash", "partition"):
+            if spec.node is not None:
+                node = spec.node
+            elif 0 <= spec.node_level < len(placement.nodes):
+                node = placement.nodes[spec.node_level].name
+            else:
+                raise ConfigurationError(
+                    f"failure {spec.kind!r} targets node level {spec.node_level}, but "
+                    f"the placement has {len(placement.nodes)} node(s)"
+                )
+            names = placement.node_plan(node).replica_names
+            if spec.node_replica == -1:
+                replicas = range(len(names))
+            elif 0 <= spec.node_replica < len(names):
+                replicas = (spec.node_replica,)
+            else:
+                raise ConfigurationError(
+                    f"failure {spec.kind!r} targets replica {spec.node_replica} of node "
+                    f"{node!r}, which has {len(names)} replica(s)"
+                )
+            actions.extend(
+                FailureAction(*window, endpoint=names[index], node=node, replica=index)
+                for index in replicas
+            )
+        else:
+            raise ConfigurationError(f"unknown failure kind {spec.kind!r}")
+    return actions
 
 
 @dataclass
@@ -63,63 +151,32 @@ class Scenario:
         return last_end + self.settle
 
     def inject(self, cluster: Cluster) -> list[FailureRecord]:
-        """Schedule every failure of the scenario on ``cluster``."""
+        """Schedule every failure of the scenario on a deployed ``cluster``."""
+        deployment = cluster.deployment
+        sources, nodes = deployment.wiring.sources, deployment.wiring.nodes
+        injector = cluster.failures
         records: list[FailureRecord] = []
-        for spec in self.failures:
-            if spec.kind == "disconnect":
-                source = cluster.source(spec.stream_index)
-                for node in cluster.consumers_of(source.stream):
-                    records.append(
-                        cluster.failures.disconnect_stream(
-                            source, node.endpoint, spec.start, spec.duration
-                        )
-                    )
-            elif spec.kind == "silence":
-                source = cluster.source(spec.stream_index)
-                records.append(
-                    cluster.failures.silence_boundaries(source, spec.start, spec.duration)
+        for action in resolve_failures(deployment.placement, self.failures):
+            when = (action.start, action.duration)
+            if action.kind == "disconnect":
+                record = injector.disconnect_stream(
+                    sources[action.source], action.endpoint, *when
                 )
-            elif spec.kind == "crash":
-                target = spec.node if spec.node is not None else spec.node_level
-                if spec.node_replica == -1:
-                    victims = cluster.node_group(target)
-                else:
-                    victims = [cluster.node(target, spec.node_replica)]
-                for node in victims:
-                    # Build-time validation ran against the compile-time
-                    # topology; the guard re-validates at fire time against
-                    # the *live* deployment, which a mid-run rebalance may
-                    # have reconfigured (e.g. drained the targeted shard).
-                    group = next(
-                        (
-                            name
-                            for name, members in cluster.node_groups.items()
-                            if node in members
-                        ),
-                        node.name,
-                    )
-                    records.append(
-                        cluster.failures.crash_processing_node(
-                            node,
-                            spec.start,
-                            spec.duration,
-                            guard=lambda c=cluster, g=group: c.assert_kill_target_live(g),
-                        )
-                    )
-            elif spec.kind == "partition":
-                target = spec.node if spec.node is not None else spec.node_level
-                if spec.node_replica == -1:
-                    victims = cluster.node_group(target)
-                else:
-                    victims = [cluster.node(target, spec.node_replica)]
-                for node in victims:
-                    records.append(
-                        cluster.failures.isolate_endpoint(
-                            node.endpoint, spec.start, spec.duration
-                        )
-                    )
+            elif action.kind == "silence":
+                record = injector.silence_boundaries(sources[action.source], *when)
+            elif action.kind == "partition":
+                record = injector.isolate_endpoint(action.endpoint, *when)
             else:
-                raise ValueError(f"unknown failure kind {spec.kind!r}")
+                # The schedule was resolved against the placement as compiled;
+                # the guard re-checks at fire time against the *live*
+                # deployment, which a mid-run rebalance may have reconfigured
+                # (e.g. drained the targeted shard).
+                record = injector.crash_processing_node(
+                    nodes[action.endpoint],
+                    *when,
+                    guard=lambda c=cluster, g=action.node: c.assert_kill_target_live(g),
+                )
+            records.append(record)
         return records
 
     def run(self, cluster: Cluster) -> Cluster:
