@@ -1,13 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark reproduces one table or figure of the paper by running the
-corresponding experiment once (``benchmark.pedantic`` with a single round --
-the interesting output is the reproduced table, not the wall-clock time of
-the simulation) and printing the rows so they can be compared against the
-paper and recorded in EXPERIMENTS.md.
+Every benchmark runs its experiment once (``benchmark.pedantic`` with a single
+round) and prints its rows; the paper's tables and figures are not here but in
+``python -m repro report`` (see ``repro.analysis.registry``).
 
 Set ``REPRO_BENCH_SCALE=full`` in the environment to run the full parameter
-sweeps from the paper instead of the reduced (but shape-preserving) defaults.
+sweeps instead of the reduced defaults.
 """
 
 from __future__ import annotations

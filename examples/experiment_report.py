@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Generate a small paper-vs-measured report (the EXPERIMENTS.md machinery).
+"""Generate the paper-vs-measured report section of Table III.
 
-The repository's ``EXPERIMENTS.md`` records, for every table and figure of
-the paper, the claim, the configuration, the measured values, and whether the
-qualitative shape holds.  This example shows the machinery on a reduced
-Table III sweep: it runs three failure durations, compares them against the
-paper's reference row, runs the shape checks, and writes a Markdown report.
+:mod:`repro.analysis.registry` declares every table and figure of the paper
+once: the grid it runs at each scale, its tables, and the shape checks that
+encode the paper's claim.  This example runs the Table III entry at its quick
+grid (five failure durations), compares Proc_new against the paper's reference
+row, and writes the Markdown section; ``python -m repro report`` does the same
+for every experiment that has shape checks.
 
 Run with::
 
@@ -14,61 +15,19 @@ Run with::
 
 import sys
 
-from repro.analysis.comparison import availability_checks, check_flat
-from repro.analysis.paper import PAPER_TABLE3, paper_claim
-from repro.analysis.report import ExperimentReport, ReportSection
-from repro.analysis.tables import ResultTable, metric_by_duration
-from repro.experiments import table3
-
-DURATIONS = (2.0, 10.0, 30.0)
-RATE = 120.0
+from repro.analysis.registry import build_report
 
 
 def main() -> None:
     output_path = sys.argv[1] if len(sys.argv) > 1 else "table3_report.md"
 
-    print(f"running the Table III sweep at {RATE:.0f} tuples/s for {DURATIONS} ...")
-    results = table3(DURATIONS, aggregate_rate=RATE)
-
-    section = ReportSection(claim=paper_claim("table3"))
-    section.configuration = {
-        "aggregate_rate": RATE,
-        "X": 3.0,
-        "replicas": 2,
-        "failure_durations": list(DURATIONS),
-    }
-
-    # Paper-vs-measured table.
-    comparison = ResultTable(
-        title="Proc_new (s), paper vs measured", row_label="failure (s)", column_label="source"
-    )
-    for result in results:
-        comparison.set(result.failure_duration, "paper", PAPER_TABLE3.get(result.failure_duration))
-        comparison.set(result.failure_duration, "measured", result.proc_new)
-    section.add_table(comparison)
-    section.add_table(metric_by_duration(results, "N_tentative", lambda r: r.n_tentative))
-
-    # Shape checks: the bound holds, and latency does not grow with duration.
-    section.add_checks(availability_checks(results, bound=3.0))
-    unmasked = [r.proc_new for r in results if r.failure_duration > 3.0]
-    section.add_check(check_flat("Proc_new flat beyond the masked range", unmasked))
-    section.add_note(
-        "Measured on the deterministic discrete-event simulator; absolute latencies "
-        "track the simulator's cost model, the paper's shape (flat, below the bound) is "
-        "what the checks assert."
-    )
-
-    report = ExperimentReport(
-        title="Table III -- quick reproduction report",
-        preamble="Reduced sweep produced by examples/experiment_report.py.",
-    )
-    report.add_section(section)
+    print("running the Table III quick grid ...")
+    report = build_report(names=["table3"])
     report.write(output_path)
 
-    print(f"\nchecks passed: {all(check.passed for check in section.checks)}")
-    for check in section.checks:
+    for check in report.sections[0].checks:
         print(f"  {check.row()}")
-    print(f"\nwrote {output_path}")
+    print(f"\nchecks passed: {report.all_passed}; wrote {output_path}")
 
 
 if __name__ == "__main__":

@@ -11,15 +11,18 @@ into the artifacts the paper reports:
 * :mod:`repro.analysis.traces` -- analysis of client output traces
   (failure episodes, correction bursts, ASCII plots of the Figure 11 style);
 * :mod:`repro.analysis.comparison` -- shape checks (flatness, monotonicity,
-  crossovers, who-wins) used by benchmarks and by the report generator;
-* :mod:`repro.analysis.report` -- generation of the per-experiment
-  paper-vs-measured report recorded in ``EXPERIMENTS.md``.
+  crossovers, who-wins) that encode the claims;
+* :mod:`repro.analysis.report` -- the per-experiment paper-vs-measured
+  Markdown report;
+* :mod:`repro.analysis.registry` -- every experiment declared once (grid per
+  scale, tables, shape checks), read by ``python -m repro run`` / ``report``.
 """
 
 from .comparison import (
     ShapeCheck,
     check_crossover,
     check_flat,
+    check_holds,
     check_monotonic,
     check_within,
     compare_policies,
@@ -52,7 +55,6 @@ from .builders import (
     build_delay_assignment_section,
     build_fig15_section,
     build_overhead_section,
-    build_quick_report,
     build_table3_section,
     build_tentative_vs_depth_section,
 )
@@ -82,6 +84,7 @@ __all__ = [
     "ShapeCheck",
     "check_crossover",
     "check_flat",
+    "check_holds",
     "check_monotonic",
     "check_within",
     "compare_policies",
@@ -91,7 +94,6 @@ __all__ = [
     "build_delay_assignment_section",
     "build_fig15_section",
     "build_overhead_section",
-    "build_quick_report",
     "build_table3_section",
     "build_tentative_vs_depth_section",
 ]

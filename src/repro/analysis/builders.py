@@ -3,13 +3,14 @@
 Each builder takes the output of one experiment runner
 (:mod:`repro.experiments`) and produces the corresponding
 :class:`~repro.analysis.report.ReportSection`: the paper claim, the measured
-table(s), and the shape checks that encode the claim.  ``EXPERIMENTS.md`` is a
-rendering of these sections (plus prose); the ``python -m repro report``
-command regenerates a quick-scale version of it from scratch.
+table(s), and the shape checks that encode the claim.  They are the
+table-and-check part of the Table III, Figure 15, Figure 16 / 18, Figure
+19 / 20 and Table IV / V entries of :mod:`repro.analysis.registry`, which
+``python -m repro run`` and ``python -m repro report`` read.
 
 The builders are pure functions of the result lists, so they are unit-tested
-with synthetic results and reused both by the CLI and by notebooks or scripts
-that want a programmatic paper-vs-measured comparison.
+with synthetic results and reused by notebooks or scripts that want a
+programmatic paper-vs-measured comparison.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Sequence
 
 from ..experiments.harness import ExperimentResult
 from ..experiments.overhead import OverheadRow
-from .comparison import ShapeCheck, check_flat, check_monotonic, check_within
+from .comparison import ShapeCheck, check_flat, check_holds, check_monotonic, check_within
 from .paper import PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5, OverheadReference, paper_claim
-from .report import ExperimentReport, ReportSection
+from .report import ReportSection
 from .tables import ResultTable, metric_by_duration, proc_new_by_depth, tentative_by_depth
 
 
@@ -31,7 +32,7 @@ def _by_label(results: Sequence[ExperimentResult]) -> dict[str, list[ExperimentR
     return grouped
 
 
-def _consistency_check(results: Sequence[ExperimentResult]) -> ShapeCheck:
+def consistency_check(results: Sequence[ExperimentResult]) -> ShapeCheck:
     inconsistent = [r.label for r in results if not r.eventually_consistent]
     return ShapeCheck(
         name="every run is eventually consistent",
@@ -59,7 +60,7 @@ def build_table3_section(
     section.add_table(comparison)
     section.add_table(metric_by_duration(list(results), "N_tentative", lambda r: r.n_tentative))
 
-    section.add_check(_consistency_check(results))
+    section.add_check(consistency_check(results))
     for result in results:
         section.add_check(
             check_within(
@@ -70,8 +71,13 @@ def build_table3_section(
             )
         )
     unmasked = [r.proc_new for r in results if r.failure_duration > bound]
+    masked = [r.proc_new for r in results if r.failure_duration <= bound]
     if unmasked:
-        section.add_check(check_flat("Proc_new flat beyond the masked range", unmasked))
+        section.add_check(check_flat("Proc_new flat beyond the masked range", unmasked,
+                                     absolute_tolerance=0.3))
+    if unmasked and masked:
+        section.add_check(check_within("a masked failure never costs more than an unmasked one",
+                                       max(masked), max(unmasked), slack=0.1))
     return section
 
 
@@ -84,7 +90,7 @@ def build_fig15_section(
     section.configuration = {"per_node_delay": per_node_delay}
     section.add_table(proc_new_by_depth(list(results), "Proc_new (s) by chain depth"))
 
-    section.add_check(_consistency_check(results))
+    section.add_check(consistency_check(results))
     grouped = _by_label(results)
     process = sorted(
         (r for label, rs in grouped.items() if label.startswith("Process & Process") for r in rs),
@@ -117,6 +123,17 @@ def build_fig15_section(
                 "Delay & Delay latency grows with depth", [r.proc_new for r in delay]
             )
         )
+        section.add_check(check_holds(
+            "Delay & Delay adds over 1 s from the shallowest to the deepest chain",
+            delay[-1].proc_new > delay[0].proc_new + 1.0,
+            shallowest=delay[0].proc_new, deepest=delay[-1].proc_new,
+        ))
+    if process and delay and process[-1].chain_depth == delay[-1].chain_depth:
+        section.add_check(check_holds(
+            "Process & Process is faster on the deepest chain",
+            process[-1].proc_new < delay[-1].proc_new,
+            process=process[-1].proc_new, delay=delay[-1].proc_new,
+        ))
     return section
 
 
@@ -131,15 +148,19 @@ def build_tentative_vs_depth_section(
         section.add_table(
             tentative_by_depth(subset, f"N_tentative by depth, {duration:g} s failure")
         )
-    section.add_check(_consistency_check(results))
+    section.add_check(consistency_check(results))
 
     grouped = _by_label(results)
+    savings = []  # Process minus Delay tentative tuples per depth, shortest failure
     for duration in durations:
         for depth in sorted({r.chain_depth for r in results}):
             process = _find(grouped, "Process & Process", depth, duration)
             delay = _find(grouped, "Delay & Delay", depth, duration)
             if process is None or delay is None:
                 continue
+            saving = process.n_tentative - delay.n_tentative
+            if duration == durations[0]:
+                savings.append(saving)
             if experiment_id == "fig16":
                 section.add_check(
                     ShapeCheck(
@@ -150,7 +171,6 @@ def build_tentative_vs_depth_section(
                     )
                 )
             else:
-                saving = process.n_tentative - delay.n_tentative
                 section.add_check(
                     ShapeCheck(
                         name=f"gain of delaying is marginal (depth {depth})",
@@ -158,6 +178,11 @@ def build_tentative_vs_depth_section(
                         detail=f"saving={saving} of {process.n_tentative}",
                     )
                 )
+    if experiment_id == "fig16" and savings:
+        section.add_check(check_holds(
+            f"the saving grows with depth ({durations[0]:g} s failure)",
+            savings[-1] >= savings[0], savings_by_depth=savings,
+        ))
     return section
 
 
@@ -178,9 +203,14 @@ def build_delay_assignment_section(
     budget: float = 8.0,
     full_label: str = "Process & Process, D=6.5s each",
     uniform_label: str = "Process & Process, D=2s each",
+    experiment_id: str = "fig20",
 ) -> ReportSection:
-    """Section covering Figures 19 and 20 (delay-assignment strategies)."""
-    section = ReportSection(claim=paper_claim("fig20"))
+    """Section covering Figures 19 and 20 (delay-assignment strategies).
+
+    Both figures are views of one run; ``experiment_id`` only picks the
+    claim the section is filed under.
+    """
+    section = ReportSection(claim=paper_claim(experiment_id))
     section.configuration = {"X": budget, "chain_depth": 4}
     section.add_table(
         metric_by_duration(list(results), "Proc_new (s) by failure duration", lambda r: r.proc_new)
@@ -188,19 +218,34 @@ def build_delay_assignment_section(
     section.add_table(
         metric_by_duration(list(results), "N_tentative by failure duration", lambda r: r.n_tentative)
     )
-    section.add_check(_consistency_check(results))
+    section.add_check(consistency_check(results))
 
     grouped = _by_label(results)
-    for result in grouped.get(full_label, ()):
+    for result in results:
+        if result.label.startswith("Delay & Delay"):
+            # 0.9 * D spent at every node plus ~0.8 s of per-node serialization
+            # overhead, proportionally larger on the simulator than on the testbed.
+            bound, slack = 2.0 * result.chain_depth, 0.8 * result.chain_depth
+        else:
+            bound, slack = budget, 1.0
         section.add_check(
             check_within(
-                f"whole-budget assignment meets X for the {result.failure_duration:g} s failure",
+                f"{result.label} meets its bound for the {result.failure_duration:g} s failure",
                 result.proc_new,
-                budget,
-                slack=1.0,
+                bound,
+                slack=slack,
             )
         )
     shortest = min((r.failure_duration for r in results), default=None)
+    longest = max((r.failure_duration for r in results), default=None)
+    full_long = _find(grouped, full_label, 4, longest)
+    uniform_long = _find(grouped, uniform_label, 4, longest)
+    if full_long is not None and uniform_long is not None:
+        section.add_check(check_holds(
+            f"whole-budget assignment suspends longer ({longest:g} s failure)",
+            full_long.proc_new >= uniform_long.proc_new,
+            full=full_long.proc_new, uniform=uniform_long.proc_new,
+        ))
     if shortest is not None:
         full_short = _find(grouped, full_label, 4, shortest)
         uniform_short = _find(grouped, uniform_label, 4, shortest)
@@ -273,49 +318,3 @@ def build_overhead_section(
             )
         )
     return section
-
-
-# --------------------------------------------------------------------------- full quick report
-def build_quick_report(
-    *,
-    aggregate_rate: float = 120.0,
-    table3_durations: Sequence[float] = (2.0, 10.0, 30.0),
-    chain_depths: Sequence[int] = (1, 2, 4),
-    bucket_sizes: Sequence[float] = (0.05, 0.1, 0.3),
-) -> ExperimentReport:
-    """Run reduced sweeps of the headline experiments and assemble a report.
-
-    This is what ``python -m repro report`` calls.  It runs simulations, so it
-    takes a couple of minutes; the per-section builders above are the pure
-    (and fast) part and can be fed pre-computed results instead.
-    """
-    from ..experiments import chains, overhead, single_node
-
-    report = ExperimentReport(
-        title="DPC reproduction — quick paper-vs-measured report",
-        preamble=(
-            "Reduced sweeps generated by `python -m repro report`; see EXPERIMENTS.md "
-            "for the archived full results and the discussion of deviations."
-        ),
-    )
-    report.add_section(
-        build_table3_section(single_node.table3(table3_durations, aggregate_rate=aggregate_rate))
-    )
-    report.add_section(
-        build_fig15_section(
-            chains.fig15(list(chain_depths), aggregate_rate=aggregate_rate), per_node_delay=2.0
-        )
-    )
-    report.add_section(
-        build_tentative_vs_depth_section(
-            chains.fig16((5.0,), depths=list(chain_depths), aggregate_rate=aggregate_rate),
-            experiment_id="fig16",
-        )
-    )
-    report.add_section(
-        build_delay_assignment_section(
-            chains.fig19_20((5.0, 10.0), aggregate_rate=aggregate_rate)
-        )
-    )
-    report.add_section(build_overhead_section(overhead.table4(bucket_sizes), experiment_id="table4"))
-    return report

@@ -33,6 +33,15 @@ class ShapeCheck:
 
 
 # --------------------------------------------------------------------------- numeric shapes
+def check_holds(name: str, passed: bool, **observed: object) -> ShapeCheck:
+    """A yes/no check whose detail lists the observed values it was decided on."""
+    detail = ", ".join(
+        f"{key}={round(value, 3) if isinstance(value, float) else value}"
+        for key, value in observed.items()
+    )
+    return ShapeCheck(name=name, passed=bool(passed), detail=detail)
+
+
 def check_within(name: str, value: float, bound: float, *, slack: float = 0.0) -> ShapeCheck:
     """``value`` must not exceed ``bound + slack``."""
     passed = value <= bound + slack

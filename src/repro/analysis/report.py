@@ -1,10 +1,10 @@
-"""Experiment report generation (the content of ``EXPERIMENTS.md``).
+"""Experiment report generation.
 
 An :class:`ExperimentReport` collects one :class:`ReportSection` per table or
 figure of the paper, each recording the paper's claim, the configuration the
 reproduction used, the measured table, and the shape-check verdicts.  The
-report renders to Markdown; the repository's ``EXPERIMENTS.md`` is one such
-rendering (plus hand-written context).
+report renders to Markdown; ``python -m repro report`` writes one for every
+experiment of :mod:`repro.analysis.registry` that has shape checks.
 """
 
 from __future__ import annotations

@@ -150,11 +150,15 @@ def _escape_csv(cell: str) -> str:
 
 # --------------------------------------------------------------------------- canned pivots
 def proc_new_by_depth(results: Sequence[ExperimentResult], title: str) -> ResultTable:
-    """Figure 15 / 19 shape: Proc_new with chain depth as columns, policy label as rows."""
+    """Figure 15 shape: Proc_new with chain depth as columns, one row per policy.
+
+    Keyed by ``policy``: a chain run's ``label`` names its depth too
+    (``"Delay & Delay (depth 4)"``), one row per run.
+    """
     return pivot_results(
         results,
         title=title,
-        row=lambda r: r.label,
+        row=lambda r: r.policy,
         column=lambda r: r.chain_depth,
         value=lambda r: r.proc_new,
         row_label="policy",
@@ -163,11 +167,11 @@ def proc_new_by_depth(results: Sequence[ExperimentResult], title: str) -> Result
 
 
 def tentative_by_depth(results: Sequence[ExperimentResult], title: str) -> ResultTable:
-    """Figure 16 / 18 shape: N_tentative with chain depth as columns."""
+    """Figure 16 / 18 shape: N_tentative with chain depth as columns, one row per policy."""
     return pivot_results(
         results,
         title=title,
-        row=lambda r: r.label,
+        row=lambda r: r.policy,
         column=lambda r: r.chain_depth,
         value=lambda r: r.n_tentative,
         row_label="policy",

@@ -1,11 +1,13 @@
 """Command-line interface of the reproduction.
 
-``python -m repro`` exposes the experiment runners so every table and figure
-of the paper can be regenerated (and exported as text, Markdown, or CSV)
-without writing any code::
+``python -m repro`` exposes the experiment registry
+(:mod:`repro.analysis.registry`) so every table and figure of the paper can be
+regenerated (exported as text, Markdown, or CSV) and checked against the
+paper's claims without writing any code::
 
     python -m repro list
     python -m repro run table3
+    python -m repro report --output report.md
     python -m repro run fig16 --scale quick --format markdown
     python -m repro run replicas --output replicas.csv --format csv
     python -m repro scenario --depth 2 --failure disconnect --failure-duration 10
@@ -34,23 +36,12 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from .analysis.paper import PAPER_CLAIMS
-from .analysis.tables import (
-    ResultTable,
-    metric_by_duration,
-    proc_new_by_depth,
-    render_csv,
-    render_markdown,
-    render_text,
-    tentative_by_depth,
-)
+from .analysis.registry import EXPERIMENTS, SCALES, Experiment, build_report
+from .analysis.tables import ResultTable, render_csv, render_markdown, render_text
 from .config import DelayAssignment
 from .core.delay_planner import DelayPlanner
 from .deploy import AutoscalePolicy
 from .errors import ConfigurationError, LiveBackendUnavailable, SimulationError
-from .experiments import ablations, chains, dags, overhead, shards, single_node
-from .experiments.harness import ExperimentResult
-from .metrics.consistency import stable_ledger_rows
 from .runtime import ScenarioSpec
 from .runtime.runtime import LIVE_POST_STOP_SLACK
 from .workloads.generators import step_rate
@@ -62,400 +53,11 @@ _RENDERERS: dict[str, Callable[[ResultTable], str]] = {
     "csv": render_csv,
 }
 
+#: ``ExperimentCommand(name, description, runner)``: a tables-only registry entry.
+ExperimentCommand = Experiment
 
-# --------------------------------------------------------------------------- experiment registry
-class ExperimentCommand:
-    """One runnable experiment: produces a list of tables."""
-
-    def __init__(self, name: str, description: str, runner: Callable[[str], list[ResultTable]]):
-        self.name = name
-        self.description = description
-        self.runner = runner
-
-    def run(self, scale: str) -> list[ResultTable]:
-        return self.runner(scale)
-
-
-def _durations(scale: str, quick: Sequence[float], full: Sequence[float]) -> Sequence[float]:
-    return full if scale == "full" else quick
-
-
-def _results_to_tables(results: list[ExperimentResult], title: str, by: str) -> list[ResultTable]:
-    if by == "depth":
-        return [proc_new_by_depth(results, f"{title}: Proc_new (s)"),
-                tentative_by_depth(results, f"{title}: N_tentative")]
-    return [
-        metric_by_duration(results, f"{title}: Proc_new (s)", lambda r: r.proc_new),
-        metric_by_duration(results, f"{title}: N_tentative", lambda r: r.n_tentative),
-    ]
-
-
-def _run_table3(scale: str) -> list[ResultTable]:
-    durations = _durations(scale, (2, 8, 16, 30, 60), (2, 4, 6, 8, 10, 12, 14, 16, 30, 45, 60))
-    return _results_to_tables(single_node.table3(durations), "Table III", by="duration")
-
-
-def _run_fig11(overlapping: bool) -> Callable[[str], list[ResultTable]]:
-    def runner(scale: str) -> list[ResultTable]:
-        result = single_node.eventual_consistency_trace(overlapping=overlapping)
-        table = ResultTable(
-            title=result.label, row_label="metric", column_label="value"
-        )
-        table.set("eventually consistent", "value", result.eventually_consistent)
-        table.set("tentative tuples", "value", result.n_tentative)
-        table.set("undo tuples", "value", result.n_undos)
-        table.set("REC_DONE markers", "value", result.n_rec_done)
-        table.set("reconciliations", "value", result.reconciliations)
-        return [table]
-
-    return runner
-
-
-def _run_fig13(scale: str) -> list[ResultTable]:
-    durations = _durations(scale, (2, 10, 30), (2, 6, 10, 14, 30, 60))
-    return _results_to_tables(single_node.fig13(durations), "Figure 13", by="duration")
-
-
-def _run_fig15(scale: str) -> list[ResultTable]:
-    depths = _durations(scale, (1, 2, 4), (1, 2, 3, 4))
-    return _results_to_tables(chains.fig15([int(d) for d in depths]), "Figure 15", by="depth")
-
-
-def _run_fig16(scale: str) -> list[ResultTable]:
-    durations = _durations(scale, (5, 30), (5, 10, 15, 30))
-    depths = (1, 2, 4) if scale != "full" else (1, 2, 3, 4)
-    results = chains.fig16([float(d) for d in durations], depths=[int(d) for d in depths])
-    tables = []
-    for duration in durations:
-        subset = [r for r in results if r.failure_duration == duration]
-        tables.extend(_results_to_tables(subset, f"Figure 16 ({duration:g} s failure)", by="depth"))
-    return tables
-
-
-def _run_fig18(scale: str) -> list[ResultTable]:
-    depths = _durations(scale, (1, 2, 4), (1, 2, 3, 4))
-    return _results_to_tables(chains.fig18([int(d) for d in depths]), "Figure 18", by="depth")
-
-
-def _run_fig19_20(scale: str) -> list[ResultTable]:
-    durations = _durations(scale, (5, 30), (5, 10, 15, 30))
-    results = chains.fig19_20([float(d) for d in durations])
-    return _results_to_tables(results, "Figures 19-20", by="duration")
-
-
-def _overhead_table(rows, parameter: str, title: str) -> ResultTable:
-    table = ResultTable(title=title, row_label=parameter, column_label="latency (ms)")
-    for row in rows:
-        ms = row.latency.scaled(1000.0)
-        table.set(f"{row.parameter_ms:.0f} ms", "min", ms.minimum)
-        table.set(f"{row.parameter_ms:.0f} ms", "max", ms.maximum)
-        table.set(f"{row.parameter_ms:.0f} ms", "avg", ms.average)
-        table.set(f"{row.parameter_ms:.0f} ms", "std", ms.stddev)
-    return table
-
-
-def _run_table4(scale: str) -> list[ResultTable]:
-    sizes = (0.05, 0.1, 0.3) if scale != "full" else (0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5)
-    return [_overhead_table(overhead.table4(sizes), "bucket size", "Table IV: overhead vs bucket size")]
-
-
-def _run_table5(scale: str) -> list[ResultTable]:
-    intervals = (0.05, 0.1, 0.3) if scale != "full" else (0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5)
-    return [
-        _overhead_table(
-            overhead.table5(intervals), "boundary interval", "Table V: overhead vs boundary interval"
-        )
-    ]
-
-
-def _run_replicas(scale: str) -> list[ResultTable]:
-    counts = (1, 2) if scale != "full" else (1, 2, 3)
-    results = ablations.replica_sweep(counts)
-    return _results_to_tables(results, "Ablation: replicas per node", by="duration")
-
-
-def _run_detection(scale: str) -> list[ResultTable]:
-    periods = (0.1, 0.5) if scale != "full" else (0.05, 0.1, 0.25, 0.5)
-    results = ablations.detection_sweep(periods)
-    table = ResultTable(
-        title="Ablation: failure detection parameters", row_label="keepalive", column_label="metric"
-    )
-    for result in results:
-        key = f"{result.keepalive_period * 1000:.0f} ms"
-        table.set(key, "Proc_new (s)", result.proc_new)
-        table.set(key, "max gap (s)", result.max_gap)
-        table.set(key, "N_tentative", result.n_tentative)
-        table.set(key, "switches", result.switches)
-    return [table]
-
-
-def _run_crash(scale: str) -> list[ResultTable]:
-    result = ablations.crash_failover()
-    table = ResultTable(title="Ablation: crash failover", row_label="metric", column_label="value")
-    table.set("Proc_new (s)", "value", result.proc_new)
-    table.set("max gap (s)", "value", result.max_gap)
-    table.set("N_tentative", "value", result.n_tentative)
-    table.set("eventually consistent", "value", result.eventually_consistent)
-    table.set("upstream switches", "value", result.extra.get("switches"))
-    return [table]
-
-
-def _run_recovery(scale: str) -> list[ResultTable]:
-    durations = (4.0, 10.0) if scale != "full" else (2.0, 4.0, 10.0, 20.0)
-    pairs = ablations.recovery_time_sweep(durations)
-    table = ResultTable(
-        title="Crash recovery: checkpoint-shipped rejoin vs full subscription replay",
-        row_label="failure",
-        column_label="metric",
-    )
-    for checkpointed, replay in pairs:
-        key = f"{checkpointed.failure_duration:g} s"
-        table.set(key, "ckpt mode", checkpointed.mode)
-        table.set(key, "ckpt recovery (s)", round(checkpointed.recovery_s, 3))
-        table.set(key, "replay recovery (s)", round(replay.recovery_s, 3))
-        table.set(key, "ckpt suffix", checkpointed.replayed)
-        table.set(key, "replay suffix", replay.replayed)
-        table.set(key, "shipped items", checkpointed.shipped_items)
-        table.set(key, "ledgers identical",
-                  checkpointed.ledger_rows == replay.ledger_rows)
-    return [table]
-
-
-def _run_granularity(scale: str) -> list[ResultTable]:
-    results = [ablations.granularity_run(False), ablations.granularity_run(True)]
-    return _results_to_tables(results, "Ablation: failure granularity", by="duration")
-
-
-def _dag_table(results: list[ExperimentResult], title: str) -> ResultTable:
-    table = ResultTable(title=title, row_label="failure", column_label="metric")
-    for result in results:
-        key = f"{result.failure_duration:g} s"
-        table.set(key, "Proc_new (s)", result.proc_new)
-        table.set(key, "N_tentative", result.n_tentative)
-        table.set(key, "consistent", result.eventually_consistent)
-        branches = result.extra.get("branches", {})
-        for name, counts in branches.items():
-            table.set(key, f"{name} tentative", counts["tentative"])
-    return table
-
-
-def _run_diamond(scale: str) -> list[ResultTable]:
-    durations = (4.0, 8.0) if scale != "full" else (4.0, 8.0, 16.0, 30.0)
-    results = dags.diamond_sweep(durations, seed=1)
-    return [_dag_table(results, "Diamond topology: branch crash (all replicas of 'left')")]
-
-
-def _run_fanin(scale: str) -> list[ResultTable]:
-    durations = (4.0, 8.0) if scale != "full" else (4.0, 8.0, 16.0, 30.0)
-    results = dags.fanin_sweep(durations, seed=1)
-    return [_dag_table(results, "Fan-in topology: boundary silence on one branch")]
-
-
-def _run_shard(scale: str) -> list[ResultTable]:
-    durations = (4.0, 8.0) if scale != "full" else (4.0, 8.0, 16.0, 30.0)
-    results = shards.shard_kill_sweep(durations, shards=4, seed=1)
-    table = ResultTable(
-        title="Sharded topology: both replicas of 'shard1' crashed",
-        row_label="failure",
-        column_label="metric",
-    )
-    for result in results:
-        key = f"{result.failure_duration:g} s"
-        table.set(key, "Proc_new (s)", result.proc_new)
-        table.set(key, "N_tentative", result.n_tentative)
-        table.set(key, "consistent", result.eventually_consistent)
-        for name, counts in result.extra.get("shards", {}).items():
-            table.set(key, f"{name} tentative", counts["tentative"])
-    return [table]
-
-
-def _run_rebalance(scale: str) -> list[ResultTable]:
-    seeds = (1, 2) if scale != "full" else (1, 2, 3, 4)
-    results = shards.rebalance_sweep(seeds)
-    table = ResultTable(
-        title="Live rebalance: skewed hot-key load, mid-run Deployment.apply(plan)",
-        row_label="seed",
-        column_label="metric",
-    )
-    for seed, result in zip(seeds, results):
-        key = f"seed {seed}"
-        rebalance = result.extra["rebalance"]
-        table.set(key, "bucket moves", rebalance["moves"])
-        table.set(key, "imbalance before", round(rebalance["imbalance_before"] or 0.0, 3))
-        table.set(key, "imbalance after", round(rebalance["imbalance_after"] or 0.0, 3))
-        table.set(key, "state tuples shipped", rebalance["state_tuples_shipped"])
-        table.set(key, "Proc_new (s)", result.proc_new)
-        table.set(key, "consistent", result.eventually_consistent)
-    return [table]
-
-
-def _run_autoscale(scale: str) -> list[ResultTable]:
-    seeds = (1, 2) if scale != "full" else (1, 2, 3, 4)
-    results = shards.autoscale_sweep(seeds)
-    table = ResultTable(
-        title="Elastic autoscaling: load surge -> scale-out, subsidence -> scale-in",
-        row_label="seed",
-        column_label="metric",
-    )
-    for seed, result in zip(seeds, results):
-        key = f"seed {seed}"
-        autoscale = result.extra["autoscale"]
-        table.set(key, "actions", len(autoscale["actions"]))
-        table.set(key, "peak shards", autoscale["peak_shards"])
-        table.set(key, "final shards", autoscale["final_shards"])
-        table.set(key, "handoffs completed", autoscale["handoffs_completed"])
-        table.set(key, "handoff aborts", autoscale["handoff_aborts"])
-        table.set(key, "state tuples shipped", autoscale["state_tuples_shipped"])
-        table.set(key, "Proc_new (s)", result.proc_new)
-        table.set(key, "consistent", result.eventually_consistent)
-    return [table]
-
-
-def _run_shard_throughput(scale: str) -> list[ResultTable]:
-    counts = (1, 2, 4) if scale != "full" else (1, 2, 4, 8)
-    rows = shards.shard_throughput_sweep(counts, aggregate_rate=1200.0, duration=15.0)
-    table = ResultTable(
-        title="Sharded scale-out: sustained throughput vs the equal-operator chain",
-        row_label="deployment",
-        column_label="metric",
-    )
-    for row in rows:
-        table.set(row["label"], "tuples/s (wall)", round(row["tuples_per_second"], 1))
-        table.set(row["label"], "events fired", row["events_fired"])
-        table.set(row["label"], "Proc_new (s)", round(row["proc_new"], 3))
-        table.set(row["label"], "operators", row["operators"])
-        table.set(row["label"], "consistent", row["eventually_consistent"])
-    return [table]
-
-
-def _live_runs(table: ResultTable, cases):
-    """Yield ``(label, spec, spec.run_live())`` per case; without fork, one 'unavailable' row."""
-    try:
-        for label, spec in cases:
-            yield label, spec, spec.run_live()
-    except LiveBackendUnavailable as error:
-        table.set("unavailable", "reason", str(error))
-
-
-def _run_live_throughput(scale: str) -> list[ResultTable]:
-    """Wall-clock throughput of the live backend: chain vs shard fan-out.
-
-    Unlike every other experiment this one spends real wall-clock seconds
-    (worker processes over Unix sockets); the numbers are environment-bound
-    trend metrics, not deterministic figures.
-    """
-    table = ResultTable(
-        title="Live backend: wall-clock throughput, chain vs sharded fan-out",
-        row_label="deployment",
-        column_label="metric",
-    )
-    run = dict(
-        aggregate_rate=240.0 if scale != "full" else 480.0,
-        warmup=4.0 if scale != "full" else 8.0,
-        settle=0.0,
-        seed=1,
-    )
-    cases = [("chain-2", ScenarioSpec.chain(2, **run)), ("shard-4", ScenarioSpec.sharded(4, **run))]
-    for label, _, result in _live_runs(table, cases):
-        stable = result.total_stable
-        table.set(label, "worker processes", len(result.nodes) + 1)
-        table.set(label, "stable tuples", stable)
-        table.set(label, "wall (s)", round(result.wall_seconds, 2))
-        table.set(label, "tuples/s (wall)", round(stable / result.wall_seconds, 1))
-        table.set(label, "consistent", result.eventually_consistent)
-    return [table]
-
-
-def _run_live_faults(scale: str) -> list[ResultTable]:
-    """Network-fault parity: one spec per case, run live and against its oracle.
-
-    ``spec.run_live()`` replays the schedule on real worker processes as a
-    deterministic wire-level fault plan; ``spec.oracle()`` is the simulator
-    run of the same spec.  "ledger matches sim" is the parity claim:
-    byte-identical stable rows in replica-independent form.
-    """
-    table = ResultTable(
-        title="Live fault injection: disconnect/partition parity with the simulator",
-        row_label="scenario",
-        column_label="metric",
-    )
-    run = dict(warmup=1.5, duration=4.0 if scale != "full" else 8.0, seed=1)
-    cases = [
-        ("chain-2 disconnect",
-         ScenarioSpec.chain(2, aggregate_rate=90.0, **run).with_failure(
-             "disconnect", duration=1.0)),
-        ("shard-4 partition",
-         ScenarioSpec.sharded(4, aggregate_rate=120.0, **run).with_partition(
-             "shard1", replica=-1, duration=1.0)),
-    ]
-    for label, spec, result in _live_runs(table, cases):
-        table.set(label, "stable tuples", result.total_stable)
-        table.set(label, "tentative tuples", result.total_tentative)
-        table.set(label, "injected faults", sum(result.injected_faults().values()))
-        table.set(label, "dead letters", result.dead_letters)
-        table.set(label, "reconnects", result.reconnects)
-        table.set(label, "consistent", result.eventually_consistent)
-        table.set(label, "ledger matches sim",
-                  result.stable_rows() == stable_ledger_rows(spec.oracle().client))
-    return [table]
-
-
-EXPERIMENTS: dict[str, ExperimentCommand] = {
-    "table3": ExperimentCommand("table3", "Table III: Proc_new vs failure duration", _run_table3),
-    "fig11a": ExperimentCommand("fig11a", "Figure 11(a): overlapping failures", _run_fig11(True)),
-    "fig11b": ExperimentCommand("fig11b", "Figure 11(b): failure during recovery", _run_fig11(False)),
-    "fig13": ExperimentCommand("fig13", "Figure 13: six delay-policy variants", _run_fig13),
-    "fig15": ExperimentCommand("fig15", "Figure 15: Proc_new vs chain depth", _run_fig15),
-    "fig16": ExperimentCommand("fig16", "Figure 16: N_tentative vs depth, short failures", _run_fig16),
-    "fig18": ExperimentCommand("fig18", "Figure 18: N_tentative, 60 s failure", _run_fig18),
-    "fig19": ExperimentCommand("fig19", "Figures 19-20: delay assignment strategies", _run_fig19_20),
-    "fig20": ExperimentCommand("fig20", "Figures 19-20: delay assignment strategies", _run_fig19_20),
-    "table4": ExperimentCommand("table4", "Table IV: overhead vs bucket size", _run_table4),
-    "table5": ExperimentCommand("table5", "Table V: overhead vs boundary interval", _run_table5),
-    "diamond": ExperimentCommand(
-        "diamond", "DAG: diamond (fan-out + fan-in) with one branch crashed", _run_diamond
-    ),
-    "fanin": ExperimentCommand(
-        "fanin", "DAG: cross-node fan-in with one branch silenced", _run_fanin
-    ),
-    "shard": ExperimentCommand(
-        "shard", "Sharded scale-out: both replicas of one shard crashed", _run_shard
-    ),
-    "shard-throughput": ExperimentCommand(
-        "shard-throughput",
-        "Sharded scale-out: throughput vs an equal-operator single chain",
-        _run_shard_throughput,
-    ),
-    "rebalance": ExperimentCommand(
-        "rebalance",
-        "Live rebalance: skewed load, mid-run bucket handoff between shards",
-        _run_rebalance,
-    ),
-    "autoscale": ExperimentCommand(
-        "autoscale",
-        "Elastic autoscaling: surge-driven scale-out, subsidence-driven scale-in",
-        _run_autoscale,
-    ),
-    "replicas": ExperimentCommand("replicas", "Ablation: replicas per node", _run_replicas),
-    "detection": ExperimentCommand("detection", "Ablation: detection parameters", _run_detection),
-    "crash": ExperimentCommand("crash", "Ablation: crash failover", _run_crash),
-    "granularity": ExperimentCommand("granularity", "Ablation: failure granularity", _run_granularity),
-    "recovery": ExperimentCommand(
-        "recovery",
-        "State transfer: checkpoint-shipped vs full-replay crash recovery",
-        _run_recovery,
-    ),
-    "live-throughput": ExperimentCommand(
-        "live-throughput",
-        "Live backend: wall-clock throughput over real processes and sockets",
-        _run_live_throughput,
-    ),
-    "live-faults": ExperimentCommand(
-        "live-faults",
-        "Live fault injection: disconnect/partition parity against the sim oracle",
-        _run_live_faults,
-    ),
-}
+#: The deployment shapes ``scenario``, ``profile`` and ``plan-delays`` build.
+TOPOLOGIES = ("chain", "diamond", "fanin", "shard")
 
 
 # --------------------------------------------------------------------------- commands
@@ -468,9 +70,11 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_claims(_args: argparse.Namespace) -> int:
-    for claim in PAPER_CLAIMS:
-        print(f"{claim.experiment_id} (Section {claim.section}) -- {claim.title}")
-        print(f"  {claim.claim}")
+    for name, command in EXPERIMENTS.items():
+        claim = command.claim
+        if claim is not None:
+            print(f"{name} (Section {claim.section}) -- {claim.title}")
+            print(f"  {claim.claim}")
     return 0
 
 
@@ -481,7 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.experiment!r}; run 'python -m repro list'", file=sys.stderr)
         return 2
     renderer = _RENDERERS[args.format]
-    tables = command.run(args.scale)
+    tables, checks = command.run(args.scale)
     rendered = "\n\n".join(renderer(table) for table in tables)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -489,17 +93,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {args.output}")
     else:
         print(rendered)
-    return 0
+    if checks:
+        passed = sum(check.passed for check in checks)
+        print(f"\nshape checks ({passed}/{len(checks)} passed):")
+        for check in checks:
+            print(f"  {check.row()}")
+    return 0 if all(check.passed for check in checks) else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.builders import build_quick_report
-
-    print("running reduced sweeps of the headline experiments (a few minutes) ...")
-    report = build_quick_report(aggregate_rate=args.rate)
+    print("running the quick grid of every experiment with shape checks ...")
+    report = build_report()
     report.write(args.output)
     passed = sum(1 for section in report.sections if section.passed)
-    print(f"wrote {args.output}: {passed}/{len(report.sections)} sections match the paper's shape")
+    print(f"wrote {args.output}: {passed}/{len(report.sections)} experiments match the paper's shape")
+    for section in report.sections:
+        for check in section.checks:
+            if not check.passed:
+                print(f"{section.claim.experiment_id}: {check.row()}", file=sys.stderr)
     return 0 if report.all_passed else 1
 
 
@@ -613,6 +224,14 @@ def _scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
     return spec
 
 
+def _print_client(summary: dict) -> None:
+    """The client's view of a run, as both backends report it."""
+    print(f"Proc_new (max latency of new results): {summary['proc_new']:.3f} s")
+    print(f"stable / tentative / undone:           {summary['total_stable']} / "
+          f"{summary['total_tentative']} / {summary['total_undos']}")
+    print(f"upstream switches:                     {summary['switches']}")
+
+
 def _cmd_scenario_live(spec: ScenarioSpec) -> int:
     """Run ``spec`` on the live backend and print the live-only report.
 
@@ -639,13 +258,9 @@ def _cmd_scenario_live(spec: ScenarioSpec) -> int:
     if injected:
         counts = ", ".join(f"{kind}={n}" for kind, n in sorted(injected.items()))
         print(f"  injected faults: {counts}")
-    summary = result.client()["summary"]
     print(f"workers: {len(result.nodes) + 1} processes over Unix sockets, "
           f"{result.wall_seconds:.1f} s wall")
-    print(f"Proc_new (max latency of new results): {summary['proc_new']:.3f} s")
-    print(f"stable / tentative / undone:           {summary['total_stable']} / "
-          f"{summary['total_tentative']} / {summary['total_undos']}")
-    print(f"upstream switches:                     {summary['switches']}")
+    _print_client(result.client()["summary"])
     print(f"frames dropped / dead-lettered:        {result.dropped_frames} / "
           f"{result.dead_letters}")
     print(f"reconnect attempts / reconnects:       {result.reconnect_attempts} / "
@@ -697,10 +312,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(f"  autoscale: {len(runtime.autoscaler.actions)} action(s), "
               f"{len(runtime.autoscaler.skipped)} skipped tick(s), final "
               f"{runtime.deployment.active_shards()} shard(s)")
-    print(f"Proc_new (max latency of new results): {summary['proc_new']:.3f} s")
-    print(f"stable / tentative / undone:           {summary['total_stable']} / "
-          f"{summary['total_tentative']} / {summary['total_undos']}")
-    print(f"upstream switches:                     {summary['switches']}")
+    _print_client(summary)
     consistent = runtime.eventually_consistent()
     print(f"simulator events fired:                {runtime.simulator.events_fired}")
     print(f"eventually consistent:                 {consistent}")
@@ -849,18 +461,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment and print its tables")
     run.add_argument("experiment", help="experiment id (see 'list')")
-    run.add_argument("--scale", choices=("quick", "full"), default="quick",
-                     help="quick runs a reduced sweep; full matches the paper's parameter grid")
+    run.add_argument("--scale", choices=SCALES, default="quick",
+                     help="quick runs the reduced grid the shape checks were validated on; "
+                          "full matches the paper's parameter grid")
     run.add_argument("--format", choices=sorted(_RENDERERS), default="text")
     run.add_argument("--output", help="write the rendered tables to this file instead of stdout")
     run.set_defaults(func=_cmd_run)
 
     report = sub.add_parser(
-        "report", help="run reduced sweeps and write a paper-vs-measured Markdown report"
+        "report",
+        help="run the quick grid of every experiment with shape checks and write a "
+             "paper-vs-measured Markdown report (exit 1 on a failed check)",
     )
     report.add_argument("--output", default="report.md", help="path of the Markdown report")
-    report.add_argument("--rate", type=float, default=120.0,
-                        help="aggregate tuple rate used by the reduced sweeps")
     report.set_defaults(func=_cmd_report)
 
     scenario = sub.add_parser(
@@ -870,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         "SimulationRuntime, run it, and print the client's view of the run.",
     )
     scenario.add_argument("--name", default="cli-scenario", help="label for the scenario")
-    scenario.add_argument("--topology", choices=("chain", "diamond", "fanin", "shard"),
-                          default="chain",
+    scenario.add_argument("--topology", choices=TOPOLOGIES, default="chain",
                           help="deployment shape; chain uses --depth, shard uses --shards, "
                                "other DAG shapes are preset")
     scenario.add_argument("--depth", type=int, default=1, help="number of chained nodes")
@@ -928,11 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--failure-stream", type=int, default=0,
                           help="input stream hit by a disconnect/silence failure")
     scenario.add_argument("--failure-node", default=None,
-                          help="logical node name hit by a crash failure (DAG addressing)")
+                          help="logical node name hit by a crash or partition "
+                               "(DAG addressing; overrides --failure-level)")
     scenario.add_argument("--failure-level", type=int, default=0,
-                          help="chain level of the node hit by a crash failure")
+                          help="chain level of the node hit by a crash or partition")
     scenario.add_argument("--failure-replica", type=int, default=0,
-                          help="replica index of the node hit by a crash failure")
+                          help="replica index of the node hit by a crash or partition "
+                               "(-1: every replica)")
     scenario.add_argument("--checkpoint-interval", type=float, default=None,
                           help="recovery-checkpoint capture cadence in simulated seconds "
                                "(default: the DPCConfig cadence; <= 0 disables checkpoints "
@@ -955,8 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of guesses.",
     )
     profile.add_argument("scenario",
-                         choices=("chain", "diamond", "fanin", "shard", "aggregate", "recovery",
-                                  "live"),
+                         choices=TOPOLOGIES + ("aggregate", "recovery", "live"),
                          help="deployment shape to profile ('recovery' crashes one replica "
                               "mid-run and profiles the checkpoint-shipped rejoin; 'live' "
                               "runs chain --depth on the live backend for --duration wall "
@@ -986,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(func=_cmd_profile)
 
     plan = sub.add_parser("plan-delays", help="plan per-node delay budgets for a deployment")
-    plan.add_argument("--topology", choices=("chain", "diamond", "fanin", "shard"),
-                      default="chain", help="deployment shape to plan over")
+    plan.add_argument("--topology", choices=TOPOLOGIES, default="chain",
+                      help="deployment shape to plan over")
     plan.add_argument("--depth", type=int, default=4, help="number of nodes in the chain")
     plan.add_argument("--shards", type=int, default=4,
                       help="shard count of the sharded topology")

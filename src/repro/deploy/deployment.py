@@ -28,7 +28,6 @@ capabilities a one-shot build cannot express:
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections import Counter
 from dataclasses import replace as dataclass_replace
@@ -45,6 +44,7 @@ from ..sim.event_loop import Simulator
 from ..sim.events import EventKind
 from ..sim.failures import FailureInjector
 from ..sim.network import Network
+from ..spe.operators.sunion import bucket_index
 from ..spe.query_diagram import InputBinding
 from ..statexfer import (
     PeerRegistry,
@@ -359,7 +359,7 @@ class Deployment:
             manager = replica.data_path.output(stream)
             high = max(high, manager.last_appended_stime)
         bucket = self.config.bucket_size
-        return (math.floor(high / bucket) + 1) * bucket
+        return (bucket_index(high, bucket) + 1) * bucket
 
     def _ship_join_state(
         self, plan: RebalancePlan, cut_stime: float, record: dict, now: float

@@ -1,14 +1,14 @@
 """Experiment runners: one entry point per table / figure of the paper.
 
-See DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-results.
+:mod:`repro.analysis.registry` declares which runner, at which grid, each
+experiment id uses (``python -m repro list``); ``python -m repro report``
+writes the measured results next to the paper's.
 """
 
 from .harness import (
     ExperimentResult,
     availability_run,
     check_eventual_consistency,
-    format_table,
     group_output_counts,
     summarize_run,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "ExperimentResult",
     "availability_run",
     "check_eventual_consistency",
-    "format_table",
     "group_output_counts",
     "summarize_run",
     "autoscale_run",

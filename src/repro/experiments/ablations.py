@@ -24,6 +24,7 @@ from typing import Sequence
 
 from ..config import BufferPolicy, DelayPolicy, DPCConfig
 from ..errors import BufferOverflowError
+from ..metrics.consistency import stable_ledger_rows
 from ..runtime import ScenarioSpec
 from .harness import ExperimentResult, availability_run, summarize_run
 
@@ -255,7 +256,7 @@ class RecoveryResult:
     tuples_processed: int
     recovery_checkpoints: int
     eventually_consistent: bool
-    ledger_rows: tuple = ()
+    ledger_rows: Sequence = ()
 
     def row(self) -> str:
         return (
@@ -264,20 +265,6 @@ class RecoveryResult:
             f"shipped={self.shipped_items:>5}  Proc_new={self.proc_new:5.2f}s  "
             f"consistent={'yes' if self.eventually_consistent else 'NO'}"
         )
-
-
-def stable_ledger_rows(client) -> tuple:
-    """The client's stable ledger as replica-independent rows.
-
-    Tuple ids are assigned per replica, so after a failure the ids in two
-    otherwise identical runs differ; ``(stable_seq, stime, values)`` is the
-    content the paper's eventual-consistency guarantee is about.
-    """
-    return tuple(
-        (item.stable_seq, repr(item.stime), tuple(sorted(item.values.items())))
-        for item in client.metrics.consistency.ledger
-        if item.is_stable
-    )
 
 
 def recovery_run(

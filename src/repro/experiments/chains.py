@@ -78,22 +78,17 @@ def fig16(
     settle: float = 30.0,
 ) -> list[ExperimentResult]:
     """Figure 16: N_tentative vs chain depth for 5/10/15/30-second failures."""
-    results = []
-    for duration in failure_durations:
-        for name, policy in CHAIN_POLICIES.items():
-            for depth in depths:
-                results.append(
-                    _chain_run(
-                        depth,
-                        name,
-                        policy,
-                        float(duration),
-                        per_node_delay=per_node_delay,
-                        aggregate_rate=aggregate_rate,
-                        settle=settle,
-                    )
-                )
-    return results
+    return [
+        result
+        for duration in failure_durations
+        for result in fig15(
+            depths,
+            failure_duration=float(duration),
+            per_node_delay=per_node_delay,
+            aggregate_rate=aggregate_rate,
+            settle=settle,
+        )
+    ]
 
 
 def fig18(
@@ -105,21 +100,13 @@ def fig18(
     settle: float = 40.0,
 ) -> list[ExperimentResult]:
     """Figure 18: N_tentative for a 60-second (long) failure."""
-    results = []
-    for name, policy in CHAIN_POLICIES.items():
-        for depth in depths:
-            results.append(
-                _chain_run(
-                    depth,
-                    name,
-                    policy,
-                    failure_duration,
-                    per_node_delay=per_node_delay,
-                    aggregate_rate=aggregate_rate,
-                    settle=settle,
-                )
-            )
-    return results
+    return fig15(
+        depths,
+        failure_duration=failure_duration,
+        per_node_delay=per_node_delay,
+        aggregate_rate=aggregate_rate,
+        settle=settle,
+    )
 
 
 #: The three delay-assignment variants compared in Figures 19 and 20.

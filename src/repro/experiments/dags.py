@@ -55,18 +55,10 @@ def diamond_spec(
     ).with_branch_crash("left", duration=failure_duration)
 
 
-def diamond_branch_failure(
-    failure_duration: float = 8.0,
-    *,
-    aggregate_rate: float = 120.0,
-    replicas_per_node: int = 2,
-    max_incremental_latency: float = 3.0,
-    policy: DelayPolicy | None = None,
-    warmup: float = 5.0,
-    settle: float = 30.0,
-    seed: int | None = None,
-) -> ExperimentResult:
+def diamond_branch_failure(failure_duration: float = 8.0, **spec_options) -> ExperimentResult:
     """Kill one branch of a diamond; measure the merge output and the survivor.
+
+    ``spec_options`` are :func:`diamond_spec`'s keyword arguments.
 
     The acceptance properties the benchmark asserts:
 
@@ -78,16 +70,7 @@ def diamond_branch_failure(
     * after the branch recovers, reconciliation converges: the client's
       stable ledger is gap-free, duplicate-free, and ordered.
     """
-    spec = diamond_spec(
-        failure_duration,
-        aggregate_rate=aggregate_rate,
-        replicas_per_node=replicas_per_node,
-        max_incremental_latency=max_incremental_latency,
-        policy=policy,
-        warmup=warmup,
-        settle=settle,
-        seed=seed,
-    )
+    spec = diamond_spec(failure_duration, **spec_options)
     runtime = spec.run()
     result = summarize_run(runtime, failure_duration=failure_duration)
     result.extra["branches"] = {
@@ -134,34 +117,12 @@ def fanin_spec(
     ).with_failure(failure_kind, duration=failure_duration, stream_index=0)
 
 
-def fanin_branch_failure(
-    failure_duration: float = 8.0,
-    *,
-    branches: int = 2,
-    streams_per_branch: int = 2,
-    aggregate_rate: float = 120.0,
-    replicas_per_node: int = 2,
-    max_incremental_latency: float = 3.0,
-    policy: DelayPolicy | None = None,
-    failure_kind: str = "silence",
-    warmup: float = 5.0,
-    settle: float = 30.0,
-    seed: int | None = None,
-) -> ExperimentResult:
-    """Fail one ingest branch of a fan-in deployment and measure the merge."""
-    spec = fanin_spec(
-        failure_duration,
-        branches=branches,
-        streams_per_branch=streams_per_branch,
-        aggregate_rate=aggregate_rate,
-        replicas_per_node=replicas_per_node,
-        max_incremental_latency=max_incremental_latency,
-        policy=policy,
-        failure_kind=failure_kind,
-        warmup=warmup,
-        settle=settle,
-        seed=seed,
-    )
+def fanin_branch_failure(failure_duration: float = 8.0, **spec_options) -> ExperimentResult:
+    """Fail one ingest branch of a fan-in deployment and measure the merge.
+
+    ``spec_options`` are :func:`fanin_spec`'s keyword arguments.
+    """
+    spec = fanin_spec(failure_duration, **spec_options)
     runtime = spec.run()
     result = summarize_run(runtime, failure_duration=failure_duration)
     result.extra["branches"] = {

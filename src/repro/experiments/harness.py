@@ -1,8 +1,8 @@
 """Shared experiment harness.
 
-Every benchmark in ``benchmarks/`` (one per table / figure of the paper) is a
-thin wrapper around the runners in this package, so the same code can be used
-interactively::
+Every entry of :mod:`repro.analysis.registry` (one per table / figure /
+ablation of the paper) runs the runners in this package, so the same code
+can be used interactively::
 
     from repro.experiments import availability_run
     result = availability_run(failure_duration=10.0)
@@ -14,17 +14,16 @@ Every runner describes its deployment as a
 completed runtime into an :class:`ExperimentResult`.
 
 Scale note: the paper drives its prototype at 500-4500 tuples/s on real
-hardware.  The default rates here are lower so that the full benchmark suite
-completes in minutes on a laptop; every rate is a parameter and
-``EXPERIMENTS.md`` records the values used for the reported numbers.  All
-durations, delay bounds, and failure lengths are in *simulated seconds* and
-match the paper exactly.
+hardware.  The default rates here are lower so that the full sweeps complete
+in minutes on a laptop; every rate is a parameter and the registry's grids
+record the values ``python -m repro run`` / ``report`` use.  All durations,
+delay bounds, and failure lengths are in *simulated seconds* and match the
+paper exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 from ..config import DelayAssignment, DelayPolicy, DPCConfig, SimulationConfig
 from ..runtime import FailureSpec, ScenarioSpec, SimulationRuntime, client_is_eventually_consistent
@@ -51,7 +50,7 @@ class ExperimentResult:
         return asdict(self)
 
     def row(self) -> str:
-        """One formatted table row (used by the benchmark harness printout)."""
+        """One formatted table row (used by the benchmark printouts)."""
         return (
             f"{self.label:<28} failure={self.failure_duration:>5.1f}s depth={self.chain_depth} "
             f"Proc_new={self.proc_new:6.2f}s N_tentative={self.n_tentative:>7d} "
@@ -186,9 +185,3 @@ def summarize_run(
         extra=extra,
     )
 
-
-def format_table(title: str, results: Sequence[ExperimentResult]) -> str:
-    """Human-readable table used by the benchmark printouts."""
-    lines = [title, "-" * len(title)]
-    lines.extend(result.row() for result in results)
-    return "\n".join(lines)

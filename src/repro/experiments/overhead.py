@@ -27,13 +27,6 @@ class OverheadRow:
     parameter_ms: float
     latency: LatencySummary
 
-    def row(self, name: str) -> str:
-        ms = self.latency.scaled(1000.0)
-        return (
-            f"{name}={self.parameter_ms:6.0f} ms  min={ms.minimum:7.1f}  max={ms.maximum:7.1f}  "
-            f"avg={ms.average:7.1f}  std={ms.stddev:7.1f}  (n={ms.count})"
-        )
-
 
 def _union_diagram_factory(node_name: str, input_streams: Sequence[str], output_stream: str) -> QueryDiagram:
     """Baseline fragment: standard Union (arrival order, no serialization)."""
@@ -87,6 +80,17 @@ def serialization_overhead(
     return OverheadRow(parameter_ms=parameter * 1000.0, latency=LatencySummary.from_values(latencies))
 
 
+def _sweep(
+    vary: str, values: Sequence[float], baseline: dict, fixed: dict, include_baseline: bool, **run
+) -> list[OverheadRow]:
+    """The plain-Union ``baseline`` row, then one SUnion row per value of parameter ``vary``."""
+    rows = [serialization_overhead(**baseline, **run, use_sunion=False)] if include_baseline else []
+    for value in values:
+        row = serialization_overhead(**fixed, **{vary: value}, **run)
+        rows.append(OverheadRow(parameter_ms=value * 1000.0, latency=row.latency))
+    return rows
+
+
 def table4(
     bucket_sizes: Sequence[float] = (0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5),
     *,
@@ -96,27 +100,9 @@ def table4(
     include_baseline: bool = True,
 ) -> list[OverheadRow]:
     """Table IV: latency overhead vs bucket size (boundary interval = 10 ms)."""
-    rows: list[OverheadRow] = []
-    if include_baseline:
-        rows.append(
-            serialization_overhead(
-                bucket_size=0.0,
-                boundary_interval=boundary_interval,
-                rate=rate,
-                duration=duration,
-                use_sunion=False,
-            )
-        )
-    for bucket_size in bucket_sizes:
-        rows.append(
-            serialization_overhead(
-                bucket_size=bucket_size,
-                boundary_interval=boundary_interval,
-                rate=rate,
-                duration=duration,
-            )
-        )
-    return rows
+    fixed = {"boundary_interval": boundary_interval}
+    return _sweep("bucket_size", bucket_sizes, {"bucket_size": 0.0, **fixed}, fixed,
+                  include_baseline, rate=rate, duration=duration)
 
 
 def table5(
@@ -128,23 +114,6 @@ def table5(
     include_baseline: bool = True,
 ) -> list[OverheadRow]:
     """Table V: latency overhead vs boundary interval (bucket size = 10 ms)."""
-    rows: list[OverheadRow] = []
-    if include_baseline:
-        rows.append(
-            serialization_overhead(
-                bucket_size=bucket_size,
-                boundary_interval=0.0,
-                rate=rate,
-                duration=duration,
-                use_sunion=False,
-            )
-        )
-    for interval in boundary_intervals:
-        row = serialization_overhead(
-            bucket_size=bucket_size,
-            boundary_interval=interval,
-            rate=rate,
-            duration=duration,
-        )
-        rows.append(OverheadRow(parameter_ms=interval * 1000.0, latency=row.latency))
-    return rows
+    fixed = {"bucket_size": bucket_size}
+    return _sweep("boundary_interval", boundary_intervals, {"boundary_interval": 0.0, **fixed},
+                  fixed, include_baseline, rate=rate, duration=duration)

@@ -84,19 +84,11 @@ def shard_spec(
 
 
 def shard_kill_failure(
-    failure_duration: float = 8.0,
-    *,
-    shards: int = 4,
-    kill_shard: int = 1,
-    aggregate_rate: float = 120.0,
-    replicas_per_node: int = 2,
-    max_incremental_latency: float = 3.0,
-    policy: DelayPolicy | None = None,
-    warmup: float = 5.0,
-    settle: float = 30.0,
-    seed: int | None = None,
+    failure_duration: float = 8.0, *, shards: int = 4, kill_shard: int = 1, **spec_options
 ) -> ExperimentResult:
     """Kill both replicas of one shard; measure the survivors and the merge.
+
+    ``spec_options`` are :func:`shard_spec`'s keyword arguments.
 
     The acceptance properties the benchmark asserts:
 
@@ -106,16 +98,7 @@ def shard_kill_failure(
     * after the shard recovers, reconciliation converges: the merged ledger
       is gap-free, duplicate-free, and ordered.
     """
-    spec = shard_spec(
-        shards,
-        aggregate_rate=aggregate_rate,
-        replicas_per_node=replicas_per_node,
-        max_incremental_latency=max_incremental_latency,
-        policy=policy,
-        warmup=warmup,
-        settle=settle,
-        seed=seed,
-    ).with_shard_kill(kill_shard, duration=failure_duration)
+    spec = shard_spec(shards, **spec_options).with_shard_kill(kill_shard, duration=failure_duration)
     runtime = spec.run()
     result = summarize_run(runtime, failure_duration=failure_duration)
     killed = f"shard{kill_shard}"

@@ -34,20 +34,6 @@ class TraceResult:
     reconciliations: int = 0
     extra: dict = field(default_factory=dict)
 
-    def series(self) -> list[tuple[float, object, str]]:
-        """(time, sequence number, tuple type) points -- what Figure 11 plots.
-
-        REC_DONE markers are reported with sequence number 0, matching the
-        paper's presentation ("a tuple with identifier zero").
-        """
-        points: list[tuple[float, object, str]] = []
-        for entry in self.trace:
-            if entry.tuple_type in ("insertion", "tentative") and entry.sequence is not None:
-                points.append((entry.time, entry.sequence, entry.tuple_type))
-            elif entry.tuple_type == "rec_done":
-                points.append((entry.time, 0, entry.tuple_type))
-        return points
-
 
 def eventual_consistency_trace(
     *,
@@ -118,22 +104,17 @@ def table3(
     max_incremental_latency: float = 3.0,
     settle: float = 30.0,
 ) -> list[ExperimentResult]:
-    """Table III: Proc_new vs failure duration, one replicated node, X = 3 s."""
-    results = []
-    for duration in failure_durations:
-        results.append(
-            availability_run(
-                failure_duration=float(duration),
-                label="Table III",
-                chain_depth=1,
-                replicas_per_node=2,
-                aggregate_rate=aggregate_rate,
-                max_incremental_latency=max_incremental_latency,
-                policy=DelayPolicy.process_process(),
-                settle=settle + duration * 0.5,
-            )
-        )
-    return results
+    """Table III: Proc_new vs failure duration, one replicated node, X = 3 s.
+
+    Figure 13's set-up with Process & Process as the only policy.
+    """
+    return fig13(
+        failure_durations,
+        {"Table III": DelayPolicy.process_process()},
+        aggregate_rate=aggregate_rate,
+        max_incremental_latency=max_incremental_latency,
+        settle=settle,
+    )
 
 
 def fig13(

@@ -18,7 +18,7 @@ input buffering for reconciliation -- lives in
 from __future__ import annotations
 
 import math
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any, Mapping
 
@@ -41,8 +41,19 @@ def _ids_grow_per_port(entries: list[tuple[int, TupleBlock]]) -> bool:
 
 
 def bucket_index(stime: float, bucket_size: float) -> int:
-    """Index of the bucket covering ``stime`` (buckets are [k*size, (k+1)*size))."""
-    return int(math.floor(stime / bucket_size))
+    """Index of the bucket covering ``stime`` (buckets are [k*size, (k+1)*size)).
+
+    Decided on the float grid the edges ``(k + 1) * size`` are emitted on: the
+    floor estimate is corrected both ways, as in ``WindowSpec.pane_index``, so
+    75.3 lands in bucket 753 (``753 * 0.1 == 75.3``) although ``75.3 / 0.1``
+    floors to 752.
+    """
+    index = int(math.floor(stime / bucket_size))
+    while index * bucket_size > stime:
+        index -= 1
+    while (index + 1) * bucket_size <= stime:
+        index += 1
+    return index
 
 
 class SUnion(Operator):
@@ -95,20 +106,23 @@ class SUnion(Operator):
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
         """Bucket a data run as block slices (one slice per bucket it spans).
 
-        Every row is bucketed by the same ``floor(stime / bucket_size)``; a
-        run whose smallest and largest stime share a bucket (the common case:
-        upstream emits one bucket at a time) is filed whole.
+        Rows are bucketed on the float grid of :func:`bucket_index`; a run
+        inside one bucket's edges (the common case: upstream emits one bucket
+        at a time) is filed whole, any other run slice by slice.
         """
         size = self.bucket_size
         stimes = run.stimes
-        low = int(math.floor(min(stimes) / size))
-        if low == int(math.floor(max(stimes) / size)):
+        low = bucket_index(min(stimes), size)
+        if max(stimes) < (low + 1) * size:
             pieces = [(low, run)]
         else:
-            indices = [int(math.floor(stime / size)) for stime in stimes]
-            pieces, start = [], 0
-            for index, rows in groupby(indices):
-                stop = start + len(list(rows))
+            pieces, start, count = [], 0, len(stimes)
+            while start < count:
+                index = bucket_index(stimes[start], size)
+                lower, upper = index * size, (index + 1) * size
+                stop = start + 1
+                while stop < count and lower <= stimes[stop] < upper:
+                    stop += 1
                 pieces.append((index, run[start:stop]))
                 start = stop
         for index, piece in pieces:

@@ -130,3 +130,20 @@ def test_side_by_side_paper_vs_measured():
     assert table.columns == ["paper", "measured"]
     assert table.get(2.0, "paper") == 2.2
     assert table.get(4.0, "measured") == 2.9
+
+
+def test_depth_pivots_give_one_row_per_policy_for_chain_labels():
+    runs = [
+        ExperimentResult(
+            label=f"{policy} (depth {depth})", failure_duration=30.0, chain_depth=depth,
+            policy=policy, proc_new=float(depth), max_gap=0.0, n_tentative=10 * depth,
+            n_stable=1, n_undos=0, n_rec_done=0, eventually_consistent=True,
+        )
+        for policy in ("Process & Process", "Delay & Delay")
+        for depth in (1, 2, 4)
+    ]
+    for table in (proc_new_by_depth(runs, "p"), tentative_by_depth(runs, "t")):
+        assert table.rows == ["Process & Process", "Delay & Delay"]
+        assert table.columns == [1, 2, 4]
+        assert all(value is not None for row in table.rows for value in table.row_values(row))
+    assert proc_new_by_depth(runs, "p").get("Delay & Delay", 4) == 4.0

@@ -171,3 +171,18 @@ def test_batch_boundary_then_late_data_is_dropped_like_per_tuple_path():
     assert [t.value("seq") for t in out if t.is_data] == [0]
     assert op.late_drops == 1
     assert op.pending_tuples == 0
+
+
+def test_tuple_at_an_emitted_boundary_stime_opens_the_next_bucket():
+    """``75.3 / 0.1`` floors to bucket 752, whose edge ``753 * 0.1`` is 75.3.
+
+    A boundary at 75.3 emits bucket 752; a tuple stamped 75.3 belongs to
+    bucket 753 on the same float grid and must not be counted late.
+    """
+    op = SUnion("su", arity=1, bucket_size=0.1)
+    op.process(0, StreamTuple.insertion(0, 75.25, {"seq": 0}))
+    op.process(0, boundary(75.3, tid=1))
+    assert op.process(0, StreamTuple.insertion(2, 75.3, {"seq": 1})) == []
+    assert op.late_drops == 0
+    out = op.process(0, boundary(75.5, tid=3))
+    assert [t.value("seq") for t in out if t.is_data] == [1]
