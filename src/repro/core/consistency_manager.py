@@ -34,13 +34,13 @@ from ..errors import ProtocolError
 from .clock import Clock
 from ..sim.events import EventKind
 from ..sim.network import Message, Network
-from ..spe.tuples import StreamTuple
 from .input_streams import InputStreamMonitor
 from .protocol import (
     HEARTBEAT_REQUEST,
     HEARTBEAT_RESPONSE,
     RECONCILE_REPLY,
     RECONCILE_REQUEST,
+    SOURCE_RESUBSCRIBE,
     SUBSCRIBE,
     UNSUBSCRIBE,
     CheckpointAck,
@@ -48,6 +48,7 @@ from .protocol import (
     HeartbeatResponse,
     ReconcileReply,
     ReconcileRequest,
+    SourceResubscribe,
     SubscribeRequest,
     UnsubscribeRequest,
 )
@@ -360,15 +361,38 @@ class ConsistencyManager:
             return
         if target_info.is_source:
             return
+        self.resubscribe(monitor, had_tentative=monitor.tentative_since_stable > 0)
+
+    def resubscribe(self, monitor: InputStreamMonitor, had_tentative: bool = False) -> None:
+        """Ask ``monitor``'s primary to send its stream from the monitor's cursor.
+
+        A node primary gets a SUBSCRIBE quoting ``stable_received - 1`` and
+        the monitor's subscription filter; ``had_tentative`` tells it the
+        subscriber holds tentative tuples past that point.  A data source gets
+        a SOURCE_RESUBSCRIBE repositioning its delivery cursor to
+        ``source_position``.  Nothing is sent without a primary.  Callers that
+        must ignore stale-cursor data until the replay arrives arm
+        ``monitor.awaiting_replay`` themselves.
+        """
+        primary = monitor.primary
+        if primary is None:
+            return
+        endpoint = self.owner.endpoint
+        if monitor.producers[primary].is_source:
+            request = SourceResubscribe(
+                stream=monitor.stream, subscriber=endpoint, after_tuple_id=monitor.source_position
+            )
+            self.network.send(endpoint, primary, SOURCE_RESUBSCRIBE, request)
+            return
         request = SubscribeRequest(
             stream=monitor.stream,
-            subscriber=self.owner.endpoint,
+            subscriber=endpoint,
             last_stable_seq=monitor.stable_received - 1,
-            had_tentative=monitor.tentative_since_stable > 0,
+            had_tentative=had_tentative,
             replay_tentative=False,
             filter=monitor.subscription_filter,
         )
-        self.network.send(self.owner.endpoint, target, SUBSCRIBE, request)
+        self.network.send(endpoint, primary, SUBSCRIBE, request)
 
     def _check_healing(self, now: float) -> None:
         if self._state is NodeState.STABLE:
@@ -505,17 +529,13 @@ class ConsistencyManager:
         """A replay-flagged batch arrived on ``stream`` (possibly empty).
 
         Clears the stale-cursor defense at batch granularity: an *empty*
-        replay carries no tuples for :meth:`record_arrival` to clear it
-        tuple-by-tuple, yet still proves the producer has answered the
-        resubscription from the quoted position.
+        replay carries no tuples for :meth:`InputStreamMonitor.record_block`
+        to clear it tuple-by-tuple, yet still proves the producer has answered
+        the resubscription from the quoted position.
         """
         monitor = self.monitors.get(stream)
         if monitor is not None:
             monitor.awaiting_replay = False
-
-    def record_arrival(self, stream: str, item: StreamTuple, now: float) -> str:
-        """Record one arrival; returns "accept" or "duplicate" (see InputStreamMonitor)."""
-        return self.monitor(stream).record_tuple(item, now)
 
     # ------------------------------------------------------------------ message dispatch
     def handle_message(self, message: Message, now: float) -> bool:

@@ -22,6 +22,13 @@ and implements the DPC behaviours the paper describes:
 * when every failed input has healed, the node asks a replica partner for
   authorization and reconciles with checkpoint/redo, streaming corrections to
   its downstream neighbors and finishing with a REC_DONE (Section 4.4).
+
+This module keeps ingest, the periodic ticks, output flushing, the SUnion
+hold / fragment-dirty flags, the delay policy and the
+:class:`~repro.core.consistency_manager.ConsistencyOwner` callbacks.  The
+checkpoint/redo reconciliation is a :class:`~repro.core.reconcile.Reconciler`
+and crash recovery a :class:`~repro.core.recovery.Recovery`, one of each per
+node.
 """
 
 from __future__ import annotations
@@ -33,12 +40,13 @@ from ..errors import ProtocolError
 from .clock import Clock
 from ..sim.events import EventKind
 from ..sim.network import Message, Network
-from ..spe.checkpoint import DiagramCheckpoint
 from ..spe.engine import LocalEngine
 from ..spe.operators.sunion import SUnion
 from ..spe.query_diagram import QueryDiagram
 from ..spe.tuples import REC_DONE, TENTATIVE, UNDO, TupleBlock
-from ..statexfer import PeerRegistry, RecoveryCheckpoint, adopt_checkpoint, capture_checkpoint, transfer_delay
+from ..statexfer import PeerRegistry
+# Recovery calls these two through this module: the e2e tracer patches them here.
+from ..statexfer import adopt_checkpoint, capture_checkpoint  # noqa: F401
 from .consistency_manager import ConsistencyManager
 from .data_path import DataPath
 from .protocol import (
@@ -47,18 +55,16 @@ from .protocol import (
     CHECKPOINT_RESPONSE,
     DATA,
     HEARTBEAT_RESPONSE,
-    SOURCE_RESUBSCRIBE,
     SUBSCRIBE,
     UNSUBSCRIBE,
     CheckpointAck,
-    CheckpointRequest,
-    CheckpointResponse,
     HeartbeatResponse,
-    SourceResubscribe,
     SubscribeRequest,
     TupleBatch,
     UnsubscribeRequest,
 )
+from .reconcile import Reconciler
+from .recovery import Recovery
 from .states import NodeState
 
 
@@ -111,10 +117,7 @@ class ProcessingNode:
                 operator.arrival_clock = lambda: self.simulator.now
 
         # --- failure handling state ------------------------------------------------
-        self._checkpoint: DiagramCheckpoint | None = None
         self._fragment_dirty = False
-        self._reconciling = False
-        self._redo_positions: dict[str, int] = {}
         self._crashed = False
         self._started = False
         self._retired = False
@@ -124,24 +127,13 @@ class ProcessingNode:
         #: consuming simulator events.
         self._tick_handles: list = []
 
-        # --- checkpoint-shipped recovery (repro.statexfer) -------------------------
         #: Peer registry wired by the deploy layer; ``None`` (hand-built
-        #: nodes) keeps the legacy full-replay recovery path.
+        #: nodes) rejoins through full subscription replay.
         self.statexfer_registry: PeerRegistry | None = None
-        #: Latest periodic recovery checkpoint.  Held in memory only, so a
-        #: crash loses it -- exactly the fail-stop model the paper assumes.
-        self._recovery_checkpoint: RecoveryCheckpoint | None = None
-        #: True between sending a CHECKPOINT_REQUEST to a partner and adopting
-        #: (or giving up on) its response; all other traffic is dropped.
-        self._adopting = False
-        self._recovery_epoch = 0
-        self._next_recovery_capture_at = 0.0
-        self._recovery_started_at = 0.0
-        self.recovery_checkpoints_taken = 0
-        #: One record per recover() call: mode ("checkpoint" / "replay" /
-        #: "replay-fallback"), replay-suffix length, shipped item count, and
-        #: the modeled recovery time.  Surfaced by the runtime summary.
-        self.recoveries: list[dict] = []
+        self.reconciler = Reconciler(self)
+        self.recovery = Recovery(self)
+        #: One record per rejoin (:attr:`Recovery.records`).
+        self.recoveries = self.recovery.records
         # --- unsolicited state advertisement ---------------------------------------
         #: Endpoints that monitor this node's state (downstream consumers and
         #: the client proxy); they receive a pushed HeartbeatResponse every
@@ -154,6 +146,7 @@ class ProcessingNode:
         self.reconciliations_completed = 0
         self.reconciliations_aborted = 0
         self.checkpoints_taken = 0
+        self.recovery_checkpoints_taken = 0
         #: Egress accounting: (batch, receiver) sends and per-receiver tuples
         #: put on the wire across every output stream.  Filtered subscriptions
         #: exist to shrink these (each subscriber only receives its slice).
@@ -184,26 +177,15 @@ class ProcessingNode:
         if ratio >= 1.0 and abs(ratio - round(ratio)) < 1e-9:
             self.cm.attach_external_driver()
             self._next_control_at = self.simulator.now + keepalive
-            self._tick_handles.append(
-                self.simulator.schedule_periodic(
-                    batch,
-                    self._unified_tick,
-                    kind=EventKind.TIMER,
-                    description=f"{self.name} tick",
-                    start_delay=batch,
-                )
-            )
+            tick, description = self._unified_tick, f"{self.name} tick"
         else:
             self.cm.start()
-            self._tick_handles.append(
-                self.simulator.schedule_periodic(
-                    batch,
-                    self._periodic_tick,
-                    kind=EventKind.TIMER,
-                    description=f"{self.name} data tick",
-                    start_delay=batch,
-                )
+            tick, description = self._periodic_tick, f"{self.name} data tick"
+        self._tick_handles.append(
+            self.simulator.schedule_periodic(
+                batch, tick, kind=EventKind.TIMER, description=description, start_delay=batch
             )
+        )
 
     def _unified_tick(self, now: float) -> None:
         control_due = now + 1e-9 >= self._next_control_at
@@ -226,16 +208,12 @@ class ProcessingNode:
     @property
     def is_adopting(self) -> bool:
         """True while waiting for a partner's checkpoint transfer."""
-        return self._adopting
+        return self.recovery.adopting
 
     @property
     def fragment_dirty(self) -> bool:
         """True while the fragment state reflects tentative processing."""
         return self._fragment_dirty
-
-    @property
-    def is_reconciling(self) -> bool:
-        return self._reconciling
 
     # ------------------------------------------------------------------ wiring helpers
     def register_input_stream(
@@ -289,45 +267,6 @@ class ProcessingNode:
         """
         self.data_path.output(stream).add_consumer(consumer)
 
-    def subscribe_live(self, stream: str) -> None:
-        """Subscribe to ``stream``'s primary producer from the monitor's cursor.
-
-        The scale-out attach path: unlike the build-time
-        :meth:`register_subscriber` (which wires the producer side directly
-        and discards replay), this sends a real SUBSCRIBE quoting the seeded
-        ``stable_received`` cursor, so the producer replays exactly the
-        suffix the new fragment has not covered -- the same request shape the
-        checkpoint-adoption rejoin uses.
-        """
-        monitor = self.cm.monitor(stream)
-        primary = monitor.primary
-        if primary is None or monitor.producers[primary].is_source:
-            return
-        monitor.awaiting_replay = True
-        self.network.send(
-            self.endpoint,
-            primary,
-            SUBSCRIBE,
-            SubscribeRequest(
-                stream=stream,
-                subscriber=self.endpoint,
-                last_stable_seq=monitor.stable_received - 1,
-                had_tentative=False,
-                replay_tentative=False,
-                filter=monitor.subscription_filter,
-            ),
-        )
-
-    def invalidate_recovery_checkpoint(self) -> None:
-        """Drop the held recovery checkpoint after a live rewiring.
-
-        Changing an operator's port layout (or extracting handoff state)
-        makes previously captured state stale: adopting it would restore a
-        ``port_boundaries`` list of the wrong length or resurrect state that
-        was shipped away.  The next periodic capture replaces it.
-        """
-        self._recovery_checkpoint = None
-
     def retire(self) -> None:
         """Gracefully and permanently remove this replica (scale-in).
 
@@ -338,9 +277,7 @@ class ProcessingNode:
         unsubscribing this endpoint from its upstreams *before* retiring it.
         """
         self._retired = True
-        self._crashed = True
-        self._recovery_checkpoint = None
-        self._adopting = False
+        self._halt()
         for handle in self._tick_handles:
             handle.cancel()
         self._tick_handles.clear()
@@ -357,7 +294,10 @@ class ProcessingNode:
             # Only touches the output managers, so it is safe mid-adoption.
             self.on_checkpoint_ack(message.payload)
             return
-        if self._adopting:
+        if message.kind == CHECKPOINT_RESPONSE:
+            self.recovery.on_response(message.payload, now)
+            return
+        if self.recovery.adopting:
             # While adopting a partner checkpoint, data and control traffic is
             # dropped: stale-cursor flushes racing the adoption would
             # interleave with state the checkpoint already covers.
@@ -365,18 +305,13 @@ class ProcessingNode:
             # output managers, and stable-seq dedup makes any overlap with the
             # adopted buffer harmless) so a subscriber switching to this
             # replica mid-window is not left waiting for its replay.
-            if message.kind == CHECKPOINT_RESPONSE:
-                self._on_checkpoint_response(message.payload, now)
-            elif message.kind == SUBSCRIBE:
+            if message.kind == SUBSCRIBE:
                 self._on_subscribe(message.payload, now)
             elif message.kind == UNSUBSCRIBE:
                 self._on_unsubscribe(message.payload)
             return
         if message.kind == CHECKPOINT_REQUEST:
-            self._on_checkpoint_request(message.payload, now)
-            return
-        if message.kind == CHECKPOINT_RESPONSE:
-            self._on_checkpoint_response(message.payload, now)
+            self.recovery.on_request(message.payload, now)
             return
         if self.cm.handle_message(message, now):
             return
@@ -438,7 +373,7 @@ class ProcessingNode:
         codes = accepted.codes
         if UNDO in codes:
             self.apply_local_undo(stream, now)
-        if role != "primary" or self._reconciling:
+        if role != "primary" or self.reconciler.active:
             return
         if UNDO in codes or REC_DONE in codes:
             # Consumed above (UNDO) or by the monitor (REC_DONE); not fed.
@@ -447,11 +382,11 @@ class ProcessingNode:
             )
         if accepted:
             if TENTATIVE in accepted.codes:
-                self._set_dirty(True)
-            self._handle_fragment_outputs(self.engine.push(stream, accepted))
+                self.set_dirty(True)
+            self.buffer_outputs(self.engine.push(stream, accepted))
 
     # ------------------------------------------------------------------ fragment outputs
-    def _set_dirty(self, dirty: bool) -> None:
+    def set_dirty(self, dirty: bool) -> None:
         """Track whether the fragment state reflects tentative processing.
 
         While dirty, the fragment's SOutputs downgrade everything they forward
@@ -460,15 +395,16 @@ class ProcessingNode:
         moment the paper requires a checkpoint: "a node checkpoints the state
         of its query diagram ... before processing any tentative tuples".
         """
-        if dirty and not self._fragment_dirty and not self._reconciling and self._checkpoint is None:
-            self._take_checkpoint(self.simulator.now)
+        reconciler = self.reconciler
+        if dirty and not self._fragment_dirty and not reconciler.active and reconciler.checkpoint is None:
+            reconciler.take_checkpoint(self.simulator.now)
         self._fragment_dirty = dirty
         if dirty:
-            self._set_hold(True)
+            self.set_hold(True)
         for soutput in self.engine.soutputs():
             soutput.downgrade_to_tentative = dirty
 
-    def _set_hold(self, hold: bool) -> None:
+    def set_hold(self, hold: bool) -> None:
         """Freeze (or release) watermark-driven emission of every SUnion.
 
         While the node is handling a failure, buckets must only leave SUnions
@@ -487,23 +423,22 @@ class ProcessingNode:
             else:
                 operator.hold_buckets = hold
         for operator_name, produced in released:
-            outputs = self.engine.push_operator_outputs(operator_name, produced)
-            self._handle_fragment_outputs(outputs)
+            self.buffer_outputs(self.engine.push_operator_outputs(operator_name, produced))
 
-    def _handle_fragment_outputs(self, outputs: Mapping[str, TupleBlock]) -> None:
+    def buffer_outputs(self, outputs: Mapping[str, TupleBlock]) -> None:
         for stream, tuples in outputs.items():
             if tuples:
                 self.data_path.output(stream).append_all(tuples)
 
     # ------------------------------------------------------------------ periodic work
     def _periodic_tick(self, now: float) -> None:
-        if self._crashed or self._adopting:
+        if self._crashed or self.recovery.adopting:
             return
         self._emit_tentative_if_due(now)
-        self._flush_outputs(now)
+        self.flush_outputs(now)
         self._push_state(now)
         self._housekeeping(now)
-        self._maybe_capture_recovery_checkpoint(now)
+        self.recovery.maybe_capture(now)
 
     def _push_state(self, now: float) -> None:
         """Advertise this node's state to watchers that saw no recent data.
@@ -534,7 +469,7 @@ class ProcessingNode:
 
     def _emit_tentative_if_due(self, now: float) -> None:
         """Apply the delay policy to buffered SUnion buckets (Section 6)."""
-        if self._reconciling or self.cm.state is not NodeState.UP_FAILURE:
+        if self.reconciler.active or self.cm.state is not NodeState.UP_FAILURE:
             return
         first_detection = self.cm.first_failure_detected_at()
         if first_detection is None:
@@ -546,7 +481,7 @@ class ProcessingNode:
         if policy is ProcessingPolicy.SUSPEND:
             return
         if policy is ProcessingPolicy.DELAY:
-            min_hold = self.config.delay_safety_factor * self.assigned_delay
+            min_hold = initial_hold
         else:
             min_hold = self.config.tentative_bucket_wait
         produced_any = False
@@ -557,11 +492,10 @@ class ProcessingNode:
             if not produced:
                 continue
             produced_any = True
-            self._set_dirty(True)
-            outputs = self.engine.push_operator_outputs(operator.name, produced)
-            self._handle_fragment_outputs(outputs)
+            self.set_dirty(True)
+            self.buffer_outputs(self.engine.push_operator_outputs(operator.name, produced))
         if produced_any:
-            self._flush_outputs(now)
+            self.flush_outputs(now)
 
     def _current_policy(self, now: float) -> ProcessingPolicy:
         """Failure-time vs stabilization-time policy (Figure 13 variants)."""
@@ -569,7 +503,7 @@ class ProcessingNode:
             return self.config.delay_policy.during_stabilization
         return self.config.delay_policy.during_failure
 
-    def _flush_outputs(self, now: float) -> None:
+    def flush_outputs(self, now: float) -> None:
         stream_states: dict[str, NodeState] | None = None
         for manager in self.data_path.outputs():
             batches = manager.pending_batches()
@@ -603,66 +537,49 @@ class ProcessingNode:
             self.cm.state is NodeState.STABLE
             and not self._fragment_dirty
             and not self.cm.failed_streams()
-            and self._checkpoint is None
+            and self.reconciler.checkpoint is None
         ):
             for monitor in self.cm.monitors.values():
                 monitor.clear_stable_buffer()
 
-    def _maybe_capture_recovery_checkpoint(self, now: float) -> None:
-        """Periodically capture the fragment for checkpoint-shipped recovery.
-
-        Only while the node is clean and STABLE: a checkpoint taken during
-        tentative processing or reconciliation would ship unstable state --
-        which is also why a replica in UP_FAILURE pins its producers' buffers.
-        The capture is a pure in-memory read (no simulated events); right
-        after it the captured input positions are acknowledged to every
-        producer replica, so output buffers and source logs drop the prefixes
-        the checkpoint now covers.
-        """
-        interval = self.config.checkpoint_interval
-        registry = self.statexfer_registry
-        if (
-            interval is None
-            or registry is None
-            or self._fragment_dirty
-            or self._reconciling
-            or self._checkpoint is not None
-            or self.cm.state is not NodeState.STABLE
-            or self.cm.failed_streams()
-            or now + 1e-9 < self._next_recovery_capture_at
-        ):
-            return
-        self._next_recovery_capture_at = now + interval
-        self._recovery_checkpoint = capture_checkpoint(self, now)
-        self.recovery_checkpoints_taken += 1
-        self.cm.acknowledge_inputs(registry)
-
     # ------------------------------------------------------------------ ConsistencyOwner interface
     def on_input_failure(self, stream: str, now: float) -> None:
         """An input stream failed and could not be masked by switching."""
-        if self._reconciling:
+        reconciler = self.reconciler
+        if reconciler.active:
             return  # handled by the abort check in the redo loop
-        if self._checkpoint is None:
-            self._take_checkpoint(now)
-        self._set_hold(True)
+        if reconciler.checkpoint is None:
+            reconciler.take_checkpoint(now)
+        self.set_hold(True)
 
     def on_inputs_healed(self, now: float) -> None:
         """Every failed input stream healed."""
-        if self._fragment_dirty or self._reconciling:
+        if self._fragment_dirty or self.reconciler.active:
             return  # reconciliation (requested via wants_reconciliation) will clean up
         # The failure was short enough that nothing tentative was processed:
         # the buckets buffered during the hold stabilize now that data and
         # boundaries flow again, so the node simply resumes STABLE operation.
         for monitor in self.cm.monitors.values():
             monitor.mark_healed()
-        self._checkpoint = None
-        self._set_hold(False)
-        self._flush_outputs(now)
+        self.reconciler.checkpoint = None
+        self.set_hold(False)
+        self.flush_outputs(now)
         if self.cm.state is NodeState.UP_FAILURE:
             self.cm.set_state(NodeState.STABLE)
 
+    def start_reconciliation(self, now: float) -> None:
+        """Authorization granted: reconcile with checkpoint/redo (Section 4.4)."""
+        if self.reconciler.active:
+            return
+        if self.reconciler.checkpoint is None:
+            # Nothing to roll back to (e.g. the failure produced no tentative
+            # processing); just clean up.
+            self.on_inputs_healed(now)
+            return
+        self.reconciler.begin(now)
+
     def wants_reconciliation(self) -> bool:
-        return self._fragment_dirty and not self._reconciling
+        return self._fragment_dirty and not self.reconciler.active
 
     def apply_local_undo(self, stream: str, now: float) -> None:
         """Drop buffered tentative tuples of ``stream`` from the fragment's SUnions.
@@ -709,458 +626,42 @@ class ProcessingNode:
 
     def _outputs_affected_by(self, failed_streams: Sequence[str]) -> set[str]:
         """Output streams reachable from the entry operators of failed inputs."""
-        reachable: set[str] = set()
-        frontier = [
-            binding.operator
-            for binding in self.diagram.inputs
-            if binding.stream in set(failed_streams)
-        ]
+        failed = set(failed_streams)
+        frontier = [binding.operator for binding in self.diagram.inputs if binding.stream in failed]
         seen: set[str] = set()
         while frontier:
             name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for connection in self.diagram.downstream_of(name):
-                frontier.append(connection.target)
-        for binding in self.diagram.outputs:
-            if binding.operator in seen:
-                reachable.add(binding.stream)
-        return reachable
-
-    # ------------------------------------------------------------------ checkpoint / reconciliation
-    def _take_checkpoint(self, now: float, clear_buffers: bool = True) -> None:
-        """Snapshot the fragment before any tentative tuple is processed.
-
-        ``clear_buffers`` is False when the caller has already arranged for
-        the redo buffers to contain exactly the input *not* reflected in the
-        checkpointed state (the abort-during-reconciliation path).
-        """
-        self._checkpoint = self.engine.checkpoint(created_at=now)
-        self.engine.note_checkpoint_on_outputs()
-        if clear_buffers:
-            for monitor in self.cm.monitors.values():
-                monitor.clear_stable_buffer()
-        self.checkpoints_taken += 1
-
-    def start_reconciliation(self, now: float) -> None:
-        """Authorization granted: reconcile with checkpoint/redo (Section 4.4)."""
-        if self._reconciling:
-            return
-        if self._checkpoint is None:
-            # Nothing to roll back to (e.g. the failure produced no tentative
-            # processing); just clean up.
-            self.on_inputs_healed(now)
-            return
-        self.cm.set_state(NodeState.STABILIZATION)
-        self._reconciling = True
-        self._set_dirty(False)
-        for soutput in self.engine.soutputs():
-            soutput.begin_reconciliation()
-        self.engine.restore(self._checkpoint)
-        # The redo reprocesses stable input only; its buckets stabilize and
-        # must be emitted as corrections, so the hold is lifted.
-        for operator in self.diagram:
-            if isinstance(operator, SUnion):
-                operator.hold_buckets = False
-        self._redo_positions = {stream: 0 for stream in self.cm.monitors}
-        self.simulator.schedule_in(
-            self.config.checkpoint_cost,
-            self._redo_chunk,
-            kind=EventKind.INTERNAL,
-            description=f"{self.name} redo chunk",
-        )
-
-    @property
-    def _redo_chunk_interval(self) -> float:
-        return max(self.sim_config.batch_interval, 0.05)
-
-    def _redo_chunk(self, now: float) -> None:
-        """Reprocess a slice of the buffered stable input (streaming corrections)."""
-        if not self._reconciling:
-            return
-        if self.cm.failed_streams() and not self.cm.all_failed_inputs_healed(now):
-            self._abort_reconciliation(now)
-            return
-        budget = max(int(self.config.redo_rate * self._redo_chunk_interval), 1)
-        exhausted = True
-        for stream, monitor in self.cm.monitors.items():
-            if budget <= 0:
-                exhausted = False
-                break
-            position = self._redo_positions.get(stream, 0)
-            buffer = monitor.stable_buffer
-            if position >= len(buffer):
-                continue
-            take = buffer[position: position + budget]
-            budget -= max(take.data_rows, 1)
-            self._redo_positions[stream] = position + len(take)
-            for operator_name, port in self.engine.entry_operators(stream):
-                outputs = self.engine.push_operator(operator_name, port, take)
-                self._handle_fragment_outputs(outputs)
-            if self._redo_positions[stream] < len(buffer):
-                exhausted = False
-        self._flush_outputs(now)
-        if exhausted and all(
-            self._redo_positions.get(stream, 0) >= len(monitor.stable_buffer)
-            for stream, monitor in self.cm.monitors.items()
-        ):
-            self._finish_reconciliation(now)
-        else:
-            self.simulator.schedule_in(
-                self._redo_chunk_interval,
-                self._redo_chunk,
-                kind=EventKind.INTERNAL,
-                description=f"{self.name} redo chunk",
-            )
-
-    def _finish_reconciliation(self, now: float) -> None:
-        for binding in self.diagram.outputs:
-            soutput = self.engine.soutput_for(binding.stream)
-            tail = soutput.end_reconciliation(stime=now)
-            self.data_path.output(binding.stream).append_all(tail)
-        self._flush_outputs(now)
-        for monitor in self.cm.monitors.values():
-            monitor.clear_stable_buffer()
-            monitor.mark_healed()
-        self._redo_positions = {}
-        self._checkpoint = None
-        self._reconciling = False
-        self._set_dirty(False)
-        self.reconciliations_completed += 1
-        still_failed = [
-            stream
-            for stream, monitor in self.cm.monitors.items()
-            if monitor.detect_failure(now, self.config.failure_detection_timeout) or monitor.failed
-        ]
-        if still_failed:
-            self.cm.set_state(NodeState.UP_FAILURE)
-            self._take_checkpoint(now)
-            self._set_hold(True)
-        else:
-            self.cm.set_state(NodeState.STABLE)
-
-    def _abort_reconciliation(self, now: float) -> None:
-        """A new failure arrived mid-redo: close the correction burst and resume."""
-        for binding in self.diagram.outputs:
-            soutput = self.engine.soutput_for(binding.stream)
-            tail = soutput.end_reconciliation(stime=now)
-            self.data_path.output(binding.stream).append_all(tail)
-        self._flush_outputs(now)
-        # Keep only the input that was not reprocessed yet; it belongs to the
-        # new checkpoint interval.
-        for stream, monitor in self.cm.monitors.items():
-            position = self._redo_positions.get(stream, 0)
-            del monitor.stable_buffer[:position]
-        self._redo_positions = {}
-        self._reconciling = False
-        self.reconciliations_aborted += 1
-        self.cm.set_state(NodeState.UP_FAILURE)
-        self._checkpoint = None
-        # The buffers were just truncated to the not-yet-reprocessed suffix;
-        # the new checkpoint must keep them for the next reconciliation.
-        self._take_checkpoint(now, clear_buffers=False)
-        self._set_hold(True)
+            if name not in seen:
+                seen.add(name)
+                frontier.extend(connection.target for connection in self.diagram.downstream_of(name))
+        return {binding.stream for binding in self.diagram.outputs if binding.operator in seen}
 
     # ------------------------------------------------------------------ crash / recovery
     def crash(self) -> None:
         """Fail-stop this replica: it stops sending, receiving, and processing."""
-        self._crashed = True
-        # Fail-stop loses everything in memory, including the recovery
-        # checkpoint this replica held for *its* partners.
-        self._recovery_checkpoint = None
-        self._adopting = False
+        self._halt()
         self.network.crash(self.endpoint)
 
-    def recover(self) -> None:
-        """Restart and rejoin the replica group.
+    def _halt(self) -> None:
+        self._crashed = True
+        # A reconciliation in flight is abandoned, not run to its end: a down
+        # replica processes nothing.  recover() leaves STABILIZATION.
+        self.reconciler.active = False
+        # Fail-stop loses everything in memory, including the recovery
+        # checkpoint this replica held for *its* partners.
+        self.recovery.forget()
 
-        Fast path (checkpoint-shipped): when a reachable replica partner holds
-        a recovery checkpoint, fetch it and rejoin from shipped state plus the
-        short replay suffix past the checkpoint's stream cursors -- O(suffix
-        since last capture) instead of O(retained window).  Fallback: rebuild
-        the pre-crash state through full subscription replay, as before.
-        """
+    def recover(self) -> None:
+        """Restart and rejoin the replica group (:meth:`Recovery.rejoin`)."""
         self.network.recover(self.endpoint)
         self._crashed = False
-        self._checkpoint = None
         self._fragment_dirty = False
-        self._reconciling = False
-        now = self.simulator.now
-        registry = self.statexfer_registry
-        if registry is not None and self.config.checkpoint_interval is not None:
-            # Tell the producers what this incarnation actually holds before
-            # asking them for anything: the frozen pre-crash positions here,
-            # nothing at all in a respawned live worker -- whose predecessor's
-            # acknowledgments must not vouch for state it no longer has.
-            self.cm.acknowledge_inputs(registry)
-        if self._begin_checkpoint_recovery(now):
-            return
-        self._legacy_recover(now, mode="replay")
-
-    def _legacy_recover(self, now: float, mode: str) -> None:
-        """Rebuild state via full subscription replay (the pre-statexfer path)."""
-        replayed = self._pending_replay_estimate()
-        for monitor in self.cm.monitors.values():
-            monitor.clear_stable_buffer()
-            # Failure flags raised while the node was down are deliberately
-            # kept: the normal healing path (boundaries flowing again on every
-            # failed input) is what moves the node back to STABLE once it has
-            # caught up with the replayed input.
-            monitor.last_boundary_arrival = now
-            # Source streams replay automatically from the source's frozen
-            # delivery cursor; no replay-flagged response will come, so any
-            # gate left armed by an abandoned adoption must be cleared.
-            monitor.awaiting_replay = False
-            primary = monitor.primary
-            if primary is not None and not monitor.producers[primary].is_source:
-                # Until the replay arrives, reject stable data beyond the
-                # expected position: the upstream's pre-crash cursor may have
-                # counted in-flight (crash-dropped) tuples as delivered, and
-                # its next flush must not advance us past that gap.
-                monitor.awaiting_replay = True
-                self.network.send(
-                    self.endpoint,
-                    primary,
-                    SUBSCRIBE,
-                    SubscribeRequest(
-                        stream=monitor.stream,
-                        subscriber=self.endpoint,
-                        last_stable_seq=monitor.stable_received - 1,
-                        had_tentative=False,
-                        replay_tentative=False,
-                        filter=monitor.subscription_filter,
-                    ),
-                )
-        self.recoveries.append(
-            {
-                "mode": mode,
-                "at": now,
-                "replayed": replayed,
-                "shipped_items": 0,
-                "transfer_delay": 0.0,
-                "recovery_s": replayed / self.config.redo_rate,
-            }
-        )
-
-    def _begin_checkpoint_recovery(self, now: float) -> bool:
-        """Start adopting a partner's checkpoint; False when none is usable.
-
-        Discovery is a zero-message registry peek (no simulated events are
-        spent finding out that nothing is available -- crucial for keeping
-        checkpoint-less runs byte-identical); the transfer itself travels as
-        messages with a size-proportional delay.
-        """
-        registry = self.statexfer_registry
-        if registry is None or self.config.checkpoint_interval is None:
-            return False
-        partner: str | None = None
-        expected_items = 0
-        remote = getattr(registry, "remote", False)
-        for candidate in self.cm.replica_partners:
-            if not self.network.can_communicate(self.endpoint, candidate):
-                continue
-            if remote:
-                # Live backend: partners run in other processes, so there is
-                # nothing to peek at.  Ask the first reachable partner blind;
-                # an empty CHECKPOINT_RESPONSE (or a dead partner, via the
-                # fallback timer) degrades to full subscription replay.
-                partner = candidate
-                break
-            peer = registry.node_of(candidate)
-            if peer is None or peer._recovery_checkpoint is None:
-                continue
-            # "Usable" means cheaper under the recovery-time model than full
-            # replay from this node's own frozen positions.  A partner that
-            # stopped capturing before we crashed (e.g. it spent the failure
-            # window in UP_FAILURE) can hold a checkpoint *older* than our own
-            # state; paying the transfer to then replay a longer suffix would
-            # be a strictly worse rejoin.
-            candidate_ckpt = peer._recovery_checkpoint
-            own_s = self._pending_replay_estimate() / self.config.redo_rate
-            ckpt_s = (
-                transfer_delay(self.config, candidate_ckpt.item_count)
-                + self._checkpoint_replay_estimate(candidate_ckpt) / self.config.redo_rate
-            )
-            if ckpt_s >= own_s:
-                continue
-            partner = candidate
-            expected_items = candidate_ckpt.item_count
-            break
-        if partner is None:
-            return False
-        self._adopting = True
-        self._recovery_epoch += 1
-        self._recovery_started_at = now
-        epoch = self._recovery_epoch
-        self.network.send(
-            self.endpoint,
-            partner,
-            CHECKPOINT_REQUEST,
-            CheckpointRequest(requester=self.endpoint),
-        )
-        # Safety net: if the partner (or its response) dies mid-transfer, give
-        # up on adoption and fall back to full subscription replay.
-        deadline = (
-            transfer_delay(self.config, expected_items)
-            + 2 * self.sim_config.network_latency
-            + 3 * self.config.keepalive_period
-        )
-        self.simulator.schedule_in(
-            deadline,
-            lambda fire_time, expected_epoch=epoch: self._adoption_fallback(
-                fire_time, expected_epoch
-            ),
-            kind=EventKind.INTERNAL,
-            description=f"{self.name} checkpoint-recovery fallback",
-        )
-        return True
-
-    def _adoption_fallback(self, now: float, expected_epoch: int) -> None:
-        if expected_epoch != self._recovery_epoch or not self._adopting or self._crashed:
-            return
-        self._adopting = False
-        self._legacy_recover(now, mode="replay-fallback")
-
-    def _on_checkpoint_request(self, request: CheckpointRequest, now: float) -> None:
-        """Serve this replica's latest recovery checkpoint to a partner.
-
-        The response is delayed by the modeled transfer time (fixed cost plus
-        a per-item cost), so shipping a large checkpoint genuinely races the
-        replay it replaces.
-        """
-        checkpoint = self._recovery_checkpoint
-        delay = transfer_delay(self.config, checkpoint.item_count if checkpoint else 0)
-
-        def _respond(fire_time: float) -> None:
-            if self._crashed:
-                return
-            self.network.send(
-                self.endpoint,
-                request.requester,
-                CHECKPOINT_RESPONSE,
-                CheckpointResponse(responder=self.endpoint, checkpoint=checkpoint),
-            )
-
-        self.simulator.schedule_in(
-            delay,
-            _respond,
-            kind=EventKind.INTERNAL,
-            description=f"{self.name} checkpoint transfer",
-        )
-
-    def _on_checkpoint_response(self, response: CheckpointResponse, now: float) -> None:
-        if not self._adopting:
-            return  # late response; the fallback already took over
-        self._adopting = False
-        self._recovery_epoch += 1  # disarm the pending fallback timer
-        checkpoint = response.checkpoint
-        if checkpoint is None:
-            self._legacy_recover(now, mode="replay-fallback")
-            return
-        adopt_checkpoint(self, checkpoint, now)
-        # The adopted cursors may lie below this replica's own last
-        # acknowledgment; re-acknowledge them *before* resubscribing so no
-        # producer truncates past the position the replay starts from.
-        self.cm.acknowledge_inputs(self.statexfer_registry)
-        self._resubscribe_from_adopted(now)
-        replayed = self._pending_replay_estimate()
-        self.recoveries.append(
-            {
-                "mode": "checkpoint",
-                "at": now,
-                "replayed": replayed,
-                "shipped_items": checkpoint.item_count,
-                "transfer_delay": now - self._recovery_started_at,
-                "recovery_s": (now - self._recovery_started_at)
-                + replayed / self.config.redo_rate,
-            }
-        )
-        # Captures resume on the normal cadence relative to the rejoin.
-        self._next_recovery_capture_at = now + (self.config.checkpoint_interval or 0.0)
-
-    def _resubscribe_from_adopted(self, now: float) -> None:
-        """Resubscribe every input from the adopted checkpoint's cursors."""
-        for monitor in self.cm.monitors.values():
-            monitor.last_boundary_arrival = now
-            primary = monitor.primary
-            if primary is None:
-                continue
-            if monitor.producers[primary].is_source:
-                # The source's delivery cursor froze at this node's pre-crash
-                # position; reposition it to the adopted cursor.  The replay
-                # gate stays armed until the replay-flagged response arrives
-                # (FIFO links: everything before it predates the reset).
-                monitor.awaiting_replay = True
-                self.network.send(
-                    self.endpoint,
-                    primary,
-                    SOURCE_RESUBSCRIBE,
-                    SourceResubscribe(
-                        stream=monitor.stream,
-                        subscriber=self.endpoint,
-                        after_tuple_id=monitor.source_position,
-                    ),
-                )
-            else:
-                monitor.awaiting_replay = True
-                self.network.send(
-                    self.endpoint,
-                    primary,
-                    SUBSCRIBE,
-                    SubscribeRequest(
-                        stream=monitor.stream,
-                        subscriber=self.endpoint,
-                        last_stable_seq=monitor.stable_received - 1,
-                        had_tentative=False,
-                        replay_tentative=False,
-                        filter=monitor.subscription_filter,
-                    ),
-                )
-
-    def _pending_replay_estimate(self) -> int:
-        """Tuples upstream neighbors will replay past this node's positions.
-
-        A zero-cost read through the peer registry (0 when the node was wired
-        by hand without one); feeds the recovery-time model
-        ``recovery_s = transfer + replayed / redo_rate``.
-        """
-        return self._replay_estimate(
-            lambda monitor: (monitor.stable_received, monitor.source_position)
-        )
-
-    def _checkpoint_replay_estimate(self, checkpoint) -> int:
-        """Replay suffix a rejoin from ``checkpoint``'s cursors would incur."""
-        cursors = checkpoint.input_cursors
-
-        def positions(monitor):
-            cursor = cursors.get(monitor.stream)
-            if cursor is None:
-                return (monitor.stable_received, monitor.source_position)
-            return (cursor.stable_received, cursor.source_position)
-
-        return self._replay_estimate(positions)
-
-    def _replay_estimate(self, positions) -> int:
-        registry = self.statexfer_registry
-        if registry is None:
-            return 0
-        total = 0
-        for stream, monitor in self.cm.monitors.items():
-            primary = monitor.primary
-            if primary is None:
-                continue
-            stable_received, source_position = positions(monitor)
-            if monitor.producers[primary].is_source:
-                source = registry.source_of(stream)
-                if source is not None:
-                    total += len(source.log.replay_after(source_position))
-            else:
-                peer = registry.node_of(primary)
-                if peer is not None:
-                    produced = peer.data_path.output(stream).stable_seq
-                    total += max(0, produced - stable_received + 1)
-        return total
+        self.reconciler.checkpoint = None
+        if self.cm.state is NodeState.STABILIZATION:
+            # Fig. 5's edge back: the failure flags the inputs still carry
+            # drive the usual healing path to STABLE.
+            self.cm.set_state(NodeState.UP_FAILURE)
+        self.recovery.rejoin(self.simulator.now)
 
     # ------------------------------------------------------------------ introspection
     def statistics(self) -> dict:

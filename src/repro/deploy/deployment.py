@@ -432,7 +432,7 @@ class Deployment:
             canonical: dict[int, list] = {}
             for index, source_node in enumerate(self._live_replicas(source)):
                 extracted = extract_sjoin_state(source_node, spec, buckets, cut_stime)
-                source_node.invalidate_recovery_checkpoint()
+                source_node.recovery.invalidate()
                 if index == 0:
                     canonical = extracted
             transfers.append((source, target, canonical))
@@ -491,7 +491,7 @@ class Deployment:
             for source, _target, canonical in transfers:
                 for source_node in self._live_replicas(source):
                     merge_sjoin_state(source_node, canonical)
-                    source_node.invalidate_recovery_checkpoint()
+                    source_node.recovery.invalidate()
                 restored += sum(len(items) for items in canonical.values())
             reason = (
                 f"target crashed mid-transfer: {sorted(set(crashed))}"
@@ -514,7 +514,7 @@ class Deployment:
         for _source, target, canonical in transfers:
             for target_node in self._live_replicas(target):
                 trimmed += merge_sjoin_state(target_node, canonical)
-                target_node.invalidate_recovery_checkpoint()
+                target_node.recovery.invalidate()
         self._note_trimmed(trimmed, record, count_in_record=True)
         record["completed"] = True
         record["completed_at"] = now
@@ -758,7 +758,7 @@ class Deployment:
         for merge_node in merge_group:
             # The held checkpoint has the old port layout; adopting it after
             # the rewiring would restore a short port_boundaries list.
-            merge_node.invalidate_recovery_checkpoint()
+            merge_node.recovery.invalidate()
         for node in group:
             node.start()
         return name
@@ -786,7 +786,7 @@ class Deployment:
                 for b in merge_node.diagram.inputs
                 if b.stream != drain.stream
             ]
-            merge_node.invalidate_recovery_checkpoint()
+            merge_node.recovery.invalidate()
         self.wiring.disconnect(drain)
 
         # 3. Retire the replicas: cancel their timers, leave the network and

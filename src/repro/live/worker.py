@@ -40,11 +40,12 @@ from .transport import LiveTransport
 class RemotePeerRegistry(PeerRegistry):
     """Peer registry for a live worker: only locally hosted peers resolve.
 
-    ``remote = True`` switches :meth:`ProcessingNode._begin_checkpoint_recovery`
-    to blind partner selection (no cross-process peeking); lookups of peers
-    hosted elsewhere return ``None``, which every registry consumer already
-    treats as "not available" (replay estimates become 0 -- a documented
-    live deviation).  Checkpoint acknowledgments travel as ``CHECKPOINT_ACK``
+    ``remote = True`` switches the partner choice of
+    :class:`~repro.core.recovery.Recovery` to blind selection (no
+    cross-process peeking); lookups of peers hosted elsewhere return
+    ``None``, which every registry consumer already treats as "not
+    available" (replay estimates become 0 -- a documented live deviation).
+    Checkpoint acknowledgments travel as ``CHECKPOINT_ACK``
     messages through the transport, which delivers to co-hosted producers
     without encoding and sheds frames to a peer that is down.
     """

@@ -8,7 +8,7 @@ this module, so the shipping logic exists exactly once:
   states, input-stream cursors, and output buffers -- and a recovering
   partner adopts it, then replays only the short suffix past the
   checkpoint's cursors instead of the entire retained window
-  (:meth:`repro.core.node.ProcessingNode.recover`).
+  (:meth:`repro.core.recovery.Recovery.rejoin`).
 * **Rebalance bucket handoff**: live reconfiguration ships the moved
   buckets' SJoin tuples old owner -> new owner through
   :func:`extract_sjoin_state` / :func:`merge_sjoin_state`

@@ -455,25 +455,6 @@ class Topology:
         if not self.sinks():  # pragma: no cover - impossible once acyclic
             raise ConfigurationError("topology has no sink node")
 
-    def validate_failure_target(self, node: str, replica: int, default_replicas: int) -> None:
-        """Raise :class:`ConfigurationError` unless ``node``/``replica`` exist.
-
-        ``replica = -1`` means "every replica" and is always in range.
-        """
-        if not self.is_node(node):
-            raise ConfigurationError(
-                f"failure targets node {node!r}, but the topology only has "
-                f"{self.node_names}"
-            )
-        if replica == -1:
-            return
-        replicas = self.replicas_of(node, default_replicas)
-        if not 0 <= replica < replicas:
-            raise ConfigurationError(
-                f"failure targets replica {replica} of node {node!r}, which has "
-                f"{replicas} replica(s)"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Topology {self.name!r} nodes={self.node_names} "

@@ -11,9 +11,13 @@ from repro.core.protocol import (
     HeartbeatResponse,
     ReconcileReply,
     ReconcileRequest,
+    SOURCE_RESUBSCRIBE,
     SUBSCRIBE,
+    SourceResubscribe,
+    SubscribeRequest,
 )
 from repro.core.states import NodeState
+from repro.deploy.filters import SubscriptionFilter
 from repro.sim.event_loop import Simulator
 from repro.sim.network import Message, Network
 from repro.spe.tuples import StreamTuple
@@ -186,12 +190,53 @@ def test_classify_producer_roles():
     assert cm.classify_producer("unknown", "up1") == "ignore"
 
 
-def test_record_arrival_delegates_to_monitor():
+def test_monitor_records_an_arrival():
     sim, _net, cm, _owner, _sent = setup()
     cm.register_input("x", producers=["up1"])
-    verdict = cm.record_arrival("x", StreamTuple.insertion(0, 0.0, {"seq": 0}), now=0.0)
+    verdict = cm.monitor("x").record_tuple(StreamTuple.insertion(0, 0.0, {"seq": 0}), now=0.0)
     assert verdict == "accept"
     assert cm.monitor("x").stable_received == 1
+
+
+def test_resubscribe_repositions_a_source_primary():
+    sim, _net, cm, _owner, sent = setup()
+    monitor = cm.register_input("x", producers=["up1"], source_producers=["up1"])
+    monitor.source_position = 41
+    cm.resubscribe(monitor)
+    sim.run_until(0.1)
+    assert [(e, m.kind, m.payload) for e, m in sent] == [
+        ("up1", SOURCE_RESUBSCRIBE, SourceResubscribe(stream="x", subscriber="owner", after_tuple_id=41))
+    ]
+
+
+def test_resubscribe_quotes_the_cursor_and_filter_to_a_node_primary():
+    sim, _net, cm, _owner, sent = setup()
+    slice_filter = SubscriptionFilter(lambda values: True, name="x.slice")
+    monitor = cm.register_input("x", producers=["up1", "up2"], subscription_filter=slice_filter)
+    monitor.stable_received = 7
+    cm.resubscribe(monitor, had_tentative=True)
+    sim.run_until(0.1)
+    assert [(e, m.kind) for e, m in sent] == [("up1", SUBSCRIBE)]
+    request = sent[0][1].payload
+    assert request == SubscribeRequest(
+        stream="x",
+        subscriber="owner",
+        last_stable_seq=6,
+        had_tentative=True,
+        replay_tentative=False,
+        filter=slice_filter,
+    )
+    # Resubscribing arms no replay gate: callers decide that.
+    assert not monitor.awaiting_replay
+
+
+def test_resubscribe_without_primary_sends_nothing():
+    sim, _net, cm, _owner, sent = setup()
+    monitor = cm.register_input("x", producers=["up1"])
+    monitor.primary = None
+    cm.resubscribe(monitor)
+    sim.run_until(0.1)
+    assert sent == []
 
 
 def test_invalid_state_transition_rejected():

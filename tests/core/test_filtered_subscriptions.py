@@ -171,11 +171,11 @@ def test_awaiting_replay_only_cleared_by_the_replay_batch():
     monitor.stable_received = 3
     ahead = StreamTuple.insertion(9, 9.0, {"seq": 9}).with_stable_seq(9)
     # A stale-cursor flush racing the replay is rejected...
-    assert cm.record_arrival("s.out", ahead, now=1.0) == "duplicate"
+    assert monitor.record_tuple(ahead, now=1.0) == "duplicate"
     assert monitor.awaiting_replay
     # ...until the replay-flagged batch disarms the defense (what the node
     # does for any batch with batch.replay set), after which the stamped gap
     # is accepted -- routine on filtered subscriptions.
     cm.note_replay("s.out")
-    assert cm.record_arrival("s.out", ahead, now=1.1) == "accept"
+    assert monitor.record_tuple(ahead, now=1.1) == "accept"
     assert monitor.stable_received == 10

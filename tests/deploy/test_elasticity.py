@@ -114,20 +114,20 @@ def test_scale_out_attaches_a_live_fragment():
     assert_ledger_clean(runtime)
 
 
-def test_subscribe_live_replays_the_uncovered_suffix():
+def test_resubscribe_replays_the_uncovered_suffix():
     runtime = running(priced_spec(1), 12.0)
     deployment = runtime.deployment
     deployment.scale_out(count=1)
     new_node = runtime.cluster.node_groups["shard3"][0]
     split_name = deployment.placement.shard_producer
     split_stream = deployment.placement.node_plan(split_name).output_stream
-    # Re-subscribe through the live path: drop the build-time wiring, then
-    # send a real SUBSCRIBE quoting the seeded cursor.
+    # Drop the build-time wiring, then send a real SUBSCRIBE quoting the
+    # seeded cursor, gated until the replay arrives.
     split0 = runtime.node_group(split_name)[0]
     split0.data_path.output(split_stream).unsubscribe(new_node.endpoint)
     monitor = new_node.cm.monitor(split_stream)
-    new_node.subscribe_live(split_stream)
-    assert monitor.awaiting_replay
+    monitor.awaiting_replay = True
+    new_node.cm.resubscribe(monitor)
     runtime.run_for(1.0)
     assert not monitor.awaiting_replay
     assert new_node.endpoint in split0.data_path.output(split_stream).subscribers()

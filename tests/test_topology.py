@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.deploy import compile as compile_topology
 from repro.errors import ConfigurationError
 from repro.topology import NodeSpec, Topology, as_topology, modulo_partition
+from repro.workloads.scenarios import FailureSpec, resolve_failures
 
 
 # --------------------------------------------------------------------------- NodeSpec
@@ -102,11 +104,19 @@ def test_replicas_override_and_failure_validation():
     )
     assert topo.replicas_of("a", default=2) == 3
     assert topo.replicas_of("b", default=2) == 2
-    topo.validate_failure_target("a", 2, default_replicas=2)
+    placement = compile_topology(topo, replicas_per_node=2)
+
+    def crash(node, replica):
+        failure = FailureSpec("crash", start=1.0, duration=1.0, node=node, node_replica=replica)
+        return resolve_failures(placement, [failure])
+
+    assert [action.endpoint for action in crash("a", 2)] == [
+        placement.node_plan("a").replica_names[2]
+    ]
     with pytest.raises(ConfigurationError):
-        topo.validate_failure_target("a", 3, default_replicas=2)
+        crash("a", 3)
     with pytest.raises(ConfigurationError):
-        topo.validate_failure_target("zzz", 0, default_replicas=2)
+        crash("zzz", 0)
 
 
 # --------------------------------------------------------------------------- normalization
