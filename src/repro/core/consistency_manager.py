@@ -395,14 +395,8 @@ class ConsistencyManager:
         self.network.send(endpoint, primary, SUBSCRIBE, request)
 
     def _check_healing(self, now: float) -> None:
-        if self._state is NodeState.STABLE:
-            # Nothing outstanding; keep redo buffers from growing while idle.
-            if not any(m.failed for m in self.monitors.values()):
-                return
         failed = [m for m in self.monitors.values() if m.failed]
-        if not failed:
-            return
-        if all(m.is_healed(now, self.config.failure_detection_timeout) for m in failed):
+        if failed and all(m.is_healed(now, self.config.failure_detection_timeout) for m in failed):
             self.owner.on_inputs_healed(now)
 
     # ------------------------------------------------------------------ reconciliation protocol
@@ -411,10 +405,7 @@ class ConsistencyManager:
             return
         if not self.owner.wants_reconciliation():
             return
-        failed = [m for m in self.monitors.values() if m.failed]
-        if failed and not all(
-            m.is_healed(now, self.config.failure_detection_timeout) for m in failed
-        ):
+        if not self.all_failed_inputs_healed(now):
             return
         if self._reconcile_pending:
             # Retry if the previous request went unanswered for a while.

@@ -321,14 +321,6 @@ class InputStreamMonitor:
         self._arrived.clear()
         return self._redo
 
-    def take_stable_buffer(self) -> TupleBlock:
-        """Return and keep the buffered stable tuples (ordered by arrival)."""
-        return self.stable_buffer[:]
-
     def clear_stable_buffer(self) -> None:
         self._arrived.clear()
         self._redo.clear()
-
-    @property
-    def buffered_stable_tuples(self) -> int:
-        return self.stable_buffer.data_rows

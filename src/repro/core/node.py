@@ -177,15 +177,26 @@ class ProcessingNode:
         if ratio >= 1.0 and abs(ratio - round(ratio)) < 1e-9:
             self.cm.attach_external_driver()
             self._next_control_at = self.simulator.now + keepalive
-            tick, description = self._unified_tick, f"{self.name} tick"
+            self._tick_handles.append(
+                self.simulator.schedule_periodic(
+                    batch,
+                    self._unified_tick,
+                    kind=EventKind.TIMER,
+                    description=f"{self.name} tick",
+                    start_delay=batch,
+                )
+            )
         else:
             self.cm.start()
-            tick, description = self._periodic_tick, f"{self.name} data tick"
-        self._tick_handles.append(
-            self.simulator.schedule_periodic(
-                batch, tick, kind=EventKind.TIMER, description=description, start_delay=batch
+            self._tick_handles.append(
+                self.simulator.schedule_periodic(
+                    batch,
+                    self._periodic_tick,
+                    kind=EventKind.TIMER,
+                    description=f"{self.name} data tick",
+                    start_delay=batch,
+                )
             )
-        )
 
     def _unified_tick(self, now: float) -> None:
         control_due = now + 1e-9 >= self._next_control_at
@@ -437,7 +448,7 @@ class ProcessingNode:
         self._emit_tentative_if_due(now)
         self.flush_outputs(now)
         self._push_state(now)
-        self._housekeeping(now)
+        self.reconciler.trim_idle_buffers()
         self.recovery.maybe_capture(now)
 
     def _push_state(self, now: float) -> None:
@@ -481,7 +492,7 @@ class ProcessingNode:
         if policy is ProcessingPolicy.SUSPEND:
             return
         if policy is ProcessingPolicy.DELAY:
-            min_hold = initial_hold
+            min_hold = self.config.delay_safety_factor * self.assigned_delay
         else:
             min_hold = self.config.tentative_bucket_wait
         produced_any = False
@@ -531,17 +542,6 @@ class ProcessingNode:
                     self.batches_sent += 1
                     self.tuples_sent += len(pending)
 
-    def _housekeeping(self, now: float) -> None:
-        """Keep redo buffers bounded while the node is fully stable."""
-        if (
-            self.cm.state is NodeState.STABLE
-            and not self._fragment_dirty
-            and not self.cm.failed_streams()
-            and self.reconciler.checkpoint is None
-        ):
-            for monitor in self.cm.monitors.values():
-                monitor.clear_stable_buffer()
-
     # ------------------------------------------------------------------ ConsistencyOwner interface
     def on_input_failure(self, stream: str, now: float) -> None:
         """An input stream failed and could not be masked by switching."""
@@ -569,13 +569,6 @@ class ProcessingNode:
 
     def start_reconciliation(self, now: float) -> None:
         """Authorization granted: reconcile with checkpoint/redo (Section 4.4)."""
-        if self.reconciler.active:
-            return
-        if self.reconciler.checkpoint is None:
-            # Nothing to roll back to (e.g. the failure produced no tentative
-            # processing); just clean up.
-            self.on_inputs_healed(now)
-            return
         self.reconciler.begin(now)
 
     def wants_reconciliation(self) -> bool:
@@ -626,15 +619,24 @@ class ProcessingNode:
 
     def _outputs_affected_by(self, failed_streams: Sequence[str]) -> set[str]:
         """Output streams reachable from the entry operators of failed inputs."""
-        failed = set(failed_streams)
-        frontier = [binding.operator for binding in self.diagram.inputs if binding.stream in failed]
+        reachable: set[str] = set()
+        frontier = [
+            binding.operator
+            for binding in self.diagram.inputs
+            if binding.stream in set(failed_streams)
+        ]
         seen: set[str] = set()
         while frontier:
             name = frontier.pop()
-            if name not in seen:
-                seen.add(name)
-                frontier.extend(connection.target for connection in self.diagram.downstream_of(name))
-        return {binding.stream for binding in self.diagram.outputs if binding.operator in seen}
+            if name in seen:
+                continue
+            seen.add(name)
+            for connection in self.diagram.downstream_of(name):
+                frontier.append(connection.target)
+        for binding in self.diagram.outputs:
+            if binding.operator in seen:
+                reachable.add(binding.stream)
+        return reachable
 
     # ------------------------------------------------------------------ crash / recovery
     def crash(self) -> None:
@@ -644,23 +646,21 @@ class ProcessingNode:
 
     def _halt(self) -> None:
         self._crashed = True
-        # A reconciliation in flight is abandoned, not run to its end: a down
-        # replica processes nothing.  recover() leaves STABILIZATION.
-        self.reconciler.active = False
         # Fail-stop loses everything in memory, including the recovery
         # checkpoint this replica held for *its* partners.
         self.recovery.forget()
 
     def recover(self) -> None:
         """Restart and rejoin the replica group (:meth:`Recovery.rejoin`)."""
+        if self.reconciler.active:
+            # Before the rejoin clears the redo buffers.  Still down, so the
+            # corrections and REC_DONE stay buffered; inputs that went silent
+            # meanwhile take finish() to UP_FAILURE, and healing leads to STABLE.
+            self.reconciler.finish_after_crash(self.simulator.now)
         self.network.recover(self.endpoint)
         self._crashed = False
         self._fragment_dirty = False
         self.reconciler.checkpoint = None
-        if self.cm.state is NodeState.STABILIZATION:
-            # Fig. 5's edge back: the failure flags the inputs still carry
-            # drive the usual healing path to STABLE.
-            self.cm.set_state(NodeState.UP_FAILURE)
         self.recovery.rejoin(self.simulator.now)
 
     # ------------------------------------------------------------------ introspection

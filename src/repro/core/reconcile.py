@@ -16,6 +16,7 @@ the e2e tracer charges them to ``core.node`` through that attribute.
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING
 
 from ..sim.events import EventKind
@@ -56,8 +57,15 @@ class Reconciler:
         owner.checkpoints_taken += 1
 
     def begin(self, now: float) -> None:
-        """Roll back to the checkpoint and schedule the first redo chunk."""
+        """Authorization granted: roll back and schedule the first redo chunk."""
+        if self.active:
+            return
         owner = self.owner
+        if self.checkpoint is None:
+            # Nothing to roll back to (e.g. the failure produced no tentative
+            # processing); just clean up.
+            owner.on_inputs_healed(now)
+            return
         owner.cm.set_state(NodeState.STABILIZATION)
         self.active = True
         owner.set_dirty(False)
@@ -72,6 +80,19 @@ class Reconciler:
         self.positions = dict.fromkeys(owner.cm.monitors, 0)
         self._schedule(owner.config.checkpoint_cost)
 
+    def trim_idle_buffers(self) -> None:
+        """Keep the redo buffers bounded while the node is fully stable."""
+        owner = self.owner
+        cm = owner.cm
+        if (
+            cm.state is NodeState.STABLE
+            and not owner._fragment_dirty
+            and not cm.failed_streams()
+            and self.checkpoint is None
+        ):
+            for monitor in cm.monitors.values():
+                monitor.clear_stable_buffer()
+
     def _schedule(self, delay: float) -> None:
         self.owner.simulator.schedule_in(
             delay, self.step, kind=EventKind.INTERNAL, description=f"{self.owner.name} redo chunk"
@@ -79,17 +100,27 @@ class Reconciler:
 
     def step(self, now: float) -> None:
         """Redo one budgeted slice of the buffered stable input."""
-        if not self.active:
-            return
         owner = self.owner
-        cm = owner.cm
-        if cm.failed_streams() and not cm.all_failed_inputs_healed(now):
+        if not self.active or owner._crashed:
+            # A down replica processes nothing: the chain ends here, and the
+            # redo stays active (suspended) until finish_after_crash.
+            return
+        if not owner.cm.all_failed_inputs_healed(now):
             self.abort(now)
             return
+        done = self._redo(max(int(owner.config.redo_rate * self._chunk_interval), 1))
+        owner.flush_outputs(now)
+        if done:
+            self.finish(now)
+        else:
+            self._schedule(self._chunk_interval)
+
+    def _redo(self, budget: int) -> bool:
+        """Push up to ``budget`` buffered rows; True once every redo buffer is redone."""
+        owner = self.owner
         engine = owner.engine
-        budget = max(int(owner.config.redo_rate * self._chunk_interval), 1)
         done = True
-        for stream, monitor in cm.monitors.items():
+        for stream, monitor in owner.cm.monitors.items():
             if budget <= 0:
                 done = False
                 break
@@ -104,14 +135,12 @@ class Reconciler:
                 owner.buffer_outputs(engine.push_operator(operator_name, port, take))
             if self.positions[stream] < len(buffer):
                 done = False
-        owner.flush_outputs(now)
-        if done and all(
-            self.positions.get(stream, 0) >= len(monitor.stable_buffer)
-            for stream, monitor in cm.monitors.items()
-        ):
-            self.finish(now)
-        else:
-            self._schedule(self._chunk_interval)
+        return done
+
+    def finish_after_crash(self, now: float) -> None:
+        """A crash cut the redo short: redo the rest at once, then :meth:`finish`."""
+        self._redo(sys.maxsize)
+        self.finish(now)
 
     def finish(self, now: float) -> None:
         """The redo caught up: STABLE, or UP_FAILURE if an input is still failed."""

@@ -89,8 +89,8 @@ class Recovery:
             interval is None
             or registry is None
             or owner._fragment_dirty
-            or owner.reconciler.active
             or owner.reconciler.checkpoint is not None
+            # Also excludes a redo in flight: that is STABILIZATION.
             or owner.cm.state is not NodeState.STABLE
             or owner.cm.failed_streams()
             or now + 1e-9 < self._next_capture_at

@@ -334,9 +334,6 @@ class Topology:
         except KeyError as exc:
             raise ConfigurationError(f"topology has no node {name!r}") from exc
 
-    def is_node(self, name: str) -> bool:
-        return name in self._specs
-
     @property
     def source_streams(self) -> list[str]:
         """Source streams referenced by any node, in first-use order."""

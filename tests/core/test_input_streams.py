@@ -37,7 +37,7 @@ def test_stable_arrivals_counted_and_buffered():
     monitor = monitor_with_source()
     assert monitor.record_tuple(StreamTuple.insertion(0, 0.1, {"seq": 0}), now=0.1) == "accept"
     assert monitor.stable_received == 1
-    assert monitor.buffered_stable_tuples == 1
+    assert monitor.stable_buffer.data_rows == 1
 
 
 def test_stable_seq_deduplication():
@@ -49,7 +49,7 @@ def test_stable_seq_deduplication():
     assert monitor.record_tuple(dup, now=0.2) == "duplicate"
     assert monitor.record_tuple(nxt, now=0.3) == "accept"
     assert monitor.stable_received == 2
-    assert monitor.buffered_stable_tuples == 2
+    assert monitor.stable_buffer.data_rows == 2
 
 
 def test_tentative_arrivals_tracked_but_not_buffered():
@@ -57,7 +57,7 @@ def test_tentative_arrivals_tracked_but_not_buffered():
     monitor.record_tuple(StreamTuple.tentative(0, 0.1, {}), now=0.1)
     assert monitor.tentative_received == 1
     assert monitor.tentative_since_stable == 1
-    assert monitor.buffered_stable_tuples == 0
+    assert monitor.stable_buffer.data_rows == 0
 
 
 def test_undo_resets_tentative_counter():
@@ -129,4 +129,4 @@ def test_clear_stable_buffer():
     monitor = monitor_with_source()
     monitor.record_tuple(StreamTuple.insertion(0, 0.1, {}), now=0.1)
     monitor.clear_stable_buffer()
-    assert monitor.buffered_stable_tuples == 0
+    assert monitor.stable_buffer.data_rows == 0

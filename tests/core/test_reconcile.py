@@ -3,7 +3,8 @@
 Unit cases drive one hand-built node through begin / step / finish / abort
 by calling the redo step directly; the last case crashes a replica in the
 middle of a real reconciliation and checks that it stays down (Fig. 5 has no
-transition for a crashed node) and rejoins through UP_FAILURE.
+transition for a crashed node), then rejoins through UP_FAILURE with the
+same stable output as its partner.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from repro.sim.cluster import merge_diagram
 from repro.sim.event_loop import Simulator
 from repro.sim.network import Message, Network
 from repro.spe.operators.sunion import SUnion
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import REC_DONE, StreamTuple
 
 
 def reconciling_node(redo_rate):
@@ -101,7 +102,7 @@ def test_finish_with_healthy_inputs_is_stable():
 
 
 @pytest.mark.parametrize("stop", ["crash", "retire"])
-def test_a_stopped_replica_abandons_its_reconciliation(stop):
+def test_a_stopped_replica_redoes_nothing(stop):
     node = reconciling_node(redo_rate=20.0)
     processed = node.engine.tuples_processed
     getattr(node, stop)()
@@ -109,9 +110,25 @@ def test_a_stopped_replica_abandons_its_reconciliation(stop):
     assert node.engine.tuples_processed == processed
     assert node.state is NodeState.STABILIZATION
     assert node.reconciliations_completed == node.reconciliations_aborted == 0
-    if stop == "crash":
-        node.recover()
-        assert node.state is NodeState.UP_FAILURE
+
+
+def test_recovery_finishes_the_redo_a_crash_cut_short():
+    node = reconciling_node(redo_rate=20.0)
+    node.reconciler.step(0.3)
+    assert node.reconciler.positions == {"in": 2}
+    processed = node.engine.tuples_processed
+    node.crash()
+    # The input went silent while the node was down.
+    node.cm.monitor("in").last_boundary_arrival = -100.0
+    node.recover()
+    assert node.reconciliations_completed == 1 and node.reconciliations_aborted == 0
+    assert node.state is NodeState.UP_FAILURE and node.cm.monitor("in").failed
+    assert buffered_ids(node) == []
+    assert not any(soutput.is_reconciling for soutput in node.engine.soutputs())
+    # The rest of the buffer was redone, and the burst closed with a REC_DONE
+    # (no boundary arrived, so no bucket stabilized).
+    assert node.engine.tuples_processed == processed + 4
+    assert node.data_path.output("out").snapshot_state()["buffer"].codes == bytes([REC_DONE])
 
 
 @pytest.mark.parametrize("checkpoint_interval", [2.0, None])
@@ -143,3 +160,8 @@ def test_crash_mid_reconciliation_stays_down_until_recovery(checkpoint_interval)
     runtime.run_for(spec.total_duration() - simulator.now)
     assert node.state is NodeState.STABLE
     assert runtime.eventually_consistent()
+    assert not any(soutput.is_reconciling for soutput in node.engine.soutputs())
+    # Nothing the redo had left was lost: both replicas end on the same stable stream.
+    partner = runtime.node(0, 1)
+    for stream in node.diagram.output_streams:
+        assert node.data_path.output(stream).stable_seq == partner.data_path.output(stream).stable_seq

@@ -264,8 +264,8 @@ def test_input_monitor(data, from_source, awaiting_replay, already_received):
     for name in MONITOR_FIELDS:
         assert getattr(by_block, name) == getattr(by_row, name), name
     assert len(by_block.stable_buffer) == len(by_row.stable_buffer)  # in rows
-    assert fields(by_block.take_stable_buffer()) == fields(by_row.take_stable_buffer())
-    assert by_block.buffered_stable_tuples == by_row.buffered_stable_tuples
+    assert fields(by_block.stable_buffer[:]) == fields(by_row.stable_buffer[:])
+    assert by_block.stable_buffer.data_rows == by_row.stable_buffer.data_rows
 
 
 # --------------------------------------------------------------------------- output buffer
