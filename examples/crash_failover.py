@@ -31,12 +31,12 @@ def main() -> None:
         "crash",
         start=CRASH_START,
         duration=CRASH_DURATION,
-        node_level=0,
+        node="node1",
         node_replica=0,
     )
     runtime = spec.run()
-    crashed = runtime.node(0, 0)
-    survivor = runtime.node(0, 1)
+    crashed = runtime.node("node1", 0)
+    survivor = runtime.node("node1", 1)
 
     client = runtime.client
     analysis = analyze_trace(client.metrics.trace)

@@ -81,7 +81,7 @@ from .spe import (
     Union,
     WindowSpec,
 )
-from .workloads import Scenario, FailureSpec, single_failure
+from .workloads import FailureSpec
 from .runtime import ScenarioSpec, SimulationRuntime, run_scenario
 from .deploy import Deployment, Placement, SubscriptionFilter
 from . import deploy
@@ -147,9 +147,7 @@ __all__ = [
     "SJoin",
     "SOutput",
     # workloads
-    "Scenario",
     "FailureSpec",
-    "single_failure",
     # runtime layer
     "ScenarioSpec",
     "SimulationRuntime",

@@ -157,33 +157,6 @@ def compare_policies(
     return totals
 
 
-def availability_checks(
-    results: Sequence[ExperimentResult],
-    *,
-    bound: float,
-    slack: float = 0.75,
-) -> list[ShapeCheck]:
-    """One bound check per result plus an eventual-consistency check."""
-    checks = []
-    for result in results:
-        checks.append(
-            check_within(
-                f"{result.label} / failure {result.failure_duration:g}s meets bound",
-                result.proc_new,
-                bound,
-                slack=slack,
-            )
-        )
-        checks.append(
-            ShapeCheck(
-                name=f"{result.label} / failure {result.failure_duration:g}s eventually consistent",
-                passed=result.eventually_consistent,
-                detail=f"stable={result.n_stable} tentative={result.n_tentative} undos={result.n_undos}",
-            )
-        )
-    return checks
-
-
 def summarize_checks(checks: Sequence[ShapeCheck]) -> tuple[int, int]:
     """(passed, total) over a list of checks."""
     passed = sum(1 for check in checks if check.passed)

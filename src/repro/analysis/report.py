@@ -10,7 +10,6 @@ experiment of :mod:`repro.analysis.registry` that has shape checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .comparison import ShapeCheck, summarize_checks
 from .paper import PaperClaim
@@ -25,7 +24,6 @@ class ReportSection:
     configuration: dict = field(default_factory=dict)
     tables: list[ResultTable] = field(default_factory=list)
     checks: list[ShapeCheck] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     # ------------------------------------------------------------------ construction
     def add_table(self, table: ResultTable) -> None:
@@ -33,12 +31,6 @@ class ReportSection:
 
     def add_check(self, check: ShapeCheck) -> None:
         self.checks.append(check)
-
-    def add_checks(self, checks: Sequence[ShapeCheck]) -> None:
-        self.checks.extend(checks)
-
-    def add_note(self, note: str) -> None:
-        self.notes.append(note)
 
     @property
     def passed(self) -> bool:
@@ -66,9 +58,6 @@ class ReportSection:
             for check in self.checks:
                 lines.append(f"- {check.row()}")
             lines.append("")
-        for note in self.notes:
-            lines.append(f"> {note}")
-            lines.append("")
         return "\n".join(lines).rstrip() + "\n"
 
 
@@ -83,12 +72,6 @@ class ExperimentReport:
     def add_section(self, section: ReportSection) -> ReportSection:
         self.sections.append(section)
         return section
-
-    def section_for(self, experiment_id: str) -> ReportSection:
-        for section in self.sections:
-            if section.claim.experiment_id == experiment_id:
-                return section
-        raise KeyError(f"report has no section for experiment {experiment_id!r}")
 
     @property
     def all_passed(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from ..experiments.harness import ExperimentResult
 
@@ -45,27 +45,10 @@ class ResultTable:
     def get(self, row: object, column: object, default: object = None) -> object:
         return self.cells.get((row, column), default)
 
-    def row_values(self, row: object) -> list[object]:
-        return [self.get(row, column) for column in self.columns]
-
-    def column_values(self, column: object) -> list[object]:
-        return [self.get(row, column) for row in self.rows]
-
     # ------------------------------------------------------------------ conversions
     def as_dict(self) -> dict:
         """Nested ``{row: {column: value}}`` mapping (JSON-friendly)."""
         return {row: {column: self.get(row, column) for column in self.columns} for row in self.rows}
-
-    def transposed(self) -> "ResultTable":
-        """Return a copy with rows and columns swapped."""
-        table = ResultTable(
-            title=self.title, row_label=self.column_label, column_label=self.row_label
-        )
-        for row in self.rows:
-            for column in self.columns:
-                if (row, column) in self.cells:
-                    table.set(column, row, self.get(row, column))
-        return table
 
 
 def pivot_results(
@@ -194,19 +177,3 @@ def metric_by_duration(
         row_label="policy",
         column_label="failure (s)",
     )
-
-
-def side_by_side(
-    measured: Mapping[object, object],
-    reference: Mapping[object, object],
-    *,
-    title: str,
-    row_label: str = "parameter",
-) -> ResultTable:
-    """Two-column paper-vs-measured table over a shared set of keys."""
-    table = ResultTable(title=title, row_label=row_label, column_label="source")
-    for key in reference:
-        table.set(key, "paper", reference[key])
-    for key in measured:
-        table.set(key, "measured", measured[key])
-    return table

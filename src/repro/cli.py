@@ -208,7 +208,6 @@ def _scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
         duration=args.failure_duration,
         stream_index=args.failure_stream,
         node=args.failure_node,
-        node_level=args.failure_level,
         node_replica=args.failure_replica,
     )
     if args.failure:
@@ -351,7 +350,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "crash",
             start=5.0,
             duration=max(args.duration * 0.4, 4.0),
-            node_level=0,
             node_replica=0,
         )
     else:
@@ -532,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "--failure-duration seconds (both backends; shorthand for "
                                "--failure disconnect with an explicit start)")
     scenario.add_argument("--partition-at", type=float, default=None,
-                          help="partition the --failure-node/--failure-level replicas "
+                          help="partition the --failure-node replicas "
                                "(--failure-replica, -1 for all) at this time for "
                                "--failure-duration seconds (both backends)")
     scenario.add_argument("--failure-duration", type=float, default=10.0,
@@ -540,10 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--failure-stream", type=int, default=0,
                           help="input stream hit by a disconnect/silence failure")
     scenario.add_argument("--failure-node", default=None,
-                          help="logical node name hit by a crash or partition "
-                               "(DAG addressing; overrides --failure-level)")
-    scenario.add_argument("--failure-level", type=int, default=0,
-                          help="chain level of the node hit by a crash or partition")
+                          help="logical node name hit by a crash or partition, e.g. "
+                               "node2 (chain), left (diamond), shard1 (shard); "
+                               "default: the first node in topological order")
     scenario.add_argument("--failure-replica", type=int, default=0,
                           help="replica index of the node hit by a crash or partition "
                                "(-1: every replica)")

@@ -164,13 +164,8 @@ class DPCConfig:
     * ``checkpoint_transfer_cost`` -- simulated seconds per checkpointed
       state item when shipping a recovery checkpoint between replicas, on
       top of the fixed ``checkpoint_cost``; makes transfer non-instantaneous
-      so shipping races the replay it replaces.
-    * ``handoff_pricing`` -- when True, rebalance bucket handoffs are priced
-      through the same transfer cost model (extract at settle, merge after
-      ``transfer_delay`` of the shipped item count) instead of completing
-      instantaneously, and a crash landing mid-transfer aborts the handoff
-      (restoring the extracted state to the old owner) rather than retrying
-      forever.  Elastic deployments (autoscaling, scale-out/in) enable it.
+      so shipping races the replay it replaces.  Rebalance bucket handoffs are
+      priced through the same model (``repro.statexfer.transfer_delay``).
     """
 
     max_incremental_latency: float = 3.0
@@ -191,7 +186,6 @@ class DPCConfig:
     buffer_policy: BufferPolicy = field(default_factory=BufferPolicy)
     checkpoint_interval: float | None = 2.0
     checkpoint_transfer_cost: float = 0.00002
-    handoff_pricing: bool = False
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` if any field is inconsistent."""

@@ -78,9 +78,7 @@ def deploy_placement(placement: Placement, options: DeployOptions) -> "Deploymen
         group = [wiring.nodes[name] for name in plan.replica_names]
         cluster.nodes.append(group)
         cluster.node_groups[plan.name] = group
-    deployment = Deployment(placement, cluster, wiring)
-    cluster.deployment = deployment
-    return deployment
+    return Deployment(placement, cluster, wiring)
 
 
 class Deployment:
@@ -104,10 +102,10 @@ class Deployment:
         self.current_assignment: ShardAssignment | None = placement.topology.shard_assignment
         #: Completed and in-flight reconfigurations, for reporting.
         self.rebalances: list[dict] = []
-        #: Names of shard fragments a drain plan has evacuated.  Shared with
-        #: the cluster so failure injection can validate kill targets against
-        #: the *current* deployment instead of the compile-time topology.
-        self.drained: set[str] = cluster.drained_nodes
+        #: Names of shard fragments a drain plan has evacuated; failure
+        #: injection validates kill targets against it at fire time
+        #: (:meth:`assert_kill_target_live`).
+        self.drained: set[str] = set()
         #: Shard-assignment indices whose fragments a scale-in retired.  The
         #: NodePlans stay in the placement (shard_fragments indexing must stay
         #: positional) but the slots never receive buckets again.
@@ -119,10 +117,6 @@ class Deployment:
         #: The reconfiguration record currently between cut and completed
         #: state handoff; a second apply() is rejected until it resolves.
         self._pending_handoff: dict | None = None
-        #: Total shipped-state tuples the bounded join windows trimmed across
-        #: every handoff (including legacy-path handoffs whose records cannot
-        #: carry the count without perturbing pinned summaries).
-        self.handoff_trimmed_total = 0
         #: Split replica -> per-bucket count of the stable tuples its output
         #: buffer has truncated: with the retained suffix, the load history
         #: :meth:`observed_bucket_loads` reports.
@@ -167,11 +161,11 @@ class Deployment:
     def summary(self) -> dict:
         return self.cluster.summary()
 
-    def node(self, key, replica: int = 0) -> ProcessingNode:
-        return self.cluster.node(key, replica)
+    def node(self, name: str, replica: int = 0) -> ProcessingNode:
+        return self.cluster.node(name, replica)
 
-    def node_group(self, key) -> list[ProcessingNode]:
-        return self.cluster.node_group(key)
+    def node_group(self, name: str) -> list[ProcessingNode]:
+        return self.cluster.node_group(name)
 
     # ------------------------------------------------------------------ load observation
     def observed_bucket_loads(self) -> dict[int, float]:
@@ -290,6 +284,7 @@ class Deployment:
                     "completed": True,
                     "completed_at": now,
                     "state_tuples_shipped": 0,
+                    "state_tuples_trimmed": 0,
                 }
             )
             self.rebalances.append(record)
@@ -313,11 +308,9 @@ class Deployment:
         self.current_assignment = plan.after
         # Recomputed (not accumulated) from the new assignment: a later plan
         # may re-populate a previously drained shard, which must then be a
-        # legal kill target again.  The set object is shared with the
-        # cluster, so mutate it in place.
+        # legal kill target again.
         drained = [shard_names[i] for i in plan.after.empty_shards()]
-        self.drained.clear()
-        self.drained.update(drained)
+        self.drained = set(drained)
 
         # --- 2. ship the moved buckets' join state once the cut drains -------
         settle = (
@@ -379,11 +372,10 @@ class Deployment:
         subscription replay.  In that case the handoff is postponed until the
         deployment is stable again, keeping the no-duplication guarantee.
 
-        With ``config.handoff_pricing`` the transfer is two-phase instead of
-        instantaneous: the state is extracted here, priced through
-        :func:`repro.statexfer.transfer_delay`, and merged into the targets
-        only after the simulated transfer time has passed -- during which a
-        crash *aborts* the handoff (see :meth:`_complete_priced_transfer`).
+        The transfer is two-phase: the state is extracted here, priced
+        through :func:`repro.statexfer.transfer_delay`, and merged into the
+        targets only after the simulated transfer time has passed -- during
+        which a crash *aborts* the handoff (see :meth:`_complete_transfer`).
         """
         unstable = self._unstable_replicas()
         if unstable:
@@ -397,21 +389,19 @@ class Deployment:
                 description="rebalance handoff retry (deployment unstable)",
             )
             return
-        if self.config.handoff_pricing:
-            self._begin_priced_transfer(plan, cut_stime, record, now)
-            return
         transfers, shipped = self._extract_handoff_state(plan, cut_stime)
-        trimmed = 0
-        for _source, target, canonical in transfers:
-            for target_node in self._live_replicas(target):
-                trimmed += merge_sjoin_state(target_node, canonical)
-        self._note_trimmed(trimmed, record, count_in_record=False)
-        record["completed"] = True
-        record["completed_at"] = now
-        record["state_tuples_shipped"] = shipped
-        self._finish_handoff(record)
+        delay = transfer_delay(self.config, shipped)
+        record["transfer_started_at"] = now
+        record["transfer_delay"] = delay
+        self.simulator.schedule_in(
+            delay,
+            lambda fire_time, t=transfers, p=plan, r=record, c=cut_stime, s=shipped: (
+                self._complete_transfer(t, p, c, r, s, fire_time)
+            ),
+            kind=EventKind.INTERNAL,
+            description=f"rebalance state transfer ({shipped} tuple(s))",
+        )
 
-    # ------------------------------------------------------------------ priced handoff
     def _extract_handoff_state(
         self, plan: RebalancePlan, cut_stime: float
     ) -> tuple[list[tuple[int, int, dict[int, list]]], int]:
@@ -439,24 +429,7 @@ class Deployment:
             shipped += sum(len(items) for items in canonical.values())
         return transfers, shipped
 
-    def _begin_priced_transfer(
-        self, plan: RebalancePlan, cut_stime: float, record: dict, now: float
-    ) -> None:
-        """Phase one of a priced handoff: extract, then ship for a priced delay."""
-        transfers, shipped = self._extract_handoff_state(plan, cut_stime)
-        delay = transfer_delay(self.config, shipped)
-        record["transfer_started_at"] = now
-        record["transfer_delay"] = delay
-        self.simulator.schedule_in(
-            delay,
-            lambda fire_time, t=transfers, p=plan, r=record, c=cut_stime, s=shipped: (
-                self._complete_priced_transfer(t, p, c, r, s, fire_time)
-            ),
-            kind=EventKind.INTERNAL,
-            description=f"rebalance state transfer ({shipped} tuple(s))",
-        )
-
-    def _complete_priced_transfer(
+    def _complete_transfer(
         self,
         transfers: list[tuple[int, int, dict[int, list]]],
         plan: RebalancePlan,
@@ -515,7 +488,17 @@ class Deployment:
             for target_node in self._live_replicas(target):
                 trimmed += merge_sjoin_state(target_node, canonical)
                 target_node.recovery.invalidate()
-        self._note_trimmed(trimmed, record, count_in_record=True)
+        if trimmed:
+            # Shipped-state tuples the bounded join windows dropped: surfaced
+            # in the record and warned about instead of vanishing.
+            warnings.warn(
+                f"bucket handoff at t={record['applied_at']:.3f}: the target "
+                f"join's bounded state window trimmed {trimmed} shipped "
+                f"tuple(s) (oldest first)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        record["state_tuples_trimmed"] = trimmed
         record["completed"] = True
         record["completed_at"] = now
         record["state_tuples_shipped"] = shipped
@@ -526,25 +509,6 @@ class Deployment:
         name = self.placement.shard_fragments[shard_index]
         group = self.cluster.node_groups.get(name) or self.retired_groups.get(name, [])
         return [replica for replica in group if not replica._crashed]
-
-    def _note_trimmed(self, trimmed: int, record: dict, count_in_record: bool) -> None:
-        """Surface shipped-state tuples the bounded join windows dropped.
-
-        Priced records carry the count directly; the legacy record shape is
-        pinned by golden summaries, so there the count goes to the
-        deployment-level total and a warning only.
-        """
-        self.handoff_trimmed_total += trimmed
-        if count_in_record:
-            record["state_tuples_trimmed"] = trimmed
-        if trimmed:
-            warnings.warn(
-                f"bucket handoff at t={record['applied_at']:.3f}: the target "
-                f"join's bounded state window trimmed {trimmed} shipped "
-                f"tuple(s) (oldest first)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     def _finish_handoff(self, record: dict) -> None:
         """Mark the in-flight handoff resolved and run any deferred scale-in."""
@@ -827,6 +791,22 @@ class Deployment:
 
     def is_drained(self, name: str) -> bool:
         return name in self.drained
+
+    def assert_kill_target_live(self, name: str) -> None:
+        """Reject killing a node a live reconfiguration has already drained.
+
+        Failure schedules are resolved against the compile-time placement;
+        this is the fire-time complement, checked against the *current*
+        deployment: once :meth:`apply` has evacuated a shard, crashing it no
+        longer models anything (the fragment routes no data) and almost
+        certainly indicates a schedule that predates the reconfiguration.
+        """
+        if name in self.drained:
+            raise ConfigurationError(
+                f"failure schedule kills node {name!r}, but a rebalance plan has "
+                f"drained it; kill targets must be validated against the current "
+                f"deployment, not the compile-time topology"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

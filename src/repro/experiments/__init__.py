@@ -8,7 +8,6 @@ writes the measured results next to the paper's.
 from .harness import (
     ExperimentResult,
     availability_run,
-    check_eventual_consistency,
     group_output_counts,
     summarize_run,
 )
@@ -53,7 +52,6 @@ from .ablations import (
 __all__ = [
     "ExperimentResult",
     "availability_run",
-    "check_eventual_consistency",
     "group_output_counts",
     "summarize_run",
     "autoscale_run",

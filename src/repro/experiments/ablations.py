@@ -160,13 +160,13 @@ def crash_failover(
         config=config,
         warmup=warmup,
         settle=settle,
-    ).with_failure("crash", start=warmup, duration=crash_duration, node_level=0, node_replica=0)
+    ).with_failure("crash", start=warmup, duration=crash_duration, node="node1", node_replica=0)
     runtime = spec.run()
     result = summarize_run(runtime, failure_duration=crash_duration)
     result.extra.pop("node_states", None)
     result.extra.update(
-        crashed_replica=runtime.node(0, 0).name,
-        surviving_replica=runtime.node(0, 1).name,
+        crashed_replica=runtime.node("node1", 0).name,
+        surviving_replica=runtime.node("node1", 1).name,
     )
     return result
 
@@ -222,7 +222,7 @@ def buffer_bound_run(
         config=config,
         duration=duration,
     ).build()
-    node = runtime.node(0, 0)
+    node = runtime.node("node1")
     overflowed = False
     try:
         runtime.run()
@@ -300,10 +300,10 @@ def recovery_run(
         settle=settle + failure_duration * 0.5,
         checkpoint_interval=checkpoint_interval,
     ).with_failure(
-        "crash", start=warmup, duration=failure_duration, node_level=0, node_replica=0
+        "crash", start=warmup, duration=failure_duration, node="node1", node_replica=0
     )
     runtime = spec.run()
-    node = runtime.node(0, 0)
+    node = runtime.node("node1")
     record = (
         node.recoveries[-1]
         if node.recoveries

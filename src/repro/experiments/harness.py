@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from ..config import DelayAssignment, DelayPolicy, DPCConfig, SimulationConfig
-from ..runtime import FailureSpec, ScenarioSpec, SimulationRuntime, client_is_eventually_consistent
+from ..runtime import FailureSpec, ScenarioSpec, SimulationRuntime
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,6 @@ class ExperimentResult:
             f"Proc_new={self.proc_new:6.2f}s N_tentative={self.n_tentative:>7d} "
             f"consistent={'yes' if self.eventually_consistent else 'NO'}"
         )
-
-
-#: The ledger verdict under its experiment-facing name (takes a client, or a
-#: runtime / cluster holding one as ``.client``).
-check_eventual_consistency = client_is_eventually_consistent
 
 
 def availability_run(

@@ -378,7 +378,9 @@ def autoscale_run(
         "state_tuples_shipped": sum(
             r.get("state_tuples_shipped", 0) for r in deployment.rebalances
         ),
-        "state_tuples_trimmed": deployment.handoff_trimmed_total,
+        "state_tuples_trimmed": sum(
+            r.get("state_tuples_trimmed", 0) for r in deployment.rebalances
+        ),
     }
     return result
 

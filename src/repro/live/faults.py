@@ -235,8 +235,8 @@ def compile_failures(
 
     The schedule is resolved by the same
     :func:`~repro.workloads.scenarios.resolve_failures` walk the simulator's
-    ``Scenario.inject`` consumes; each resolved action compiles to its live
-    equivalent:
+    ``FailureInjector.inject`` consumes; each resolved action compiles to its
+    live equivalent:
 
     * ``disconnect`` -- a one-way window rule from the source endpoint to the
       consumer replica (the sim severs exactly this subscription);

@@ -37,6 +37,7 @@ from ..sim.failures import FailureInjector, FailureRecord
 from ..sim.network import Network
 from ..sim.sources import DataSource
 from ..spe import tuples
+from ..workloads.scenarios import resolve_failures
 from .spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - the live backend is imported on use only
@@ -79,9 +80,7 @@ def run_live(spec: ScenarioSpec, profile_dir: str | None = None) -> "LiveRunResu
                 f"{name} is simulator-only (the live backend has no control plane yet)"
             )
     placement = compile_spec(spec)
-    faults, kills = compile_failures(
-        placement, spec.as_scenario().failures, seed=spec.seed or 0
-    )
+    faults, kills = compile_failures(placement, spec.resolved_failures(), seed=spec.seed or 0)
     stop = spec.total_duration()
     live = placement.deploy(**spec.deploy_options(), source_stop_time=stop, backend="live")
     return live.run(
@@ -106,7 +105,6 @@ class SimulationRuntime:
             **spec.deploy_options(), source_stop_time=source_stop_time
         )
         self.cluster: Cluster = self.deployment.cluster
-        self._scenario = spec.as_scenario()
         #: The elastic policy loop (armed at start when ``spec.autoscale``).
         self.autoscaler: Autoscaler | None = None
         self.injected: list[FailureRecord] = []
@@ -146,9 +144,9 @@ class SimulationRuntime:
     def nodes(self):
         return self.cluster.all_nodes()
 
-    def node(self, key: str | int, replica: int = 0):
-        """Replica of a logical node, by name (DAGs) or level (chain shim)."""
-        return self.cluster.node(key, replica)
+    def node(self, name: str, replica: int = 0):
+        """Replica ``replica`` of logical node ``name``."""
+        return self.cluster.node(name, replica)
 
     def node_group(self, name: str):
         """All replicas of logical node ``name``."""
@@ -160,7 +158,13 @@ class SimulationRuntime:
         if self._started:
             return self
         self._started = True
-        self.injected = self._scenario.inject(self.cluster)
+        deployment = self.deployment
+        self.injected = self.failures.inject(
+            resolve_failures(deployment.placement, self.spec.resolved_failures()),
+            deployment.wiring.sources,
+            deployment.wiring.nodes,
+            check_target=deployment.assert_kill_target_live,
+        )
         if self.spec.rebalance_at is not None:
             self.simulator.schedule_at(
                 self.spec.rebalance_at,
@@ -272,10 +276,14 @@ class SimulationRuntime:
             }
             for record in self.injected
         ]
-        if self.deployment.rebalances:
-            data["rebalances"] = [dict(record) for record in self.deployment.rebalances]
-        # Only present on elastic runs, so legacy summaries (and the golden
-        # digests pinning them) keep their exact shape.
+        data["rebalances"] = [dict(record) for record in self.deployment.rebalances]
+        data["recoveries"] = [
+            dict(record, node=node.name)
+            for group in self.cluster.nodes
+            for node in group
+            for record in node.recoveries
+        ]
+        # The autoscaler's report, on runs that armed one (``spec.autoscale``).
         if self.autoscaler is not None:
             autoscale = self.autoscaler.summary()
             autoscale["scale_events"] = [
@@ -283,17 +291,6 @@ class SimulationRuntime:
             ]
             autoscale["final_shards"] = self.deployment.active_shards()
             data["autoscale"] = autoscale
-        recoveries = [
-            dict(record, node=node.name)
-            for group in self.cluster.nodes
-            for node in group
-            for record in node.recoveries
-        ]
-        # Only surfaced when a checkpoint-shipped (or fallback) recovery
-        # actually happened: plain full-replay records would change the
-        # summary shape -- and the golden digests -- of legacy scenarios.
-        if any(record["mode"] != "replay" for record in recoveries):
-            data["recoveries"] = recoveries
         return data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,7 +25,7 @@ from ..deploy import AutoscalePolicy, Placement, compile as compile_topology
 from ..errors import ConfigurationError
 from ..topology import NodeSpec, Topology, as_topology
 from ..workloads.generators import PayloadFactory, default_payload_factory
-from ..workloads.scenarios import FailureSpec, Scenario, resolve_failures
+from ..workloads.scenarios import FailureSpec, resolve_failures
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..live.supervisor import LiveRunResult
@@ -92,8 +92,7 @@ class ScenarioSpec:
     #: Watermark policy of the elastic autoscaler loop (None disables it).
     #: The runtime arms an :class:`~repro.deploy.Autoscaler` on the deployment,
     #: which drives ``Deployment.scale_out`` / ``scale_in`` from per-shard
-    #: processing rates.  Requires a sharded topology, and switches the DPC
-    #: config to priced (non-instantaneous, abortable) bucket handoffs.
+    #: processing rates.  Requires a sharded topology.
     autoscale: AutoscalePolicy | None = None
     #: Zipfian skew of the hot-key workload (set by ``sharded(skew=...)``).
     #: Resolved into a payload factory at build time so a later
@@ -162,7 +161,7 @@ class ScenarioSpec:
                     f"run ends ({self.total_duration():g}s); the state handoff "
                     f"would never complete"
                 )
-            for failure in self._resolved_failures():
+            for failure in self.resolved_failures():
                 # The live rebalance quiesces first and its handoff assumes
                 # the drain window stays failure-free, so reject schedules
                 # whose failure window overlaps [rebalance_at, rebalance_at +
@@ -200,7 +199,7 @@ class ScenarioSpec:
         if self.hot_key_count < 1:
             raise ConfigurationError("hot_key_count must be >= 1")
         # Every target error comes from the one resolver both backends consume.
-        failures = self._resolved_failures()
+        failures = self.resolved_failures()
         resolve_failures(
             placement or compile_topology(topology, replicas_per_node=self.replicas_per_node),
             failures,
@@ -246,10 +245,6 @@ class ScenarioSpec:
         config = self.config or DPCConfig()
         if self.checkpoint_interval != "inherit":
             config = config.with_(checkpoint_interval=self.checkpoint_interval)
-        if self.autoscale is not None and not config.handoff_pricing:
-            # Elastic runs always price their bucket handoffs: the transfer
-            # takes simulated time and a crash mid-transfer aborts cleanly.
-            config = config.with_(handoff_pricing=True)
         return config
 
     def simulation_config(self) -> SimulationConfig:
@@ -270,12 +265,16 @@ class ScenarioSpec:
         )
 
     def total_duration(self) -> float:
-        """Run length: explicit ``duration`` or warmup + failures + settle."""
+        """Run length: explicit ``duration``, else ``settle`` past the end of
+        the last failure (past ``warmup`` when none is scheduled)."""
         if self.duration is not None:
             return self.duration
-        return self.as_scenario().total_duration()
+        failures = self.resolved_failures()
+        if not failures:
+            return self.warmup + self.settle
+        return max(spec.start + spec.duration for spec in failures) + self.settle
 
-    def _resolved_failures(self) -> tuple[FailureSpec, ...]:
+    def resolved_failures(self) -> tuple[FailureSpec, ...]:
         """Failures with ``start=None`` resolved to the *current* warmup.
 
         Resolution is deferred to use time so that
@@ -288,12 +287,6 @@ class ScenarioSpec:
             for spec in self.failures
         )
 
-    def as_scenario(self) -> Scenario:
-        """The imperative failure schedule this spec describes."""
-        return Scenario(
-            warmup=self.warmup, settle=self.settle, failures=list(self._resolved_failures())
-        )
-
     # ------------------------------------------------------------------ derivation helpers
     def with_failure(
         self,
@@ -302,15 +295,14 @@ class ScenarioSpec:
         duration: float = 10.0,
         stream_index: int = 0,
         node: str | None = None,
-        node_level: int = 0,
         node_replica: int = 0,
     ) -> "ScenarioSpec":
         """A copy of this spec with one more scheduled failure.
 
         ``start=None`` means "at the end of the warmup" and is resolved
         lazily, so a later ``with_overrides(warmup=...)`` moves the failure
-        with it.  A crash targets a logical node by ``node`` name (DAG
-        topologies) or ``node_level`` (chain shim).
+        with it.  A crash or partition targets logical node ``node`` by name
+        (``None``: the first node in topological order).
         """
         spec = FailureSpec(
             kind=kind,
@@ -318,7 +310,6 @@ class ScenarioSpec:
             duration=duration,
             stream_index=stream_index,
             node=node,
-            node_level=node_level,
             node_replica=node_replica,
         )
         return replace(self, failures=self.failures + (spec,))
@@ -345,7 +336,6 @@ class ScenarioSpec:
         replica: int = 0,
         duration: float = 10.0,
         start: float | None = None,
-        node_level: int = 0,
     ) -> "ScenarioSpec":
         """Isolate one replica of ``node`` from the network for ``duration``.
 
@@ -360,7 +350,6 @@ class ScenarioSpec:
             start=start,
             duration=duration,
             node=node,
-            node_level=node_level,
             node_replica=replica,
         )
 

@@ -45,13 +45,6 @@ class Cluster:
     node_groups: dict[str, list[ProcessingNode]] = field(default_factory=dict)
     #: The deployment graph this cluster was built from (None for hand wiring).
     topology: Topology | None = None
-    #: Logical nodes a live reconfiguration has drained (they route no data
-    #: anymore, only punctuation).  Shared with the owning Deployment; failure
-    #: injection consults it at fire time so kill schedules validated against
-    #: the compile-time topology cannot target an already-drained node.
-    drained_nodes: set[str] = field(default_factory=set)
-    #: The control-plane handle that built this cluster (None for hand wiring).
-    deployment: object | None = None
 
     # ------------------------------------------------------------------ access helpers
     @property
@@ -69,54 +62,24 @@ class Cluster:
     def all_nodes(self) -> list[ProcessingNode]:
         return [replica for group in self.nodes for replica in group]
 
-    def node_group(self, key: str | int) -> list[ProcessingNode]:
-        """All replicas of a logical node, by name or topological-order index."""
-        if isinstance(key, str):
-            try:
-                return self.node_groups[key]
-            except KeyError as exc:
-                raise ConfigurationError(
-                    f"cluster has no node {key!r}; known nodes: {list(self.node_groups)}"
-                ) from exc
+    def node_group(self, name: str) -> list[ProcessingNode]:
+        """All replicas of logical node ``name``."""
         try:
-            return self.nodes[key]
-        except IndexError as exc:
+            return self.node_groups[name]
+        except KeyError as exc:
             raise ConfigurationError(
-                f"cluster has no node at level {key}; it has {len(self.nodes)} level(s)"
+                f"cluster has no node {name!r}; known nodes: {list(self.node_groups)}"
             ) from exc
 
-    def node(self, key: str | int, replica: int = 0) -> ProcessingNode:
-        """Replica ``replica`` of a logical node.
-
-        ``key`` is the node's *name* (``cluster.node("merge", replica=1)``).
-        An integer ``key`` is the thin level-based shim kept for the chain
-        experiments: it indexes the topological order, which for a chain is
-        the chain level.
-        """
-        group = self.node_group(key)
+    def node(self, name: str, replica: int = 0) -> ProcessingNode:
+        """Replica ``replica`` of logical node ``name`` (``cluster.node("merge", 1)``)."""
+        group = self.node_group(name)
         try:
             return group[replica]
         except IndexError as exc:
             raise ConfigurationError(
-                f"node {key!r} has {len(group)} replica(s); replica {replica} does not exist"
+                f"node {name!r} has {len(group)} replica(s); replica {replica} does not exist"
             ) from exc
-
-    def assert_kill_target_live(self, name: str) -> None:
-        """Reject killing a node a live reconfiguration has already drained.
-
-        Failure schedules are validated against the compile-time topology
-        when they are built; this is the fire-time complement, validated
-        against the *current* deployment: once ``Deployment.apply`` has
-        evacuated a shard, crashing it no longer models anything (the
-        fragment routes no data) and almost certainly indicates a schedule
-        that predates the reconfiguration.
-        """
-        if name in self.drained_nodes:
-            raise ConfigurationError(
-                f"failure schedule kills node {name!r}, but a rebalance plan has "
-                f"drained it; kill targets must be validated against the current "
-                f"deployment, not the compile-time topology"
-            )
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:

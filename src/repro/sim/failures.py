@@ -14,14 +14,16 @@ The experiments in the paper exercise three kinds of failures:
   (handled via :class:`~repro.sim.network.Network` crash/partition hooks).
 
 The :class:`FailureInjector` schedules these on the simulator and records a
-timeline that experiments and tests can assert against.
+timeline that experiments and tests can assert against;
+:meth:`FailureInjector.inject` schedules a whole resolved failure schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..errors import SimulationError
 from .event_loop import Simulator
@@ -29,6 +31,8 @@ from .events import EventKind
 from .network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..core.node import ProcessingNode
+    from ..workloads.scenarios import FailureAction
     from .sources import DataSource
 
 
@@ -216,6 +220,39 @@ class FailureInjector:
             start + duration, heal, kind=EventKind.RECOVERY, description=f"rejoin {endpoint}"
         )
         return record
+
+    # ------------------------------------------------------------------ schedules
+    def inject(
+        self,
+        actions: Iterable["FailureAction"],
+        sources: Mapping[str, "DataSource"],
+        nodes: Mapping[str, "ProcessingNode"],
+        check_target: Callable[[str], None] | None = None,
+    ) -> list[FailureRecord]:
+        """Schedule a resolved failure schedule: one primitive per action.
+
+        ``actions`` come from :func:`repro.workloads.scenarios.resolve_failures`,
+        the one interpreter of failure targets; ``sources`` and ``nodes`` map
+        the endpoints they name to the deployed objects.  ``check_target`` is
+        called with a crash's logical node at *fire* time: the schedule was
+        resolved against the placement as compiled, and a mid-run rebalance
+        may have drained the target since
+        (``Deployment.assert_kill_target_live``).
+        """
+        records: list[FailureRecord] = []
+        for action in actions:
+            when = (action.start, action.duration)
+            if action.kind == "disconnect":
+                record = self.disconnect_stream(sources[action.source], action.endpoint, *when)
+            elif action.kind == "silence":
+                record = self.silence_boundaries(sources[action.source], *when)
+            elif action.kind == "partition":
+                record = self.isolate_endpoint(action.endpoint, *when)
+            else:
+                guard = None if check_target is None else partial(check_target, action.node)
+                record = self.crash_processing_node(nodes[action.endpoint], *when, guard=guard)
+            records.append(record)
+        return records
 
     # ------------------------------------------------------------------ helpers
     def _check_times(self, start: float, duration: float) -> None:

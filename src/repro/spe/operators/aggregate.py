@@ -435,8 +435,3 @@ class Aggregate(Operator):
         window benchmark asserts the bound through this counter.
         """
         return len(self._cells)
-
-    @property
-    def open_window_count(self) -> int:
-        """Backward-compatible alias of :attr:`open_cell_count`."""
-        return len(self._cells)

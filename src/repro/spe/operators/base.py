@@ -258,12 +258,6 @@ class Operator:
     def _restore_state(self, state: Mapping[str, Any]) -> None:
         """Restore operator-specific state; override in stateful operators."""
 
-    # ------------------------------------------------------------------ introspection
-    @property
-    def is_stateful(self) -> bool:
-        """True when the operator keeps window or join state between tuples."""
-        return bool(self._checkpoint_state())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r} arity={self.arity}>"
 

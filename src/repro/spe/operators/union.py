@@ -18,37 +18,12 @@ class Union(Operator):
     """Merge tuples from ``arity`` input streams in arrival order.
 
     A Union is non-blocking: it keeps producing output when some of its input
-    streams are missing, which is why the paper labels its output tentative in
-    that situation.  The ``inputs_missing`` flag models that condition: while
-    any input is known-missing, every output tuple is labelled tentative.
+    streams are missing.  It forwards each tuple with its own label, so a
+    tentative input yields a tentative output.
     """
 
     def __init__(self, name: str, arity: int = 2, output_schema: Schema = ANY_SCHEMA) -> None:
         super().__init__(name, arity=arity, output_schema=output_schema)
-        self._missing_ports: set[int] = set()
 
-    # ------------------------------------------------------------------ failure marking
-    def mark_port_missing(self, port: int) -> None:
-        """Declare that input ``port`` is currently unavailable."""
-        self._check_port(port)
-        self._missing_ports.add(port)
-
-    def mark_port_available(self, port: int) -> None:
-        """Declare that input ``port`` is available again."""
-        self._check_port(port)
-        self._missing_ports.discard(port)
-
-    @property
-    def has_missing_inputs(self) -> bool:
-        return bool(self._missing_ports)
-
-    # ------------------------------------------------------------------ processing
     def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        tentative = item.is_tentative or self.has_missing_inputs
-        return [self._forward(item, tentative=tentative)]
-
-    def _checkpoint_state(self) -> dict:
-        return {"missing_ports": sorted(self._missing_ports)}
-
-    def _restore_state(self, state) -> None:
-        self._missing_ports = set(state.get("missing_ports", ()))
+        return [self._forward(item, tentative=item.is_tentative)]

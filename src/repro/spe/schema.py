@@ -121,11 +121,3 @@ class Schema:
 
 #: Schema used when a stream's shape is unknown or irrelevant (accepts anything).
 ANY_SCHEMA = Schema()
-
-
-def validate_stream_prefix(schema: Schema, tuples: Iterable[StreamTuple]) -> None:
-    """Validate every data tuple of ``tuples`` against ``schema``."""
-    if not schema.fields:
-        return
-    for item in tuples:
-        schema.validate_tuple(item)

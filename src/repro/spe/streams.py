@@ -182,11 +182,6 @@ class StreamLog:
         last = self._entries.codes.rfind(0)
         return self._entries.ids[last] if last >= 0 else -1
 
-    def tail_after_last_stable(self) -> list[StreamTuple]:
-        """The (tentative) suffix following the last stable tuple."""
-        last = self.last_stable_id()
-        return [t for t in self._entries if t.tuple_id > last and t.is_data]
-
     def clear(self) -> None:
         self._entries.clear()
 

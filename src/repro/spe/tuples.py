@@ -210,12 +210,6 @@ class StreamTuple:
         code = CODE_BY_TYPE[self.tuple_type]
         return _row(code, self.tuple_id, self.stime, self.values, self.undo_from_id, stable_seq)
 
-    def with_values(self, values: Mapping[str, Any]) -> "StreamTuple":
-        """Return a copy of this tuple with different attribute values (copied)."""
-        t = self.with_id(self.tuple_id)
-        t.values = dict(values)
-        return t
-
     def value(self, name: str, default: Any = None) -> Any:
         """Return attribute ``name`` or ``default`` when missing."""
         return self.values.get(name, default)
@@ -484,16 +478,6 @@ class BlockBuffer(TupleBlock):
 
 
 # --------------------------------------------------------------------------- helpers
-def count_tentative(tuples: Iterable[StreamTuple]) -> int:
-    """Number of tentative tuples in ``tuples``."""
-    return TupleBlock.of(tuples).codes.count(TENTATIVE)
-
-
-def count_stable(tuples: Iterable[StreamTuple]) -> int:
-    """Number of stable data tuples in ``tuples``."""
-    return TupleBlock.of(tuples).codes.count(STABLE)
-
-
 def data_only(tuples: Iterable[StreamTuple]) -> list[StreamTuple]:
     """Filter out non-data tuples (boundaries, undos, rec_done)."""
     return [t for t in tuples if t.is_data]

@@ -225,14 +225,6 @@ class WindowSpec:
         first = -((pane.per_window - 1 - pane_index) // pane.per_slide)
         return range(first, pane_index // pane.per_slide + 1)
 
-    def last_pane_window(self, pane_index: int) -> int:
-        """The latest window containing pane ``pane_index``.
-
-        Once the watermark closes this window the pane's partials can never
-        contribute to another result and may be garbage-collected.
-        """
-        return pane_index // self.pane.per_slide
-
     def contains(self, index: int, stime: float) -> bool:
         """True when window ``index`` covers ``stime`` (inclusive start, exclusive end)."""
         return self.window_start(index) <= stime < self.window_end(index)

@@ -1,4 +1,4 @@
-"""Synthetic workloads and failure scenarios."""
+"""Synthetic workloads and failure schedules."""
 
 from .generators import (
     PayloadFactory,
@@ -24,7 +24,7 @@ from .queries import (
     windowed_rollup_diagram,
     windowed_rollup_factory,
 )
-from .scenarios import FailureSpec, Scenario, single_failure
+from .scenarios import FailureSpec
 
 __all__ = [
     "PayloadFactory",
@@ -40,8 +40,6 @@ __all__ = [
     "sensor_readings",
     "sequential_sequence",
     "FailureSpec",
-    "Scenario",
-    "single_failure",
     "intrusion_detection_diagram",
     "intrusion_detection_factory",
     "sensor_alert_diagram",

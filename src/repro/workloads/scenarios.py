@@ -1,16 +1,21 @@
-"""Pre-canned failure scenarios shared by examples, tests, and benchmarks."""
+"""Failure schedules: the declarative :class:`FailureSpec` and its one resolver.
+
+A :class:`~repro.runtime.ScenarioSpec` carries its failures as
+``FailureSpec`` s; :func:`resolve_failures` names the endpoints each one hits
+in a compiled placement, and both backends schedule the result
+(:meth:`repro.sim.failures.FailureInjector.inject`,
+:func:`repro.live.faults.compile_failures`).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from ..errors import ConfigurationError
-from ..sim.failures import FailureRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..deploy.placement import Placement
-    from ..sim.cluster import Cluster
 
 
 @dataclass(frozen=True)
@@ -28,17 +33,15 @@ class FailureSpec:
       other endpoint (the replica keeps running; nothing it sends arrives
       and nothing reaches it until the window heals).
 
-    A crash names its target either by logical node name (``node``, the
-    canonical addressing for DAG topologies) or, for the chain experiments,
-    by ``node_level`` (index into the topological order); ``node`` wins when
-    both are set.  ``node_replica`` selects the replica in either case;
-    ``node_replica = -1`` targets *every* replica of the node (the
-    branch-kill schedule of the DAG experiments).  :func:`resolve_failures`
-    is the one place these target fields are interpreted.
+    A crash or partition names its target by logical node name (``node``);
+    ``None`` means the first node in topological order (the chain's first
+    level).  ``node_replica`` selects the replica; ``node_replica = -1``
+    targets *every* replica of the node (the branch-kill schedule of the DAG
+    experiments).  :func:`resolve_failures` is the one place these target
+    fields are interpreted.
 
     ``start=None`` is only meaningful inside a
-    :class:`~repro.runtime.ScenarioSpec`, which resolves it to its warmup; a
-    :class:`Scenario` requires every start to be a number.
+    :class:`~repro.runtime.ScenarioSpec`, which resolves it to its warmup.
     """
 
     kind: str
@@ -46,7 +49,6 @@ class FailureSpec:
     duration: float
     stream_index: int = 0
     node: str | None = None
-    node_level: int = 0
     node_replica: int = 0
 
 
@@ -74,10 +76,11 @@ def resolve_failures(
 ) -> list[FailureAction]:
     """Resolve a failure schedule against ``placement``, once, for every consumer.
 
-    ``ScenarioSpec.validate``, the simulator (:meth:`Scenario.inject`) and the
-    live backend (:func:`repro.live.faults.compile_failures`) all read this
-    result, so a schedule names the same endpoints -- and a bad target raises
-    the same :class:`~repro.errors.ConfigurationError` -- wherever it runs.
+    ``ScenarioSpec.validate``, the simulator
+    (:meth:`~repro.sim.failures.FailureInjector.inject`) and the live backend
+    (:func:`repro.live.faults.compile_failures`) all read this result, so a
+    schedule names the same endpoints -- and a bad target raises the same
+    :class:`~repro.errors.ConfigurationError` -- wherever it runs.
     """
     actions: list[FailureAction] = []
     for spec in failures:
@@ -108,15 +111,7 @@ def resolve_failures(
                 for endpoint in plan.replica_names
             )
         elif spec.kind in ("crash", "partition"):
-            if spec.node is not None:
-                node = spec.node
-            elif 0 <= spec.node_level < len(placement.nodes):
-                node = placement.nodes[spec.node_level].name
-            else:
-                raise ConfigurationError(
-                    f"failure {spec.kind!r} targets node level {spec.node_level}, but "
-                    f"the placement has {len(placement.nodes)} node(s)"
-                )
+            node = placement.nodes[0].name if spec.node is None else spec.node
             names = placement.node_plan(node).replica_names
             if spec.node_replica == -1:
                 replicas = range(len(names))
@@ -134,63 +129,3 @@ def resolve_failures(
         else:
             raise ConfigurationError(f"unknown failure kind {spec.kind!r}")
     return actions
-
-
-@dataclass
-class Scenario:
-    """A cluster run: warm-up, failures, post-failure settle time."""
-
-    warmup: float = 5.0
-    settle: float = 20.0
-    failures: list[FailureSpec] = field(default_factory=list)
-
-    def total_duration(self) -> float:
-        if not self.failures:
-            return self.warmup + self.settle
-        last_end = max(spec.start + spec.duration for spec in self.failures)
-        return last_end + self.settle
-
-    def inject(self, cluster: Cluster) -> list[FailureRecord]:
-        """Schedule every failure of the scenario on a deployed ``cluster``."""
-        deployment = cluster.deployment
-        sources, nodes = deployment.wiring.sources, deployment.wiring.nodes
-        injector = cluster.failures
-        records: list[FailureRecord] = []
-        for action in resolve_failures(deployment.placement, self.failures):
-            when = (action.start, action.duration)
-            if action.kind == "disconnect":
-                record = injector.disconnect_stream(
-                    sources[action.source], action.endpoint, *when
-                )
-            elif action.kind == "silence":
-                record = injector.silence_boundaries(sources[action.source], *when)
-            elif action.kind == "partition":
-                record = injector.isolate_endpoint(action.endpoint, *when)
-            else:
-                # The schedule was resolved against the placement as compiled;
-                # the guard re-checks at fire time against the *live*
-                # deployment, which a mid-run rebalance may have reconfigured
-                # (e.g. drained the targeted shard).
-                record = injector.crash_processing_node(
-                    nodes[action.endpoint],
-                    *when,
-                    guard=lambda c=cluster, g=action.node: c.assert_kill_target_live(g),
-                )
-            records.append(record)
-        return records
-
-    def run(self, cluster: Cluster) -> Cluster:
-        """Inject the failures, start the cluster, and run it to completion."""
-        self.inject(cluster)
-        cluster.start()
-        cluster.run_for(self.total_duration())
-        return cluster
-
-
-def single_failure(kind: str, start: float, duration: float, stream_index: int = 0, settle: float = 20.0) -> Scenario:
-    """Scenario with one failure, the shape of most of the paper's experiments."""
-    return Scenario(
-        warmup=start,
-        settle=settle,
-        failures=[FailureSpec(kind=kind, start=start, duration=duration, stream_index=stream_index)],
-    )

@@ -1,13 +1,11 @@
 """Tests for the qualitative shape checks."""
 
 from repro.analysis.comparison import (
-    availability_checks,
     check_crossover,
     check_flat,
     check_monotonic,
     check_within,
     compare_policies,
-    summarize_checks,
 )
 from repro.experiments.harness import ExperimentResult
 
@@ -86,15 +84,6 @@ def test_compare_policies_sums_metric():
     assert totals == {"a": 30.0, "b": 5.0}
     proc_totals = compare_policies(results, metric="proc_new")
     assert proc_totals["a"] == 5.0
-
-
-def test_availability_checks_cover_bound_and_consistency():
-    results = [make_result("ok", proc_new=2.5), make_result("late", proc_new=9.0, consistent=False)]
-    checks = availability_checks(results, bound=3.0)
-    assert len(checks) == 4
-    passed, total = summarize_checks(checks)
-    assert total == 4
-    assert passed == 2  # the "ok" result passes both, the "late" one fails both
 
 
 def test_shape_check_row_format():

@@ -10,7 +10,6 @@ from repro.analysis.tables import (
     render_csv,
     render_markdown,
     render_text,
-    side_by_side,
     tentative_by_depth,
 )
 from repro.experiments.harness import ExperimentResult
@@ -52,23 +51,11 @@ def test_set_and_get_preserve_insertion_order():
     assert table.get("a", 2) is None
 
 
-def test_row_and_column_values():
-    table = ResultTable(title="t", row_label="r", column_label="c")
-    table.set("x", 1, 10)
-    table.set("x", 2, 20)
-    table.set("y", 1, 30)
-    assert table.row_values("x") == [10, 20]
-    assert table.column_values(1) == [10, 30]
-
-
-def test_as_dict_and_transposed():
+def test_as_dict():
     table = ResultTable(title="t", row_label="r", column_label="c")
     table.set("x", "a", 1)
     table.set("y", "b", 2)
     assert table.as_dict() == {"x": {"a": 1, "b": None}, "y": {"a": None, "b": 2}}
-    flipped = table.transposed()
-    assert flipped.get("a", "x") == 1
-    assert flipped.row_label == "c"
 
 
 def test_pivot_results(results):
@@ -125,13 +112,6 @@ def test_render_handles_none_and_bool():
     assert "yes" in text
 
 
-def test_side_by_side_paper_vs_measured():
-    table = side_by_side({2.0: 2.3, 4.0: 2.9}, {2.0: 2.2, 4.0: 2.8}, title="Table III")
-    assert table.columns == ["paper", "measured"]
-    assert table.get(2.0, "paper") == 2.2
-    assert table.get(4.0, "measured") == 2.9
-
-
 def test_depth_pivots_give_one_row_per_policy_for_chain_labels():
     runs = [
         ExperimentResult(
@@ -145,5 +125,5 @@ def test_depth_pivots_give_one_row_per_policy_for_chain_labels():
     for table in (proc_new_by_depth(runs, "p"), tentative_by_depth(runs, "t")):
         assert table.rows == ["Process & Process", "Delay & Delay"]
         assert table.columns == [1, 2, 4]
-        assert all(value is not None for row in table.rows for value in table.row_values(row))
+        assert all(None not in row.values() for row in table.as_dict().values())
     assert proc_new_by_depth(runs, "p").get("Delay & Delay", 4) == 4.0

@@ -145,11 +145,11 @@ def test_crash_mid_reconciliation_stays_down_until_recovery(checkpoint_interval)
             checkpoint_interval=checkpoint_interval,
         )
         .with_failure("disconnect", start=5.0, duration=8.0, stream_index=0)
-        .with_failure("crash", start=13.2, duration=5.0, node_level=0, node_replica=0)
+        .with_failure("crash", start=13.2, duration=5.0, node="node1", node_replica=0)
     )
     runtime = spec.build().start()
     simulator = runtime.cluster.simulator
-    node = runtime.node(0, 0)
+    node = runtime.node("node1", 0)
     runtime.run_for(13.2 + 1e-6)
     assert node._crashed and node.state is NodeState.STABILIZATION
     processed = node.engine.tuples_processed
@@ -162,6 +162,6 @@ def test_crash_mid_reconciliation_stays_down_until_recovery(checkpoint_interval)
     assert runtime.eventually_consistent()
     assert not any(soutput.is_reconciling for soutput in node.engine.soutputs())
     # Nothing the redo had left was lost: both replicas end on the same stable stream.
-    partner = runtime.node(0, 1)
+    partner = runtime.node("node1", 1)
     for stream in node.diagram.output_streams:
         assert node.data_path.output(stream).stable_seq == partner.data_path.output(stream).stable_seq

@@ -12,7 +12,6 @@ re-arming -- instead of leaving the moved buckets' state in limbo.
 
 import pytest
 
-from repro.config import DPCConfig
 from repro.deploy import AutoscalePolicy
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import ScenarioSpec
@@ -20,7 +19,7 @@ from repro.sharding import ShardPlanner
 
 
 def priced_spec(seed=1, *, shards=2, warmup=12.0, settle=22.0, rate=120.0, **changes):
-    """A skewed sharded deployment with priced (two-phase) handoffs."""
+    """A skewed sharded deployment (every handoff is priced and two-phase)."""
     return ScenarioSpec.sharded(
         shards=shards,
         skew=1.2,
@@ -28,7 +27,6 @@ def priced_spec(seed=1, *, shards=2, warmup=12.0, settle=22.0, rate=120.0, **cha
         warmup=warmup,
         settle=settle,
         seed=seed,
-        config=changes.pop("config", DPCConfig(handoff_pricing=True)),
         **changes,
     )
 
@@ -246,6 +244,7 @@ def test_noop_and_applied_records_share_one_schema():
         "state_handoff_at": None,
         "completed": True,
         "state_tuples_shipped": 0,
+        "state_tuples_trimmed": 0,
     }.items():
         assert record[key] == value
     assert "completed_at" in record and "drained" in record
@@ -259,6 +258,7 @@ def test_noop_and_applied_records_share_one_schema():
         "completed",
         "completed_at",
         "state_tuples_shipped",
+        "state_tuples_trimmed",
     } - set(applied)
     assert not missing
 
@@ -321,7 +321,6 @@ def test_priced_records_count_trimmed_state_and_warn():
         runtime.run_for(10.0)
     assert record["completed"]
     assert record["state_tuples_trimmed"] > 0
-    assert deployment.handoff_trimmed_total >= record["state_tuples_trimmed"]
     assert_ledger_clean(runtime)
 
 
@@ -397,7 +396,6 @@ def test_autoscale_policy_validates_its_watermarks():
         AutoscalePolicy(min_shards=4, max_shards=2).validate()
 
 
-def test_autoscale_forces_priced_handoffs():
+def test_autoscale_keeps_the_spec_config():
     spec = ScenarioSpec.sharded(shards=2, autoscale=AutoscalePolicy())
-    assert spec.dpc_config().handoff_pricing
-    assert not ScenarioSpec.sharded(shards=2).dpc_config().handoff_pricing
+    assert spec.dpc_config() == ScenarioSpec.sharded(shards=2).dpc_config()

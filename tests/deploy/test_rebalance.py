@@ -9,10 +9,12 @@ refused with clear errors.
 
 import pytest
 
+from repro.config import DPCConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import ScenarioSpec
 from repro.sharding import ShardPlanner, ShardSpec
 from repro.spe.operators import SJoin
+from repro.statexfer import transfer_delay
 from repro.topology import NodeSpec, Topology
 
 
@@ -68,6 +70,20 @@ def test_summary_reports_the_rebalance():
     assert summary["eventually_consistent"]
     assert len(summary["rebalances"]) == 1
     assert summary["rebalances"][0]["moves"]
+
+
+def test_default_config_rebalance_is_a_priced_transfer():
+    """Every handoff is extract -> transfer_delay -> merge, with no opt-in flag."""
+    runtime = skewed_spec(1).run()
+    assert runtime.spec.dpc_config() == DPCConfig()
+    record = runtime.deployment.rebalances[0]
+    assert record["completed"] and record["state_tuples_shipped"] > 0
+    assert record["transfer_started_at"] >= record["state_handoff_at"]
+    assert record["transfer_delay"] == transfer_delay(DPCConfig(), record["state_tuples_shipped"])
+    assert record["completed_at"] == pytest.approx(
+        record["transfer_started_at"] + record["transfer_delay"]
+    )
+    assert record["state_tuples_trimmed"] == 0
 
 
 # --------------------------------------------------------------------------- drain + kill guard
@@ -131,7 +147,7 @@ def test_repopulating_a_drained_shard_makes_it_a_legal_kill_target_again():
     )
     deployment.apply(plan)
     assert not deployment.is_drained("shard3")
-    runtime.cluster.assert_kill_target_live("shard3")  # no raise
+    deployment.assert_kill_target_live("shard3")  # no raise
 
 
 def test_state_handoff_with_unequal_replica_counts_neither_duplicates_nor_drops():

@@ -11,7 +11,6 @@ a fresh compile of the larger topology.
 
 import pytest
 
-from repro.config import DPCConfig
 from repro.deploy.wiring import wire_placement
 from repro.live.supervisor import hosted_by_worker
 from repro.runtime import ScenarioSpec
@@ -97,7 +96,6 @@ def test_a_scaled_out_fragment_is_wired_like_a_fresh_compile():
             warmup=12.0,
             settle=4.0,
             seed=1,
-            config=DPCConfig(handoff_pricing=True),
         )
 
     runtime = spec(2).build()

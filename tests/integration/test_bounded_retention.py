@@ -163,14 +163,14 @@ def test_crashed_consumer_replica_pins_the_buffer_and_rejoins_cleanly(seed):
     crash_at, downtime = 6.0, 4 * CHECKPOINT_INTERVAL
     spec = ScenarioSpec.chain(
         2, aggregate_rate=90.0, warmup=crash_at, settle=20.0, seed=seed
-    ).with_failure("crash", start=crash_at, duration=downtime, node_level=1, node_replica=0)
+    ).with_failure("crash", start=crash_at, duration=downtime, node="node2", node_replica=0)
     runtime = running(spec, crash_at - 0.01)
     upstream = runtime.cluster.nodes[0]  # the replica group feeding the crashed node
     stream = upstream[0].diagram.output_streams[0]
     before = {node.name: node.statistics()["outputs"][stream] for node in upstream}
 
     runtime.run_for(downtime - 0.5)  # just before the replica comes back
-    crashed = runtime.node(1, 0)
+    crashed = runtime.node("node2", 0)
     assert crashed._crashed
     for node in upstream:
         pinned = node.statistics()["outputs"][stream]
@@ -221,7 +221,7 @@ def test_upstream_switch_after_truncation_resumes_inside_the_retained_suffix(see
     -- which truncated on the same acknowledgments and must hold the cursor."""
     spec = ScenarioSpec.chain(
         3, aggregate_rate=90.0, warmup=12.0, settle=20.0, seed=seed
-    ).with_failure("crash", start=12.0, duration=6.0, node_level=1, node_replica=0)
+    ).with_failure("crash", start=12.0, duration=6.0, node="node2", node_replica=0)
     runtime = spec.run()  # a BufferTruncatedError would propagate out of the event loop
     assert runtime.client.cm.switches_performed + sum(
         node.cm.switches_performed for node in runtime.cluster.all_nodes()

@@ -9,11 +9,18 @@ import pytest
 
 from repro.config import DelayPolicy, DPCConfig
 from repro.deploy import compile as compile_topology
-from repro.experiments import availability_run, check_eventual_consistency
+from repro.experiments import availability_run
+from repro.runtime import ScenarioSpec, client_is_eventually_consistent
 from repro.topology import Topology
-from repro.workloads import FailureSpec, Scenario, single_failure
 
 RATE = 60.0  # tuples/second, kept small so the suite stays fast
+
+
+def _chain(depth: int = 1, replicas: int = 2, **changes) -> ScenarioSpec:
+    """A stateless chain (no SJoin) at the suite's small rate."""
+    return ScenarioSpec.chain(
+        depth, replicas_per_node=replicas, aggregate_rate=RATE, join_state_size=None, **changes
+    )
 
 
 def stable_sequence_is_complete(client) -> bool:
@@ -37,25 +44,22 @@ def test_failure_free_run_produces_only_stable_output():
 
 
 def test_short_failure_is_fully_masked():
-    placement = compile_topology(Topology.chain(1), replicas_per_node=2)
-    cluster = placement.deploy(aggregate_rate=RATE, join_state_size=None).cluster
-    single_failure(kind="disconnect", start=5.0, duration=2.0, settle=20.0).run(cluster)
-    client = cluster.client
+    spec = _chain(warmup=5.0, settle=20.0).with_failure("disconnect", duration=2.0)
+    client = spec.run().client
     assert client.n_tentative == 0
     assert stable_sequence_is_complete(client)
     assert client.proc_new < 3.6
 
 
 def test_long_failure_single_node_reaches_eventual_consistency():
-    placement = compile_topology(Topology.chain(1), replicas_per_node=1)
-    cluster = placement.deploy(aggregate_rate=RATE, join_state_size=None).cluster
-    single_failure(kind="disconnect", start=5.0, duration=10.0, settle=25.0).run(cluster)
-    client = cluster.client
+    spec = _chain(replicas=1, warmup=5.0, settle=25.0).with_failure("disconnect", duration=10.0)
+    runtime = spec.run()
+    client = runtime.client
     assert client.n_tentative > 0
     assert client.metrics.consistency.total_rec_done >= 1
     assert stable_sequence_is_complete(client)
     assert not client.metrics.consistency.has_pending_tentative()
-    node = cluster.nodes[0][0]
+    node = runtime.node("node1")
     assert node.reconciliations_completed == 1
     assert node.state.value == "stable"
 
@@ -68,38 +72,28 @@ def test_replicated_node_maintains_availability_through_long_failure():
 
 
 def test_overlapping_failures_on_two_streams():
-    placement = compile_topology(Topology.chain(1), replicas_per_node=1)
-    cluster = placement.deploy(aggregate_rate=RATE, join_state_size=None).cluster
-    scenario = Scenario(
-        warmup=5.0,
-        settle=25.0,
-        failures=[
-            FailureSpec(kind="disconnect", start=5.0, duration=8.0, stream_index=0),
-            FailureSpec(kind="disconnect", start=8.0, duration=8.0, stream_index=2),
-        ],
+    spec = (
+        _chain(replicas=1, warmup=5.0, settle=25.0)
+        .with_failure("disconnect", start=5.0, duration=8.0, stream_index=0)
+        .with_failure("disconnect", start=8.0, duration=8.0, stream_index=2)
     )
-    scenario.run(cluster)
-    assert stable_sequence_is_complete(cluster.client)
-    assert cluster.client.metrics.consistency.total_rec_done >= 1
+    client = spec.run().client
+    assert stable_sequence_is_complete(client)
+    assert client.metrics.consistency.total_rec_done >= 1
 
 
 def test_failure_during_recovery_triggers_second_reconciliation():
     # A slow redo rate keeps the first reconciliation running long enough for
     # the second failure (which starts one second later) to interrupt it.
     config = DPCConfig(max_incremental_latency=3.0, redo_rate=150.0)
-    placement = compile_topology(Topology.chain(1), replicas_per_node=1)
-    cluster = placement.deploy(config, aggregate_rate=RATE, join_state_size=None).cluster
-    scenario = Scenario(
-        warmup=5.0,
-        settle=35.0,
-        failures=[
-            FailureSpec(kind="disconnect", start=5.0, duration=10.0, stream_index=0),
-            FailureSpec(kind="disconnect", start=16.0, duration=8.0, stream_index=2),
-        ],
+    spec = (
+        _chain(replicas=1, config=config, warmup=5.0, settle=35.0)
+        .with_failure("disconnect", start=5.0, duration=10.0, stream_index=0)
+        .with_failure("disconnect", start=16.0, duration=8.0, stream_index=2)
     )
-    scenario.run(cluster)
-    client = cluster.client
-    node = cluster.nodes[0][0]
+    runtime = spec.run()
+    client = runtime.client
+    node = runtime.node("node1")
     assert stable_sequence_is_complete(client)
     assert client.metrics.consistency.total_rec_done >= 1
     assert node.reconciliations_completed + node.reconciliations_aborted >= 2
@@ -107,17 +101,13 @@ def test_failure_during_recovery_triggers_second_reconciliation():
 
 def test_chain_recovers_level_by_level():
     config = DPCConfig(max_incremental_latency=4.0)
-    placement = compile_topology(Topology.chain(2), replicas_per_node=2)
-    cluster = placement.deploy(config, aggregate_rate=RATE, join_state_size=None).cluster
-    scenario = Scenario(
-        warmup=5.0,
-        settle=30.0,
-        failures=[FailureSpec(kind="silence", start=5.0, duration=10.0, stream_index=0)],
+    spec = _chain(2, config=config, warmup=5.0, settle=30.0).with_failure(
+        "silence", duration=10.0
     )
-    scenario.run(cluster)
-    assert check_eventual_consistency(cluster)
-    assert cluster.client.proc_new < 4.0 + 1.0
-    for node in cluster.all_nodes():
+    runtime = spec.run()
+    assert client_is_eventually_consistent(runtime.client)
+    assert runtime.client.proc_new < 4.0 + 1.0
+    for node in runtime.nodes():
         assert node.state.value == "stable"
         assert node.reconciliations_completed >= 1
 

@@ -9,11 +9,14 @@ seeds, the full ``runtime.summary()`` dictionary and every sink's merged
 ledger must reproduce the digests checked in at ``GOLDEN_summaries.json``
 byte-for-byte.
 
-The digests were generated by the pre-refactor data plane (frozen-dataclass
-tuples, per-tuple ``process`` dispatch).  Regenerate them *only* for a change
-that deliberately alters scenario behaviour::
+Regenerate them *only* for a change that deliberately alters scenario
+behaviour::
 
     PYTHONPATH=src python tests/integration/test_golden_summaries.py --write
+
+The regeneration prints, per scenario and seed, which digests changed and the
+old -> new value of every changed headline field: the explanation a
+regeneration owes its reviewers.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from repro.runtime import ScenarioSpec
 GOLDEN_PATH = Path(__file__).with_name("GOLDEN_summaries.json")
 
 SEEDS = (1, 2)
+
+#: The fields a digest repeats in the clear (everything but the two hashes).
+HEADLINES = ("proc_new", "total_stable", "total_tentative", "events_fired",
+             "eventually_consistent")
 
 
 def _chain_spec(seed: int) -> ScenarioSpec:
@@ -93,7 +100,7 @@ def _recovery_spec(seed: int) -> ScenarioSpec:
     # capture cadence, adoption, cursor resubscription, and log truncation.
     return ScenarioSpec.chain(
         2, name="golden-recovery", aggregate_rate=90.0, warmup=5.0, settle=20.0, seed=seed
-    ).with_failure("crash", start=5.0, duration=8.0, node_level=0, node_replica=0)
+    ).with_failure("crash", start=5.0, duration=8.0, node="node1", node_replica=0)
 
 
 SCENARIOS = {
@@ -162,6 +169,37 @@ def load_goldens() -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
+def describe_changes(old: dict, new: dict) -> list[str]:
+    """One line per scenario and seed of ``new``: what differs from ``old``.
+
+    Names the digests that changed (``ledger_sha256`` per sink) and gives the
+    old -> new value of each changed headline field.
+    """
+    lines = []
+    for name in sorted(new):
+        for seed in sorted(new[name]):
+            before, after = old.get(name, {}).get(seed), new[name][seed]
+            if before is None:
+                lines.append(f"{name} seed={seed}: new")
+                continue
+            digests = ["summary_sha256"] if before["summary_sha256"] != after["summary_sha256"] else []
+            digests += [
+                f"ledger_sha256[{sink}]"
+                for sink in sorted(set(before["ledger_sha256"]) | set(after["ledger_sha256"]))
+                if before["ledger_sha256"].get(sink) != after["ledger_sha256"].get(sink)
+            ]
+            fields = [
+                f"{key} {before[key]!r} -> {after[key]!r}"
+                for key in HEADLINES
+                if before[key] != after[key]
+            ]
+            changes = [f"{', '.join(digests)} changed"] if digests else []
+            changes += fields or (["headline fields unchanged"] if digests else [])
+            lines.append(f"{name} seed={seed}: {'; '.join(changes) or 'unchanged'}")
+    lines += [f"{name}: removed" for name in sorted(set(old) - set(new))]
+    return lines
+
+
 # --------------------------------------------------------------------------- tests
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("seed", SEEDS)
@@ -170,11 +208,29 @@ def test_scenario_reproduces_golden_digest(scenario, seed):
     current = scenario_digest(SCENARIOS[scenario](seed).run())
     # Compare the headline fields first: they localize a mismatch far better
     # than two differing SHA-256 strings.
-    for key in ("proc_new", "total_stable", "total_tentative", "events_fired",
-                "eventually_consistent"):
+    for key in HEADLINES:
         assert current[key] == golden[key], f"{scenario} seed={seed}: {key}"
     assert current["ledger_sha256"] == golden["ledger_sha256"], f"{scenario} seed={seed}"
     assert current["summary_sha256"] == golden["summary_sha256"], f"{scenario} seed={seed}"
+
+
+def test_describe_changes_names_changed_digests_and_headlines():
+    digest = {
+        "summary_sha256": "a", "ledger_sha256": {"client": "l"}, "proc_new": 0.3,
+        "total_stable": 10, "total_tentative": 0, "events_fired": 100,
+        "eventually_consistent": True,
+    }
+    summary_only = dict(digest, summary_sha256="b")
+    behaviour = dict(summary_only, ledger_sha256={"client": "m"}, events_fired=101)
+    old = {"x": {"1": digest, "2": digest}, "gone": {"1": digest}}
+    new = {"x": {"1": summary_only, "2": behaviour}, "y": {"1": digest}}
+    assert describe_changes(old, new) == [
+        "x seed=1: summary_sha256 changed; headline fields unchanged",
+        "x seed=2: summary_sha256, ledger_sha256[client] changed; events_fired 100 -> 101",
+        "y seed=1: new",
+        "gone: removed",
+    ]
+    assert describe_changes(old, old)[0] == "gone seed=1: unchanged"
 
 
 def test_golden_file_covers_every_scenario_and_seed():
@@ -189,7 +245,9 @@ if __name__ == "__main__":
 
     if "--write" not in sys.argv:
         sys.exit("refusing to regenerate goldens without --write")
-    GOLDEN_PATH.write_text(
-        json.dumps(compute_goldens(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    previous = load_goldens() if GOLDEN_PATH.exists() else {}
+    goldens = compute_goldens()
+    for line in describe_changes(previous, goldens):
+        print(line)
+    GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")

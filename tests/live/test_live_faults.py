@@ -22,7 +22,7 @@ from repro.live.faults import chaos_plan, compile_failures
 from repro.live.supervisor import LivePause, require_fork
 from repro.live.worker import stable_ledger_rows
 from repro.topology import Topology
-from repro.workloads.scenarios import FailureSpec, Scenario
+from repro.workloads.scenarios import FailureSpec, resolve_failures
 
 live_only = pytest.mark.skipif(
     os.environ.get("REPRO_LIVE_TESTS") != "1",
@@ -57,7 +57,9 @@ def _failure_spec(kind: str, target: str) -> FailureSpec:
 
 def _sim_rows_with_failures(placement, seed, rate, failures):
     deployment = placement.deploy(seed=seed, aggregate_rate=rate, source_stop_time=STOP)
-    Scenario(failures=list(failures)).inject(deployment.cluster)
+    deployment.cluster.failures.inject(
+        resolve_failures(placement, failures), deployment.wiring.sources, deployment.wiring.nodes
+    )
     deployment.start()
     deployment.run_for(STOP + 6.0)
     return stable_ledger_rows(deployment.clients[0])

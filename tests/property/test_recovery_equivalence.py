@@ -38,7 +38,7 @@ def _crash_run(
     aggregate_rate,
     crash_start,
     crash_duration,
-    node_level,
+    level,
 ):
     return (
         ScenarioSpec.chain(
@@ -54,7 +54,7 @@ def _crash_run(
             "crash",
             start=crash_start,
             duration=crash_duration,
-            node_level=min(node_level, chain_depth - 1),
+            node=f"node{min(level, chain_depth - 1) + 1}",
             node_replica=0,
         )
         .run()
@@ -68,10 +68,10 @@ def _crash_run(
     aggregate_rate=st.sampled_from([60.0, 90.0]),
     crash_start=st.sampled_from([5.0, 6.3, 8.0]),
     crash_duration=st.sampled_from([4.0, 7.0, 10.0]),
-    node_level=st.sampled_from([0, 1]),
+    level=st.sampled_from([0, 1]),
 )
 def test_checkpoint_recovery_matches_full_replay(
-    seed, chain_depth, aggregate_rate, crash_start, crash_duration, node_level
+    seed, chain_depth, aggregate_rate, crash_start, crash_duration, level
 ):
     kwargs = dict(
         seed=seed,
@@ -79,7 +79,7 @@ def test_checkpoint_recovery_matches_full_replay(
         aggregate_rate=aggregate_rate,
         crash_start=crash_start,
         crash_duration=crash_duration,
-        node_level=node_level,
+        level=level,
     )
     checkpointed = _crash_run(2.0, **kwargs)
     replay = _crash_run(None, **kwargs)
@@ -110,7 +110,7 @@ def _mid_correction_run(checkpoint_interval, seed=1):
             checkpoint_interval=checkpoint_interval,
         )
         .with_failure("disconnect", start=5.0, duration=8.0, stream_index=0)
-        .with_failure("crash", start=13.2, duration=5.0, node_level=0, node_replica=0)
+        .with_failure("crash", start=13.2, duration=5.0, node="node1", node_replica=0)
         .run()
     )
 

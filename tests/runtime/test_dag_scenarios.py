@@ -41,9 +41,9 @@ def test_crash_on_out_of_range_replica_fails_at_build_time():
         spec.validate()
 
 
-def test_crash_level_out_of_range_fails_at_build_time():
-    spec = _diamond_spec().with_failure("crash", duration=5.0, node_level=9)
-    with pytest.raises(ConfigurationError):
+def test_crash_of_a_chain_name_on_a_dag_fails_at_build_time():
+    spec = _diamond_spec().with_failure("crash", duration=5.0, node="node1")
+    with pytest.raises(ConfigurationError, match="node1"):
         spec.validate()
 
 
@@ -72,20 +72,20 @@ def test_custom_topology_from_node_specs():
 
 
 # --------------------------------------------------------------------------- name-based addressing
-def test_name_based_node_lookup_and_level_shim():
+def test_name_based_node_lookup():
     runtime = _diamond_spec(settle=5.0, warmup=1.0).build()
     assert runtime.node("merge", 0).name == "merge"
     assert runtime.node("merge", 1).name == "merge'"
     assert [n.name for n in runtime.node_group("left")] == ["left", "left'"]
-    # The level shim indexes the topological order.
-    assert runtime.node(0).name == "ingest"
-    assert runtime.node(3, 1).name == "merge'"
+    # Replica groups are listed in topological order.
+    assert [group[0].name for group in runtime.cluster.nodes] == runtime.topology.node_names
+    assert runtime.topology.node_names[0] == "ingest"
     with pytest.raises(ConfigurationError):
         runtime.node("nope")
     with pytest.raises(ConfigurationError):
         runtime.node("merge", 7)
-    with pytest.raises(ConfigurationError):
-        runtime.node(11)
+    with pytest.raises(ConfigurationError, match="no node"):
+        runtime.node_group("node4")
 
 
 # --------------------------------------------------------------------------- end-to-end acceptance

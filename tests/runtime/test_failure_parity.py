@@ -2,7 +2,7 @@
 
 A :class:`FailureSpec` target is interpreted once, by
 :func:`repro.workloads.scenarios.resolve_failures`; ``ScenarioSpec.validate``,
-the simulator's ``Scenario.inject`` and the live backend's
+the simulator's ``FailureInjector.inject`` and the live backend's
 ``compile_failures`` only consume its result.  These tests pin that from the
 outside, without forking: the endpoints the simulator's ``FailureRecord`` s
 name are the endpoints of the live plan's ``LinkRule`` s / ``LiveKill`` s, a bad
@@ -25,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.live import supervisor
 from repro.live.faults import compile_failures
 from repro.runtime.runtime import LIVE_POST_STOP_SLACK
-from repro.workloads.scenarios import FailureSpec, Scenario
+from repro.workloads.scenarios import FailureSpec, resolve_failures
 
 SHAPES = {
     "chain2": lambda **kw: ScenarioSpec.chain(2, **kw),
@@ -52,7 +52,7 @@ def _sim_endpoints(spec: ScenarioSpec) -> list:
 def _live_endpoints(spec: ScenarioSpec) -> list:
     """What the compiled live plan names: link rules first, then kills."""
     placement = compile_topology(spec.resolved_topology(), spec.replicas_per_node)
-    plan, kills = compile_failures(placement, spec.as_scenario().failures, seed=1)
+    plan, kills = compile_failures(placement, spec.resolved_failures(), seed=1)
     named = [
         (rule.kind, (rule.sender, rule.receiver))
         if rule.kind == "stream_disconnect"
@@ -68,19 +68,27 @@ def _live_endpoints(spec: ScenarioSpec) -> list:
 
 # --------------------------------------------------------------------------- endpoint parity
 @pytest.mark.parametrize("replica", [0, -1])
-@pytest.mark.parametrize("by_name", [True, False], ids=["node", "node_level"])
 @pytest.mark.parametrize("kind", ["partition", "crash"])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_node_failures_name_the_same_endpoints_on_both_backends(shape, kind, by_name, replica):
+def test_node_failures_name_the_same_endpoints_on_both_backends(shape, kind, replica):
     base = SHAPES[shape](warmup=1.0, settle=1.0, seed=1)
-    names = base.resolved_topology().node_names
-    for level, name in enumerate(names):
-        target = {"node": name} if by_name else {"node_level": level}
-        spec = base.with_failure(kind, duration=1.0, node_replica=replica, **target)
+    for name in base.resolved_topology().node_names:
+        spec = base.with_failure(kind, duration=1.0, node=name, node_replica=replica)
         sim = _sim_endpoints(spec)
         assert sim == _live_endpoints(spec)
         expected = [name, name + "'"] if replica == -1 else [name]
         assert [endpoint for _, endpoint in sim] == expected
+
+
+@pytest.mark.parametrize("kind", ["partition", "crash"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_unnamed_node_target_is_the_first_node_in_topological_order(shape, kind):
+    base = SHAPES[shape](warmup=1.0, settle=1.0, seed=1)
+    first = base.resolved_topology().node_names[0]
+    spec = base.with_failure(kind, duration=1.0)
+    sim = _sim_endpoints(spec)
+    assert sim == _live_endpoints(spec)
+    assert [endpoint for _, endpoint in sim] == [first]
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -102,8 +110,8 @@ def test_mixed_schedule_keeps_every_action():
         ScenarioSpec.chain(2, warmup=1.0, settle=1.0, seed=1)
         .with_failure("disconnect", duration=1.0)
         .with_branch_crash("node2", duration=1.0)
-        .with_failure("crash", duration=1.0, node_level=0)
-        .with_partition(node_level=1, replica=1, duration=1.0)
+        .with_failure("crash", duration=1.0, node="node1")
+        .with_partition("node2", replica=1, duration=1.0)
     )
     sim, live = _sim_endpoints(spec), _live_endpoints(spec)
     assert len(sim) == len(live) == 2 + 2 + 1 + 1
@@ -113,7 +121,7 @@ def test_mixed_schedule_keeps_every_action():
 # --------------------------------------------------------------------------- one error
 BAD_TARGETS = {
     "unknown node": dict(kind="crash", node="nope"),
-    "node level out of range": dict(kind="partition", node_level=7),
+    "node past the end of the chain": dict(kind="partition", node="node7"),
     "replica out of range": dict(kind="crash", node="node1", node_replica=2),
     "negative replica": dict(kind="partition", node="node1", node_replica=-2),
     "stream out of range": dict(kind="disconnect", stream_index=3),
@@ -133,7 +141,7 @@ def test_bad_target_is_the_same_error_at_every_seam(case):
     messages = []
     for seam in (
         spec.validate,
-        lambda: Scenario(failures=[failure]).inject(placement.deploy().cluster),
+        lambda: resolve_failures(placement, [failure]),
         lambda: compile_failures(placement, [failure], seed=1),
     ):
         with pytest.raises(ConfigurationError) as error:
@@ -147,7 +155,7 @@ def test_unresolved_start_is_rejected_by_both_consumers():
     placement = compile_topology(ScenarioSpec.chain(2).resolved_topology(), 2)
     messages = []
     for seam in (
-        lambda: Scenario(failures=[failure]).inject(placement.deploy().cluster),
+        lambda: resolve_failures(placement, [failure]),
         lambda: compile_failures(placement, [failure], seed=1),
     ):
         with pytest.raises(ConfigurationError, match="unresolved start") as error:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.event_loop import Simulator
 from repro.sim.failures import FailureInjector, FailureType
 from repro.sim.network import Network
 from repro.sim.sources import DataSource
+from repro.workloads.scenarios import FailureAction
 
 
 def setup():
@@ -68,3 +69,54 @@ def test_overlap_detection():
     assert not injector.overlapping()
     injector.silence_boundaries(source, start=3.0, duration=1.0)
     assert injector.overlapping()
+
+
+class _Replica:
+    """The crash/recover surface of a ProcessingNode, recording its calls."""
+
+    def __init__(self, name, sim, log):
+        self.name, self._sim, self._log = name, sim, log
+
+    def crash(self):
+        self._log.append(("crash", self._sim.now))
+
+    def recover(self):
+        self._log.append(("recover", self._sim.now))
+
+
+def test_inject_schedules_each_action_and_checks_crash_targets_at_fire_time():
+    sim, _net, source, injector = setup()
+    log = []
+    actions = [
+        FailureAction("silence", 0.5, 1.0, source="src"),
+        FailureAction("crash", 1.0, 1.0, endpoint="node'", node="node", replica=1),
+    ]
+    silence, crash = injector.inject(
+        actions,
+        {"src": source},
+        {"node'": _Replica("node'", sim, log)},
+        check_target=lambda name: log.append(("check", name, sim.now)),
+    )
+    assert silence.failure_type is FailureType.BOUNDARY_SILENCE
+    assert (crash.failure_type, crash.target, crash.end) == (FailureType.NODE_CRASH, "node'", 2.0)
+    assert log == []  # nothing is checked or crashed while scheduling
+    sim.run_until(3.0)
+    assert log == [("check", "node", 1.0), ("crash", 1.0), ("recover", 2.0)]
+
+
+def test_inject_crash_whose_target_check_fails_never_crashes():
+    sim, _net, source, injector = setup()
+    log = []
+
+    def reject(name):
+        raise ConfigurationError(f"{name} was drained")
+
+    injector.inject(
+        [FailureAction("crash", 1.0, 1.0, endpoint="node", node="node", replica=0)],
+        {},
+        {"node": _Replica("node", sim, log)},
+        check_target=reject,
+    )
+    with pytest.raises(ConfigurationError, match="node was drained"):
+        sim.run_until(3.0)
+    assert log == []

@@ -98,7 +98,7 @@ def test_checkpoint_restore_preserves_open_windows():
     snapshot = op.checkpoint()
     feed(op, [(3.0, {"v": 3})])
     op.restore(snapshot)
-    assert op.open_window_count == 1
+    assert op.open_cell_count == 1
     out = [t for t in op.process(0, StreamTuple.boundary(9, 10.0)) if t.is_data]
     assert out[0].values["n"] == 2
 

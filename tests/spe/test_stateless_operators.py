@@ -53,13 +53,11 @@ def test_union_merges_in_arrival_order():
     assert [t.tuple_id for t in out] == [0, 1, 2]
 
 
-def test_union_labels_output_tentative_when_input_missing():
+def test_union_forwards_each_tuples_label():
     op = Union("u", arity=2)
-    op.mark_port_missing(1)
-    out = op.process(0, StreamTuple.insertion(0, 0.0, {"seq": 0}))
+    out = op.process(0, StreamTuple.tentative(0, 0.0, {"seq": 0}))
     assert out[0].is_tentative
-    op.mark_port_available(1)
-    out = op.process(0, StreamTuple.insertion(1, 0.1, {"seq": 1}))
+    out = op.process(1, StreamTuple.insertion(0, 0.1, {"seq": 1}))
     assert out[0].is_stable
 
 

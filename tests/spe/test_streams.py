@@ -62,13 +62,12 @@ def test_log_truncation_and_replay_limits():
     assert [t.tuple_id for t in log.replay_after(4)] == [5, 6, 7, 8, 9]
 
 
-def test_log_last_stable_and_tentative_tail():
+def test_log_last_stable_id():
     log = StreamLog("s")
     log.append(StreamTuple.insertion(0, 0.0, {}))
     log.append(StreamTuple.tentative(1, 0.1, {}))
     log.append(StreamTuple.tentative(2, 0.2, {}))
     assert log.last_stable_id() == 0
-    assert [t.tuple_id for t in log.tail_after_last_stable()] == [1, 2]
 
 
 def test_log_bounded_capacity_flag():

@@ -5,8 +5,6 @@ import pytest
 from repro.spe.tuples import (
     StreamTuple,
     TupleType,
-    count_stable,
-    count_tentative,
     data_only,
     max_stime,
 )
@@ -57,22 +55,13 @@ def test_with_id_preserves_everything_else():
     assert t2.stable_seq == 9
 
 
-def test_with_values_replaces_payload():
-    t = StreamTuple.insertion(1, 1.0, {"x": 1})
-    t2 = t.with_values({"y": 2})
-    assert t2.values == {"y": 2}
-    assert t2.tuple_id == t.tuple_id
-
-
-def test_counting_helpers():
+def test_data_only_and_max_stime():
     items = [
         StreamTuple.insertion(0, 0.0, {}),
         StreamTuple.tentative(1, 0.1, {}),
         StreamTuple.tentative(2, 0.2, {}),
         StreamTuple.boundary(3, 0.3),
     ]
-    assert count_stable(items) == 1
-    assert count_tentative(items) == 2
     assert len(data_only(items)) == 3
     assert max_stime(items) == pytest.approx(0.3)
     assert max_stime([]) == float("-inf")
@@ -172,6 +161,3 @@ def test_relabeled_copies_share_the_payload_mapping():
     assert stable.as_tentative().as_stable().values is stable.values
     assert stable.with_id(9).values is stable.values
     assert stable.with_stable_seq(2).values is stable.values
-    # with_values still copies: the caller's mapping stays caller-owned.
-    replacement = {"y": 2}
-    assert stable.with_values(replacement).values is not replacement

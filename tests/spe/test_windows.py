@@ -84,7 +84,6 @@ def test_window_panes_and_pane_windows_are_inverse():
     for pane in range(-12, 13):
         for window in spec.pane_windows(pane):
             assert pane in spec.window_panes(window)
-        assert spec.last_pane_window(pane) == max(spec.pane_windows(pane))
 
 
 def test_pane_membership_matches_float_window_membership():

@@ -146,6 +146,26 @@ def test_scenario_rejects_unknown_failure_node(capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+def test_scenario_crash_without_failure_node_hits_the_first_node(capsys):
+    code = cli.main(
+        ["scenario", "--topology", "diamond", "--failure", "crash", "--failure-duration", "2",
+         "--rate", "60", "--warmup", "1", "--settle", "6", "--seed", "1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "failure: node_crash on ingest at t=1s for 2s" in out
+
+
+def test_scenario_names_failure_targets_only_by_node(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["scenario", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--failure-node" in help_text and "--failure-level" not in help_text
+    with pytest.raises(SystemExit):
+        cli.main(["scenario", "--failure-level", "1"])
+    assert "unrecognized arguments: --failure-level" in capsys.readouterr().err
+
+
 def test_plan_delays_diamond_topology(capsys):
     assert cli.main(["plan-delays", "--topology", "diamond", "--budget", "9",
                      "--strategy", "uniform"]) == 0

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.deploy import compile as compile_topology
+from repro.errors import ConfigurationError
+from repro.runtime import ScenarioSpec
 from repro.topology import Topology
 from repro.workloads.generators import (
     interleaved_sequence,
@@ -10,7 +12,7 @@ from repro.workloads.generators import (
     sensor_readings,
     sequential_sequence,
 )
-from repro.workloads.scenarios import FailureSpec, Scenario, single_failure
+from repro.workloads.scenarios import FailureSpec, resolve_failures
 
 
 def test_sequential_sequence():
@@ -45,40 +47,52 @@ def test_sensor_readings_shape():
     assert record["sensor"] == 1
 
 
-def test_scenario_total_duration():
-    scenario = Scenario(warmup=5.0, settle=10.0, failures=[FailureSpec("silence", 5.0, 20.0)])
-    assert scenario.total_duration() == 35.0
-    assert Scenario(warmup=5.0, settle=10.0).total_duration() == 15.0
+def test_spec_total_duration_runs_settle_past_the_last_failure():
+    spec = ScenarioSpec(warmup=5.0, settle=10.0)
+    assert spec.total_duration() == 15.0
+    assert spec.with_failure("silence", start=5.0, duration=20.0).total_duration() == 35.0
+    # The latest *end* counts, not the latest start; start=None is the warmup.
+    overlapping = spec.with_failure("disconnect", duration=8.0).with_failure(
+        "crash", start=6.0, duration=1.0
+    )
+    assert overlapping.total_duration() == 23.0
+    assert spec.with_overrides(duration=4.0).total_duration() == 4.0
 
 
-def test_single_failure_helper():
-    scenario = single_failure(kind="disconnect", start=3.0, duration=4.0, settle=6.0)
-    assert scenario.failures[0].kind == "disconnect"
-    assert scenario.total_duration() == 13.0
+def test_one_failure_at_the_warmup_end():
+    spec = ScenarioSpec(warmup=3.0, settle=6.0).with_failure("disconnect", duration=4.0)
+    assert [failure.kind for failure in spec.resolved_failures()] == ["disconnect"]
+    assert spec.resolved_failures()[0].start == 3.0
+    assert spec.total_duration() == 13.0
 
 
-def test_scenario_rejects_unknown_failure_kind():
+def test_resolve_rejects_unknown_failure_kind():
     placement = compile_topology(Topology.chain(1), replicas_per_node=1)
-    cluster = placement.deploy(aggregate_rate=30.0, join_state_size=None).cluster
-    scenario = Scenario(failures=[FailureSpec("meteor", 1.0, 1.0)])
-    with pytest.raises(ValueError):
-        scenario.inject(cluster)
+    with pytest.raises(ConfigurationError, match="unknown failure kind"):
+        resolve_failures(placement, [FailureSpec("meteor", 1.0, 1.0)])
 
 
-def test_scenario_inject_schedules_failures():
+def test_inject_schedules_one_primitive_per_resolved_action():
     placement = compile_topology(Topology.chain(1), replicas_per_node=1)
-    cluster = placement.deploy(aggregate_rate=30.0, join_state_size=None).cluster
-    scenario = Scenario(
-        warmup=1.0,
-        settle=1.0,
-        failures=[
+    deployment = placement.deploy(aggregate_rate=30.0, join_state_size=None)
+    actions = resolve_failures(
+        placement,
+        [
             FailureSpec("disconnect", 1.0, 1.0, stream_index=0),
             FailureSpec("silence", 1.5, 1.0, stream_index=1),
+            FailureSpec("crash", 2.0, 1.0),
         ],
     )
-    records = scenario.inject(cluster)
-    assert len(records) >= 2
-    assert cluster.simulator.pending_events > 0
+    injector = deployment.cluster.failures
+    records = injector.inject(actions, deployment.wiring.sources, deployment.wiring.nodes)
+    assert [(r.failure_type.value, r.target) for r in records] == [
+        ("stream_disconnect", "source.s1->node1"),
+        ("boundary_silence", "source.s2"),
+        ("node_crash", "node1"),
+    ]
+    assert injector.history == records
+    # Every failure is scheduled with its heal: two events per action.
+    assert deployment.simulator.pending_events == 2 * len(records)
 
 
 # --------------------------------------------------------------------------- rate profiles
