@@ -4,7 +4,7 @@ The reproduction does not try to match the paper's absolute numbers (they
 were measured on the authors' hardware); what must hold is the *shape* of
 each result -- which policy wins, what stays flat, what grows, and where
 crossovers fall.  The helpers in this module turn those statements into
-:class:`ShapeCheck` verdicts used by the benchmarks, the report generator,
+:class:`ShapeCheck` verdicts used by the registry, the report generator,
 and the test suite.
 """
 

@@ -278,32 +278,102 @@ def _buffers_section(results: list[ablations.BufferBoundResult]) -> ReportSectio
     ])
 
 
-def _fanin_section(results: list[ExperimentResult]) -> ReportSection:
+def _fanin_section(name: str, title: str, parts: str, survivors: Sequence[str],
+                   failed: Sequence[str], results: list[ExperimentResult]) -> ReportSection:
+    """Of the ``parts`` merged, only ``failed`` go tentative; the merge meets its bound."""
     checks = [consistency_check(results)]
     for r in results:
         at = f"{r.failure_duration:g} s failure"
-        tentative = {name: counts["tentative"] for name, counts in r.extra["branches"].items()}
+        counts = r.extra[parts]
+        tentative = {part: c["tentative"] for part, c in counts.items()}
         checks += [
-            check_holds(f"branch2 stays stable ({at})", tentative["branch2"] == 0, **tentative),
-            check_holds(f"branch1 and the merge go tentative ({at})",
-                        tentative["branch1"] > 0 and tentative["merge"] > 0, **tentative),
+            check_holds(f"{', '.join(survivors)} stable, never tentative ({at})",
+                        all(counts[p]["tentative"] == 0 < counts[p]["stable"] for p in survivors),
+                        **tentative),
+            check_holds(f"tentative output from {' and '.join(failed)} ({at})",
+                        all(tentative[p] > 0 for p in failed), **tentative),
             check_within(f"the merge meets the bound ({at})", r.proc_new,
                          r.extra["availability_bound"]),
         ]
-    table = _branch_table("Fan-in topology: boundary silence on one branch", results, "branches")
-    return _section("fanin", [table], checks)
+    return _section(name, [_branch_table(title, results, parts)], checks)
+
+
+def _shard_section(results: list[ExperimentResult]) -> ReportSection:
+    section = _fanin_section("shard", "Sharded topology: both replicas of 'shard1' crashed",
+                             "shards", results[0].extra["survivors"], ("merge",), results)
+    for r in results:
+        at = f"{r.failure_duration:g} s failure"
+        unstable = [name for name, states in r.extra["shard_states"].items()
+                    if set(states) != {"stable"}]
+        moves = r.extra["rebalance"]["moves"]
+        section.add_check(check_holds(f"every replica group ends STABLE ({at})", not unstable,
+                                      unstable=unstable))
+        section.add_check(check_holds(f"the planner wants no bucket moves ({at})", moves == 0,
+                                      moves=moves))
+    return section
+
+
+def _shard_throughput_section(rows: list[dict]) -> ReportSection:
+    columns = ("tuples_per_second", "events_fired", "split_egress", "proc_new", "operators",
+               "eventually_consistent")
+    table = _table("Sharded scale-out: sustained throughput vs the equal-operator chain",
+                   "deployment", ((row["label"], _pick(row, *columns)) for row in rows))
+    *sharded, chain = rows
+    widest = sharded[-1]
+    ratio = chain["events_per_tuple"] / widest["events_per_tuple"]
+    return _section("shard-throughput", [table], [
+        # X = 3 s, the DPCConfig default both deployments run with.
+        check_holds("every run is consistent with Proc_new < X = 3 s",
+                    all(r["eventually_consistent"] and r["proc_new"] < 3.0 for r in rows),
+                    **{r["label"]: r["proc_new"] for r in rows}),
+        check_holds(f"{chain['label']} fires >= 1.25x {widest['label']}'s events per stable tuple",
+                    ratio >= 1.25, ratio=ratio),
+        check_holds("every shard count delivers the same stable output",
+                    len({r["stable_tuples"] for r in sharded}) == 1,
+                    **{r["label"]: r["stable_tuples"] for r in sharded}),
+        check_holds("the split sends about one copy per stable tuple, not one per shard",
+                    all(r["split_egress"] < 1.25 * r["stable_tuples"] for r in sharded),
+                    **{r["label"]: r["split_egress"] / r["stable_tuples"] for r in sharded}),
+    ])
+
+
+def _recovery_section(pairs: list[tuple[ablations.RecoveryResult, ...]]) -> ReportSection:
+    table = _table("Crash recovery: checkpoint-shipped rejoin vs full subscription replay", "failure", (
+        (f"{ckpt.failure_duration:g} s", {
+            "ckpt mode": ckpt.mode, "ckpt recovery (s)": ckpt.recovery_s,
+            "replay recovery (s)": replay.recovery_s, "ckpt suffix": ckpt.replayed,
+            "replay suffix": replay.replayed, "shipped items": ckpt.shipped_items,
+            "ledgers identical": ckpt.ledger_rows == replay.ledger_rows,
+        })
+        for ckpt, replay in pairs
+    ))
+    checks = [consistency_check([run for pair in pairs for run in pair])]
+    for ckpt, replay in pairs:
+        at = f"{ckpt.failure_duration:g} s failure"
+        same = ckpt.ledger_rows == replay.ledger_rows and replay.mode == "replay"
+        checks.append(check_holds(f"both modes end with the same stable ledger ({at})", same,
+                                  replay_mode=replay.mode))
+        if ckpt.failure_duration >= 4.0:  # shorter outages may rightly prefer replay
+            faster = ckpt.recovery_s < replay.recovery_s and ckpt.replayed < replay.replayed
+            checks += [
+                check_holds(f"the checkpoint path engages ({at})", ckpt.mode == "checkpoint",
+                            mode=ckpt.mode),
+                check_holds(f"checkpoint beats replay on modeled time and suffix ({at})", faster,
+                            ckpt_s=ckpt.recovery_s, replay_s=replay.recovery_s,
+                            ckpt_suffix=ckpt.replayed, replay_suffix=replay.replayed),
+            ]
+    (short_ckpt, short_replay), (long_ckpt, long_replay) = pairs[0], pairs[-1]
+    ckpt_growth = long_ckpt.recovery_s - short_ckpt.recovery_s
+    replay_growth = long_replay.recovery_s - short_replay.recovery_s
+    checks.append(check_holds("replay cost grows with the outage, checkpoint cost does not as fast",
+                              0 < replay_growth and ckpt_growth < replay_growth,
+                              ckpt_growth_s=ckpt_growth, replay_growth_s=replay_growth))
+    return _section("recovery", [table], checks)
 
 
 # --------------------------------------------------------------------------- tables-only extensions
 def _branch_sweep(sweep: Callable, title: str, parts: str, durations: Sequence[float]) -> list:
     return [_branch_table(title, sweep(durations, seed=1), parts)]
-
-
-def _shard_throughput(counts: Sequence[int]) -> list[ResultTable]:
-    rows = shards.shard_throughput_sweep(counts, aggregate_rate=1200.0, duration=15.0)
-    columns = ("tuples_per_second", "events_fired", "proc_new", "operators", "eventually_consistent")
-    return [_table("Sharded scale-out: sustained throughput vs the equal-operator chain",
-                   "deployment", ((row["label"], _pick(row, *columns)) for row in rows))]
 
 
 def _rebalance(seeds: Sequence[int]) -> list[ResultTable]:
@@ -321,18 +391,6 @@ def _autoscale(seeds: Sequence[int]) -> list[ResultTable]:
         (f"seed {seed}", _cells(r, actions=len(r.extra["autoscale"]["actions"]),
                                 **_pick(r.extra["autoscale"], *columns)))
         for seed, r in zip(seeds, shards.autoscale_sweep(seeds))
-    ))]
-
-
-def _recovery(durations: Sequence[float]) -> list[ResultTable]:
-    return [_table("Crash recovery: checkpoint-shipped rejoin vs full subscription replay", "failure", (
-        (f"{ckpt.failure_duration:g} s", {
-            "ckpt mode": ckpt.mode, "ckpt recovery (s)": ckpt.recovery_s,
-            "replay recovery (s)": replay.recovery_s, "ckpt suffix": ckpt.replayed,
-            "replay suffix": replay.replayed, "shipped items": ckpt.shipped_items,
-            "ledgers identical": ckpt.ledger_rows == replay.ledger_rows,
-        })
-        for ckpt, replay in ablations.recovery_time_sweep(durations)
     ))]
 
 
@@ -427,13 +485,13 @@ EXPERIMENTS: dict[str, Experiment] = {entry.name: entry for entry in (
                               "Diamond topology: branch crash (all replicas of 'left')", "branches"),
            (4.0, 8.0), _DURATIONS_FULL,
            description="DAG: diamond (fan-out + fan-in) with one branch crashed"),
-    _entry("fanin", partial(dags.fanin_sweep, seed=1), (4.0, 8.0), _DURATIONS_FULL, _fanin_section),
-    _entry("shard", partial(_branch_sweep, partial(shards.shard_kill_sweep, shards=4),
-                            "Sharded topology: both replicas of 'shard1' crashed", "shards"),
-           (4.0, 8.0), _DURATIONS_FULL,
-           description="Sharded scale-out: both replicas of one shard crashed"),
-    _entry("shard-throughput", _shard_throughput, (1, 2, 4), (1, 2, 4, 8),
-           description="Sharded scale-out: throughput vs an equal-operator single chain"),
+    _entry("fanin", partial(dags.fanin_sweep, seed=1), (4.0, 8.0), _DURATIONS_FULL,
+           partial(_fanin_section, "fanin", "Fan-in topology: boundary silence on one branch",
+                   "branches", ("branch2",), ("branch1", "merge"))),
+    _entry("shard", partial(shards.shard_kill_sweep, shards=4, seed=1), (4.0, 8.0),
+           _DURATIONS_FULL, _shard_section),
+    _entry("shard-throughput", shards.shard_throughput_sweep, (1, 2, 4), (1, 2, 4, 8),
+           section=_shard_throughput_section),
     _entry("rebalance", _rebalance, (1, 2), (1, 2, 3, 4),
            description="Live rebalance: skewed load, mid-run bucket handoff between shards"),
     _entry("autoscale", _autoscale, (1, 2), (1, 2, 3, 4),
@@ -447,8 +505,8 @@ EXPERIMENTS: dict[str, Experiment] = {entry.name: entry for entry in (
     _entry("granularity", lambda modes: [ablations.granularity_run(m) for m in modes],
            (False, True), section=_granularity_section),
     _entry("buffers", _buffer_runs, (None, 1.0), section=_buffers_section),
-    _entry("recovery", _recovery, (4.0, 10.0), (2.0, 4.0, 10.0, 20.0),
-           description="State transfer: checkpoint-shipped vs full-replay crash recovery"),
+    _entry("recovery", ablations.recovery_time_sweep, (4.0, 10.0), (2.0, 4.0, 10.0, 20.0),
+           section=_recovery_section),
     _entry("live-throughput", _live_throughput, {"aggregate_rate": 240.0, "warmup": 4.0},
            {"aggregate_rate": 480.0, "warmup": 8.0},
            description="Live backend: wall-clock throughput over real processes and sockets"),

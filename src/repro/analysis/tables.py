@@ -1,6 +1,6 @@
 """Result tables: pivoting and rendering of experiment results.
 
-The benchmark harness produces flat lists of
+The experiment harness produces flat lists of
 :class:`~repro.experiments.harness.ExperimentResult`; the paper reports them
 as two-dimensional tables (e.g. chain depth on the x-axis, one series per
 policy).  This module pivots those lists into :class:`ResultTable` objects and

@@ -258,14 +258,6 @@ class RecoveryResult:
     eventually_consistent: bool
     ledger_rows: Sequence = ()
 
-    def row(self) -> str:
-        return (
-            f"{self.label:<16} fail={self.failure_duration:5.1f}s  mode={self.mode:<16} "
-            f"recovery={self.recovery_s:6.3f}s  replayed={self.replayed:>5}  "
-            f"shipped={self.shipped_items:>5}  Proc_new={self.proc_new:5.2f}s  "
-            f"consistent={'yes' if self.eventually_consistent else 'NO'}"
-        )
-
 
 def recovery_run(
     *,

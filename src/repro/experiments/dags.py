@@ -60,7 +60,9 @@ def diamond_branch_failure(failure_duration: float = 8.0, **spec_options) -> Exp
 
     ``spec_options`` are :func:`diamond_spec`'s keyword arguments.
 
-    The acceptance properties the benchmark asserts:
+    The acceptance properties, asserted by
+    ``tests/runtime/test_dag_scenarios.py`` (and pinned by the golden digest
+    ``diamond-branch-crash``):
 
     * the unaffected branch (``right``) never produces a tentative tuple and
       ends STABLE -- its slice of the stream is never in doubt;

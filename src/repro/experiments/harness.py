@@ -49,14 +49,6 @@ class ExperimentResult:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def row(self) -> str:
-        """One formatted table row (used by the benchmark printouts)."""
-        return (
-            f"{self.label:<28} failure={self.failure_duration:>5.1f}s depth={self.chain_depth} "
-            f"Proc_new={self.proc_new:6.2f}s N_tentative={self.n_tentative:>7d} "
-            f"consistent={'yes' if self.eventually_consistent else 'NO'}"
-        )
-
 
 def availability_run(
     failure_duration: float,
@@ -151,17 +143,11 @@ def summarize_run(
     summaries = list(per_sink.values())
     if failure_duration is None:
         failure_duration = max((f.duration for f in spec.failures), default=0.0)
-    total_stable = sum(s["total_stable"] for s in summaries)
-    wall = runtime.wall_seconds
     extra = {
         "switches": sum(s["switches"] for s in summaries),
         "node_states": [n.state.value for n in runtime.nodes()],
         "reconciliations": sum(n.reconciliations_completed for n in runtime.nodes()),
         "events_fired": runtime.simulator.events_fired,
-        # Host wall clock of the run (not deterministic; excluded from the
-        # byte-identical summary digests, tracked warn-only by the bench CI).
-        "wall_ms": round(wall * 1000, 3),
-        "tuples_per_sec": round(total_stable / wall, 1) if wall > 0 else 0.0,
     }
     if len(summaries) > 1:
         extra["per_sink"] = per_sink
@@ -173,7 +159,7 @@ def summarize_run(
         proc_new=max(s["proc_new"] for s in summaries),
         max_gap=max(s["max_gap"] for s in summaries),
         n_tentative=sum(s["total_tentative"] for s in summaries),
-        n_stable=total_stable,
+        n_stable=sum(s["total_stable"] for s in summaries),
         n_undos=sum(s["total_undos"] for s in summaries),
         n_rec_done=sum(s["total_rec_done"] for s in summaries),
         eventually_consistent=all(s["eventually_consistent"] for s in summaries),

@@ -48,7 +48,7 @@ def equivalent_chain_depth(shards: int) -> int:
     A chain deployment runs 3 operators on its entry node (SUnion + SJoin +
     SOutput) and 2 on every relay (SUnion + SOutput): ``2 * depth + 1``
     operators in total.  Solving ``2d + 1 = 4N + 4`` (rounding up) gives the
-    equal-operator baseline the throughput benchmark compares against.
+    equal-operator baseline the ``shard-throughput`` experiment compares against.
     """
     return max(1, -(-(shard_operator_count(shards) - 1) // 2))
 
@@ -90,10 +90,10 @@ def shard_kill_failure(
 
     ``spec_options`` are :func:`shard_spec`'s keyword arguments.
 
-    The acceptance properties the benchmark asserts:
+    The registry's ``shard`` checks assert the acceptance properties:
 
     * every *surviving* shard keeps its output stable (their key-hash slices
-      are never in doubt) and ends STABLE;
+      are never in doubt) and every replica group ends STABLE;
     * the client's Proc_new stays within the availability bound X;
     * after the shard recovers, reconciliation converges: the merged ledger
       is gap-free, duplicate-free, and ordered.
@@ -146,23 +146,21 @@ def shard_kill_sweep(
     ]
 
 
-def shard_throughput_run(
+def shard_throughput_spec(
     shards: int,
     *,
-    aggregate_rate: float = 240.0,
-    duration: float = 20.0,
+    aggregate_rate: float = 1200.0,
+    duration: float = 15.0,
     replicas_per_node: int = 1,
     seed: int | None = 1,
-) -> dict:
-    """Run a failure-free sharded deployment and measure sustained throughput.
+) -> ScenarioSpec:
+    """The failure-free sharded deployment of the throughput runs.
 
-    Reports wall-clock tuples/sec (stable tuples the client received per
-    second of host time spent simulating), the deterministic simulator event
-    count, and the consistency verdict.  ``replicas_per_node=1`` by default:
-    the throughput axis is orthogonal to replication (replicating both sides
-    scales both costs equally).
+    ``replicas_per_node=1`` by default: the throughput axis is orthogonal to
+    replication (replicating both sides scales both costs equally).  The
+    golden digest ``shard4-steady`` pins ``shard_throughput_spec(4)``.
     """
-    spec = shard_spec(
+    return shard_spec(
         shards,
         aggregate_rate=aggregate_rate,
         replicas_per_node=replicas_per_node,
@@ -170,18 +168,28 @@ def shard_throughput_run(
         settle=0.0,
         seed=seed,
     )
+
+
+def shard_throughput_run(shards: int, **spec_options) -> dict:
+    """Run :func:`shard_throughput_spec` and measure sustained throughput.
+
+    Reports wall-clock tuples/sec (stable tuples the client received per
+    second of host time spent simulating), the deterministic simulator event
+    count, the split's egress, and the consistency verdict.
+    """
+    spec = shard_throughput_spec(shards, **spec_options)
     return _measure_throughput(spec, label=f"shard({shards})")
 
 
 def chain_throughput_run(
     depth: int,
     *,
-    aggregate_rate: float = 240.0,
-    duration: float = 20.0,
+    aggregate_rate: float = 1200.0,
+    duration: float = 15.0,
     replicas_per_node: int = 1,
     seed: int | None = 1,
 ) -> dict:
-    """The equal-operator single-chain baseline of the throughput benchmark."""
+    """The equal-operator single-chain baseline of the throughput runs."""
     config = DPCConfig(delay_policy=DelayPolicy.process_process())
     spec = ScenarioSpec.chain(
         depth,
@@ -196,12 +204,11 @@ def chain_throughput_run(
 
 
 def _measure_throughput(spec: ScenarioSpec, label: str) -> dict:
-    runtime = spec.build()
-    runtime.run()
-    # The runtime's own wall clock: one definition of "wall time for a run"
-    # everywhere (harness extra["wall_ms"], bench baselines, this sweep).
+    runtime = spec.run()
+    # The runtime's own wall clock: one definition of "wall time for a run".
     wall = runtime.wall_seconds
     stable = sum(c.summary()["total_stable"] for c in runtime.clients)
+    split = runtime.node_group("split") if "split" in runtime.topology.node_names else []
     return {
         "label": label,
         "scenario": spec.name,
@@ -216,17 +223,10 @@ def _measure_throughput(spec: ScenarioSpec, label: str) -> dict:
         "operators": sum(
             len(node.diagram.operators) for group in runtime.cluster.nodes for node in group
         ),
-        # Tuples still held in output buffers at the end: bounded by the
-        # checkpoint-acknowledgment window, not by the run length.
-        "output_buffered_end": sum(
-            output["buffered"]
-            for node in runtime.cluster.all_nodes()
-            for output in node.statistics()["outputs"].values()
-        ),
-        # What the client's own instrument holds per delivered tuple: sealed
-        # ledger segments plus packed arrival columns.
-        "client_bytes_per_tuple": sum(c.metrics.packed_bytes for c in runtime.clients)
-        / max(sum(len(c.metrics.consistency.ledger) for c in runtime.clients), 1),
+        # Tuples the split router put on the wire (0 for a chain): filtered
+        # subscriptions send each shard only its slice, so about one per
+        # stable tuple rather than one per shard.
+        "split_egress": sum(node.tuples_sent for node in split),
     }
 
 
@@ -250,7 +250,8 @@ def rebalance_run(
     runtime asks the :class:`~repro.sharding.ShardPlanner` for a plan against
     the *observed* bucket loads and applies it to the live deployment
     (filter-epoch cut at a bucket boundary + SJoin state shipping).  The
-    properties the benchmark asserts:
+    properties ``tests/deploy/test_rebalance.py`` asserts on the same
+    schedule (the golden digest ``shard4-rebalance`` pins one run):
 
     * the plan has real moves and strictly improves the peak-to-mean shard
       imbalance;
@@ -302,7 +303,7 @@ def rebalance_run(
     return result
 
 
-def autoscale_run(
+def autoscale_spec(
     seed: int | None = 1,
     *,
     shards: int = 2,
@@ -314,7 +315,7 @@ def autoscale_run(
     surge_end: float = 34.0,
     duration: float = 55.0,
     policy: "AutoscalePolicy | None" = None,
-) -> ExperimentResult:
+) -> ScenarioSpec:
     """Elastic scale-out and scale-in driven by the autoscaler policy loop.
 
     The zipfian hot-key workload runs at ``base_rate`` until ``surge_start``,
@@ -323,7 +324,8 @@ def autoscale_run(
     pushes the mean past the high watermark (scale-out attaches fragments
     live, seeds their state, cuts buckets over with a priced handoff), the
     subsidence drops it below the low watermark (scale-in drains a shard and
-    decommissions its fragment).  The properties the benchmark asserts:
+    decommissions its fragment).  ``tests/deploy/test_elasticity.py`` asserts
+    across seeds, and the golden digest ``shard2-autoscale`` pins, that:
 
     * the deployment actually scales out beyond its initial shard count and
       back down to it, within one run;
@@ -335,7 +337,7 @@ def autoscale_run(
     from ..workloads.generators import step_rate
 
     config = DPCConfig(delay_policy=DelayPolicy.process_process())
-    spec = ScenarioSpec.sharded(
+    return ScenarioSpec.sharded(
         name=f"autoscale-{shards}",
         shards=shards,
         skew=skew,
@@ -359,7 +361,11 @@ def autoscale_run(
             plan_budget=8,
         ),
     )
-    runtime = spec.run()
+
+
+def autoscale_run(seed: int | None = 1, **spec_options) -> ExperimentResult:
+    """Run :func:`autoscale_spec`; report the autoscaler's actions and handoffs."""
+    runtime = autoscale_spec(seed, **spec_options).run()
     result = summarize_run(runtime, failure_duration=0.0)
     deployment = runtime.deployment
     aborts = sum(len(r.get("aborts", [])) for r in deployment.rebalances)
@@ -399,27 +405,11 @@ def rebalance_sweep(
     return [rebalance_run(seed, shards=shards, skew=skew) for seed in seeds]
 
 
-def shard_throughput_sweep(
-    shard_counts: Sequence[int] = (1, 2, 4, 8),
-    *,
-    aggregate_rate: float = 240.0,
-    duration: float = 20.0,
-    seed: int | None = 1,
-) -> list[dict]:
-    """Throughput for each shard count plus its equal-operator chain baseline."""
-    rows: list[dict] = []
-    for shards in shard_counts:
-        rows.append(
-            shard_throughput_run(
-                int(shards), aggregate_rate=aggregate_rate, duration=duration, seed=seed
-            )
-        )
-    rows.append(
-        chain_throughput_run(
-            equivalent_chain_depth(max(int(s) for s in shard_counts)),
-            aggregate_rate=aggregate_rate,
-            duration=duration,
-            seed=seed,
-        )
-    )
-    return rows
+def shard_throughput_sweep(shard_counts: Sequence[int] = (1, 2, 4, 8), **options) -> list[dict]:
+    """Throughput for each shard count plus the largest one's equal-operator chain.
+
+    ``options`` (rate, duration, replicas, seed) apply to every run alike.
+    """
+    rows = [shard_throughput_run(int(shards), **options) for shards in shard_counts]
+    depth = equivalent_chain_depth(max(int(s) for s in shard_counts))
+    return rows + [chain_throughput_run(depth, **options)]

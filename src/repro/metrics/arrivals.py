@@ -83,11 +83,6 @@ class ArrivalLog:
             if code < _DATA_CODES and (is_new or not new_only)
         ]
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the columns (a demoted sequence column counts its 8-byte slots)."""
-        return len(self.codes) * (8 + 8 + 1 + 1 + 8)
-
 
 class RowView:
     """A sized, re-iterable view of an :class:`ArrivalLog`.

@@ -55,15 +55,6 @@ class MetricsCollector:
         """Every observed tuple as a :class:`TraceEntry`, built per iteration."""
         return RowView(self.latency.arrivals, _trace_entry, data_only=False)
 
-    @property
-    def packed_bytes(self) -> int:
-        """Bytes of the sealed ledger segments plus the arrival columns.
-
-        Deterministic for a run (it excludes the open ledger tail, which is
-        bounded by one segment): the number the retention gate tracks.
-        """
-        return self.consistency.ledger.sealed_bytes + self.latency.arrivals.nbytes
-
     # ------------------------------------------------------------------ summaries
     def summary(self) -> dict:
         return {

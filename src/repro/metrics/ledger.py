@@ -129,10 +129,6 @@ class TupleLedger(Sequence):
             return list(self._sealed)
         return [*self._sealed, encode_tuples(self._tail)]
 
-    @property
-    def sealed_bytes(self) -> int:
-        return sum(map(len, self._sealed))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<TupleLedger {len(self)} tuples: {len(self._sealed)} sealed segments "

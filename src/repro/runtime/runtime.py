@@ -111,9 +111,8 @@ class SimulationRuntime:
         self._started = False
         self._completed = False
         #: Host seconds spent inside :meth:`run` / :meth:`run_for` (wall
-        #: clock, cumulative).  Reported by the experiment harness as
-        #: ``extra["wall_ms"]`` but deliberately *not* part of
-        #: :meth:`summary`, which must stay byte-identical across hosts.
+        #: clock, cumulative).  Deliberately *not* part of :meth:`summary`,
+        #: which must stay byte-identical across hosts.
         self.wall_seconds = 0.0
 
     # ------------------------------------------------------------------ owned components

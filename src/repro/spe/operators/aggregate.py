@@ -151,8 +151,8 @@ class Aggregate(Operator):
     incremental:
         ``None`` (default) selects pane-based accumulation automatically
         whenever the window decomposes and every spec is an incremental
-        builtin.  ``False`` forces the whole-window reference path (used by
-        the window benchmark's naive-recompute comparison); ``True`` demands
+        builtin.  ``False`` forces the whole-window reference path (the
+        oracle of ``tests/property/test_pane_aggregation.py``); ``True`` demands
         the pane path and raises when the spec cannot support it.
     """
 
@@ -431,7 +431,7 @@ class Aggregate(Operator):
     def open_cell_count(self) -> int:
         """Number of (pane-or-window, group) cells currently held in memory.
 
-        In pane mode this is the quantity bounded by O(groups x panes); the
-        window benchmark asserts the bound through this counter.
+        In pane mode this is the quantity bounded by O(groups x panes);
+        ``tests/spe/test_aggregate.py`` asserts the bound through this counter.
         """
         return len(self._cells)

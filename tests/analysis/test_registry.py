@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro import cli
@@ -10,6 +11,8 @@ from repro.analysis.comparison import ShapeCheck
 from repro.analysis.paper import PAPER_CLAIMS, paper_claim
 from repro.analysis.report import ReportSection
 from repro.analysis.tables import ResultTable
+from repro.experiments.ablations import RecoveryResult
+from repro.experiments.harness import ExperimentResult
 
 
 def test_every_paper_claim_resolves_to_an_entry_with_checks():
@@ -93,3 +96,78 @@ def test_importing_the_registry_runs_nothing():
         capture_output=True, text=True, check=True,
     )
     assert int(out.stdout) == len(registry.EXPERIMENTS)
+
+
+# --------------------------------------------------------------------------- doctored results
+def _failed(section: ReportSection) -> list[str]:
+    return [check.name for check in section.checks if not check.passed]
+
+
+def _shard_kill(duration: float, survivor_tentative: int = 0) -> ExperimentResult:
+    names = ("split", "shard1", "shard2", "shard3", "shard4", "merge")
+    shards = {name: {"stable": 900, "tentative": 0, "undos": 0} for name in names}
+    shards["shard3"]["tentative"] = survivor_tentative
+    shards["merge"]["tentative"] = 800
+    return ExperimentResult(
+        label="shard-4", failure_duration=duration, chain_depth=1, policy="p", proc_new=1.4,
+        max_gap=1.4, n_tentative=400, n_stable=5000, n_undos=400, n_rec_done=1,
+        eventually_consistent=True,
+        extra={"shards": shards, "survivors": ["shard2", "shard3", "shard4"],
+               "shard_states": {name: ["stable", "stable"] for name in names},
+               "rebalance": {"moves": 0}, "availability_bound": 3.0},
+    )
+
+
+def test_shard_checks_fail_on_a_survivor_with_tentative_output():
+    assert _failed(registry._shard_section([_shard_kill(4.0), _shard_kill(8.0)])) == []
+    failed = _failed(registry._shard_section([_shard_kill(4.0), _shard_kill(8.0, 5)]))
+    assert failed == ["shard2, shard3, shard4 stable, never tentative (8 s failure)"]
+    unsettled = _shard_kill(4.0)
+    unsettled.extra["shard_states"]["merge"] = ["stable", "up_failure"]
+    unsettled.extra["rebalance"]["moves"] = 2
+    assert _failed(registry._shard_section([unsettled])) == [
+        "every replica group ends STABLE (4 s failure)",
+        "the planner wants no bucket moves (4 s failure)",
+    ]
+
+
+def _recovery(duration: float, mode: str, recovery_s: float, replayed: int) -> RecoveryResult:
+    return RecoveryResult(
+        label=mode, mode=mode, failure_duration=duration, recovery_s=recovery_s,
+        replayed=replayed, shipped_items=300 if mode == "checkpoint" else 0, transfer_delay=0.07,
+        proc_new=0.45, tuples_processed=1000, recovery_checkpoints=10,
+        eventually_consistent=True, ledger_rows=((1, 2.0),),
+    )
+
+
+def test_recovery_checks_fail_when_the_checkpoint_path_is_slower_than_replay():
+    pairs = [
+        (_recovery(4.0, "checkpoint", 0.17, 129), _recovery(4.0, "replay", 0.4, 480)),
+        (_recovery(10.0, "checkpoint", 0.17, 126), _recovery(10.0, "replay", 1.0, 1200)),
+    ]
+    assert _failed(registry._recovery_section(pairs)) == []
+    slow = (replace(pairs[1][0], recovery_s=1.2), pairs[1][1])
+    assert _failed(registry._recovery_section([pairs[0], slow])) == [
+        "checkpoint beats replay on modeled time and suffix (10 s failure)",
+        "replay cost grows with the outage, checkpoint cost does not as fast",
+    ]
+
+
+def _throughput_row(label: str, events: int, egress: int) -> dict:
+    return {"label": label, "tuples_per_second": 5e4, "events_fired": events,
+            "events_per_tuple": events / 17757, "split_egress": egress, "proc_new": 0.3,
+            "operators": 16, "eventually_consistent": True, "stable_tuples": 17757}
+
+
+def test_shard_throughput_checks_fail_on_full_stream_egress_and_a_cheap_chain():
+    rows = [_throughput_row("shard(1)", 3296, 18026), _throughput_row("shard(4)", 5087, 18473),
+            _throughput_row("chain(10)", 6435, 0)]
+    assert _failed(registry._shard_throughput_section(rows)) == []
+    broadcast = [rows[0], dict(rows[1], split_egress=4 * 17757), rows[2]]
+    assert _failed(registry._shard_throughput_section(broadcast)) == [
+        "the split sends about one copy per stable tuple, not one per shard"
+    ]
+    cheap = dict(rows[2], events_per_tuple=1.1 * rows[1]["events_per_tuple"])
+    assert _failed(registry._shard_throughput_section(rows[:2] + [cheap])) == [
+        "chain(10) fires >= 1.25x shard(4)'s events per stable tuple"
+    ]

@@ -3,11 +3,14 @@
 The hot-path work (slotted tuples, batch-at-a-time operator loops,
 allocation-free transforms) must be *behaviour-preserving*: a refactor of the
 tuple model or the operator inner loops may change how fast a scenario runs
-but never what it computes.  These tests pin that down: for four
-representative scenarios (chain, diamond, shard(4), live rebalance) at fixed
+but never what it computes.  These tests pin that down: for every scenario
+in ``SCENARIOS`` (chain, windowed aggregate, diamond, shard-kill, rebalance,
+checkpoint and replay recovery, failure-free shard(4), autoscale) at fixed
 seeds, the full ``runtime.summary()`` dictionary and every sink's merged
 ledger must reproduce the digests checked in at ``GOLDEN_summaries.json``
-byte-for-byte.
+byte-for-byte.  The summary covers every node's statistics (tuples sent,
+output buffers), each rejoin's recovery record and each handoff's shipped
+state, so those numbers are pinned exactly too.
 
 Regenerate them *only* for a change that deliberately alters scenario
 behaviour::
@@ -27,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.shards import autoscale_spec, shard_throughput_spec
 from repro.runtime import ScenarioSpec
 
 GOLDEN_PATH = Path(__file__).with_name("GOLDEN_summaries.json")
@@ -103,6 +107,13 @@ def _recovery_spec(seed: int) -> ScenarioSpec:
     ).with_failure("crash", start=5.0, duration=8.0, node="node1", node_replica=0)
 
 
+def _replay_spec(seed: int) -> ScenarioSpec:
+    # The same crash with no recovery checkpoints: the replica rejoins through
+    # full subscription replay (mode "replay"), the arm the registry's
+    # ``recovery`` entry compares the checkpoint path against.
+    return _recovery_spec(seed).with_overrides(checkpoint_interval=None)
+
+
 SCENARIOS = {
     "chain2-disconnect": _chain_spec,
     "aggregate-disconnect": _aggregate_spec,
@@ -110,6 +121,11 @@ SCENARIOS = {
     "shard4-shard-kill": _shard_spec,
     "shard4-rebalance": _rebalance_spec,
     "recovery-longfail": _recovery_spec,
+    "recovery-replay": _replay_spec,
+    # The experiments' own runs, pinned as they run: the failure-free shard(4)
+    # of the ``shard-throughput`` entry and the elastic round trip of ``autoscale``.
+    "shard4-steady": lambda seed: shard_throughput_spec(4, seed=seed),
+    "shard2-autoscale": autoscale_spec,
 }
 
 

@@ -10,6 +10,10 @@ benchmark would drown in host noise.
 
 from repro.runtime import ScenarioSpec
 
+#: Calls per source tuple: 66.5 on Python 3.11 (the row-at-a-time data path
+#: read 242.5); a per-row loop on one hop adds several calls per tuple.
+CALLS_PER_SOURCE_TUPLE = 75
+
 
 def test_stable_spine_builds_no_row_per_tuple():
     spec = ScenarioSpec.sharded(
@@ -18,8 +22,8 @@ def test_stable_spine_builds_no_row_per_tuple():
     )
     runtime = spec.build()
     _stats, counters = runtime.run_profiled()
+    print(f"\nshard(4) per source tuple: {counters}")
     assert runtime.eventually_consistent()
-    # The row-at-a-time data path read 21.1 here; control tuples, the ledger
-    # tail and unconverted operators may keep a few.
-    assert counters["row_constructions_per_source_tuple"] <= 4
-    assert counters["calls_per_source_tuple"] <= 242.5
+    # The row-at-a-time data path read 21.1 here; the block path builds none.
+    assert counters["row_constructions_per_source_tuple"] == 0
+    assert counters["calls_per_source_tuple"] <= CALLS_PER_SOURCE_TUPLE, counters

@@ -61,9 +61,7 @@ def test_run_scenario_convenience():
 
 
 def test_runtime_tracks_wall_clock_outside_the_summary():
-    """Wall time is measured for the harness but kept out of summary()."""
-    from repro.experiments.harness import summarize_run
-
+    """Wall time is measured on the runtime but kept out of summary()."""
     runtime = ScenarioSpec.single_node(
         replicated=False, aggregate_rate=60.0, warmup=2.0, settle=2.0, seed=1
     ).run()
@@ -71,6 +69,3 @@ def test_runtime_tracks_wall_clock_outside_the_summary():
     # summary() must stay byte-identical across hosts: no wall-clock fields
     # anywhere in the tree (str() of the dict covers nested keys too).
     assert "wall" not in str(runtime.summary())
-    result = summarize_run(runtime)
-    assert result.extra["wall_ms"] == pytest.approx(runtime.wall_seconds * 1000, abs=1e-3)
-    assert result.extra["tuples_per_sec"] > 0.0
