@@ -103,31 +103,85 @@ def _failed(section: ReportSection) -> list[str]:
     return [check.name for check in section.checks if not check.passed]
 
 
-def _shard_kill(duration: float, survivor_tentative: int = 0) -> ExperimentResult:
-    names = ("split", "shard1", "shard2", "shard3", "shard4", "merge")
-    shards = {name: {"stable": 900, "tentative": 0, "undos": 0} for name in names}
-    shards["shard3"]["tentative"] = survivor_tentative
-    shards["merge"]["tentative"] = 800
+def _parts(duration: float, label: str, parts: str, names: tuple, tentative: dict,
+           proc_new: float = 1.4, **extra) -> ExperimentResult:
+    """A fan-in or shard-kill run whose ``extra[parts]`` holds ``tentative`` per part."""
+    extra[parts] = {name: {"stable": 900, "tentative": tentative.get(name, 0), "undos": 0}
+                    for name in names}
     return ExperimentResult(
-        label="shard-4", failure_duration=duration, chain_depth=1, policy="p", proc_new=1.4,
-        max_gap=1.4, n_tentative=400, n_stable=5000, n_undos=400, n_rec_done=1,
-        eventually_consistent=True,
-        extra={"shards": shards, "survivors": ["shard2", "shard3", "shard4"],
-               "shard_states": {name: ["stable", "stable"] for name in names},
-               "rebalance": {"moves": 0}, "availability_bound": 3.0},
+        label=label, failure_duration=duration, chain_depth=1, policy="p", proc_new=proc_new,
+        max_gap=proc_new, n_tentative=400, n_stable=5000, n_undos=400, n_rec_done=1,
+        eventually_consistent=True, extra={**extra, "availability_bound": 3.0},
     )
 
 
+_SHARD_PARTS = ("split", "shard1", "shard2", "shard3", "shard4", "merge")
+
+
+def _shard_kill(duration: float, survivor_tentative: int = 0, merge_tentative: int = 800,
+                proc_new: float = 1.4) -> ExperimentResult:
+    return _parts(duration, "shard-4", "shards", _SHARD_PARTS,
+                  {"shard3": survivor_tentative, "merge": merge_tentative}, proc_new,
+                  survivors=["shard2", "shard3", "shard4"],
+                  shard_states={name: ["stable", "stable"] for name in _SHARD_PARTS},
+                  rebalance={"moves": 0})
+
+
+def test_shard_checks_pass_when_only_the_merge_goes_tentative():
+    section = registry._shard_section([_shard_kill(4.0), _shard_kill(8.0)])
+    assert _failed(section) == []
+    # One consistency check, then survivors, failed parts, bound, STABLE and moves per run.
+    assert len(section.checks) == 1 + 5 * 2
+
+
 def test_shard_checks_fail_on_a_survivor_with_tentative_output():
-    assert _failed(registry._shard_section([_shard_kill(4.0), _shard_kill(8.0)])) == []
     failed = _failed(registry._shard_section([_shard_kill(4.0), _shard_kill(8.0, 5)]))
     assert failed == ["shard2, shard3, shard4 stable, never tentative (8 s failure)"]
+
+
+def test_shard_checks_fail_when_the_merge_never_goes_tentative():
+    failed = _failed(registry._shard_section([_shard_kill(4.0, merge_tentative=0)]))
+    assert failed == ["tentative output from merge (4 s failure)"]
+
+
+def test_shard_checks_fail_when_the_merge_exceeds_its_bound():
+    failed = _failed(registry._shard_section([_shard_kill(4.0), _shard_kill(8.0, proc_new=3.5)]))
+    assert failed == ["the merge meets the bound (8 s failure)"]
+
+
+def test_shard_checks_fail_when_a_replica_group_does_not_end_stable():
     unsettled = _shard_kill(4.0)
     unsettled.extra["shard_states"]["merge"] = ["stable", "up_failure"]
-    unsettled.extra["rebalance"]["moves"] = 2
     assert _failed(registry._shard_section([unsettled])) == [
-        "every replica group ends STABLE (4 s failure)",
-        "the planner wants no bucket moves (4 s failure)",
+        "every replica group ends STABLE (4 s failure)"
+    ]
+
+
+def test_shard_checks_fail_when_the_planner_wants_bucket_moves():
+    skewed = _shard_kill(4.0)
+    skewed.extra["rebalance"]["moves"] = 2
+    assert _failed(registry._shard_section([skewed])) == [
+        "the planner wants no bucket moves (4 s failure)"
+    ]
+
+
+def _fanin(duration: float, **tentative: int) -> ExperimentResult:
+    return _parts(duration, "fanin", "branches", ("branch1", "branch2", "merge"),
+                  {"branch1": 300, "merge": 600, **tentative})
+
+
+def test_fanin_checks_fail_when_the_other_branch_goes_tentative():
+    fanin = registry.EXPERIMENTS["fanin"].section
+    assert _failed(fanin([_fanin(4.0), _fanin(8.0)])) == []
+    assert _failed(fanin([_fanin(4.0), _fanin(8.0, branch2=7)])) == [
+        "branch2 stable, never tentative (8 s failure)"
+    ]
+
+
+def test_fanin_checks_fail_when_the_silent_branch_stays_stable():
+    fanin = registry.EXPERIMENTS["fanin"].section
+    assert _failed(fanin([_fanin(4.0, branch1=0)])) == [
+        "tentative output from branch1 and merge (4 s failure)"
     ]
 
 
@@ -140,16 +194,48 @@ def _recovery(duration: float, mode: str, recovery_s: float, replayed: int) -> R
     )
 
 
+_RECOVERY_PAIRS = [
+    (_recovery(4.0, "checkpoint", 0.17, 129), _recovery(4.0, "replay", 0.4, 480)),
+    (_recovery(10.0, "checkpoint", 0.17, 126), _recovery(10.0, "replay", 1.0, 1200)),
+]
+
+
 def test_recovery_checks_fail_when_the_checkpoint_path_is_slower_than_replay():
-    pairs = [
-        (_recovery(4.0, "checkpoint", 0.17, 129), _recovery(4.0, "replay", 0.4, 480)),
-        (_recovery(10.0, "checkpoint", 0.17, 126), _recovery(10.0, "replay", 1.0, 1200)),
-    ]
-    assert _failed(registry._recovery_section(pairs)) == []
-    slow = (replace(pairs[1][0], recovery_s=1.2), pairs[1][1])
-    assert _failed(registry._recovery_section([pairs[0], slow])) == [
+    assert _failed(registry._recovery_section(_RECOVERY_PAIRS)) == []
+    slow = (replace(_RECOVERY_PAIRS[1][0], recovery_s=1.2), _RECOVERY_PAIRS[1][1])
+    assert _failed(registry._recovery_section([_RECOVERY_PAIRS[0], slow])) == [
         "checkpoint beats replay on modeled time and suffix (10 s failure)",
         "replay cost grows with the outage, checkpoint cost does not as fast",
+    ]
+
+
+def test_recovery_checks_fail_when_the_checkpoint_path_does_not_engage():
+    fallback = (replace(_RECOVERY_PAIRS[1][0], mode="replay"), _RECOVERY_PAIRS[1][1])
+    assert _failed(registry._recovery_section([_RECOVERY_PAIRS[0], fallback])) == [
+        "the checkpoint path engages (10 s failure)"
+    ]
+
+
+def test_recovery_checks_fail_when_the_ledgers_differ():
+    diverged = (_RECOVERY_PAIRS[0][0], replace(_RECOVERY_PAIRS[0][1], ledger_rows=((1, 3.0),)))
+    assert _failed(registry._recovery_section([diverged, _RECOVERY_PAIRS[1]])) == [
+        "both modes end with the same stable ledger (4 s failure)"
+    ]
+
+
+def test_recovery_checks_let_outages_under_4_s_prefer_replay():
+    short = (_recovery(2.0, "replay", 0.2, 240), _recovery(2.0, "replay", 0.2, 240))
+    section = registry._recovery_section([short, _RECOVERY_PAIRS[1]])
+    assert _failed(section) == []
+    assert [check.name for check in section.checks if "(2 s failure)" in check.name] == [
+        "both modes end with the same stable ledger (2 s failure)"
+    ]
+
+
+def test_recovery_checks_fail_when_replay_cost_does_not_grow():
+    flat = (_RECOVERY_PAIRS[1][0], replace(_RECOVERY_PAIRS[1][1], recovery_s=0.4))
+    assert _failed(registry._recovery_section([_RECOVERY_PAIRS[0], flat])) == [
+        "replay cost grows with the outage, checkpoint cost does not as fast"
     ]
 
 
@@ -159,15 +245,40 @@ def _throughput_row(label: str, events: int, egress: int) -> dict:
             "operators": 16, "eventually_consistent": True, "stable_tuples": 17757}
 
 
-def test_shard_throughput_checks_fail_on_full_stream_egress_and_a_cheap_chain():
-    rows = [_throughput_row("shard(1)", 3296, 18026), _throughput_row("shard(4)", 5087, 18473),
-            _throughput_row("chain(10)", 6435, 0)]
+_THROUGHPUT_ROWS = [_throughput_row("shard(1)", 3296, 18026),
+                    _throughput_row("shard(4)", 5087, 18473),
+                    _throughput_row("chain(10)", 6435, 0)]
+
+
+def test_shard_throughput_checks_fail_on_full_stream_egress():
+    rows = _THROUGHPUT_ROWS
     assert _failed(registry._shard_throughput_section(rows)) == []
     broadcast = [rows[0], dict(rows[1], split_egress=4 * 17757), rows[2]]
     assert _failed(registry._shard_throughput_section(broadcast)) == [
         "the split sends about one copy per stable tuple, not one per shard"
     ]
+
+
+def test_shard_throughput_checks_fail_on_a_cheap_chain():
+    rows = _THROUGHPUT_ROWS
     cheap = dict(rows[2], events_per_tuple=1.1 * rows[1]["events_per_tuple"])
     assert _failed(registry._shard_throughput_section(rows[:2] + [cheap])) == [
         "chain(10) fires >= 1.25x shard(4)'s events per stable tuple"
+    ]
+
+
+def test_shard_throughput_checks_fail_when_proc_new_reaches_x_or_a_run_diverges():
+    rows = _THROUGHPUT_ROWS
+    check = "every run is consistent with Proc_new < X = 3 s"
+    late = [rows[0], dict(rows[1], proc_new=3.0), rows[2]]
+    assert _failed(registry._shard_throughput_section(late)) == [check]
+    diverged = rows[:2] + [dict(rows[2], eventually_consistent=False)]
+    assert _failed(registry._shard_throughput_section(diverged)) == [check]
+
+
+def test_shard_throughput_checks_fail_when_shard_counts_deliver_different_output():
+    rows = _THROUGHPUT_ROWS
+    short = [dict(rows[0], stable_tuples=17000), rows[1], rows[2]]
+    assert _failed(registry._shard_throughput_section(short)) == [
+        "every shard count delivers the same stable output"
     ]
