@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import time
 
-from repro.config import DPCConfig
-from repro.runtime import ScenarioSpec
 from repro.spe.engine import LocalEngine
 from repro.spe.operators import Filter, Map, SOutput, SUnion
 from repro.spe.query_diagram import QueryDiagram
 from repro.spe.streams import StreamWriter
 from repro.spe.tuples import TupleBlock
+from repro.workloads.catalogue import CATALOGUE
 
 ROUNDS = 3
 #: Data tuples pushed through the standalone fragment per round.
@@ -125,15 +124,10 @@ def test_engine_fragment_hot_path():
 
 def test_failure_path_work_counters():
     """Calls per source tuple of sim-window-crash and sim-chain4-disconnect (seed 1)."""
-    window_crash = ScenarioSpec.windowed_aggregate(
-        window_size=100, window_slide=1, aggregate_rate=2400, replicas_per_node=2,
-        checkpoint_interval=2, warmup=20, settle=30, seed=1,
-    ).with_failure("crash", start=20, duration=10, node_replica=0)
-    chain4_disconnect = ScenarioSpec.chain(
-        4, replicas_per_node=2, aggregate_rate=150, per_node_delay=2.0,
-        config=DPCConfig(max_incremental_latency=8.0), warmup=10, settle=45, seed=1,
-    ).with_failure("silence", start=10, duration=30, stream_index=0)
-    specs = {"window_crash": window_crash, "chain4_disconnect": chain4_disconnect}
+    specs = {
+        "window_crash": CATALOGUE["sim-window-crash"](),
+        "chain4_disconnect": CATALOGUE["sim-chain4-disconnect"](),
+    }
     calls = {
         label: spec.build().run_profiled()[1]["calls_per_source_tuple"]
         for label, spec in specs.items()

@@ -4,8 +4,9 @@
 This example reproduces, at example scale, the Section 6.2/6.3 story:
 
 1. deploy a chain of four replicated processing nodes (Figure 14);
-2. fail one input stream for 10 seconds;
-3. compare three configurations:
+2. silence one input stream for 10 seconds;
+3. compare the three configurations of the catalogue's ``delay-assignment``
+   entry (Figures 19 and 20):
    * ``Process & Process`` with the end-to-end budget split uniformly
      (D = 2 s per node),
    * ``Delay & Delay`` with the same uniform split,
@@ -20,9 +21,10 @@ Run with::
 """
 
 from repro.analysis.tables import pivot_results, render_text
-from repro.config import DelayAssignment, DelayPolicy
+from repro.config import DelayAssignment
 from repro.core import DelayPlanner
-from repro.experiments import availability_run
+from repro.experiments import summarize_run
+from repro.workloads.catalogue import CATALOGUE, FIG19_VARIANTS
 
 CHAIN_DEPTH = 4
 BUDGET = 8.0  # end-to-end incremental latency bound X, in seconds
@@ -41,41 +43,11 @@ def main() -> None:
         )
     print()
 
-    variants = {
-        "Process & Process, D=2s": dict(
-            policy=DelayPolicy.process_process(),
-            per_node_delay=2.0,
-            delay_assignment=DelayAssignment.UNIFORM,
-        ),
-        "Delay & Delay, D=2s": dict(
-            policy=DelayPolicy.delay_delay(),
-            per_node_delay=2.0,
-            delay_assignment=DelayAssignment.UNIFORM,
-        ),
-        "Process & Process, D=6.5s": dict(
-            policy=DelayPolicy.process_process(),
-            per_node_delay=6.5,
-            delay_assignment=DelayAssignment.FULL,
-        ),
-    }
-
     results = []
-    for label, variant in variants.items():
-        print(f"running {label} ...")
-        results.append(
-            availability_run(
-                failure_duration=FAILURE_DURATION,
-                label=label,
-                chain_depth=CHAIN_DEPTH,
-                replicas_per_node=2,
-                aggregate_rate=RATE,
-                max_incremental_latency=BUDGET,
-                failure_kind="silence",
-                settle=35.0,
-                join_state_size=None,
-                **variant,
-            )
-        )
+    for variant in FIG19_VARIANTS:
+        print(f"running {variant} ...")
+        spec = CATALOGUE["delay-assignment"](failure_duration=FAILURE_DURATION, variant=variant)
+        results.append(summarize_run(spec.with_overrides(aggregate_rate=RATE).run()))
 
     print()
     table = pivot_results(

@@ -1,7 +1,7 @@
 """Analysis and reporting utilities for the reproduction.
 
 The :mod:`repro.analysis` package turns raw experiment output
-(:class:`~repro.experiments.harness.ExperimentResult` lists, client traces)
+(:class:`~repro.experiments.ExperimentResult` lists, client traces)
 into the artifacts the paper reports:
 
 * :mod:`repro.analysis.paper` -- the paper's own numbers and qualitative
@@ -9,9 +9,9 @@ into the artifacts the paper reports:
 * :mod:`repro.analysis.tables` -- pivoting and rendering of result tables
   (plain text, Markdown, CSV);
 * :mod:`repro.analysis.traces` -- analysis of client output traces
-  (failure episodes, correction bursts, ASCII plots of the Figure 11 style);
-* :mod:`repro.analysis.comparison` -- shape checks (flatness, monotonicity,
-  crossovers, who-wins) that encode the claims;
+  (failure episodes, correction bursts, output gaps);
+* :mod:`repro.analysis.comparison` -- shape checks (bounds, flatness,
+  monotonicity) that encode the claims;
 * :mod:`repro.analysis.report` -- the per-experiment paper-vs-measured
   Markdown report;
 * :mod:`repro.analysis.registry` -- every experiment declared once (grid per
@@ -20,12 +20,10 @@ into the artifacts the paper reports:
 
 from .comparison import (
     ShapeCheck,
-    check_crossover,
     check_flat,
     check_holds,
     check_monotonic,
     check_within,
-    compare_policies,
 )
 from .paper import (
     PAPER_CLAIMS,
@@ -45,7 +43,6 @@ from .tables import (
 from .traces import (
     Episode,
     analyze_trace,
-    ascii_plot,
     correction_episodes,
     output_gaps,
     tentative_episodes,
@@ -76,18 +73,15 @@ __all__ = [
     # traces
     "Episode",
     "analyze_trace",
-    "ascii_plot",
     "correction_episodes",
     "output_gaps",
     "tentative_episodes",
     # comparisons
     "ShapeCheck",
-    "check_crossover",
     "check_flat",
     "check_holds",
     "check_monotonic",
     "check_within",
-    "compare_policies",
     # report
     "ExperimentReport",
     "ReportSection",

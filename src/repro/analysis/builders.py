@@ -1,6 +1,6 @@
 """Builders that turn experiment results into report sections.
 
-Each builder takes the output of one experiment runner
+Each builder takes the results of one experiment
 (:mod:`repro.experiments`) and produces the corresponding
 :class:`~repro.analysis.report.ReportSection`: the paper claim, the measured
 table(s), and the shape checks that encode the claim.  They are the
@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..experiments.harness import ExperimentResult
-from ..experiments.overhead import OverheadRow
+from ..experiments import ExperimentResult, OverheadRow
 from .comparison import ShapeCheck, check_flat, check_holds, check_monotonic, check_within
 from .paper import PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5, OverheadReference, paper_claim
 from .report import ReportSection

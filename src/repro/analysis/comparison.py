@@ -2,18 +2,15 @@
 
 The reproduction does not try to match the paper's absolute numbers (they
 were measured on the authors' hardware); what must hold is the *shape* of
-each result -- which policy wins, what stays flat, what grows, and where
-crossovers fall.  The helpers in this module turn those statements into
-:class:`ShapeCheck` verdicts used by the registry, the report generator,
-and the test suite.
+each result -- which policy wins, what stays flat, and what grows.  The
+helpers in this module turn those statements into :class:`ShapeCheck`
+verdicts used by the registry, the report generator, and the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-from ..experiments.harness import ExperimentResult
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -102,59 +99,6 @@ def check_monotonic(
     if violations:
         detail += f", violations at steps {[v[0] for v in violations]}"
     return ShapeCheck(name=name, passed=passed, detail=detail)
-
-
-def check_crossover(
-    name: str,
-    xs: Sequence[float],
-    winner_then: Mapping[float, str],
-    series: Mapping[str, Sequence[float]],
-    *,
-    lower_is_better: bool = True,
-    tie_tolerance: float = 0.0,
-) -> ShapeCheck:
-    """Check who wins at each x and compare against the expected winner map.
-
-    ``winner_then`` maps an x value to the label expected to win there (or to
-    ``"tie"`` when the paper says the difference becomes negligible).  Used
-    for the Figure 16 vs Figure 18 contrast: delaying wins for short failures
-    and the gain disappears for long ones.
-    """
-    problems: list[str] = []
-    for index, x in enumerate(xs):
-        expected = winner_then.get(x)
-        if expected is None:
-            continue
-        values = {label: data[index] for label, data in series.items()}
-        best_value = min(values.values()) if lower_is_better else max(values.values())
-        winners = {
-            label
-            for label, value in values.items()
-            if abs(value - best_value) <= tie_tolerance
-        }
-        if expected == "tie":
-            if len(winners) != len(values):
-                problems.append(f"x={x}: expected tie, winners={sorted(winners)}")
-        elif expected not in winners:
-            problems.append(f"x={x}: expected {expected}, winners={sorted(winners)}")
-    return ShapeCheck(
-        name=name,
-        passed=not problems,
-        detail="; ".join(problems) if problems else f"winners as expected at {list(winner_then)}",
-    )
-
-
-# --------------------------------------------------------------------------- result-level shapes
-def compare_policies(
-    results: Sequence[ExperimentResult],
-    *,
-    metric: str = "n_tentative",
-) -> dict[str, float]:
-    """Aggregate ``metric`` per policy label (summing over the other axes)."""
-    totals: dict[str, float] = {}
-    for result in results:
-        totals[result.label] = totals.get(result.label, 0.0) + float(getattr(result, metric))
-    return totals
 
 
 def summarize_checks(checks: Sequence[ShapeCheck]) -> tuple[int, int]:

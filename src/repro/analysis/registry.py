@@ -2,7 +2,10 @@
 
 Each :class:`Experiment` holds one grid per scale (``quick``: the reduced sweep
 its shape checks were validated on; ``full``: the paper's grid), the runs to
-make on a grid, and the tables and shape checks made of the results.
+make on a grid, and the tables and shape checks made of the results.  A grid
+is a list of ``(name, point)`` pairs: ``CATALOGUE[name](**point)`` is the
+:class:`~repro.runtime.ScenarioSpec` of one run (:mod:`repro.workloads.catalogue`)
+and :func:`~repro.experiments.summarize_run` condenses it.
 ``python -m repro run`` / ``list`` / ``claims`` / ``report`` and CI only read
 this module, so an id runs the same grid wherever it is named.  Importing it
 runs nothing: ``EXPERIMENTS["fig15"].run("quick")`` returns (tables, checks).
@@ -12,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..errors import LiveBackendUnavailable
-from ..experiments import ablations, chains, dags, overhead, shards, single_node
-from ..experiments.harness import ExperimentResult
+from ..experiments import ExperimentResult, OverheadRow, overhead_row, summarize_run
 from ..metrics.consistency import stable_ledger_rows
-from ..runtime import ScenarioSpec
+from ..workloads.catalogue import CATALOGUE, FIG13_POLICIES, FIG19_VARIANTS
 from .builders import (
     build_delay_assignment_section,
     build_fig15_section,
@@ -36,6 +39,9 @@ from .tables import ResultTable, metric_by_duration
 SCALES = ("quick", "full")
 
 _CLAIMS = {claim.experiment_id: claim for claim in PAPER_CLAIMS}
+
+#: One run: a catalogue entry and its keyword arguments.
+Point = tuple[str, Mapping[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,22 @@ def build_report(names: Iterable[str] | None = None) -> ExperimentReport:
     return report
 
 
+# --------------------------------------------------------------------------- grids and runs
+def _points(name: str, **axes: Sequence) -> list[Point]:
+    """Every combination of ``axes`` (the first axis outermost) as runs of entry ``name``."""
+    return [(name, dict(zip(axes, values))) for values in product(*axes.values())]
+
+
+def _each(names: Sequence[str], **point: Any) -> list[Point]:
+    """One run of each entry of ``names`` at the same ``point``."""
+    return [(name, point) for name in names]
+
+
+def _summaries(grid: Sequence[Point]) -> list[ExperimentResult]:
+    """The one measurement: run each point's spec and summarize it."""
+    return [summarize_run(CATALOGUE[name](**point).run()) for name, point in grid]
+
+
 # --------------------------------------------------------------------------- helpers
 def _section(name: str, tables: Sequence[ResultTable], checks: Sequence[ShapeCheck]) -> ReportSection:
     return ReportSection(claim=_CLAIMS[name], tables=list(tables), checks=list(checks))
@@ -118,11 +140,11 @@ def _by_duration(results: Sequence[ExperimentResult], title: str) -> list[Result
     ]
 
 
-def _branch_table(title: str, results: Sequence[ExperimentResult], parts: str) -> ResultTable:
-    """Per failure duration: the client's view plus each branch's (or shard's) tentative count."""
+def _branch_table(title: str, results: Sequence[ExperimentResult]) -> ResultTable:
+    """Per failure duration: the client's view plus each node group's tentative count."""
     return _table(title, "failure", (
         (f"{r.failure_duration:g} s",
-         _cells(r, **{f"{name} tentative": c["tentative"] for name, c in r.extra[parts].items()}))
+         _cells(r, **{f"{name} tentative": c["tentative"] for name, c in r.extra["groups"].items()}))
         for r in results
     ))
 
@@ -133,11 +155,12 @@ def _bound(name: str, proc_new: float) -> ShapeCheck:
 
 
 # --------------------------------------------------------------------------- paper figures
-def _fig11_section(name: str, result: single_node.TraceResult) -> ReportSection:
+def _fig11_section(name: str, results: list[ExperimentResult]) -> ReportSection:
+    [result] = results
     table = _table(result.label, "run", [(name, {
         "eventually consistent": result.eventually_consistent, "tentative tuples": result.n_tentative,
         "undo tuples": result.n_undos, "REC_DONE markers": result.n_rec_done,
-        "reconciliations": result.reconciliations,
+        "reconciliations": result.extra["reconciliations"],
     })])
     return _section(name, [table], [
         check_holds("every tentative tuple is corrected", result.eventually_consistent,
@@ -184,7 +207,18 @@ def _delay_assignment_section(name: str, results: list[ExperimentResult]) -> Rep
     return section
 
 
-def _overhead_section(name: str, rows: list[overhead.OverheadRow]) -> ReportSection:
+def _overhead(vary: str, grid: Sequence[Point]) -> list[OverheadRow]:
+    """Table IV / V rows: each run's latency keyed by the ``vary`` value (0: the baseline)."""
+    return [overhead_row(CATALOGUE[name](**point).run(), point[vary]) for name, point in grid]
+
+
+def _overhead_grid(vary: str, fixed: str, values: Sequence[float]) -> list[Point]:
+    """The plain-Union baseline, then one SUnion run per value of ``vary`` (``fixed`` = 10 ms)."""
+    return ([("serialization", {vary: 0.0, fixed: 0.01, "baseline": True})]
+            + _points("serialization", **{vary: values, fixed: (0.01,)}))
+
+
+def _overhead_section(name: str, rows: list[OverheadRow]) -> ReportSection:
     section = build_overhead_section(rows, experiment_id=name)
     small, large = rows[1], rows[-1]  # rows[0] is the plain Union baseline
     growth = large.latency.maximum - small.latency.maximum
@@ -208,17 +242,18 @@ def _replicas_section(results: list[ExperimentResult]) -> ReportSection:
     return _section("replicas", _by_duration(results, "Ablation: replicas per node"), checks)
 
 
-def _detection_section(results: list[ablations.DetectionResult]) -> ReportSection:
+def _detection_section(results: list[ExperimentResult]) -> ReportSection:
     table = _table("Ablation: failure detection parameters", "keepalive", (
-        (f"{r.keepalive_period * 1000:.0f} ms", {"Proc_new (s)": r.proc_new, "max gap (s)": r.max_gap,
-                                                 "N_tentative": r.n_tentative, "switches": r.switches})
+        (r.label.removeprefix("keepalive "), {"Proc_new (s)": r.proc_new, "max gap (s)": r.max_gap,
+                                             "N_tentative": r.n_tentative,
+                                             "switches": r.extra["switches"]})
         for r in results
     ))
     fast, slow = results[0], results[-1]
     return _section("detection", [table], [
         check_holds("every run is eventually consistent",
                     all(r.eventually_consistent for r in results), runs=len(results)),
-        _bound(f"keepalive {fast.keepalive_period * 1000:.0f} ms meets the bound", fast.proc_new),
+        _bound(f"{fast.label} meets the bound", fast.proc_new),
         check_holds("slower detection never narrows the largest gap",
                     slow.max_gap >= fast.max_gap - 0.3, fast=fast.max_gap, slow=slow.max_gap),
         check_holds("slower detection never lowers Proc_new",
@@ -226,7 +261,8 @@ def _detection_section(results: list[ablations.DetectionResult]) -> ReportSectio
     ])
 
 
-def _crash_section(result: ExperimentResult) -> ReportSection:
+def _crash_section(results: list[ExperimentResult]) -> ReportSection:
+    [result] = results
     switches = result.extra["switches"]
     table = _table("Ablation: crash failover", "crash", [(
         f"{result.failure_duration:g} s",
@@ -253,38 +289,30 @@ def _granularity_section(results: list[ExperimentResult]) -> ReportSection:
     return _section("granularity", _by_duration(results, "Ablation: failure granularity"), checks)
 
 
-def _buffer_runs(checkpoint_intervals: Sequence[float | None]) -> list[ablations.BufferBoundResult]:
-    return [
-        ablations.buffer_bound_run(
-            max_output_tuples=None, block_on_full=True, checkpoint_interval=interval,
-            label="no truncation" if interval is None else f"acks every {interval:g} s",
-        )
-        for interval in checkpoint_intervals
-    ]
-
-
-def _buffers_section(results: list[ablations.BufferBoundResult]) -> ReportSection:
-    kept, truncated = results
+def _buffers_section(results: list[ExperimentResult]) -> ReportSection:
+    kept, truncated = ({"buffered_tuples": r.extra["groups"]["node1"]["buffered"],
+                        "client_stable": r.n_stable, "proc_new": r.proc_new} for r in results)
     table = _table("Ablation: output-buffer truncation", "acknowledgments", (
-        (r.label, _pick(vars(r), "buffered_tuples", "client_stable", "proc_new")) for r in results
+        (r.label, cells) for r, cells in zip(results, (kept, truncated))
     ))
     return _section("buffers", [table], [
         check_holds("truncation keeps the buffer over 5x smaller",
-                    truncated.buffered_tuples < kept.buffered_tuples / 5,
-                    kept=kept.buffered_tuples, truncated=truncated.buffered_tuples),
+                    truncated["buffered_tuples"] < kept["buffered_tuples"] / 5,
+                    kept=kept["buffered_tuples"], truncated=truncated["buffered_tuples"]),
         check_holds("the client receives the same stable output (within 5 %)",
-                    abs(truncated.client_stable - kept.client_stable) <= 0.05 * kept.client_stable,
-                    kept=kept.client_stable, truncated=truncated.client_stable),
+                    abs(truncated["client_stable"] - kept["client_stable"])
+                    <= 0.05 * kept["client_stable"],
+                    kept=kept["client_stable"], truncated=truncated["client_stable"]),
     ])
 
 
-def _fanin_section(name: str, title: str, parts: str, survivors: Sequence[str],
-                   failed: Sequence[str], results: list[ExperimentResult]) -> ReportSection:
-    """Of the ``parts`` merged, only ``failed`` go tentative; the merge meets its bound."""
+def _fanin_section(name: str, title: str, survivors: Sequence[str], failed: Sequence[str],
+                   results: list[ExperimentResult]) -> ReportSection:
+    """Of the node groups merged, only ``failed`` go tentative; the merge meets its bound."""
     checks = [consistency_check(results)]
     for r in results:
         at = f"{r.failure_duration:g} s failure"
-        counts = r.extra[parts]
+        counts = r.extra["groups"]
         tentative = {part: c["tentative"] for part, c in counts.items()}
         checks += [
             check_holds(f"{', '.join(survivors)} stable, never tentative ({at})",
@@ -295,17 +323,17 @@ def _fanin_section(name: str, title: str, parts: str, survivors: Sequence[str],
             check_within(f"the merge meets the bound ({at})", r.proc_new,
                          r.extra["availability_bound"]),
         ]
-    return _section(name, [_branch_table(title, results, parts)], checks)
+    return _section(name, [_branch_table(title, results)], checks)
 
 
 def _shard_section(results: list[ExperimentResult]) -> ReportSection:
     section = _fanin_section("shard", "Sharded topology: both replicas of 'shard1' crashed",
-                             "shards", results[0].extra["survivors"], ("merge",), results)
+                             ("shard2", "shard3", "shard4"), ("merge",), results)
     for r in results:
         at = f"{r.failure_duration:g} s failure"
-        unstable = [name for name, states in r.extra["shard_states"].items()
+        unstable = [name for name, states in r.extra["states"].items()
                     if set(states) != {"stable"}]
-        moves = r.extra["rebalance"]["moves"]
+        moves = r.extra["planner"]["moves"]
         section.add_check(check_holds(f"every replica group ends STABLE ({at})", not unstable,
                                       unstable=unstable))
         section.add_check(check_holds(f"the planner wants no bucket moves ({at})", moves == 0,
@@ -313,7 +341,22 @@ def _shard_section(results: list[ExperimentResult]) -> ReportSection:
     return section
 
 
-def _shard_throughput_section(rows: list[dict]) -> ReportSection:
+def _deployment(result: ExperimentResult) -> str:
+    """``shard(4)`` / ``chain(10)`` for the runs named ``shard-4`` / ``chain-10``."""
+    shape, size = result.label.rsplit("-", 1)
+    return f"{shape}({size})"
+
+
+def _shard_throughput_section(results: list[ExperimentResult]) -> ReportSection:
+    rows = [{
+        "label": _deployment(r),
+        "tuples_per_second": r.n_stable / wall if (wall := r.extra["wall_seconds"]) > 0
+        else float("inf"),
+        **_pick(r.extra, "events_fired", "split_egress"),
+        "proc_new": r.proc_new, "operators": r.extra["operators"],
+        "eventually_consistent": r.eventually_consistent,
+        "stable_tuples": r.n_stable, "events_per_tuple": r.extra["events_fired"] / max(r.n_stable, 1),
+    } for r in results]
     columns = ("tuples_per_second", "events_fired", "split_egress", "proc_new", "operators",
                "eventually_consistent")
     table = _table("Sharded scale-out: sustained throughput vs the equal-operator chain",
@@ -337,68 +380,94 @@ def _shard_throughput_section(rows: list[dict]) -> ReportSection:
     ])
 
 
-def _recovery_section(pairs: list[tuple[ablations.RecoveryResult, ...]]) -> ReportSection:
+#: The rejoin record of a run in which nothing rejoined.
+_NO_RECOVERY = {"mode": "none", "replayed": 0, "shipped_items": 0, "recovery_s": 0.0}
+
+
+def _recovery_section(results: list[ExperimentResult]) -> ReportSection:
+    """``results`` alternate checkpoint-shipped and full-replay runs of one failure duration."""
+    pairs = list(zip(results[::2], results[1::2]))
+    rejoin = {id(r): (r.extra["recoveries"] or [_NO_RECOVERY])[-1] for r in results}
+    same_ledger = {id(c): c.extra["ledger_sha256"] == r.extra["ledger_sha256"] for c, r in pairs}
     table = _table("Crash recovery: checkpoint-shipped rejoin vs full subscription replay", "failure", (
         (f"{ckpt.failure_duration:g} s", {
-            "ckpt mode": ckpt.mode, "ckpt recovery (s)": ckpt.recovery_s,
-            "replay recovery (s)": replay.recovery_s, "ckpt suffix": ckpt.replayed,
-            "replay suffix": replay.replayed, "shipped items": ckpt.shipped_items,
-            "ledgers identical": ckpt.ledger_rows == replay.ledger_rows,
+            "ckpt mode": rejoin[id(ckpt)]["mode"], "ckpt recovery (s)": rejoin[id(ckpt)]["recovery_s"],
+            "replay recovery (s)": rejoin[id(replay)]["recovery_s"],
+            "ckpt suffix": rejoin[id(ckpt)]["replayed"], "replay suffix": rejoin[id(replay)]["replayed"],
+            "shipped items": rejoin[id(ckpt)]["shipped_items"],
+            "ledgers identical": same_ledger[id(ckpt)],
         })
         for ckpt, replay in pairs
     ))
-    checks = [consistency_check([run for pair in pairs for run in pair])]
-    for ckpt, replay in pairs:
-        at = f"{ckpt.failure_duration:g} s failure"
-        same = ckpt.ledger_rows == replay.ledger_rows and replay.mode == "replay"
+    checks = [consistency_check(results)]
+    for ckpt_run, replay_run in pairs:
+        ckpt, replay = rejoin[id(ckpt_run)], rejoin[id(replay_run)]
+        at = f"{ckpt_run.failure_duration:g} s failure"
+        same = same_ledger[id(ckpt_run)] and replay["mode"] == "replay"
         checks.append(check_holds(f"both modes end with the same stable ledger ({at})", same,
-                                  replay_mode=replay.mode))
-        if ckpt.failure_duration >= 4.0:  # shorter outages may rightly prefer replay
-            faster = ckpt.recovery_s < replay.recovery_s and ckpt.replayed < replay.replayed
+                                  replay_mode=replay["mode"]))
+        if ckpt_run.failure_duration >= 4.0:  # shorter outages may rightly prefer replay
+            faster = (ckpt["recovery_s"] < replay["recovery_s"]
+                      and ckpt["replayed"] < replay["replayed"])
             checks += [
-                check_holds(f"the checkpoint path engages ({at})", ckpt.mode == "checkpoint",
-                            mode=ckpt.mode),
+                check_holds(f"the checkpoint path engages ({at})", ckpt["mode"] == "checkpoint",
+                            mode=ckpt["mode"]),
                 check_holds(f"checkpoint beats replay on modeled time and suffix ({at})", faster,
-                            ckpt_s=ckpt.recovery_s, replay_s=replay.recovery_s,
-                            ckpt_suffix=ckpt.replayed, replay_suffix=replay.replayed),
+                            ckpt_s=ckpt["recovery_s"], replay_s=replay["recovery_s"],
+                            ckpt_suffix=ckpt["replayed"], replay_suffix=replay["replayed"]),
             ]
     (short_ckpt, short_replay), (long_ckpt, long_replay) = pairs[0], pairs[-1]
-    ckpt_growth = long_ckpt.recovery_s - short_ckpt.recovery_s
-    replay_growth = long_replay.recovery_s - short_replay.recovery_s
+    ckpt_growth = rejoin[id(long_ckpt)]["recovery_s"] - rejoin[id(short_ckpt)]["recovery_s"]
+    replay_growth = rejoin[id(long_replay)]["recovery_s"] - rejoin[id(short_replay)]["recovery_s"]
     checks.append(check_holds("replay cost grows with the outage, checkpoint cost does not as fast",
                               0 < replay_growth and ckpt_growth < replay_growth,
                               ckpt_growth_s=ckpt_growth, replay_growth_s=replay_growth))
     return _section("recovery", [table], checks)
 
 
+def _recovery_grid(durations: Sequence[float]) -> list[Point]:
+    """A checkpoint-shipped (every 2 s) then a full-replay run per failure duration."""
+    return _points("recovery", failure_duration=durations, checkpoint_interval=(2.0, None))
+
+
 # --------------------------------------------------------------------------- tables-only extensions
-def _branch_sweep(sweep: Callable, title: str, parts: str, durations: Sequence[float]) -> list:
-    return [_branch_table(title, sweep(durations, seed=1), parts)]
+def _branch_tables(title: str, grid: Sequence[Point]) -> list[ResultTable]:
+    return [_branch_table(title, _summaries(grid))]
 
 
-def _rebalance(seeds: Sequence[int]) -> list[ResultTable]:
-    columns = ("moves", "imbalance_before", "imbalance_after", "state_tuples_shipped")
+def _rebalance(grid: Sequence[Point]) -> list[ResultTable]:
+    def cells(r: ExperimentResult) -> dict:
+        record = r.extra["rebalances"][0] if r.extra["rebalances"] else {}
+        return _cells(r, moves=len(record.get("moves", [])),
+                      imbalance_before=record.get("imbalance_before"),
+                      imbalance_after=record.get("imbalance_after"),
+                      state_tuples_shipped=record.get("state_tuples_shipped", 0))
+
     return [_table("Live rebalance: skewed hot-key load, mid-run Deployment.apply(plan)", "seed", (
-        (f"seed {seed}", _cells(r, **_pick(r.extra["rebalance"], *columns)))
-        for seed, r in zip(seeds, shards.rebalance_sweep(seeds))
+        (f"seed {point['seed']}", cells(r)) for (_, point), r in zip(grid, _summaries(grid))
     ))]
 
 
-def _autoscale(seeds: Sequence[int]) -> list[ResultTable]:
+def _autoscale(grid: Sequence[Point]) -> list[ResultTable]:
     columns = ("peak_shards", "final_shards", "handoffs_completed", "handoff_aborts",
                "state_tuples_shipped")
     return [_table("Elastic autoscaling: load surge -> scale-out, subsidence -> scale-in", "seed", (
-        (f"seed {seed}", _cells(r, actions=len(r.extra["autoscale"]["actions"]),
-                                **_pick(r.extra["autoscale"], *columns)))
-        for seed, r in zip(seeds, shards.autoscale_sweep(seeds))
+        (f"seed {point['seed']}", _cells(r, actions=len(r.extra["autoscale"]["actions"]),
+                                         **_pick(r.extra["autoscale"], *columns)))
+        for (_, point), r in zip(grid, _summaries(grid))
     ))]
 
 
-def _live_table(title: str, cases, cells) -> list[ResultTable]:
-    """One row ``cells(spec, spec.run_live())`` per ``(label, spec)``; without fork, one 'unavailable' row."""
+def _live_table(title: str, grid: Sequence[Point], cells) -> list[ResultTable]:
+    """One row ``cells(spec, spec.run_live())`` per point; without fork, one 'unavailable' row.
+
+    A row is named by its spec and failure kinds (``chain-2 disconnect``).
+    """
     table = ResultTable(title=title, row_label="scenario", column_label="metric")
     try:
-        for label, spec in cases:
+        for name, point in grid:
+            spec = CATALOGUE[name](**point)
+            label = " ".join([spec.name, *(failure.kind for failure in spec.failures)])
             for column, value in cells(spec, spec.run_live()).items():
                 table.set(label, column, value)
     except LiveBackendUnavailable as error:
@@ -406,11 +475,9 @@ def _live_table(title: str, cases, cells) -> list[ResultTable]:
     return [table]
 
 
-def _live_throughput(grid: Mapping[str, float]) -> list[ResultTable]:
+def _live_throughput(grid: Sequence[Point]) -> list[ResultTable]:
     """Wall-clock throughput of real worker processes: environment-bound trend numbers."""
-    run = dict(grid, settle=0.0, seed=1)
-    cases = [("chain-2", ScenarioSpec.chain(2, **run)), ("shard-4", ScenarioSpec.sharded(4, **run))]
-    return _live_table("Live backend: wall-clock throughput, chain vs sharded fan-out", cases,
+    return _live_table("Live backend: wall-clock throughput, chain vs sharded fan-out", grid,
                        lambda spec, result: {
         "worker processes": len(result.nodes) + 1, "stable tuples": result.total_stable,
         "wall (s)": result.wall_seconds, "tuples/s (wall)": result.total_stable / result.wall_seconds,
@@ -418,16 +485,9 @@ def _live_throughput(grid: Mapping[str, float]) -> list[ResultTable]:
     })
 
 
-def _live_faults(duration: float) -> list[ResultTable]:
+def _live_faults(grid: Sequence[Point]) -> list[ResultTable]:
     """Each spec run live and against its simulator oracle; "ledger matches sim" is the parity claim."""
-    run = dict(warmup=1.5, duration=duration, seed=1)
-    cases = [
-        ("chain-2 disconnect", ScenarioSpec.chain(2, aggregate_rate=90.0, **run).with_failure(
-            "disconnect", duration=1.0)),
-        ("shard-4 partition", ScenarioSpec.sharded(4, aggregate_rate=120.0, **run).with_partition(
-            "shard1", replica=-1, duration=1.0)),
-    ]
-    return _live_table("Live fault injection: disconnect/partition parity with the simulator", cases,
+    return _live_table("Live fault injection: disconnect/partition parity with the simulator", grid,
                        lambda spec, result: {
         "stable tuples": result.total_stable, "tentative tuples": result.total_tentative,
         "injected faults": sum(result.injected_faults().values()),
@@ -445,71 +505,99 @@ def _entry(name, measure, quick, full=None, section=None, description=None) -> E
     return Experiment(name, description or claim.title, measure, grids, section, claim)
 
 
-def _kwargs(runner: Callable) -> Callable[[Mapping], Any]:
-    """A measure whose grid is ``runner``'s keyword arguments."""
-    return lambda grid: runner(**grid)
-
-
-_FIG13_QUICK_POLICIES = {
-    name: single_node.FIG13_POLICIES[name]
-    for name in ("Process & Process", "Delay & Delay", "Process & Suspend", "Delay & Suspend")
-}
+_CHAIN_POLICIES = ("Process & Process", "Delay & Delay")
+_FIG13_QUICK_POLICIES = ("Process & Process", "Delay & Delay", "Process & Suspend",
+                         "Delay & Suspend")
+_OVERHEAD_QUICK = (0.01, 0.1, 0.2, 0.5)
 _OVERHEAD_FULL = (0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5)
+_DURATIONS_QUICK = (4.0, 8.0)
 _DURATIONS_FULL = (4.0, 8.0, 16.0, 30.0)
+_LIVE_THROUGHPUT = ("live-throughput-chain2", "live-throughput-shard4")
+_LIVE_FAULTS = ("live-disconnect-chain2", "live-partition-shard4")
 
 EXPERIMENTS: dict[str, Experiment] = {entry.name: entry for entry in (
-    _entry("table3", single_node.table3, (2, 8, 16, 30, 60),
-           (2, 4, 6, 8, 10, 12, 14, 16, 30, 45, 60), build_table3_section),
-    _entry("fig11a", _kwargs(single_node.eventual_consistency_trace), {"overlapping": True},
+    _entry("table3", _summaries, _points("table3", failure_duration=(2, 8, 16, 30, 60)),
+           _points("table3", failure_duration=(2, 4, 6, 8, 10, 12, 14, 16, 30, 45, 60)),
+           build_table3_section),
+    _entry("fig11a", _summaries, [("fig11", {"overlapping": True})],
            section=partial(_fig11_section, "fig11a")),
-    _entry("fig11b", _kwargs(single_node.eventual_consistency_trace), {"overlapping": False},
+    _entry("fig11b", _summaries, [("fig11", {"overlapping": False})],
            section=partial(_fig11_section, "fig11b")),
-    _entry("fig13", _kwargs(partial(single_node.fig13, aggregate_rate=300.0)),
-           {"failure_durations": (2, 10, 30), "policies": _FIG13_QUICK_POLICIES},
-           {"failure_durations": (2, 6, 10, 14, 30, 60)}, _fig13_section),
-    _entry("fig15", chains.fig15, (1, 2, 4), (1, 2, 3, 4), build_fig15_section),
-    _entry("fig16", _kwargs(chains.fig16), {"failure_durations": (5, 15), "depths": (1, 2, 4)},
-           {"failure_durations": (5, 10, 15, 30), "depths": (1, 2, 3, 4)},
+    _entry("fig13", _summaries,
+           _points("fig13", policy=_FIG13_QUICK_POLICIES, failure_duration=(2, 10, 30)),
+           _points("fig13", policy=tuple(FIG13_POLICIES), failure_duration=(2, 6, 10, 14, 30, 60)),
+           _fig13_section),
+    _entry("fig15", _summaries, _points("chain-silence", policy=_CHAIN_POLICIES, depth=(1, 2, 4)),
+           _points("chain-silence", policy=_CHAIN_POLICIES, depth=(1, 2, 3, 4)),
+           build_fig15_section),
+    _entry("fig16", _summaries,
+           _points("chain-silence", failure_duration=(5, 15), policy=_CHAIN_POLICIES,
+                   depth=(1, 2, 4)),
+           _points("chain-silence", failure_duration=(5, 10, 15, 30), policy=_CHAIN_POLICIES,
+                   depth=(1, 2, 3, 4)),
            partial(build_tentative_vs_depth_section, experiment_id="fig16")),
-    _entry("fig18", chains.fig18, (1, 4), (1, 2, 3, 4),
+    _entry("fig18", _summaries,
+           _points("chain-silence", policy=_CHAIN_POLICIES, depth=(1, 4), failure_duration=(60.0,),
+                   settle=(40.0,)),
+           _points("chain-silence", policy=_CHAIN_POLICIES, depth=(1, 2, 3, 4),
+                   failure_duration=(60.0,), settle=(40.0,)),
            partial(build_tentative_vs_depth_section, experiment_id="fig18")),
-    _entry("fig19", chains.fig19_20, (5, 10), (5, 10, 15, 30),
+    _entry("fig19", _summaries,
+           _points("delay-assignment", variant=tuple(FIG19_VARIANTS), failure_duration=(5, 10)),
+           _points("delay-assignment", variant=tuple(FIG19_VARIANTS),
+                   failure_duration=(5, 10, 15, 30)),
            partial(_delay_assignment_section, "fig19")),
-    _entry("fig20", chains.fig19_20, (5, 10), (5, 10, 15, 30),
+    _entry("fig20", _summaries,
+           _points("delay-assignment", variant=tuple(FIG19_VARIANTS), failure_duration=(5, 10)),
+           _points("delay-assignment", variant=tuple(FIG19_VARIANTS),
+                   failure_duration=(5, 10, 15, 30)),
            partial(_delay_assignment_section, "fig20")),
-    _entry("table4", partial(overhead.table4, duration=20.0), (0.01, 0.1, 0.2, 0.5),
-           _OVERHEAD_FULL, partial(_overhead_section, "table4")),
-    _entry("table5", partial(overhead.table5, duration=20.0), (0.01, 0.1, 0.2, 0.5),
-           _OVERHEAD_FULL, partial(_overhead_section, "table5")),
-    _entry("diamond", partial(_branch_sweep, dags.diamond_sweep,
-                              "Diamond topology: branch crash (all replicas of 'left')", "branches"),
-           (4.0, 8.0), _DURATIONS_FULL,
+    _entry("table4", partial(_overhead, "bucket_size"),
+           _overhead_grid("bucket_size", "boundary_interval", _OVERHEAD_QUICK),
+           _overhead_grid("bucket_size", "boundary_interval", _OVERHEAD_FULL),
+           partial(_overhead_section, "table4")),
+    _entry("table5", partial(_overhead, "boundary_interval"),
+           _overhead_grid("boundary_interval", "bucket_size", _OVERHEAD_QUICK),
+           _overhead_grid("boundary_interval", "bucket_size", _OVERHEAD_FULL),
+           partial(_overhead_section, "table5")),
+    _entry("diamond",
+           partial(_branch_tables, "Diamond topology: branch crash (all replicas of 'left')"),
+           _points("diamond", failure_duration=_DURATIONS_QUICK),
+           _points("diamond", failure_duration=_DURATIONS_FULL),
            description="DAG: diamond (fan-out + fan-in) with one branch crashed"),
-    _entry("fanin", partial(dags.fanin_sweep, seed=1), (4.0, 8.0), _DURATIONS_FULL,
+    _entry("fanin", _summaries, _points("fanin", failure_duration=_DURATIONS_QUICK),
+           _points("fanin", failure_duration=_DURATIONS_FULL),
            partial(_fanin_section, "fanin", "Fan-in topology: boundary silence on one branch",
-                   "branches", ("branch2",), ("branch1", "merge"))),
-    _entry("shard", partial(shards.shard_kill_sweep, shards=4, seed=1), (4.0, 8.0),
-           _DURATIONS_FULL, _shard_section),
-    _entry("shard-throughput", shards.shard_throughput_sweep, (1, 2, 4), (1, 2, 4, 8),
+                   ("branch2",), ("branch1", "merge"))),
+    _entry("shard", _summaries, _points("shard-kill", failure_duration=_DURATIONS_QUICK),
+           _points("shard-kill", failure_duration=_DURATIONS_FULL), _shard_section),
+    # The chain runs as many operators as the widest sharding (2d + 1 >= 4N + 4).
+    _entry("shard-throughput", _summaries,
+           _points("shard-throughput", shards=(1, 2, 4)) + [("chain-throughput", {"depth": 10})],
+           _points("shard-throughput", shards=(1, 2, 4, 8)) + [("chain-throughput", {"depth": 18})],
            section=_shard_throughput_section),
-    _entry("rebalance", _rebalance, (1, 2), (1, 2, 3, 4),
+    _entry("rebalance", _rebalance, _points("rebalance", seed=(1, 2)),
+           _points("rebalance", seed=(1, 2, 3, 4)),
            description="Live rebalance: skewed load, mid-run bucket handoff between shards"),
-    _entry("autoscale", _autoscale, (1, 2), (1, 2, 3, 4),
+    _entry("autoscale", _autoscale, _points("shard2-autoscale", seed=(1, 2)),
+           _points("shard2-autoscale", seed=(1, 2, 3, 4)),
            description="Elastic autoscaling: surge-driven scale-out, subsidence-driven scale-in"),
-    _entry("replicas", partial(ablations.replica_sweep, failure_duration=12.0), (1, 2), (1, 2, 3),
-           _replicas_section),
-    _entry("detection", ablations.detection_sweep, (0.1, 0.5), (0.05, 0.1, 0.25, 0.5),
-           _detection_section),
-    _entry("crash", _kwargs(ablations.crash_failover), {"crash_duration": 15.0},
-           section=_crash_section),
-    _entry("granularity", lambda modes: [ablations.granularity_run(m) for m in modes],
-           (False, True), section=_granularity_section),
-    _entry("buffers", _buffer_runs, (None, 1.0), section=_buffers_section),
-    _entry("recovery", ablations.recovery_time_sweep, (4.0, 10.0), (2.0, 4.0, 10.0, 20.0),
+    _entry("replicas", _summaries, _points("replicas", replicas=(1, 2)),
+           _points("replicas", replicas=(1, 2, 3)), _replicas_section),
+    _entry("detection", _summaries, _points("detection", keepalive_period=(0.1, 0.5)),
+           _points("detection", keepalive_period=(0.05, 0.1, 0.25, 0.5)), _detection_section),
+    _entry("crash", _summaries, [("crash", {"crash_duration": 15.0})], section=_crash_section),
+    _entry("granularity", _summaries, _points("granularity", per_stream=(False, True)),
+           section=_granularity_section),
+    _entry("buffers", _summaries, _points("buffers", checkpoint_interval=(None, 1.0)),
+           section=_buffers_section),
+    _entry("recovery", _summaries, _recovery_grid((4.0, 10.0)), _recovery_grid((2.0, 4.0, 10.0, 20.0)),
            section=_recovery_section),
-    _entry("live-throughput", _live_throughput, {"aggregate_rate": 240.0, "warmup": 4.0},
-           {"aggregate_rate": 480.0, "warmup": 8.0},
+    _entry("live-throughput", _live_throughput,
+           _each(_LIVE_THROUGHPUT, aggregate_rate=240.0, warmup=4.0),
+           _each(_LIVE_THROUGHPUT, aggregate_rate=480.0, warmup=8.0),
            description="Live backend: wall-clock throughput over real processes and sockets"),
-    _entry("live-faults", _live_faults, 4.0, 8.0,
+    _entry("live-faults", _live_faults, _each(_LIVE_FAULTS, duration=4.0),
+           _each(_LIVE_FAULTS, duration=8.0),
            description="Live fault injection: disconnect/partition parity against the sim oracle"),
 )}

@@ -1,7 +1,7 @@
 """Result tables: pivoting and rendering of experiment results.
 
-The experiment harness produces flat lists of
-:class:`~repro.experiments.harness.ExperimentResult`; the paper reports them
+The registry produces flat lists of
+:class:`~repro.experiments.ExperimentResult`; the paper reports them
 as two-dimensional tables (e.g. chain depth on the x-axis, one series per
 policy).  This module pivots those lists into :class:`ResultTable` objects and
 renders them as plain text, GitHub-flavoured Markdown, or CSV.
@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..experiments.harness import ExperimentResult
+from ..experiments import ExperimentResult
 
 #: Extracts the value of one table cell from an experiment result.
 ValueGetter = Callable[[ExperimentResult], object]

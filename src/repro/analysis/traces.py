@@ -4,8 +4,7 @@ A client records every tuple it receives as a
 :class:`~repro.metrics.collector.TraceEntry`.  The paper presents these
 traces directly (Figure 11 plots sequence number against arrival time) and
 derives quantities from them (gaps in new data, tentative bursts, correction
-bursts).  This module extracts those quantities and renders a terminal-sized
-ASCII version of the Figure 11 plot.
+bursts).  This module extracts those quantities.
 """
 
 from __future__ import annotations
@@ -160,56 +159,3 @@ def analyze_trace(trace: Sequence[TraceEntry]) -> TraceAnalysis:
         first_tentative_at=first_tentative,
         last_correction_at=last_correction,
     )
-
-
-# --------------------------------------------------------------------------- ASCII plotting
-_MARKERS = {"insertion": "*", "tentative": "o", "rec_done": "R"}
-
-
-def ascii_plot(
-    trace: Sequence[TraceEntry],
-    *,
-    width: int = 72,
-    height: int = 20,
-    title: str = "output trace",
-) -> str:
-    """Plot sequence number against arrival time, Figure 11 style.
-
-    Stable tuples are drawn as ``*``, tentative tuples as ``o``, and REC_DONE
-    markers as ``R`` on the x-axis (the paper plots them as "a tuple with
-    identifier zero").
-    """
-    points: list[tuple[float, float, str]] = []
-    for entry in trace:
-        if entry.tuple_type in _DATA_TYPES and isinstance(entry.sequence, (int, float)):
-            points.append((entry.time, float(entry.sequence), entry.tuple_type))
-        elif entry.tuple_type == "rec_done":
-            points.append((entry.time, 0.0, "rec_done"))
-    if not points:
-        return f"{title}\n(no data)"
-    min_t = min(p[0] for p in points)
-    max_t = max(p[0] for p in points)
-    min_s = min(p[1] for p in points)
-    max_s = max(p[1] for p in points)
-    span_t = max(max_t - min_t, 1e-9)
-    span_s = max(max_s - min_s, 1e-9)
-    grid = [[" "] * width for _ in range(height)]
-    for time, seq, kind in points:
-        column = min(int((time - min_t) / span_t * (width - 1)), width - 1)
-        row = height - 1 - min(int((seq - min_s) / span_s * (height - 1)), height - 1)
-        current = grid[row][column]
-        marker = _MARKERS[kind]
-        # Later markers do not overwrite REC_DONE; tentative never hides stable.
-        if current == "R":
-            continue
-        if current == "*" and marker == "o":
-            continue
-        grid[row][column] = marker
-    lines = [title]
-    for row_index, row in enumerate(grid):
-        seq_value = max_s - (row_index / max(height - 1, 1)) * span_s
-        lines.append(f"{seq_value:>10.0f} |" + "".join(row))
-    lines.append(" " * 11 + "+" + "-" * width)
-    lines.append(f"{'':11}{min_t:<10.1f}{'time (s)':^{max(width - 20, 8)}}{max_t:>10.1f}")
-    lines.append("legend: * stable   o tentative   R REC_DONE")
-    return "\n".join(lines)

@@ -18,8 +18,8 @@ paper's claims without writing any code::
     python -m repro plan-delays --depth 4 --budget 8 --strategy full
     python -m repro plan-delays --topology diamond --budget 9 --strategy uniform
 
-The CLI is a thin layer over :mod:`repro.runtime`, :mod:`repro.experiments`,
-and :mod:`repro.analysis`; everything it prints can also be produced
+The CLI is a thin layer over :mod:`repro.runtime`, the scenario catalogue
+(:mod:`repro.workloads.catalogue`) and :mod:`repro.analysis`; everything it prints can also be produced
 programmatically with the :class:`~repro.runtime.ScenarioSpec` API::
 
     from repro import ScenarioSpec
@@ -44,6 +44,7 @@ from .deploy import AutoscalePolicy
 from .errors import ConfigurationError, LiveBackendUnavailable, SimulationError
 from .runtime import ScenarioSpec
 from .runtime.runtime import LIVE_POST_STOP_SLACK
+from .workloads.catalogue import CATALOGUE
 from .workloads.generators import step_rate
 
 #: Renderers selectable with ``--format``.
@@ -338,19 +339,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.scenario == "live":
         return _profile_live(args, _shape_spec("chain", args, **common))
     if args.scenario == "recovery":
-        # Crash one replica mid-run so the profile covers capture, transfer,
-        # adoption, and the post-rejoin replay suffix -- the statexfer path.
-        common.update(
+        # The catalogue's checkpoint-shipped crash, resized by the flags: the
+        # profile covers capture, transfer, adoption, and the post-rejoin
+        # replay suffix -- the statexfer path.
+        outage = max(args.duration * 0.4, 4.0)
+        spec = CATALOGUE["recovery"](failure_duration=outage).with_overrides(
+            name=common["name"],
+            chain_depth=args.depth,
             replicas_per_node=max(args.replicas, 2),
-            warmup=5.0,
+            aggregate_rate=args.rate,
             settle=max(args.duration - 5.0, 10.0),
-            checkpoint_interval=2.0,
-        )
-        spec = _shape_spec("chain", args, **common).with_failure(
-            "crash",
-            start=5.0,
-            duration=max(args.duration * 0.4, 4.0),
-            node_replica=0,
+            seed=args.seed,
         )
     else:
         spec = _shape_spec(args.scenario, args, **common)

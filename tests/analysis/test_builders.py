@@ -9,8 +9,7 @@ from repro.analysis.builders import (
     build_table3_section,
     build_tentative_vs_depth_section,
 )
-from repro.experiments.harness import ExperimentResult
-from repro.experiments.overhead import OverheadRow
+from repro.experiments import ExperimentResult, OverheadRow
 from repro.metrics.latency import LatencySummary
 
 

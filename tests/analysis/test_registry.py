@@ -5,14 +5,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from repro import cli
 from repro.analysis import registry
 from repro.analysis.comparison import ShapeCheck
 from repro.analysis.paper import PAPER_CLAIMS, paper_claim
 from repro.analysis.report import ReportSection
 from repro.analysis.tables import ResultTable
-from repro.experiments.ablations import RecoveryResult
-from repro.experiments.harness import ExperimentResult
+from repro.experiments import ExperimentResult
 
 
 def test_every_paper_claim_resolves_to_an_entry_with_checks():
@@ -82,7 +83,7 @@ def test_importing_the_registry_runs_nothing():
     probe = (
         "import sys, repro\n"
         "loaded = [m for m in sys.modules if m.startswith(('repro.analysis', "
-        "'repro.experiments', 'repro.cli'))]\n"
+        "'repro.experiments', 'repro.cli', 'repro.workloads.catalogue'))]\n"
         "assert not loaded, loaded\n"
         "from repro.runtime import ScenarioSpec\n"
         "def refuse(*args, **kwargs):\n"
@@ -103,11 +104,11 @@ def _failed(section: ReportSection) -> list[str]:
     return [check.name for check in section.checks if not check.passed]
 
 
-def _parts(duration: float, label: str, parts: str, names: tuple, tentative: dict,
-           proc_new: float = 1.4, **extra) -> ExperimentResult:
-    """A fan-in or shard-kill run whose ``extra[parts]`` holds ``tentative`` per part."""
-    extra[parts] = {name: {"stable": 900, "tentative": tentative.get(name, 0), "undos": 0}
-                    for name in names}
+def _run(duration: float, label: str, names: tuple, tentative: dict, proc_new: float = 1.4,
+         **extra) -> ExperimentResult:
+    """A fan-in or shard-kill run whose ``extra["groups"]`` holds ``tentative`` per node group."""
+    extra["groups"] = {name: {"stable": 900, "tentative": tentative.get(name, 0), "undos": 0}
+                       for name in names}
     return ExperimentResult(
         label=label, failure_duration=duration, chain_depth=1, policy="p", proc_new=proc_new,
         max_gap=proc_new, n_tentative=400, n_stable=5000, n_undos=400, n_rec_done=1,
@@ -120,11 +121,10 @@ _SHARD_PARTS = ("split", "shard1", "shard2", "shard3", "shard4", "merge")
 
 def _shard_kill(duration: float, survivor_tentative: int = 0, merge_tentative: int = 800,
                 proc_new: float = 1.4) -> ExperimentResult:
-    return _parts(duration, "shard-4", "shards", _SHARD_PARTS,
-                  {"shard3": survivor_tentative, "merge": merge_tentative}, proc_new,
-                  survivors=["shard2", "shard3", "shard4"],
-                  shard_states={name: ["stable", "stable"] for name in _SHARD_PARTS},
-                  rebalance={"moves": 0})
+    return _run(duration, "shard-4", _SHARD_PARTS,
+                {"shard3": survivor_tentative, "merge": merge_tentative}, proc_new,
+                states={name: ["stable", "stable"] for name in _SHARD_PARTS},
+                planner={"moves": 0})
 
 
 def test_shard_checks_pass_when_only_the_merge_goes_tentative():
@@ -151,7 +151,7 @@ def test_shard_checks_fail_when_the_merge_exceeds_its_bound():
 
 def test_shard_checks_fail_when_a_replica_group_does_not_end_stable():
     unsettled = _shard_kill(4.0)
-    unsettled.extra["shard_states"]["merge"] = ["stable", "up_failure"]
+    unsettled.extra["states"]["merge"] = ["stable", "up_failure"]
     assert _failed(registry._shard_section([unsettled])) == [
         "every replica group ends STABLE (4 s failure)"
     ]
@@ -159,15 +159,15 @@ def test_shard_checks_fail_when_a_replica_group_does_not_end_stable():
 
 def test_shard_checks_fail_when_the_planner_wants_bucket_moves():
     skewed = _shard_kill(4.0)
-    skewed.extra["rebalance"]["moves"] = 2
+    skewed.extra["planner"]["moves"] = 2
     assert _failed(registry._shard_section([skewed])) == [
         "the planner wants no bucket moves (4 s failure)"
     ]
 
 
 def _fanin(duration: float, **tentative: int) -> ExperimentResult:
-    return _parts(duration, "fanin", "branches", ("branch1", "branch2", "merge"),
-                  {"branch1": 300, "merge": 600, **tentative})
+    return _run(duration, "fanin", ("branch1", "branch2", "merge"),
+                {"branch1": 300, "merge": 600, **tentative})
 
 
 def test_fanin_checks_fail_when_the_other_branch_goes_tentative():
@@ -185,47 +185,58 @@ def test_fanin_checks_fail_when_the_silent_branch_stays_stable():
     ]
 
 
-def _recovery(duration: float, mode: str, recovery_s: float, replayed: int) -> RecoveryResult:
-    return RecoveryResult(
-        label=mode, mode=mode, failure_duration=duration, recovery_s=recovery_s,
-        replayed=replayed, shipped_items=300 if mode == "checkpoint" else 0, transfer_delay=0.07,
-        proc_new=0.45, tuples_processed=1000, recovery_checkpoints=10,
-        eventually_consistent=True, ledger_rows=((1, 2.0),),
+def _recovery(duration: float, mode: str, recovery_s: float, replayed: int,
+              ledger: str = "l1") -> ExperimentResult:
+    record = {"mode": mode, "recovery_s": recovery_s, "replayed": replayed,
+              "shipped_items": 300 if mode == "checkpoint" else 0, "transfer_delay": 0.07,
+              "node": "node1-r0"}
+    return ExperimentResult(
+        label=f"recovery-{mode}", failure_duration=duration, chain_depth=2, policy="p",
+        proc_new=0.45, max_gap=0.45, n_tentative=0, n_stable=1000, n_undos=0, n_rec_done=0,
+        eventually_consistent=True, extra={"recoveries": [record], "ledger_sha256": ledger},
     )
 
 
-_RECOVERY_PAIRS = [
-    (_recovery(4.0, "checkpoint", 0.17, 129), _recovery(4.0, "replay", 0.4, 480)),
-    (_recovery(10.0, "checkpoint", 0.17, 126), _recovery(10.0, "replay", 1.0, 1200)),
+def _with(result: ExperimentResult, ledger: str | None = None, **record) -> ExperimentResult:
+    """``result`` with its rejoin record (or ledger digest) changed."""
+    extra = dict(result.extra, recoveries=[dict(result.extra["recoveries"][-1], **record)])
+    if ledger is not None:
+        extra["ledger_sha256"] = ledger
+    return replace(result, extra=extra)
+
+
+_RECOVERY_RUNS = [
+    _recovery(4.0, "checkpoint", 0.17, 129), _recovery(4.0, "replay", 0.4, 480),
+    _recovery(10.0, "checkpoint", 0.17, 126), _recovery(10.0, "replay", 1.0, 1200),
 ]
 
 
 def test_recovery_checks_fail_when_the_checkpoint_path_is_slower_than_replay():
-    assert _failed(registry._recovery_section(_RECOVERY_PAIRS)) == []
-    slow = (replace(_RECOVERY_PAIRS[1][0], recovery_s=1.2), _RECOVERY_PAIRS[1][1])
-    assert _failed(registry._recovery_section([_RECOVERY_PAIRS[0], slow])) == [
+    assert _failed(registry._recovery_section(_RECOVERY_RUNS)) == []
+    slow = _RECOVERY_RUNS[:2] + [_with(_RECOVERY_RUNS[2], recovery_s=1.2), _RECOVERY_RUNS[3]]
+    assert _failed(registry._recovery_section(slow)) == [
         "checkpoint beats replay on modeled time and suffix (10 s failure)",
         "replay cost grows with the outage, checkpoint cost does not as fast",
     ]
 
 
 def test_recovery_checks_fail_when_the_checkpoint_path_does_not_engage():
-    fallback = (replace(_RECOVERY_PAIRS[1][0], mode="replay"), _RECOVERY_PAIRS[1][1])
-    assert _failed(registry._recovery_section([_RECOVERY_PAIRS[0], fallback])) == [
+    fallback = _RECOVERY_RUNS[:2] + [_with(_RECOVERY_RUNS[2], mode="replay"), _RECOVERY_RUNS[3]]
+    assert _failed(registry._recovery_section(fallback)) == [
         "the checkpoint path engages (10 s failure)"
     ]
 
 
 def test_recovery_checks_fail_when_the_ledgers_differ():
-    diverged = (_RECOVERY_PAIRS[0][0], replace(_RECOVERY_PAIRS[0][1], ledger_rows=((1, 3.0),)))
-    assert _failed(registry._recovery_section([diverged, _RECOVERY_PAIRS[1]])) == [
+    diverged = [_RECOVERY_RUNS[0], _with(_RECOVERY_RUNS[1], ledger="l2"), *_RECOVERY_RUNS[2:]]
+    assert _failed(registry._recovery_section(diverged)) == [
         "both modes end with the same stable ledger (4 s failure)"
     ]
 
 
 def test_recovery_checks_let_outages_under_4_s_prefer_replay():
-    short = (_recovery(2.0, "replay", 0.2, 240), _recovery(2.0, "replay", 0.2, 240))
-    section = registry._recovery_section([short, _RECOVERY_PAIRS[1]])
+    short = [_recovery(2.0, "replay", 0.2, 240), _recovery(2.0, "replay", 0.2, 240)]
+    section = registry._recovery_section(short + _RECOVERY_RUNS[2:])
     assert _failed(section) == []
     assert [check.name for check in section.checks if "(2 s failure)" in check.name] == [
         "both modes end with the same stable ledger (2 s failure)"
@@ -233,52 +244,73 @@ def test_recovery_checks_let_outages_under_4_s_prefer_replay():
 
 
 def test_recovery_checks_fail_when_replay_cost_does_not_grow():
-    flat = (_RECOVERY_PAIRS[1][0], replace(_RECOVERY_PAIRS[1][1], recovery_s=0.4))
-    assert _failed(registry._recovery_section([_RECOVERY_PAIRS[0], flat])) == [
+    flat = _RECOVERY_RUNS[:3] + [_with(_RECOVERY_RUNS[3], recovery_s=0.4)]
+    assert _failed(registry._recovery_section(flat)) == [
         "replay cost grows with the outage, checkpoint cost does not as fast"
     ]
 
 
-def _throughput_row(label: str, events: int, egress: int) -> dict:
-    return {"label": label, "tuples_per_second": 5e4, "events_fired": events,
-            "events_per_tuple": events / 17757, "split_egress": egress, "proc_new": 0.3,
-            "operators": 16, "eventually_consistent": True, "stable_tuples": 17757}
+def test_recovery_table_reads_the_last_rejoin_and_compares_ledgers():
+    [table] = registry._recovery_section(_RECOVERY_RUNS).tables
+    assert table.as_dict()["10 s"] == {
+        "ckpt mode": "checkpoint", "ckpt recovery (s)": 0.17, "replay recovery (s)": 1.0,
+        "ckpt suffix": 126, "replay suffix": 1200, "shipped items": 300,
+        "ledgers identical": True,
+    }
 
 
-_THROUGHPUT_ROWS = [_throughput_row("shard(1)", 3296, 18026),
-                    _throughput_row("shard(4)", 5087, 18473),
-                    _throughput_row("chain(10)", 6435, 0)]
+def _throughput_run(label: str, events: int, egress: int, stable: int = 17757,
+                    proc_new: float = 0.3, consistent: bool = True) -> ExperimentResult:
+    return ExperimentResult(
+        label=label, failure_duration=0.0, chain_depth=3, policy="p", proc_new=proc_new,
+        max_gap=proc_new, n_tentative=0, n_stable=stable, n_undos=0, n_rec_done=0,
+        eventually_consistent=consistent,
+        extra={"events_fired": events, "split_egress": egress, "operators": 16,
+               "wall_seconds": stable / 5e4},
+    )
+
+
+_THROUGHPUT_RUNS = [_throughput_run("shard-1", 3296, 18026),
+                    _throughput_run("shard-4", 5087, 18473),
+                    _throughput_run("chain-10", 6435, 0)]
 
 
 def test_shard_throughput_checks_fail_on_full_stream_egress():
-    rows = _THROUGHPUT_ROWS
-    assert _failed(registry._shard_throughput_section(rows)) == []
-    broadcast = [rows[0], dict(rows[1], split_egress=4 * 17757), rows[2]]
+    runs = _THROUGHPUT_RUNS
+    assert _failed(registry._shard_throughput_section(runs)) == []
+    broadcast = [runs[0], _throughput_run("shard-4", 5087, 4 * 17757), runs[2]]
     assert _failed(registry._shard_throughput_section(broadcast)) == [
         "the split sends about one copy per stable tuple, not one per shard"
     ]
 
 
 def test_shard_throughput_checks_fail_on_a_cheap_chain():
-    rows = _THROUGHPUT_ROWS
-    cheap = dict(rows[2], events_per_tuple=1.1 * rows[1]["events_per_tuple"])
-    assert _failed(registry._shard_throughput_section(rows[:2] + [cheap])) == [
+    runs = _THROUGHPUT_RUNS
+    cheap = _throughput_run("chain-10", int(1.1 * 5087), 0)
+    assert _failed(registry._shard_throughput_section(runs[:2] + [cheap])) == [
         "chain(10) fires >= 1.25x shard(4)'s events per stable tuple"
     ]
 
 
 def test_shard_throughput_checks_fail_when_proc_new_reaches_x_or_a_run_diverges():
-    rows = _THROUGHPUT_ROWS
+    runs = _THROUGHPUT_RUNS
     check = "every run is consistent with Proc_new < X = 3 s"
-    late = [rows[0], dict(rows[1], proc_new=3.0), rows[2]]
+    late = [runs[0], _throughput_run("shard-4", 5087, 18473, proc_new=3.0), runs[2]]
     assert _failed(registry._shard_throughput_section(late)) == [check]
-    diverged = rows[:2] + [dict(rows[2], eventually_consistent=False)]
+    diverged = runs[:2] + [_throughput_run("chain-10", 6435, 0, consistent=False)]
     assert _failed(registry._shard_throughput_section(diverged)) == [check]
 
 
 def test_shard_throughput_checks_fail_when_shard_counts_deliver_different_output():
-    rows = _THROUGHPUT_ROWS
-    short = [dict(rows[0], stable_tuples=17000), rows[1], rows[2]]
+    runs = _THROUGHPUT_RUNS
+    short = [_throughput_run("shard-1", 3296, 18026, stable=17000), runs[1], runs[2]]
     assert _failed(registry._shard_throughput_section(short)) == [
         "every shard count delivers the same stable output"
     ]
+
+
+def test_shard_throughput_table_names_deployments_and_reads_wall_clock_throughput():
+    [table] = registry._shard_throughput_section(_THROUGHPUT_RUNS).tables
+    assert table.rows == ["shard(1)", "shard(4)", "chain(10)"]
+    assert table.get("shard(4)", "tuples_per_second") == pytest.approx(5e4)
+    assert table.get("chain(10)", "operators") == 16

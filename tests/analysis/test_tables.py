@@ -12,7 +12,7 @@ from repro.analysis.tables import (
     render_text,
     tentative_by_depth,
 )
-from repro.experiments.harness import ExperimentResult
+from repro.experiments import ExperimentResult
 
 
 def make_result(label="Process & Process", duration=10.0, depth=1, proc_new=2.5, tentative=100):

@@ -1,8 +1,7 @@
-"""Tests for client-trace analysis and the ASCII Figure 11 plot."""
+"""Tests for client-trace analysis."""
 
 from repro.analysis.traces import (
     analyze_trace,
-    ascii_plot,
     correction_episodes,
     output_gaps,
     tentative_episodes,
@@ -94,22 +93,3 @@ def test_analyze_trace_without_failure():
     assert not analysis.had_failure
     assert analysis.recovered
     assert analysis.first_tentative_at is None
-
-
-def test_ascii_plot_contains_markers_and_legend():
-    plot = ascii_plot(failure_trace(), width=40, height=10, title="Figure 11(a)")
-    assert "Figure 11(a)" in plot
-    assert "*" in plot
-    assert "o" in plot
-    assert "R" in plot
-    assert "legend" in plot
-
-
-def test_ascii_plot_empty_trace():
-    assert "(no data)" in ascii_plot([], title="empty")
-
-
-def test_ascii_plot_dimensions():
-    plot = ascii_plot(failure_trace(), width=30, height=8)
-    data_lines = [line for line in plot.splitlines() if "|" in line]
-    assert len(data_lines) == 8

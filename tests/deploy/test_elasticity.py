@@ -14,8 +14,10 @@ import pytest
 
 from repro.deploy import AutoscalePolicy
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments import summarize_run
 from repro.runtime import ScenarioSpec
 from repro.sharding import ShardPlanner
+from repro.workloads.catalogue import CATALOGUE
 
 
 def priced_spec(seed=1, *, shards=2, warmup=12.0, settle=22.0, rate=120.0, **changes):
@@ -54,9 +56,7 @@ def merge_arity(runtime):
 # --------------------------------------------------------------------------- the headline property
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_autoscale_surge_scales_out_and_back_with_clean_ledgers(seed):
-    from repro.experiments.shards import autoscale_run
-
-    result = autoscale_run(seed)
+    result = summarize_run(CATALOGUE["shard2-autoscale"](seed=seed).run())
     autoscale = result.extra["autoscale"]
     # The surge doubles the load: 2 shards -> 4; the subsidence drains back.
     assert autoscale["peak_shards"] == 4
@@ -70,8 +70,6 @@ def test_autoscale_surge_scales_out_and_back_with_clean_ledgers(seed):
 
 
 def test_autoscale_summary_is_surfaced_only_on_elastic_runs():
-    from repro.experiments.shards import autoscale_run  # noqa: F401 - shape ref
-
     spec = priced_spec(1, warmup=4.0, settle=4.0)
     plain = spec.run().summary()
     assert "autoscale" not in plain

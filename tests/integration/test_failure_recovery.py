@@ -7,11 +7,12 @@ availability within the bound and eventual consistency.
 
 import pytest
 
-from repro.config import DelayPolicy, DPCConfig
+from repro.config import DPCConfig
 from repro.deploy import compile as compile_topology
-from repro.experiments import availability_run
+from repro.experiments import summarize_run
 from repro.runtime import ScenarioSpec, client_is_eventually_consistent
 from repro.topology import Topology
+from repro.workloads.catalogue import CATALOGUE
 
 RATE = 60.0  # tuples/second, kept small so the suite stays fast
 
@@ -65,7 +66,8 @@ def test_long_failure_single_node_reaches_eventual_consistency():
 
 
 def test_replicated_node_maintains_availability_through_long_failure():
-    result = availability_run(failure_duration=12.0, aggregate_rate=RATE, settle=30.0)
+    spec = CATALOGUE["table3"](failure_duration=12.0)
+    result = summarize_run(spec.with_overrides(aggregate_rate=RATE, settle=30.0).run())
     assert result.eventually_consistent
     assert result.proc_new < 3.75
     assert result.n_rec_done >= 1
@@ -113,11 +115,10 @@ def test_chain_recovers_level_by_level():
 
 
 def test_delay_policy_reduces_tentative_tuples():
-    eager = availability_run(
-        failure_duration=8.0, aggregate_rate=120.0, policy=DelayPolicy.process_process(), settle=30.0
-    )
-    delaying = availability_run(
-        failure_duration=8.0, aggregate_rate=120.0, policy=DelayPolicy.delay_delay(), settle=30.0
+    eager, delaying = (
+        summarize_run(CATALOGUE["fig13"](failure_duration=8.0, policy=policy)
+                      .with_overrides(aggregate_rate=120.0, settle=30.0).run())
+        for policy in ("Process & Process", "Delay & Delay")
     )
     assert eager.eventually_consistent and delaying.eventually_consistent
     assert delaying.n_tentative <= eager.n_tentative

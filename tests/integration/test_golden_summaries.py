@@ -4,8 +4,7 @@ The hot-path work (slotted tuples, batch-at-a-time operator loops,
 allocation-free transforms) must be *behaviour-preserving*: a refactor of the
 tuple model or the operator inner loops may change how fast a scenario runs
 but never what it computes.  These tests pin that down: for every scenario
-in ``SCENARIOS`` (chain, windowed aggregate, diamond, shard-kill, rebalance,
-checkpoint and replay recovery, failure-free shard(4), autoscale) at fixed
+in ``SCENARIOS`` (nine entries of :mod:`repro.workloads.catalogue`) at fixed
 seeds, the full ``runtime.summary()`` dictionary and every sink's merged
 ledger must reproduce the digests checked in at ``GOLDEN_summaries.json``
 byte-for-byte.  The summary covers every node's statistics (tuples sent,
@@ -30,8 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.shards import autoscale_spec, shard_throughput_spec
-from repro.runtime import ScenarioSpec
+from repro.workloads.catalogue import CATALOGUE
 
 GOLDEN_PATH = Path(__file__).with_name("GOLDEN_summaries.json")
 
@@ -41,91 +39,24 @@ SEEDS = (1, 2)
 HEADLINES = ("proc_new", "total_stable", "total_tentative", "events_fired",
              "eventually_consistent")
 
-
-def _chain_spec(seed: int) -> ScenarioSpec:
-    return ScenarioSpec.chain(
-        2, name="golden-chain", aggregate_rate=90.0, settle=15.0, seed=seed
-    ).with_failure("disconnect", start=5.0, duration=6.0)
-
-
-def _diamond_spec(seed: int) -> ScenarioSpec:
-    return ScenarioSpec.diamond(
-        name="golden-diamond", aggregate_rate=90.0, warmup=4.0, settle=16.0, seed=seed
-    ).with_branch_crash("left", duration=5.0)
-
-
-def _shard_spec(seed: int) -> ScenarioSpec:
-    return ScenarioSpec.sharded(
-        shards=4,
-        name="golden-shard4",
-        aggregate_rate=90.0,
-        warmup=4.0,
-        settle=16.0,
-        seed=seed,
-    ).with_shard_kill(1, duration=5.0)
-
-
-def _rebalance_spec(seed: int) -> ScenarioSpec:
-    return ScenarioSpec.sharded(
-        shards=4,
-        skew=1.2,
-        name="golden-rebalance",
-        aggregate_rate=120.0,
-        warmup=16.0,
-        settle=18.0,
-        seed=seed,
-        rebalance_at=16.0,
-    )
-
-
-def _aggregate_spec(seed: int) -> ScenarioSpec:
-    # Pane-based windowed aggregation through the full distributed machinery,
-    # with a bursty input rate and a mid-run disconnect so the digest also
-    # covers the aggregate's pane-level checkpoint/restore reconciliation.
-    from repro.workloads.generators import bursty_rate
-
-    return ScenarioSpec.windowed_aggregate(
-        window_size=1.0,
-        window_slide=0.25,
-        name="golden-aggregate",
-        aggregate_rate=90.0,
-        warmup=4.0,
-        settle=16.0,
-        seed=seed,
-        rate_profile=bursty_rate(period=8.0, burst_length=2.0, burst_factor=2.0),
-    ).with_failure("disconnect", start=5.0, duration=6.0)
-
-
-def _recovery_spec(seed: int) -> ScenarioSpec:
-    # Long single-replica crash: the surviving partner keeps capturing
-    # recovery checkpoints through the outage, so the crashed replica rejoins
-    # via the checkpoint-shipped path (mode "checkpoint" in
-    # summary()["recoveries"]) -- the digest pins the whole statexfer flow:
-    # capture cadence, adoption, cursor resubscription, and log truncation.
-    return ScenarioSpec.chain(
-        2, name="golden-recovery", aggregate_rate=90.0, warmup=5.0, settle=20.0, seed=seed
-    ).with_failure("crash", start=5.0, duration=8.0, node="node1", node_replica=0)
-
-
-def _replay_spec(seed: int) -> ScenarioSpec:
-    # The same crash with no recovery checkpoints: the replica rejoins through
-    # full subscription replay (mode "replay"), the arm the registry's
-    # ``recovery`` entry compares the checkpoint path against.
-    return _recovery_spec(seed).with_overrides(checkpoint_interval=None)
-
-
+#: Catalogue entries pinned at each seed: chain disconnect, windowed aggregate
+#: (bursty rate, pane-level reconciliation), diamond branch kill, shard kill,
+#: rebalance, checkpoint and full-replay recovery, and two of the registry's
+#: own runs -- the failure-free shard(4) of ``shard-throughput`` and the
+#: elastic round trip of ``autoscale``.
 SCENARIOS = {
-    "chain2-disconnect": _chain_spec,
-    "aggregate-disconnect": _aggregate_spec,
-    "diamond-branch-crash": _diamond_spec,
-    "shard4-shard-kill": _shard_spec,
-    "shard4-rebalance": _rebalance_spec,
-    "recovery-longfail": _recovery_spec,
-    "recovery-replay": _replay_spec,
-    # The experiments' own runs, pinned as they run: the failure-free shard(4)
-    # of the ``shard-throughput`` entry and the elastic round trip of ``autoscale``.
-    "shard4-steady": lambda seed: shard_throughput_spec(4, seed=seed),
-    "shard2-autoscale": autoscale_spec,
+    name: CATALOGUE[name]
+    for name in (
+        "chain2-disconnect",
+        "aggregate-disconnect",
+        "diamond-branch-crash",
+        "shard4-shard-kill",
+        "shard4-rebalance",
+        "recovery-longfail",
+        "recovery-replay",
+        "shard4-steady",
+        "shard2-autoscale",
+    )
 }
 
 
@@ -176,7 +107,7 @@ def scenario_digest(runtime) -> dict:
 
 def compute_goldens() -> dict:
     return {
-        name: {str(seed): scenario_digest(factory(seed).run()) for seed in SEEDS}
+        name: {str(seed): scenario_digest(factory(seed=seed).run()) for seed in SEEDS}
         for name, factory in SCENARIOS.items()
     }
 
@@ -221,7 +152,7 @@ def describe_changes(old: dict, new: dict) -> list[str]:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scenario_reproduces_golden_digest(scenario, seed):
     golden = load_goldens()[scenario][str(seed)]
-    current = scenario_digest(SCENARIOS[scenario](seed).run())
+    current = scenario_digest(SCENARIOS[scenario](seed=seed).run())
     # Compare the headline fields first: they localize a mismatch far better
     # than two differing SHA-256 strings.
     for key in HEADLINES:

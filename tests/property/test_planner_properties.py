@@ -8,7 +8,7 @@ from repro.analysis.tables import pivot_results, render_csv, render_markdown
 from repro.config import DelayAssignment
 from repro.core.buffer_sizing import compute_buffer_sizing, supported_failure_duration
 from repro.core.delay_planner import AccumulatedDelayTracker, DelayPlanner
-from repro.experiments.harness import ExperimentResult
+from repro.experiments import ExperimentResult
 from repro.workloads.queries import traffic_rollup_diagram
 
 COMMON = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -20,8 +20,7 @@ either mode must still converge every client to a consistent ledger.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import stable_ledger_rows
-from repro.runtime import ScenarioSpec
+from repro.runtime import ScenarioSpec, stable_ledger_rows
 
 #: End-to-end simulations are expensive; a handful of drawn examples covers
 #: the (seed, depth, rate, failure timing) grid.

@@ -8,7 +8,7 @@ call counts repeat exactly for a seed, so this fails in seconds where a timing
 benchmark would drown in host noise.
 """
 
-from repro.runtime import ScenarioSpec
+from repro.workloads.catalogue import CATALOGUE
 
 #: Calls per source tuple: 66.5 on Python 3.11 (the row-at-a-time data path
 #: read 242.5); a per-row loop on one hop adds several calls per tuple.
@@ -16,11 +16,8 @@ CALLS_PER_SOURCE_TUPLE = 75
 
 
 def test_stable_spine_builds_no_row_per_tuple():
-    spec = ScenarioSpec.sharded(
-        shards=4, replicas_per_node=2, n_input_streams=3, aggregate_rate=2400, warmup=3,
-        settle=0, seed=1,
-    )
-    runtime = spec.build()
+    # The end-to-end benchmark's sim-shard4-steady at its quick size (3 s).
+    runtime = CATALOGUE["sim-shard4-steady"](quick=True).build()
     _stats, counters = runtime.run_profiled()
     print(f"\nshard(4) per source tuple: {counters}")
     assert runtime.eventually_consistent()

@@ -9,9 +9,10 @@ truncated run.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import group_output_counts, shard_kill_failure, summarize_run
+from repro.experiments import summarize_run
 from repro.runtime import ScenarioSpec
 from repro.spe.operators import Filter, SJoin, SUnion
+from repro.workloads.catalogue import CATALOGUE
 
 
 def small_shard_spec(shards=2, **changes):
@@ -59,10 +60,9 @@ def test_shard_fragments_receive_their_slice_and_own_the_join():
 
 def test_shard_slices_are_disjoint_and_cover_the_stream():
     runtime = small_shard_spec(shards=4, settle=8.0).run()
-    merge_counts = group_output_counts(runtime, "merge")
-    shard_totals = [
-        group_output_counts(runtime, f"shard{i + 1}")["stable"] for i in range(4)
-    ]
+    groups = summarize_run(runtime).extra["groups"]
+    merge_counts = groups["merge"]
+    shard_totals = [groups[f"shard{i + 1}"]["stable"] for i in range(4)]
     # Every shard produced its slice, and the slices reassemble the full
     # stream at the merge (each replica group emits the same stream, so the
     # per-group totals compare directly).
@@ -78,11 +78,13 @@ def test_shard_slices_are_disjoint_and_cover_the_stream():
 
 # --------------------------------------------------------------------------- shard-kill
 def test_shard_kill_experiment_properties():
-    result = shard_kill_failure(6.0, shards=2, aggregate_rate=90.0, settle=25.0, seed=1)
+    spec = CATALOGUE["shard-kill"](failure_duration=6.0, shards=2, seed=1)
+    result = summarize_run(spec.with_overrides(aggregate_rate=90.0, settle=25.0).run())
     assert result.eventually_consistent
-    shards = result.extra["shards"]
-    assert result.extra["killed_shard"] == "shard1"
-    assert result.extra["survivors"] == ["shard2"]
+    shards = result.extra["groups"]
+    [killed] = {failure.node for failure in spec.failures}
+    assert killed == "shard1"
+    assert [name for name in shards if name.startswith("shard") and name != killed] == ["shard2"]
     assert shards["shard2"]["tentative"] == 0
     assert shards["merge"]["tentative"] > 0
     assert result.proc_new < result.extra["availability_bound"]
