@@ -38,10 +38,10 @@ BUCKET_SIZE = 0.1
 BOUNDARY_INTERVAL = 0.1
 BATCH_TUPLES = 20  # tuples per pushed batch, mirroring the transport batching
 
-#: Calls per source tuple of the window-crash scenario (20.5 on Python 3.11;
+#: Calls per source tuple of the window-crash scenario (19.66 on Python 3.11;
 #: row by row, the pane Aggregate alone made 20.6 of 45.0).
 WINDOW_CRASH_CALLS = 30
-#: Calls per source tuple of the chain-4 disconnect (435.0 on Python 3.11).
+#: Calls per source tuple of the chain-4 disconnect (435.11 on Python 3.11).
 CHAIN4_DISCONNECT_CALLS = 440
 
 

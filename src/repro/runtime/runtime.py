@@ -24,7 +24,7 @@ Typical use::
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..deploy import Autoscaler, Deployment, Placement, compile as compile_topology
 from ..errors import ConfigurationError, SimulationError
@@ -210,24 +210,10 @@ class SimulationRuntime:
         per-row loop on the stable spine shows up as >= 1 construction per
         tuple and hop.
         """
-        import cProfile  # not at module level: only profiled runs pay the import
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            self.run()
-        finally:
-            profiler.disable()
-        stats = pstats.Stats(profiler)
-        constructors = {
-            (code.co_filename, code.co_firstlineno, code.co_name)
-            for code in (tuples._row.__code__, tuples.StreamTuple.__init__.__code__)
-        }
-        rows = sum(stats.stats[key][1] for key in constructors if key in stats.stats)
+        stats, calls, rows = profile_calls(self.run)
         produced = sum(source.tuples_produced for source in self.sources)
         return stats, {
-            "calls_per_source_tuple": stats.total_calls / produced,
+            "calls_per_source_tuple": calls / produced,
             "row_constructions_per_source_tuple": rows / produced,
         }
 
@@ -302,3 +288,27 @@ class SimulationRuntime:
 def run_scenario(spec: ScenarioSpec) -> SimulationRuntime:
     """Compile ``spec`` and run it to completion."""
     return SimulationRuntime(spec).run()
+
+
+def profile_calls(run: "Callable[[], object]") -> "tuple[pstats.Stats, int, int]":
+    """Call ``run()`` under cProfile: the stats, every call, and the row constructions.
+
+    The counts are summed over the profiler's raw entries, one per code
+    object.  ``pstats.Stats`` keys functions by ``(file, line, name)``, under
+    which every dataclass ``__init__`` is ``('<string>', 2, '__init__')``: it
+    keeps one of them and drops the others' calls from ``total_calls``.
+    """
+    import cProfile  # not at module level: only profiled runs pay the import
+    import pstats
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        run()
+    finally:
+        profiler.disable()
+    entries = profiler.getstats()
+    constructors = (tuples._row.__code__, tuples.StreamTuple.__init__.__code__)
+    calls = sum(entry.callcount for entry in entries)
+    rows = sum(entry.callcount for entry in entries if entry.code in constructors)
+    return pstats.Stats(profiler), calls, rows
