@@ -4,7 +4,7 @@ The hot-path work (slotted tuples, batch-at-a-time operator loops,
 allocation-free transforms) must be *behaviour-preserving*: a refactor of the
 tuple model or the operator inner loops may change how fast a scenario runs
 but never what it computes.  These tests pin that down: for every scenario
-in ``SCENARIOS`` (nine entries of :mod:`repro.workloads.catalogue`) at fixed
+in ``SCENARIOS`` (ten entries of :mod:`repro.workloads.catalogue`) at fixed
 seeds, the full ``runtime.summary()`` dictionary and every sink's merged
 ledger must reproduce the digests checked in at ``GOLDEN_summaries.json``
 byte-for-byte.  The summary covers every node's statistics (tuples sent,
@@ -41,9 +41,10 @@ HEADLINES = ("proc_new", "total_stable", "total_tentative", "events_fired",
 
 #: Catalogue entries pinned at each seed: chain disconnect, windowed aggregate
 #: (bursty rate, pane-level reconciliation), diamond branch kill, shard kill,
-#: rebalance, checkpoint and full-replay recovery, and two of the registry's
-#: own runs -- the failure-free shard(4) of ``shard-throughput`` and the
-#: elastic round trip of ``autoscale``.
+#: rebalance, checkpoint and full-replay recovery, two of the registry's own
+#: runs -- the failure-free shard(4) of ``shard-throughput`` and the elastic
+#: round trip of ``autoscale`` -- and the benchmark's depth-4 DELAY chain
+#: through stabilization and redo, at its quick size.
 SCENARIOS = {
     name: CATALOGUE[name]
     for name in (
@@ -56,8 +57,16 @@ SCENARIOS = {
         "recovery-replay",
         "shard4-steady",
         "shard2-autoscale",
+        "sim-chain4-disconnect",
     )
 }
+#: Catalogue parameters of the entries not pinned at their defaults.
+POINTS = {"sim-chain4-disconnect": {"quick": True}}
+
+
+def build_scenario(name: str, seed: int):
+    """The pinned spec of ``name`` at ``seed``."""
+    return SCENARIOS[name](seed=seed, **POINTS.get(name, {}))
 
 
 # --------------------------------------------------------------------------- digests
@@ -107,8 +116,8 @@ def scenario_digest(runtime) -> dict:
 
 def compute_goldens() -> dict:
     return {
-        name: {str(seed): scenario_digest(factory(seed=seed).run()) for seed in SEEDS}
-        for name, factory in SCENARIOS.items()
+        name: {str(seed): scenario_digest(build_scenario(name, seed).run()) for seed in SEEDS}
+        for name in SCENARIOS
     }
 
 
@@ -152,7 +161,7 @@ def describe_changes(old: dict, new: dict) -> list[str]:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scenario_reproduces_golden_digest(scenario, seed):
     golden = load_goldens()[scenario][str(seed)]
-    current = scenario_digest(SCENARIOS[scenario](seed=seed).run())
+    current = scenario_digest(build_scenario(scenario, seed).run())
     # Compare the headline fields first: they localize a mismatch far better
     # than two differing SHA-256 strings.
     for key in HEADLINES:

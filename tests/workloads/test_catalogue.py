@@ -69,7 +69,7 @@ def test_golden_scenarios_are_catalogue_entries():
     loader = importlib.util.spec_from_file_location("golden_summaries", GOLDEN_TEST)
     golden = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(golden)
-    assert len(golden.SCENARIOS) == 9
+    assert len(golden.SCENARIOS) == 10
     for name, build in golden.SCENARIOS.items():
         assert build is CATALOGUE[name], name
 
