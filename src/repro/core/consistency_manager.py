@@ -34,7 +34,7 @@ from ..errors import ProtocolError
 from .clock import Clock
 from ..sim.events import EventKind
 from ..sim.network import Message, Network
-from .input_streams import InputStreamMonitor
+from .input_streams import InputStreamMonitor, ProducerInfo
 from .protocol import (
     HEARTBEAT_REQUEST,
     HEARTBEAT_RESPONSE,
@@ -50,6 +50,7 @@ from .protocol import (
     ReconcileRequest,
     SourceResubscribe,
     SubscribeRequest,
+    TupleBatch,
     UnsubscribeRequest,
 )
 from .states import NodeState, can_transition
@@ -478,43 +479,39 @@ class ConsistencyManager:
             info.advertised_state = response.state_of(monitor.stream)
 
     # ------------------------------------------------------------------ data-plane hooks
-    def note_producer_state(
-        self,
-        producer: str,
-        stream: str,
-        node_state: NodeState,
-        stream_state: NodeState | None,
-        now: float,
-    ) -> None:
-        """Record the DPC state a producer piggybacked on a data batch.
+    def receive_batch(self, batch: TupleBatch, sender: str, now: float) -> str:
+        """Take note of a data batch from ``sender``; returns how to treat its tuples.
 
-        Equivalent to receiving a heartbeat response from ``producer`` for
-        ``stream``: freshness and the advertised state are updated, so the
-        keep-alive machinery can skip producers whose data is flowing.
+        The DPC state a producer piggybacks on a batch counts as a heartbeat
+        response for the batch's stream: freshness and the advertised state
+        are updated, so the keep-alive machinery can skip producers whose
+        data is flowing.  The returned role is ``"primary"``, ``"correcting"``
+        or ``"ignore"`` (see :meth:`classify_producer`); a replay-flagged
+        batch from a primary or correcting producer disarms the monitor's
+        stale-cursor defense (see :meth:`note_replay`).
         """
-        monitor = self.monitors.get(stream)
+        monitor = self.monitors.get(batch.stream)
         if monitor is None:
-            return
-        info = monitor.producers.get(producer)
-        if info is None or info.is_source:
-            return
-        info.last_response_at = now
-        info.last_piggyback_at = now
-        info.reachable = True
-        info.advertised_state = stream_state if stream_state is not None else node_state
+            return "ignore"
+        info = monitor.producers.get(sender)
+        node_state = batch.producer_node_state
+        if node_state is not None and info is not None and not info.is_source:
+            info.last_response_at = now
+            info.last_piggyback_at = now
+            info.reachable = True
+            stream_state = batch.producer_stream_state
+            info.advertised_state = stream_state if stream_state is not None else node_state
+        role = _role(monitor, sender, info)
+        if batch.replay and role != "ignore":
+            monitor.awaiting_replay = False
+        return role
 
     def classify_producer(self, stream: str, producer: str) -> str:
         """How data from ``producer`` should be treated: primary / correcting / ignore."""
         monitor = self.monitors.get(stream)
         if monitor is None:
             return "ignore"
-        if producer == monitor.primary:
-            return "primary"
-        if producer == monitor.correcting:
-            return "correcting"
-        if monitor.producers.get(producer, None) is not None and monitor.producers[producer].is_source:
-            return "primary"
-        return "ignore"
+        return _role(monitor, producer, monitor.producers.get(producer))
 
     def note_replay(self, stream: str) -> None:
         """A replay-flagged batch arrived on ``stream`` (possibly empty).
@@ -563,3 +560,14 @@ class ConsistencyManager:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ConsistencyManager {self.owner.endpoint!r} state={self._state.value}>"
+
+
+def _role(monitor: InputStreamMonitor, producer: str, info: ProducerInfo | None) -> str:
+    """The role of ``producer`` (its entry ``info``) on ``monitor``'s stream."""
+    if producer == monitor.primary:
+        return "primary"
+    if producer == monitor.correcting:
+        return "correcting"
+    if info is not None and info.is_source:
+        return "primary"
+    return "ignore"

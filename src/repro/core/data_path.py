@@ -23,7 +23,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
-from operator import not_
+from operator import itemgetter, not_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..config import BufferPolicy
@@ -59,11 +59,6 @@ class _Subscription:
     next_index: int = 0
     active: bool = True
     filter: object | None = None
-
-    @property
-    def filter_key(self) -> str:
-        """Grouping key: subscriptions sharing it may share multicast batches."""
-        return self.filter.key if self.filter is not None else ""
 
 
 class OutputStreamManager:
@@ -114,6 +109,12 @@ class OutputStreamManager:
         #: Largest serialization timestamp ever appended (the control plane
         #: aligns reconfiguration cuts to the bucket boundary past this).
         self.last_appended_stime = float("-inf")
+        #: True while every active subscriber was sent everything appended:
+        #: a flush has nothing to do here until the next append.
+        self.flushed = True
+        #: (history index, block) of the last append, which the next flush
+        #: sends as it is when nothing else was appended in between.
+        self._appended: tuple[int, TupleBlock] | None = None
         # Statistics
         self.stable_produced = 0
         self.tentative_produced = 0
@@ -140,9 +141,13 @@ class OutputStreamManager:
         back-pressure behaviour of Section 8.1 for deterministic operators).
         """
         block = TupleBlock.of(items)
-        first = self._end_index()
+        codes = block.codes
+        first = self._base_index + len(self._codes)
+        if not codes:
+            return EMPTY_BLOCK
+        self.flushed = False
         if self.buffer_policy.max_output_tuples is None:
-            for start, stop in block.run_edges():
+            for start, stop in block.segment_edges():
                 self._extend(block, start, stop)
         else:
             # A bounded buffer overflows (or drops its oldest tuple) at one
@@ -157,29 +162,45 @@ class OutputStreamManager:
                     # Convergent-capable diagrams may drop the oldest buffered tuples.
                     self._drop_oldest(1)
                 self._extend(block, position, position + 1)
-        return self._block(first)
+        physical = self._block(first)
+        self._appended = first, physical
+        return physical
 
     def _extend(self, block: TupleBlock, start: int, stop: int) -> None:
-        """Buffer rows ``[start, stop)`` of a fragment's output: one data run or one control row."""
+        """Buffer rows ``[start, stop)`` of a fragment's output: one segment.
+
+        A segment is a data run, a data run and its closing BOUNDARY, or one
+        control row (see :meth:`TupleBlock.segments`).
+        """
         codes, stimes = block.codes[start:stop], block.stimes[start:stop]
         code = codes[0]
         if code < BOUNDARY:
-            stable = codes.count(STABLE)
+            rows = len(codes)
+            closed = codes[-1] == BOUNDARY  # the run's boundary is its last row
+            data = rows - closed
+            stable = codes.count(STABLE, 0, data)
             first = self._stable_seq + 1
-            if stable == len(codes):
+            if stable == data:
                 self._seqs.extend(range(first, first + stable))
             elif not stable:
-                self._seqs.extend(repeat(first - 1, len(codes)))
+                self._seqs.extend(repeat(first - 1, data))
             else:
-                self._seqs.extend(islice(accumulate(map(not_, codes), initial=first - 1), 1, None))
+                self._seqs.extend(
+                    islice(accumulate(map(not_, codes[:data]), initial=first - 1), 1, None)
+                )
             self._stable_seq += stable
             self.stable_produced += stable
-            self.tentative_produced += len(codes) - stable
-            self._values.extend(block.values[start:stop])
+            self.tentative_produced += data - stable
+            if closed:
+                self._values.extend(block.values[start : stop - 1])
+                self._values.append(NO_VALUES)
+                self._seqs.append(self._stable_seq)
+                stimes = [*stimes[:-1], self._boundary_stime(stimes[-1])]
+            else:
+                self._values.extend(block.values[start:stop])
         else:
             if code == BOUNDARY:
-                stimes = (max(stimes[0], self._writer.last_boundary_stime),)
-                self._writer.last_boundary_stime = stimes[0]
+                stimes = (self._boundary_stime(stimes[0]),)
             elif code == UNDO:
                 # Cross-node undo semantics: revoke everything after the last
                 # stable tuple the subscriber received (see protocol.py), so the
@@ -194,11 +215,23 @@ class OutputStreamManager:
         self._writer.next_id += len(codes)
         self._codes += codes
         self._stimes.extend(stimes)
-        self.last_appended_stime = max(self.last_appended_stime, max(stimes))
+        latest = max(stimes)
+        if latest > self.last_appended_stime:
+            self.last_appended_stime = latest
+
+    def _boundary_stime(self, stime: float) -> float:
+        """The stime a boundary is buffered with: never below the previous boundary's."""
+        writer = self._writer
+        if writer.last_boundary_stime > stime:
+            stime = writer.last_boundary_stime
+        writer.last_boundary_stime = stime
+        return stime
 
     def _ids(self, start: int, stop: int) -> Sequence[int]:
         """Physical ids of history indexes ``[start, stop)``."""
         skips = self._id_skips
+        if not skips:
+            return range(start, stop)
         before, through = bisect_right(skips, start), bisect_right(skips, stop - 1)
         if before == through:
             return range(start + before, stop + before)
@@ -207,15 +240,20 @@ class OutputStreamManager:
     def _block(self, start: int, stop: int | None = None) -> TupleBlock:
         """History indexes ``[start, stop)`` of the buffer as one block."""
         base = self._base_index
-        start = max(start, base)
-        stop = self._end_index() if stop is None else stop
+        if start < base:
+            start = base
+        if stop is None:
+            stop = base + len(self._codes)
         if start >= stop:
             return EMPTY_BLOCK
         codes = bytes(self._codes[start - base : stop - base])
         seqs = undos = None
         if STABLE in codes:
             seqs = self._seqs[start - base : stop - base]
-            if codes.count(STABLE) != len(codes):
+            stable = codes.count(STABLE)
+            if stable == len(codes) - 1 and codes[-1] != STABLE:  # a stable run and its boundary
+                seqs[-1] = None
+            elif stable != len(codes):
                 for match in _NOT_STABLE.finditer(codes):  # one iteration per run of them
                     seqs[match.start() : match.end()] = [None] * (match.end() - match.start())
         if UNDO in codes:
@@ -259,6 +297,7 @@ class OutputStreamManager:
         locally recorded acknowledgments are kept.
         """
         buffer: TupleBlock = state["buffer"]
+        self._appended = None
         self._writer.restore(state["writer"])
         self._base_index = base = int(state["base_index"])
         self._id_skips = list(state["id_skips"])
@@ -402,34 +441,56 @@ class OutputStreamManager:
         slice will never hold anything for them.
         """
         groups: dict[tuple[int, str], list[_Subscription]] = {}
-        end = self._end_index()
+        end = self._base_index + len(self._codes)
         for subscription in self._subscriptions.values():
             if not subscription.active or subscription.next_index >= end:
                 continue
-            key = (subscription.next_index, subscription.filter_key)
-            groups.setdefault(key, []).append(subscription)
+            filter_ = subscription.filter
+            key = (subscription.next_index, "" if filter_ is None else filter_.key)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [subscription]
+            else:
+                group.append(subscription)
         batches: list[tuple[TupleBlock, list[str]]] = []
         slices: dict[int, TupleBlock] = {}
-        for (index, _filter_key), subscriptions in sorted(
-            groups.items(), key=lambda item: item[0]
-        ):
+        for (index, _filter_key), subscriptions in sorted(groups.items(), key=itemgetter(0)):
             entries = slices.get(index)
             if entries is None:
-                entries = slices[index] = self._block(index)
+                entries = slices[index] = self._slice_from(index, end)
             filter_ = subscriptions[0].filter
             if filter_ is not None:
                 entries = filter_.select(entries)
-            if not entries:
+            if not entries.codes:
                 for subscription in subscriptions:
                     subscription.next_index = end
                 continue
             batches.append((entries, [s.subscriber for s in subscriptions]))
+        if not batches:
+            self.flushed = True
         return batches
 
-    def mark_delivered(self, subscriber: str) -> None:
-        subscription = self._subscriptions.get(subscriber)
-        if subscription is not None:
-            subscription.next_index = self._end_index()
+    def _slice_from(self, index: int, end: int) -> TupleBlock:
+        """History indexes ``[index, end)``: the last appended block when that is all of it."""
+        appended = self._appended
+        if appended is not None and appended[0] == index >= self._base_index:
+            block = appended[1]
+            if index + len(block.codes) == end:
+                return block
+        return self._block(index, end)
+
+    def mark_delivered(self, *subscribers: str) -> None:
+        """The subscribers were sent everything appended so far."""
+        end = self._base_index + len(self._codes)
+        subscriptions = self._subscriptions
+        for subscriber in subscribers:
+            subscription = subscriptions.get(subscriber)
+            if subscription is not None:
+                subscription.next_index = end
+        for subscription in subscriptions.values():
+            if subscription.active and subscription.next_index < end:
+                return
+        self.flushed = True
 
     # ------------------------------------------------------------------ truncation
     def _drop_oldest(self, count: int) -> int:
@@ -564,11 +625,6 @@ class DataPath:
         receiver's consistency manager can skip its next keep-alive probe.
         ``replay`` marks the direct response to a subscribe request.
         """
-        return DATA, TupleBatch.of(
-            stream,
-            tuples,
-            producer=self.owner,
-            node_state=node_state,
-            stream_state=stream_state,
-            replay=replay,
+        return DATA, TupleBatch(
+            stream, TupleBlock.of(tuples), self.owner, node_state, stream_state, replay
         )

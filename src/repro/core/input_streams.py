@@ -22,7 +22,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from ..spe.tuples import BOUNDARY, STABLE, BlockBuffer, StreamTuple, TupleBlock
+from ..spe.tuples import (
+    BOUNDARY,
+    REC_DONE,
+    STABLE,
+    TENTATIVE,
+    UNDO,
+    BlockBuffer,
+    StreamTuple,
+    TupleBlock,
+)
 from .states import NodeState
 
 
@@ -134,19 +143,27 @@ class InputStreamMonitor:
     def record_block(self, block: TupleBlock, now: float) -> TupleBlock:
         """Record one batch of arrivals; returns the rows the consumer should process.
 
-        The steady state -- a run of stable and boundary rows, no replay
-        awaited -- is recorded with one duplicate-prefix cut: ids (source
-        streams) and stamped positions (node streams) increase along a batch,
-        so what another replica or an earlier delivery already covered is a
-        prefix.  Everything else (tentative rows, UNDO / REC_DONE, duplicates
-        in the middle of a node stream, the replay gate) goes row by row
-        through :meth:`record_tuple`, which is also what defines the result.
+        Read off the columns, with no row built.  The steady state -- a run
+        of stable and boundary rows, no replay awaited -- is recorded with
+        one duplicate-prefix cut: ids (source streams) and stamped positions
+        (node streams) increase along a batch, so what another replica or an
+        earlier delivery already covered is a prefix.  A batch of tentative
+        rows only moves counters.  Everything else (UNDO / REC_DONE rows,
+        duplicates in the middle of a node stream, the replay gate) takes
+        one pass over the columns.  :meth:`record_tuple` defines the result.
         """
         codes, seqs = block.codes, block.stable_seqs
         stable, boundaries = codes.count(STABLE), codes.count(BOUNDARY)
+        if stable + boundaries != len(codes):
+            tentative = codes.count(TENTATIVE)
+            if tentative == len(codes):
+                self.last_data_arrival = now
+                self.tentative_received += tentative
+                self.tentative_since_stable += tentative
+                return block
+            return self._record_rows(block, now)
         if (
             self.awaiting_replay
-            or stable + boundaries != len(codes)
             or (seqs is not None and self.track_source_ids)
             or (
                 seqs is not None
@@ -157,8 +174,7 @@ class InputStreamMonitor:
                 )
             )
         ):
-            record = self.record_tuple
-            return block.take([i for i, item in enumerate(block) if record(item, now) == "accept"])
+            return self._record_rows(block, now)
         if boundaries:
             self.last_boundary_arrival = now
             at = codes.find(BOUNDARY)
@@ -181,6 +197,50 @@ class InputStreamMonitor:
             self.tentative_since_stable = 0
         self._arrived.append(block)
         return block
+
+    def _record_rows(self, block: TupleBlock, now: float) -> TupleBlock:
+        """:meth:`record_tuple` over the columns of ``block``: one pass, no row built."""
+        codes, ids, stimes, seqs = block.codes, block.ids, block.stimes, block.stable_seqs
+        track = self.track_source_ids
+        position, received = self.source_position, self.stable_received
+        awaiting = self.awaiting_replay
+        kept: list[int] = []
+        arrived: list[int] = []
+        for index, code in enumerate(codes):
+            if code == STABLE:
+                seq = None if seqs is None else seqs[index]
+                if (track and ids[index] <= position) or (
+                    seq is not None and (seq < received or (awaiting and seq > received))
+                ):
+                    continue
+                awaiting = False
+                self.last_data_arrival = now
+                received = received + 1 if seq is None else seq + 1
+                if track:
+                    position = ids[index]
+                self.tentative_since_stable = 0
+                arrived.append(index)
+            elif code == BOUNDARY:
+                self.last_boundary_arrival = now
+                self.last_boundary_stime = max(self.last_boundary_stime, stimes[index])
+                if (track and ids[index] <= position) or awaiting:
+                    continue
+                arrived.append(index)
+            elif code == TENTATIVE:
+                self.last_data_arrival = now
+                self.tentative_received += 1
+                self.tentative_since_stable += 1
+            elif code == UNDO:
+                self.undos_received += 1
+                self.tentative_since_stable = 0
+            elif code == REC_DONE:
+                self.rec_done_received = True
+            kept.append(index)
+        self.source_position, self.stable_received = position, received
+        self.awaiting_replay = awaiting
+        if arrived:
+            self._arrived.append(block.take(arrived))
+        return block.take(kept)
 
     def record_tuple(self, item: StreamTuple, now: float) -> str:
         """Update detection evidence and the redo buffer for one arrival.

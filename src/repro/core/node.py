@@ -101,6 +101,7 @@ class ProcessingNode:
         self.data_path = DataPath(owner=name, buffer_policy=self.config.buffer_policy)
         for stream in diagram.output_streams:
             self.data_path.add_output(stream)
+        self._managers = self.data_path.outputs()
         self.cm = ConsistencyManager(
             owner=self,
             simulator=simulator,
@@ -110,11 +111,13 @@ class ProcessingNode:
             rng_seed=rng_seed,
         )
 
+        #: The fragment's SUnions, in diagram order: the hold and the delay
+        #: policy walk them every tick.
+        self._sunions = [operator for operator in diagram if isinstance(operator, SUnion)]
         # Give every SUnion access to the node clock so buckets know how long
         # they have been buffered (drives the Section 6 delay policies).
-        for operator in diagram:
-            if isinstance(operator, SUnion):
-                operator.arrival_clock = lambda: self.simulator.now
+        for operator in self._sunions:
+            operator.arrival_clock = lambda: self.simulator.now
 
         # --- failure handling state ------------------------------------------------
         self._fragment_dirty = False
@@ -321,13 +324,12 @@ class ProcessingNode:
             elif message.kind == UNSUBSCRIBE:
                 self._on_unsubscribe(message.payload)
             return
-        if message.kind == CHECKPOINT_REQUEST:
-            self.recovery.on_request(message.payload, now)
-            return
-        if self.cm.handle_message(message, now):
-            return
         if message.kind == DATA:
             self._on_data(message.payload, message.sender, now)
+        elif message.kind == CHECKPOINT_REQUEST:
+            self.recovery.on_request(message.payload, now)
+        elif self.cm.handle_message(message, now):
+            return
         elif message.kind == SUBSCRIBE:
             self._on_subscribe(message.payload, now)
         elif message.kind == UNSUBSCRIBE:
@@ -363,17 +365,11 @@ class ProcessingNode:
             self.data_path.output(ack.stream).acknowledge(ack.consumer, ack.through)
 
     def _on_data(self, batch: TupleBatch, sender: str, now: float) -> None:
-        if batch.producer_node_state is not None:
-            self.cm.note_producer_state(
-                sender, batch.stream, batch.producer_node_state, batch.producer_stream_state, now
-            )
-        role = self.cm.classify_producer(batch.stream, sender)
+        role = self.cm.receive_batch(batch, sender, now)
         if role == "ignore":
             return
-        if batch.replay:
-            self.cm.note_replay(batch.stream)
         stream = batch.stream
-        monitor = self.cm.monitor(stream)
+        monitor = self.cm.monitors[stream]
         if monitor.awaiting_replay and monitor.track_source_ids and not batch.replay:
             # A stale-cursor source flush racing the SOURCE_RESUBSCRIBE
             # replay: the link is FIFO, so everything arriving before the
@@ -391,8 +387,9 @@ class ProcessingNode:
             accepted = accepted.take(
                 [i for i, code in enumerate(codes) if code != UNDO and code != REC_DONE]
             )
-        if accepted:
-            if TENTATIVE in accepted.codes:
+            codes = accepted.codes
+        if codes:
+            if TENTATIVE in codes:
                 self.set_dirty(True)
             self.buffer_outputs(self.engine.push(stream, accepted))
 
@@ -423,9 +420,7 @@ class ProcessingNode:
         released, whatever the watermark already stabilized is emitted.
         """
         released: list[tuple[str, TupleBlock]] = []
-        for operator in self.diagram:
-            if not isinstance(operator, SUnion):
-                continue
+        for operator in self._sunions:
             if operator.hold_buckets and not hold:
                 operator.hold_buckets = False
                 produced = operator.release_held_buckets()
@@ -437,9 +432,11 @@ class ProcessingNode:
             self.buffer_outputs(self.engine.push_operator_outputs(operator_name, produced))
 
     def buffer_outputs(self, outputs: Mapping[str, TupleBlock]) -> None:
-        for stream, tuples in outputs.items():
-            if tuples:
-                self.data_path.output(stream).append_all(tuples)
+        """Append what a push produced to the output buffers (each block as it came)."""
+        output = self.data_path.output
+        for stream, block in outputs.items():
+            if block.codes:
+                output(stream).append_all(block)
 
     # ------------------------------------------------------------------ periodic work
     def _periodic_tick(self, now: float) -> None:
@@ -496,9 +493,7 @@ class ProcessingNode:
         else:
             min_hold = self.config.tentative_bucket_wait
         produced_any = False
-        for operator in self.diagram:
-            if not isinstance(operator, SUnion):
-                continue
+        for operator in self._sunions:
             produced = operator.force_emit_held_longer_than(now, min_hold)
             if not produced:
                 continue
@@ -515,32 +510,39 @@ class ProcessingNode:
         return self.config.delay_policy.during_failure
 
     def flush_outputs(self, now: float) -> None:
-        stream_states: dict[str, NodeState] | None = None
-        for manager in self.data_path.outputs():
+        """Send every subscriber what was appended since its last batch.
+
+        A buffer with nothing appended since its last flush is skipped
+        without a look at its subscriptions.
+        """
+        states = None
+        network, endpoint, last_sent_to = self.network, self.endpoint, self._last_sent_to
+        for manager in self._managers:
+            if manager.flushed:
+                continue
             batches = manager.pending_batches()
             if not batches:
                 continue
-            if stream_states is None:
-                stream_states = dict(self.output_stream_states())
+            if states is None:
+                states = self.cm.state, self.output_stream_states()
+            node_state, stream_states = states
             for pending, subscribers in batches:
                 # Unreachable subscribers keep buffering (retry when the link
                 # heals) without being counted as send attempts in the stats.
-                reachable = [
-                    s for s in subscribers if self.network.can_communicate(self.endpoint, s)
-                ]
+                reachable = network.reachable(endpoint, subscribers)
                 if not reachable:
                     continue
                 kind, batch = self.data_path.make_batch(
-                    manager.stream,
-                    pending,
-                    node_state=self.cm.state,
-                    stream_state=stream_states.get(manager.stream),
+                    manager.stream, pending, node_state, stream_states.get(manager.stream)
                 )
-                for subscriber in self.network.send_many(self.endpoint, reachable, kind, batch):
-                    manager.mark_delivered(subscriber)
-                    self._last_sent_to[subscriber] = now
-                    self.batches_sent += 1
-                    self.tuples_sent += len(pending)
+                sent = network.send_many(endpoint, reachable, kind, batch)
+                if not sent:
+                    continue
+                manager.mark_delivered(*sent)
+                for subscriber in sent:
+                    last_sent_to[subscriber] = now
+                self.batches_sent += len(sent)
+                self.tuples_sent += len(pending.codes) * len(sent)
 
     # ------------------------------------------------------------------ ConsistencyOwner interface
     def on_input_failure(self, stream: str, now: float) -> None:

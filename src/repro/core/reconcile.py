@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 from ..sim.events import EventKind
 from ..spe.checkpoint import DiagramCheckpoint
-from ..spe.operators.sunion import SUnion
 from .states import NodeState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
@@ -74,9 +73,8 @@ class Reconciler:
         owner.engine.restore(self.checkpoint)
         # The redo reprocesses stable input only; its buckets stabilize and
         # must be emitted as corrections, so the hold is lifted.
-        for operator in owner.diagram:
-            if isinstance(operator, SUnion):
-                operator.hold_buckets = False
+        for operator in owner._sunions:
+            operator.hold_buckets = False
         self.positions = dict.fromkeys(owner.cm.monitors, 0)
         self._schedule(owner.config.checkpoint_cost)
 

@@ -75,27 +75,16 @@ class ClientApplication:
 
     # ------------------------------------------------------------------ message handling
     def _on_message(self, message: Message, now: float) -> None:
-        if self.cm.handle_message(message, now):
-            return
         if message.kind != DATA:
+            self.cm.handle_message(message, now)
             return
         batch: TupleBatch = message.payload
         if batch.stream != self.stream:
             return
-        if batch.producer_node_state is not None:
-            self.cm.note_producer_state(
-                message.sender,
-                batch.stream,
-                batch.producer_node_state,
-                batch.producer_stream_state,
-                now,
-            )
-        role = self.cm.classify_producer(batch.stream, message.sender)
+        role = self.cm.receive_batch(batch, message.sender, now)
         if role == "ignore":
             return
-        if batch.replay:
-            self.cm.note_replay(batch.stream)
-        monitor = self.cm.monitor(batch.stream)
+        monitor = self.cm.monitors[batch.stream]
         block = monitor.record_block(batch.tuples, now)
         # Punctuation is not output; fresh tentative data is taken from the
         # primary connection only.

@@ -50,10 +50,14 @@ class NetworkStats:
     by_kind: dict = field(default_factory=dict)
 
     def record(self, kind: str, outcome: str) -> None:
+        self.of_kind(kind)[outcome] += 1
+
+    def of_kind(self, kind: str) -> dict:
+        """The ``sent`` / ``delivered`` / ``dropped`` counts of one message kind."""
         counts = self.by_kind.get(kind)
         if counts is None:
             counts = self.by_kind[kind] = {"sent": 0, "delivered": 0, "dropped": 0}
-        counts[outcome] += 1
+        return counts
 
 
 class Network:
@@ -120,6 +124,12 @@ class Network:
             return False
         return not self.is_partitioned(sender, receiver)
 
+    def reachable(self, sender: str, receivers: list[str]) -> list[str]:
+        """The ``receivers`` a message sent now from ``sender`` would reach, in order."""
+        if not self._down and not self._partitioned:
+            return receivers
+        return [receiver for receiver in receivers if self.can_communicate(sender, receiver)]
+
     # ------------------------------------------------------------------ messaging
     def send(self, sender: str, receiver: str, kind: str, payload: Any) -> bool:
         """Send a message; returns True when it was put on the wire.
@@ -141,43 +151,60 @@ class Network:
         wire (a receiver is missing from the result when it was unreachable
         at send time).
         """
+        handlers = self._handlers
         for receiver in receivers:
-            if receiver not in self._handlers:
+            if receiver not in handlers:
                 raise NetworkError(f"unknown endpoint {receiver!r}")
+        if not receivers:
+            return []
         now = self.simulator.now
+        down, partitioned = self._down, self._partitioned
+        link_latency, last_delivery = self._link_latency, self._last_delivery
+        default_latency = self.default_latency
         on_the_wire: list[str] = []
         by_instant: dict[float, list[Message]] = {}
         for receiver in receivers:
-            self.stats.sent += 1
-            self.stats.record(kind, "sent")
-            if not self.can_communicate(sender, receiver):
-                self.stats.dropped += 1
-                self.stats.record(kind, "dropped")
+            if (
+                sender in down
+                or receiver in down
+                or (partitioned and frozenset((sender, receiver)) in partitioned)
+            ):
                 continue
-            message = Message(
-                sender=sender, receiver=receiver, kind=kind, payload=payload, sent_at=now
-            )
+            link = (sender, receiver)
             # Preserve per-link FIFO order even if latencies were reconfigured.
-            deliver_at = max(
-                now + self.latency(sender, receiver),
-                self._last_delivery.get((sender, receiver), 0.0),
-            )
-            self._last_delivery[(sender, receiver)] = deliver_at
-            by_instant.setdefault(deliver_at, []).append(message)
+            deliver_at = now + link_latency.get(link, default_latency)
+            last = last_delivery.get(link, 0.0)
+            if last > deliver_at:
+                deliver_at = last
+            last_delivery[link] = deliver_at
+            message = Message(sender, receiver, kind, payload, now)
+            messages = by_instant.get(deliver_at)
+            if messages is None:
+                by_instant[deliver_at] = [message]
+            else:
+                messages.append(message)
             on_the_wire.append(receiver)
-
+        stats = self.stats
+        counts = stats.of_kind(kind)
+        dropped = len(receivers) - len(on_the_wire)
+        stats.sent += len(receivers)
+        counts["sent"] += len(receivers)
+        if dropped:
+            stats.dropped += dropped
+            counts["dropped"] += dropped
         for deliver_at, messages in by_instant.items():
             self.simulator.schedule_at(
                 deliver_at,
                 lambda t, batch=messages: self._deliver(batch, t),
                 kind=EventKind.MESSAGE,
-                description=f"{sender}->{len(messages)} receivers:{kind}"
-                if len(messages) > 1
-                else f"{sender}->{messages[0].receiver}:{kind}",
+                description=kind,
             )
         return on_the_wire
 
     def _deliver(self, messages: list[Message], now: float) -> None:
+        # Every message of a delivery event comes from one send_many: one kind.
+        counts = self.stats.of_kind(messages[0].kind)
+        handlers, down = self._handlers, self._down
         for message in messages:
             # An endpoint may have crashed while the message was in flight; a
             # crash drops the message (the crashed node's state is wiped and
@@ -186,17 +213,13 @@ class Network:
             # was credited to the sender at send time, and on a reliable
             # in-order link a credited message is delivered -- dropping it
             # here would silently lose data that nothing ever replays.
-            if self.is_down(message.sender) or self.is_down(message.receiver):
+            handler = handlers.get(message.receiver)
+            if message.sender in down or message.receiver in down or handler is None:
                 self.stats.dropped += 1
-                self.stats.record(message.kind, "dropped")
-                continue
-            handler = self._handlers.get(message.receiver)
-            if handler is None:
-                self.stats.dropped += 1
-                self.stats.record(message.kind, "dropped")
+                counts["dropped"] += 1
                 continue
             self.stats.delivered += 1
-            self.stats.record(message.kind, "delivered")
+            counts["delivered"] += 1
             handler(message, now)
 
     def broadcast(self, sender: str, receivers: list[str], kind: str, payload: Any) -> int:

@@ -24,7 +24,7 @@ from .checkpoint import DiagramCheckpoint
 from .operators.base import Operator
 from .operators.soutput import SOutput
 from .query_diagram import QueryDiagram
-from .tuples import BOUNDARY, StreamTuple, TupleBlock
+from .tuples import BOUNDARY, EMPTY_BLOCK, StreamTuple, TupleBlock
 
 
 class LocalEngine:
@@ -36,7 +36,6 @@ class LocalEngine:
         #: Number of data tuples processed since construction (drives the redo
         #: cost model used by the simulator).
         self.tuples_processed = 0
-        self._order = {name: i for i, name in enumerate(diagram.topological_order())}
         # Routing tables precomputed once: the diagram is immutable after
         # validation, and resolving operators / connections per work item
         # would otherwise dominate the drain loop.
@@ -47,6 +46,11 @@ class LocalEngine:
             for name in diagram.operators
         }
         self._output_streams = diagram.output_streams
+        self._soutputs: tuple[SOutput, ...] = tuple(
+            self._operators[name]
+            for name in diagram.topological_order()
+            if isinstance(self._operators[name], SOutput)
+        )
 
     # ------------------------------------------------------------------ execution
     def push(self, input_stream: str, tuples: Iterable[StreamTuple]) -> dict[str, TupleBlock]:
@@ -55,17 +59,22 @@ class LocalEngine:
         Returns a mapping of external output stream name to the block of
         tuples produced on it by this batch.
         """
-        bindings = self.entry_operators(input_stream)
-        if not bindings:
+        segments = TupleBlock.of(tuples).segments()
+        # Bindings are read live: elastic rewiring binds and unbinds inputs
+        # of a running fragment.
+        work = deque()
+        for binding in self.diagram.inputs:
+            if binding.stream == input_stream:
+                work.append((binding.operator, binding.port, segments))
+        if not work:
             raise DiagramError(
                 f"fragment {self.diagram.name!r} has no input stream {input_stream!r}"
             )
-        runs = TupleBlock.of(tuples).runs()
-        return self._drain(deque((operator, port, runs) for operator, port in bindings))
+        return self._drain(work, {})
 
     def push_operator(self, operator_name: str, port: int, tuples: Iterable[StreamTuple]) -> dict[str, TupleBlock]:
         """Push a batch directly into an operator (used by the node's input SUnions)."""
-        return self._drain(deque([(operator_name, port, TupleBlock.of(tuples).runs())]))
+        return self._drain(deque([(operator_name, port, TupleBlock.of(tuples).segments())]), {})
 
     def push_operator_outputs(
         self, operator_name: str, produced: Iterable[StreamTuple]
@@ -77,37 +86,53 @@ class LocalEngine:
         :meth:`push`, so this method injects them into the downstream
         connections (and output bindings) of the producing operator.
         """
-        outputs: dict[str, list] = {stream: [] for stream in self._output_streams}
+        segments = TupleBlock.of(produced).segments()
+        outputs: dict[str, list] = {}
         work: deque = deque()
-        self._route(operator_name, TupleBlock.of(produced).runs(), work, outputs)
-        return self._drain(work, outputs)
-
-    def _route(self, operator_name: str, produced: list, work: deque, outputs: dict) -> None:
-        if produced:
+        if segments:
             stream = self._output_of.get(operator_name)
             if stream is not None:
-                outputs[stream] += produced
+                outputs[stream] = segments
             for target, port in self._downstream[operator_name]:
-                work.append((target, port, produced))
+                work.append((target, port, segments))
+        return self._drain(work, outputs)
 
-    def _drain(self, work: deque, outputs: dict | None = None) -> dict[str, TupleBlock]:
-        # Block-at-a-time execution: a work item carries the runs of one batch
-        # (data runs and one-row control blocks, see TupleBlock.runs), which
-        # the operator consumes run-to-completion before its output runs are
-        # forwarded, as they are, to every downstream connection.  Only what
-        # leaves the fragment is concatenated, once per output stream.
-        if outputs is None:
-            outputs = {stream: [] for stream in self._output_streams}
-        operators = self._operators
+    def _drain(self, work: deque, outputs: dict) -> dict[str, TupleBlock]:
+        # Block-at-a-time execution: a work item carries the segments of one
+        # batch (data runs with their closing boundary, and one-row control
+        # blocks, see TupleBlock.segments), which the operator consumes
+        # run-to-completion before its output segments are forwarded, as they
+        # are, to every downstream connection.  What leaves the fragment is
+        # concatenated only when an output stream received several segments.
+        operators, output_of, downstream = self._operators, self._output_of, self._downstream
+        processed = 0
         while work:
             operator_name, port, runs = work.popleft()
+            if not runs:
+                continue
             for run in runs:
-                if run.codes[0] < BOUNDARY:
-                    self.tuples_processed += len(run.codes)
-            if runs:
-                produced = operators[operator_name].process_runs(port, runs)
-                self._route(operator_name, produced, work, outputs)
-        return {stream: TupleBlock.concat(runs) for stream, runs in outputs.items()}
+                codes = run.codes
+                if codes[0] < BOUNDARY:
+                    processed += len(codes) - (codes[-1] == BOUNDARY)
+            produced = operators[operator_name].process_runs(port, runs)
+            if produced:
+                stream = output_of.get(operator_name)
+                if stream is not None:
+                    # A new list: ``produced`` is shared with the work items below.
+                    outputs[stream] = outputs[stream] + produced if stream in outputs else produced
+                for target, target_port in downstream[operator_name]:
+                    work.append((target, target_port, produced))
+        self.tuples_processed += processed
+        result = {}
+        for stream in self._output_streams:
+            runs = outputs.get(stream)
+            if not runs:
+                result[stream] = EMPTY_BLOCK
+            elif runs[1:]:
+                result[stream] = TupleBlock.concat(runs)
+            else:
+                result[stream] = runs[0]
+        return result
 
     # ------------------------------------------------------------------ checkpoint / restore
     def checkpoint(self, created_at: float = 0.0) -> DiagramCheckpoint:
@@ -130,13 +155,9 @@ class LocalEngine:
             operator.restore(snapshot.operators[name])
 
     # ------------------------------------------------------------------ helpers
-    def soutputs(self) -> list[SOutput]:
+    def soutputs(self) -> tuple[SOutput, ...]:
         """All SOutput operators in the fragment, in topological order."""
-        ordered = sorted(
-            (name for name, op in self.diagram.operators.items() if isinstance(op, SOutput)),
-            key=lambda name: self._order[name],
-        )
-        return [self.diagram.operators[name] for name in ordered]  # type: ignore[list-item]
+        return self._soutputs
 
     def soutput_for(self, output_stream: str) -> SOutput:
         """The SOutput producing ``output_stream`` (raises if it is not an SOutput)."""

@@ -308,7 +308,7 @@ class Aggregate(Operator):
         self._last_closed_watermark = max(self._last_closed_watermark, current)
         if self._pane_mode:
             self._collect_dead_panes(current)
-        return TupleBlock.of(out).runs()
+        return TupleBlock.of(out).segments()
 
     def _collect_dead_panes(self, watermark: float) -> None:
         """Drop panes whose last containing window the watermark closed."""

@@ -26,7 +26,10 @@ from ...errors import OperatorError
 from ..checkpoint import OperatorCheckpoint
 from ..schema import ANY_SCHEMA, Schema
 from ..streams import StreamWriter
-from ..tuples import BOUNDARY, REC_DONE, TENTATIVE, UNDO, StreamTuple, TupleBlock
+from ..tuples import BOUNDARY, NO_VALUES, REC_DONE, TENTATIVE, UNDO, StreamTuple, TupleBlock
+
+_BOUNDARY_CODE = bytes((BOUNDARY,))
+_NEG_INF = float("-inf")
 
 
 class Operator:
@@ -107,28 +110,27 @@ class Operator:
 
     def process_batch(self, port: int, items: Iterable[StreamTuple]) -> TupleBlock:
         """Process a sequence of tuples from one port; the outputs as one block."""
-        return TupleBlock.concat(self.process_runs(port, TupleBlock.of(items).runs()))
+        return TupleBlock.concat(self.process_runs(port, TupleBlock.of(items).segments()))
 
     def process_runs(self, port: int, runs: Iterable[TupleBlock]) -> list[TupleBlock]:
-        """Process the runs of one batch (see :meth:`TupleBlock.runs`); returns runs.
+        """Process the segments of one batch (see :meth:`TupleBlock.segments`); returns segments.
 
         The engine's entry point into every operator.  Each data run goes to
-        :meth:`_process_run` as one block, each BOUNDARY / UNDO / REC_DONE
-        row to its handler, so whatever state a control tuple changes is
-        re-read before the next data row is touched.  What comes back is
-        again a list of data runs and one-row control blocks: nothing is
-        concatenated or split again between two operators.
+        :meth:`_process_segment` together with the BOUNDARY that closes it,
+        each other control row to its handler, so whatever state a control
+        tuple changes is re-read before the next data row is touched.  What
+        comes back is again a list of segments: nothing is concatenated or
+        split again between two operators.
         """
-        self._check_port(port)
+        if not 0 <= port < self.arity:
+            self._check_port(port)
         out: list[TupleBlock] = []
         for run in runs:
             code = run.codes[0]
             if code < BOUNDARY:
-                if TENTATIVE in run.codes:
-                    self._seen_tentative_input = True
-                out += self._process_run(port, run)
+                out += self._process_segment(port, run)
             elif code == BOUNDARY:
-                out += self._accept_boundary(port, run)
+                self._accept_boundary(port, run.stimes[0], out)
             elif code == UNDO:
                 out += self.handle_undo(port, run)
             elif code == REC_DONE:
@@ -139,25 +141,71 @@ class Operator:
                 )
         return out
 
+    def _process_segment(self, port: int, segment: TupleBlock) -> list[TupleBlock]:
+        """A data run, possibly followed by its BOUNDARY: the run, then the boundary.
+
+        Pass-through operators override this to forward the run and its
+        boundary as one relabeled block.
+        """
+        codes = segment.codes
+        if TENTATIVE in codes:
+            self._seen_tentative_input = True
+        if codes[-1] != BOUNDARY:
+            return self._process_run(port, segment)
+        out = self._process_run(port, segment[:-1])
+        self._accept_boundary(port, segment.stimes[-1], out)
+        return out
+
     # ------------------------------------------------------------------ boundaries
-    def _accept_boundary(self, port: int, boundary: TupleBlock) -> list[TupleBlock]:
-        stime = boundary.stimes[0]
+    def _accept_boundary(self, port: int, stime: float, out: list[TupleBlock]) -> None:
+        """Take a boundary at ``stime`` on ``port``; append what it releases to ``out``."""
         boundaries = self._port_boundaries
-        previous = min(boundaries)
+        previous = boundaries[0] if self.arity == 1 else min(boundaries)
         if stime > boundaries[port]:
             boundaries[port] = stime
-        new_watermark = min(boundaries)
-        out: list[TupleBlock] = []
+        new_watermark = boundaries[0] if self.arity == 1 else min(boundaries)
         if new_watermark > previous:
             out += self._on_watermark(previous, new_watermark)
         bound = self._boundary_to_emit(new_watermark)
-        if bound > self._emitted_watermark and bound > float("-inf"):
+        if bound > self._emitted_watermark and bound > _NEG_INF:
             self._emitted_watermark = bound
-            out.append(self.writer.control(BOUNDARY, bound))
-        return out
+            self._emit_boundary(bound, out)
+
+    def _emit_boundary(self, stime: float, out: list[TupleBlock]) -> None:
+        """Append this operator's boundary to ``out``: to its last run when that run is ours.
+
+        A run this operator just numbered (ids ``range(a, next_id)``) gets the
+        boundary as its last row, id ``next_id`` -- the block a separate
+        control row would have been concatenated into -- so the run and its
+        boundary travel on as one segment.
+        """
+        writer = self.writer
+        last = out[-1] if out else None
+        if last is not None:
+            ids, codes = last.ids, last.codes
+            if (
+                ids.__class__ is range
+                and ids.stop == writer.next_id
+                and ids.step == 1
+                and codes
+                and codes[0] < BOUNDARY
+                and codes[-1] < BOUNDARY
+                and last.undo_from_ids is None
+                and last.stable_seqs is None
+            ):
+                writer.advance_boundary(stime)
+                writer.next_id += 1
+                out[-1] = TupleBlock(
+                    codes + _BOUNDARY_CODE,
+                    range(ids.start, ids.stop + 1),
+                    [*last.stimes, stime],
+                    [*last.values, NO_VALUES],
+                )
+                return
+        out.append(writer.control(BOUNDARY, stime))
 
     def _on_watermark(self, previous: float, current: float) -> list[TupleBlock]:
-        """Hook for windowed operators: emit (as runs) what the new watermark closes."""
+        """Hook for windowed operators: emit (as segments) what the new watermark closes."""
         return []
 
     def _boundary_to_emit(self, watermark: float) -> float:
@@ -168,6 +216,10 @@ class Operator:
         the promise they make downstream.
         """
         return watermark
+
+    def _forwards_boundary(self, stime: float) -> bool:
+        """Whether a one-port operator forwards a boundary at ``stime`` as it is."""
+        return self.arity == 1 and stime > self._port_boundaries[0] and stime > self._emitted_watermark
 
     # ------------------------------------------------------------------ undo / rec_done
     def handle_undo(self, port: int, undo: TupleBlock) -> list[TupleBlock]:
@@ -195,7 +247,7 @@ class Operator:
         out: list[StreamTuple] = []
         for item in run:
             out.extend(self._process_data(port, item))
-        return TupleBlock.of(out).runs()
+        return TupleBlock.of(out).segments()
 
     def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
         raise NotImplementedError

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from ...errors import OperatorError
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import TENTATIVE, BlockBuffer, StreamTuple, TupleBlock
+from ..tuples import BOUNDARY, TENTATIVE, BlockBuffer, StreamTuple, TupleBlock
 from .base import Operator
 
 SJoinPredicate = Callable[[Mapping[str, Any], Mapping[str, Any]], bool]
@@ -76,6 +76,23 @@ class SJoin(Operator):
         self._state = BlockBuffer()
 
     # ------------------------------------------------------------------ data path
+    def _process_segment(self, port: int, segment: TupleBlock) -> list[TupleBlock]:
+        """Pass-through: a run and the boundary closing it leave as one relabeled block."""
+        codes = segment.codes
+        stime = segment.stimes[-1]
+        if self.emit_matches or codes[-1] != BOUNDARY or not self._forwards_boundary(stime):
+            return super()._process_segment(port, segment)
+        if TENTATIVE in codes:
+            self._seen_tentative_input = True
+        self._remember(segment[:-1])
+        previous = self._port_boundaries[0]
+        self._port_boundaries[0] = stime
+        self._on_watermark(previous, stime)
+        self._emitted_watermark = stime
+        writer = self.writer
+        writer.advance_boundary(stime)
+        return [segment.relabeled(writer.take(len(codes)))]
+
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
         """Pass-through: relabel the run and slide the state window over it."""
         if self.emit_matches:

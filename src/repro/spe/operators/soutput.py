@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import REC_DONE, STABLE, TENTATIVE, UNDO, TupleBlock
+from ..tuples import BOUNDARY, REC_DONE, STABLE, TENTATIVE, UNDO, TupleBlock
 from .base import Operator
 
 
@@ -101,6 +101,30 @@ class SOutput(Operator):
         self.undos_emitted += 1
         return self.writer.control(UNDO, stime, self._last_stable_out_id)
 
+    def _process_segment(self, port: int, segment: TupleBlock) -> list[TupleBlock]:
+        """Forward a run and the boundary closing it as one relabeled block (one id take).
+
+        Only outside reconciliation, with the output not downgraded and the
+        boundary forwarded as it is; anything else takes the general path.
+        """
+        codes = segment.codes
+        if (
+            self._reconciling
+            or self.downgrade_to_tentative
+            or codes[-1] != BOUNDARY
+            or not self._forwards_boundary(segment.stimes[-1])
+        ):
+            return super()._process_segment(port, segment)
+        stime = segment.stimes[-1]
+        if TENTATIVE in codes:
+            self._seen_tentative_input = True
+        self._port_boundaries[0] = self._emitted_watermark = stime
+        writer = self.writer
+        writer.advance_boundary(stime)
+        forwarded = segment.relabeled(writer.take(len(codes)))
+        self._count_forwarded(codes, forwarded.ids, len(codes) - 1)
+        return [forwarded]
+
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
         """Forward a data run: one relabel, counters read off the type column.
 
@@ -113,33 +137,51 @@ class SOutput(Operator):
         out = []
         if self._reconciling:
             if self._duplicates_to_drop and STABLE in codes:
-                kept = []
-                for position, code in enumerate(codes):
-                    if code == STABLE and self._duplicates_to_drop:
-                        self._duplicates_to_drop -= 1
-                    else:
-                        kept.append(position)
-                run = run.take(kept)
-                codes = run.codes  # not downgraded: a downgraded run has no stable row
-                if not kept:
+                run = self._drop_duplicates(run)
+                if not run:
                     return []
+                codes = run.codes  # not downgraded: a downgraded run has no stable row
             if self._undo_pending:
                 out.append(self._make_undo(run.stimes[0]))
         forwarded = run.relabeled(self.writer.take(len(codes)), codes)
-        stable = codes.count(STABLE)
-        if stable:
-            last = codes.rfind(STABLE)
-            self._last_stable_out_id = forwarded.ids[last]
-            self._stable_since_checkpoint += stable
-            self._tentative_since_stable = len(codes) - 1 - last
-            self.stable_forwarded += stable
-        else:
-            self._tentative_since_stable += len(codes)
-        self.tentative_forwarded += len(codes) - stable
+        self._count_forwarded(codes, forwarded.ids, len(codes))
         out.append(forwarded)
         return out
 
-    def _accept_boundary(self, port: int, boundary: TupleBlock) -> list[TupleBlock]:
+    def _drop_duplicates(self, run: TupleBlock) -> TupleBlock:
+        """``run`` without its first ``_duplicates_to_drop`` stable rows (the redo's repeats)."""
+        codes = run.codes
+        stable = codes.count(STABLE)
+        drop = min(self._duplicates_to_drop, stable)
+        self._duplicates_to_drop -= drop
+        if drop == stable:
+            cut = codes.rfind(STABLE) + 1
+        elif stable == len(codes):
+            cut = drop
+        else:
+            cut = -1
+            for _ in range(drop):
+                cut = codes.find(STABLE, cut + 1)
+            cut += 1
+        if codes.count(STABLE, 0, cut) == cut:
+            return run[cut:]
+        kept = [position for position in range(cut) if codes[position] != STABLE]
+        return run.take(kept + list(range(cut, len(codes))))
+
+    def _count_forwarded(self, codes: bytes, ids, rows: int) -> None:
+        """Update the forwarding counters for the first ``rows`` rows (data) of ``codes``."""
+        stable = codes.count(STABLE, 0, rows)
+        if stable:
+            last = codes.rfind(STABLE, 0, rows)
+            self._last_stable_out_id = ids[last]
+            self._stable_since_checkpoint += stable
+            self._tentative_since_stable = rows - 1 - last
+            self.stable_forwarded += stable
+        else:
+            self._tentative_since_stable += rows
+        self.tentative_forwarded += rows - stable
+
+    def _accept_boundary(self, port: int, stime: float, out: list[TupleBlock]) -> None:
         """Swallow punctuation while the fragment's output is downgraded.
 
         Tentative output carries no boundaries (Section 6): while the node is
@@ -152,9 +194,8 @@ class SOutput(Operator):
         SOutput survives checkpoint restore, so its punctuation bookkeeping
         must stay at the position the corrections will regenerate from.
         """
-        if self.downgrade_to_tentative:
-            return []
-        return super()._accept_boundary(port, boundary)
+        if not self.downgrade_to_tentative:
+            super()._accept_boundary(port, stime, out)
 
     def reset_recovery_flags(self) -> None:
         """Clear transient failure-handling flags after a checkpoint adoption.

@@ -203,12 +203,26 @@ class SUnion(Operator):
         """
         entries = self._buckets.pop(index)
         self._bucket_first_arrival.pop(index, None)
-        self._emitted_through = max(self._emitted_through, (index + 1) * self.bucket_size)
-        if len(entries) > 1:
+        upper = (index + 1) * self.bucket_size
+        if upper > self._emitted_through:
+            self._emitted_through = upper
+        if entries[1:]:
             entries.sort(key=itemgetter(0))
-        merged = TupleBlock.concat([block for _port, block in entries])
+            blocks = [block for _port, block in entries]
+            # Only the columns the relabeled output keeps (sparse ones do not survive).
+            merged = TupleBlock(
+                b"".join([block.codes for block in blocks]),
+                list(chain.from_iterable([block.ids for block in blocks])),
+                list(chain.from_iterable([block.stimes for block in blocks])),
+                list(chain.from_iterable([block.values for block in blocks])),
+            )
+            grows = _ids_grow_per_port(entries)
+        else:
+            merged = entries[0][1]
+            ids = merged.ids
+            grows = ids.step > 0 if ids.__class__ is range else strictly_increasing(ids)
         stimes = merged.stimes
-        if not _ids_grow_per_port(entries):
+        if not grows:
             ports = chain.from_iterable(repeat(port, len(block)) for port, block in entries)
             keys = list(zip(stimes, ports, merged.ids))
             merged = merged.take(sorted(range(len(keys)), key=keys.__getitem__))
@@ -219,10 +233,20 @@ class SUnion(Operator):
         return merged.relabeled(self.writer.take(rows), codes)
 
     def _emit_stable_through(self, watermark: float) -> list[TupleBlock]:
-        """Emit, in order, every buffered bucket the watermark has stabilized (one run each)."""
-        size = self.bucket_size
-        ready = [index for index in self._buckets if watermark >= (index + 1) * size]
-        return [self._serialize_bucket(index) for index in sorted(ready)]
+        """Emit, in order, every buffered bucket the watermark has stabilized (one run each).
+
+        Bucket ends grow with the index, so the stable buckets are the
+        oldest ones: the walk stops at the first bucket still open.
+        """
+        buckets, size = self._buckets, self.bucket_size
+        if not buckets or watermark < (min(buckets) + 1) * size:
+            return []
+        out = []
+        for index in sorted(buckets):
+            if watermark < (index + 1) * size:
+                break
+            out.append(self._serialize_bucket(index))
+        return out
 
     def force_emit_pending(self) -> TupleBlock:
         """Emit every buffered bucket regardless of stability, labelled tentative.

@@ -308,7 +308,12 @@ class TupleBlock(Sequence):
     @staticmethod
     def concat(parts: "Iterable[Iterable[StreamTuple]]") -> "TupleBlock":
         """The parts (blocks or row lists) as one block, in order."""
-        blocks = [block for block in map(TupleBlock.of, parts) if block.codes]
+        blocks = []
+        for block in parts:
+            if block.__class__ is not TupleBlock:
+                block = TupleBlock.of(block)
+            if block.codes:
+                blocks.append(block)
         if len(blocks) < 2:
             return blocks[0] if blocks else EMPTY_BLOCK
         return TupleBlock(
@@ -338,11 +343,23 @@ class TupleBlock(Sequence):
 
     def __getitem__(self, index):
         undos, seqs = self.undo_from_ids, self.stable_seqs
-        if isinstance(index, slice):
-            if undos is seqs:  # neither sparse column: nothing to normalise
-                codes = bytes(self.codes[index])
-                return TupleBlock(codes, self.ids[index], self.stimes[index], self.values[index])
-            return self._pick(itemgetter(index))
+        if index.__class__ is slice:
+            if undos is not None:
+                undos = undos[index]
+                if undos.count(None) == len(undos):
+                    undos = None
+            if seqs is not None:
+                seqs = seqs[index]
+                if seqs.count(None) == len(seqs):
+                    seqs = None
+            return TupleBlock(
+                bytes(self.codes[index]),
+                self.ids[index],
+                self.stimes[index],
+                self.values[index],
+                undos,
+                seqs,
+            )
         head = self.codes[index], self.ids[index], self.stimes[index], self.values[index]
         return _row(*head, undos and undos[index], seqs and seqs[index])
 
@@ -405,6 +422,43 @@ class TupleBlock(Sequence):
         edges = self.run_edges()
         return [self] if len(edges) == 1 else [self[start:stop] for start, stop in edges]
 
+    def segment_edges(self) -> list[tuple[int, int]]:
+        """``(start, stop)`` of every segment (see :meth:`segments`), in order."""
+        codes = self.codes
+        last = len(codes) - 1
+        if last < 1 or (codes[last] <= BOUNDARY and _CONTROL_ROW.search(codes, 0, last) is None):
+            return [(0, last + 1)] if codes else []
+        edges, start = [], 0
+        for match in _CONTROL_ROW.finditer(codes):
+            at = match.start()
+            if at > start and codes[at] == BOUNDARY:  # a data run keeps its boundary
+                edges.append((start, at + 1))
+            else:
+                if at > start:
+                    edges.append((start, at))
+                edges.append((at, at + 1))
+            start = at + 1
+        if start < len(codes):
+            edges.append((start, len(codes)))
+        return edges
+
+    def segments(self) -> "list[TupleBlock]":
+        """Split at control rows, except the BOUNDARY right after a data run.
+
+        A segment is a maximal data run, the same run followed by its
+        BOUNDARY, or one control row.  The unit of work of the engine and
+        the output buffers: the common batch -- a run and the punctuation
+        that closes it -- stays one block through a fragment, and only an
+        UNDO, a REC_DONE or a second boundary cuts it.
+        """
+        codes = self.codes
+        last = len(codes) - 1
+        if last < 1:
+            return [self] if codes else []
+        if codes[last] <= BOUNDARY and _CONTROL_ROW.search(codes, 0, last) is None:
+            return [self]
+        return [self[start:stop] for start, stop in self.segment_edges()]
+
     def take(self, picks: Sequence[int]) -> "TupleBlock":
         """The rows at ``picks``, in that order (``self`` when that is every row in order)."""
         if len(picks) == len(self.codes) and list(picks) == list(range(len(picks))):
@@ -449,13 +503,15 @@ class BlockBuffer(TupleBlock):
 
     def extend(self, rows: "Iterable[StreamTuple]") -> None:
         block = TupleBlock.of(rows)
-        for name in ("undo_from_ids", "stable_seqs"):
-            mine, theirs = getattr(self, name), getattr(block, name)
-            if mine is None and theirs is not None:
-                mine = [None] * len(self.codes)
-                setattr(self, name, mine)
-            if mine is not None:
-                mine.extend(theirs or repeat(None, len(block.codes)))
+        undos, seqs = block.undo_from_ids, block.stable_seqs
+        if undos is not None or self.undo_from_ids is not None:
+            if self.undo_from_ids is None:
+                self.undo_from_ids = [None] * len(self.codes)
+            self.undo_from_ids.extend(undos or repeat(None, len(block.codes)))
+        if seqs is not None or self.stable_seqs is not None:
+            if self.stable_seqs is None:
+                self.stable_seqs = [None] * len(self.codes)
+            self.stable_seqs.extend(seqs or repeat(None, len(block.codes)))
         self.codes += block.codes
         self.ids.extend(block.ids)
         self.stimes.extend(block.stimes)
