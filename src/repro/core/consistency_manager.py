@@ -297,9 +297,10 @@ class ConsistencyManager:
 
     def _evaluate_switch(self, monitor: InputStreamMonitor, now: float) -> None:
         """Apply Table II for one input stream."""
-        states = monitor.producer_states(now, self._response_timeout())
-        if not states or all(info.is_source for info in monitor.producers.values()):
+        producers = monitor.producers
+        if not producers or all(info.is_source for info in producers.values()):
             return
+        states = monitor.producer_states(now, self._response_timeout())
         decision = choose_upstream(monitor.primary, states)
         if not decision.switch or decision.target is None:
             self._maybe_track_correcting(monitor, states)

@@ -101,7 +101,8 @@ class ProcessingNode:
         self.data_path = DataPath(owner=name, buffer_policy=self.config.buffer_policy)
         for stream in diagram.output_streams:
             self.data_path.add_output(stream)
-        self._managers = self.data_path.outputs()
+        #: Output stream -> its manager (the fragment's outputs are fixed).
+        self._managers = {manager.stream: manager for manager in self.data_path.outputs()}
         self.cm = ConsistencyManager(
             owner=self,
             simulator=simulator,
@@ -433,18 +434,20 @@ class ProcessingNode:
 
     def buffer_outputs(self, outputs: Mapping[str, TupleBlock]) -> None:
         """Append what a push produced to the output buffers (each block as it came)."""
-        output = self.data_path.output
+        managers = self._managers
         for stream, block in outputs.items():
             if block.codes:
-                output(stream).append_all(block)
+                managers[stream].append_all(block)
 
     # ------------------------------------------------------------------ periodic work
     def _periodic_tick(self, now: float) -> None:
         if self._crashed or self.recovery.adopting:
             return
-        self._emit_tentative_if_due(now)
+        if self.cm.state is NodeState.UP_FAILURE and not self.reconciler.active:
+            self._emit_tentative_if_due(now)
         self.flush_outputs(now)
-        self._push_state(now)
+        if self._state_watchers and now + 1e-9 >= self._next_push_at:
+            self._push_state(now)
         self.reconciler.trim_idle_buffers()
         self.recovery.maybe_capture(now)
 
@@ -455,10 +458,9 @@ class ProcessingNode:
         period, watchers that did not receive a data batch (whose piggybacked
         state already serves as the advertisement) get one multicast
         HeartbeatResponse.  Watchers detect this node's death as pushes
-        stopping, exactly as they would detect unanswered probes.
+        stopping, exactly as they would detect unanswered probes.  Runs once
+        the keepalive period is due, with watchers registered.
         """
-        if not self._state_watchers or now + 1e-9 < self._next_push_at:
-            return
         self._next_push_at = now + self.config.keepalive_period
         cutoff = now - self.config.keepalive_period
         stale = [
@@ -476,9 +478,7 @@ class ProcessingNode:
         self.network.send_many(self.endpoint, stale, HEARTBEAT_RESPONSE, response)
 
     def _emit_tentative_if_due(self, now: float) -> None:
-        """Apply the delay policy to buffered SUnion buckets (Section 6)."""
-        if self.reconciler.active or self.cm.state is not NodeState.UP_FAILURE:
-            return
+        """Apply the delay policy to buffered SUnion buckets (Section 6): in UP_FAILURE, outside a redo."""
         first_detection = self.cm.first_failure_detected_at()
         if first_detection is None:
             return
@@ -517,7 +517,7 @@ class ProcessingNode:
         """
         states = None
         network, endpoint, last_sent_to = self.network, self.endpoint, self._last_sent_to
-        for manager in self._managers:
+        for manager in self._managers.values():
             if manager.flushed:
                 continue
             batches = manager.pending_batches()

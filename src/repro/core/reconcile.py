@@ -83,10 +83,10 @@ class Reconciler:
         owner = self.owner
         cm = owner.cm
         if (
-            cm.state is NodeState.STABLE
+            self.checkpoint is None
             and not owner._fragment_dirty
+            and cm.state is NodeState.STABLE
             and not cm.failed_streams()
-            and self.checkpoint is None
         ):
             for monitor in cm.monitors.values():
                 monitor.clear_stable_buffer()

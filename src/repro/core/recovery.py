@@ -86,14 +86,14 @@ class Recovery:
         interval = owner.config.checkpoint_interval
         registry = owner.statexfer_registry
         if (
-            interval is None
+            now + 1e-9 < self._next_capture_at
+            or interval is None
             or registry is None
             or owner._fragment_dirty
             or owner.reconciler.checkpoint is not None
             # Also excludes a redo in flight: that is STABILIZATION.
             or owner.cm.state is not NodeState.STABLE
             or owner.cm.failed_streams()
-            or now + 1e-9 < self._next_capture_at
         ):
             return
         self._next_capture_at = now + interval

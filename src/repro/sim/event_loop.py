@@ -161,8 +161,9 @@ class Simulator:
                     if event.counted:
                         self._cancelled_pending -= 1
                     continue
-                self._now = event.time
-                event.fire()
+                self._now = time = event.time
+                event.fired = True  # Event.fire, inlined: one call less per event
+                event.callback(time)
                 self.events_fired += 1
                 fired += 1
                 if max_events is not None and fired >= max_events:

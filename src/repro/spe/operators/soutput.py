@@ -107,15 +107,14 @@ class SOutput(Operator):
         Only outside reconciliation, with the output not downgraded and the
         boundary forwarded as it is; anything else takes the general path.
         """
-        codes = segment.codes
+        codes, stime = segment.codes, segment.stimes[-1]
         if (
             self._reconciling
             or self.downgrade_to_tentative
             or codes[-1] != BOUNDARY
-            or not self._forwards_boundary(segment.stimes[-1])
+            or not self._forwards_boundary(stime)
         ):
             return super()._process_segment(port, segment)
-        stime = segment.stimes[-1]
         if TENTATIVE in codes:
             self._seen_tentative_input = True
         self._port_boundaries[0] = self._emitted_watermark = stime

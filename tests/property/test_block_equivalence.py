@@ -20,9 +20,11 @@ from repro.core.input_streams import InputStreamMonitor
 from repro.core.protocol import SubscribeRequest
 from repro.deploy.filters import SubscriptionFilter
 from repro.errors import BufferOverflowError, BufferTruncatedError
+from repro.spe.engine import LocalEngine
 from repro.spe.operators import Aggregate, AggregateSpec, Filter, Map, SJoin, SOutput, SUnion
+from repro.spe.query_diagram import QueryDiagram
 from repro.spe.tuple_codec import decode_tuples, encode_tuples
-from repro.spe.tuples import StreamTuple, TupleBlock, TupleType
+from repro.spe.tuples import BOUNDARY, StreamTuple, TupleBlock, TupleType
 from repro.spe.windows import WindowSpec
 
 COMMON = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -233,6 +235,115 @@ def test_soutput_modes(data, downgrade, already_forwarded):
     assert fields(by_block.end_reconciliation(9.0)) == fields(by_row.end_reconciliation(9.0))
 
 
+# --------------------------------------------------------------------------- one fragment hop
+def _fragment(join: bool) -> LocalEngine:
+    """A replica's fragment: SUnion -> [pass-through SJoin ->] SOutput."""
+    diagram = QueryDiagram(name="hop")
+    operators = [SUnion("u", arity=1, bucket_size=0.1)]
+    if join:
+        operators.append(SJoin("j", window=0.2, state_size=5))
+    operators.append(SOutput("o"))
+    for operator in operators:
+        diagram.add_operator(operator)
+    for upstream, downstream in zip(operators, operators[1:]):
+        diagram.connect(upstream, downstream)
+    diagram.bind_input("in", operators[0])
+    diagram.bind_output("out", operators[-1])
+    return LocalEngine(diagram)
+
+
+def _row_at_a_time(engine: LocalEngine):
+    """The reference hop: every operator fed one row at a time, each boundary its own row.
+
+    Returns ``push(row) -> (output rows, data rows processed)`` over the
+    engine's operators (a chain); no segment ever holds a run and its
+    boundary, so no relabel or boundary is fused anywhere.
+    """
+    chain = [engine.diagram.operator(name) for name in engine.diagram.topological_order()]
+    for operator in chain:
+        operator._emit_boundary = (
+            lambda stime, out, writer=operator.writer: out.append(writer.control(BOUNDARY, stime))
+        )
+
+    def push(row):
+        rows, processed = [row], 0
+        for operator in chain:
+            processed += sum(1 for item in rows if item.is_data)
+            rows = [out for item in rows for out in operator.process(0, item)]
+        return rows, processed
+
+    return push
+
+
+@COMMON
+@given(st.data(), st.booleans(), st.sampled_from(["plain", "hold", "dirty", "reconciling"]))
+def test_fused_hop_matches_row_at_a_time(data, join, mode):
+    """Whole batches through the engine and into the output buffer, against one row at a time.
+
+    The batch path keeps a data run and its boundary in one segment through
+    every operator (an operator appends its boundary to the run it just
+    numbered; a pass-through relabels both with one id take) and hands the
+    engine's output to ``append_all`` as it is.  The reference feeds every
+    operator and the buffer one row at a time, each boundary a row of its
+    own: the outputs, the buffer and every operator's state must agree.
+    """
+    rows = data.draw(streams())
+    blocks = data.draw(cut_into_blocks(rows))
+    hops = []
+    for _ in range(2):
+        engine, manager = _fragment(join), OutputStreamManager("out", "n")
+        manager.attach_subscriber("down")
+        union, soutput = engine.diagram.operator("u"), engine.diagram.operator("o")
+        if mode == "hold":
+            union.hold_buckets = True
+        elif mode == "dirty":
+            soutput.downgrade_to_tentative = True
+        elif mode == "reconciling":
+            for i in range(3):
+                engine.push("in", [StreamTuple.insertion(i, 0.01 * i, {"seq": -i})])
+            engine.push("in", [StreamTuple.boundary(3, 0.05), StreamTuple.boundary(4, 0.1)])
+            soutput.begin_reconciliation()
+        hops.append((engine, manager))
+    (by_row, row_buffer), (by_block, block_buffer) = hops
+    push_row, row_out, row_processed = _row_at_a_time(by_row), [], by_row.tuples_processed
+    for row in rows:
+        produced, processed = push_row(row)
+        row_out += [row_buffer.append(item) for item in produced]
+        row_processed += processed
+    block_out = []
+    for block in blocks:
+        block_out += block_buffer.append_all(by_block.push("in", block)["out"])
+    assert fields(block_out) == fields(row_out)
+    assert fields(block_buffer.buffered_items()) == fields(row_buffer.buffered_items())
+    assert fields(block_buffer.pending_for("down")) == fields(row_buffer.pending_for("down"))
+    for name in ("stable_seq", "stable_produced", "tentative_produced", "undos_produced",
+                 "last_appended_stime"):
+        assert getattr(block_buffer, name) == getattr(row_buffer, name), name
+    assert_same_replays(row_buffer, block_buffer)
+    assert by_block.tuples_processed == row_processed
+    for name, operator in by_block.diagram.operators.items():
+        reference = by_row.diagram.operator(name)
+        assert plain(operator.checkpoint_state()) == plain(reference.checkpoint_state()), name
+
+
+def test_a_run_and_its_boundary_cross_the_fragment_as_one_block():
+    engine = _fragment(join=True)
+    batch = TupleBlock.of([
+        StreamTuple.insertion(0, 0.01, {"seq": 0}),
+        StreamTuple.insertion(1, 0.02, {"seq": 1}),
+        StreamTuple.boundary(2, 0.1),
+    ])
+    out = engine.push("in", batch)["out"]
+    # One bucket and its boundary: relabeled once per operator, never split.
+    assert out.codes == batch.codes and out.ids == range(0, 3)
+    assert [row.tuple_type for row in out] == [row.tuple_type for row in batch]
+    manager = OutputStreamManager("out", "n")
+    assert fields(manager.append_all(out)) == fields(
+        [StreamTuple.data(0, 0.01, {"seq": 0}, True, 0), StreamTuple.data(1, 0.02, {"seq": 1}, True, 1),
+         StreamTuple.boundary(2, 0.1)]
+    )
+
+
 # --------------------------------------------------------------------------- input monitor
 MONITOR_FIELDS = (
     "last_boundary_arrival", "last_boundary_stime", "last_data_arrival", "tentative_since_stable",
@@ -241,10 +352,17 @@ MONITOR_FIELDS = (
 )
 
 
+#: Failure-time traffic: runs of tentative rows, corrections after an UNDO, REC_DONE.
+FAILURE_KINDS = st.sampled_from(["tentative"] * 6 + ["stable"] * 2 + ["boundary", "undo", "rec_done"])
+
+
 @COMMON
-@given(st.data(), st.booleans(), st.booleans(), st.integers(0, 8))
-def test_input_monitor(data, from_source, awaiting_replay, already_received):
-    rows = data.draw(streams(stamped=not from_source))
+@given(st.data(), st.booleans(), st.booleans(), st.integers(0, 8), st.sampled_from([KINDS, FAILURE_KINDS]))
+def test_input_monitor(data, from_source, awaiting_replay, already_received, kinds):
+    """``record_block`` on columns equals ``record_tuple`` row by row: the rows it keeps,
+    every counter, and the redo buffer -- duplicates by position or by id, the
+    replay gate, and stamped positions with gaps (a filtered slice) included."""
+    rows = data.draw(streams(stamped=not from_source, kinds=kinds))
     blocks = data.draw(cut_into_blocks(rows))
 
     def monitor():
@@ -317,7 +435,12 @@ def test_output_buffer(data, limit, block_on_full):
     for through in sorted(data.draw(st.lists(st.integers(-1, produced + 2), max_size=3))):
         assert by_block.acknowledge("plain", through) == by_row.acknowledge("plain", through)
         assert fields(by_block.buffered_items()) == fields(by_row.buffered_items())
-    for position in range(-1, produced + 2):
+    assert_same_replays(by_row, by_block)
+
+
+def assert_same_replays(by_row, by_block):
+    """Both buffers answer a subscription from every stable position alike."""
+    for position in range(-1, by_row.stable_seq + 2):
         outcomes = []
         for manager in (by_row, by_block):
             manager = copy.copy(manager)  # subscribe() may spend an id; probe a shallow copy
@@ -325,7 +448,7 @@ def test_output_buffer(data, limit, block_on_full):
             manager._id_skips = list(manager._id_skips)
             manager._subscriptions = dict(manager._subscriptions)
             request = SubscribeRequest(
-                stream="s", subscriber="late", last_stable_seq=position,
+                stream=manager.stream, subscriber="late", last_stable_seq=position,
                 had_tentative=position % 2 == 0, replay_tentative=position % 3 == 0,
             )
             try:
