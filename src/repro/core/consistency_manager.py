@@ -300,7 +300,15 @@ class ConsistencyManager:
         producers = monitor.producers
         if not producers or all(info.is_source for info in producers.values()):
             return
-        states = monitor.producer_states(now, self._response_timeout())
+        timeout = self._response_timeout()
+        primary = producers.get(monitor.primary) if monitor.primary is not None else None
+        if (
+            monitor.correcting is None
+            and primary is not None
+            and primary.effective_state(now, timeout) is NodeState.STABLE
+        ):
+            return  # Rule 1, and no stabilizing ex-primary to keep track of
+        states = monitor.producer_states(now, timeout)
         decision = choose_upstream(monitor.primary, states)
         if not decision.switch or decision.target is None:
             self._maybe_track_correcting(monitor, states)

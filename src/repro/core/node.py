@@ -608,15 +608,15 @@ class ProcessingNode:
         """Per-output-stream consistency states advertised in heartbeats."""
         state = self.cm.state
         if not self.config.per_stream_granularity or state is NodeState.STABLE:
-            return {stream: state for stream in self.diagram.output_streams}
+            return dict.fromkeys(self._managers, state)
         affected = self._outputs_affected_by(self.cm.failed_streams())
         if self._fragment_dirty and not affected:
             # Conservative: once the whole fragment was rolled into tentative
             # processing every output is affected.
-            affected = set(self.diagram.output_streams)
+            affected = set(self._managers)
         return {
             stream: (state if stream in affected else NodeState.STABLE)
-            for stream in self.diagram.output_streams
+            for stream in self._managers
         }
 
     def _outputs_affected_by(self, failed_streams: Sequence[str]) -> set[str]:

@@ -104,12 +104,14 @@ class SOutput(Operator):
     def _process_segment(self, port: int, segment: TupleBlock) -> list[TupleBlock]:
         """Forward a run and the boundary closing it as one relabeled block (one id take).
 
-        Only outside reconciliation, with the output not downgraded and the
-        boundary forwarded as it is; anything else takes the general path.
+        Only with no redo duplicate left to drop and no UNDO pending, the
+        output not downgraded and the boundary forwarded as it is; anything
+        else takes the general path.
         """
         codes, stime = segment.codes, segment.stimes[-1]
         if (
-            self._reconciling
+            self._duplicates_to_drop
+            or self._undo_pending
             or self.downgrade_to_tentative
             or codes[-1] != BOUNDARY
             or not self._forwards_boundary(stime)
