@@ -351,7 +351,7 @@ class OutputStreamManager:
             replay = self._trim_tentative_tail(replay)
         if request.had_tentative:
             self._id_skips.append(self._end_index())
-            replay = TupleBlock.concat(((self._writer.undo(0.0, -1),), replay))
+            replay = TupleBlock.concat((self._writer.control(UNDO, 0.0, -1), replay))
         # Live delivery continues from the current end of the buffer; any
         # skipped tentative tail is intentionally dropped (paper, footnote 6).
         self.attach_subscriber(request.subscriber, request.filter)

@@ -21,7 +21,7 @@ from ..core.states import NodeState
 from ..metrics.collector import MetricsCollector
 from ..core.clock import Clock
 from ..sim.network import Message, Network
-from ..spe.tuples import BOUNDARY, TENTATIVE, StreamTuple
+from ..spe.tuples import BOUNDARY, NO_VALUES, TENTATIVE, UNDO, TupleBlock
 
 
 class ClientApplication:
@@ -115,7 +115,8 @@ class ClientApplication:
 
     def apply_local_undo(self, stream: str, now: float) -> None:
         """An UNDO reached the application: revoke the tentative suffix."""
-        self.metrics.consistency.observe(StreamTuple.undo(tuple_id=-1, stime=now, undo_from_id=-1))
+        undo = TupleBlock(bytes((UNDO,)), (-1,), (now,), (NO_VALUES,), (-1,))
+        self.metrics.consistency.observe_run(undo)
 
     def output_stream_states(self) -> Mapping[str, NodeState]:
         return {}
