@@ -112,9 +112,6 @@ class OutputStreamManager:
         #: True while every active subscriber was sent everything appended:
         #: a flush has nothing to do here until the next append.
         self.flushed = True
-        #: (history index, block) of the last append, which the next flush
-        #: sends as it is when nothing else was appended in between.
-        self._appended: tuple[int, TupleBlock] | None = None
         # Statistics
         self.stable_produced = 0
         self.tentative_produced = 0
@@ -162,9 +159,7 @@ class OutputStreamManager:
                     # Convergent-capable diagrams may drop the oldest buffered tuples.
                     self._drop_oldest(1)
                 self._extend(block, position, position + 1)
-        physical = self._block(first)
-        self._appended = first, physical
-        return physical
+        return self._block(first)
 
     def _extend(self, block: TupleBlock, start: int, stop: int) -> None:
         """Buffer rows ``[start, stop)`` of a fragment's output: one segment.
@@ -297,7 +292,6 @@ class OutputStreamManager:
         locally recorded acknowledgments are kept.
         """
         buffer: TupleBlock = state["buffer"]
-        self._appended = None
         self._writer.restore(state["writer"])
         self._base_index = base = int(state["base_index"])
         self._id_skips = list(state["id_skips"])
@@ -457,7 +451,7 @@ class OutputStreamManager:
         for (index, _filter_key), subscriptions in sorted(groups.items(), key=itemgetter(0)):
             entries = slices.get(index)
             if entries is None:
-                entries = slices[index] = self._slice_from(index, end)
+                entries = slices[index] = self._block(index, end)
             filter_ = subscriptions[0].filter
             if filter_ is not None:
                 entries = filter_.select(entries)
@@ -469,15 +463,6 @@ class OutputStreamManager:
         if not batches:
             self.flushed = True
         return batches
-
-    def _slice_from(self, index: int, end: int) -> TupleBlock:
-        """History indexes ``[index, end)``: the last appended block when that is all of it."""
-        appended = self._appended
-        if appended is not None and appended[0] == index >= self._base_index:
-            block = appended[1]
-            if index + len(block.codes) == end:
-                return block
-        return self._block(index, end)
 
     def mark_delivered(self, *subscribers: str) -> None:
         """The subscribers were sent everything appended so far."""

@@ -88,9 +88,10 @@ class ClientApplication:
         block = monitor.record_block(batch.tuples, now)
         # Punctuation is not output; fresh tentative data is taken from the
         # primary connection only.
-        unwanted = (BOUNDARY, TENTATIVE) if role == "correcting" else (BOUNDARY,)
-        if any(code in block.codes for code in unwanted):
-            block = block.take([i for i, code in enumerate(block.codes) if code not in unwanted])
+        codes = block.codes
+        if BOUNDARY in codes or (role == "correcting" and TENTATIVE in codes):
+            unwanted = (BOUNDARY, TENTATIVE) if role == "correcting" else (BOUNDARY,)
+            block = block.take([i for i, code in enumerate(codes) if code not in unwanted])
         self.metrics.observe_block(block, now)
         # The monitor buffers stable arrivals for a redo; a client has none.
         monitor.clear_stable_buffer()

@@ -59,18 +59,13 @@ class LocalEngine:
         Returns a mapping of external output stream name to the block of
         tuples produced on it by this batch.
         """
-        segments = TupleBlock.of(tuples).segments()
-        # Bindings are read live: elastic rewiring binds and unbinds inputs
-        # of a running fragment.
-        work = deque()
-        for binding in self.diagram.inputs:
-            if binding.stream == input_stream:
-                work.append((binding.operator, binding.port, segments))
-        if not work:
+        bindings = self.entry_operators(input_stream)
+        if not bindings:
             raise DiagramError(
                 f"fragment {self.diagram.name!r} has no input stream {input_stream!r}"
             )
-        return self._drain(work, {})
+        segments = TupleBlock.of(tuples).segments()
+        return self._drain(deque([(operator, port, segments) for operator, port in bindings]), {})
 
     def push_operator(self, operator_name: str, port: int, tuples: Iterable[StreamTuple]) -> dict[str, TupleBlock]:
         """Push a batch directly into an operator (used by the node's input SUnions)."""

@@ -208,19 +208,11 @@ class SUnion(Operator):
             self._emitted_through = upper
         if entries[1:]:
             entries.sort(key=itemgetter(0))
-            blocks = [block for _port, block in entries]
-            # Only the columns the relabeled output keeps (sparse ones do not survive).
-            merged = TupleBlock(
-                b"".join([block.codes for block in blocks]),
-                list(chain.from_iterable([block.ids for block in blocks])),
-                list(chain.from_iterable([block.stimes for block in blocks])),
-                list(chain.from_iterable([block.values for block in blocks])),
-            )
+            merged = TupleBlock.concat([block for _port, block in entries])
             grows = _ids_grow_per_port(entries)
         else:
             merged = entries[0][1]
-            ids = merged.ids
-            grows = ids.step > 0 if ids.__class__ is range else strictly_increasing(ids)
+            grows = strictly_increasing(merged.ids)
         stimes = merged.stimes
         if not grows:
             ports = chain.from_iterable(repeat(port, len(block)) for port, block in entries)
