@@ -298,8 +298,6 @@ class ConsistencyManager:
     def _evaluate_switch(self, monitor: InputStreamMonitor, now: float) -> None:
         """Apply Table II for one input stream."""
         producers = monitor.producers
-        if not producers or all(info.is_source for info in producers.values()):
-            return
         timeout = self._response_timeout()
         primary = producers.get(monitor.primary) if monitor.primary is not None else None
         if (
@@ -308,6 +306,8 @@ class ConsistencyManager:
             and primary.effective_state(now, timeout) is NodeState.STABLE
         ):
             return  # Rule 1, and no stabilizing ex-primary to keep track of
+        if not producers or all(info.is_source for info in producers.values()):
+            return
         states = monitor.producer_states(now, timeout)
         decision = choose_upstream(monitor.primary, states)
         if not decision.switch or decision.target is None:
