@@ -40,13 +40,13 @@ BUCKET_SIZE = 0.1
 BOUNDARY_INTERVAL = 0.1
 BATCH_TUPLES = 20  # tuples per pushed batch, mirroring the transport batching
 
-#: Calls per source tuple of the window-crash scenario (17.37 on Python 3.11;
+#: Calls per source tuple of the window-crash scenario (17.63 on Python 3.11;
 #: row by row, the pane Aggregate alone made 20.6 of 45.0).
 WINDOW_CRASH_CALLS = 20
-#: Calls per source tuple of the chain-4 disconnect: 305.27 on Python 3.11,
+#: Calls per source tuple of the chain-4 disconnect: 297.76 on Python 3.11,
 #: plus 1 % (435.11 with a per-batch split of every run at its boundary, a
 #: row per tentative arrival and per-receiver send bookkeeping).
-CHAIN4_DISCONNECT_CALLS = 308.3
+CHAIN4_DISCONNECT_CALLS = 300.7
 
 
 def build_fragment_engine() -> LocalEngine:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Any, Mapping
 
 from ...errors import OperatorError
 from ..schema import ANY_SCHEMA, Schema
 from ..streams import strictly_increasing
-from ..tuples import TENTATIVE, TupleBlock
+from ..tuples import BOUNDARY, TENTATIVE, TupleBlock
 from .base import Operator
 
 
@@ -103,6 +103,42 @@ class SUnion(Operator):
         self.late_drops = 0
 
     # ------------------------------------------------------------------ buffering
+    def _process_segment(self, port: int, segment: TupleBlock) -> list[TupleBlock]:
+        """Pass a run its own boundary stabilizes straight through: one relabel.
+
+        With one input port, no bucket pending and nothing held, a run that
+        arrives in order inside one bucket, followed by a boundary that
+        closes that bucket, is exactly the bucket this operator would file,
+        serialize and emit ahead of its own boundary: the run and the
+        boundary leave with one id take.  Any other segment is bucketed.
+        """
+        codes, stimes = segment.codes, segment.stimes
+        stime = stimes[-1]
+        if (
+            self.arity == 1
+            and not self._buckets
+            and not self.hold_buckets
+            and codes[-1] == BOUNDARY
+            and stime > self._port_boundaries[0]
+            and stime > self._emitted_watermark
+        ):
+            size, rows = self.bucket_size, len(codes) - 1
+            upper = (bucket_index(stimes[0], size) + 1) * size
+            if (
+                stimes[rows - 1] < upper <= stime
+                and upper > self._emitted_through
+                and strictly_increasing(segment.ids)
+                and all(map(le, stimes[: rows - 1], stimes[1:rows]))
+            ):
+                if TENTATIVE in codes:
+                    self._seen_tentative_input = True
+                self._port_boundaries[0] = self._emitted_watermark = stime
+                self._emitted_through = upper
+                writer = self.writer
+                writer.advance_boundary(stime)
+                return [segment.relabeled(writer.take(rows + 1))]
+        return super()._process_segment(port, segment)
+
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
         """Bucket a data run as block slices (one slice per bucket it spans).
 

@@ -342,6 +342,13 @@ def test_a_run_and_its_boundary_cross_the_fragment_as_one_block():
         [StreamTuple.data(0, 0.01, {"seq": 0}, True, 0), StreamTuple.data(1, 0.02, {"seq": 1}, True, 1),
          StreamTuple.boundary(2, 0.1)]
     )
+    # A run out of stime order is not passed through: the bucket sorts it.
+    late_first = TupleBlock.of([
+        StreamTuple.insertion(3, 0.15, {"seq": 3}),
+        StreamTuple.insertion(4, 0.12, {"seq": 4}),
+        StreamTuple.boundary(5, 0.2),
+    ])
+    assert [row.stime for row in engine.push("in", late_first)["out"]] == [0.12, 0.15, 0.2]
 
 
 # --------------------------------------------------------------------------- input monitor
