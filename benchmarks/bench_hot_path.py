@@ -43,10 +43,10 @@ BATCH_TUPLES = 20  # tuples per pushed batch, mirroring the transport batching
 #: Calls per source tuple of the window-crash scenario (17.63 on Python 3.11;
 #: row by row, the pane Aggregate alone made 20.6 of 45.0).
 WINDOW_CRASH_CALLS = 20
-#: Calls per source tuple of the chain-4 disconnect: 297.76 on Python 3.11,
+#: Calls per source tuple of the chain-4 disconnect: 301.30 on Python 3.11,
 #: plus 1 % (435.11 with a per-batch split of every run at its boundary, a
 #: row per tentative arrival and per-receiver send bookkeeping).
-CHAIN4_DISCONNECT_CALLS = 300.7
+CHAIN4_DISCONNECT_CALLS = 304.3
 
 
 def build_fragment_engine() -> LocalEngine:

@@ -529,7 +529,7 @@ class ProcessingNode:
             for pending, subscribers in batches:
                 # Unreachable subscribers keep buffering (retry when the link
                 # heals) without being counted as send attempts in the stats.
-                reachable = network.reachable(endpoint, subscribers)
+                reachable = [s for s in subscribers if network.can_communicate(endpoint, s)]
                 if not reachable:
                     continue
                 kind, batch = self.data_path.make_batch(

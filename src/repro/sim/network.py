@@ -122,13 +122,8 @@ class Network:
         """True when a message sent now from ``sender`` would reach ``receiver``."""
         if sender in self._down or receiver in self._down:
             return False
-        return not self.is_partitioned(sender, receiver)
-
-    def reachable(self, sender: str, receivers: list[str]) -> list[str]:
-        """The ``receivers`` a message sent now from ``sender`` would reach, in order."""
-        if not self._down and not self._partitioned:
-            return receivers
-        return [receiver for receiver in receivers if self.can_communicate(sender, receiver)]
+        partitioned = self._partitioned
+        return not (partitioned and frozenset((sender, receiver)) in partitioned)
 
     # ------------------------------------------------------------------ messaging
     def send(self, sender: str, receiver: str, kind: str, payload: Any) -> bool:

@@ -344,21 +344,13 @@ class TupleBlock(Sequence):
     def __getitem__(self, index):
         undos, seqs = self.undo_from_ids, self.stable_seqs
         if index.__class__ is slice:
-            if undos is not None:
-                undos = undos[index]
-                if undos.count(None) == len(undos):
-                    undos = None
-            if seqs is not None:
-                seqs = seqs[index]
-                if seqs.count(None) == len(seqs):
-                    seqs = None
             return TupleBlock(
                 bytes(self.codes[index]),
                 self.ids[index],
                 self.stimes[index],
                 self.values[index],
-                undos,
-                seqs,
+                None if undos is None else _sparse(undos[index]),
+                None if seqs is None else _sparse(seqs[index]),
             )
         head = self.codes[index], self.ids[index], self.stimes[index], self.values[index]
         return _row(*head, undos and undos[index], seqs and seqs[index])
@@ -451,13 +443,8 @@ class TupleBlock(Sequence):
         that closes it -- stays one block through a fragment, and only an
         UNDO, a REC_DONE or a second boundary cuts it.
         """
-        codes = self.codes
-        last = len(codes) - 1
-        if last < 1:
-            return [self] if codes else []
-        if codes[last] <= BOUNDARY and _CONTROL_ROW.search(codes, 0, last) is None:
-            return [self]
-        return [self[start:stop] for start, stop in self.segment_edges()]
+        edges = self.segment_edges()
+        return [self] if len(edges) == 1 else [self[start:stop] for start, stop in edges]
 
     def take(self, picks: Sequence[int]) -> "TupleBlock":
         """The rows at ``picks``, in that order (``self`` when that is every row in order)."""
