@@ -10,7 +10,7 @@ benchmark would drown in host noise.
 
 from repro.workloads.catalogue import CATALOGUE
 
-#: Calls per source tuple: 66.68 on Python 3.11 (the row-at-a-time data path
+#: Calls per source tuple: 55.13 on Python 3.11 (the row-at-a-time data path
 #: read 242.5); a per-row loop on one hop adds several calls per tuple.
 CALLS_PER_SOURCE_TUPLE = 75
 
