@@ -495,9 +495,12 @@ class ConsistencyManager:
         response for the batch's stream: freshness and the advertised state
         are updated, so the keep-alive machinery can skip producers whose
         data is flowing.  The returned role is ``"primary"``, ``"correcting"``
-        or ``"ignore"`` (see :meth:`classify_producer`); a replay-flagged
-        batch from a primary or correcting producer disarms the monitor's
-        stale-cursor defense (see :meth:`note_replay`).
+        or ``"ignore"`` (see :meth:`classify_producer`).  A replay-flagged
+        batch (possibly empty) from a primary or correcting producer disarms
+        the monitor's stale-cursor defense at batch granularity: an *empty*
+        replay carries no tuples for :meth:`InputStreamMonitor.record_block`
+        to clear it tuple by tuple, yet still proves the producer has
+        answered the resubscription from the quoted position.
         """
         monitor = self.monitors.get(batch.stream)
         if monitor is None:
@@ -521,18 +524,6 @@ class ConsistencyManager:
         if monitor is None:
             return "ignore"
         return _role(monitor, producer, monitor.producers.get(producer))
-
-    def note_replay(self, stream: str) -> None:
-        """A replay-flagged batch arrived on ``stream`` (possibly empty).
-
-        Clears the stale-cursor defense at batch granularity: an *empty*
-        replay carries no tuples for :meth:`InputStreamMonitor.record_block`
-        to clear it tuple-by-tuple, yet still proves the producer has answered
-        the resubscription from the quoted position.
-        """
-        monitor = self.monitors.get(stream)
-        if monitor is not None:
-            monitor.awaiting_replay = False
 
     # ------------------------------------------------------------------ message dispatch
     def handle_message(self, message: Message, now: float) -> bool:

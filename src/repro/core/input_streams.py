@@ -254,7 +254,7 @@ class InputStreamMonitor:
         expected position are rejected as stale-cursor races.  The defense is
         disarmed at *batch* granularity when the replay-flagged response to
         this consumer's subscribe request arrives (see
-        :meth:`~repro.core.consistency_manager.ConsistencyManager.note_replay`):
+        :meth:`~repro.core.consistency_manager.ConsistencyManager.receive_batch`):
         on a *filtered* subscription stamped gaps are routine, so no per-tuple
         position check could tell the legitimate replay from a stale flush.
         """

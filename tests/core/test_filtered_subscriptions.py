@@ -7,7 +7,7 @@ a filtered consumer tell a legitimate filter gap from a stale-cursor race.
 
 from repro.core.data_path import OutputStreamManager
 from repro.core.input_streams import InputStreamMonitor
-from repro.core.protocol import SubscribeRequest
+from repro.core.protocol import SubscribeRequest, TupleBatch
 from repro.deploy import SubscriptionFilter
 from repro.spe.tuples import StreamTuple
 
@@ -176,6 +176,7 @@ def test_awaiting_replay_only_cleared_by_the_replay_batch():
     # ...until the replay-flagged batch disarms the defense (what the node
     # does for any batch with batch.replay set), after which the stamped gap
     # is accepted -- routine on filtered subscriptions.
-    cm.note_replay("s.out")
+    replay = TupleBatch.of("s.out", [], "upstream", replay=True)
+    assert cm.receive_batch(replay, "upstream", now=1.05) == "primary"
     assert monitor.record_tuple(ahead, now=1.1) == "accept"
     assert monitor.stable_received == 10
