@@ -4,8 +4,9 @@ Two :class:`~repro.live.transport.LiveTransport` instances share one asyncio
 loop and talk over temporary Unix sockets, exactly as two worker processes
 would; a raw socket connection plays the misbehaving peer.  Pinned here: a
 fan-out encodes its payload once, malformed and oversized frames are counted
-drops that never take the receiver down, and sequence/generation admission
-holds for frames assembled in one buffer.
+drops that never take the receiver down, sequence/generation admission
+holds for frames assembled in one buffer, and a seeded wire-fault plan
+injects the same faults in the same order on every run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.states import NodeState
 from repro.live import transport as transport_module
 from repro.live import wire
 from repro.live.clock import LiveClock
-from repro.live.faults import DUPLICATE, FaultPlan, LinkRule
+from repro.live.faults import DELAY, DROP, DUPLICATE, REORDER, THROTTLE, FaultPlan, LinkRule
 from repro.live.transport import LiveTransport
 from repro.spe.tuples import StreamTuple
 
@@ -229,3 +230,106 @@ def test_link_stamps_monotonic_sequences_and_duplicates_are_shed():
             assert fabric.b.stale_rejected == 0
 
     run(scenario())
+
+
+# ---------------------------------------------------------------------- decision stream
+#: Every wire-fault kind on the producer's links.  Throttle comes first so a
+#: frame's own injected delay never eats into its spacing from the previous
+#: write; its interval dwarfs the back-to-back gap, so it fires on every frame
+#: after the first whatever the host's speed.
+STREAM_PLAN = FaultPlan(seed=11, rules=(
+    LinkRule(THROTTLE, sender="src", min_interval=0.04),
+    LinkRule(REORDER, sender="src", probability=0.4),
+    LinkRule(DROP, sender="src", receiver="n1", probability=0.5),
+    LinkRule(DUPLICATE, sender="src", probability=0.3),
+    LinkRule(DELAY, sender="src", receiver="n2", probability=0.5, delay=0.001, jitter=0.002),
+))
+#: The (kind, sender, receiver) of each injected fault, in injection order.
+STREAM_EVENTS = [
+    ("reorder", "src", "n1"),
+    ("throttle", "src", "n1"),
+    ("drop", "src", "n1"),
+    ("drop", "src", "n1"),
+    ("duplicate", "src", "n1"),
+    ("reorder", "src", "n1"),
+    ("throttle", "src", "n2"),
+    ("throttle", "src", "n1"),
+    ("throttle", "src", "n1"),
+    ("drop", "src", "n1"),
+    ("drop", "src", "n1"),
+    ("throttle", "src", "n2"),
+    ("delay", "src", "n2"),
+    ("duplicate", "src", "n2"),
+    ("reorder", "src", "n1"),
+    ("throttle", "src", "n2"),
+    ("throttle", "src", "n1"),
+    ("reorder", "src", "n1"),
+    ("throttle", "src", "n2"),
+    ("throttle", "src", "n1"),
+    ("drop", "src", "n1"),
+    ("drop", "src", "n1"),
+    ("drop", "src", "n1"),
+    ("drop", "src", "n1"),
+    ("duplicate", "src", "n1"),
+    ("throttle", "src", "n1"),
+    ("throttle", "src", "n2"),
+    ("delay", "src", "n2"),
+    ("duplicate", "src", "n2"),
+    ("throttle", "src", "n2"),
+]
+STREAM_INJECTED = {REORDER: 4, THROTTLE: 12, DROP: 8, DUPLICATE: 4, DELAY: 2}
+#: (receiver, first tuple id) of each delivered frame, in delivery order.
+STREAM_DELIVERED = [
+    ("n2", 0),
+    ("n1", 0),
+    ("n2", 10),
+    ("n1", 10),
+    ("n1", 20),
+    ("n2", 20),
+    ("n2", 30),
+    ("n1", 30),
+    ("n2", 40),
+    ("n1", 40),
+    ("n1", 50),
+    ("n2", 50),
+    ("n2", 100),
+]
+
+
+def test_wire_fault_decision_stream_is_pinned():
+    async def scenario():
+        directory = tempfile.mkdtemp(prefix="rt-")
+        sockets = {w: f"{directory}/{w}.sock" for w in ("wa", "wb")}
+        clock = LiveClock(time.monotonic())
+        # Only ``wb`` is listed as a worker socket, so neither transport runs
+        # a heartbeat loop: its frames would join the link's queue on a
+        # wall-clock cadence and make the reorder decisions timing-dependent.
+        only_wb = {"wb": sockets["wb"]}
+        a = LiveTransport("wa", sockets["wa"], ENDPOINTS, only_wb, clock, fault_plan=STREAM_PLAN)
+        b = LiveTransport("wb", sockets["wb"], ENDPOINTS, only_wb, clock, fault_plan=STREAM_PLAN)
+        delivered = []
+        for endpoint in ("n1", "n2"):
+            b.register(endpoint, lambda message, now: delivered.append(
+                (message.receiver, message.payload.tuples[0].tuple_id)))
+        await a.start()
+        await b.start()
+        try:
+            # Every frame is queued before the link's writer first runs.
+            for index in range(6):
+                a.send_many("src", ("n1", "n2"), DATA, batch(index * 10))
+            a.send("src", "n2", DATA, batch(100))
+            link = lambda: a.transport_stats()["links"]["wb"]  # noqa: E731
+            await eventually(lambda: link()["frames_sent"] + link()["dead_letters"] == 13,
+                             timeout=10.0)
+            await eventually(lambda: len(delivered) == link()["frames_sent"])
+        finally:
+            await a.close()
+            await b.close()
+            shutil.rmtree(directory, ignore_errors=True)
+        events = [(e["kind"], e["sender"], e["receiver"]) for e in a.fault_events]
+        return events, dict(a.injected), delivered
+
+    events, injected, delivered = asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+    assert events == STREAM_EVENTS
+    assert injected == STREAM_INJECTED
+    assert delivered == STREAM_DELIVERED
