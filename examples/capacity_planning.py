@@ -66,7 +66,7 @@ def main() -> None:
         print(f"  output {stream:<10} {tuples:>9,d} tuples")
     policy = sizing.to_buffer_policy()
     print(f"suggested BufferPolicy: max_output={policy.max_output_tuples:,}, "
-          f"max_input={policy.max_input_tuples:,}, block_on_full={policy.block_on_full}")
+          f"block_on_full={policy.block_on_full}")
     for note in sizing.notes:
         print(f"note: {note}")
 

@@ -103,24 +103,21 @@ class DelayPolicy:
 class BufferPolicy:
     """Buffer management options from Section 8.1.
 
-    ``max_output_tuples``/``max_input_tuples`` of ``None`` mean unbounded
-    buffers (the paper's default assumption).  When bounds are set,
+    ``max_output_tuples`` of ``None`` means unbounded output buffers (the
+    paper's default assumption).  When bounds are set,
     ``block_on_full`` selects the deterministic-operator behaviour (block and
     create back-pressure, avoiding system delusion); otherwise the oldest
     tuples are dropped, which is only safe for convergent-capable diagrams.
     """
 
     max_output_tuples: int | None = None
-    max_input_tuples: int | None = None
     block_on_full: bool = True
 
     def validate(self) -> None:
-        for name, value in (
-            ("max_output_tuples", self.max_output_tuples),
-            ("max_input_tuples", self.max_input_tuples),
-        ):
-            if value is not None and value <= 0:
-                raise ConfigurationError(f"{name} must be positive or None, got {value}")
+        if self.max_output_tuples is not None and self.max_output_tuples <= 0:
+            raise ConfigurationError(
+                f"max_output_tuples must be positive or None, got {self.max_output_tuples}"
+            )
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,6 @@ class DPCConfig:
       window after which an input stream is declared failed.
     * ``startup_grace`` -- extra allowance right after deployment, before the
       first boundaries have propagated through the diagram.
-    * ``switch_time`` -- simulated cost of switching upstream replicas
-      (~40 ms in the paper's prototype).
     * ``checkpoint_cost`` / ``redo_rate`` -- reconciliation cost model:
       restoring a checkpoint costs ``checkpoint_cost`` seconds and
       reprocessing buffered tuples proceeds at ``redo_rate`` tuples per
@@ -178,7 +173,6 @@ class DPCConfig:
     keepalive_period: float = 0.1
     failure_detection_timeout: float = 0.25
     startup_grace: float = 1.0
-    switch_time: float = 0.04
     checkpoint_cost: float = 0.05
     redo_rate: float = 1200.0
     tentative_bucket_wait: float = 0.3
@@ -203,8 +197,8 @@ class DPCConfig:
             )
         if self.redo_rate <= 0:
             raise ConfigurationError("redo_rate must be positive")
-        if self.checkpoint_cost < 0 or self.switch_time < 0:
-            raise ConfigurationError("costs cannot be negative")
+        if self.checkpoint_cost < 0:
+            raise ConfigurationError("checkpoint_cost cannot be negative")
         if self.queuing_allowance < 0:
             raise ConfigurationError("queuing_allowance cannot be negative")
         if self.startup_grace < 0:

@@ -185,11 +185,8 @@ class BufferSizing:
         """
         if block_on_full is None:
             block_on_full = not self.convergent_capable
-        max_output = max(self.output_tuples.values(), default=None)
-        max_input = max(self.input_tuples.values(), default=None)
         return BufferPolicy(
-            max_output_tuples=max_output,
-            max_input_tuples=max_input,
+            max_output_tuples=max(self.output_tuples.values(), default=None),
             block_on_full=block_on_full,
         )
 

@@ -181,16 +181,11 @@ class Autoscaler:
         self._last_counts = {}
 
     def _blocked(self, now: float) -> str | None:
-        deployment = self.deployment
         if now < self._cooldown_until:
             return "cooldown"
         if self._plans_used >= self.policy.plan_budget:
             return "plan budget exhausted"
-        if deployment._pending_handoff is not None:
-            return "handoff pending"
-        if deployment._unstable_replicas():
-            return "deployment unstable"
-        return None
+        return self.deployment.reconfiguration_blocker()
 
     def _lowest_loaded_shard(self, rates: dict[str, float]) -> int:
         names = self.deployment.placement.shard_fragments

@@ -13,13 +13,9 @@ capabilities a one-shot build cannot express:
   router ships each shard replica only its slice;
 
 * **live reconfiguration** -- :meth:`Deployment.apply` takes a
-  :class:`~repro.sharding.RebalancePlan` and performs the bucket handoff on
-  the running deployment: the slice predicates are advanced at a bucket
-  boundary of the serialization-time axis (so routing stays a pure function
-  of each tuple and the merged ledger stays gap-free and duplicate-free
-  across the handoff), and once the boundary has drained through the data
-  path the moved buckets' SJoin state is shipped from the old owner to the
-  new one through the existing checkpoint containers;
+  :class:`~repro.sharding.RebalancePlan`, cuts the slice predicates over at
+  a bucket boundary of the serialization-time axis and leaves the moved
+  buckets' SJoin state to the :mod:`repro.deploy.handoff` state machine;
 
 * **elasticity** -- :meth:`Deployment.scale_out` / :meth:`Deployment.scale_in`
   attach and retire shard fragments on the running cluster by extending the
@@ -28,7 +24,6 @@ capabilities a one-shot build cannot express:
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import replace as dataclass_replace
 from itertools import compress
@@ -46,15 +41,9 @@ from ..sim.failures import FailureInjector
 from ..sim.network import Network
 from ..spe.operators.sunion import bucket_index
 from ..spe.query_diagram import InputBinding
-from ..statexfer import (
-    PeerRegistry,
-    capture_checkpoint,
-    extract_sjoin_state,
-    merge_sjoin_state,
-    seed_cursors,
-    transfer_delay,
-)
+from ..statexfer import PeerRegistry, capture_checkpoint, seed_cursors
 from .filters import SubscriptionFilter
+from .handoff import Handoff, drain_time
 from .placement import DeployOptions, NodePlan, Placement, SubscriptionPlan
 from .wiring import Wiring, wire_placement
 
@@ -114,9 +103,9 @@ class Deployment:
         self.retired_groups: dict[str, list[ProcessingNode]] = {}
         #: Scale-out / scale-in actions, for reporting.
         self.scale_events: list[dict] = []
-        #: The reconfiguration record currently between cut and completed
-        #: state handoff; a second apply() is rejected until it resolves.
-        self._pending_handoff: dict | None = None
+        #: The handoff between cut and completion; no other reconfiguration
+        #: starts until it resolves.
+        self.handoff: Handoff | None = None
         #: Split replica -> per-bucket count of the stable tuples its output
         #: buffer has truncated: with the retained suffix, the load history
         #: :meth:`observed_bucket_loads` reports.
@@ -229,22 +218,15 @@ class Deployment:
     def apply(self, plan: RebalancePlan) -> dict:
         """Apply ``plan`` to the running deployment (bucket handoff).
 
-        The handoff happens in two deterministic steps:
-
-        1. **Cut.**  Every shard fragment's subscription filter is advanced
-           to the plan's ``after`` predicate for tuples serialized at or
-           beyond the next *bucket boundary* past everything the split has
-           produced.  Routing stays a pure function of each tuple (old epoch
-           below the cut, new epoch at or above it), so no tuple is ever
-           duplicated or lost, no stime tie group straddles owners, and
-           replays after later failures route exactly as the original
-           delivery did.
-
-        2. **State handoff.**  Once the cut has drained through the data
-           path (one bucket plus transport slack later), the moved buckets'
-           SJoin tuples are shipped from each old owner replica to the new
-           owner through the operator checkpoint containers, keeping
-           serialized-order within the target's bounded state.
+        **Cut.**  Every shard fragment's subscription filter is advanced to
+        the plan's ``after`` predicate for tuples serialized at or beyond the
+        next *bucket boundary* past everything the split has produced.
+        Routing stays a pure function of each tuple (old epoch below the
+        cut, new epoch at or above it), so no tuple is ever duplicated or
+        lost, no stime tie group straddles owners, and replays after later
+        failures route exactly as the original delivery did.  A
+        :class:`~repro.deploy.handoff.Handoff` then ships the moved buckets'
+        SJoin state from the old owners to the new ones.
 
         Returns the reconfiguration record (also appended to
         :attr:`rebalances`).  No-op plans return immediately.
@@ -255,12 +237,8 @@ class Deployment:
                 "rebalance plan was computed against a different assignment than "
                 "the one currently deployed; re-plan against the live deployment"
             )
-        if self._pending_handoff is not None:
-            raise SimulationError(
-                f"cannot apply a new reconfiguration while the handoff applied at "
-                f"t={self._pending_handoff['applied_at']:.3f} is still pending "
-                f"(completes or aborts at the scheduled state transfer)"
-            )
+        # A no-op moves no state, so it need not wait for a failure to heal.
+        self._require_quiescent("rebalance", stable=not plan.is_noop)
         now = self.simulator.now
         record: dict = {
             "applied_at": now,
@@ -272,6 +250,7 @@ class Deployment:
             "imbalance_after": plan.imbalance_after,
             "noop": plan.is_noop,
         }
+        self.rebalances.append(record)
         if plan.is_noop:
             # Same record shape as an applied plan: nothing was cut and no
             # state moves, but downstream consumers of the record never have
@@ -287,61 +266,47 @@ class Deployment:
                     "state_tuples_trimmed": 0,
                 }
             )
-            self.rebalances.append(record)
             return record
-        unstable = self._unstable_replicas()
-        if unstable:
-            raise SimulationError(
-                f"cannot rebalance while the deployment is handling a failure "
-                f"(non-stable replicas: {unstable})"
-            )
-
-        # --- 1. advance the slice predicates at a bucket boundary ------------
         cut_stime = self._next_bucket_boundary()
         shard_names = self.placement.shard_fragments
         for index, name in enumerate(shard_names):
-            if index in self.decommissioned:
-                continue  # retired slot: no fragment carries its filter
-            self.subscription_filters[name].advance(
-                cut_stime, plan.after.predicate(index)
-            )
+            if index not in self.decommissioned:  # a retired slot has no filter
+                self.subscription_filters[name].advance(cut_stime, plan.after.predicate(index))
         self.current_assignment = plan.after
         # Recomputed (not accumulated) from the new assignment: a later plan
         # may re-populate a previously drained shard, which must then be a
         # legal kill target again.
         drained = [shard_names[i] for i in plan.after.empty_shards()]
         self.drained = set(drained)
-
-        # --- 2. ship the moved buckets' join state once the cut drains -------
-        settle = (
-            max(cut_stime - now, 0.0)
-            + self.config.bucket_size
-            + 2 * self.sim_config.batch_interval
-            + 2 * self.sim_config.network_latency
-        )
-        record.update(
-            {
-                "cut_stime": cut_stime,
-                "drained": drained,
-                "state_handoff_at": now + settle,
-                "completed": False,
-            }
-        )
-        self.simulator.schedule_in(
-            settle,
-            lambda fire_time, p=plan, r=record, c=cut_stime: self._ship_join_state(
-                p, c, r, fire_time
-            ),
-            kind=EventKind.INTERNAL,
-            description=f"rebalance handoff ({len(plan.moves)} bucket(s))",
-        )
-        self.rebalances.append(record)
-        self._pending_handoff = record
+        record["drained"] = drained
+        self.handoff = Handoff(self, plan, record, cut_stime)
         return record
 
     def rebalance(self, tolerance: float = 0.10) -> dict:
         """Plan against observed loads and apply in one step (the mid-run hook)."""
         return self.apply(self.plan_rebalance(tolerance=tolerance))
+
+    def reconfiguration_blocker(self, stable: bool = True) -> str | None:
+        """Why no reconfiguration may start now, or None: the one quiesce guard.
+
+        A handoff in flight always blocks; so does, with ``stable``, a
+        replica that is not cleanly STABLE (elasticity yields to fault
+        tolerance).
+        """
+        if self.handoff is not None:
+            return (
+                f"the handoff applied at t={self.handoff.record['applied_at']:.3f} "
+                f"is still pending (completes or aborts at its state transfer)"
+            )
+        unstable = self.unstable_replicas() if stable else None
+        if unstable:
+            return f"the deployment is handling a failure (non-stable replicas: {unstable})"
+        return None
+
+    def _require_quiescent(self, action: str, stable: bool = True) -> None:
+        blocker = self.reconfiguration_blocker(stable)
+        if blocker is not None:
+            raise SimulationError(f"cannot {action} while {blocker}")
 
     def _next_bucket_boundary(self) -> float:
         """First bucket boundary past everything the split has serialized."""
@@ -354,169 +319,17 @@ class Deployment:
         bucket = self.config.bucket_size
         return (bucket_index(high, bucket) + 1) * bucket
 
-    def _ship_join_state(
-        self, plan: RebalancePlan, cut_stime: float, record: dict, now: float
-    ) -> None:
-        """Move the migrated buckets' SJoin tuples old owner -> new owner.
-
-        Every source replica holds its own copy of the moved buckets' state;
-        all copies are removed, and the first replica's copy becomes the
-        canonical one merged into *every* target replica.  (Replica counts
-        may differ per node, so index pairing would duplicate state into one
-        target replica or leave another without it.)
-
-        The quiesce assumption is re-checked at fire time: a failure that
-        landed inside the drain window (possible for programmatic schedules;
-        ScenarioSpec validation forbids it declaratively) would let a
-        crashed-and-recovered old owner rebuild the shipped state from its
-        subscription replay.  In that case the handoff is postponed until the
-        deployment is stable again, keeping the no-duplication guarantee.
-
-        The transfer is two-phase: the state is extracted here, priced
-        through :func:`repro.statexfer.transfer_delay`, and merged into the
-        targets only after the simulated transfer time has passed -- during
-        which a crash *aborts* the handoff (see :meth:`_complete_transfer`).
-        """
-        unstable = self._unstable_replicas()
-        if unstable:
-            record["handoff_retries"] = record.get("handoff_retries", 0) + 1
-            self.simulator.schedule_in(
-                max(self.config.bucket_size, self.sim_config.batch_interval),
-                lambda fire_time, p=plan, r=record, c=cut_stime: self._ship_join_state(
-                    p, c, r, fire_time
-                ),
-                kind=EventKind.INTERNAL,
-                description="rebalance handoff retry (deployment unstable)",
-            )
-            return
-        transfers, shipped = self._extract_handoff_state(plan, cut_stime)
-        delay = transfer_delay(self.config, shipped)
-        record["transfer_started_at"] = now
-        record["transfer_delay"] = delay
-        self.simulator.schedule_in(
-            delay,
-            lambda fire_time, t=transfers, p=plan, r=record, c=cut_stime, s=shipped: (
-                self._complete_transfer(t, p, c, r, s, fire_time)
-            ),
-            kind=EventKind.INTERNAL,
-            description=f"rebalance state transfer ({shipped} tuple(s))",
-        )
-
-    def _extract_handoff_state(
-        self, plan: RebalancePlan, cut_stime: float
-    ) -> tuple[list[tuple[int, int, dict[int, list]]], int]:
-        """Extract the moved buckets' state from every live old-owner replica.
-
-        Returns ``([(source, target, canonical), ...], item_count)``.  The
-        extraction invalidates the source replicas' recovery checkpoints: a
-        checkpoint captured before the extraction would resurrect the shipped
-        buckets if a partner adopted it later.
-        """
-        spec = plan.before.spec
-        moves_by_pair: dict[tuple[int, int], set[int]] = {}
-        for move in plan.moves:
-            moves_by_pair.setdefault((move.source, move.target), set()).add(move.bucket)
-        transfers: list[tuple[int, int, dict[int, list]]] = []
-        shipped = 0
-        for (source, target), buckets in sorted(moves_by_pair.items()):
-            canonical: dict[int, list] = {}
-            for index, source_node in enumerate(self._live_replicas(source)):
-                extracted = extract_sjoin_state(source_node, spec, buckets, cut_stime)
-                source_node.recovery.invalidate()
-                if index == 0:
-                    canonical = extracted
-            transfers.append((source, target, canonical))
-            shipped += sum(len(items) for items in canonical.values())
-        return transfers, shipped
-
-    def _complete_transfer(
-        self,
-        transfers: list[tuple[int, int, dict[int, list]]],
-        plan: RebalancePlan,
-        cut_stime: float,
-        record: dict,
-        shipped: int,
-        now: float,
-    ) -> None:
-        """Phase two: merge into the new owners -- or abort if a crash landed.
-
-        The abort path restores the extracted-but-unmerged state to the old
-        owner's live replicas (their bounded join windows re-admit it in
-        serialized order), invalidates their recovery checkpoints again, and
-        re-arms the handoff from scratch once the deployment stabilizes.
-        Without it, a crash between cut and merge would leave the moved
-        buckets' state in limbo: extracted from the old owner, never merged
-        into the new one.
-        """
-        shard_names = self.placement.shard_fragments
-        crashed = [
-            shard_names[index]
-            for index, _target, _canonical in transfers
-            if not self._live_replicas(index)
-        ] + [
-            shard_names[target]
-            for _source, target, _canonical in transfers
-            if not self._live_replicas(target)
-        ]
-        unstable = self._unstable_replicas()
-        if unstable or crashed:
-            restored = 0
-            for source, _target, canonical in transfers:
-                for source_node in self._live_replicas(source):
-                    merge_sjoin_state(source_node, canonical)
-                    source_node.recovery.invalidate()
-                restored += sum(len(items) for items in canonical.values())
-            reason = (
-                f"target crashed mid-transfer: {sorted(set(crashed))}"
-                if crashed
-                else f"deployment unstable: {unstable}"
-            )
-            record.setdefault("aborts", []).append(
-                {"at": now, "reason": reason, "restored_tuples": restored}
-            )
-            self.simulator.schedule_in(
-                max(self.config.bucket_size, self.sim_config.batch_interval),
-                lambda fire_time, p=plan, r=record, c=cut_stime: self._ship_join_state(
-                    p, c, r, fire_time
-                ),
-                kind=EventKind.INTERNAL,
-                description="rebalance handoff re-arm (transfer aborted)",
-            )
-            return
-        trimmed = 0
-        for _source, target, canonical in transfers:
-            for target_node in self._live_replicas(target):
-                trimmed += merge_sjoin_state(target_node, canonical)
-                target_node.recovery.invalidate()
-        if trimmed:
-            # Shipped-state tuples the bounded join windows dropped: surfaced
-            # in the record and warned about instead of vanishing.
-            warnings.warn(
-                f"bucket handoff at t={record['applied_at']:.3f}: the target "
-                f"join's bounded state window trimmed {trimmed} shipped "
-                f"tuple(s) (oldest first)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        record["state_tuples_trimmed"] = trimmed
-        record["completed"] = True
-        record["completed_at"] = now
-        record["state_tuples_shipped"] = shipped
-        self._finish_handoff(record)
-
-    def _live_replicas(self, shard_index: int) -> list[ProcessingNode]:
+    def live_replicas(self, shard_index: int) -> list[ProcessingNode]:
         """The non-crashed replicas of one shard fragment (possibly empty)."""
         name = self.placement.shard_fragments[shard_index]
         group = self.cluster.node_groups.get(name) or self.retired_groups.get(name, [])
         return [replica for replica in group if not replica._crashed]
 
-    def _finish_handoff(self, record: dict) -> None:
+    def handoff_done(self, handoff: Handoff) -> None:
         """Mark the in-flight handoff resolved and run any deferred scale-in."""
-        if self._pending_handoff is record:
-            self._pending_handoff = None
-        decommission = record.get("decommission")
-        if decommission is not None:
-            self._decommission(decommission, record)
+        self.handoff = None
+        if handoff.decommission is not None:
+            self._decommission(handoff.decommission, handoff.record)
 
     # ------------------------------------------------------------------ elasticity
     def scale_out(self, count: int = 1, tolerance: float = 0.10) -> dict:
@@ -539,16 +352,7 @@ class Deployment:
         Returns the reconfiguration record of the expansion plan.
         """
         assignment = self._require_sharded()
-        if self._pending_handoff is not None:
-            raise SimulationError(
-                "cannot scale out while a prior handoff is still pending"
-            )
-        unstable = self._unstable_replicas()
-        if unstable:
-            raise SimulationError(
-                f"cannot scale out while the deployment is handling a failure "
-                f"(non-stable replicas: {unstable})"
-            )
+        self._require_quiescent("scale out")
         plan = ShardPlanner(assignment.spec).expand(
             assignment,
             count=count,
@@ -562,12 +366,7 @@ class Deployment:
         record = self.apply(plan)
         record["scale_out"] = {"added": added, "shards": self.active_shards()}
         self.scale_events.append(
-            {
-                "at": record["applied_at"],
-                "action": "scale-out",
-                "added": added,
-                "shards": self.active_shards(),
-            }
+            {"at": record["applied_at"], "action": "scale-out", **record["scale_out"]}
         )
         return record
 
@@ -593,10 +392,6 @@ class Deployment:
             )
         if self.active_shards() <= 1:
             raise ConfigurationError("cannot scale in the last active shard")
-        if self._pending_handoff is not None:
-            raise SimulationError(
-                "cannot scale in while a prior handoff is still pending"
-            )
         plan = ShardPlanner(assignment.spec).drain(
             assignment,
             shard,
@@ -608,29 +403,19 @@ class Deployment:
             "retired": shard_names[shard],
             "shards": self.active_shards() - 1,
         }
-        if record["completed"]:
+        if self.handoff is None:
             # Already-empty shard: no handoff will fire, so schedule the
             # decommission after the relay pipeline drains its punctuation.
-            settle = (
-                self.config.bucket_size
-                + 2 * self.sim_config.batch_interval
-                + 2 * self.sim_config.network_latency
-            )
             self.simulator.schedule_in(
-                settle,
+                drain_time(self.config, self.sim_config),
                 lambda fire_time, s=shard, r=record: self._decommission(s, r),
                 kind=EventKind.INTERNAL,
                 description=f"decommission drained shard {shard_names[shard]!r}",
             )
         else:
-            record["decommission"] = shard
+            self.handoff.defer_decommission(shard)
         self.scale_events.append(
-            {
-                "at": record["applied_at"],
-                "action": "scale-in",
-                "retired": shard_names[shard],
-                "shards": self.active_shards() - 1,
-            }
+            {"at": record["applied_at"], "action": "scale-in", **record["scale_in"]}
         )
         return record
 
@@ -773,7 +558,7 @@ class Deployment:
         record["decommissioned_at"] = self.simulator.now
 
     # ------------------------------------------------------------------ helpers
-    def _unstable_replicas(self) -> list[str]:
+    def unstable_replicas(self) -> list[str]:
         """Names of replicas currently not cleanly STABLE (quiesce check)."""
         return [
             node.name

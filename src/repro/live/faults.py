@@ -5,6 +5,10 @@ The simulator injects failures by editing an oracle (``Network.partition``,
 that gap with a :class:`FaultPlan`: a frozen, seeded schedule of per-link
 rules that ``live/transport.py`` enforces on every outbound frame.
 
+:class:`WireFaults` is the enforcement: one per transport, it consumes the
+plan's decisions for that transport's outbound frames and keeps the account
+of every fault injected.
+
 Two properties make the plan a *reproducible experiment* rather than chaos:
 
 * **Deterministic decisions.**  Probabilistic rules (drop/duplicate/reorder)
@@ -30,9 +34,11 @@ receiver, and delay/throttle only stretch wall time.
 
 from __future__ import annotations
 
+import asyncio
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 from zlib import crc32
 
@@ -60,6 +66,9 @@ WIRE_KINDS = frozenset({DROP, DELAY, DUPLICATE, REORDER, THROTTLE})
 
 #: Denominator turning a CRC-32 into a uniform [0, 1) decision.
 _HASH_SPACE = float(1 << 32)
+
+#: Cap on the retained injected-fault event list (counts are unbounded).
+_MAX_FAULT_EVENTS = 4000
 
 
 @dataclass(frozen=True)
@@ -199,6 +208,84 @@ class FaultPlan:
     def describe(self) -> list[dict]:
         """A stable, JSON-able digest (the determinism test compares these)."""
         return [rule.describe() for rule in self.rules]
+
+
+class WireFaults:
+    """One transport's enforcement of a :class:`FaultPlan` and its fault account.
+
+    A decision draws the next counter of its fault kind; the counters are
+    shared by all of the transport's links, so the injected faults are a
+    pure function of the plan and the order the frames depart in.  With an
+    empty plan (``active`` False) the link consults nothing but that flag.
+    """
+
+    def __init__(self, plan: FaultPlan, clock) -> None:
+        plan.validate()
+        self.plan = plan
+        self.clock = clock
+        self.active = not plan.is_empty
+        self.injected: Counter = Counter()
+        #: ``{"at", "kind", "sender", "receiver"}`` per injection, capped.
+        self.events: list[dict] = []
+        self.events_dropped = 0
+        self._counters: Counter = Counter()
+
+    def denies(self, sender: str, receiver: str, now: float) -> bool:
+        """Whether a window rule denies delivery credit on ``sender -> receiver``
+        at ``now`` (recorded if so)."""
+        rule = self.plan.blocked(sender, receiver, now)
+        if rule is not None:
+            self.record(rule.kind, sender, receiver)
+        return rule is not None
+
+    def rules(self, sender: str, receiver: str) -> tuple[LinkRule, ...]:
+        """The wire rules active on ``sender -> receiver`` now."""
+        return self.plan.wire_rules(sender, receiver, self.clock.now)
+
+    def fires(self, kind: str, rules: Sequence[LinkRule], sender: str, receiver: str) -> bool:
+        """Whether one of ``rules`` of ``kind`` fires on this frame (recorded if so).
+
+        Reorder is decided before the frame is stamped, drop once per write
+        attempt and duplicate after the write.
+        """
+        link = f"{sender}>{receiver}"
+        for rule in rules:
+            if rule.kind == kind and self._draw(rule, link) < rule.probability:
+                self.record(kind, sender, receiver)
+                return True
+        return False
+
+    async def stretch(
+        self, rules: Sequence[LinkRule], sender: str, receiver: str, last_write: float
+    ) -> None:
+        """Injected latency, then throttling against the link's ``last_write``
+        (loop time): both only stretch wall time before the frame departs."""
+        link = f"{sender}>{receiver}"
+        for rule in rules:
+            if rule.kind == DELAY:
+                if self._draw(rule, link) < rule.probability:
+                    extra = rule.delay + rule.jitter * self._draw(rule, link)
+                    self.record(DELAY, sender, receiver)
+                    await asyncio.sleep(extra)
+            elif rule.kind == THROTTLE and rule.min_interval > 0:
+                wait = last_write + rule.min_interval - asyncio.get_running_loop().time()
+                if wait > 0:
+                    self.record(THROTTLE, sender, receiver)
+                    await asyncio.sleep(wait)
+
+    def record(self, kind: str, sender: str, receiver: str) -> None:
+        self.injected[kind] += 1
+        if len(self.events) < _MAX_FAULT_EVENTS:
+            self.events.append(
+                {"at": self.clock.now, "kind": kind, "sender": sender, "receiver": receiver}
+            )
+        else:
+            self.events_dropped += 1
+
+    def _draw(self, rule: LinkRule, link: str) -> float:
+        counter = self._counters[rule.kind]
+        self._counters[rule.kind] = counter + 1
+        return self.plan.decision(rule, link, counter)
 
 
 def backoff_delay(

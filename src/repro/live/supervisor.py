@@ -32,7 +32,7 @@ import signal
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from ..deploy.placement import DeployOptions, Placement
 from ..errors import ConfigurationError, LiveBackendUnavailable, SimulationError
@@ -65,6 +65,22 @@ def require_fork() -> None:
         )
 
 
+def _check_schedule(item, length: str, length_ok: bool, bound: str, hint: str = "") -> None:
+    """Reject a negative ``at``, a ``length`` out of ``bound`` or an
+    unresolved replica when a schedule is built: validated at the API seam,
+    not just in the CLI, because it is a configuration bug, never a runtime
+    condition."""
+    name = type(item).__name__
+    if item.at < 0:
+        raise ConfigurationError(f"{name}.at must be >= 0, got {item.at!r}")
+    if not length_ok:
+        raise ConfigurationError(f"{name}.{length} must be {bound}, got {getattr(item, length)!r}")
+    if item.replica < 0:
+        raise ConfigurationError(
+            f"{name}.replica must be a concrete replica index >= 0, got {item.replica!r}{hint}"
+        )
+
+
 @dataclass(frozen=True)
 class LiveKill:
     """SIGKILL one replica's worker at deployment time ``at``, respawn after ``downtime``."""
@@ -73,22 +89,19 @@ class LiveKill:
     replica: int = 0
     at: float = 2.0
     downtime: float = 1.0
+    verb: ClassVar[str] = "kill"
 
     def __post_init__(self) -> None:
-        # Validate at the API seam, not just in the CLI: a negative schedule
-        # or replica is a configuration bug, never a runtime condition.
-        if self.at < 0:
-            raise ConfigurationError(f"LiveKill.at must be >= 0, got {self.at!r}")
-        if self.downtime < 0:
-            raise ConfigurationError(
-                f"LiveKill.downtime must be >= 0, got {self.downtime!r}"
-            )
-        if self.replica < 0:
-            raise ConfigurationError(
-                f"LiveKill.replica must be a concrete replica index >= 0, got "
-                f"{self.replica!r} (use faults.compile_failures to expand "
-                f"replica=-1 schedules into one kill per replica)"
-            )
+        _check_schedule(
+            self, "downtime", self.downtime >= 0, ">= 0",
+            " (use faults.compile_failures to expand replica=-1 schedules into "
+            "one kill per replica)",
+        )
+
+    @property
+    def last_signal(self) -> float:
+        """The SIGKILL; the respawn may come after the run."""
+        return self.at
 
 
 @dataclass(frozen=True)
@@ -105,19 +118,15 @@ class LivePause:
     replica: int = 0
     at: float = 2.0
     duration: float = 1.0
+    verb: ClassVar[str] = "pause"
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ConfigurationError(f"LivePause.at must be >= 0, got {self.at!r}")
-        if self.duration <= 0:
-            raise ConfigurationError(
-                f"LivePause.duration must be > 0, got {self.duration!r}"
-            )
-        if self.replica < 0:
-            raise ConfigurationError(
-                f"LivePause.replica must be a concrete replica index >= 0, got "
-                f"{self.replica!r}"
-            )
+        _check_schedule(self, "duration", self.duration > 0, "> 0")
+
+    @property
+    def last_signal(self) -> float:
+        """The SIGCONT: a worker left stopped would never drain."""
+        return self.at + self.duration
 
 
 @dataclass
@@ -303,70 +312,30 @@ class LiveDeployment:
         return _WorkerHandle(spec, process, parent_conn)
 
     # ------------------------------------------------------------------ validation
-    def _validate_kills(
-        self, kill: "LiveKill | Sequence[LiveKill] | None", duration: float
-    ) -> list[LiveKill]:
-        if kill is None:
-            kills: list = []
-        elif isinstance(kill, LiveKill):
-            kills = [kill]
-        elif isinstance(kill, (list, tuple)):
-            kills = list(kill)
-        else:
-            raise ConfigurationError(
-                f"live failure schedules must be LiveKill instances, got "
-                f"{type(kill).__name__}; compile sim failure specs with "
-                f"repro.live.faults.compile_failures first"
-            )
-        for item in kills:
-            if not isinstance(item, LiveKill):
+    def _validate_schedule(self, given, kind: type, duration: float) -> list:
+        """``given`` -- None, one ``kind`` schedule or a sequence of them -- as
+        a list, each checked against the placement and the run's length."""
+        items = [] if given is None else list(given) if isinstance(given, (list, tuple)) else [given]
+        for item in items:
+            if not isinstance(item, kind):
                 raise ConfigurationError(
-                    f"live failure schedules must be LiveKill instances, got "
-                    f"{type(item).__name__}"
+                    f"{kind.verb} schedules must be {kind.__name__} instances, got "
+                    f"{type(item).__name__}; compile sim failure specs with "
+                    f"repro.live.faults.compile_failures first"
                 )
-            target_plan = self.placement.node_plan(item.node)
-            if item.replica >= len(target_plan.replica_names):
+            replicas = len(self.placement.node_plan(item.node).replica_names)
+            if item.replica >= replicas:
                 raise ConfigurationError(
-                    f"node {item.node!r} has {len(target_plan.replica_names)} "
-                    f"replica(s); cannot kill replica {item.replica}"
+                    f"node {item.node!r} has {replicas} replica(s); "
+                    f"cannot {kind.verb} replica {item.replica}"
                 )
-            if item.at >= duration:
+            if item.last_signal >= duration:
                 raise ConfigurationError(
-                    f"kill.at={item.at} must fall inside the run (duration={duration})"
+                    f"{kind.verb} at t={item.at:g}s signals until "
+                    f"t={item.last_signal:g}s, past the end of the run "
+                    f"(duration={duration:g}s)"
                 )
-        return kills
-
-    def _validate_pauses(
-        self, pause: "LivePause | Sequence[LivePause] | None", duration: float
-    ) -> list[LivePause]:
-        if pause is None:
-            pauses: list = []
-        elif isinstance(pause, LivePause):
-            pauses = [pause]
-        elif isinstance(pause, (list, tuple)):
-            pauses = list(pause)
-        else:
-            raise ConfigurationError(
-                f"pause schedules must be LivePause instances, got {type(pause).__name__}"
-            )
-        for item in pauses:
-            if not isinstance(item, LivePause):
-                raise ConfigurationError(
-                    f"pause schedules must be LivePause instances, got "
-                    f"{type(item).__name__}"
-                )
-            target_plan = self.placement.node_plan(item.node)
-            if item.replica >= len(target_plan.replica_names):
-                raise ConfigurationError(
-                    f"node {item.node!r} has {len(target_plan.replica_names)} "
-                    f"replica(s); cannot pause replica {item.replica}"
-                )
-            if item.at + item.duration >= duration:
-                raise ConfigurationError(
-                    f"pause window [{item.at:g}, {item.at + item.duration:g}) must "
-                    f"end inside the run (duration={duration})"
-                )
-        return pauses
+        return items
 
     def _validate_faults(self, faults: FaultPlan | None, duration: float) -> FaultPlan:
         if faults is None:
@@ -413,8 +382,8 @@ class LiveDeployment:
         mid-pipeline.  ``profile_dir`` (an existing directory) runs every
         worker under cProfile and leaves one ``<worker>.pstats`` there.
         """
-        kills = self._validate_kills(kill, duration)
-        pauses = self._validate_pauses(pause, duration)
+        kills = self._validate_schedule(kill, LiveKill, duration)
+        pauses = self._validate_schedule(pause, LivePause, duration)
         plan = self._validate_faults(faults, duration)
         started_wall = time.monotonic()
         ctx = multiprocessing.get_context("fork")

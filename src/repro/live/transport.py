@@ -18,19 +18,13 @@ transport routes each message either
   remote receiver's frame is its own small addressed prefix plus the shared
   payload bytes, joined into one buffer when the frame departs.
 
-**Fault injection** (:mod:`repro.live.faults`): an optional frozen
-:class:`~repro.live.faults.FaultPlan` is enforced here.  *Window* rules
-(disconnect/partition) deny delivery credit in :meth:`send_many` -- the
-blocked receiver is left out of the returned list, so source cursors and
-node output buffers hold exactly as they do for a crashed simulated
-endpoint, and replay-on-heal falls out of the existing protocol.  *Wire*
-rules (drop/delay/duplicate/reorder/throttle) act on the outbound link:
-reorder swaps queued frames **before** sequence stamping (so receiver-side
-FIFO checking still holds), duplicate rewrites the **same** stamped bytes
-(so the receiver sheds the copy), drop consumes one bounded send retry, and
-delay/throttle only stretch wall time.  Every probabilistic decision flows
-through :meth:`FaultPlan.decision` -- a pure CRC-32 hash of (seed, rule,
-link, counter) -- never a wall-clock RNG.
+**Fault injection**: *window* rules of the run's
+:class:`~repro.live.faults.FaultPlan` (disconnect/partition) deny delivery
+credit in :meth:`send_many` -- the blocked receiver is left out of the
+returned list, so source cursors and node output buffers hold exactly as
+they do for a crashed simulated endpoint, and replay-on-heal falls out of
+the existing protocol.  *Wire* rules act on the outbound link, as
+:class:`~repro.live.faults.WireFaults` decides.
 
 **Hardening.** Reconnects use capped exponential backoff with seeded jitter
 (:func:`~repro.live.faults.backoff_delay`) instead of a fixed delay; writes
@@ -41,9 +35,8 @@ Frames carry the sender's *generation* (bumped by the supervisor on every
 respawn) and a per-link sequence number: receivers reject stale-generation
 frames (a predecessor's zombie writes) and non-monotonic sequences
 (injected duplicates).  Worker-to-worker heartbeat frames ride the same
-fault pipeline, driving a typed ``ALIVE -> SUSPECT -> DOWN`` peer-liveness
-state machine whose DOWN verdict feeds ``can_communicate`` -- the same
-signal DPC's failure detection reads in the simulator.
+fault pipeline and feed :class:`~repro.live.liveness.PeerLiveness`, whose
+DOWN verdict feeds ``can_communicate``.
 """
 
 from __future__ import annotations
@@ -51,23 +44,13 @@ from __future__ import annotations
 import asyncio
 import os
 import struct
-from collections import Counter
-from enum import Enum
 from typing import Any, Callable, NamedTuple, Sequence
 
 from ..errors import NetworkError
 from ..sim.network import Message, NetworkStats
 from . import wire
-from .faults import (
-    DELAY,
-    DROP,
-    DUPLICATE,
-    PARTITION,
-    REORDER,
-    THROTTLE,
-    FaultPlan,
-    backoff_delay,
-)
+from .faults import DROP, DUPLICATE, REORDER, FaultPlan, WireFaults, backoff_delay
+from .liveness import HEARTBEAT_INTERVAL, PeerLiveness, PeerState
 
 MessageHandler = Callable[[Message, float], None]
 
@@ -101,22 +84,6 @@ _BACKOFF_CAP = 2.0
 #: Per-send write timeout and bounded retry budget before dead-lettering.
 _SEND_TIMEOUT = 5.0
 _SEND_RETRIES = 4
-
-#: Heartbeat cadence and liveness thresholds (seconds of silence).
-_HEARTBEAT_INTERVAL = 0.25
-_SUSPECT_AFTER = 0.75
-_DOWN_AFTER = 2.5
-
-#: Cap on the retained injected-fault event list (counts are unbounded).
-_MAX_FAULT_EVENTS = 4000
-
-
-class PeerState(str, Enum):
-    """Typed liveness verdict for one peer worker."""
-
-    ALIVE = "alive"
-    SUSPECT = "suspect"
-    DOWN = "down"
 
 
 class _Entry(NamedTuple):
@@ -177,63 +144,34 @@ class PeerLink:
 
     # ------------------------------------------------------------------ writer task
     async def _drain(self) -> None:
+        faults = self._transport.faults
         try:
             while not self._closed:
                 entry = await self._queue.get()
-                for item in self._maybe_reorder(entry):
-                    await self._send_entry(item)
+                # Reorder swaps with the next queued frame *before* sequence
+                # stamping: on-wire sequences stay monotonic, so the
+                # receiver's duplicate check never misfires on an injected
+                # reorder -- a later-submitted frame really travels first, but
+                # FIFO numbering is assigned at departure, like a
+                # retransmitting TCP stack.
+                if (
+                    faults.active
+                    and not self._queue.empty()
+                    and faults.fires(
+                        REORDER, faults.rules(entry.sender, entry.receiver),
+                        entry.sender, entry.receiver,
+                    )
+                ):
+                    await self._send_entry(self._queue.get_nowait())
+                await self._send_entry(entry)
         finally:
             self._close_writer()
 
-    def _maybe_reorder(self, entry: _Entry) -> list[_Entry]:
-        """Swap with the next queued frame *before* sequence stamping.
-
-        Stamping afterwards keeps on-wire sequences monotonic, so the
-        receiver's duplicate check never misfires on an injected reorder --
-        the reorder is real (a later-submitted frame travels first) but FIFO
-        numbering is assigned at departure, like a retransmitting TCP stack.
-        """
-        plan = self._transport._plan
-        if plan.is_empty or self._queue.empty():
-            return [entry]
-        now = self._transport.clock.now
-        link = f"{entry.sender}>{entry.receiver}"
-        for rule in plan.wire_rules(entry.sender, entry.receiver, now):
-            if rule.kind != REORDER:
-                continue
-            if plan.decision(rule, link, self._transport._next_counter(REORDER)) < rule.probability:
-                try:
-                    swapped = self._queue.get_nowait()
-                except asyncio.QueueEmpty:  # pragma: no cover - checked above
-                    return [entry]
-                self._transport._record_injected(REORDER, entry.sender, entry.receiver)
-                return [swapped, entry]
-        return [entry]
-
     async def _send_entry(self, entry: _Entry) -> None:
-        transport = self._transport
-        plan = transport._plan
-        link = f"{entry.sender}>{entry.receiver}"
-        rules = (
-            plan.wire_rules(entry.sender, entry.receiver, transport.clock.now)
-            if not plan.is_empty
-            else ()
-        )
-        # Injected latency, then throttling, both before the frame departs.
-        for rule in rules:
-            if rule.kind == DELAY:
-                roll = plan.decision(rule, link, transport._next_counter(DELAY))
-                if roll < rule.probability:
-                    extra = rule.delay + rule.jitter * plan.decision(
-                        rule, link, transport._next_counter(DELAY)
-                    )
-                    transport._record_injected(DELAY, entry.sender, entry.receiver)
-                    await asyncio.sleep(extra)
-            elif rule.kind == THROTTLE and rule.min_interval > 0:
-                wait = self._last_write + rule.min_interval - self._loop.time()
-                if wait > 0:
-                    transport._record_injected(THROTTLE, entry.sender, entry.receiver)
-                    await asyncio.sleep(wait)
+        faults = self._transport.faults
+        rules = faults.rules(entry.sender, entry.receiver) if faults.active else ()
+        if rules:
+            await faults.stretch(rules, entry.sender, entry.receiver, self._last_write)
         length = _HEADER.size + sum(map(len, entry.parts))
         if length > _MAX_FRAME_BYTES:
             # The receiver would refuse it and drop the connection with it.
@@ -241,7 +179,7 @@ class PeerLink:
             return
         seq = self._seq
         self._seq += 1
-        head = _FRAME_HEAD.pack(length, entry.ftype, transport.generation, seq)
+        head = _FRAME_HEAD.pack(length, entry.ftype, self._transport.generation, seq)
         payload = b"".join((head, *entry.parts))
 
         attempts = 0
@@ -249,15 +187,7 @@ class PeerLink:
             # An injected drop is a lost write: it consumes one bounded retry,
             # so chaos-level drop rates are absorbed and only a pathological
             # streak dead-letters a frame.
-            dropped = False
-            for rule in rules:
-                if rule.kind == DROP and plan.decision(
-                    rule, link, transport._next_counter(DROP)
-                ) < rule.probability:
-                    dropped = True
-                    break
-            if dropped:
-                transport._record_injected(DROP, entry.sender, entry.receiver)
+            if rules and faults.fires(DROP, rules, entry.sender, entry.receiver):
                 attempts += 1
                 if attempts > _SEND_RETRIES:
                     self.dead_letters += 1
@@ -270,48 +200,45 @@ class PeerLink:
                 # credited, and resubscription replay heals the gap.
                 self.dropped_frames += 1
                 return
-            try:
-                assert self._writer is not None
-                self._writer.write(payload)
-                await asyncio.wait_for(self._writer.drain(), _SEND_TIMEOUT)
+            if await self._write(payload):
                 self.frames_sent += 1
                 self._last_write = self._loop.time()
                 break
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                self._close_writer()
-                self.connected = False
-                attempts += 1
-                if attempts > _SEND_RETRIES:
-                    self.dead_letters += 1
-                    return
-                self.retries += 1
-                await asyncio.sleep(
-                    backoff_delay(
-                        attempts - 1,
-                        base=_BACKOFF_BASE,
-                        cap=_BACKOFF_CAP,
-                        seed=plan.seed,
-                        link=self.peer,
-                    )
-                )
+            attempts += 1
+            if attempts > _SEND_RETRIES:
+                self.dead_letters += 1
+                return
+            self.retries += 1
+            await asyncio.sleep(self._backoff(attempts - 1))
         else:
             return
         # Duplicate *after* stamping: the copy carries the same sequence
         # number, so the receiver's monotonic check sheds it -- the injection
         # proves the dedup path, not a delivery bug.
-        for rule in rules:
-            if rule.kind == DUPLICATE and plan.decision(
-                rule, link, transport._next_counter(DUPLICATE)
-            ) < rule.probability:
-                transport._record_injected(DUPLICATE, entry.sender, entry.receiver)
-                try:
-                    assert self._writer is not None
-                    self._writer.write(payload)
-                    await asyncio.wait_for(self._writer.drain(), _SEND_TIMEOUT)
-                except (ConnectionError, OSError, asyncio.TimeoutError):
-                    self._close_writer()
-                    self.connected = False
-                break
+        if rules and faults.fires(DUPLICATE, rules, entry.sender, entry.receiver):
+            await self._write(payload)
+
+    async def _write(self, payload: bytes) -> bool:
+        """One write of ``payload`` on the open connection; False (and the
+        connection closed) when it fails or times out."""
+        try:
+            assert self._writer is not None
+            self._writer.write(payload)
+            await asyncio.wait_for(self._writer.drain(), _SEND_TIMEOUT)
+            return True
+        except (ConnectionError, OSError, asyncio.TimeoutError):
+            self._close_writer()
+            self.connected = False
+            return False
+
+    def _backoff(self, attempt: int) -> float:
+        return backoff_delay(
+            attempt,
+            base=_BACKOFF_BASE,
+            cap=_BACKOFF_CAP,
+            seed=self._transport.faults.plan.seed,
+            link=self.peer,
+        )
 
     async def _ensure_connection(self) -> bool:
         """Connect if needed, honouring the capped-exponential backoff window."""
@@ -328,12 +255,8 @@ class PeerLink:
         except (OSError, asyncio.TimeoutError):
             self.connected = False
             self._connect_failures += 1
-            self._next_connect_at = self._loop.time() + backoff_delay(
-                self._connect_failures - 1,
-                base=_BACKOFF_BASE,
-                cap=_BACKOFF_CAP,
-                seed=self._transport._plan.seed,
-                link=self.peer,
+            self._next_connect_at = self._loop.time() + self._backoff(
+                self._connect_failures - 1
             )
             return False
         self._writer = writer
@@ -384,7 +307,6 @@ class LiveTransport:
         endpoint_worker: dict[str, str],
         worker_sockets: dict[str, str],
         clock,
-        default_latency: float = 0.0,
         generation: int = 0,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -394,9 +316,9 @@ class LiveTransport:
         self._endpoint_worker = dict(endpoint_worker)
         self._worker_sockets = dict(worker_sockets)
         self.clock = clock
-        self.default_latency = default_latency
-        self._plan = fault_plan if fault_plan is not None else FaultPlan()
-        self._plan.validate()
+        self.faults = WireFaults(fault_plan if fault_plan is not None else FaultPlan(), clock)
+        #: The fault account by kind and as an event log (window denials included).
+        self.injected, self.fault_events = self.faults.injected, self.faults.events
         self._loop = asyncio.get_event_loop()
         self._handlers: dict[str, MessageHandler] = {}
         self._links: dict[str, PeerLink] = {}
@@ -415,20 +337,11 @@ class LiveTransport:
         self._peer_seq: dict[str, int] = {}
         self.stale_rejected = 0
         self.duplicates_rejected = 0
-        # ---- peer liveness ---------------------------------------------------
-        self._last_heard: dict[str, float] = {}
-        self._peer_state: dict[str, PeerState] = {}
-        self.peer_transitions: list[dict] = []
-        self.suspicions = 0
-        self.confirmations = 0
+        # ---- heartbeats and peer liveness ------------------------------------
+        self.liveness = PeerLiveness(worker, self._worker_sockets)
         self.heartbeats_sent = 0
         self.heartbeats_received = 0
         self.heartbeats_suppressed = 0
-        # ---- injected-fault accounting ---------------------------------------
-        self.injected: Counter = Counter()
-        self.fault_events: list[dict] = []
-        self._fault_events_dropped = 0
-        self._decision_counters: Counter = Counter()
 
     # ------------------------------------------------------------------ lifecycle
     async def start(self) -> None:
@@ -501,7 +414,7 @@ class LiveTransport:
                 return
             if self._admit_frame(peer, generation, seq):
                 self.heartbeats_received += 1
-                self._note_alive(peer, now)
+                self.liveness.heard(peer, now)
             return
         try:
             sender, receiver, kind, payload = wire.decode_envelope(body)
@@ -513,7 +426,7 @@ class LiveTransport:
             self.stats.dropped += 1
             self.stats.record(kind, "dropped")
             return
-        self._note_alive(peer, now)
+        self.liveness.heard(peer, now)
         self._deliver_local(Message(sender, receiver, kind, payload, sent_at=now))
 
     def _admit_frame(self, peer: str, generation: int, seq: int) -> bool:
@@ -541,16 +454,14 @@ class LiveTransport:
     # ------------------------------------------------------------------ heartbeats
     async def _heartbeat_loop(self) -> None:
         while not self._closed:
-            await asyncio.sleep(_HEARTBEAT_INTERVAL)
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
             self._heartbeat_tick(self.clock.now)
 
     def _heartbeat_tick(self, now: float) -> None:
         mine = self._hosted_by.get(self.worker, ())
         body = self.worker.encode("utf-8")
-        for peer in self._worker_sockets:
-            if peer == self.worker:
-                continue
-            if not self._plan.is_empty and self._plan.blocked_worker(
+        for peer in self.liveness.peers:
+            if self.faults.active and self.faults.plan.blocked_worker(
                 mine, self._hosted_by.get(peer, ()), now
             ):
                 # A partition isolating every endpoint pair between the two
@@ -560,63 +471,7 @@ class LiveTransport:
                 continue
             self._link_to(peer).enqueue(_FT_HEARTBEAT, self.worker, peer, "heartbeat", body)
             self.heartbeats_sent += 1
-        self._sweep_liveness(now)
-
-    def _sweep_liveness(self, now: float) -> None:
-        for peer in self._worker_sockets:
-            if peer == self.worker:
-                continue
-            last = self._last_heard.get(peer)
-            if last is None:
-                # First sighting of the peer set: arm the silence clock now so
-                # startup staggering never produces an instant suspicion.
-                self._last_heard[peer] = now
-                continue
-            silence = now - last
-            if silence >= _DOWN_AFTER:
-                state = PeerState.DOWN
-            elif silence >= _SUSPECT_AFTER:
-                state = PeerState.SUSPECT
-            else:
-                state = PeerState.ALIVE
-            self._set_peer_state(peer, state, now)
-
-    def _note_alive(self, peer: str, now: float) -> None:
-        if peer == self.worker or peer not in self._worker_sockets:
-            return
-        self._last_heard[peer] = now
-        self._set_peer_state(peer, PeerState.ALIVE, now)
-
-    def _set_peer_state(self, peer: str, state: PeerState, now: float) -> None:
-        previous = self._peer_state.get(peer, PeerState.ALIVE)
-        if state is previous:
-            return
-        self._peer_state[peer] = state
-        self.peer_transitions.append(
-            {"peer": peer, "from": previous.value, "to": state.value, "at": now}
-        )
-        if state is PeerState.SUSPECT:
-            self.suspicions += 1
-        elif state is PeerState.DOWN:
-            self.confirmations += 1
-
-    def peer_state(self, peer: str) -> PeerState:
-        return self._peer_state.get(peer, PeerState.ALIVE)
-
-    # ------------------------------------------------------------------ fault accounting
-    def _next_counter(self, kind: str) -> int:
-        value = self._decision_counters[kind]
-        self._decision_counters[kind] = value + 1
-        return value
-
-    def _record_injected(self, kind: str, sender: str, receiver: str) -> None:
-        self.injected[kind] += 1
-        if len(self.fault_events) < _MAX_FAULT_EVENTS:
-            self.fault_events.append(
-                {"at": self.clock.now, "kind": kind, "sender": sender, "receiver": receiver}
-            )
-        else:
-            self._fault_events_dropped += 1
+        self.liveness.sweep(now)
 
     # ------------------------------------------------------------------ topology
     def register(self, name: str, handler: MessageHandler) -> None:
@@ -627,57 +482,28 @@ class LiveTransport:
     def unregister(self, name: str) -> None:
         self._handlers.pop(name, None)
 
-    def endpoints(self) -> list[str]:
-        return sorted(self._endpoint_worker)
-
-    def set_link_latency(self, sender: str, receiver: str, latency: float) -> None:
-        """No-op: live links have real latency, not a configured one."""
-
-    def latency(self, sender: str, receiver: str) -> float:
-        return self.default_latency
-
     # ------------------------------------------------------------------ failures
     # Live failures are scheduled, not imperative: crash windows become
     # supervisor SIGKILLs, disconnect/partition windows live in the FaultPlan
-    # enforced on the send path.  The imperative oracle mutators therefore
-    # stay unsupported.
-    def partition(self, a: str, b: str) -> None:  # pragma: no cover - API parity
-        raise NetworkError(
-            "live transport cannot partition imperatively; schedule the window "
-            "in a FaultPlan (repro.live.faults) and pass it to the deployment"
-        )
-
-    def heal_partition(self, a: str, b: str) -> None:  # pragma: no cover - API parity
-        pass
-
+    # enforced on the send path.
     def crash(self, name: str) -> None:
         """No-op: a live endpoint 'crashes' by its process dying."""
 
     def recover(self, name: str) -> None:
         """No-op: a live endpoint recovers by its process being respawned."""
 
-    def is_partitioned(self, a: str, b: str) -> bool:
-        if self._plan.is_empty:
-            return False
-        now = self.clock.now
-        for sender, receiver in ((a, b), (b, a)):
-            rule = self._plan.blocked(sender, receiver, now)
-            if rule is not None and rule.kind == PARTITION:
-                return True
-        return False
-
     def is_down(self, name: str) -> bool:
         owner = self._endpoint_worker.get(name)
         if owner is None or owner == self.worker:
             return False
-        return self._peer_state.get(owner) is PeerState.DOWN
+        return self.liveness.state(owner) is PeerState.DOWN
 
     def can_communicate(self, sender: str, receiver: str) -> bool:
         # Scheduled windows answer first (they are the experiment's oracle);
         # otherwise heartbeat-confirmed DOWN peers are unreachable, and the
         # rest is optimistic True -- what a real deployment can know at send
         # time, letting the protocol's own failure detection do its job.
-        if not self._plan.is_empty and self._plan.blocked(sender, receiver, self.clock.now):
+        if self.faults.active and self.faults.plan.blocked(sender, receiver, self.clock.now):
             return False
         return not (self.is_down(sender) or self.is_down(receiver))
 
@@ -692,22 +518,19 @@ class LiveTransport:
             if receiver not in self._endpoint_worker:
                 raise NetworkError(f"unknown endpoint {receiver!r}")
         now = self.clock.now
-        check_windows = not self._plan.is_empty
+        faults = self.faults
         encoded: bytes | None = None  # the payload, encoded for the first remote receiver
         on_the_wire: list[str] = []
         for receiver in receivers:
             self.stats.sent += 1
             self.stats.record(kind, "sent")
-            if check_windows:
-                rule = self._plan.blocked(sender, receiver, now)
-                if rule is not None:
-                    # Credit denial is the whole mechanism: the sender's
-                    # cursors/buffers hold, exactly like the simulator
-                    # skipping a crashed or partitioned endpoint.
-                    self.stats.dropped += 1
-                    self.stats.record(kind, "dropped")
-                    self._record_injected(rule.kind, sender, receiver)
-                    continue
+            if faults.active and faults.denies(sender, receiver, now):
+                # Credit denial is the whole mechanism: the sender's
+                # cursors/buffers hold, exactly like the simulator skipping a
+                # crashed or partitioned endpoint.
+                self.stats.dropped += 1
+                self.stats.record(kind, "dropped")
+                continue
             target_worker = self._endpoint_worker[receiver]
             if target_worker == self.worker:
                 message = Message(sender, receiver, kind, payload, sent_at=now)
@@ -734,9 +557,6 @@ class LiveTransport:
                     continue
             on_the_wire.append(receiver)
         return on_the_wire
-
-    def broadcast(self, sender: str, receivers: list[str], kind: str, payload: Any) -> int:
-        return len(self.send_many(sender, receivers, kind, payload))
 
     def _link_to(self, worker: str) -> PeerLink:
         link = self._links.get(worker)
@@ -767,13 +587,11 @@ class LiveTransport:
             "heartbeats_sent": self.heartbeats_sent,
             "heartbeats_received": self.heartbeats_received,
             "heartbeats_suppressed": self.heartbeats_suppressed,
-            "suspicions": self.suspicions,
-            "confirmations": self.confirmations,
-            "peer_states": {
-                peer: state.value for peer, state in sorted(self._peer_state.items())
-            },
-            "peer_transitions": list(self.peer_transitions),
-            "injected": dict(self.injected),
-            "fault_events": list(self.fault_events),
-            "fault_events_dropped": self._fault_events_dropped,
+            "suspicions": self.liveness.suspicions,
+            "confirmations": self.liveness.confirmations,
+            "peer_states": self.liveness.states(),
+            "peer_transitions": list(self.liveness.transitions),
+            "injected": dict(self.faults.injected),
+            "fault_events": list(self.faults.events),
+            "fault_events_dropped": self.faults.events_dropped,
         }

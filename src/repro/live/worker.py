@@ -108,7 +108,7 @@ def _status(wiring: Wiring, clock: LiveClock, transport: LiveTransport) -> dict:
             for name, client in wiring.clients.items()
         },
         "peers": {
-            peer: transport.peer_state(peer).value for peer in transport._worker_sockets
+            peer: transport.liveness.state(peer).value for peer in transport._worker_sockets
         },
     }
 

@@ -216,7 +216,3 @@ class Network:
             self.stats.delivered += 1
             counts["delivered"] += 1
             handler(message, now)
-
-    def broadcast(self, sender: str, receivers: list[str], kind: str, payload: Any) -> int:
-        """Send the same payload to several receivers; returns how many were sent."""
-        return len(self.send_many(sender, receivers, kind, payload))

@@ -145,7 +145,6 @@ def test_compute_buffer_sizing_policy_defaults():
     sizing = compute_buffer_sizing(diagram, correction_window=10.0, input_rates={"s1": 10.0})
     policy = sizing.to_buffer_policy()
     assert policy.max_output_tuples == max(sizing.output_tuples.values())
-    assert policy.max_input_tuples == max(sizing.input_tuples.values())
     # Convergent-capable diagrams default to dropping rather than blocking.
     assert policy.block_on_full is False
     assert sizing.to_buffer_policy(block_on_full=True).block_on_full is True

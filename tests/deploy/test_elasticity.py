@@ -7,16 +7,21 @@ cluster (seeded cursors, widened merge fan-in); scale-in actually
 decommissions (merge arity rewired down, endpoints unregistered); and a
 crash landing between the filter cut and the priced state transfer aborts
 the handoff cleanly -- restoring the extracted state to the old owner and
-re-arming -- instead of leaving the moved buckets' state in limbo.
+re-arming -- instead of leaving the moved buckets' state in limbo.  A
+scale-in survives a crash in either handoff phase with its deferred
+decommission run once, after completion, and no bucket stranded or owned
+twice.
 """
 
 import pytest
 
 from repro.deploy import AutoscalePolicy
+from repro.deploy.handoff import Phase
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import summarize_run
 from repro.runtime import ScenarioSpec
 from repro.sharding import ShardPlanner
+from repro.spe.operators import SJoin
 from repro.workloads.catalogue import CATALOGUE
 
 
@@ -397,3 +402,105 @@ def test_autoscale_policy_validates_its_watermarks():
 def test_autoscale_keeps_the_spec_config():
     spec = ScenarioSpec.sharded(shards=2, autoscale=AutoscalePolicy())
     assert spec.dpc_config() == ScenarioSpec.sharded(shards=2).dpc_config()
+
+
+# --------------------------------------------------------------------------- scale-in under crashes
+def counted_decommissions(deployment):
+    """Record (shard, time, record completed?) of every decommission call."""
+    calls = []
+    decommission = deployment._decommission
+
+    def counted(index, record):
+        calls.append((index, deployment.simulator.now, record["completed"]))
+        decommission(index, record)
+
+    deployment._decommission = counted
+    return calls
+
+
+def moved_state(runtime, record):
+    """Per live shard group: the moved buckets holding SJoin tuples there, and
+    the count of pre-cut moved tuples its first live replica holds."""
+    deployment = runtime.deployment
+    spec = deployment.current_assignment.spec
+    moved = {move["bucket"] for move in record["moves"]}
+    held = {}
+    for name in deployment.placement.shard_fragments:
+        live = [r for r in runtime.cluster.node_groups.get(name, ()) if not r._crashed]
+        buckets, pre_cut = set(), 0
+        for index, replica in enumerate(live):
+            for op in replica.diagram:
+                for item in op._state if isinstance(op, SJoin) else ():
+                    bucket = spec.bucket_of(spec.key_of(item.values))
+                    if bucket in moved:
+                        buckets.add(bucket)
+                        pre_cut += index == 0 and item.stime < record["cut_stime"]
+        if live:
+            held[name] = (buckets, pre_cut)
+    return held
+
+
+def assert_scale_in_resolved(runtime, record, calls, shard):
+    """Run to the handoff's completion and check it at that instant."""
+    deployment = runtime.deployment
+    while not record["completed"]:
+        runtime.run_for(0.05)
+    assert deployment.handoff is None
+    assert calls == [(shard, record["completed_at"], True)]
+    assert record["decommissioned_at"] == record["completed_at"]
+    names = deployment.placement.shard_fragments
+    owner = {move["bucket"]: names[move["target"]] for move in record["moves"]}
+    held = moved_state(runtime, record)
+    assert names[shard] not in held
+    # No moved bucket is stranded or owned twice: each one holding tuples at
+    # all sits with its new owner only ...
+    holders = {}
+    for name, (buckets, _pre_cut) in held.items():
+        for bucket in buckets:
+            holders.setdefault(bucket, set()).add(name)
+    assert holders, "no moved bucket holds join state: the check would be vacuous"
+    assert all(groups == {owner[bucket]} for bucket, groups in holders.items())
+    # ... and the shipped pre-cut state landed there, none of it trimmed.
+    assert record["state_tuples_trimmed"] == 0
+    assert sum(pre_cut for _buckets, pre_cut in held.values()) == record["state_tuples_shipped"]
+    runtime.run_for(5.0)
+    assert_ledger_clean(runtime)
+
+
+def test_scale_in_retries_when_the_old_owner_crashes_in_the_drain_window():
+    runtime = running(priced_spec(1, shards=3, rate=90.0), 12.0)
+    deployment = runtime.deployment
+    calls = counted_decommissions(deployment)
+    record = deployment.scale_in(2)
+    handoff = deployment.handoff
+    assert handoff.phase is Phase.DRAIN and handoff.decommission == 2
+    assert record["decommission"] == 2
+    victim = runtime.cluster.node_groups["shard3"][0]
+    now = runtime.simulator.now
+    runtime.cluster.failures.crash_processing_node(victim, start=now + 0.01, duration=0.6)
+    assert_scale_in_resolved(runtime, record, calls, 2)
+    assert record["handoff_retries"] >= 1
+    assert "aborts" not in record
+    assert record["state_tuples_shipped"] > 0
+    assert handoff.phase is Phase.DONE
+
+
+def test_scale_in_aborts_and_rearms_when_every_new_owner_replica_crashes_mid_transfer():
+    runtime = running(priced_spec(1, shards=3, rate=90.0), 12.0)
+    deployment = runtime.deployment
+    calls = counted_decommissions(deployment)
+    record = deployment.scale_in(2)
+    handoff = deployment.handoff
+    while handoff.phase is not Phase.TRANSFER:
+        runtime.run_for(0.02)
+    assert "transfer_started_at" in record and not record["completed"]
+    target = deployment.placement.shard_fragments[record["moves"][0]["target"]]
+    now = runtime.simulator.now
+    for victim in runtime.cluster.node_groups[target]:
+        runtime.cluster.failures.crash_processing_node(victim, start=now + 0.001, duration=2.0)
+    assert_scale_in_resolved(runtime, record, calls, 2)
+    aborts = record["aborts"]
+    assert aborts and all("crashed mid-transfer" in abort["reason"] for abort in aborts)
+    # Every re-armed extraction found state again: each abort had restored
+    # what it took back to the old owner.
+    assert all(abort["restored_tuples"] > 0 for abort in aborts)

@@ -108,10 +108,9 @@ def test_in_flight_message_dropped_if_receiver_crashes():
     assert net.stats.dropped >= 1
 
 
-def test_broadcast_and_stats():
+def test_send_many_and_stats():
     sim, net, inbox = setup()
-    count = net.broadcast("a", ["b"], "data", 1)
-    assert count == 1
+    assert net.send_many("a", ["b"], "data", 1) == ["b"]
     sim.run_until(1.0)
     assert net.stats.sent == 1 and net.stats.delivered == 1
     assert net.stats.by_kind["data"]["delivered"] == 1

@@ -46,7 +46,7 @@ def test_invalid_safety_factor_and_rates():
 def test_buffer_policy_validation():
     with pytest.raises(ConfigurationError):
         BufferPolicy(max_output_tuples=0).validate()
-    BufferPolicy(max_output_tuples=10, max_input_tuples=10).validate()
+    BufferPolicy(max_output_tuples=10).validate()
 
 
 def test_node_delay_uniform_and_full():
