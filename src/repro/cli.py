@@ -378,10 +378,12 @@ def _profile_live(args: argparse.Namespace, spec: ScenarioSpec) -> int:
 
     The simulator profile above sees one process; the live backend's CPU is
     spent in forked workers, so each runs under its own cProfile and leaves a
-    ``<worker>.pstats`` in ``--out``.  Per worker this prints its own CPU
-    seconds and peak RSS, the non-idle time (total minus the event loop's
-    ``poll``), the share of it spent under the wire codec's entry points, and
-    the top entries.
+    ``<worker>.pstats`` in ``--out``.  The profiles are timed in CPU seconds
+    (``time.process_time``), so a worker descheduled mid-call is not charged
+    for the wait.  Per worker this prints its own CPU seconds, peak RSS and
+    wakeups per wall second (voluntary context switches: each is one sleep
+    of its event loop), the CPU outside the event loop's ``poll``, the share
+    of it spent under the wire codec's entry points, and the top entries.
     """
     import pstats
     import tempfile
@@ -412,9 +414,10 @@ def _profile_live(args: argparse.Namespace, spec: ScenarioSpec) -> int:
         usage = result.workers[worker]
         print(
             f"worker {worker}: {usage['cpu_s']:.2f} s CPU, peak RSS "
-            f"{usage['peak_rss_mb']:.1f} MB; {busy:.2f} s non-idle of "
-            f"{stats.total_tt:.2f} s profiled, "
-            f"wire codec {100.0 * wire / busy if busy > 0 else 0.0:.1f}% of non-idle; "
+            f"{usage['peak_rss_mb']:.1f} MB, "
+            f"{usage['wakeups'] / result.wall_seconds:.0f} wakeups/s; "
+            f"{busy:.2f} s CPU outside poll of {stats.total_tt:.2f} s CPU profiled, "
+            f"wire codec {100.0 * wire / busy if busy > 0 else 0.0:.1f}% of it; "
             f"top {args.top} by {args.sort}:"
         )
         stats.sort_stats(args.sort).print_stats(args.top)

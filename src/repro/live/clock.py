@@ -2,11 +2,11 @@
 
 :class:`LiveClock` drives the exact timer surface the discrete-event
 :class:`~repro.sim.event_loop.Simulator` exposes -- ``now``,
-``schedule_at``/``schedule_in``, ``schedule_periodic`` with the same
-re-arm-after-callback semantics -- but over a running asyncio event loop and
-``time.monotonic()``.  All live workers of one deployment share a monotonic
-*epoch* chosen by the supervisor, so ``now`` reads the same deployment-time
-axis in every process (``CLOCK_MONOTONIC`` is system-wide on Linux).
+``schedule_at``/``schedule_in``, ``schedule_periodic`` -- but over a running
+asyncio event loop and ``time.monotonic()``.  All live workers of one
+deployment share a monotonic *epoch* chosen by the supervisor, so ``now``
+reads the same deployment-time axis in every process (``CLOCK_MONOTONIC`` is
+system-wide on Linux, and it is the asyncio loop's clock).
 
 Semantics mirrored from the simulator, pinned by the clock-seam tests:
 
@@ -17,6 +17,22 @@ Semantics mirrored from the simulator, pinned by the clock-seam tests:
   re-arm after it, so a callback cancelling its own handle stops the chain;
 * ``cancel`` accepts the handle returned by any ``schedule_*`` call.
 
+Timers sit on their schedule, not on their firing: ``schedule_at`` arms the
+absolute deadline ``epoch + time`` (``loop.call_at``), and a periodic chain
+re-arms at its previous deadline plus the period, skipping every deadline it
+has already missed, so a late or slow callback neither drifts the chain nor
+fires it twice to catch up.  Chains started in one loop turn share that
+turn's start instant, so chains of one period fire in one loop turn.  A
+data source re-arms its ``schedule_at`` tick from its previous scheduled
+tick, so the edge worker's sources stay on their start grid for the whole
+run and wake the worker together: a worker wakes about once per tick, not
+once per chain and source.  Timers due at one deadline share one asyncio
+timer and run in the order they were armed, as the simulator orders the
+events of one instant by sequence; a source therefore never sends two
+ticks' batches back to back on a link.
+The transport's heartbeat loop stays off this grid on its own cadence
+(DESIGN.md, "Clock seam", has the measurement that kept it there).
+
 Deviation (documented in DESIGN.md): wall-clock timers have jitter, so
 unlike the simulator there is no guarantee that a callback fires at exactly
 its scheduled instant -- only at-or-after.
@@ -26,39 +42,25 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from ..core.clock import ClockCallback
 from ..sim.events import EventKind
 
 
 class LiveTimer:
-    """One-shot timer handle; shape-compatible with a cancelled check."""
+    """Handle of a one-shot timer or a periodic chain; mirrors the simulator's
+    ``Event`` / ``PeriodicHandle`` (a ``cancelled`` flag and ``cancel()``)."""
 
-    __slots__ = ("cancelled", "_timer")
+    __slots__ = ("cancelled", "deadline")
 
-    def __init__(self, timer: asyncio.TimerHandle) -> None:
+    def __init__(self, deadline: float) -> None:
         self.cancelled = False
-        self._timer = timer
+        #: Loop time the timer fires at next.
+        self.deadline = deadline
 
     def cancel(self) -> None:
         self.cancelled = True
-        self._timer.cancel()
-
-
-class LivePeriodicHandle:
-    """Handle for a periodic chain; mirrors sim ``PeriodicHandle``."""
-
-    __slots__ = ("cancelled", "_timer")
-
-    def __init__(self) -> None:
-        self.cancelled = False
-        self._timer: Optional[asyncio.TimerHandle] = None
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self._timer is not None:
-            self._timer.cancel()
 
 
 class LiveClock:
@@ -72,6 +74,11 @@ class LiveClock:
         self._epoch = epoch
         self._loop = loop if loop is not None else asyncio.get_event_loop()
         self.events_fired = 0
+        #: Loop time of the current loop turn's first chain start (see
+        #: :meth:`_turn_start`); ``None`` until a chain starts in this turn.
+        self._turn_time: float | None = None
+        #: deadline (loop time) -> the callbacks due then, in arming order.
+        self._due: dict[float, list[Callable[[], None]]] = {}
 
     @property
     def now(self) -> float:
@@ -87,7 +94,7 @@ class LiveClock:
         kind: EventKind = EventKind.INTERNAL,
         description: str = "",
     ) -> LiveTimer:
-        return self.schedule_in(time_ - self.now, callback, kind, description)
+        return self._once(self._epoch + time_, callback)
 
     def schedule_in(
         self,
@@ -96,17 +103,18 @@ class LiveClock:
         kind: EventKind = EventKind.INTERNAL,
         description: str = "",
     ) -> LiveTimer:
-        handle_box: list[LiveTimer] = []
+        return self._once(self._loop.time() + max(0.0, delay), callback)
+
+    def _once(self, deadline: float, callback: ClockCallback) -> LiveTimer:
+        handle = LiveTimer(deadline)
 
         def fire() -> None:
-            if handle_box and handle_box[0].cancelled:
+            if handle.cancelled:
                 return
             self.events_fired += 1
             callback(self.now)
 
-        timer = self._loop.call_later(max(0.0, delay), fire)
-        handle = LiveTimer(timer)
-        handle_box.append(handle)
+        self._arm(deadline, fire)
         return handle
 
     # ------------------------------------------------------------------ periodic
@@ -118,9 +126,10 @@ class LiveClock:
         description: str = "",
         start_delay: float | None = None,
         stop_condition: Callable[[], bool] | None = None,
-    ) -> LivePeriodicHandle:
-        handle = LivePeriodicHandle()
+    ) -> LiveTimer:
         first_delay = period if start_delay is None else start_delay
+        handle = LiveTimer(self._turn_start() + max(0.0, first_delay))
+        loop = self._loop
 
         def fire() -> None:
             if handle.cancelled:
@@ -131,10 +140,53 @@ class LiveClock:
             self.events_fired += 1
             callback(self.now)
             if not handle.cancelled:
-                handle._timer = self._loop.call_later(period, fire)
+                deadline = handle.deadline + period
+                late = loop.time() - deadline
+                if late >= 0:
+                    # Missed deadlines are skipped, not caught up.
+                    deadline += (late // period + 1) * period
+                handle.deadline = deadline
+                self._arm(deadline, fire)
 
-        handle._timer = self._loop.call_later(max(0.0, first_delay), fire)
+        self._arm(handle.deadline, fire)
         return handle
+
+    def _turn_start(self) -> float:
+        """Loop time at the first chain start of the current loop turn.
+
+        Chains started in one turn count their deadlines from one instant,
+        so chains of one period keep firing in one turn.  A callback queued
+        with ``call_soon`` runs at the head of the next turn and forgets it.
+        """
+        if self._turn_time is None:
+            self._turn_time = self._loop.time()
+            self._loop.call_soon(self._end_turn)
+        return self._turn_time
+
+    def _end_turn(self) -> None:
+        self._turn_time = None
+
+    # ------------------------------------------------------------------ dispatch
+    def _arm(self, deadline: float, fire: Callable[[], None]) -> None:
+        """Run ``fire`` at loop time ``deadline``: one asyncio timer per
+        distinct deadline, whose callbacks run in the order they were armed
+        (the simulator's ``(time, sequence)`` order).  asyncio's own timer
+        heap does not order equal deadlines, so sources ticking on one grid
+        would otherwise send in a different order each tick."""
+        due = self._due.get(deadline)
+        if due is None:
+            due = self._due[deadline] = []
+            self._loop.call_at(deadline, self._run_due, deadline)
+        due.append(fire)
+
+    def _run_due(self, deadline: float) -> None:
+        for fire in self._due.pop(deadline):
+            try:
+                fire()
+            except Exception as exc:  # the other callbacks due now still run
+                self._loop.call_exception_handler(
+                    {"message": "LiveClock timer callback failed", "exception": exc}
+                )
 
     # ------------------------------------------------------------------ cancel
     def cancel(self, event: object) -> None:

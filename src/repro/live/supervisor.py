@@ -153,7 +153,8 @@ class LiveRunResult:
     transport: dict = field(default_factory=dict)
     #: client name -> {"first", "last", "count"} wall window of tentative output.
     tentative_phase: dict = field(default_factory=dict)
-    #: worker name -> {"cpu_s", "peak_rss_mb"} of that process when it reported.
+    #: worker name -> {"cpu_s", "peak_rss_mb", "wakeups"} of that process when
+    #: it reported; ``wakeups`` is its voluntary context switches.
     workers: dict = field(default_factory=dict)
 
     @property

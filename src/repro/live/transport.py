@@ -27,10 +27,11 @@ the existing protocol.  *Wire* rules act on the outbound link, as
 :class:`~repro.live.faults.WireFaults` decides.
 
 **Hardening.** Reconnects use capped exponential backoff with seeded jitter
-(:func:`~repro.live.faults.backoff_delay`) instead of a fixed delay; writes
-carry a per-send timeout and a bounded retry budget, with frames that
-exhaust it counted as *dead letters* (frames shed while a peer's socket is
-plainly down are ``dropped_frames`` -- the expected, replay-healed case).
+(:func:`~repro.live.faults.backoff_delay`) instead of a fixed delay; a
+write the socket cannot take at once drains under a timeout, and every
+frame has a bounded retry budget, with frames that exhaust it counted as
+*dead letters* (frames shed while a peer's socket is plainly down are
+``dropped_frames`` -- the expected, replay-healed case).
 Frames carry the sender's *generation* (bumped by the supervisor on every
 respawn) and a per-link sequence number: receivers reject stale-generation
 frames (a predecessor's zombie writes) and non-monotonic sequences
@@ -44,12 +45,14 @@ from __future__ import annotations
 import asyncio
 import os
 import struct
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 from ..errors import NetworkError
 from ..sim.network import Message, NetworkStats
 from . import wire
-from .faults import DROP, DUPLICATE, REORDER, FaultPlan, WireFaults, backoff_delay
+from .faults import DROP, DUPLICATE, REORDER, FaultPlan, LinkRule, WireFaults, backoff_delay
 from .liveness import HEARTBEAT_INTERVAL, PeerLiveness, PeerState
 
 MessageHandler = Callable[[Message, float], None]
@@ -77,6 +80,9 @@ _MAX_FRAME_BYTES = 256 * 1024 * 1024
 #: semantics.
 _MAX_QUEUED_FRAMES = 20000
 
+#: Most bytes one reader wakeup takes off its connection.
+_READ_BYTES = 1 << 18
+
 #: Reconnect backoff: first retry after ~_BACKOFF_BASE, doubling to _BACKOFF_CAP.
 _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 2.0
@@ -97,15 +103,39 @@ class _Entry(NamedTuple):
     parts: tuple[bytes, ...]
 
 
+@dataclass(slots=True)
+class _Stamped:
+    """One stamped frame gathered for the link's next socket write."""
+
+    payload: bytes
+    rules: tuple[LinkRule, ...]
+    sender: str
+    receiver: str
+    #: Write attempts used so far, injected drops included.
+    attempts: int = 0
+    #: 2 when an injected duplicate rides along (same sequence number).
+    copies: int = 1
+
+
 class PeerLink:
-    """Outbound FIFO link to one peer worker (one socket, one writer task)."""
+    """Outbound FIFO link to one peer worker (one socket, one writer task).
+
+    The writer wakes once per loop turn that queued frames, takes every
+    queued frame in order -- fault decisions, size refusal and sequence
+    stamping per frame -- and writes the stamped frames as one socket write
+    with one drain.  A frame whose wire rules stretch its departure first
+    flushes the frames gathered ahead of it.
+    """
 
     def __init__(self, peer: str, path: str, transport: "LiveTransport") -> None:
         self.peer = peer
         self.path = path
         self._transport = transport
         self._loop = transport._loop
-        self._queue: asyncio.Queue[_Entry] = asyncio.Queue()
+        self._queue: deque[_Entry] = deque()
+        self._queued = asyncio.Event()
+        #: Stamped frames of the next socket write.
+        self._gathered: list[_Stamped] = []
         self._task: asyncio.Task | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._closed = False
@@ -132,45 +162,52 @@ class PeerLink:
     ) -> None:
         if self._closed:
             return
-        while self._queue.qsize() >= _MAX_QUEUED_FRAMES:
-            try:
-                self._queue.get_nowait()
-                self.dropped_frames += 1
-            except asyncio.QueueEmpty:  # pragma: no cover - race-free in one loop
-                break
-        self._queue.put_nowait(_Entry(ftype, sender, receiver, kind, parts))
+        if len(self._queue) >= _MAX_QUEUED_FRAMES:
+            self._queue.popleft()
+            self.dropped_frames += 1
+        self._queue.append(_Entry(ftype, sender, receiver, kind, parts))
+        self._queued.set()
         if self._task is None or self._task.done():
             self._task = self._loop.create_task(self._drain())
 
     # ------------------------------------------------------------------ writer task
     async def _drain(self) -> None:
         faults = self._transport.faults
+        queue = self._queue
         try:
             while not self._closed:
-                entry = await self._queue.get()
-                # Reorder swaps with the next queued frame *before* sequence
-                # stamping: on-wire sequences stay monotonic, so the
-                # receiver's duplicate check never misfires on an injected
-                # reorder -- a later-submitted frame really travels first, but
-                # FIFO numbering is assigned at departure, like a
-                # retransmitting TCP stack.
-                if (
-                    faults.active
-                    and not self._queue.empty()
-                    and faults.fires(
-                        REORDER, faults.rules(entry.sender, entry.receiver),
-                        entry.sender, entry.receiver,
-                    )
-                ):
-                    await self._send_entry(self._queue.get_nowait())
-                await self._send_entry(entry)
+                if not queue:
+                    self._queued.clear()
+                    await self._queued.wait()
+                while queue and not self._closed:
+                    entry = queue.popleft()
+                    # Reorder swaps with the next queued frame *before*
+                    # sequence stamping: on-wire sequences stay monotonic,
+                    # so the receiver's duplicate check never misfires on an
+                    # injected reorder -- a later-submitted frame really
+                    # travels first, but FIFO numbering is assigned at
+                    # departure, like a retransmitting TCP stack.
+                    if (
+                        faults.active
+                        and queue
+                        and faults.fires(
+                            REORDER, faults.rules(entry.sender, entry.receiver),
+                            entry.sender, entry.receiver,
+                        )
+                    ):
+                        await self._gather(queue.popleft())
+                    await self._gather(entry)
+                await self._flush()
         finally:
             self._close_writer()
 
-    async def _send_entry(self, entry: _Entry) -> None:
+    async def _gather(self, entry: _Entry) -> None:
+        """Stamp ``entry`` and add it to the frames of the next write."""
         faults = self._transport.faults
         rules = faults.rules(entry.sender, entry.receiver) if faults.active else ()
         if rules:
+            # The frames ahead of this one leave before its departure stretches.
+            await self._flush()
             await faults.stretch(rules, entry.sender, entry.receiver, self._last_write)
         length = _HEADER.size + sum(map(len, entry.parts))
         if length > _MAX_FRAME_BYTES:
@@ -180,51 +217,80 @@ class PeerLink:
         seq = self._seq
         self._seq += 1
         head = _FRAME_HEAD.pack(length, entry.ftype, self._transport.generation, seq)
-        payload = b"".join((head, *entry.parts))
-
-        attempts = 0
-        while not self._closed:
-            # An injected drop is a lost write: it consumes one bounded retry,
-            # so chaos-level drop rates are absorbed and only a pathological
-            # streak dead-letters a frame.
-            if rules and faults.fires(DROP, rules, entry.sender, entry.receiver):
-                attempts += 1
-                if attempts > _SEND_RETRIES:
-                    self.dead_letters += 1
-                    return
-                self.retries += 1
-                continue
-            if not await self._ensure_connection():
-                # Peer not up (yet / anymore).  Shed the frame -- the peer is
-                # "crashed" from our point of view, delivery was never
-                # credited, and resubscription replay heals the gap.
-                self.dropped_frames += 1
-                return
-            if await self._write(payload):
-                self.frames_sent += 1
-                self._last_write = self._loop.time()
-                break
-            attempts += 1
-            if attempts > _SEND_RETRIES:
-                self.dead_letters += 1
-                return
-            self.retries += 1
-            await asyncio.sleep(self._backoff(attempts - 1))
-        else:
+        frame = _Stamped(b"".join((head, *entry.parts)), rules, entry.sender, entry.receiver)
+        if self._lost(frame):
+            return
+        if not await self._ensure_connection():
+            # Peer not up (yet / anymore).  Shed the frame -- the peer is
+            # "crashed" from our point of view, delivery was never
+            # credited, and resubscription replay heals the gap.
+            self.dropped_frames += 1
             return
         # Duplicate *after* stamping: the copy carries the same sequence
         # number, so the receiver's monotonic check sheds it -- the injection
         # proves the dedup path, not a delivery bug.
         if rules and faults.fires(DUPLICATE, rules, entry.sender, entry.receiver):
-            await self._write(payload)
+            frame.copies = 2
+        self._gathered.append(frame)
+
+    def _lost(self, frame: _Stamped) -> bool:
+        """Draw the frame's injected drops; True when they exhaust its retry
+        budget (the frame is then a dead letter).
+
+        An injected drop is a lost write: it consumes one bounded retry, so
+        chaos-level drop rates are absorbed and only a pathological streak
+        dead-letters a frame.
+        """
+        faults = self._transport.faults
+        while frame.rules and faults.fires(DROP, frame.rules, frame.sender, frame.receiver):
+            if not self._retry(frame):
+                return True
+        return False
+
+    def _retry(self, frame: _Stamped) -> bool:
+        """Charge one attempt to ``frame``; False, and a dead letter, when
+        that exhausts its bounded retry budget."""
+        frame.attempts += 1
+        if frame.attempts > _SEND_RETRIES:
+            self.dead_letters += 1
+            return False
+        self.retries += 1
+        return True
+
+    async def _flush(self) -> None:
+        """Write the gathered frames as one socket write; a failed write
+        retries every frame within its own budget, after the backoff of the
+        first."""
+        frames, self._gathered = self._gathered, []
+        while frames and not self._closed:
+            if await self._write(
+                b"".join(frame.payload for frame in frames for _ in range(frame.copies))
+            ):
+                self.frames_sent += len(frames)
+                self._last_write = self._loop.time()
+                return
+            retried = [frame for frame in frames if self._retry(frame)]
+            if not retried:
+                return
+            await asyncio.sleep(self._backoff(retried[0].attempts - 1))
+            frames = [frame for frame in retried if not self._lost(frame)]
+            if frames and not await self._ensure_connection():
+                self.dropped_frames += len(frames)
+                return
 
     async def _write(self, payload: bytes) -> bool:
         """One write of ``payload`` on the open connection; False (and the
         connection closed) when it fails or times out."""
+        writer = self._writer
         try:
-            assert self._writer is not None
-            self._writer.write(payload)
-            await asyncio.wait_for(self._writer.drain(), _SEND_TIMEOUT)
+            assert writer is not None
+            writer.write(payload)
+            if writer.transport.get_write_buffer_size():
+                await asyncio.wait_for(writer.drain(), _SEND_TIMEOUT)
+            else:
+                # Nothing left to flush: drain cannot block, and it still
+                # raises when the connection is lost.
+                await writer.drain()
             return True
         except (ConnectionError, OSError, asyncio.TimeoutError):
             self._close_writer()
@@ -382,24 +448,36 @@ class LiveTransport:
         if task is not None:
             self._reader_tasks.add(task)
             task.add_done_callback(self._reader_tasks.discard)
+        buffer = bytearray()
         try:
             while True:
-                header = await reader.readexactly(_LENGTH.size)
-                (length,) = _LENGTH.unpack(header)
-                if length > _MAX_FRAME_BYTES:
-                    # A corrupt prefix: the stream cannot be resynchronized,
-                    # so drop the connection instead of buffering the claim.
-                    self.stats.dropped += 1
+                data = await reader.read(_READ_BYTES)
+                if not data:
                     break
-                frame = await reader.readexactly(length)
-                self._on_frame(frame)
-        except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
+                buffer += data
+                # Every complete frame of the buffer; a split frame's head
+                # stays buffered until the rest arrives.
+                start = 0
+                while len(buffer) - start >= _LENGTH.size:
+                    (length,) = _LENGTH.unpack_from(buffer, start)
+                    if length > _MAX_FRAME_BYTES:
+                        # A corrupt prefix: the stream cannot be resynchronized,
+                        # so drop the connection instead of buffering the claim.
+                        self.stats.dropped += 1
+                        return
+                    end = start + _LENGTH.size + length
+                    if end > len(buffer):
+                        break
+                    self._on_frame(buffer[start + _LENGTH.size : end])
+                    start = end
+                del buffer[:start]
+        except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             writer.close()
 
     # ------------------------------------------------------------------ receive path
-    def _on_frame(self, frame: bytes) -> None:
+    def _on_frame(self, frame: bytes | bytearray) -> None:
         if len(frame) < _HEADER.size:
             self.stats.dropped += 1
             return

@@ -30,6 +30,7 @@ from ..deploy.placement import DeployOptions, Placement
 from ..deploy.wiring import Wiring, wire_placement
 from ..metrics.consistency import client_is_eventually_consistent, stable_ledger_rows
 from ..sim.client import ClientApplication
+from ..spe.tuples import TENTATIVE
 from ..statexfer import PeerRegistry
 from . import wire
 from .clock import LiveClock
@@ -80,8 +81,8 @@ class WorkerSpec:
     generation: int = 0
     #: Scheduled wire/window faults this worker's transport enforces.
     fault_plan: FaultPlan = FaultPlan()
-    #: Where to dump a cProfile of this process (``repro profile live``);
-    #: ``None`` (the default) runs unprofiled.
+    #: Where to dump a CPU-time cProfile of this process (``repro profile
+    #: live``); ``None`` (the default) runs unprofiled.
     profile_path: str | None = None
 
 
@@ -115,15 +116,27 @@ def _status(wiring: Wiring, clock: LiveClock, transport: LiveTransport) -> dict:
 
 def _tentative_phase(client: ClientApplication) -> dict:
     """Wall-clock window of tentative output in the client trace (seconds)."""
-    first = last = None
-    count = 0
-    for entry in client.metrics.trace:
-        if entry.tuple_type == "tentative":
-            count += 1
-            last = entry.time
-            if first is None:
-                first = entry.time
-    return {"first": first, "last": last, "count": count}
+    arrivals = client.metrics.latency.arrivals
+    codes = arrivals.codes
+    first = codes.find(TENTATIVE)
+    if first < 0:
+        return {"first": None, "last": None, "count": 0}
+    return {
+        "first": arrivals.times[first],
+        "last": arrivals.times[codes.rfind(TENTATIVE)],
+        "count": codes.count(TENTATIVE),
+    }
+
+
+def _usage() -> dict:
+    """This process's own cost so far; ``wakeups`` counts the times it gave
+    up the CPU to wait (voluntary context switches)."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "cpu_s": time.process_time(),
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        "wakeups": usage.ru_nvcsw,
+    }
 
 
 def _result(wiring: Wiring, clock: LiveClock, transport: LiveTransport) -> dict:
@@ -141,11 +154,8 @@ def _result(wiring: Wiring, clock: LiveClock, transport: LiveTransport) -> dict:
             name: _tentative_phase(c) for name, c in wiring.clients.items()
         },
         "transport": transport.transport_stats(),
-        # This process's own cost, read when the result is built.
-        "usage": {
-            "cpu_s": time.process_time(),
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        },
+        # Read last: the cost of building the result above is included.
+        "usage": _usage(),
     }
 
 
@@ -156,7 +166,9 @@ def worker_main(spec: WorkerSpec, placement: Placement, options: DeployOptions, 
     if spec.profile_path is not None:
         import cProfile
 
-        profiler = cProfile.Profile()
+        # CPU time, not wall time: a descheduled process's wait is not
+        # charged to whatever call it happens to be in.
+        profiler = cProfile.Profile(time.process_time)
         profiler.enable()
     try:
         asyncio.run(_worker_async(spec, placement, options, conn))

@@ -14,6 +14,8 @@ in content and order, the output of a failure-free run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
+from operator import eq
 from typing import Iterable, Sequence
 
 from ..spe.tuples import BOUNDARY, REC_DONE, STABLE, UNDO, StreamTuple, TupleBlock
@@ -70,7 +72,7 @@ class ConsistencyTracker:
 
     def stable_values(self, attribute: str) -> list:
         """Attribute values of the stable tuples in ledger order."""
-        return [item.value(attribute) for item in self.ledger if item.is_stable]
+        return self.ledger.stable_values(attribute)
 
     def stable_prefix(self) -> list[StreamTuple]:
         return [item for item in self.ledger if item.is_stable]
@@ -125,14 +127,8 @@ def client_is_eventually_consistent(client) -> bool:
     primary one as ``.client`` (a runtime, a deployment, a cluster).
     """
     sequence = getattr(client, "client", client).stable_sequence
-    if not sequence:
-        return False
-    if sequence != sorted(sequence):
-        return False
-    if len(set(sequence)) != len(sequence):  # a duplicate stable value
-        return False
-    missing = set(range(min(sequence), max(sequence) + 1)) - set(sequence)
-    return not missing
+    # In order, without duplicates or gaps: each value is the previous plus one.
+    return bool(sequence) and all(map(eq, sequence, count(sequence[0])))
 
 
 def stable_rows(ledger: Iterable[StreamTuple]) -> list:

@@ -103,6 +103,8 @@ class DataSource:
         #: (their cursor was repositioned while they were disconnected).
         self._pending_replay: set[str] = set()
         self._started = False
+        #: Time the next production tick is scheduled for.
+        self._tick_at = start_time
         # Addressable for cursor-repositioning requests from recovering nodes
         # and for checkpoint acknowledgments.
         network.register(self.name, self._on_message)
@@ -195,8 +197,9 @@ class DataSource:
         if self._started:
             return
         self._started = True
+        self._tick_at = max(self.start_time, self.simulator.now)
         self.simulator.schedule_at(
-            max(self.start_time, self.simulator.now),
+            self._tick_at,
             self._tick,
             kind=EventKind.SOURCE,
             description=f"source {self.name} first tick",
@@ -215,8 +218,16 @@ class DataSource:
         self._produce_until(horizon)
         self._flush()
         if not self._stopped(now):
+            # Re-arm from the scheduled tick, not from ``now``: the simulator
+            # fires exactly on it, so the two are equal there; a live clock
+            # fires late, and sources sharing a grid then tick together.  A
+            # tick already missed is skipped (never on the simulator).
+            tick_at = self._tick_at + self.batch_interval
+            while tick_at <= now:
+                tick_at += self.batch_interval
+            self._tick_at = tick_at
             self.simulator.schedule_at(
-                now + self.batch_interval,
+                tick_at,
                 self._tick,
                 kind=EventKind.SOURCE,
                 description=f"source {self.name} tick",

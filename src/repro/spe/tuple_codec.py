@@ -316,23 +316,29 @@ def _r_tuples(buf: memoryview, pos: int) -> tuple[TupleBlock, int]:
     stable_seqs, pos = _r_sparse(buf, pos, count)
     payloads: list[dict] = []
     while len(payloads) < count:
-        length, pos = _r_uvarint(buf, pos)
-        if not 0 < length <= count - len(payloads):
-            raise WireError(f"schema run of {length} tuples in a batch of {count}")
-        n_keys, pos = _r_uvarint(buf, pos)
-        if not n_keys:
+        length, keys, pos = _r_schema_run(buf, pos, count - len(payloads))
+        if not keys:
             payloads += [{} for _ in range(length)]
             continue
-        keys = []
-        for _ in range(n_keys):
-            key, pos = _r_str(buf, pos)
-            keys.append(key)
         columns = []
-        for _ in range(n_keys):
+        for _ in keys:
             column, pos = _r_column(buf, pos, length)
             columns.append(column)
         payloads += [dict(zip(keys, row)) for row in zip(*columns)]
     return TupleBlock(codes, ids, stimes, payloads, undo_from_ids, stable_seqs), pos
+
+
+def _r_schema_run(buf: memoryview, pos: int, remaining: int) -> tuple[int, list[str], int]:
+    """A schema run's header: its length (at most ``remaining``) and key names."""
+    length, pos = _r_uvarint(buf, pos)
+    if not 0 < length <= remaining:
+        raise WireError(f"schema run of {length} tuples where {remaining} remain")
+    n_keys, pos = _r_uvarint(buf, pos)
+    keys = []
+    for _ in range(n_keys):
+        key, pos = _r_str(buf, pos)
+        keys.append(key)
+    return length, keys, pos
 
 
 # --------------------------------------------------------------------------- standalone runs
@@ -346,6 +352,40 @@ def encode_tuples(tuples: Sequence[StreamTuple]) -> bytes:
     out = bytearray()
     _w_tuples(out, tuples)
     return bytes(out)
+
+
+def decode_column(data: bytes, key: str) -> tuple[bytes, list]:
+    """The type codes of a run and the values of one payload ``key``.
+
+    ``None`` stands for a tuple without the key, as ``StreamTuple.value``
+    reads it.  No other payload column is decoded: packed ones are skipped
+    by their length, tagged ones read through.
+    """
+    buf = memoryview(data)
+    count, pos = _r_uvarint(buf, 0)
+    if not count:
+        _check_consumed(buf, pos)
+        return b"", []
+    span, pos = _r_span(buf, pos, count)
+    codes = bytes(span)
+    _, pos = _r_span(buf, pos, 16 * count)  # the tuple_id and stime columns
+    _, pos = _r_sparse(buf, pos, count)
+    _, pos = _r_sparse(buf, pos, count)
+    values: list = []
+    while len(values) < count:
+        length, keys, pos = _r_schema_run(buf, pos, count - len(values))
+        wanted = None
+        for name in keys:
+            encoding, _ = _r_byte(buf, pos)
+            if name == key or encoding not in (_C_INT64, _C_FLOAT64):
+                column, pos = _r_column(buf, pos, length)
+                if name == key:
+                    wanted = column
+            else:
+                _, pos = _r_span(buf, pos + 1, 8 * length)
+        values += wanted if wanted is not None else [None] * length
+    _check_consumed(buf, pos)
+    return codes, values
 
 
 def decode_tuples(data: bytes) -> TupleBlock:

@@ -4,7 +4,10 @@ The :class:`~repro.core.clock.Clock` protocol is a typing-only seam: the
 discrete-event :class:`~repro.sim.event_loop.Simulator` must satisfy it
 structurally (no adapter, no wrapper), and extracting the seam must leave
 the sim backend's behavior byte-identical -- same event counts, same golden
-summary digests.  These tests pin both halves.
+summary digests.  These tests pin both halves, and the live clock's own
+timing contract: chains re-arm on their deadline grid, skip the deadlines a
+slow callback missed, and chains or ticks sharing a grid fire in one loop
+turn.
 """
 
 from __future__ import annotations
@@ -82,3 +85,128 @@ def test_golden_summaries_unchanged_by_seam():
     assert current["summary_sha256"] == golden["summary_sha256"], (
         "clock seam changed simulated behavior byte-identically pinned by goldens"
     )
+
+
+# ---------------------------------------------------------------------- live chains on their grid
+class TurnCounter:
+    """Numbers the event loop's turns: a ``call_soon`` chain runs once per turn."""
+
+    def __init__(self, loop) -> None:
+        self.turn = 0
+        self._loop = loop
+        loop.call_soon(self._advance)
+
+    def _advance(self) -> None:
+        self.turn += 1
+        self._loop.call_soon(self._advance)
+
+
+def test_live_chain_re_arms_on_its_deadline_and_skips_missed_ones():
+    import asyncio
+    import time
+
+    from repro.live.clock import LiveClock
+
+    period = 0.02
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        clock = LiveClock(time.monotonic(), loop=loop)
+        turns = TurnCounter(loop)
+        fired = []  # (deadline, firing loop time, turn, loop time the callback returned)
+
+        def tick(now: float) -> None:
+            deadline, time_, turn = handle.deadline, loop.time(), turns.turn
+            if len(fired) == 2:
+                time.sleep(3.5 * period)  # overrun three and a half periods
+            fired.append((deadline, time_, turn, loop.time()))
+            if len(fired) == 8:
+                handle.cancel()
+
+        before = loop.time()
+        handle = clock.schedule_periodic(period, tick)
+        after = loop.time()
+        while not handle.cancelled:
+            await asyncio.sleep(period)
+        return before, after, fired
+
+    before, after, fired = asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
+    start = fired[0][0] - period
+    assert before <= start <= after
+    steps = [round((deadline - start) / period, 6) for deadline, *_ in fired]
+    assert all(step == int(step) for step in steps)  # every deadline on the grid
+    assert steps[0] == 1
+    for (deadline, *_, returned), following in zip(fired, fired[1:]):
+        # Re-armed at the first grid deadline after the callback returned:
+        # later than it (missed ones skipped), but no later than it needs.
+        assert returned < following[0] <= max(deadline, returned) + period + 1e-3
+    assert steps[3] - steps[2] >= 4  # the overrun skipped at least three deadlines
+    assert all(time_ >= deadline for deadline, time_, *_ in fired)  # never early
+    assert len({turn for _, _, turn, _ in fired}) == len(fired)  # never twice in one turn
+
+
+def test_live_chains_of_one_period_and_ticks_on_one_grid_fire_in_one_turn():
+    import asyncio
+    import time
+
+    from repro.live.clock import LiveClock
+
+    period = 0.02
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        clock = LiveClock(time.monotonic(), loop=loop)
+        turns = TurnCounter(loop)
+        fired = {"a": [], "b": [], "x": [], "y": []}
+        handles = []
+        for name in ("a", "b"):
+            handles.append(clock.schedule_periodic(
+                period, lambda now, name=name: fired[name].append(turns.turn)))
+            time.sleep(0.002)  # the second chain starts later in the same turn
+        # One-shot ticks at the same deployment time (sources on one grid).
+        at = clock.now + period
+        for name in ("x", "y"):
+            clock.schedule_at(at, lambda now, name=name: fired[name].append(turns.turn))
+            time.sleep(0.002)
+        while len(fired["b"]) < 5:
+            await asyncio.sleep(period)
+        for handle in handles:
+            handle.cancel()
+        return fired
+
+    fired = asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
+    assert fired["a"][:5] == fired["b"][:5]
+    assert fired["x"] == fired["y"] and len(fired["x"]) == 1
+
+
+def test_live_timers_due_together_run_in_arming_order():
+    import asyncio
+    import time
+
+    from repro.live.clock import LiveClock
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        failures = []
+        loop.set_exception_handler(lambda loop, context: failures.append(context["exception"]))
+        clock = LiveClock(time.monotonic(), loop=loop)
+        order = []
+
+        def tick(index: int):
+            def fire(now: float) -> None:
+                order.append(index)
+                if index == 2:
+                    raise RuntimeError("boom")
+            return fire
+
+        at = clock.now + 0.02
+        handles = [clock.schedule_at(at, tick(index)) for index in range(10)]
+        handles[5].cancel()
+        await asyncio.sleep(0.1)
+        return order, failures
+
+    order, failures = asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
+    # The simulator's (time, sequence) order; a raising callback is reported
+    # and the others due with it still run.
+    assert order == [0, 1, 2, 3, 4, 6, 7, 8, 9]
+    assert [str(error) for error in failures] == ["boom"]

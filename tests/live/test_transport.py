@@ -4,9 +4,11 @@ Two :class:`~repro.live.transport.LiveTransport` instances share one asyncio
 loop and talk over temporary Unix sockets, exactly as two worker processes
 would; a raw socket connection plays the misbehaving peer.  Pinned here: a
 fan-out encodes its payload once, malformed and oversized frames are counted
-drops that never take the receiver down, sequence/generation admission
-holds for frames assembled in one buffer, and a seeded wire-fault plan
-injects the same faults in the same order on every run.
+drops that never take the receiver down, frames queued in one loop turn
+leave as one socket write and decode however the reads split them,
+sequence/generation admission holds for frames assembled in one buffer, and
+a seeded wire-fault plan injects the same faults in the same order on every
+run.
 """
 
 from __future__ import annotations
@@ -185,6 +187,124 @@ def test_frame_bound_covers_the_largest_legitimate_frames():
     # The bound must refuse only nonsense: the 32-bit prefix can claim 4 GiB,
     # the largest measured checkpoint frames are a few MB.
     assert 64 * 2**20 <= transport_module._MAX_FRAME_BYTES < 2**32
+
+
+# ---------------------------------------------------------------------- one write per wakeup
+def split_frames(data: bytes) -> list[tuple[int, int, bytes]]:
+    """(frame type, link sequence, body) of each frame in a socket write."""
+    frames, start = [], 0
+    while start < len(data):
+        (length,) = transport_module._LENGTH.unpack_from(data, start)
+        start += transport_module._LENGTH.size
+        ftype, _, seq = transport_module._HEADER.unpack_from(data, start)
+        frames.append((ftype, seq, data[start + transport_module._HEADER.size : start + length]))
+        start += length
+    return frames
+
+
+def record_writes(monkeypatch) -> list[bytes]:
+    """Every socket write of every link, in order."""
+    writes: list[bytes] = []
+    write = transport_module.PeerLink._write
+
+    async def recording(link, payload):
+        writes.append(bytes(payload))
+        return await write(link, payload)
+
+    monkeypatch.setattr(transport_module.PeerLink, "_write", recording)
+    return writes
+
+
+def data_writes(writes: list[bytes]) -> list[list[tuple[int, int, bytes]]]:
+    """The writes that carried envelope frames (heartbeats may ride along)."""
+    frames = [split_frames(data) for data in writes]
+    return [w for w in frames if any(ftype == transport_module._FT_ENVELOPE for ftype, *_ in w)]
+
+
+def test_frames_queued_in_one_turn_leave_as_one_write(monkeypatch):
+    writes = record_writes(monkeypatch)
+
+    async def scenario():
+        async with Fabric() as fabric:
+            for round_ in range(2):
+                writes.clear()
+                first = 5 * round_
+                for index in range(first, first + 5):  # one loop turn: no await between
+                    assert fabric.a.send("src", "n1" if index % 2 else "n2", DATA, batch(index))
+                await eventually(lambda: sum(map(len, fabric.received.values())) == first + 5)
+                (frames,) = data_writes(writes)
+                seqs = [seq for _, seq, _ in frames]
+                assert seqs == list(range(seqs[0], seqs[0] + len(frames)))
+                sent = [(wire.decode_envelope(body)[1], wire.decode_envelope(body)[3])
+                        for ftype, _, body in frames if ftype == transport_module._FT_ENVELOPE]
+                assert [(r, p.tuples[0].tuple_id) for r, p in sent] == [
+                    ("n1" if index % 2 else "n2", index) for index in range(first, first + 5)
+                ]
+            # The link counts frames, not writes.
+            assert fabric.a.transport_stats()["links"]["wb"]["frames_sent"] >= 10
+
+    run(scenario())
+
+
+def test_an_oversized_frame_is_dead_lettered_and_its_neighbours_delivered(monkeypatch):
+    writes = record_writes(monkeypatch)
+    small, big = batch(0), batch(100)
+    bound = len(wire.encode_envelope("src", "n1", DATA, small)) * 2
+    big = DataBatch.of("s", [*big.tuples] * 20, "src", NodeState.STABLE, NodeState.STABLE)
+    assert len(wire.encode_envelope("src", "n1", DATA, big)) > bound
+    monkeypatch.setattr(transport_module, "_MAX_FRAME_BYTES", bound)
+
+    async def scenario():
+        async with Fabric() as fabric:
+            for payload in (small, big, batch(200)):
+                fabric.a.send("src", "n1", DATA, payload)
+            await eventually(lambda: len(fabric.received["n1"]) == 2)
+            link = fabric.a.transport_stats()["links"]["wb"]
+            assert (link["dead_letters"], link["frames_sent"]) == (1, 2)
+            assert [m.payload.tuples[0].tuple_id for m in fabric.received["n1"]] == [0, 200]
+            # The refused frame took no sequence number: the receiver saw no gap.
+            (frames,) = data_writes(writes)
+            assert [seq for _, seq, _ in frames] == [0, 1]
+            assert fabric.b.stats.dropped == 0
+
+    run(scenario())
+
+
+def test_split_frames_and_several_frames_per_read_decode():
+    async def scenario():
+        async with Fabric() as fabric:
+            _, writer = await fabric.raw_peer()
+            first, second, third = (frame(0, seq, envelope(first_id=10 * seq)) for seq in range(3))
+            writer.write(first[:7])  # the length prefix and part of the header
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            writer.write(first[7:-5])
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            assert not fabric.received["n1"]  # nothing decoded from a partial frame
+            writer.write(first[-5:] + second + third)  # the tail and two whole frames
+            await writer.drain()
+            await eventually(lambda: len(fabric.received["n1"]) == 3)
+            assert [m.payload.tuples[0].tuple_id for m in fabric.received["n1"]] == [0, 10, 20]
+            assert fabric.b.stats.dropped == 0
+            writer.close()
+
+    run(scenario())
+
+
+def test_an_oversized_length_prefix_after_a_good_frame_drops_the_connection():
+    async def scenario():
+        async with Fabric() as fabric:
+            reader, writer = await fabric.raw_peer()
+            oversized = transport_module._LENGTH.pack(transport_module._MAX_FRAME_BYTES + 1)
+            writer.write(frame(0, 0, envelope()) + oversized + b"x" * 64)  # one read
+            await writer.drain()
+            await eventually(lambda: fabric.b.stats.dropped == 1)
+            assert len(fabric.received["n1"]) == 1  # the frame ahead of it was delivered
+            assert await reader.read() == b""  # EOF: the receiver hung up
+            writer.close()
+
+    run(scenario())
 
 
 # ---------------------------------------------------------------------- admission

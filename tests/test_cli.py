@@ -351,6 +351,7 @@ def test_profile_live_writes_one_profile_per_worker(capsys, tmp_path):
         functions = {key[2] for key in pstats.Stats(str(tmp_path / name)).stats}
         assert "decode_envelope" in functions and "encode_payload" in functions
     assert out.count("wire codec") == 3
+    assert out.count(" wakeups/s; ") == 3
     assert out.count("due to restriction <15>") == 3
 
 
