@@ -21,15 +21,13 @@ Timers sit on their schedule, not on their firing: ``schedule_at`` arms the
 absolute deadline ``epoch + time`` (``loop.call_at``), and a periodic chain
 re-arms at its previous deadline plus the period, skipping every deadline it
 has already missed, so a late or slow callback neither drifts the chain nor
-fires it twice to catch up.  Chains started in one loop turn share that
-turn's start instant, so chains of one period fire in one loop turn.  A
-data source re-arms its ``schedule_at`` tick from its previous scheduled
-tick, so the edge worker's sources stay on their start grid for the whole
-run and wake the worker together: a worker wakes about once per tick, not
-once per chain and source.  Timers due at one deadline share one asyncio
-timer and run in the order they were armed, as the simulator orders the
-events of one instant by sequence; a source therefore never sends two
-ticks' batches back to back on a link.
+fires it twice to catch up.  A data source re-arms its ``schedule_at``
+tick from its previous scheduled tick, so the edge worker's sources stay on
+their start grid for the whole run and wake the worker together: a worker
+wakes about once per tick, not once per source.  Timers due at one deadline
+share one asyncio timer and run in the order they were armed, as the
+simulator orders the events of one instant by sequence; a source therefore
+never sends two ticks' batches back to back on a link.
 The transport's heartbeat loop stays off this grid on its own cadence
 (DESIGN.md, "Clock seam", has the measurement that kept it there).
 
@@ -74,9 +72,6 @@ class LiveClock:
         self._epoch = epoch
         self._loop = loop if loop is not None else asyncio.get_event_loop()
         self.events_fired = 0
-        #: Loop time of the current loop turn's first chain start (see
-        #: :meth:`_turn_start`); ``None`` until a chain starts in this turn.
-        self._turn_time: float | None = None
         #: deadline (loop time) -> the callbacks due then, in arming order.
         self._due: dict[float, list[Callable[[], None]]] = {}
 
@@ -128,8 +123,8 @@ class LiveClock:
         stop_condition: Callable[[], bool] | None = None,
     ) -> LiveTimer:
         first_delay = period if start_delay is None else start_delay
-        handle = LiveTimer(self._turn_start() + max(0.0, first_delay))
         loop = self._loop
+        handle = LiveTimer(loop.time() + max(0.0, first_delay))
 
         def fire() -> None:
             if handle.cancelled:
@@ -150,21 +145,6 @@ class LiveClock:
 
         self._arm(handle.deadline, fire)
         return handle
-
-    def _turn_start(self) -> float:
-        """Loop time at the first chain start of the current loop turn.
-
-        Chains started in one turn count their deadlines from one instant,
-        so chains of one period keep firing in one turn.  A callback queued
-        with ``call_soon`` runs at the head of the next turn and forgets it.
-        """
-        if self._turn_time is None:
-            self._turn_time = self._loop.time()
-            self._loop.call_soon(self._end_turn)
-        return self._turn_time
-
-    def _end_turn(self) -> None:
-        self._turn_time = None
 
     # ------------------------------------------------------------------ dispatch
     def _arm(self, deadline: float, fire: Callable[[], None]) -> None:

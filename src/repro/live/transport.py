@@ -113,8 +113,6 @@ class _Stamped:
     receiver: str
     #: Write attempts used so far, injected drops included.
     attempts: int = 0
-    #: 2 when an injected duplicate rides along (same sequence number).
-    copies: int = 1
 
 
 class PeerLink:
@@ -123,8 +121,9 @@ class PeerLink:
     The writer wakes once per loop turn that queued frames, takes every
     queued frame in order -- fault decisions, size refusal and sequence
     stamping per frame -- and writes the stamped frames as one socket write
-    with one drain.  A frame whose wire rules stretch its departure first
-    flushes the frames gathered ahead of it.
+    with one drain.  A frame with active wire rules leaves on its own write,
+    after the frames gathered ahead of it, so its fault decisions are drawn
+    in the same order as when every frame had its own write.
     """
 
     def __init__(self, peer: str, path: str, transport: "LiveTransport") -> None:
@@ -226,12 +225,9 @@ class PeerLink:
             # credited, and resubscription replay heals the gap.
             self.dropped_frames += 1
             return
-        # Duplicate *after* stamping: the copy carries the same sequence
-        # number, so the receiver's monotonic check sheds it -- the injection
-        # proves the dedup path, not a delivery bug.
-        if rules and faults.fires(DUPLICATE, rules, entry.sender, entry.receiver):
-            frame.copies = 2
         self._gathered.append(frame)
+        if rules:
+            await self._flush()
 
     def _lost(self, frame: _Stamped) -> bool:
         """Draw the frame's injected drops; True when they exhaust its retry
@@ -263,11 +259,10 @@ class PeerLink:
         first."""
         frames, self._gathered = self._gathered, []
         while frames and not self._closed:
-            if await self._write(
-                b"".join(frame.payload for frame in frames for _ in range(frame.copies))
-            ):
+            if await self._write(b"".join(frame.payload for frame in frames)):
                 self.frames_sent += len(frames)
                 self._last_write = self._loop.time()
+                await self._duplicate(frames)
                 return
             retried = [frame for frame in frames if self._retry(frame)]
             if not retried:
@@ -278,19 +273,25 @@ class PeerLink:
                 self.dropped_frames += len(frames)
                 return
 
+    async def _duplicate(self, frames: list[_Stamped]) -> None:
+        """Draw the injected duplicates of ``frames`` once they are written.
+
+        Duplicate *after* stamping: the copy carries the same sequence
+        number, so the receiver's monotonic check sheds it -- the injection
+        proves the dedup path, not a delivery bug.
+        """
+        faults = self._transport.faults
+        for frame in frames:
+            if frame.rules and faults.fires(DUPLICATE, frame.rules, frame.sender, frame.receiver):
+                await self._write(frame.payload)
+
     async def _write(self, payload: bytes) -> bool:
         """One write of ``payload`` on the open connection; False (and the
         connection closed) when it fails or times out."""
-        writer = self._writer
         try:
-            assert writer is not None
-            writer.write(payload)
-            if writer.transport.get_write_buffer_size():
-                await asyncio.wait_for(writer.drain(), _SEND_TIMEOUT)
-            else:
-                # Nothing left to flush: drain cannot block, and it still
-                # raises when the connection is lost.
-                await writer.drain()
+            assert self._writer is not None
+            self._writer.write(payload)
+            await asyncio.wait_for(self._writer.drain(), _SEND_TIMEOUT)
             return True
         except (ConnectionError, OSError, asyncio.TimeoutError):
             self._close_writer()

@@ -352,6 +352,39 @@ def test_link_stamps_monotonic_sequences_and_duplicates_are_shed():
     run(scenario())
 
 
+def test_duplicate_is_drawn_only_for_a_written_frame(monkeypatch):
+    async def failing_write(self, payload: bytes) -> bool:
+        return False
+
+    monkeypatch.setattr(transport_module.PeerLink, "_write", failing_write)
+    plan = FaultPlan(seed=3, rules=(LinkRule(DUPLICATE, sender="src", probability=1.0),))
+
+    async def scenario():
+        directory = tempfile.mkdtemp(prefix="rt-")
+        sockets = {w: f"{directory}/{w}.sock" for w in ("wa", "wb")}
+        clock = LiveClock(time.monotonic())
+        # Only ``wb`` is listed as a worker socket: no heartbeat frames share the link.
+        only_wb = {"wb": sockets["wb"]}
+        a = LiveTransport("wa", sockets["wa"], ENDPOINTS, only_wb, clock, fault_plan=plan)
+        b = LiveTransport("wb", sockets["wb"], ENDPOINTS, only_wb, clock, fault_plan=plan)
+        await a.start()
+        await b.start()
+        try:
+            a.send("src", "n1", DATA, batch())
+            link = lambda: a.transport_stats()["links"]["wb"]  # noqa: E731
+            await eventually(lambda: link()["dead_letters"] == 1)
+            # Every write failed: no copy reached the wire, so none is counted.
+            assert link()["retries"] == transport_module._SEND_RETRIES
+            assert a.injected[DUPLICATE] == 0
+            assert a.fault_events == []
+        finally:
+            await a.close()
+            await b.close()
+            shutil.rmtree(directory, ignore_errors=True)
+
+    run(scenario())
+
+
 # ---------------------------------------------------------------------- decision stream
 #: Every wire-fault kind on the producer's links.  Throttle comes first so a
 #: frame's own injected delay never eats into its spacing from the previous
