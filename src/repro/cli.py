@@ -271,21 +271,10 @@ def _cmd_scenario_live(spec: ScenarioSpec) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    try:
-        spec = _scenario_spec(args)
-        if args.backend == "live":
-            return _cmd_scenario_live(spec)
-        runtime = spec.run()
-    except LiveBackendUnavailable as error:
-        print(f"live backend unavailable: {error}", file=sys.stderr)
-        return 2
-    except (ConfigurationError, SimulationError) as error:
-        # ConfigurationError: the flags or the spec were invalid up front.
-        # SimulationError: the run refused a scheduled action mid-simulation
-        # (e.g. a rebalance colliding with failure handling that validation
-        # could not foresee).
-        print(f"invalid scenario: {error}", file=sys.stderr)
-        return 2
+    spec = _scenario_spec(args)
+    if args.backend == "live":
+        return _cmd_scenario_live(spec)
+    runtime = spec.run()
     summary = runtime.client.summary()
     topology = runtime.topology
     print(f"scenario {spec.name!r}: topology={topology.name} nodes={','.join(topology.node_names)} "
@@ -390,11 +379,7 @@ def _profile_live(args: argparse.Namespace, spec: ScenarioSpec) -> int:
 
     out_dir = args.out or tempfile.mkdtemp(prefix="repro-profile-live-")
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        result = spec.run_live(profile_dir=out_dir)
-    except LiveBackendUnavailable as error:
-        print(f"live backend unavailable: {error}", file=sys.stderr)
-        return 2
+    result = spec.run_live(profile_dir=out_dir)
     produced = sum(result.sources.values())
     print(
         f"profiled live chain-{args.depth}: {len(result.transport)} worker processes, "
@@ -615,4 +600,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by ``python -m repro`` (and by the CLI tests)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LiveBackendUnavailable as error:
+        print(f"live backend unavailable: {error}", file=sys.stderr)
+        return 2
+    except (ConfigurationError, SimulationError) as error:
+        # ConfigurationError: the flags or the spec were invalid up front.
+        # SimulationError: a run refused a scheduled action mid-simulation
+        # (e.g. a rebalance colliding with failure handling that validation
+        # could not foresee).
+        print(f"invalid {args.command}: {error}", file=sys.stderr)
+        return 2

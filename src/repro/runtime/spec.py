@@ -455,7 +455,6 @@ class ScenarioSpec:
         window_size: float = 1.0,
         window_slide: float | None = None,
         n_input_streams: int = 3,
-        incremental: bool | None = None,
         **changes,
     ) -> "ScenarioSpec":
         """Windowed-aggregation exerciser: sliding rollup over the value stream.
@@ -465,8 +464,7 @@ class ScenarioSpec:
         (SUnion -> sliding Aggregate -> seq-stamping Map -> SOutput), so the
         pane-based aggregation path -- including its checkpoint/restore during
         failures -- flows through the standard harness and the client-side
-        consistency ledger.  ``incremental=False`` pins the naive reference
-        path for comparisons.
+        consistency ledger.
         """
         from ..workloads.queries import windowed_rollup_factory
 
@@ -474,9 +472,7 @@ class ScenarioSpec:
             name=changes.pop("name", "windowed-aggregate"),
             chain_depth=1,
             n_input_streams=n_input_streams,
-            diagram_factory=windowed_rollup_factory(
-                size=window_size, slide=window_slide, incremental=incremental
-            ),
+            diagram_factory=windowed_rollup_factory(size=window_size, slide=window_slide),
             **changes,
         )
 

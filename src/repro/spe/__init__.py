@@ -11,7 +11,7 @@ from .tuples import StreamTuple, TupleType
 from .schema import Schema, Field, ANY_SCHEMA
 from .streams import StreamWriter, StreamLog, apply_undo
 from .windows import WindowSpec, PaneAssignment
-from .accumulators import Accumulator, BufferingAccumulator, make_accumulator
+from .accumulators import Accumulator
 from .checkpoint import DiagramCheckpoint, OperatorCheckpoint
 from .query_diagram import QueryDiagram, linear_diagram, Connection, InputBinding, OutputBinding
 from .engine import LocalEngine
@@ -41,8 +41,6 @@ __all__ = [
     "WindowSpec",
     "PaneAssignment",
     "Accumulator",
-    "BufferingAccumulator",
-    "make_accumulator",
     "DiagramCheckpoint",
     "OperatorCheckpoint",
     "QueryDiagram",

@@ -10,19 +10,16 @@ value per overlapping window.  The contract every accumulator honours:
 * ``merge(other)`` -- fold another accumulator's partial in, O(1) for the
   incremental builtins (this is what closing a window does: merge the
   ``ceil(size/slide)`` pane partials in pane order);
-* ``result()`` -- the aggregate value, with the *exact* edge-case semantics
-  of the legacy buffered path (``sum`` of nothing is 0, ``avg`` of nothing
-  is 0.0, ``min``/``max`` of nothing raise like ``min([])``);
+* ``result()`` -- the aggregate value, with the edge-case semantics of the
+  Python builtins (``sum`` of nothing is 0, ``avg`` of nothing is 0.0,
+  ``min``/``max`` of nothing raise like ``min([])``);
 * ``snapshot()`` / ``restore(state)`` -- plain-data round-trip used by the
   operator checkpoint machinery, so crash recovery and live rebalance ship
   O(groups x panes) scalars instead of O(buffered tuples) values.
 
 ``count``/``sum``/``avg``/``min``/``max`` have true incremental forms
-(min/max keep per-pane partials, so no invertibility is needed).  A *custom*
-aggregate callable only sees a finished list of values, so it gets a
-:class:`BufferingAccumulator`; since a buffer merged in pane order can differ
-from arrival order, the Aggregate operator keeps whole-window cells whenever
-any spec is custom (see ``DESIGN.md``, "Window acceleration").
+(min/max keep per-pane partials, so no invertibility is needed); they are
+the only aggregate functions (:data:`INCREMENTAL_ACCUMULATORS`).
 """
 
 from __future__ import annotations
@@ -198,7 +195,7 @@ class MinAccumulator(Accumulator):
 
     def result(self) -> Any:
         if not self.has_value:
-            return min(())  # raises exactly like the legacy min([]) path
+            return min(())  # raises exactly like min([])
         return self.best
 
     def snapshot(self) -> dict:
@@ -250,43 +247,6 @@ class MaxAccumulator(Accumulator):
         self.has_value = bool(state["has_value"])
 
 
-class BufferingAccumulator(Accumulator):
-    """Fallback for custom aggregate callables: buffer, then apply.
-
-    ``merge`` concatenates buffers in merge (pane) order, which can differ
-    from arrival order within a window; order-sensitive callables are why the
-    Aggregate operator routes diagrams with any custom spec through
-    whole-window cells, where values accumulate in arrival order exactly as
-    the legacy implementation buffered them.
-    """
-
-    __slots__ = ("function", "values")
-    kind = "buffer"
-
-    def __init__(self, function: Callable[[Sequence[Any]], Any]) -> None:
-        self.function = function
-        self.values: list[Any] = []
-
-    def add(self, value: Any) -> None:
-        self.values.append(value)
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        self.values.extend(values)
-
-    def merge(self, other: "BufferingAccumulator") -> None:
-        self.values.extend(other.values)
-
-    def result(self) -> Any:
-        return self.function(self.values)
-
-    def snapshot(self) -> dict:
-        return {"kind": self.kind, "values": list(self.values)}
-
-    def restore(self, state: Mapping[str, Any]) -> None:
-        self._check_kind(state)
-        self.values = list(state["values"])
-
-
 #: Builtin aggregate functions with a true incremental accumulator.
 INCREMENTAL_ACCUMULATORS: dict[str, Callable[[], Accumulator]] = {
     "count": CountAccumulator,
@@ -295,18 +255,3 @@ INCREMENTAL_ACCUMULATORS: dict[str, Callable[[], Accumulator]] = {
     "min": MinAccumulator,
     "max": MaxAccumulator,
 }
-
-
-def is_incremental(function_name: str) -> bool:
-    """True when ``function_name`` names a builtin with an O(1) accumulator."""
-    return function_name in INCREMENTAL_ACCUMULATORS
-
-
-def make_accumulator(
-    function_name: str, function: Callable[[Sequence[Any]], Any]
-) -> Accumulator:
-    """Fresh accumulator for one aggregate spec (buffering when custom)."""
-    factory = INCREMENTAL_ACCUMULATORS.get(function_name)
-    if factory is not None:
-        return factory()
-    return BufferingAccumulator(function)

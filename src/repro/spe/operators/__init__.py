@@ -4,7 +4,7 @@ from .base import Operator, StatelessOperator, chain_process
 from .filter import Filter
 from .map import Map
 from .union import Union
-from .aggregate import Aggregate, AggregateSpec, BUILTIN_FUNCTIONS
+from .aggregate import Aggregate, AggregateSpec
 from .join import Join
 from .sunion import SUnion, bucket_index
 from .sjoin import SJoin
@@ -19,7 +19,6 @@ __all__ = [
     "Union",
     "Aggregate",
     "AggregateSpec",
-    "BUILTIN_FUNCTIONS",
     "Join",
     "SUnion",
     "bucket_index",

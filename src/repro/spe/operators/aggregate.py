@@ -11,106 +11,52 @@ boundary stime across its inputs) passes the window's end, which makes the
 output deterministic given the input sequence.  A window's output is labelled
 tentative when any tuple that contributed to it was tentative.
 
-Accumulation is **pane-based** whenever the window spec admits an exact
-gcd decomposition (:class:`~repro.spe.windows.PaneAssignment`) and every
-spec uses an incremental builtin: each tuple updates exactly one
-``(pane, group)`` cell of mergeable accumulators in O(1), and closing a
-window merges its ``size/gcd`` pane partials -- O(groups x panes) state
-instead of the legacy O(tuples x overlap) value buffers.  Custom aggregate
-callables (and undecomposable window specs) fall back to whole-window
-cells keyed by window index, which accumulate in arrival order and
-reproduce the legacy buffered semantics byte for byte.
+Accumulation is **pane-based**: every window spec has an exact gcd
+decomposition (:class:`~repro.spe.windows.PaneAssignment`) and every
+aggregate function has a mergeable accumulator, so each tuple updates
+exactly one ``(pane, group)`` cell and closing a window merges its
+``size/gcd`` pane partials -- O(groups x panes) state instead of
+O(tuples x overlap) value buffers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ...errors import OperatorError
-from ..accumulators import Accumulator, is_incremental, make_accumulator
+from ..accumulators import INCREMENTAL_ACCUMULATORS, Accumulator
 from ..schema import ANY_SCHEMA, Schema
 from ..tuples import TENTATIVE, StreamTuple, TupleBlock
 from ..windows import WindowSpec
 from .base import Operator
 
-#: Signature of a custom aggregate function: list of attribute values -> value.
-AggregateFunction = Callable[[Sequence[Any]], Any]
-
-
-def _count(values: Sequence[Any]) -> int:
-    return len(values)
-
-
-def _sum(values: Sequence[Any]) -> Any:
-    return sum(values)
-
-
-def _avg(values: Sequence[Any]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
-def _min(values: Sequence[Any]) -> Any:
-    return min(values)
-
-
-def _max(values: Sequence[Any]) -> Any:
-    return max(values)
-
-
-BUILTIN_FUNCTIONS: dict[str, AggregateFunction] = {
-    "count": _count,
-    "sum": _sum,
-    "avg": _avg,
-    "min": _min,
-    "max": _max,
-}
-
 
 class AggregateSpec:
     """One output attribute of an Aggregate: ``name = function(attribute)``."""
 
-    def __init__(self, name: str, function: str | AggregateFunction, attribute: str | None = None):
+    def __init__(self, name: str, function: str, attribute: str | None = None):
         self.name = name
         self.attribute = attribute
-        if callable(function):
-            self.function: AggregateFunction = function
-            self.function_name = getattr(function, "__name__", "custom")
-            # A callable -- even one shadowing a builtin name -- has opaque
-            # semantics, so it never qualifies for incremental accumulation.
-            self.incremental = False
-        else:
-            try:
-                self.function = BUILTIN_FUNCTIONS[function]
-            except KeyError as exc:
-                raise OperatorError(
-                    f"unknown aggregate function {function!r}; "
-                    f"expected one of {sorted(BUILTIN_FUNCTIONS)} or a callable"
-                ) from exc
-            self.function_name = function
-            self.incremental = is_incremental(function)
-        if self.function_name != "count" and attribute is None:
-            raise OperatorError(f"aggregate {name!r} ({self.function_name}) needs an attribute")
-
-    def extract(self, values: Mapping[str, Any]) -> Any:
-        """Value this spec accumulates from one input tuple."""
-        if self.attribute is None:
-            return 1
-        return values.get(self.attribute)
+        if function not in INCREMENTAL_ACCUMULATORS:
+            raise OperatorError(
+                f"unknown aggregate function {function!r}; "
+                f"expected one of {sorted(INCREMENTAL_ACCUMULATORS)}"
+            )
+        self.function_name = function
+        self._factory = INCREMENTAL_ACCUMULATORS[function]
+        if function != "count" and attribute is None:
+            raise OperatorError(f"aggregate {name!r} ({function}) needs an attribute")
 
     def make_accumulator(self) -> Accumulator:
-        """Fresh accumulator honouring this spec's function semantics."""
-        if self.incremental:
-            return make_accumulator(self.function_name, self.function)
-        from ..accumulators import BufferingAccumulator
-
-        return BufferingAccumulator(self.function)
+        """Fresh accumulator for this spec's function."""
+        return self._factory()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AggregateSpec({self.name}={self.function_name}({self.attribute}))"
 
 
 class _CellState:
-    """Accumulated contents of one (pane-or-window index, group key) cell."""
+    """Accumulated contents of one (pane index, group key) cell."""
 
     __slots__ = ("accumulators", "count", "has_tentative")
 
@@ -118,13 +64,6 @@ class _CellState:
         self.accumulators = accumulators
         self.count = 0
         self.has_tentative = False
-
-    def add(self, extracted: Sequence[Any], tentative: bool) -> None:
-        for accumulator, value in zip(self.accumulators, extracted):
-            if value is not None:
-                accumulator.add(value)
-        self.count += 1
-        self.has_tentative = self.has_tentative or tentative
 
 
 class Aggregate(Operator):
@@ -148,12 +87,6 @@ class Aggregate(Operator):
         When True and ``group_by`` is empty, windows with no tuples still
         emit a single tuple with count-like aggregates at zero (useful for
         gap detection workloads).
-    incremental:
-        ``None`` (default) selects pane-based accumulation automatically
-        whenever the window decomposes and every spec is an incremental
-        builtin.  ``False`` forces the whole-window reference path (the
-        oracle of ``tests/property/test_pane_aggregation.py``); ``True`` demands
-        the pane path and raises when the spec cannot support it.
     """
 
     def __init__(
@@ -164,7 +97,6 @@ class Aggregate(Operator):
         group_by: Sequence[str] = (),
         output_schema: Schema = ANY_SCHEMA,
         emit_empty_windows: bool = False,
-        incremental: bool | None = None,
     ) -> None:
         super().__init__(name, arity=1, output_schema=output_schema)
         self.window = window
@@ -175,53 +107,19 @@ class Aggregate(Operator):
         #: Distinct accumulated attributes (None = count's constant 1 per row).
         self._attributes = tuple(dict.fromkeys(spec.attribute for spec in self.specs))
         self.emit_empty_windows = emit_empty_windows
-        supported = window.pane is not None and all(spec.incremental for spec in self.specs)
-        if incremental is None:
-            self._pane_mode = supported
-        elif incremental and not supported:
-            reasons = []
-            if window.pane is None:
-                reasons.append("the window spec has no exact pane decomposition")
-            customs = [spec.name for spec in self.specs if not spec.incremental]
-            if customs:
-                reasons.append(f"spec(s) {customs} use custom callables")
-            raise OperatorError(
-                f"aggregate {name!r} cannot run incrementally: {'; '.join(reasons)}"
-            )
-        else:
-            self._pane_mode = bool(incremental)
-        #: (pane index, group key) -> cell in pane mode;
-        #: (window index, group key) -> cell in whole-window mode.
+        #: (pane index, group key) -> cell.
         self._cells: dict[tuple[int, tuple], _CellState] = {}
         self._last_closed_watermark = float("-inf")
 
     # ------------------------------------------------------------------ data path
-    def _group_key(self, values: Mapping[str, Any]) -> tuple:
-        return tuple(values.get(attr) for attr in self.group_by)
-
     def _new_cell(self) -> _CellState:
         return _CellState([spec.make_accumulator() for spec in self.specs])
 
-    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        """Whole-window mode: one cell per window the tuple falls into."""
-        extracted = [spec.extract(item.values) for spec in self.specs]
-        key = self._group_key(item.values)
-        cells = self._cells
-        for index in self.window.window_indices(item.stime):
-            cell = cells.get((index, key))
-            if cell is None:
-                cell = self._new_cell()
-                cells[(index, key)] = cell
-            cell.add(extracted, item.is_tentative)
-        return []
-
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
-        """Pane mode: one bulk fold per ``(pane span, group)`` of the run, read
-        straight from the stime / payload / type columns.  Rows are grouped by
-        key in row order, so cells are created and fed exactly as a row-by-row
-        walk would; whole-window mode stays the one row consumer."""
-        if not self._pane_mode:
-            return super()._process_run(port, run)
+        """One bulk fold per ``(pane span, group)`` of the run, read straight
+        from the stime / payload / type columns.  Rows are grouped by key in
+        row order, so cells are created and fed exactly as a row-by-row walk
+        would."""
         values, codes, group_attrs = run.values, run.codes, self.group_by
         for pane, start, stop in self.window.pane_spans(run.stimes):
             tentative = TENTATIVE in codes[start:stop]
@@ -266,48 +164,38 @@ class Aggregate(Operator):
             previous = max(previous, self._last_closed_watermark)
         window = self.window
         closed: set[int] = set()
-        by_pane: dict[int, dict[tuple, _CellState]] | None = None
-        if self._pane_mode:
-            # Windows derived from live panes: closed by the new watermark and
-            # not emitted at an earlier one (panes are shared across windows,
-            # so emission cannot simply delete the cells that fed it).  The
-            # candidate range spans the live panes; each candidate is kept
-            # only if one of its panes is actually live, so a gap in the pane
-            # population never surfaces as a spurious empty window.
-            threshold = self._last_closed_watermark
-            if self._cells:
-                live_panes = {pane for pane, _key in self._cells}
-                first = window.pane_windows(min(live_panes)).start
-                last = window.pane_windows(max(live_panes)).stop
-                window_end = window.window_end
-                window_panes = window.window_panes
-                for index in range(first, last):
-                    end = window_end(index)
-                    if end <= current and end > threshold and any(
-                        pane in live_panes for pane in window_panes(index)
-                    ):
-                        closed.add(index)
-        else:
-            closed = {
-                index for (index, _key) in self._cells if window.is_closed(index, current)
-            }
+        # Windows derived from live panes: closed by the new watermark and
+        # not emitted at an earlier one (panes are shared across windows, so
+        # emission cannot simply delete the cells that fed it).  The
+        # candidate range spans the live panes; each candidate is kept only
+        # if one of its panes is actually live, so a gap in the pane
+        # population never surfaces as a spurious empty window.
+        threshold = self._last_closed_watermark
+        if self._cells:
+            live_panes = {pane for pane, _key in self._cells}
+            first = window.pane_windows(min(live_panes)).start
+            last = window.pane_windows(max(live_panes)).stop
+            window_end = window.window_end
+            window_panes = window.window_panes
+            for index in range(first, last):
+                end = window_end(index)
+                if end <= current and end > threshold and any(
+                    pane in live_panes for pane in window_panes(index)
+                ):
+                    closed.add(index)
         if self.emit_empty_windows:
             closed.update(window.windows_closed_by(previous, current))
         out: list[StreamTuple] = []
-        if closed and self._pane_mode:
+        if closed:
             # One pane -> cells index shared by every window emitted at this
             # watermark (consecutive closed windows overlap in most panes).
-            by_pane = {}
+            by_pane: dict[int, dict[tuple, _CellState]] = {}
             for (pane, key), cell in self._cells.items():
                 by_pane.setdefault(pane, {})[key] = cell
-        for index in sorted(closed):
-            if self._pane_mode:
-                out.extend(self._emit_window_from_panes(index, by_pane))
-            else:
-                out.extend(self._emit_window_from_cells(index))
+            for index in sorted(closed):
+                out.extend(self._emit_window(index, by_pane))
         self._last_closed_watermark = max(self._last_closed_watermark, current)
-        if self._pane_mode:
-            self._collect_dead_panes(current)
+        self._collect_dead_panes(current)
         return TupleBlock.of(out).segments()
 
     def _collect_dead_panes(self, watermark: float) -> None:
@@ -325,13 +213,12 @@ class Aggregate(Operator):
 
     def _empty_window_tuple(self, index: int, stime: float) -> StreamTuple:
         values = {
-            spec.name: spec.function([]) if spec.function_name == "count" else None
-            for spec in self.specs
+            spec.name: 0 if spec.function_name == "count" else None for spec in self.specs
         }
         values["window_start"] = self.window.window_start(index)
         return self._emit(stime, values, tentative=False)
 
-    def _emit_window_from_panes(
+    def _emit_window(
         self, index: int, by_pane: dict[int, dict[tuple, _CellState]]
     ) -> list[StreamTuple]:
         window = self.window
@@ -364,29 +251,9 @@ class Aggregate(Operator):
             out.append(self._emit(stime, values, tentative=tentative))
         return out
 
-    def _emit_window_from_cells(self, index: int) -> list[StreamTuple]:
-        window = self.window
-        stime = window.window_end(index)
-        cells = {key: cell for (win, key), cell in self._cells.items() if win == index}
-        out: list[StreamTuple] = []
-        if not cells and self.emit_empty_windows and not self.group_by:
-            out.append(self._empty_window_tuple(index, stime))
-        for key in sorted(cells, key=repr):
-            cell = cells[key]
-            values: dict[str, Any] = dict(zip(self.group_by, key))
-            values["window_start"] = window.window_start(index)
-            for spec, accumulator in zip(self.specs, cell.accumulators):
-                values[spec.name] = accumulator.result()
-            out.append(self._emit(stime, values, tentative=cell.has_tentative))
-        # Whole-window cells are exclusive to this window: drop them now.
-        for key in cells:
-            del self._cells[(index, key)]
-        return out
-
     # ------------------------------------------------------------------ checkpointing
     def _checkpoint_state(self) -> dict:
         return {
-            "format": "pane" if self._pane_mode else "window",
             "cells": [
                 {
                     "index": index,
@@ -403,13 +270,6 @@ class Aggregate(Operator):
         }
 
     def _restore_state(self, state: Mapping[str, Any]) -> None:
-        expected = "pane" if self._pane_mode else "window"
-        recorded = state.get("format", expected)
-        if recorded != expected:
-            raise OperatorError(
-                f"aggregate {self.name!r} runs in {expected!r} mode but the "
-                f"checkpoint was taken in {recorded!r} mode"
-            )
         cells: dict[tuple[int, tuple], _CellState] = {}
         for entry in state.get("cells", ()):
             cell = self._new_cell()
@@ -423,15 +283,10 @@ class Aggregate(Operator):
 
     # ------------------------------------------------------------------ introspection
     @property
-    def pane_mode(self) -> bool:
-        """True when accumulation is per (pane, group) cell."""
-        return self._pane_mode
-
-    @property
     def open_cell_count(self) -> int:
-        """Number of (pane-or-window, group) cells currently held in memory.
+        """Number of (pane, group) cells currently held in memory.
 
-        In pane mode this is the quantity bounded by O(groups x panes);
+        This is the quantity bounded by O(groups x panes);
         ``tests/spe/test_aggregate.py`` asserts the bound through this counter.
         """
         return len(self._cells)

@@ -241,31 +241,15 @@ class Operator:
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
         """Process one run of data rows (no control rows); returns output runs.
 
-        Operators with a column strategy override this; the default builds
-        the rows and hands them to :meth:`_process_data` one at a time.
+        Every operator implements this once, on the run's columns.
         """
-        out: list[StreamTuple] = []
-        for item in run:
-            out.extend(self._process_data(port, item))
-        return TupleBlock.of(out).segments()
-
-    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} {self.name!r} does not process data runs")
 
     def _emit(self, stime: float, values: Mapping[str, Any], tentative: bool) -> StreamTuple:
-        """Create an output data tuple with the correct stability label.
-
-        ``values`` is copied; use :meth:`_forward` when relabeling the payload
-        of an existing tuple (already frozen by convention, so no copy is
-        needed).
-        """
+        """Create an output data tuple with the correct stability label; ``values`` is copied."""
         if tentative:
             return self.writer.tentative(stime, values)
         return self.writer.insertion(stime, values)
-
-    def _forward(self, item: StreamTuple, tentative: bool) -> StreamTuple:
-        """Re-emit ``item``'s payload on this operator's output, sharing the mapping."""
-        return StreamTuple.data(self.writer.take(1)[0], item.stime, item.values, not tentative)
 
     # ------------------------------------------------------------------ checkpointing
     def checkpoint_state(self) -> dict:

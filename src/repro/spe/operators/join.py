@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping
 
 from ...errors import OperatorError
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import StreamTuple
+from ..tuples import StreamTuple, TupleBlock
 from .base import Operator
 
 JoinPredicate = Callable[[Mapping[str, Any], Mapping[str, Any]], bool]
@@ -72,26 +72,28 @@ class Join(Operator):
         self._buffers: list[list[StreamTuple]] = [[], []]
 
     # ------------------------------------------------------------------ data path
-    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        other_port = 1 - port
+    def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
+        """Row by row: each row probes the other side's buffer, then joins its own."""
+        own, partners = self._buffers[port], self._buffers[1 - port]
         out: list[StreamTuple] = []
-        for partner in self._buffers[other_port]:
-            if abs(partner.stime - item.stime) > self.window:
-                continue
-            left, right = (item, partner) if port == 0 else (partner, item)
-            if not self.predicate(left.values, right.values):
-                continue
-            values: dict[str, Any] = {}
-            for key, value in left.values.items():
-                values[self.left_prefix + key] = value
-            for key, value in right.values.items():
-                values[self.right_prefix + key] = value
-            tentative = item.is_tentative or partner.is_tentative
-            out.append(self._emit(max(left.stime, right.stime), values, tentative=tentative))
-        self._buffers[port].append(item)
-        if self.state_size is not None and len(self._buffers[port]) > self.state_size:
-            del self._buffers[port][0: len(self._buffers[port]) - self.state_size]
-        return out
+        for item in run:
+            for partner in partners:
+                if abs(partner.stime - item.stime) > self.window:
+                    continue
+                left, right = (item, partner) if port == 0 else (partner, item)
+                if not self.predicate(left.values, right.values):
+                    continue
+                values: dict[str, Any] = {}
+                for key, value in left.values.items():
+                    values[self.left_prefix + key] = value
+                for key, value in right.values.items():
+                    values[self.right_prefix + key] = value
+                tentative = item.is_tentative or partner.is_tentative
+                out.append(self._emit(max(left.stime, right.stime), values, tentative=tentative))
+            own.append(item)
+            if self.state_size is not None and len(own) > self.state_size:
+                del own[0: len(own) - self.state_size]
+        return TupleBlock.of(out).segments()
 
     def _on_watermark(self, previous: float, current: float) -> list:
         # A buffered tuple with stime + window < watermark can never match a

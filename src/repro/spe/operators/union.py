@@ -10,7 +10,7 @@ against a standard Union with no boundary tuples).
 from __future__ import annotations
 
 from ..schema import ANY_SCHEMA, Schema
-from ..tuples import StreamTuple
+from ..tuples import TupleBlock
 from .base import Operator
 
 
@@ -25,5 +25,5 @@ class Union(Operator):
     def __init__(self, name: str, arity: int = 2, output_schema: Schema = ANY_SCHEMA) -> None:
         super().__init__(name, arity=arity, output_schema=output_schema)
 
-    def _process_data(self, port: int, item: StreamTuple) -> list[StreamTuple]:
-        return [self._forward(item, tentative=item.is_tentative)]
+    def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
+        return [run.relabeled(self.writer.take(len(run)))]

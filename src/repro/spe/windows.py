@@ -20,7 +20,7 @@ from ..errors import ConfigurationError
 #: Upper bound on panes per window for a usable pane decomposition.  Window
 #: specs whose size/slide ratio is pathological once expressed exactly (e.g.
 #: ``(0.3, 0.1)``: both are *inexact* binary floats whose true gcd is ~2**-55,
-#: giving astronomically many panes) fall back to per-window accumulation.
+#: giving astronomically many panes) are refused with a ``ConfigurationError``.
 MAX_PANES_PER_WINDOW = 4096
 
 
@@ -90,9 +90,10 @@ class WindowSpec:
         Alignment origin; window starts are ``origin + k * slide``.
 
     The derived attribute ``pane`` holds the :class:`PaneAssignment` slicing
-    the spec into gcd-sized panes (None when no float-exact decomposition
-    exists); it is computed once at construction and is not a dataclass
-    field, so equality and hashing still compare only the three spec values.
+    the spec into gcd-sized panes; it is computed once at construction and is
+    not a dataclass field, so equality and hashing still compare only the
+    three spec values.  A spec with no float-exact decomposition raises
+    ``ConfigurationError``.
     """
 
     size: float
@@ -106,9 +107,14 @@ class WindowSpec:
         if slide <= 0:
             raise ConfigurationError(f"window slide must be positive, got {slide}")
         object.__setattr__(self, "slide", slide)
-        # Derived (not a dataclass field): the pane decomposition, or None
-        # when size/slide admit no float-exact gcd slicing.
-        object.__setattr__(self, "pane", _pane_assignment(self.size, slide))
+        pane = _pane_assignment(self.size, slide)
+        if pane is None:
+            raise ConfigurationError(
+                f"window (size={self.size}, slide={slide}) has no exact pane "
+                f"decomposition within {MAX_PANES_PER_WINDOW} panes per window"
+            )
+        # Derived (not a dataclass field): the pane decomposition.
+        object.__setattr__(self, "pane", pane)
 
     @classmethod
     def tumbling(cls, size: float, origin: float = 0.0) -> "WindowSpec":
@@ -121,53 +127,26 @@ class WindowSpec:
         return cls(size=size, slide=slide, origin=origin)
 
     # ------------------------------------------------------------------ queries
-    def first_window_index(self, stime: float) -> int:
-        """Index of the earliest window containing ``stime``."""
-        # Window k spans [origin + k*slide, origin + k*slide + size).
-        span = int(math.ceil(self.size / self.slide)) - 1
-        return self.last_window_index(stime) - span
-
-    def last_window_index(self, stime: float) -> int:
-        """Index of the latest window whose span starts at or before ``stime``."""
-        index = int(math.floor((stime - self.origin) / self.slide))
-        # floor() of a quotient that rounded toward zero (e.g. a subnormal
-        # negative stime underflowing to -0.0) can overestimate by one: step
-        # back until the window actually starts at or before stime.
-        while self.window_start(index) > stime:
-            index -= 1
-        return index
-
     def window_indices(self, stime: float) -> range:
         """All window indices whose span contains ``stime``."""
-        if self.pane is not None:
-            return self.pane_windows(self.pane_index(stime))
-        first = self.first_window_index(stime)
-        last = self.last_window_index(stime)
-        # Filter out windows that start after stime (can happen at exact edges).
-        while first <= last and not self.contains(first, stime):
-            first += 1
-        return range(first, last + 1)
+        return self.pane_windows(self.pane_index(stime))
 
     def window_start(self, index: int) -> float:
         return self.origin + index * self.slide
 
     def window_end(self, index: int) -> float:
-        """Exclusive end of window ``index``.
+        """Exclusive end of window ``index``, on the pane grid.
 
-        With a pane decomposition the end is computed on the pane grid
-        (``origin + (k*a + b) * pane``), which is the same real number as
-        ``start + size`` but not always the same *float*; using the pane
-        grid everywhere makes per-window and per-pane accumulation close
-        windows at byte-identical stimes.
+        ``origin + (k*a + b) * pane`` is the same real number as
+        ``start + size`` but not always the same *float*; computing it on the
+        pane grid makes a window close exactly at the edge of its last pane.
         """
         pane = self.pane
-        if pane is not None:
-            return self.origin + (index * pane.per_slide + pane.per_window) * pane.size
-        return self.window_start(index) + self.size
+        return self.origin + (index * pane.per_slide + pane.per_window) * pane.size
 
     # ------------------------------------------------------------------ panes
     def pane_start(self, pane_index: int) -> float:
-        """Inclusive start of pane ``pane_index`` (requires a decomposition)."""
+        """Inclusive start of pane ``pane_index``."""
         return self.origin + pane_index * self.pane.size
 
     def pane_index(self, stime: float) -> int:

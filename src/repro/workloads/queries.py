@@ -222,7 +222,6 @@ def windowed_rollup_diagram(
     bucket_size: float = 0.1,
     size: float = 1.0,
     slide: float | None = None,
-    incremental: bool | None = None,
 ) -> QueryDiagram:
     """Sliding-window rollup over ``value`` with a ledger-friendly output.
 
@@ -232,9 +231,7 @@ def windowed_rollup_diagram(
     Map stamps each result with ``seq = round(window_start / slide)``.  The
     window index is monotone and gap-free while sources keep producing, so
     the client-side consistency ledger can verify the output stream the same
-    way it verifies the plain forwarding scenarios.  ``incremental`` is
-    passed through to :class:`Aggregate` (None selects the pane path when
-    the spec supports it; False pins the naive reference path).
+    way it verifies the plain forwarding scenarios.
     """
     effective_slide = slide if slide is not None else size
     diagram = QueryDiagram(name=name)
@@ -248,7 +245,6 @@ def windowed_rollup_diagram(
             AggregateSpec("lo", "min", "value"),
             AggregateSpec("hi", "max", "value"),
         ],
-        incremental=incremental,
     )
 
     def stamp(values):
@@ -275,7 +271,6 @@ def windowed_rollup_factory(
     bucket_size: float = 0.1,
     size: float = 1.0,
     slide: float | None = None,
-    incremental: bool | None = None,
 ) -> DiagramFactory:
     """A cluster-builder factory for :func:`windowed_rollup_diagram`."""
 
@@ -287,7 +282,6 @@ def windowed_rollup_factory(
             bucket_size=bucket_size,
             size=size,
             slide=slide,
-            incremental=incremental,
         )
 
     return factory

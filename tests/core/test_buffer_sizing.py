@@ -56,9 +56,9 @@ class HistoryOperator(Operator):
         super().__init__(name, arity=1)
         self._seen: list[StreamTuple] = []
 
-    def _process_data(self, port, item):
-        self._seen.append(item)
-        return [self._emit(item.stime, item.values, tentative=item.is_tentative)]
+    def _process_run(self, port, run):
+        self._seen.extend(run)
+        return [run.relabeled(self.writer.take(len(run)))]
 
     def _checkpoint_state(self):
         return {"seen": list(self._seen)}

@@ -21,7 +21,17 @@ from repro.core.protocol import SubscribeRequest
 from repro.deploy.filters import SubscriptionFilter
 from repro.errors import BufferOverflowError, BufferTruncatedError
 from repro.spe.engine import LocalEngine
-from repro.spe.operators import Aggregate, AggregateSpec, Filter, Map, SJoin, SOutput, SUnion
+from repro.spe.operators import (
+    Aggregate,
+    AggregateSpec,
+    Filter,
+    Join,
+    Map,
+    SJoin,
+    SOutput,
+    SUnion,
+    Union,
+)
 from repro.spe.query_diagram import QueryDiagram
 from repro.spe.tuple_codec import decode_tuples, encode_tuples
 from repro.spe.tuples import BOUNDARY, StreamTuple, TupleBlock, TupleType
@@ -114,10 +124,15 @@ def test_stateless_and_join_operators(data):
     assert_same_operator(lambda: Filter("f", lambda v: v["seq"] % 3 != 0), rows, blocks)
     assert_same_operator(lambda: Map("m", lambda v: {**v, "twice": v["seq"] * 2}), rows, blocks)
     assert_same_operator(lambda: SJoin("j", window=0.2, state_size=5), rows, blocks)
+    ports = data.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+    port_by_id = {row.tuple_id: port for row, port in zip(rows, ports)}
     assert_same_operator(
-        lambda: SJoin("jm", window=0.2, state_size=5, emit_matches=True,
-                      predicate=lambda old, new: old["seq"] % 2 == new["seq"] % 2),
-        rows, blocks,
+        lambda: Union("u", arity=3), rows, blocks, port_of=lambda row: port_by_id[row.tuple_id]
+    )
+    assert_same_operator(
+        lambda: Join("jm", window=0.2, state_size=5,
+                     predicate=lambda left, right: left["seq"] % 2 == right["seq"] % 2),
+        rows, blocks, port_of=lambda row: port_by_id[row.tuple_id] % 2,
     )
     assert_same_operator(
         lambda: Aggregate(
@@ -168,7 +183,6 @@ def test_grouped_pane_aggregate_over_unsorted_runs(data):
             lambda: Aggregate("a", WindowSpec.sliding(size=0.5, slide=0.125), specs, group_by=group_by),
             rows, blocks,
         )
-        assert by_block.pane_mode
         # Equal is not enough where 1 == 1.0 == True: the kept objects must match too.
         assert repr(by_block.checkpoint_state()) == repr(by_row.checkpoint_state())
         closing = StreamTuple.boundary(10_000, 100.0)

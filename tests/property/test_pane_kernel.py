@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.spe.accumulators import (
     AvgAccumulator,
-    BufferingAccumulator,
     CountAccumulator,
     MaxAccumulator,
     MinAccumulator,
@@ -33,7 +32,6 @@ FACTORIES = [
     AvgAccumulator,
     MinAccumulator,
     MaxAccumulator,
-    lambda: BufferingAccumulator(list),
 ]
 
 #: ``1``, ``1.0`` and ``True`` compare equal, so a tie shows which one was kept.

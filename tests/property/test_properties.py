@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.states import NodeState
 from repro.core.switching import choose_upstream
+from repro.errors import ConfigurationError
 from repro.spe.operators import SUnion
 from repro.spe.streams import StreamLog, apply_undo
 from repro.spe.tuples import StreamTuple
@@ -81,12 +83,12 @@ def test_sunion_never_emits_before_watermark(stimes, bucket_size):
 
 
 # --------------------------------------------------------------------------- windows
+#: Window spans in [0.5, 50] on a 1/8 grid: every pair decomposes into panes.
+EIGHTHS = st.integers(min_value=4, max_value=400).map(lambda n: n / 8)
+
+
 @COMMON
-@given(
-    st.floats(min_value=0.5, max_value=50.0),
-    st.floats(min_value=0.5, max_value=50.0),
-    st.floats(min_value=-100.0, max_value=100.0),
-)
+@given(EIGHTHS, EIGHTHS, st.floats(min_value=-100.0, max_value=100.0))
 def test_window_indices_always_contain_stime(size, slide, stime):
     spec = WindowSpec(size=size, slide=min(slide, size), origin=0.0)
     indices = list(spec.window_indices(stime))
@@ -96,6 +98,20 @@ def test_window_indices_always_contain_stime(size, slide, stime):
     for index in indices:
         assert spec.window_start(index) <= stime + epsilon
         assert stime < spec.window_end(index) + epsilon
+
+
+@COMMON
+@given(
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=3, max_value=10**6).filter(lambda n: n & (n - 1)),
+)
+def test_undecomposable_windows_are_refused(size, denominator):
+    # 1/n is an inexact binary float unless n is a power of two: its exact gcd
+    # with an integer size is below 2**-50, far past MAX_PANES_PER_WINDOW panes.
+    with pytest.raises(ConfigurationError, match="no exact pane decomposition"):
+        WindowSpec.sliding(size=0.3, slide=0.1)
+    with pytest.raises(ConfigurationError, match="no exact pane decomposition"):
+        WindowSpec.sliding(size=float(size), slide=1.0 / denominator)
 
 
 @COMMON

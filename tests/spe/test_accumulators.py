@@ -4,22 +4,23 @@ import pytest
 
 from repro.errors import OperatorError
 from repro.spe.accumulators import (
+    INCREMENTAL_ACCUMULATORS,
     AvgAccumulator,
-    BufferingAccumulator,
     CountAccumulator,
     MaxAccumulator,
     MinAccumulator,
     SumAccumulator,
-    is_incremental,
-    make_accumulator,
 )
 
 
 def test_registry_covers_exactly_the_builtins():
-    assert all(is_incremental(name) for name in ("count", "sum", "avg", "min", "max"))
-    assert not is_incremental("median")
-    assert isinstance(make_accumulator("sum", sum), SumAccumulator)
-    assert isinstance(make_accumulator("median", lambda vs: vs[0]), BufferingAccumulator)
+    assert INCREMENTAL_ACCUMULATORS == {
+        "count": CountAccumulator,
+        "sum": SumAccumulator,
+        "avg": AvgAccumulator,
+        "min": MinAccumulator,
+        "max": MaxAccumulator,
+    }
 
 
 @pytest.mark.parametrize(
@@ -68,16 +69,6 @@ def test_min_max_merge_skips_empty_partials():
     assert acc.result() == 4
 
 
-def test_buffering_accumulator_applies_the_callable():
-    acc = BufferingAccumulator(lambda vs: max(vs) - min(vs))
-    for value in (5, 9, 7):
-        acc.add(value)
-    other = BufferingAccumulator(lambda vs: 0)
-    other.add(1)
-    acc.merge(other)
-    assert acc.result() == 8
-
-
 def test_snapshot_restore_round_trip():
     for factory in (CountAccumulator, SumAccumulator, AvgAccumulator, MinAccumulator, MaxAccumulator):
         acc = factory()
@@ -86,11 +77,6 @@ def test_snapshot_restore_round_trip():
         restored = factory()
         restored.restore(acc.snapshot())
         assert restored.result() == acc.result()
-    buffering = BufferingAccumulator(sum)
-    buffering.add(2)
-    restored = BufferingAccumulator(sum)
-    restored.restore(buffering.snapshot())
-    assert restored.result() == 2
 
 
 def test_restore_rejects_kind_mismatch():

@@ -1,11 +1,23 @@
 """Unit tests for the windowed Aggregate operator."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.errors import OperatorError
 from repro.spe.operators import Aggregate, AggregateSpec
 from repro.spe.tuples import StreamTuple
 from repro.spe.windows import WindowSpec
+
+_ORACLE = importlib.util.spec_from_file_location(
+    "pane_aggregation_oracle",
+    Path(__file__).resolve().parents[1] / "property" / "test_pane_aggregation.py",
+)
+_oracle = importlib.util.module_from_spec(_ORACLE)
+_ORACLE.loader.exec_module(_oracle)
+#: The property tests' recompute-every-window oracle.
+naive_recompute = _oracle.naive_recompute
 
 
 def feed(op, values, tentative=False):
@@ -81,15 +93,12 @@ def test_sliding_window_counts_tuples_in_overlapping_windows():
     assert all(t.values["n"] == 1 for t in out)
 
 
-def test_custom_aggregate_function():
-    op = Aggregate(
-        "a",
-        WindowSpec.tumbling(10.0),
-        aggregates=[AggregateSpec("spread", lambda vs: max(vs) - min(vs), "v")],
-    )
-    feed(op, [(1.0, {"v": 5}), (2.0, {"v": 9})])
-    out = [t for t in op.process(0, StreamTuple.boundary(9, 10.0)) if t.is_data]
-    assert out[0].values["spread"] == 4
+def test_aggregate_functions_are_the_incremental_builtins():
+    # A callable -- even the builtin a name stands for -- is refused, naming
+    # the functions that are accepted.
+    for function in (lambda vs: max(vs) - min(vs), sum, "median"):
+        with pytest.raises(OperatorError, match=r"\['avg', 'count', 'max', 'min', 'sum'\]"):
+            AggregateSpec("x", function, "v")
 
 
 def test_checkpoint_restore_preserves_open_windows():
@@ -113,70 +122,15 @@ def test_determinism_same_input_same_output():
     assert run() == run()
 
 
-def test_pane_mode_selected_for_builtin_specs_only():
-    pane_op = Aggregate("a", WindowSpec.sliding(10.0, 5.0), aggregates=[("n", "count", None)])
-    assert pane_op.pane_mode
-    custom = Aggregate(
-        "a",
-        WindowSpec.sliding(10.0, 5.0),
-        aggregates=[AggregateSpec("spread", lambda vs: max(vs) - min(vs), "v")],
-    )
-    assert not custom.pane_mode
-    # A callable shadowing a builtin's name must not get incremental treatment.
-    shadowing = Aggregate(
-        "a", WindowSpec.tumbling(10.0), aggregates=[AggregateSpec("total", sum, "v")]
-    )
-    assert not shadowing.pane_mode
-    undecomposable = Aggregate(
-        "a", WindowSpec.sliding(0.3, 0.1), aggregates=[("n", "count", None)]
-    )
-    assert not undecomposable.pane_mode
-
-
-def test_forcing_incremental_on_unsupported_specs_raises():
-    with pytest.raises(OperatorError):
-        Aggregate(
-            "a",
-            WindowSpec.sliding(0.3, 0.1),
-            aggregates=[("n", "count", None)],
-            incremental=True,
-        )
-    with pytest.raises(OperatorError):
-        Aggregate(
-            "a",
-            WindowSpec.tumbling(10.0),
-            aggregates=[AggregateSpec("spread", lambda vs: max(vs) - min(vs), "v")],
-            incremental=True,
-        )
-
-
-def test_naive_reference_path_can_be_forced():
-    op = Aggregate(
-        "a",
-        WindowSpec.sliding(10.0, 5.0),
-        aggregates=[("n", "count", None)],
-        incremental=False,
-    )
-    assert not op.pane_mode
-    feed(op, [(6.0, {"v": 1})])
-    out = [t for t in op.process(0, StreamTuple.boundary(9, 30.0)) if t.is_data]
-    assert len(out) == 2
-
-
-def test_pane_and_naive_paths_agree_on_a_sliding_window():
-    def run(incremental):
-        op = Aggregate(
-            "a",
-            WindowSpec.sliding(6.0, 2.0),
-            aggregates=[("n", "count", None), ("total", "sum", "v"), ("lo", "min", "v")],
-            group_by=("g",),
-            incremental=incremental,
-        )
-        out = feed(op, [(i * 0.5, {"v": i, "g": i % 3}) for i in range(30)])
-        out += op.process(0, StreamTuple.boundary(99, 50.0))
-        return [(t.stime, tuple(sorted(t.values.items()))) for t in out if t.is_data]
-
-    assert run(None) == run(False)
+def test_pane_path_matches_naive_recompute_on_a_sliding_window():
+    window = WindowSpec.sliding(6.0, 2.0)
+    aggregates = [("n", "count", None), ("total", "sum", "v"), ("lo", "min", "v")]
+    op = Aggregate("a", window, aggregates=aggregates, group_by=("g",))
+    items = [StreamTuple.insertion(i, i * 0.5, {"v": i, "g": i % 3}) for i in range(30)]
+    out = op.process_batch(0, [*items, StreamTuple.boundary(99, 50.0)])
+    expected = naive_recompute(window, aggregates, items, ("g",), watermark=50.0)
+    assert expected
+    assert [(t.stime, t.tuple_type, t.values) for t in out if t.is_data] == expected
 
 
 def test_grouped_empty_windows_emit_nothing_even_with_emit_empty_windows():
@@ -229,16 +183,6 @@ def test_checkpoint_round_trip_is_byte_identical_mid_stream():
     resumed = feed(op, tail)
     resumed += op.process(0, StreamTuple.boundary(99, 50.0))
     assert canonical(resumed) == canonical(expected)
-
-
-def test_restore_rejects_checkpoints_from_the_other_mode():
-    pane_op = Aggregate("a", WindowSpec.tumbling(10.0), aggregates=[("n", "count", None)])
-    naive_op = Aggregate(
-        "a", WindowSpec.tumbling(10.0), aggregates=[("n", "count", None)], incremental=False
-    )
-    feed(pane_op, [(1.0, {"v": 1})])
-    with pytest.raises(OperatorError):
-        naive_op.restore(pane_op.checkpoint())
 
 
 def test_pane_state_is_bounded_by_groups_times_panes():

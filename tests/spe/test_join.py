@@ -78,20 +78,6 @@ def test_sjoin_state_size_bound():
     assert op.buffered_tuples == 3
 
 
-def test_sjoin_emit_matches_mode():
-    op = SJoin(
-        "sj",
-        window=1.0,
-        state_size=10,
-        emit_matches=True,
-        predicate=lambda old, new: old["key"] == new["key"],
-    )
-    op.process(0, StreamTuple.insertion(0, 0.0, {"key": "x", "seq": 0}))
-    out = op.process(0, StreamTuple.insertion(1, 0.5, {"key": "x", "seq": 1}))
-    assert len(out) == 1
-    assert out[0].values["old_seq"] == 0 and out[0].values["new_seq"] == 1
-
-
 def test_sjoin_checkpoint_restore_and_tentative():
     op = SJoin("sj", state_size=5)
     op.process(0, StreamTuple.insertion(0, 0.0, {"seq": 0}))

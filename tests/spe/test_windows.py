@@ -64,12 +64,6 @@ def test_pane_assignment_is_the_exact_gcd():
     assert WindowSpec.tumbling(5.0).pane == PaneAssignment(size=5.0, per_slide=1, per_window=1)
 
 
-def test_inexact_binary_pairs_have_no_pane_assignment():
-    # 0.3 and 0.1 are inexact binary floats whose true gcd is astronomically
-    # small: the spec must fall back to whole-window accumulation.
-    assert WindowSpec.sliding(size=0.3, slide=0.1).pane is None
-
-
 def test_pane_attribute_does_not_affect_equality_or_hashing():
     a = WindowSpec.sliding(size=10.0, slide=5.0)
     b = WindowSpec.sliding(size=10.0, slide=5.0)

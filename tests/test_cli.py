@@ -207,6 +207,26 @@ def test_scenario_rejects_zero_streams(capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["scenario", "--rate", "0"], "rate"),
+        (["profile", "aggregate", "--window-size", "-1", "--duration", "1"],
+         "window size must be positive"),
+        (["profile", "aggregate", "--window-size", "0.3", "--window-slide", "0.1",
+          "--duration", "1"], "no exact pane decomposition"),
+        (["plan-delays", "--depth", "0"], "chain depth"),
+    ],
+    ids=["scenario-rate", "profile-window-size", "profile-undecomposable", "plan-delays-depth"],
+)
+def test_bad_flags_exit_2_with_one_line_and_no_traceback(capsys, argv, reason):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"invalid {argv[0]}: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 # --------------------------------------------------------------------------- sharded topology
 def test_scenario_shard_topology(capsys):
     code = cli.main(

@@ -1,4 +1,4 @@
-"""No module under ``src/`` grows past 700 lines (ROADMAP item 10's bound)."""
+"""No module under ``src/`` grows past 700 lines (ROADMAP item 12's bound)."""
 
 from pathlib import Path
 

@@ -1,5 +1,8 @@
 """Tests for the pre-built application query diagrams."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.spe.engine import LocalEngine
@@ -12,6 +15,15 @@ from repro.workloads.queries import (
     traffic_rollup_diagram,
     traffic_rollup_factory,
 )
+
+_ORACLE = importlib.util.spec_from_file_location(
+    "pane_aggregation_oracle",
+    Path(__file__).resolve().parents[1] / "property" / "test_pane_aggregation.py",
+)
+_oracle = importlib.util.module_from_spec(_ORACLE)
+_ORACLE.loader.exec_module(_oracle)
+#: The property tests' recompute-every-window oracle.
+naive_recompute = _oracle.naive_recompute
 
 
 def push_with_boundaries(engine, stream, tuples, boundary_stime):
@@ -178,19 +190,23 @@ def test_windowed_rollup_stamps_gap_free_window_sequence():
     assert checked.values["hi"] - checked.values["lo"] == 9.0
 
 
-def test_windowed_rollup_pane_and_naive_paths_agree():
+def test_windowed_rollup_matches_naive_recompute():
     from repro.workloads.queries import windowed_rollup_diagram
 
-    def run(incremental):
-        diagram = windowed_rollup_diagram(
-            "n1", ["s1"], "out", size=1.0, slide=0.25, incremental=incremental
-        )
-        engine = LocalEngine(diagram)
-        tuples = [
-            StreamTuple.insertion(i, i * 0.07, {"seq": i, "value": float(i)})
-            for i in range(60)
-        ]
-        out = push_with_boundaries(engine, "s1", tuples, boundary_stime=20.0)["out"]
-        return [(t.stime, tuple(sorted(t.values.items()))) for t in out if t.is_data]
-
-    assert run(None) == run(False)
+    diagram = windowed_rollup_diagram("n1", ["s1"], "out", size=1.0, slide=0.25)
+    engine = LocalEngine(diagram)
+    tuples = [
+        StreamTuple.insertion(i, i * 0.07, {"seq": i, "value": float(i)}) for i in range(60)
+    ]
+    out = push_with_boundaries(engine, "s1", tuples, boundary_stime=20.0)["out"]
+    rollup = diagram.operator("n1.rollup")
+    expected = naive_recompute(
+        rollup.window,
+        [(spec.name, spec.function_name, spec.attribute) for spec in rollup.specs],
+        tuples,
+        watermark=20.0,
+    )
+    assert expected
+    for _stime, _type, values in expected:
+        values["seq"] = round(values["window_start"] / 0.25)
+    assert [(t.stime, t.tuple_type, t.values) for t in out if t.is_data] == expected
