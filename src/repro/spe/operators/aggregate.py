@@ -273,6 +273,11 @@ class Aggregate(Operator):
         cells: dict[tuple[int, tuple], _CellState] = {}
         for entry in state.get("cells", ()):
             cell = self._new_cell()
+            if len(entry["accumulators"]) != len(cell.accumulators):
+                raise OperatorError(
+                    f"aggregate {self.name!r} has {len(cell.accumulators)} aggregate specs "
+                    f"but the checkpoint holds {len(entry['accumulators'])} per cell"
+                )
             for accumulator, snapshot in zip(cell.accumulators, entry["accumulators"]):
                 accumulator.restore(snapshot)
             cell.count = int(entry["count"])

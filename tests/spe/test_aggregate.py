@@ -185,6 +185,28 @@ def test_checkpoint_round_trip_is_byte_identical_mid_stream():
     assert canonical(resumed) == canonical(expected)
 
 
+def test_restore_rejects_checkpoints_of_another_spec_list():
+    def make(aggregates):
+        return Aggregate("a", WindowSpec.tumbling(10.0), aggregates=aggregates)
+
+    two = make([("n", "count", None), ("total", "sum", "v")])
+    feed(two, [(1.0, {"v": 1})])
+    for aggregates in (
+        [("n", "count", None)],
+        [("n", "count", None), ("total", "sum", "v"), ("hi", "max", "v")],
+    ):
+        with pytest.raises(OperatorError, match="aggregate specs"):
+            make(aggregates).restore(two.checkpoint())
+
+
+def test_restore_rejects_checkpoints_of_another_function():
+    total = Aggregate("a", WindowSpec.tumbling(10.0), aggregates=[("x", "sum", "v")])
+    feed(total, [(1.0, {"v": 1})])
+    highest = Aggregate("a", WindowSpec.tumbling(10.0), aggregates=[("x", "max", "v")])
+    with pytest.raises(OperatorError, match="cannot restore 'sum' snapshot"):
+        highest.restore(total.checkpoint())
+
+
 def test_pane_state_is_bounded_by_groups_times_panes():
     op = Aggregate(
         "a",

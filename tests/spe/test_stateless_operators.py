@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import OperatorError
 from repro.spe.operators import Filter, Map, Union, chain_process
+from repro.spe.operators.base import Operator
 from repro.spe.tuples import StreamTuple, TupleType
 
 
@@ -59,6 +60,16 @@ def test_union_forwards_each_tuples_label():
     assert out[0].is_tentative
     out = op.process(1, StreamTuple.insertion(0, 0.1, {"seq": 1}))
     assert out[0].is_stable
+
+
+def test_operator_without_a_run_strategy_refuses_data():
+    # The base class has no per-row fallback: a data run reaching an operator
+    # that does not implement _process_run is an error naming the operator.
+    op = Operator("bare", arity=1)
+    with pytest.raises(NotImplementedError, match="Operator 'bare' does not process data runs"):
+        op.process(0, StreamTuple.insertion(0, 0.0, {"seq": 0}))
+    # Control tuples still flow through the base class.
+    assert [t.is_boundary for t in op.process(0, StreamTuple.boundary(1, 1.0))] == [True]
 
 
 def test_boundary_forwarding_uses_minimum_across_ports():
