@@ -3,28 +3,30 @@
 ``python -m repro`` exposes the experiment registry
 (:mod:`repro.analysis.registry`) so every table and figure of the paper can be
 regenerated (exported as text, Markdown, or CSV) and checked against the
-paper's claims without writing any code::
+paper's claims without writing any code, and runs, profiles or plans any entry
+of the scenario catalogue (:mod:`repro.workloads.catalogue`) at a point of its
+builder's keywords::
 
     python -m repro list
     python -m repro run table3
     python -m repro report --output report.md
     python -m repro run fig16 --scale quick --format markdown
     python -m repro run replicas --output replicas.csv --format csv
-    python -m repro scenario --depth 2 --failure disconnect --failure-duration 10
-    python -m repro scenario --topology diamond --failure crash --failure-node left
-    python -m repro scenario --backend live --depth 2 --warmup 2 --settle 3 --failure crash --failure-duration 1
     python -m repro claims
-    python -m repro profile shard --shards 4 --duration 15
-    python -m repro plan-delays --depth 4 --budget 8 --strategy full
-    python -m repro plan-delays --topology diamond --budget 9 --strategy uniform
+    python -m repro scenario table3 failure_duration=8
+    python -m repro scenario chain-silence policy='Delay & Delay' failure_duration=15
+    python -m repro scenario recovery failure_duration=1 checkpoint_interval=0.5 --backend live
+    python -m repro profile shard-throughput --sort tottime
+    python -m repro profile live-throughput-chain2 aggregate_rate=4000 warmup=6 --backend live
+    python -m repro plan-delays delay-assignment
 
-The CLI is a thin layer over :mod:`repro.runtime`, the scenario catalogue
-(:mod:`repro.workloads.catalogue`) and :mod:`repro.analysis`; everything it prints can also be produced
-programmatically with the :class:`~repro.runtime.ScenarioSpec` API::
+A ``key=value`` value is a Python literal (a bare word is a string) of the
+type the builder annotates; ``scenario --help`` lists every entry with its
+keywords.  Everything the CLI prints can also be produced programmatically::
 
-    from repro import ScenarioSpec
+    from repro.workloads.catalogue import CATALOGUE
 
-    spec = ScenarioSpec.chain(2, warmup=2.0, settle=3.0).with_failure("disconnect", duration=1.0)
+    spec = CATALOGUE["chain2-disconnect"](seed=2)
     print(spec.run().client.summary())             # the deterministic simulator
     print(spec.run_live().client()["summary"])     # the same schedule on forked workers
 """
@@ -32,20 +34,19 @@ programmatically with the :class:`~repro.runtime.ScenarioSpec` API::
 from __future__ import annotations
 
 import argparse
+import ast
+import inspect
 import os
 import sys
 from typing import Callable, Sequence
 
-from .analysis.registry import EXPERIMENTS, SCALES, Experiment, build_report
+from .analysis.registry import EXPERIMENTS, SCALES, build_report
 from .analysis.tables import ResultTable, render_csv, render_markdown, render_text
-from .config import DelayAssignment
-from .core.delay_planner import DelayPlanner
-from .deploy import AutoscalePolicy
+from .deploy.wiring import delay_planner, node_delay_budgets
 from .errors import ConfigurationError, LiveBackendUnavailable, SimulationError
 from .runtime import ScenarioSpec
 from .runtime.runtime import LIVE_POST_STOP_SLACK
 from .workloads.catalogue import CATALOGUE
-from .workloads.generators import step_rate
 
 #: Renderers selectable with ``--format``.
 _RENDERERS: dict[str, Callable[[ResultTable], str]] = {
@@ -54,11 +55,60 @@ _RENDERERS: dict[str, Callable[[ResultTable], str]] = {
     "csv": render_csv,
 }
 
-#: ``ExperimentCommand(name, description, runner)``: a tables-only registry entry.
-ExperimentCommand = Experiment
+#: The annotations a catalogue keyword may carry, as the catalogue spells them.
+_TYPES = {"float": float, "int": int, "bool": bool, "str": str, "None": type(None)}
 
-#: The deployment shapes ``scenario``, ``profile`` and ``plan-delays`` build.
-TOPOLOGIES = ("chain", "diamond", "fanin", "shard")
+
+# --------------------------------------------------------------------------- catalogue entries
+def _signature(build: Callable[..., ScenarioSpec]) -> str:
+    """``(key: type = default, ...)``: the keywords a catalogue entry takes."""
+    keys = ", ".join(f"{p.name}: {p.annotation} = {p.default!r}"
+                     for p in inspect.signature(build).parameters.values())
+    return f"({keys})"
+
+
+def _entries_help() -> str:
+    """Every catalogue entry with its keywords and the first line of its docstring."""
+    lines = ["catalogue entries (set a keyword with key=value, e.g. failure_duration=15):"]
+    for name, build in CATALOGUE.items():
+        lines.append(f"  {name}{_signature(build)}")
+        doc = inspect.getdoc(getattr(build, "func", build))  # a partial documents its function
+        if doc:
+            lines.append(f"      {doc.splitlines()[0]}")
+    return "\n".join(lines)
+
+
+def _typed(key: str, text: str, annotation: str) -> object:
+    """``text`` as a Python literal (else the bare string), checked against ``annotation``."""
+    try:
+        value = ast.literal_eval(text)
+    except (ValueError, TypeError, SyntaxError):
+        value = text
+    kinds = [_TYPES[name.strip()] for name in annotation.split("|")]
+    if type(value) is int and float in kinds and int not in kinds:
+        value = float(value)
+    if type(value) not in kinds:
+        raise ConfigurationError(f"{key}={text} is not {annotation}")
+    return value
+
+
+def _entry_spec(args: argparse.Namespace) -> ScenarioSpec:
+    """The spec the catalogue entry ``args.entry`` builds at the point ``args.point``."""
+    build = CATALOGUE.get(args.entry)
+    if build is None:
+        raise ConfigurationError(
+            f"unknown entry {args.entry!r}; entries: {', '.join(CATALOGUE)}"
+        )
+    parameters = inspect.signature(build).parameters
+    point = {}
+    for pair in args.point:
+        key, equals, text = pair.partition("=")
+        if not equals or key not in parameters:
+            raise ConfigurationError(
+                f"{args.entry} takes no {pair!r}; its keywords: {_signature(build)}"
+            )
+        point[key] = _typed(key, text, parameters[key].annotation)
+    return build(**point)
 
 
 # --------------------------------------------------------------------------- commands
@@ -115,115 +165,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _shape_spec(shape: str, args: argparse.Namespace, **common) -> ScenarioSpec:
-    """The spec of one named deployment shape, from the flags that size it.
-
-    ``scenario`` (both backends), ``profile`` and ``plan-delays`` all build
-    their topology here; flags a subcommand does not define keep the spec's
-    defaults.
-    """
-    streams = getattr(args, "streams", None)
-    inputs = {} if streams is None else {"n_input_streams": streams}
-    if shape == "shard":
-        return ScenarioSpec.sharded(
-            shards=args.shards, skew=getattr(args, "skew", None), **inputs, **common
-        )
-    if shape == "diamond":
-        return ScenarioSpec.diamond(**inputs, **common)
-    if shape == "fanin":
-        if streams is None:
-            return ScenarioSpec.fanin(**common)
-        if streams < 2 or streams % 2:
-            raise ConfigurationError(
-                f"--streams {streams} cannot be split across the fanin topology's "
-                "2 branches (use an even count >= 2)"
-            )
-        return ScenarioSpec.fanin(streams_per_branch=streams // 2, **common)
-    if shape == "aggregate":
-        return ScenarioSpec.windowed_aggregate(
-            window_size=args.window_size, window_slide=args.window_slide, **common
-        )
-    return ScenarioSpec.chain(args.depth, **inputs, **common)
-
-
-def _scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` the ``scenario`` flags describe, for either backend."""
-    if (
-        args.failure_node
-        and args.failure not in ("crash", "partition")
-        and args.partition_at is None
-    ):
-        raise ConfigurationError(
-            "--failure-node only applies to crash/partition failures "
-            "(disconnect/silence target a source stream via --failure-stream)"
-        )
-    if args.topology != "shard":
-        for flag, value in (
-            ("--skew", args.skew),
-            ("--rebalance-at", args.rebalance_at),
-            ("--autoscale", args.autoscale or None),
-        ):
-            if value is not None:
-                raise ConfigurationError(f"{flag} only applies to --topology shard")
-    if args.rebalance_tolerance is not None and args.rebalance_at is None:
-        raise ConfigurationError(
-            "--rebalance-tolerance only applies together with --rebalance-at"
-        )
-    if args.surge_until is not None and args.surge_at is None:
-        raise ConfigurationError("--surge-until only applies together with --surge-at")
-    checkpoint_interval = "inherit"
-    if args.checkpoint_interval is not None:
-        # <= 0 disables recovery checkpoints (forces full-replay recovery).
-        checkpoint_interval = (
-            None if args.checkpoint_interval <= 0 else args.checkpoint_interval
-        )
-    spec = _shape_spec(
-        args.topology,
-        args,
-        name=args.name,
-        replicas_per_node=args.replicas,
-        aggregate_rate=args.rate,
-        warmup=args.warmup,
-        settle=args.settle,
-        seed=args.seed,
-        checkpoint_interval=checkpoint_interval,
-    )
-    if args.rebalance_at is not None:
-        spec = spec.with_overrides(
-            rebalance_at=args.rebalance_at,
-            rebalance_tolerance=(
-                0.10 if args.rebalance_tolerance is None else args.rebalance_tolerance
-            ),
-        )
-    if args.autoscale:
-        spec = spec.with_overrides(
-            autoscale=AutoscalePolicy(
-                high_watermark=args.autoscale_high,
-                low_watermark=args.autoscale_low,
-                min_shards=args.shards,
-                max_shards=args.shards + 2,
-            )
-        )
-    # Each failure kind reads only its own target fields (stream, or node + replica).
-    failure = dict(
-        duration=args.failure_duration,
-        stream_index=args.failure_stream,
-        node=args.failure_node,
-        node_replica=args.failure_replica,
-    )
-    if args.failure:
-        spec = spec.with_failure(args.failure, **failure)
-    if args.disconnect_at is not None:
-        spec = spec.with_failure("disconnect", start=args.disconnect_at, **failure)
-    if args.partition_at is not None:
-        spec = spec.with_failure("partition", start=args.partition_at, **failure)
-    if args.surge_at is not None:
-        spec = spec.with_overrides(
-            rate_profile=step_rate(args.surge_at, args.surge_factor, until=args.surge_until)
-        )
-    return spec
-
-
 def _print_client(summary: dict) -> None:
     """The client's view of a run, as both backends report it."""
     print(f"Proc_new (max latency of new results): {summary['proc_new']:.3f} s")
@@ -271,7 +212,7 @@ def _cmd_scenario_live(spec: ScenarioSpec) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    spec = _scenario_spec(args)
+    spec = _entry_spec(args)
     if args.backend == "live":
         return _cmd_scenario_live(spec)
     runtime = spec.run()
@@ -309,39 +250,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run one scenario under cProfile and print the hottest call sites.
+    """Run one catalogue entry under cProfile and print the hottest call sites.
 
     Future perf work should start from this data, not from guesses: the
     hot-path overhaul (slotted tuples, batch operator loops) was driven by
     exactly this view of a shard(4) run.
     """
-    if args.top is None:
-        args.top = 15 if args.scenario == "live" else 25
-    common = dict(
-        name=f"profile-{args.scenario}",
-        aggregate_rate=args.rate,
-        warmup=args.duration,
-        settle=0.0,
-        seed=args.seed,
-        replicas_per_node=args.replicas,
-    )
-    if args.scenario == "live":
-        return _profile_live(args, _shape_spec("chain", args, **common))
-    if args.scenario == "recovery":
-        # The catalogue's checkpoint-shipped crash, resized by the flags: the
-        # profile covers capture, transfer, adoption, and the post-rejoin
-        # replay suffix -- the statexfer path.
-        outage = max(args.duration * 0.4, 4.0)
-        spec = CATALOGUE["recovery"](failure_duration=outage).with_overrides(
-            name=common["name"],
-            chain_depth=args.depth,
-            replicas_per_node=max(args.replicas, 2),
-            aggregate_rate=args.rate,
-            settle=max(args.duration - 5.0, 10.0),
-            seed=args.seed,
-        )
-    else:
-        spec = _shape_spec(args.scenario, args, **common)
+    spec = _entry_spec(args)
+    if args.backend == "live":
+        return _profile_live(args, spec)
+    top = 25 if args.top is None else args.top
     runtime = spec.build()
     stats, counters = runtime.run_profiled()
     stats.stream = sys.stdout
@@ -353,8 +271,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     if wall > 0:
         print(f"wall time {wall * 1000:.1f} ms -> {stable / wall:,.0f} stable tuples/s")
-    print(f"top {args.top} by {args.sort}:")
-    stats.sort_stats(args.sort).print_stats(args.top)
+    print(f"top {top} by {args.sort}:")
+    stats.sort_stats(args.sort).print_stats(top)
     print(
         f"per source tuple: {counters['calls_per_source_tuple']:.1f} calls, "
         f"{counters['row_constructions_per_source_tuple']:.2f} StreamTuple row constructions"
@@ -363,26 +281,24 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _profile_live(args: argparse.Namespace, spec: ScenarioSpec) -> int:
-    """Profile every worker process of a failure-free live run of ``spec``.
+    """Profile every worker process of a live run of ``spec``.
 
-    The simulator profile above sees one process; the live backend's CPU is
-    spent in forked workers, so each runs under its own cProfile and leaves a
-    ``<worker>.pstats`` in ``--out``.  The profiles are timed in CPU seconds
-    (``time.process_time``), so a worker descheduled mid-call is not charged
-    for the wait.  Per worker this prints its own CPU seconds, peak RSS and
-    wakeups per wall second (voluntary context switches: each is one sleep
-    of its event loop), the CPU outside the event loop's ``poll``, the share
-    of it spent under the wire codec's entry points, and the top entries.
+    Each forked worker runs under its own CPU-time cProfile (``time.process_time``:
+    a descheduled worker is not charged for the wait) and leaves a ``<worker>.pstats``
+    in ``--out``.  Per worker this prints its CPU seconds, peak RSS, wakeups per wall
+    second (voluntary context switches), the CPU outside the event loop's ``poll``,
+    the wire codec's share of it and the top entries.
     """
     import pstats
     import tempfile
 
+    top = 15 if args.top is None else args.top
     out_dir = args.out or tempfile.mkdtemp(prefix="repro-profile-live-")
     os.makedirs(out_dir, exist_ok=True)
     result = spec.run_live(profile_dir=out_dir)
     produced = sum(result.sources.values())
     print(
-        f"profiled live chain-{args.depth}: {len(result.transport)} worker processes, "
+        f"profiled live {spec.name!r}: {len(result.transport)} worker processes, "
         f"{produced} source tuples, {result.total_stable} stable tuples delivered, "
         f"{result.wall_seconds:.1f} s wall; profiles in {out_dir}"
     )
@@ -403,31 +319,35 @@ def _profile_live(args: argparse.Namespace, spec: ScenarioSpec) -> int:
             f"{usage['wakeups'] / result.wall_seconds:.0f} wakeups/s; "
             f"{busy:.2f} s CPU outside poll of {stats.total_tt:.2f} s CPU profiled, "
             f"wire codec {100.0 * wire / busy if busy > 0 else 0.0:.1f}% of it; "
-            f"top {args.top} by {args.sort}:"
+            f"top {top} by {args.sort}:"
         )
-        stats.sort_stats(args.sort).print_stats(args.top)
+        stats.sort_stats(args.sort).print_stats(top)
     return 0 if result.eventually_consistent else 1
 
 
 def _cmd_plan_delays(args: argparse.Namespace) -> int:
-    topology = _shape_spec(args.topology, args).resolved_topology()
-    planner = DelayPlanner.for_topology(
-        topology, total_budget=args.budget, queuing_allowance=args.queuing_allowance
-    )
-    strategy = DelayAssignment(args.strategy)
-    plan = planner.plan(strategy)
+    """The per-node D the entry's deployment is wired with, and every path's total."""
+    spec = _entry_spec(args)
+    topology, config = spec.resolved_topology(), spec.dpc_config()
+    budgets = node_delay_budgets(topology, config, spec.per_node_delay)
+    planner = delay_planner(topology, config)
     print(f"topology: {topology.name} (longest path: {topology.depth()} node(s))")
-    print(f"strategy: {plan.strategy.value}")
-    print(f"end-to-end budget X: {plan.total_budget:g} s")
-    print(f"masked failure duration: {plan.masked_failure:g} s")
-    for node, delay in plan.per_node.items():
+    override = "" if spec.per_node_delay is None else " (overridden: per_node_delay)"
+    print(f"strategy: {config.delay_assignment.value}{override}")
+    print(f"end-to-end budget X: {config.max_incremental_latency:g} s")
+    print(f"masked failure duration: {min(budgets.values()):g} s")
+    for node, delay in budgets.items():
         print(f"  {node}: D = {delay:g} s")
-    for diagnostic in planner.diagnose(plan.per_node):
+    if planner is None:
+        print("note: no plan for this budget and queuing allowance; D is the fallback")
+        return 0
+    for diagnostic in planner.diagnose(budgets):
         status = "ok" if diagnostic.within_budget else "OVER BUDGET"
         print(f"path {' -> '.join(diagnostic.path)}: accumulated "
               f"{diagnostic.accumulated_delay:g} s [{status}]")
-    for note in plan.notes:
-        print(f"note: {note}")
+    if spec.per_node_delay is None:
+        for note in planner.plan(config.delay_assignment).notes:
+            print(f"note: {note}")
     return 0
 
 
@@ -461,138 +381,49 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--output", default="report.md", help="path of the Markdown report")
     report.set_defaults(func=_cmd_report)
 
-    scenario = sub.add_parser(
-        "scenario",
-        help="describe and run one custom scenario (the ScenarioSpec API from the shell)",
-        description="Build a ScenarioSpec from the flags below, compile it into a "
-        "SimulationRuntime, run it, and print the client's view of the run.",
-    )
-    scenario.add_argument("--name", default="cli-scenario", help="label for the scenario")
-    scenario.add_argument("--topology", choices=TOPOLOGIES, default="chain",
-                          help="deployment shape; chain uses --depth, shard uses --shards, "
-                               "other DAG shapes are preset")
-    scenario.add_argument("--depth", type=int, default=1, help="number of chained nodes")
-    scenario.add_argument("--shards", type=int, default=4,
-                          help="shard count of the sharded topology (crash one with "
-                               "--failure crash --failure-node shard1)")
-    scenario.add_argument("--skew", type=float, default=None,
-                          help="zipfian hot-key workload skew for the sharded topology "
-                               "(shards on the skewed 'key' attribute)")
-    scenario.add_argument("--rebalance-at", type=float, default=None,
-                          help="apply a load-driven live rebalance (bucket handoff) "
-                               "at this simulated time (sharded topology only)")
-    scenario.add_argument("--rebalance-tolerance", type=float, default=None,
-                          help="peak-to-mean shard-load tolerance of the mid-run "
-                               "rebalance (default 0.10; requires --rebalance-at)")
-    scenario.add_argument("--autoscale", action="store_true",
-                          help="arm the elastic autoscaler loop on the sharded "
-                               "topology (scale-out past the high watermark, "
-                               "scale-in below the low one)")
-    scenario.add_argument("--autoscale-high", type=float, default=200.0,
-                          help="autoscaler high watermark in per-shard processed "
-                               "tuples per simulated second (default 200)")
-    scenario.add_argument("--autoscale-low", type=float, default=140.0,
-                          help="autoscaler low watermark in per-shard processed "
-                               "tuples per simulated second (default 140)")
-    scenario.add_argument("--surge-at", type=float, default=None,
-                          help="step every source to --surge-factor times its base "
-                               "rate at this simulated time")
-    scenario.add_argument("--surge-until", type=float, default=None,
-                          help="step the rate back down at this simulated time "
-                               "(requires --surge-at)")
-    scenario.add_argument("--surge-factor", type=float, default=2.0,
-                          help="rate multiplier of the surge window (default 2.0)")
-    scenario.add_argument("--replicas", type=int, default=2, help="replicas per node")
-    scenario.add_argument("--streams", type=int, default=None,
-                          help="number of input streams (default 3; fanin splits them "
-                               "across its 2 branches)")
-    scenario.add_argument("--rate", type=float, default=150.0,
-                          help="aggregate source rate in tuples per simulated second")
-    scenario.add_argument("--warmup", type=float, default=5.0, help="seconds before the failure")
-    scenario.add_argument("--settle", type=float, default=30.0, help="seconds after the failure")
-    scenario.add_argument("--failure", choices=("disconnect", "silence", "crash", "partition"),
-                          help="failure to inject at the end of the warmup (omit for none)")
-    scenario.add_argument("--disconnect-at", type=float, default=None,
-                          help="disconnect the --failure-stream source at this time for "
-                               "--failure-duration seconds (both backends; shorthand for "
-                               "--failure disconnect with an explicit start)")
-    scenario.add_argument("--partition-at", type=float, default=None,
-                          help="partition the --failure-node replicas "
-                               "(--failure-replica, -1 for all) at this time for "
-                               "--failure-duration seconds (both backends)")
-    scenario.add_argument("--failure-duration", type=float, default=10.0,
-                          help="failure length in simulated seconds")
-    scenario.add_argument("--failure-stream", type=int, default=0,
-                          help="input stream hit by a disconnect/silence failure")
-    scenario.add_argument("--failure-node", default=None,
-                          help="logical node name hit by a crash or partition, e.g. "
-                               "node2 (chain), left (diamond), shard1 (shard); "
-                               "default: the first node in topological order")
-    scenario.add_argument("--failure-replica", type=int, default=0,
-                          help="replica index of the node hit by a crash or partition "
-                               "(-1: every replica)")
-    scenario.add_argument("--checkpoint-interval", type=float, default=None,
-                          help="recovery-checkpoint capture cadence in simulated seconds "
-                               "(default: the DPCConfig cadence; <= 0 disables checkpoints "
-                               "and forces full-replay crash recovery)")
-    scenario.add_argument("--seed", type=int, default=None,
-                          help="determinism seed (same seed => identical run)")
-    scenario.add_argument("--backend", choices=("sim", "live"), default="sim",
-                          help="sim runs the deterministic simulator; live runs the same "
-                               "compiled placement as real processes over Unix sockets "
-                               "in wall-clock time (crash, disconnect and partition "
-                               "failures; silence, rebalance and autoscale are "
-                               "simulator-only)")
-    scenario.set_defaults(func=_cmd_scenario)
+    entries = _entries_help()
 
-    profile = sub.add_parser(
-        "profile",
-        help="run one scenario under cProfile and print the hottest call sites",
-        description="Run a failure-free scenario of the given shape under "
-        "cProfile and print the top-N hot spots, so perf PRs start from data "
-        "instead of guesses.",
+    def entry_parser(name: str, func, backend: bool, **kwargs) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, epilog=entries,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter, **kwargs)
+        command.add_argument("entry", help="catalogue entry (listed below)")
+        command.add_argument("point", nargs="*", metavar="key=value",
+                             help="a keyword of the entry's builder and its value")
+        if backend:
+            command.add_argument(
+                "--backend", choices=("sim", "live"), default="sim",
+                help="sim runs the deterministic simulator; live runs the same compiled "
+                     "placement as real processes over Unix sockets in wall-clock time "
+                     "(silence, rebalance and autoscale are simulator-only)")
+        command.set_defaults(func=func)
+        return command
+
+    entry_parser(
+        "scenario", _cmd_scenario, True,
+        help="run one catalogue entry and print the client's view of the run",
+        description="Build the ScenarioSpec a catalogue entry describes, run it, and "
+        "print the client's view of the run (exit 1 unless eventually consistent).",
     )
-    profile.add_argument("scenario",
-                         choices=TOPOLOGIES + ("aggregate", "recovery", "live"),
-                         help="deployment shape to profile ('recovery' crashes one replica "
-                              "mid-run and profiles the checkpoint-shipped rejoin; 'live' "
-                              "runs chain --depth on the live backend for --duration wall "
-                              "seconds and profiles every worker process, top 15 each "
-                              "unless --top is given)")
-    profile.add_argument("--depth", type=int, default=2, help="chain depth (chain only)")
-    profile.add_argument("--shards", type=int, default=4, help="shard count (shard only)")
-    profile.add_argument("--window-size", type=float, default=1.0,
-                         help="window size in seconds (aggregate only)")
-    profile.add_argument("--window-slide", type=float, default=0.25,
-                         help="window slide in seconds (aggregate only)")
-    profile.add_argument("--replicas", type=int, default=1,
-                         help="replicas per node (1: profile the data plane, "
-                              "not the replication factor)")
-    profile.add_argument("--rate", type=float, default=1200.0,
-                         help="aggregate source rate in tuples per simulated second")
-    profile.add_argument("--duration", type=float, default=15.0,
-                         help="simulated seconds to run")
-    profile.add_argument("--seed", type=int, default=1, help="determinism seed")
+    profile = entry_parser(
+        "profile", _cmd_profile, True,
+        help="run one catalogue entry under cProfile and print the hottest call sites",
+        description="Run a catalogue entry under cProfile and print the top-N hot "
+        "spots, so perf PRs start from data instead of guesses; on the live backend "
+        "every worker process is profiled on its own.",
+    )
     profile.add_argument("--top", type=int, default=None,
                          help="number of entries to print (default 25; live: 15 per worker)")
+    profile.add_argument("--sort", choices=("cumulative", "tottime", "ncalls"),
+                         default="cumulative", help="pstats sort order")
     profile.add_argument("--out", default=None,
                          help="directory for the per-worker .pstats files "
                               "(live only; default: a fresh temporary directory)")
-    profile.add_argument("--sort", choices=("cumulative", "tottime", "ncalls"),
-                         default="cumulative", help="pstats sort order")
-    profile.set_defaults(func=_cmd_profile)
-
-    plan = sub.add_parser("plan-delays", help="plan per-node delay budgets for a deployment")
-    plan.add_argument("--topology", choices=TOPOLOGIES, default="chain",
-                      help="deployment shape to plan over")
-    plan.add_argument("--depth", type=int, default=4, help="number of nodes in the chain")
-    plan.add_argument("--shards", type=int, default=4,
-                      help="shard count of the sharded topology")
-    plan.add_argument("--budget", type=float, default=8.0, help="end-to-end bound X in seconds")
-    plan.add_argument("--queuing-allowance", type=float, default=1.5,
-                      help="allowance subtracted by the FULL strategy")
-    plan.add_argument("--strategy", choices=[s.value for s in DelayAssignment], default="full")
-    plan.set_defaults(func=_cmd_plan_delays)
+    entry_parser(
+        "plan-delays", _cmd_plan_delays, False,
+        help="print the per-node delay budgets a catalogue entry is deployed with",
+        description="Print the delay budget D of every node of a catalogue entry's "
+        "deployment, as the deployment wires it, and the accumulated D of every path.",
+    )
     return parser
 
 
@@ -606,9 +437,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"live backend unavailable: {error}", file=sys.stderr)
         return 2
     except (ConfigurationError, SimulationError) as error:
-        # ConfigurationError: the flags or the spec were invalid up front.
-        # SimulationError: a run refused a scheduled action mid-simulation
-        # (e.g. a rebalance colliding with failure handling that validation
-        # could not foresee).
+        # An invalid entry, keyword or spec up front, or a scheduled action a run
+        # refused mid-simulation (e.g. a rebalance colliding with failure handling).
         print(f"invalid {args.command}: {error}", file=sys.stderr)
         return 2

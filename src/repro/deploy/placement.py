@@ -25,7 +25,6 @@ from ..topology import Topology
 from ..workloads.generators import PayloadFactory, default_payload_factory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import DelayAssignment
     from ..spe.query_diagram import QueryDiagram
     from .deployment import Deployment
 
@@ -244,25 +243,6 @@ class Placement:
                 f"clients {[c.name for c in self.clients]} -> {[c.name for c in other.clients]}"
             )
         return changes
-
-    # ------------------------------------------------------------------ delay planning
-    def delay_plan(self, config: "DPCConfig", strategy: "DelayAssignment | None" = None):
-        """Per-node delay budgets for this plan's deployment graph.
-
-        Builds a :class:`~repro.core.delay_planner.DelayPlanner` over the
-        placement's topology and plans with ``strategy`` (defaulting to the
-        config's ``delay_assignment``).  This is what ``plan-delays
-        --strategy`` renders, and with ``accumulated`` it is the per-path
-        Figure 21 assignment rather than the uniform longest-path split.
-        """
-        from ..core.delay_planner import DelayPlanner
-
-        planner = DelayPlanner.for_topology(
-            self.topology,
-            total_budget=config.max_incremental_latency,
-            queuing_allowance=config.queuing_allowance,
-        )
-        return planner.plan(strategy if strategy is not None else config.delay_assignment)
 
     # ------------------------------------------------------------------ deployment
     def deploy(

@@ -58,18 +58,27 @@ def node_delay_budgets(
     """
     if per_node_delay is not None:
         return {name: per_node_delay for name in topology.node_names}
-    try:
-        planner = DelayPlanner.for_topology(
-            topology,
-            total_budget=config.max_incremental_latency,
-            queuing_allowance=config.queuing_allowance,
-        )
-        return dict(planner.plan(config.delay_assignment).per_node)
-    except ConfigurationError:
+    planner = delay_planner(topology, config)
+    if planner is None:
         # Degenerate planner input (e.g. queuing allowance >= X): keep the
         # clamped scalar semantics of DPCConfig.node_delay.
         fallback = config.node_delay(topology.depth())
         return {name: fallback for name in topology.node_names}
+    return dict(planner.plan(config.delay_assignment).per_node)
+
+
+def delay_planner(topology: Topology, config: DPCConfig) -> DelayPlanner | None:
+    """The planner over ``topology``'s graph for ``config``'s budget X, or
+    ``None`` when X and the queuing allowance leave nothing to plan (then
+    :func:`node_delay_budgets` falls back to ``DPCConfig.node_delay``)."""
+    try:
+        return DelayPlanner.for_topology(
+            topology,
+            total_budget=config.max_incremental_latency,
+            queuing_allowance=config.queuing_allowance,
+        )
+    except ConfigurationError:
+        return None
 
 
 @dataclass

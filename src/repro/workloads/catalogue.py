@@ -8,7 +8,7 @@ fixed here, once.  Every consumer names entries instead of writing a spec:
 * :mod:`repro.analysis.registry` runs each table, figure and ablation as a
   grid of ``(name, point)`` pairs and summarizes every run with
   :func:`repro.experiments.summarize_run`;
-* the golden digests (``tests/integration/test_golden_summaries.py``) pin nine
+* the golden digests (``tests/integration/test_golden_summaries.py``) pin ten
   entries at two seeds;
 * ``benchmarks/bench_hot_path.py`` and the row-construction guard profile the
   ``sim-*`` entries, the simulated workloads of the end-to-end benchmark.
@@ -35,6 +35,7 @@ from ..config import (
     SimulationConfig,
 )
 from ..deploy import AutoscalePolicy
+from ..errors import ConfigurationError
 from ..runtime import ScenarioSpec
 from ..spe.operators import SOutput, Union
 from ..spe.query_diagram import QueryDiagram
@@ -76,10 +77,20 @@ def _entry(name: str):
     return register
 
 
+def _named(table: dict, key: str, what: str):
+    """``table[key]``, or a :class:`ConfigurationError` listing the valid ``what`` names."""
+    try:
+        return table[key]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown {what} {key!r}; one of {', '.join(map(repr, table))}"
+        ) from None
+
+
 def _dpc(policy: str = "Process & Process", max_incremental_latency: float = 3.0,
          **changes) -> DPCConfig:
     return DPCConfig(max_incremental_latency=max_incremental_latency,
-                     delay_policy=FIG13_POLICIES[policy], **changes)
+                     delay_policy=_named(FIG13_POLICIES, policy, "policy"), **changes)
 
 
 def _availability(name: str, failure_duration: float, config: DPCConfig, *, depth: int = 1,
@@ -161,7 +172,7 @@ def chain_silence(depth: int = 4, failure_duration: float = 30.0,
 def delay_assignment(failure_duration: float = 10.0,
                      variant: str = "Process & Process, D=6.5s each") -> ScenarioSpec:
     """Figures 19 and 20: a chain of four under one of :data:`FIG19_VARIANTS`."""
-    policy, per_node_delay, assignment = FIG19_VARIANTS[variant]
+    policy, per_node_delay, assignment = _named(FIG19_VARIANTS, variant, "variant")
     config = DPCConfig(max_incremental_latency=8.0, delay_policy=policy,
                        delay_assignment=assignment)
     return _availability(variant, failure_duration, config, depth=4,

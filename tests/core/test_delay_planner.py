@@ -296,14 +296,19 @@ def test_accumulated_never_exceeds_the_budget_on_any_path():
     assert plan.masked_failure == pytest.approx(min(plan.per_node.values()))
 
 
-def test_placement_delay_plan_uses_the_config_strategy():
+def test_node_delay_budgets_plan_with_the_config_strategy_unless_overridden():
     from repro.config import DPCConfig
-    from repro.deploy import compile as compile_placement
+    from repro.deploy.wiring import node_delay_budgets
 
-    placement = compile_placement(Topology.diamond(), replicas_per_node=1)
-    config = DPCConfig(max_incremental_latency=8.0)
-    default_plan = placement.delay_plan(config)
-    assert default_plan.strategy is config.delay_assignment
-    accumulated = placement.delay_plan(config, DelayAssignment.ACCUMULATED)
-    assert accumulated.strategy is DelayAssignment.ACCUMULATED
-    assert set(accumulated.per_node) == {spec.name for spec in Topology.diamond()}
+    diamond = Topology.diamond()
+    config = DPCConfig(max_incremental_latency=8.0,
+                       delay_assignment=DelayAssignment.ACCUMULATED)
+    planner = DelayPlanner.for_topology(diamond, total_budget=8.0)
+    accumulated = planner.plan(DelayAssignment.ACCUMULATED).per_node
+    assert node_delay_budgets(diamond, config, None) == dict(accumulated)
+    assert node_delay_budgets(diamond, config, 2.0) == dict.fromkeys(diamond.node_names, 2.0)
+    # A budget the planner refuses (allowance >= X) falls back to DPCConfig.node_delay.
+    degenerate = config.with_(queuing_allowance=8.0)
+    assert node_delay_budgets(diamond, degenerate, None) == dict.fromkeys(
+        diamond.node_names, degenerate.node_delay(diamond.depth())
+    )

@@ -226,24 +226,22 @@ def test_run_live_hands_over_every_compiled_kill(live_run):
 def test_cli_live_crash_of_every_replica_expands_to_one_kill_each(live_run):
     """Regression: the CLI built ``LiveKill(replica=-1)`` itself and was rejected."""
     with pytest.raises(_Ran):
-        cli.main(["scenario", "--backend", "live", "--depth", "2", "--warmup", "2",
-                  "--settle", "3", "--failure", "crash", "--failure-replica", "-1",
-                  "--failure-duration", "1", "--seed", "1"])
-    assert [(k.node, k.replica) for k in live_run["kill"]] == [("node1", 0), ("node1", 1)]
+        cli.main(["scenario", "diamond", "failure_duration=1", "--backend", "live"])
+    assert [(k.node, k.replica) for k in live_run["kill"]] == [("left", 0), ("left", 1)]
 
 
 def test_cli_live_run_lasts_as_long_as_the_simulated_schedule(live_run, capsys):
     """Regression: the live run was ``warmup + settle`` long, so a failure that
     the simulator heals at ``warmup + failure_duration`` "would never heal"."""
-    flags = ["--depth", "2", "--failure", "disconnect", "--warmup", "1.5",
-             "--failure-duration", "2", "--settle", "1.5", "--seed", "1"]
-    assert cli.main(["scenario", *flags, "--rate", "30"]) == 0  # the simulator runs it
-    assert "at t=1.5s for 2s" in capsys.readouterr().out
+    assert cli.main(["scenario", "chain2-disconnect"]) == 0  # the simulator runs it
+    assert "at t=5s for 6s" in capsys.readouterr().out
     with pytest.raises(_Ran):
-        cli.main(["scenario", "--backend", "live", *flags])
-    assert live_run["options"].source_stop_time == 5.0  # = spec.total_duration()
-    assert live_run["duration"] == 5.0 + LIVE_POST_STOP_SLACK
-    assert {(rule.start, rule.end) for rule in live_run["faults"].rules} == {(1.5, 3.5)}
+        cli.main(["scenario", "chain2-disconnect", "--backend", "live"])
+    # No explicit duration: total_duration() is the failure's end (11 s) plus
+    # settle (15 s), not warmup + settle (20 s).
+    assert live_run["options"].source_stop_time == 26.0
+    assert live_run["duration"] == 26.0 + LIVE_POST_STOP_SLACK
+    assert {(rule.start, rule.end) for rule in live_run["faults"].rules} == {(5.0, 11.0)}
 
 
 def test_both_backends_deploy_the_same_options(live_run):

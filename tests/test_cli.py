@@ -1,12 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import inspect
 import os
 import pstats
 
 import pytest
 
 from repro import cli
+from repro.analysis.registry import Experiment
 from repro.analysis.tables import ResultTable
+from repro.workloads.catalogue import CATALOGUE
 
 
 # --------------------------------------------------------------------------- helpers
@@ -16,7 +19,7 @@ def fake_experiment(name="fake"):
         table.set("row", "col", 1.25)
         return [table]
 
-    return cli.ExperimentCommand(name, "a fake experiment for CLI tests", runner)
+    return Experiment(name, "a fake experiment for CLI tests", runner)
 
 
 @pytest.fixture
@@ -73,44 +76,6 @@ def test_run_csv_to_file(with_fake_experiment, tmp_path, capsys):
     assert "row,1.25" in target.read_text()
 
 
-# --------------------------------------------------------------------------- scenario
-def test_scenario_runs_declarative_deployment(capsys):
-    code = cli.main(
-        [
-            "scenario",
-            "--rate", "90",
-            "--settle", "15",
-            "--failure", "disconnect",
-            "--failure-duration", "6",
-            "--seed", "1",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "Proc_new" in out
-    assert "eventually consistent:                 True" in out
-    assert "stream_disconnect" in out
-
-
-def test_scenario_without_failure(capsys):
-    assert cli.main(["scenario", "--rate", "60", "--settle", "5", "--warmup", "1"]) == 0
-    assert "failure:" not in capsys.readouterr().out
-
-
-# --------------------------------------------------------------------------- plan-delays
-def test_plan_delays_full_strategy(capsys):
-    assert cli.main(["plan-delays", "--depth", "4", "--budget", "8", "--strategy", "full"]) == 0
-    out = capsys.readouterr().out
-    assert "D = 6.5 s" in out
-    assert "masked failure duration: 6.5 s" in out
-
-
-def test_plan_delays_uniform_strategy(capsys):
-    assert cli.main(["plan-delays", "--depth", "4", "--budget", "8", "--strategy", "uniform"]) == 0
-    out = capsys.readouterr().out
-    assert "D = 2 s" in out
-
-
 # --------------------------------------------------------------------------- registry coverage
 def test_every_registered_experiment_has_description():
     for name, command in cli.EXPERIMENTS.items():
@@ -125,148 +90,9 @@ def test_build_parser_smoke():
     assert args.scale == "quick"
 
 
-# --------------------------------------------------------------------------- DAG topologies
-def test_scenario_diamond_topology(capsys):
-    code = cli.main(
-        ["scenario", "--topology", "diamond", "--rate", "60", "--settle", "5",
-         "--warmup", "1", "--seed", "1"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "topology=diamond" in out
-    assert "ingest,left,right,merge" in out
-
-
-def test_scenario_rejects_unknown_failure_node(capsys):
-    code = cli.main(
-        ["scenario", "--topology", "diamond", "--failure", "crash",
-         "--failure-node", "nope", "--seed", "1"]
-    )
-    assert code == 2
-    assert "invalid scenario" in capsys.readouterr().err
-
-
-def test_scenario_crash_without_failure_node_hits_the_first_node(capsys):
-    code = cli.main(
-        ["scenario", "--topology", "diamond", "--failure", "crash", "--failure-duration", "2",
-         "--rate", "60", "--warmup", "1", "--settle", "6", "--seed", "1"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "failure: node_crash on ingest at t=1s for 2s" in out
-
-
-def test_scenario_names_failure_targets_only_by_node(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["scenario", "--help"])
-    help_text = capsys.readouterr().out
-    assert "--failure-node" in help_text and "--failure-level" not in help_text
-    with pytest.raises(SystemExit):
-        cli.main(["scenario", "--failure-level", "1"])
-    assert "unrecognized arguments: --failure-level" in capsys.readouterr().err
-
-
-def test_plan_delays_diamond_topology(capsys):
-    assert cli.main(["plan-delays", "--topology", "diamond", "--budget", "9",
-                     "--strategy", "uniform"]) == 0
-    out = capsys.readouterr().out
-    assert "longest path: 3" in out
-    assert "path ingest -> left -> merge" in out
-    assert "D = 3 s" in out
-
-
 def test_dag_experiments_registered():
     assert "diamond" in cli.EXPERIMENTS
     assert "fanin" in cli.EXPERIMENTS
-
-
-def test_scenario_fanin_honors_streams(capsys):
-    code = cli.main(["scenario", "--topology", "fanin", "--streams", "6", "--rate", "60",
-                     "--settle", "4", "--warmup", "1", "--seed", "1"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "topology=fanin" in out
-
-
-def test_scenario_fanin_rejects_odd_streams(capsys):
-    code = cli.main(["scenario", "--topology", "fanin", "--streams", "5"])
-    assert code == 2
-    assert "2 branches" in capsys.readouterr().err
-
-
-def test_scenario_failure_node_requires_crash(capsys):
-    code = cli.main(["scenario", "--topology", "diamond", "--failure", "disconnect",
-                     "--failure-node", "left"])
-    assert code == 2
-    assert "--failure-node" in capsys.readouterr().err
-
-
-def test_scenario_rejects_zero_streams(capsys):
-    code = cli.main(["scenario", "--streams", "0"])
-    assert code == 2
-    assert "invalid scenario" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, reason",
-    [
-        (["scenario", "--rate", "0"], "rate"),
-        (["profile", "aggregate", "--window-size", "-1", "--duration", "1"],
-         "window size must be positive"),
-        (["profile", "aggregate", "--window-size", "0.3", "--window-slide", "0.1",
-          "--duration", "1"], "no exact pane decomposition"),
-        (["plan-delays", "--depth", "0"], "chain depth"),
-    ],
-    ids=["scenario-rate", "profile-window-size", "profile-undecomposable", "plan-delays-depth"],
-)
-def test_bad_flags_exit_2_with_one_line_and_no_traceback(capsys, argv, reason):
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"invalid {argv[0]}: ")
-    assert reason in captured.err
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-
-
-# --------------------------------------------------------------------------- sharded topology
-def test_scenario_shard_topology(capsys):
-    code = cli.main(
-        ["scenario", "--topology", "shard", "--shards", "2", "--rate", "60",
-         "--settle", "5", "--warmup", "1", "--seed", "1"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "topology=shard-2" in out
-    assert "split,shard1,shard2,merge" in out
-
-
-def test_scenario_shard_kill_via_cli(capsys):
-    code = cli.main(
-        ["scenario", "--topology", "shard", "--shards", "2", "--rate", "60",
-         "--failure", "crash", "--failure-node", "shard1", "--failure-replica", "-1",
-         "--failure-duration", "4", "--settle", "18", "--warmup", "2", "--seed", "1"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.count("node_crash on shard1") == 2  # both replicas
-    assert "eventually consistent:                 True" in out
-
-
-def test_scenario_rejects_unknown_shard(capsys):
-    code = cli.main(
-        ["scenario", "--topology", "shard", "--shards", "2", "--failure", "crash",
-         "--failure-node", "shard9", "--seed", "1"]
-    )
-    assert code == 2
-    assert "shard9" in capsys.readouterr().err
-
-
-def test_plan_delays_shard_topology(capsys):
-    assert cli.main(["plan-delays", "--topology", "shard", "--shards", "4",
-                     "--budget", "9", "--strategy", "uniform"]) == 0
-    out = capsys.readouterr().out
-    assert "longest path: 3" in out
-    assert "path split -> shard1 -> merge" in out
-    assert "D = 3 s" in out
 
 
 def test_shard_experiments_registered():
@@ -276,65 +102,182 @@ def test_shard_experiments_registered():
     assert "autoscale" in cli.EXPERIMENTS
 
 
-def test_scenario_live_rebalance_via_cli(capsys):
-    code = cli.main(
-        ["scenario", "--topology", "shard", "--shards", "4", "--rate", "120",
-         "--skew", "1.2", "--rebalance-at", "14", "--warmup", "14",
-         "--settle", "16", "--seed", "1"]
-    )
+def test_live_faults_experiment_registered():
+    assert "live-faults" in cli.EXPERIMENTS
+    assert "parity" in cli.EXPERIMENTS["live-faults"].description
+
+
+# --------------------------------------------------------------------------- catalogue entries
+@pytest.mark.parametrize("command", ["scenario", "profile", "plan-delays"])
+def test_help_lists_every_catalogue_entry_with_its_keywords(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    help_text = capsys.readouterr().out
+    for name, build in CATALOGUE.items():
+        assert f"  {name}{cli._signature(build)}\n" in help_text, name
+    assert "chain-silence(depth: int = 4, failure_duration: float = 30.0" in help_text
+    assert "Table III: Proc_new vs failure duration" in help_text
+
+
+def test_every_catalogue_keyword_has_a_type_the_cli_parses():
+    for name, build in CATALOGUE.items():
+        for parameter in inspect.signature(build).parameters.values():
+            kinds = [kind.strip() for kind in str(parameter.annotation).split("|")]
+            assert set(kinds) <= set(cli._TYPES), (name, parameter)
+
+
+def test_the_three_entry_commands_define_five_flags():
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    flags = {
+        command: sorted(option for action in commands[command]._actions
+                        for option in action.option_strings if option not in ("-h", "--help"))
+        for command in ("scenario", "profile", "plan-delays")
+    }
+    assert flags == {"scenario": ["--backend"],
+                     "profile": ["--backend", "--out", "--sort", "--top"],
+                     "plan-delays": []}
+
+
+@pytest.mark.parametrize(
+    "text, annotation, value",
+    [("15", "float", 15.0), ("0.5", "float | None", 0.5), ("None", "float | None", None),
+     ("4", "int", 4), ("True", "bool", True), ("Delay & Delay", "str", "Delay & Delay"),
+     ("'Process & Process'", "str", "Process & Process")],
+)
+def test_values_parse_as_literals_of_the_annotated_type(text, annotation, value):
+    parsed = cli._typed("key", text, annotation)
+    assert parsed == value and type(parsed) is type(value)
+
+
+# --------------------------------------------------------------------------- scenario
+def test_scenario_runs_a_catalogue_entry(capsys):
+    assert cli.main(["scenario", "chain2-disconnect"]) == 0
     out = capsys.readouterr().out
-    assert code == 0
-    assert "rebalance at t=14s" in out
+    assert "scenario 'golden-chain': topology=chain-2" in out
+    assert "failure: stream_disconnect on source.s1->node1 at t=5s for 6s" in out
+    assert "Proc_new" in out
+    assert "eventually consistent:                 True" in out
+
+
+def test_scenario_keywords_reach_the_builder(capsys):
+    assert cli.main(["scenario", "live-throughput-chain2", "aggregate_rate=60", "warmup=1"]) == 0
+    out = capsys.readouterr().out
+    assert "rate=60 tuples/s" in out
+    assert "failure:" not in out
+
+
+def test_scenario_diamond_topology(capsys):
+    assert cli.main(["scenario", "diamond", "failure_duration=2", "seed=3"]) == 0
+    out = capsys.readouterr().out
+    assert "topology=diamond nodes=ingest,left,right,merge" in out
+    assert "seed=3" in out
+    assert out.count("node_crash on left") == 2  # both replicas
+
+
+def test_scenario_shard_kill(capsys):
+    assert cli.main(["scenario", "shard-kill", "shards=2", "failure_duration=4"]) == 0
+    out = capsys.readouterr().out
+    assert "topology=shard-2 nodes=split,shard1,shard2,merge" in out
+    assert out.count("node_crash on shard1") == 2  # both replicas
+    assert "eventually consistent:                 True" in out
+
+
+def test_scenario_live_rebalance(capsys):
+    assert cli.main(["scenario", "shard4-rebalance"]) == 0
+    out = capsys.readouterr().out
+    assert "rebalance at t=16s" in out
     assert "bucket move(s)" in out
     assert "eventually consistent:                 True" in out
 
 
-def test_scenario_rebalance_flags_require_shard_topology(capsys):
-    code = cli.main(["scenario", "--depth", "1", "--rebalance-at", "5"])
-    assert code == 2
-    assert "--rebalance-at" in capsys.readouterr().err
-    code = cli.main(["scenario", "--topology", "diamond", "--skew", "1.2"])
-    assert code == 2
-    assert "--skew" in capsys.readouterr().err
-
-
-def test_scenario_autoscale_requires_shard_topology(capsys):
-    code = cli.main(["scenario", "--depth", "1", "--autoscale"])
-    assert code == 2
-    assert "--autoscale" in capsys.readouterr().err
-
-
-def test_scenario_surge_until_requires_surge_at(capsys):
-    code = cli.main(
-        ["scenario", "--topology", "shard", "--shards", "2", "--surge-until", "20"]
-    )
-    assert code == 2
-    assert "--surge-at" in capsys.readouterr().err
-
-
-def test_scenario_autoscale_via_cli(capsys):
-    code = cli.main(
-        ["scenario", "--topology", "shard", "--shards", "2", "--rate", "120",
-         "--skew", "1.2", "--autoscale", "--surge-at", "14", "--surge-until", "34",
-         "--surge-factor", "2", "--warmup", "14", "--settle", "41", "--seed", "1"]
-    )
+def test_scenario_autoscale(capsys):
+    assert cli.main(["scenario", "shard2-autoscale"]) == 0
     out = capsys.readouterr().out
-    assert code == 0
     assert "scale-out" in out
     assert "scale-in" in out
     assert "autoscale:" in out
     assert "eventually consistent:                 True" in out
 
 
+def test_scenario_partition(capsys):
+    assert cli.main(["scenario", "live-partition-shard4"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("partition on shard1") == 2  # both replicas isolated
+    assert "failure: partition on shard1<->* at t=1.5s for 1s" in out
+    assert "eventually consistent:                 True" in out
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["scenario", "live-throughput-chain2", "aggregate_rate=0"], "rate"),
+        (["profile", "shard-throughput", "shards=0"], "shard count must be >= 1"),
+        (["plan-delays", "chain-throughput", "depth=0"], "chain depth"),
+        (["scenario", "nope"], "unknown entry 'nope'; entries: table3, fig13,"),
+        (["profile", "table3", "depth=2"],
+         "table3 takes no 'depth=2'; its keywords: (failure_duration: float = 10.0)"),
+        (["plan-delays", "table3", "failure_duration"], "takes no 'failure_duration'"),
+        (["scenario", "table3", "failure_duration=abc"], "failure_duration=abc is not float"),
+        (["scenario", "chain-throughput", "depth=2.5"], "depth=2.5 is not int"),
+        (["scenario", "fig13", "policy=Foo"], "unknown policy 'Foo'; one of 'Process & Process'"),
+        # fanin's failure is a silence: refused before any worker process forks.
+        (["scenario", "fanin", "--backend", "live"], "failure kind 'silence' is simulator-only"),
+    ],
+    ids=["scenario-rate", "profile-shards", "plan-delays-depth",
+         "unknown-entry", "unknown-key", "key-without-value", "bad-float", "bad-int",
+         "unknown-name", "live-rejects-silence"],
+)
+def test_bad_flags_exit_2_with_one_line_and_no_traceback(capsys, argv, reason):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"invalid {argv[0]}: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+# --------------------------------------------------------------------------- plan-delays
+def test_plan_delays_prints_the_override_the_deployment_is_wired_with(capsys):
+    assert cli.main(["plan-delays", "delay-assignment"]) == 0
+    out = capsys.readouterr().out
+    assert "strategy: full (overridden: per_node_delay)" in out
+    assert "masked failure duration: 6.5 s" in out
+    assert out.count("D = 6.5 s") == 4
+    assert "path node1 -> node2 -> node3 -> node4: accumulated 26 s [OVER BUDGET]" in out
+
+
+def test_plan_delays_uniform_override(capsys):
+    assert cli.main(["plan-delays", "delay-assignment", "variant=Delay & Delay, D=2s each"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("D = 2 s") == 4
+    assert "accumulated 8 s [ok]" in out
+
+
+def test_plan_delays_diamond_topology(capsys):
+    assert cli.main(["plan-delays", "diamond"]) == 0
+    out = capsys.readouterr().out
+    assert "longest path: 3" in out
+    assert "strategy: uniform\n" in out
+    assert "path ingest -> left -> merge: accumulated 3 s [ok]" in out
+    assert "  merge: D = 1 s" in out
+    assert "note: budget split across the longest path of 3 node(s)" in out
+
+
+def test_plan_delays_shard_topology(capsys):
+    assert cli.main(["plan-delays", "shard-kill", "shards=2"]) == 0
+    out = capsys.readouterr().out
+    assert "longest path: 3" in out
+    assert "path split -> shard2 -> merge" in out
+    assert "shard3" not in out
+
+
 # --------------------------------------------------------------------------- profile
-def test_profile_runs_scenario_under_cprofile(capsys):
-    code = cli.main(
-        ["profile", "chain", "--depth", "1", "--rate", "120", "--duration", "3",
-         "--top", "5"]
-    )
+def test_profile_runs_an_entry_under_cprofile(capsys):
+    code = cli.main(["profile", "live-throughput-chain2", "aggregate_rate=120", "warmup=3",
+                     "--top", "5"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "profiled scenario 'profile-chain'" in out
+    assert "profiled scenario 'chain-2': 3 simulated s" in out
     assert "stable tuples/s" in out
     # The pstats table with the requested restriction and sort order.
     assert "cumtime" in out
@@ -342,10 +285,8 @@ def test_profile_runs_scenario_under_cprofile(capsys):
 
 
 def test_profile_shard_sort_by_tottime(capsys):
-    code = cli.main(
-        ["profile", "shard", "--shards", "2", "--rate", "120", "--duration", "3",
-         "--top", "4", "--sort", "tottime"]
-    )
+    code = cli.main(["profile", "live-throughput-shard4", "aggregate_rate=120", "warmup=3",
+                     "--top", "4", "--sort", "tottime"])
     out = capsys.readouterr().out
     assert code == 0
     assert "top 4 by tottime" in out
@@ -357,78 +298,30 @@ def test_profile_shard_sort_by_tottime(capsys):
     reason="forks live worker processes; set REPRO_LIVE_TESTS=1 to run",
 )
 def test_profile_live_writes_one_profile_per_worker(capsys, tmp_path):
-    code = cli.main(
-        ["profile", "live", "--depth", "2", "--rate", "300", "--duration", "2",
-         "--out", str(tmp_path)]
-    )
+    code = cli.main(["profile", "live-throughput-chain2", "aggregate_rate=300", "warmup=2",
+                     "--backend", "live", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "profiled live chain-2: 3 worker processes" in out
+    assert "profiled live 'chain-2': 5 worker processes" in out
     # The edge worker plus one worker per node replica, each a loadable profile
     # that saw the codec run.
-    assert sorted(os.listdir(tmp_path)) == ["edge.pstats", "node1-r0.pstats", "node2-r0.pstats"]
+    assert sorted(os.listdir(tmp_path)) == [
+        "edge.pstats", "node1-r0.pstats", "node1-r1.pstats", "node2-r0.pstats", "node2-r1.pstats"
+    ]
     for name in os.listdir(tmp_path):
         functions = {key[2] for key in pstats.Stats(str(tmp_path / name)).stats}
         assert "decode_envelope" in functions and "encode_payload" in functions
-    assert out.count("wire codec") == 3
-    assert out.count(" wakeups/s; ") == 3
-    assert out.count("due to restriction <15>") == 3
+    assert out.count("wire codec") == 5
+    assert out.count(" wakeups/s; ") == 5
+    assert out.count("due to restriction <15>") == 5
 
 
 def test_profile_live_without_fork_is_a_one_line_error(capsys, monkeypatch, tmp_path):
     import multiprocessing
 
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    code = cli.main(["profile", "live", "--duration", "1", "--out", str(tmp_path)])
+    code = cli.main(["profile", "live-throughput-chain2", "warmup=1", "--backend", "live",
+                     "--out", str(tmp_path)])
     assert code == 2
     assert "live backend unavailable" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
-
-
-# --------------------------------------------------------------------------- network faults
-def test_scenario_partition_via_cli(capsys):
-    code = cli.main(
-        ["scenario", "--depth", "2", "--rate", "60", "--failure", "partition",
-         "--failure-node", "node1", "--failure-replica", "-1",
-         "--failure-duration", "4", "--warmup", "2", "--settle", "18", "--seed", "1"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.count("partition on node1") == 2  # both replicas isolated
-    assert "eventually consistent:                 True" in out
-
-
-def test_scenario_partition_at_flag(capsys):
-    code = cli.main(
-        ["scenario", "--depth", "2", "--rate", "60", "--partition-at", "3",
-         "--failure-node", "node1", "--failure-replica", "-1",
-         "--failure-duration", "4", "--warmup", "2", "--settle", "18", "--seed", "1"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "partition on node1<->* at t=3s for 4s" in out
-    assert "eventually consistent:                 True" in out
-
-
-def test_scenario_disconnect_at_flag(capsys):
-    code = cli.main(
-        ["scenario", "--depth", "1", "--rate", "60", "--disconnect-at", "3",
-         "--failure-duration", "4", "--warmup", "2", "--settle", "15", "--seed", "1"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "stream_disconnect" in out
-    assert "at t=3s for 4s" in out
-
-
-def test_scenario_live_rejects_silence(capsys):
-    # Rejected at the flag seam, before any worker process spawns.
-    code = cli.main(["scenario", "--backend", "live", "--failure", "silence"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "silence" in err and "simulator-only" in err
-
-
-def test_live_faults_experiment_registered():
-    assert "live-faults" in cli.EXPERIMENTS
-    assert "parity" in cli.EXPERIMENTS["live-faults"].description

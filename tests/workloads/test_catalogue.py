@@ -91,7 +91,7 @@ def test_registry_grids_name_only_catalogue_entries():
 
 def test_no_spec_is_written_outside_the_catalogue():
     src = ROOT / "src" / "repro"
-    paths = [*sorted((src / "analysis").rglob("*.py")), src / "experiments.py",
+    paths = [*sorted((src / "analysis").rglob("*.py")), src / "experiments.py", src / "cli.py",
              GOLDEN_TEST, ROW_GUARD, HOT_PATH_BENCH]
     literals = {
         f"{path.relative_to(ROOT)}:{number}": line.strip()
