@@ -19,6 +19,7 @@ Run with::
 
 from repro.config import DelayAssignment
 from repro.core import DelayPlanner, classify_diagram, compute_buffer_sizing
+from repro.topology import Topology
 from repro.workloads.queries import intrusion_detection_diagram
 
 MONITORS = 3
@@ -45,7 +46,7 @@ def main() -> None:
 
     # ----------------------------------------------------------------- delay planning
     print("=== delay assignment (X = %.0f s, 2-node chain) ===" % BUDGET)
-    planner = DelayPlanner.for_chain(2, total_budget=BUDGET)
+    planner = DelayPlanner(Topology.chain(2), total_budget=BUDGET)
     for strategy in (DelayAssignment.UNIFORM, DelayAssignment.FULL):
         plan = planner.plan(strategy)
         budgets = ", ".join(f"{node}={delay:g}s" for node, delay in plan.per_node.items())

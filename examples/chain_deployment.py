@@ -24,6 +24,7 @@ from repro.analysis.tables import pivot_results, render_text
 from repro.config import DelayAssignment
 from repro.core import DelayPlanner
 from repro.experiments import summarize_run
+from repro.topology import Topology
 from repro.workloads.catalogue import CATALOGUE, FIG19_VARIANTS
 
 CHAIN_DEPTH = 4
@@ -34,7 +35,7 @@ RATE = 120.0  # aggregate tuples per simulated second (kept low for a quick run)
 
 def main() -> None:
     # The DelayPlanner shows what each strategy assigns before running anything.
-    planner = DelayPlanner.for_chain(CHAIN_DEPTH, total_budget=BUDGET)
+    planner = DelayPlanner(Topology.chain(CHAIN_DEPTH), total_budget=BUDGET)
     for strategy in (DelayAssignment.UNIFORM, DelayAssignment.FULL):
         plan = planner.plan(strategy)
         print(

@@ -33,7 +33,7 @@ def main() -> None:
         aggregate_rate=RATE, warmup=5.0, settle=25.0, seed=7
     ).with_branch_crash("left", duration=FAILURE_DURATION)
 
-    topology = spec.resolved_topology()
+    topology = spec.topology
     print(f"topology {topology.name!r}: nodes={topology.node_names}")
     for path in topology.paths():
         print(f"  path: {' -> '.join(path)}")

@@ -38,7 +38,7 @@ def main() -> None:
         shards=SHARDS, aggregate_rate=RATE, warmup=5.0, settle=25.0, seed=7
     ).with_shard_kill(1, duration=FAILURE_DURATION)
 
-    topology = spec.resolved_topology()
+    topology = spec.topology
     assignment = topology.shard_assignment
     print(f"topology {topology.name!r}: nodes={topology.node_names}")
     print(f"shard key: {assignment.spec.key!r} grouped by {assignment.spec.group} "

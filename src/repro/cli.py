@@ -179,7 +179,7 @@ def _cmd_scenario_live(spec: ScenarioSpec) -> int:
     Crashes SIGKILL a replica's worker process; disconnects and partitions
     are enforced at the socket layer as a deterministic fault plan.
     """
-    topology = spec.resolved_topology()
+    topology = spec.topology
     print(
         f"scenario {spec.name!r} [live]: topology={topology.name} "
         f"nodes={','.join(topology.node_names)} replicas={spec.replicas_per_node} "
@@ -328,7 +328,7 @@ def _profile_live(args: argparse.Namespace, spec: ScenarioSpec) -> int:
 def _cmd_plan_delays(args: argparse.Namespace) -> int:
     """The per-node D the entry's deployment is wired with, and every path's total."""
     spec = _entry_spec(args)
-    topology, config = spec.resolved_topology(), spec.dpc_config()
+    topology, config = spec.topology, spec.dpc_config()
     budgets = node_delay_budgets(topology, config, spec.per_node_delay)
     planner = delay_planner(topology, config)
     print(f"topology: {topology.name} (longest path: {topology.depth()} node(s))")
@@ -338,9 +338,6 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
     print(f"masked failure duration: {min(budgets.values()):g} s")
     for node, delay in budgets.items():
         print(f"  {node}: D = {delay:g} s")
-    if planner is None:
-        print("note: no plan for this budget and queuing allowance; D is the fallback")
-        return 0
     for diagnostic in planner.diagnose(budgets):
         status = "ok" if diagnostic.within_budget else "OVER BUDGET"
         print(f"path {' -> '.join(diagnostic.path)}: accumulated "
@@ -432,7 +429,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader went away (``repro scenario ... | head``): send what is
+        # still buffered to devnull so the exit flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except LiveBackendUnavailable as error:
         print(f"live backend unavailable: {error}", file=sys.stderr)
         return 2

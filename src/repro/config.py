@@ -209,22 +209,6 @@ class DPCConfig:
             raise ConfigurationError("checkpoint_transfer_cost cannot be negative")
         self.buffer_policy.validate()
 
-    def node_delay(self, chain_depth: int) -> float:
-        """Per-SUnion delay bound ``D`` for a chain of ``chain_depth`` nodes.
-
-        With :attr:`DelayAssignment.FULL` every SUnion receives the whole
-        budget minus the queuing allowance (Section 6.3); the other
-        strategies divide ``X`` evenly -- on a plain chain the per-path
-        ACCUMULATED plan is exactly the uniform split, so this fallback (used
-        when no :class:`~repro.core.delay_planner.DelayPlanner` ran) treats
-        them alike.
-        """
-        if chain_depth <= 0:
-            raise ConfigurationError("chain_depth must be >= 1")
-        if self.delay_assignment is DelayAssignment.FULL:
-            return max(self.max_incremental_latency - self.queuing_allowance, 0.0)
-        return self.max_incremental_latency / chain_depth
-
     def with_(self, **changes: object) -> "DPCConfig":
         """Return a copy of this configuration with ``changes`` applied."""
         return replace(self, **changes)
@@ -238,13 +222,11 @@ class SimulationConfig:
     * ``processing_latency`` -- fixed cost a node adds to every batch it
       forwards, standing in for per-hop CPU cost.
     * ``batch_interval`` -- sources and nodes flush their output this often.
-    * ``seed`` -- seed for any randomized component (tie-breaking, jitter).
     """
 
     network_latency: float = 0.005
     processing_latency: float = 0.01
     batch_interval: float = 0.05
-    seed: int = 0
 
     def validate(self) -> None:
         if self.network_latency < 0 or self.processing_latency < 0:

@@ -32,7 +32,7 @@ from .buffer_sizing import (
     compute_buffer_sizing,
     supported_failure_duration,
 )
-from .delay_planner import AccumulatedDelayTracker, DelayPlan, DelayPlanner, PathDiagnostic
+from .delay_planner import DelayPlan, DelayPlanner, PathDiagnostic
 
 __all__ = [
     "NodeState",
@@ -68,7 +68,6 @@ __all__ = [
     "classify_operator",
     "compute_buffer_sizing",
     "supported_failure_duration",
-    "AccumulatedDelayTracker",
     "DelayPlan",
     "DelayPlanner",
     "PathDiagnostic",

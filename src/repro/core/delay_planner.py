@@ -18,15 +18,15 @@ The paper compares two static strategies and sketches a third, dynamic one:
   paths reach an operator with different accumulated delays (Figure 21),
   which no static per-SUnion assignment can do without risking drops.
 
-:class:`DelayPlanner` produces per-node delay budgets for the static
-strategies and per-path feasibility diagnostics; :class:`AccumulatedDelayTracker`
-implements the runtime bookkeeping of the dynamic scheme.
+:class:`DelayPlanner` produces per-node delay budgets for all three strategies
+over a deployment :class:`~repro.topology.Topology`, and per-path feasibility
+diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..config import DelayAssignment
 from ..errors import ConfigurationError
@@ -71,146 +71,32 @@ class DelayPlanner:
 
     The planner reasons about the *deployment* graph (which node feeds
     which), not the operator graph inside each node: the paper assigns delays
-    per SUnion, and every SUnion of a node receives the node's budget.
+    per SUnion, and every SUnion of a node receives the node's budget.  The
+    graph is ``topology`` itself; replication is irrelevant here (every
+    replica of a node receives the node's budget).
 
     Parameters
     ----------
+    topology:
+        The deployment whose nodes receive budgets.
     total_budget:
         The application bound ``X`` in seconds.
     queuing_allowance:
         Subtracted from the budget by the FULL strategy (the paper uses
-        1.5 s of an 8 s budget, i.e. assigns 6.5 s).
+        1.5 s of an 8 s budget, i.e. assigns 6.5 s); an allowance of ``X``
+        or more leaves FULL nothing to assign (D = 0).
     """
 
-    def __init__(self, total_budget: float, queuing_allowance: float = 1.5) -> None:
+    def __init__(
+        self, topology: Topology, *, total_budget: float, queuing_allowance: float = 1.5
+    ) -> None:
         if total_budget <= 0:
             raise ConfigurationError(f"total_budget must be positive, got {total_budget}")
         if queuing_allowance < 0:
             raise ConfigurationError(f"queuing_allowance cannot be negative, got {queuing_allowance}")
-        if queuing_allowance >= total_budget:
-            raise ConfigurationError(
-                f"queuing_allowance ({queuing_allowance}) must be smaller than the budget ({total_budget})"
-            )
+        self.topology = topology
         self.total_budget = total_budget
         self.queuing_allowance = queuing_allowance
-        #: node -> list of downstream node names.
-        self._edges: dict[str, list[str]] = {}
-        self._nodes: list[str] = []
-        self._entry_nodes: set[str] = set()
-
-    # ------------------------------------------------------------------ deployment description
-    def add_node(self, name: str, *, entry: bool = False) -> None:
-        """Register a processing node; ``entry`` marks nodes fed by data sources."""
-        if name in self._edges:
-            raise ConfigurationError(f"node {name!r} already registered")
-        self._edges[name] = []
-        self._nodes.append(name)
-        if entry:
-            self._entry_nodes.add(name)
-
-    def connect(self, upstream: str, downstream: str) -> None:
-        """Declare that ``upstream``'s output feeds ``downstream``."""
-        for name in (upstream, downstream):
-            if name not in self._edges:
-                raise ConfigurationError(f"unknown node {name!r}; add it before connecting")
-        self._edges[upstream].append(downstream)
-
-    @classmethod
-    def for_chain(
-        cls, depth: int, *, total_budget: float, queuing_allowance: float = 1.5
-    ) -> "DelayPlanner":
-        """Planner pre-populated with the chain deployment of Figure 14."""
-        if depth < 1:
-            raise ConfigurationError(f"chain depth must be >= 1, got {depth}")
-        return cls.for_topology(
-            Topology.chain(depth),
-            total_budget=total_budget,
-            queuing_allowance=queuing_allowance,
-        )
-
-    @classmethod
-    def for_topology(
-        cls, topology: Topology, *, total_budget: float, queuing_allowance: float = 1.5
-    ) -> "DelayPlanner":
-        """Planner pre-populated with an arbitrary replicated-DAG deployment.
-
-        The planner mirrors the topology's node graph (replication is
-        irrelevant here: every replica of a node receives the node's budget),
-        so the UNIFORM strategy divides ``X`` by the *longest* entry-to-sink
-        path and short branches are never over-assigned.
-        """
-        planner = cls(total_budget, queuing_allowance)
-        for spec in topology:
-            planner.add_node(spec.name, entry=topology.is_entry(spec))
-        for spec in topology:
-            for upstream in topology.upstream_nodes(spec):
-                planner.connect(upstream.name, spec.name)
-        return planner
-
-    # ------------------------------------------------------------------ graph helpers
-    @property
-    def nodes(self) -> list[str]:
-        return list(self._nodes)
-
-    def _check_nonempty(self) -> None:
-        if not self._nodes:
-            raise ConfigurationError("no processing nodes registered")
-
-    def _paths(self) -> list[tuple]:
-        """All entry-to-sink paths through the deployment graph."""
-        self._check_nonempty()
-        entries = self._entry_nodes or {
-            name for name in self._nodes
-            if not any(name in targets for targets in self._edges.values())
-        }
-        paths: list[tuple] = []
-
-        def walk(node: str, prefix: tuple) -> None:
-            prefix = prefix + (node,)
-            downstream = self._edges[node]
-            if not downstream:
-                paths.append(prefix)
-                return
-            for target in downstream:
-                walk(target, prefix)
-
-        for entry in sorted(entries):
-            walk(entry, ())
-        return paths
-
-    def _topological_order(self) -> list[str]:
-        """Nodes in a topological order of the deployment graph (cycle-checked)."""
-        self._check_nonempty()
-        indegree = {name: 0 for name in self._nodes}
-        for targets in self._edges.values():
-            for target in targets:
-                indegree[target] += 1
-        ready = [name for name in self._nodes if indegree[name] == 0]
-        order: list[str] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            for target in self._edges[current]:
-                indegree[target] -= 1
-                if indegree[target] == 0:
-                    ready.append(target)
-        if len(order) != len(self._nodes):
-            raise ConfigurationError("deployment graph has a cycle")
-        return order
-
-    def depth(self) -> int:
-        """Length of the longest entry-to-sink path.
-
-        Computed by dynamic programming over a topological order of the
-        deployment graph -- planning runs on every cluster build, and path
-        *enumeration* (kept for :meth:`diagnose`) is exponential in
-        reconvergent DAGs.
-        """
-        longest = {name: 1 for name in self._nodes}
-        for current in self._topological_order():
-            for target in self._edges[current]:
-                longest[target] = max(longest[target], longest[current] + 1)
-        return max(longest.values())
 
     # ------------------------------------------------------------------ planning
     def plan(self, strategy: DelayAssignment) -> DelayPlan:
@@ -224,9 +110,9 @@ class DelayPlanner:
         raise ConfigurationError(f"unknown delay assignment strategy {strategy!r}")
 
     def _plan_uniform(self) -> DelayPlan:
-        depth = self.depth()
+        depth = self.topology.depth()
         per_node_value = self.total_budget / depth
-        per_node = {name: per_node_value for name in self._nodes}
+        per_node = {name: per_node_value for name in self.topology.node_names}
         return DelayPlan(
             strategy=DelayAssignment.UNIFORM,
             total_budget=self.total_budget,
@@ -240,15 +126,14 @@ class DelayPlanner:
         )
 
     def _plan_full(self) -> DelayPlan:
-        assigned = self.total_budget - self.queuing_allowance
-        per_node = {name: assigned for name in self._nodes}
-        depth = self.depth()
+        assigned = max(self.total_budget - self.queuing_allowance, 0.0)
+        per_node = {name: assigned for name in self.topology.node_names}
         return DelayPlan(
             strategy=DelayAssignment.FULL,
             total_budget=self.total_budget,
             per_node=per_node,
             masked_failure=assigned,
-            worst_case_sequential=assigned * depth,
+            worst_case_sequential=assigned * self.topology.depth(),
             notes=(
                 "every SUnion suspends simultaneously when a failure occurs, so the full "
                 f"budget (minus a {self.queuing_allowance:g} s queuing allowance) can be "
@@ -257,43 +142,38 @@ class DelayPlanner:
         )
 
     def _plan_accumulated(self) -> DelayPlan:
-        """Per-path budgets driven by an :class:`AccumulatedDelayTracker`.
+        """Per-path budgets: each node spends what its input paths left of ``X``.
 
         Walk the deployment graph in topological order.  Each node inherits
-        the accumulated delay of its most delayed upstream (the tracker's
-        ``merge`` rule -- exactly what a runtime stamping delays into tuples
-        would see at a Figure 21 join) and spends the remaining budget evenly
-        over the longest path still ahead of it.  On a chain this reduces to
-        the uniform ``X / depth`` split; on unbalanced DAGs short branches
-        receive the budget the static strategies strand.
+        the accumulated delay of its most delayed upstream -- exactly what a
+        runtime stamping delays into tuples would see at a Figure 21 join --
+        and spends the remaining budget evenly over the longest path still
+        ahead of it.  On a chain this reduces to the uniform ``X / depth``
+        split; on unbalanced DAGs short branches receive the budget the
+        static strategies strand.
         """
-        order = self._topological_order()
+        topology = self.topology
         # Longest path from each node to a sink, inclusive of the node.
-        togo = {name: 1 for name in self._nodes}
-        for name in reversed(order):
-            for target in self._edges[name]:
-                togo[name] = max(togo[name], togo[target] + 1)
-        upstreams: dict[str, list[str]] = {name: [] for name in self._nodes}
-        for name, targets in self._edges.items():
-            for target in targets:
-                upstreams[target].append(name)
-        tracker = AccumulatedDelayTracker(self.total_budget)
-        budgets: dict[str, float] = {}
-        for name in order:
-            inherited = tracker.merge(upstreams[name])
-            tracker.observe_upstream_delay(name, inherited)
-            budget = max(self.total_budget - inherited, 0.0) / togo[name]
-            tracker.spend(name, budget)
-            budgets[name] = budget
-        per_node = {name: budgets[name] for name in self._nodes}
-        sinks = [name for name in self._nodes if not self._edges[name]]
-        worst_case = max(tracker.accumulated(name) for name in sinks)
+        togo: dict[str, int] = {}
+        for name in reversed(topology.node_names):
+            togo[name] = 1 + max(
+                (togo[consumer.name] for consumer in topology.consumers_of(name)), default=0
+            )
+        accumulated: dict[str, float] = {}
+        per_node: dict[str, float] = {}
+        for spec in topology:
+            inherited = max(
+                (accumulated[upstream.name] for upstream in topology.upstream_nodes(spec)),
+                default=0.0,
+            )
+            per_node[spec.name] = max(self.total_budget - inherited, 0.0) / togo[spec.name]
+            accumulated[spec.name] = inherited + per_node[spec.name]
         return DelayPlan(
             strategy=DelayAssignment.ACCUMULATED,
             total_budget=self.total_budget,
             per_node=per_node,
             masked_failure=min(per_node.values()),
-            worst_case_sequential=worst_case,
+            worst_case_sequential=max(accumulated[spec.name] for spec in topology.sinks()),
             notes=(
                 "each node spends the budget its most delayed input path has not already "
                 "consumed, split over the longest remaining path; every path accumulates "
@@ -312,7 +192,7 @@ class DelayPlanner:
         dropped or would break the bound if fully delayed).
         """
         diagnostics = []
-        for path in self._paths():
+        for path in self.topology.paths():
             accumulated = sum(per_node.get(node, 0.0) for node in path)
             diagnostics.append(
                 PathDiagnostic(
@@ -322,77 +202,3 @@ class DelayPlanner:
                 )
             )
         return diagnostics
-
-    def mismatched_paths(self, per_node: Mapping[str, float]) -> bool:
-        """True when different paths accumulate different delays (drop risk)."""
-        totals = {round(d.accumulated_delay, 9) for d in self.diagnose(per_node)}
-        return len(totals) > 1
-
-
-# --------------------------------------------------------------------------- dynamic scheme
-@dataclass
-class AccumulatedDelayTracker:
-    """Runtime bookkeeping for the paper's dynamic delay-assignment sketch.
-
-    The idea (end of Section 6.3): encode the delay already accumulated by a
-    tuple inside the tuple, and let each SUnion impose only ``X`` minus that
-    accumulated delay.  The tracker keeps the accumulated delay per stream
-    (every tuple of a bucket shares the same history in the chain
-    deployments) and answers "how long may this node still delay".
-
-    The tracker is deliberately independent of the simulator so it can be
-    unit-tested and reused by an integration that stamps the accumulated
-    delay into tuple attributes.
-    """
-
-    total_budget: float
-    #: Attribute name used when stamping the accumulated delay into tuples.
-    attribute: str = "accumulated_delay"
-    _accumulated: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.total_budget <= 0:
-            raise ConfigurationError(f"total_budget must be positive, got {self.total_budget}")
-
-    def accumulated(self, stream: str) -> float:
-        """Delay already spent on ``stream`` upstream of this node."""
-        return self._accumulated.get(stream, 0.0)
-
-    def observe_upstream_delay(self, stream: str, delay: float) -> None:
-        """Record that tuples of ``stream`` arrive carrying ``delay`` seconds of history."""
-        if delay < 0:
-            raise ConfigurationError(f"delay cannot be negative, got {delay}")
-        self._accumulated[stream] = delay
-
-    def remaining_budget(self, stream: str) -> float:
-        """How much of the end-to-end budget is still available for ``stream``."""
-        return max(self.total_budget - self.accumulated(stream), 0.0)
-
-    def spend(self, stream: str, delay: float) -> float:
-        """Spend ``delay`` seconds on ``stream`` and return the new accumulated total.
-
-        Spending is clamped to the remaining budget: a node never reports
-        having delayed past the bound, because it is not allowed to.
-        """
-        if delay < 0:
-            raise ConfigurationError(f"delay cannot be negative, got {delay}")
-        spent = min(delay, self.remaining_budget(stream))
-        self._accumulated[stream] = self.accumulated(stream) + spent
-        return self._accumulated[stream]
-
-    def merge(self, streams: Sequence[str]) -> float:
-        """Accumulated delay of the output of an operator merging ``streams``.
-
-        When streams with different histories meet (the Figure 21 situation),
-        the merged output inherits the *largest* accumulated delay: the most
-        delayed input determines how much budget is left downstream.
-        """
-        if not streams:
-            return 0.0
-        return max(self.accumulated(stream) for stream in streams)
-
-    def stamp(self, values: Mapping[str, object], stream: str) -> dict:
-        """Return a copy of ``values`` carrying the accumulated delay attribute."""
-        stamped = dict(values)
-        stamped[self.attribute] = self.accumulated(stream)
-        return stamped

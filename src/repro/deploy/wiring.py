@@ -28,7 +28,6 @@ from ..config import DPCConfig
 from ..core.clock import Clock
 from ..core.delay_planner import DelayPlanner
 from ..core.node import ProcessingNode
-from ..errors import ConfigurationError
 from ..sim.client import ClientApplication
 from ..sim.cluster import merge_diagram
 from ..sim.network import Network
@@ -51,34 +50,23 @@ def node_delay_budgets(
 
     An explicit ``per_node_delay`` overrides every node (the chain
     experiments assign D per node directly).  Otherwise the budgets come
-    from a :class:`~repro.core.delay_planner.DelayPlanner` over the
-    deployment graph, so the UNIFORM strategy splits the end-to-end bound X
-    along the *longest* entry-to-sink path -- short branches under-use the
-    budget instead of over-assigning it when paths reconverge.
+    from the :func:`delay_planner` over the deployment graph, so the UNIFORM
+    strategy splits the end-to-end bound X along the *longest* entry-to-sink
+    path -- short branches under-use the budget instead of over-assigning it
+    when paths reconverge.
     """
     if per_node_delay is not None:
         return {name: per_node_delay for name in topology.node_names}
-    planner = delay_planner(topology, config)
-    if planner is None:
-        # Degenerate planner input (e.g. queuing allowance >= X): keep the
-        # clamped scalar semantics of DPCConfig.node_delay.
-        fallback = config.node_delay(topology.depth())
-        return {name: fallback for name in topology.node_names}
-    return dict(planner.plan(config.delay_assignment).per_node)
+    return dict(delay_planner(topology, config).plan(config.delay_assignment).per_node)
 
 
-def delay_planner(topology: Topology, config: DPCConfig) -> DelayPlanner | None:
-    """The planner over ``topology``'s graph for ``config``'s budget X, or
-    ``None`` when X and the queuing allowance leave nothing to plan (then
-    :func:`node_delay_budgets` falls back to ``DPCConfig.node_delay``)."""
-    try:
-        return DelayPlanner.for_topology(
-            topology,
-            total_budget=config.max_incremental_latency,
-            queuing_allowance=config.queuing_allowance,
-        )
-    except ConfigurationError:
-        return None
+def delay_planner(topology: Topology, config: DPCConfig) -> DelayPlanner:
+    """The planner over ``topology``'s graph for ``config``'s budget X."""
+    return DelayPlanner(
+        topology,
+        total_budget=config.max_incremental_latency,
+        queuing_allowance=config.queuing_allowance,
+    )
 
 
 @dataclass

@@ -56,9 +56,7 @@ ORACLE_DRAIN = 6.0
 
 def compile_spec(spec: ScenarioSpec) -> Placement:
     """The one compile both backends deploy: ``spec``'s placement, validated against it."""
-    placement = compile_topology(
-        spec.resolved_topology(), replicas_per_node=spec.replicas_per_node
-    )
+    placement = compile_topology(spec.topology, replicas_per_node=spec.replicas_per_node)
     spec.validate(placement)
     return placement
 
@@ -167,11 +165,9 @@ class SimulationRuntime:
         if self.spec.rebalance_at is not None:
             self.simulator.schedule_at(
                 self.spec.rebalance_at,
-                lambda now: self.deployment.rebalance(
-                    tolerance=self.spec.rebalance_tolerance
-                ),
+                lambda now: self.deployment.rebalance(),
                 kind=EventKind.INTERNAL,
-                description=f"scheduled rebalance (tolerance {self.spec.rebalance_tolerance:g})",
+                description="scheduled rebalance",
             )
         if self.spec.autoscale is not None:
             self.autoscaler = Autoscaler(self.deployment, self.spec.autoscale)

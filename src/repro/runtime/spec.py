@@ -1,8 +1,8 @@
 """Declarative scenario descriptions.
 
 A :class:`ScenarioSpec` is the single way to describe a DPC deployment plus
-the experiment run on top of it: the topology (chain depth, replication
-factor, sources and their aggregate rate), the DPC and simulation
+the experiment run on top of it: the deployment topology, its replication
+factor, the sources' aggregate rate, the DPC and simulation
 configuration, the failure schedule, the run timing, and the determinism seed.
 Compiling a spec (:meth:`ScenarioSpec.build`) produces a
 :class:`~repro.runtime.runtime.SimulationRuntime` that owns the simulator,
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ..config import DPCConfig, SimulationConfig
 from ..deploy import AutoscalePolicy, Placement, compile as compile_topology
 from ..errors import ConfigurationError
-from ..topology import NodeSpec, Topology, as_topology
+from ..topology import Topology
 from ..workloads.generators import PayloadFactory, default_payload_factory
 from ..workloads.scenarios import FailureSpec, resolve_failures
 
@@ -44,22 +44,16 @@ class ScenarioSpec:
     node replicated on two simulated machines, fed by three sources at an
     aggregate 150 tuples/s, with no failures scheduled.
 
-    The deployment shape comes from ``topology`` -- a
-    :class:`~repro.topology.Topology` (or a sequence of
-    :class:`~repro.topology.NodeSpec`) describing an arbitrary replicated
-    DAG.  When ``topology`` is ``None``, the legacy ``chain_depth`` /
-    ``n_input_streams`` sugar compiles to an equivalent path topology.
+    The deployment shape is ``topology``, a :class:`~repro.topology.Topology`
+    describing an arbitrary replicated DAG; the factories (:meth:`chain`,
+    :meth:`diamond`, :meth:`sharded`, ...) build it from their own keywords.
     """
 
     name: str = "scenario"
     # --- topology -------------------------------------------------------------
-    #: Deployment DAG; None compiles chain_depth into a path graph.
-    topology: "Topology | tuple[NodeSpec, ...] | None" = None
-    chain_depth: int = 1
+    #: Deployment DAG (one node fed by three sources by default).
+    topology: Topology = Topology.chain(1)
     replicas_per_node: int = 2
-    #: Source-stream count of the chain sugar; ignored when ``topology`` is
-    #: given (the topology's own source streams are used instead).
-    n_input_streams: int = 3
     aggregate_rate: float = 150.0
     join_state_size: int | None = 100
     #: Optional custom first-node fragment (e.g. the plain-Union baseline of
@@ -87,8 +81,6 @@ class ScenarioSpec:
     #: time: observed bucket loads -> ShardPlanner.rebalance -> Deployment.apply.
     #: Requires a sharded topology.
     rebalance_at: float | None = None
-    #: Peak-to-mean tolerance handed to the planner by the mid-run rebalance.
-    rebalance_tolerance: float = 0.10
     #: Watermark policy of the elastic autoscaler loop (None disables it).
     #: The runtime arms an :class:`~repro.deploy.Autoscaler` on the deployment,
     #: which drives ``Deployment.scale_out`` / ``scale_in`` from per-shard
@@ -117,19 +109,15 @@ class ScenarioSpec:
         The failure schedule is checked against ``placement`` -- this spec's
         compiled placement, compiled here when the caller has not already.
         """
-        if self.chain_depth < 1:
-            raise ConfigurationError("chain_depth must be >= 1")
         if self.replicas_per_node < 1:
             raise ConfigurationError("replicas_per_node must be >= 1")
-        if self.n_input_streams < 1:
-            raise ConfigurationError("n_input_streams must be >= 1")
         if self.aggregate_rate <= 0:
             raise ConfigurationError("aggregate_rate must be positive")
         if self.warmup < 0 or self.settle < 0:
             raise ConfigurationError("warmup and settle must be non-negative")
         if self.duration is not None and self.duration <= 0:
             raise ConfigurationError("duration must be positive when given")
-        topology = self.resolved_topology()  # validates the graph itself
+        topology = self.topology
         if self.rebalance_at is not None:
             if topology.shard_assignment is None:
                 raise ConfigurationError(
@@ -178,8 +166,6 @@ class ScenarioSpec:
                         f"[{failure.start:g}s, {failure.start + failure.duration:g}s); "
                         f"rebalance before the failure or after it heals"
                     )
-        if self.rebalance_tolerance < 0:
-            raise ConfigurationError("rebalance_tolerance cannot be negative")
         if self.autoscale is not None:
             self.autoscale.validate()
             if topology.shard_assignment is None:
@@ -223,14 +209,6 @@ class ScenarioSpec:
         (self.sim_config or SimulationConfig()).validate()
 
     # ------------------------------------------------------------------ derived values
-    def resolved_topology(self) -> Topology:
-        """The deployment DAG this spec describes (chain sugar compiled)."""
-        return as_topology(
-            self.topology,
-            chain_depth=self.chain_depth,
-            n_input_streams=self.n_input_streams,
-        )
-
     def resolved_payload_factory(self) -> PayloadFactory:
         """The workload factory, with the hot-key knob bound to the final seed."""
         if self.hot_key_skew is not None:
@@ -374,19 +352,25 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------------ factories
     @classmethod
-    def single_node(cls, replicated: bool = True, **changes) -> "ScenarioSpec":
+    def single_node(
+        cls, replicated: bool = True, n_input_streams: int = 3, **changes
+    ) -> "ScenarioSpec":
         """The Figure 10/12 deployment: one node, optionally replicated."""
         return cls(
             name=changes.pop("name", "single-node"),
-            chain_depth=1,
+            topology=Topology.chain(1, n_input_streams=n_input_streams),
             replicas_per_node=2 if replicated else 1,
             **changes,
         )
 
     @classmethod
-    def chain(cls, depth: int, **changes) -> "ScenarioSpec":
+    def chain(cls, depth: int, n_input_streams: int = 3, **changes) -> "ScenarioSpec":
         """The Figure 14 deployment: a chain of replicated nodes."""
-        return cls(name=changes.pop("name", f"chain-{depth}"), chain_depth=depth, **changes)
+        return cls(
+            name=changes.pop("name", f"chain-{depth}"),
+            topology=Topology.chain(depth, n_input_streams=n_input_streams),
+            **changes,
+        )
 
     @classmethod
     def diamond(cls, n_input_streams: int = 3, **changes) -> "ScenarioSpec":
@@ -394,7 +378,6 @@ class ScenarioSpec:
         return cls(
             name=changes.pop("name", "diamond"),
             topology=Topology.diamond(n_input_streams=n_input_streams),
-            n_input_streams=n_input_streams,
             **changes,
         )
 
@@ -445,7 +428,6 @@ class ScenarioSpec:
                 buckets=DEFAULT_BUCKETS if buckets is None else buckets,
                 tie_group=tie_group,
             ),
-            n_input_streams=n_input_streams,
             **changes,
         )
 
@@ -470,8 +452,7 @@ class ScenarioSpec:
 
         return cls(
             name=changes.pop("name", "windowed-aggregate"),
-            chain_depth=1,
-            n_input_streams=n_input_streams,
+            topology=Topology.chain(1, n_input_streams=n_input_streams),
             diagram_factory=windowed_rollup_factory(size=window_size, slide=window_slide),
             **changes,
         )
@@ -482,7 +463,6 @@ class ScenarioSpec:
         return cls(
             name=changes.pop("name", "fanin"),
             topology=Topology.fanin(branches=branches, streams_per_branch=streams_per_branch),
-            n_input_streams=branches * streams_per_branch,
             **changes,
         )
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError
 from .sharding import DEFAULT_BUCKETS, ShardAssignment, ShardPlanner, ShardSpec
@@ -172,7 +172,7 @@ class Topology:
     # ------------------------------------------------------------------ construction helpers
     @classmethod
     def chain(cls, depth: int, n_input_streams: int = 3, name: str | None = None) -> "Topology":
-        """The linear deployment of Figure 14: ``chain_depth`` compiled to a path graph."""
+        """The linear deployment of Figure 14: ``depth`` nodes in a path graph."""
         if depth < 1:
             raise ConfigurationError("chain depth must be >= 1")
         if n_input_streams < 1:
@@ -458,16 +458,3 @@ class Topology:
             f"sources={self.source_streams}>"
         )
 
-
-def as_topology(value: "Topology | Iterable[NodeSpec] | None", *, chain_depth: int = 1,
-                n_input_streams: int = 3, name: str | None = None) -> Topology:
-    """Normalize a ``ScenarioSpec.topology`` value into a :class:`Topology`.
-
-    ``None`` compiles the legacy ``chain_depth`` sugar into a path graph; a
-    sequence of :class:`NodeSpec` is validated into a fresh topology.
-    """
-    if value is None:
-        return Topology.chain(chain_depth, n_input_streams=n_input_streams, name=name)
-    if isinstance(value, Topology):
-        return value
-    return Topology(tuple(value), name=name or "topology")

@@ -102,9 +102,9 @@ def _availability(name: str, failure_duration: float, config: DPCConfig, *, dept
     ``kind="silence"`` is the Section 6.2 chain failure (data keeps flowing,
     boundaries stop); ``"disconnect"`` the Section 5 / 6.1 one.
     """
-    return ScenarioSpec(
+    return ScenarioSpec.chain(
+        depth,
         name=name,
-        chain_depth=depth,
         replicas_per_node=replicas,
         aggregate_rate=rate,
         join_state_size=join_state_size,
@@ -325,7 +325,6 @@ def rebalance(seed: int | None = 1) -> ScenarioSpec:
         settle=20.0,
         seed=seed,
         rebalance_at=20.0,
-        rebalance_tolerance=0.10,
     )
 
 

@@ -8,7 +8,7 @@ def test_failure_free_ledger_is_gap_free_across_a_float_bucket_edge():
     # tuple opens bucket 753 (753 * 0.1 == 75.3) rather than landing in the
     # already emitted bucket 752 as a silent late drop.
     runtime = ScenarioSpec(
-        chain_depth=1, replicas_per_node=1, aggregate_rate=120.0, warmup=80.0, settle=0.0
+        replicas_per_node=1, aggregate_rate=120.0, warmup=80.0, settle=0.0
     ).run()
     ledger = runtime.client.metrics.consistency.ledger
     seqs = sorted(row.values["seq"] for row in ledger if row.is_stable)

@@ -7,8 +7,9 @@ from repro.analysis.comparison import check_flat, check_monotonic
 from repro.analysis.tables import pivot_results, render_csv, render_markdown
 from repro.config import DelayAssignment
 from repro.core.buffer_sizing import compute_buffer_sizing, supported_failure_duration
-from repro.core.delay_planner import AccumulatedDelayTracker, DelayPlanner
+from repro.core.delay_planner import DelayPlanner
 from repro.experiments import ExperimentResult
+from repro.topology import NodeSpec, Topology
 from repro.workloads.queries import traffic_rollup_diagram
 
 COMMON = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -21,7 +22,8 @@ COMMON = settings(max_examples=60, deadline=None, suppress_health_check=[HealthC
     st.floats(min_value=1.0, max_value=60.0),
 )
 def test_uniform_plan_never_exceeds_budget_along_a_chain(depth, budget):
-    planner = DelayPlanner.for_chain(depth, total_budget=budget, queuing_allowance=budget * 0.1)
+    planner = DelayPlanner(Topology.chain(depth), total_budget=budget,
+                           queuing_allowance=budget * 0.1)
     plan = planner.plan(DelayAssignment.UNIFORM)
     assert sum(plan.per_node.values()) <= budget + 1e-9
     for diagnostic in planner.diagnose(plan.per_node):
@@ -39,7 +41,8 @@ def test_full_plan_masks_at_least_as_long_as_uniform(depth, budget, allowance_fr
     # single node the uniform split trivially assigns the whole budget, while
     # the FULL strategy always reserves its queuing allowance.
     allowance = min(budget * allowance_fraction * 0.5, budget / depth)
-    planner = DelayPlanner.for_chain(depth, total_budget=budget, queuing_allowance=allowance)
+    planner = DelayPlanner(Topology.chain(depth), total_budget=budget,
+                           queuing_allowance=allowance)
     uniform = planner.plan(DelayAssignment.UNIFORM)
     full = planner.plan(DelayAssignment.FULL)
     assert full.masked_failure >= uniform.masked_failure - 1e-9
@@ -48,16 +51,34 @@ def test_full_plan_masks_at_least_as_long_as_uniform(depth, budget, allowance_fr
     assert len(set(round(v, 9) for v in full.per_node.values())) == 1
 
 
+@st.composite
+def deployment_dags(draw):
+    """A random DAG of up to 7 nodes: each node reads a source or earlier nodes."""
+    nodes = []
+    for index in range(draw(st.integers(min_value=1, max_value=7))):
+        earlier = [spec.name for spec in nodes]
+        inputs = draw(st.lists(st.sampled_from(earlier), unique=True, max_size=3)) if earlier else []
+        nodes.append(NodeSpec(f"n{index}", tuple(inputs) or (f"s{index + 1}",)))
+    return Topology(nodes, name="random")
+
+
 @COMMON
-@given(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=10))
-def test_accumulated_delay_never_exceeds_budget(spends):
-    budget = 8.0
-    tracker = AccumulatedDelayTracker(total_budget=budget)
-    for spend in spends:
-        accumulated = tracker.spend("s", spend)
-        assert 0.0 <= accumulated <= budget + 1e-9
-        assert tracker.remaining_budget("s") >= 0.0
-    assert tracker.accumulated("s") <= budget + 1e-9
+@given(
+    deployment_dags(),
+    st.floats(min_value=0.5, max_value=60.0),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+def test_accumulated_plan_never_exceeds_budget_on_any_path(topology, budget, allowance_fraction):
+    # The allowance plays no part in ACCUMULATED, even at or above X.
+    planner = DelayPlanner(topology, total_budget=budget,
+                           queuing_allowance=budget * allowance_fraction)
+    plan = planner.plan(DelayAssignment.ACCUMULATED)
+    assert all(delay > 0.0 for delay in plan.per_node.values())
+    for diagnostic in planner.diagnose(plan.per_node):
+        assert diagnostic.within_budget, diagnostic
+    # The most delayed path spends the whole budget.
+    assert plan.worst_case_sequential <= budget + 1e-9
+    assert max(d.accumulated_delay for d in planner.diagnose(plan.per_node)) >= budget - 1e-9
 
 
 # --------------------------------------------------------------------------- buffer sizing

@@ -58,8 +58,7 @@ def test_disconnect_stream_out_of_range_uses_topology_sources():
 def test_custom_topology_from_node_specs():
     spec = ScenarioSpec(
         name="custom",
-        topology=(NodeSpec("ingest", ("s1", "s2")), NodeSpec("relay", ("ingest",))),
-        n_input_streams=2,
+        topology=Topology([NodeSpec("ingest", ("s1", "s2")), NodeSpec("relay", ("ingest",))]),
         aggregate_rate=60.0,
         settle=6.0,
         warmup=2.0,

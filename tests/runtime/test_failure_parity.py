@@ -51,7 +51,7 @@ def _sim_endpoints(spec: ScenarioSpec) -> list:
 
 def _live_endpoints(spec: ScenarioSpec) -> list:
     """What the compiled live plan names: link rules first, then kills."""
-    placement = compile_topology(spec.resolved_topology(), spec.replicas_per_node)
+    placement = compile_topology(spec.topology, spec.replicas_per_node)
     plan, kills = compile_failures(placement, spec.resolved_failures(), seed=1)
     named = [
         (rule.kind, (rule.sender, rule.receiver))
@@ -72,7 +72,7 @@ def _live_endpoints(spec: ScenarioSpec) -> list:
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_node_failures_name_the_same_endpoints_on_both_backends(shape, kind, replica):
     base = SHAPES[shape](warmup=1.0, settle=1.0, seed=1)
-    for name in base.resolved_topology().node_names:
+    for name in base.topology.node_names:
         spec = base.with_failure(kind, duration=1.0, node=name, node_replica=replica)
         sim = _sim_endpoints(spec)
         assert sim == _live_endpoints(spec)
@@ -84,7 +84,7 @@ def test_node_failures_name_the_same_endpoints_on_both_backends(shape, kind, rep
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_unnamed_node_target_is_the_first_node_in_topological_order(shape, kind):
     base = SHAPES[shape](warmup=1.0, settle=1.0, seed=1)
-    first = base.resolved_topology().node_names[0]
+    first = base.topology.node_names[0]
     spec = base.with_failure(kind, duration=1.0)
     sim = _sim_endpoints(spec)
     assert sim == _live_endpoints(spec)
@@ -94,7 +94,7 @@ def test_unnamed_node_target_is_the_first_node_in_topological_order(shape, kind)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_disconnects_sever_the_same_links_on_both_backends(shape):
     base = SHAPES[shape](warmup=1.0, settle=1.0, seed=1)
-    topology = base.resolved_topology()
+    topology = base.topology
     for index, stream in enumerate(topology.source_streams):
         spec = base.with_failure("disconnect", duration=1.0, stream_index=index)
         sim = _sim_endpoints(spec)
@@ -137,7 +137,7 @@ def test_bad_target_is_the_same_error_at_every_seam(case):
     fields.update(BAD_TARGETS[case])
     failure = FailureSpec(**fields)
     spec = ScenarioSpec.chain(2, warmup=1.0, settle=1.0, failures=(failure,))
-    placement = compile_topology(spec.resolved_topology(), spec.replicas_per_node)
+    placement = compile_topology(spec.topology, spec.replicas_per_node)
     messages = []
     for seam in (
         spec.validate,
@@ -152,7 +152,7 @@ def test_bad_target_is_the_same_error_at_every_seam(case):
 
 def test_unresolved_start_is_rejected_by_both_consumers():
     failure = FailureSpec("disconnect", None, 1.0)
-    placement = compile_topology(ScenarioSpec.chain(2).resolved_topology(), 2)
+    placement = compile_topology(ScenarioSpec.chain(2).topology, 2)
     messages = []
     for seam in (
         lambda: resolve_failures(placement, [failure]),

@@ -11,18 +11,18 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import summarize_run
-from repro.runtime import NodeSpec, ScenarioSpec
+from repro.runtime import NodeSpec, ScenarioSpec, Topology
 
 
 def fanout_spec(**changes) -> ScenarioSpec:
     """ingest -> two independent sinks, each receiving the full stream."""
     return ScenarioSpec(
         name=changes.pop("name", "fanout"),
-        topology=(
+        topology=Topology([
             NodeSpec(name="ingest", inputs=("s1", "s2")),
             NodeSpec(name="sink_a", inputs=("ingest",)),
             NodeSpec(name="sink_b", inputs=("ingest",)),
-        ),
+        ]),
         aggregate_rate=changes.pop("aggregate_rate", 80.0),
         warmup=changes.pop("warmup", 4.0),
         settle=changes.pop("settle", 10.0),

@@ -18,8 +18,6 @@ def test_defaults_validate_and_derive_duration():
 
 def test_validation_rejects_bad_specs():
     with pytest.raises(ConfigurationError):
-        ScenarioSpec(chain_depth=0).validate()
-    with pytest.raises(ConfigurationError):
         ScenarioSpec(replicas_per_node=0).validate()
     with pytest.raises(ConfigurationError):
         ScenarioSpec(aggregate_rate=0.0).validate()
@@ -30,11 +28,15 @@ def test_validation_rejects_bad_specs():
 
 
 def test_factories_shape_the_topology():
-    single = ScenarioSpec.single_node(replicated=False)
-    assert (single.chain_depth, single.replicas_per_node) == (1, 1)
+    single = ScenarioSpec.single_node(replicated=False, n_input_streams=1)
+    assert single.topology.node_names == ["node1"]
+    assert single.topology.source_streams == ["s1"]
+    assert single.replicas_per_node == 1
     chain = ScenarioSpec.chain(3)
-    assert (chain.chain_depth, chain.replicas_per_node) == (3, 2)
+    assert (chain.topology.depth(), chain.replicas_per_node) == (3, 2)
+    assert chain.topology.source_streams == ["s1", "s2", "s3"]
     assert chain.name == "chain-3"
+    assert ScenarioSpec().topology.node_names == ["node1"]
 
 
 def test_compiled_runtime_owns_a_wired_cluster():

@@ -271,6 +271,29 @@ def test_plan_delays_shard_topology(capsys):
     assert "shard3" not in out
 
 
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_plan_delays_prints_the_budgets_the_deployment_is_wired_with(capsys, name):
+    assert cli.main(["plan-delays", name]) == 0
+    printed = [line.strip() for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  ") and ": D = " in line]
+    wired = CATALOGUE[name]().build().deployment.wiring.delay_budgets  # deploy only, no run
+    assert printed == [f"{node}: D = {delay:g} s" for node, delay in wired.items()]
+
+
+# --------------------------------------------------------------------------- closed stdout
+def test_a_closed_stdout_ends_main_quietly(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader went away, like ``repro ... | head`` after its lines
+    closed = os.fdopen(write_end, "w")
+    monkeypatch.setattr("sys.stdout", closed)
+    try:
+        assert cli.main(["plan-delays", "diamond"]) == 1
+        closed.flush()  # stdout now points at devnull: the exit flush cannot raise
+    finally:
+        closed.close()
+    assert capsys.readouterr().err == ""
+
+
 # --------------------------------------------------------------------------- profile
 def test_profile_runs_an_entry_under_cprofile(capsys):
     code = cli.main(["profile", "live-throughput-chain2", "aggregate_rate=120", "warmup=3",

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import (
     BufferPolicy,
-    DelayAssignment,
     DelayPolicy,
     DPCConfig,
     ProcessingPolicy,
@@ -47,15 +46,6 @@ def test_buffer_policy_validation():
     with pytest.raises(ConfigurationError):
         BufferPolicy(max_output_tuples=0).validate()
     BufferPolicy(max_output_tuples=10).validate()
-
-
-def test_node_delay_uniform_and_full():
-    config = DPCConfig(max_incremental_latency=8.0, queuing_allowance=1.5)
-    assert config.node_delay(4) == pytest.approx(2.0)
-    full = config.with_(delay_assignment=DelayAssignment.FULL)
-    assert full.node_delay(4) == pytest.approx(6.5)
-    with pytest.raises(ConfigurationError):
-        config.node_delay(0)
 
 
 def test_with_returns_modified_copy():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.deploy import compile as compile_topology
 from repro.errors import ConfigurationError
-from repro.topology import NodeSpec, Topology, as_topology, modulo_partition
+from repro.topology import NodeSpec, Topology, modulo_partition
 from repro.workloads.scenarios import FailureSpec, resolve_failures
 
 
@@ -63,6 +63,8 @@ def test_chain_topology_shape():
     assert not topo.is_entry(topo.node("node2"))
     assert [s.name for s in topo.sinks()] == ["node3"]
     assert topo.input_streams(topo.node("node2")) == ["node1.out"]
+    with pytest.raises(ConfigurationError):
+        Topology.chain(0)
 
 
 def test_diamond_topology_shape():
@@ -117,15 +119,6 @@ def test_replicas_override_and_failure_validation():
         crash("a", 3)
     with pytest.raises(ConfigurationError):
         crash("zzz", 0)
-
-
-# --------------------------------------------------------------------------- normalization
-def test_as_topology_normalization():
-    assert as_topology(None, chain_depth=2).node_names == ["node1", "node2"]
-    topo = Topology.diamond()
-    assert as_topology(topo) is topo
-    rebuilt = as_topology([NodeSpec("a", ("s1",))])
-    assert rebuilt.node_names == ["a"]
 
 
 def test_node_names_matching_source_convention_are_rejected():
