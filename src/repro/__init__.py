@@ -24,7 +24,6 @@ Quick start::
 """
 
 from .config import (
-    BufferPolicy,
     DelayAssignment,
     DelayPolicy,
     DPCConfig,
@@ -32,7 +31,6 @@ from .config import (
     SimulationConfig,
 )
 from .errors import (
-    BufferOverflowError,
     CheckpointError,
     ConfigurationError,
     DiagramError,
@@ -91,7 +89,6 @@ __version__ = "1.1.0"
 __all__ = [
     "__version__",
     # configuration
-    "BufferPolicy",
     "DelayAssignment",
     "DelayPolicy",
     "DPCConfig",
@@ -108,7 +105,6 @@ __all__ = [
     "NetworkError",
     "ConfigurationError",
     "ProtocolError",
-    "BufferOverflowError",
     # DPC core
     "NodeState",
     "ProcessingNode",

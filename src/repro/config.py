@@ -100,27 +100,6 @@ class DelayPolicy:
 
 
 @dataclass(frozen=True)
-class BufferPolicy:
-    """Buffer management options from Section 8.1.
-
-    ``max_output_tuples`` of ``None`` means unbounded output buffers (the
-    paper's default assumption).  When bounds are set,
-    ``block_on_full`` selects the deterministic-operator behaviour (block and
-    create back-pressure, avoiding system delusion); otherwise the oldest
-    tuples are dropped, which is only safe for convergent-capable diagrams.
-    """
-
-    max_output_tuples: int | None = None
-    block_on_full: bool = True
-
-    def validate(self) -> None:
-        if self.max_output_tuples is not None and self.max_output_tuples <= 0:
-            raise ConfigurationError(
-                f"max_output_tuples must be positive or None, got {self.max_output_tuples}"
-            )
-
-
-@dataclass(frozen=True)
 class DPCConfig:
     """All DPC protocol parameters for one deployment.
 
@@ -177,7 +156,6 @@ class DPCConfig:
     redo_rate: float = 1200.0
     tentative_bucket_wait: float = 0.3
     per_stream_granularity: bool = False
-    buffer_policy: BufferPolicy = field(default_factory=BufferPolicy)
     checkpoint_interval: float | None = 2.0
     checkpoint_transfer_cost: float = 0.00002
 
@@ -207,7 +185,6 @@ class DPCConfig:
             raise ConfigurationError("checkpoint_interval must be positive or None")
         if self.checkpoint_transfer_cost < 0:
             raise ConfigurationError("checkpoint_transfer_cost cannot be negative")
-        self.buffer_policy.validate()
 
     def with_(self, **changes: object) -> "DPCConfig":
         """Return a copy of this configuration with ``changes`` applied."""

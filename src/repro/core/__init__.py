@@ -22,16 +22,6 @@ from .input_streams import InputStreamMonitor, ProducerInfo
 from .data_path import DataPath, OutputStreamManager
 from .consistency_manager import ConsistencyManager
 from .node import ProcessingNode
-from .buffer_sizing import (
-    BufferSizing,
-    DiagramClassification,
-    OperatorCategory,
-    OperatorClassification,
-    classify_diagram,
-    classify_operator,
-    compute_buffer_sizing,
-    supported_failure_duration,
-)
 from .delay_planner import DelayPlan, DelayPlanner, PathDiagnostic
 
 __all__ = [
@@ -60,14 +50,6 @@ __all__ = [
     "OutputStreamManager",
     "ConsistencyManager",
     "ProcessingNode",
-    "BufferSizing",
-    "DiagramClassification",
-    "OperatorCategory",
-    "OperatorClassification",
-    "classify_diagram",
-    "classify_operator",
-    "compute_buffer_sizing",
-    "supported_failure_duration",
     "DelayPlan",
     "DelayPlanner",
     "PathDiagnostic",

@@ -12,9 +12,8 @@ by an :class:`OutputStreamManager`:
 * each subscriber has a cursor into the buffer; flushing sends it everything
   appended since its cursor;
 * the buffer is truncated once every replica of every downstream neighbor has
-  acknowledged a prefix (Section 8.1, :meth:`OutputStreamManager.acknowledge`),
-  and can additionally be capped with the policies of
-  :class:`repro.config.BufferPolicy`.
+  acknowledged a prefix (Section 8.1, :meth:`OutputStreamManager.acknowledge`);
+  no size cap drops tuples, so a silent consumer's outage grows the buffer.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter, not_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..config import BufferPolicy
-from ..errors import BufferOverflowError, BufferTruncatedError, ProtocolError
+from ..errors import BufferTruncatedError, ProtocolError
 from ..spe.streams import StreamWriter
 from ..spe.tuples import (
     BOUNDARY,
@@ -64,15 +62,9 @@ class _Subscription:
 class OutputStreamManager:
     """Buffering, subscription handling, and replay for one output stream."""
 
-    def __init__(
-        self,
-        stream: str,
-        owner: str,
-        buffer_policy: BufferPolicy | None = None,
-    ) -> None:
+    def __init__(self, stream: str, owner: str) -> None:
         self.stream = stream
         self.owner = owner
-        self.buffer_policy = buffer_policy or BufferPolicy()
         self._writer = StreamWriter(stream_name=f"{owner}:{stream}")
         #: The retained tuples in production order, as parallel columns (no
         #: object per buffered tuple).  Row ``i`` has history index
@@ -118,11 +110,6 @@ class OutputStreamManager:
         self.undos_produced = 0
 
     # ------------------------------------------------------------------ production
-    @property
-    def is_full(self) -> bool:
-        limit = self.buffer_policy.max_output_tuples
-        return limit is not None and len(self._codes) >= limit
-
     def append(self, item: StreamTuple) -> StreamTuple:
         """Relabel one tuple onto the physical stream: a block of one."""
         return self.append_all((item,))[0]
@@ -133,9 +120,7 @@ class OutputStreamManager:
         Every stable tuple is stamped with its replica-independent position,
         so a subscriber connected to several replicas of this stream can
         discard stable tuples it already received elsewhere.  Returns the
-        physical tuples as one block.  Raises :class:`BufferOverflowError`
-        when the buffer is bounded, full, and configured to block (the
-        back-pressure behaviour of Section 8.1 for deterministic operators).
+        physical tuples as one block.
         """
         block = TupleBlock.of(items)
         codes = block.codes
@@ -143,22 +128,8 @@ class OutputStreamManager:
         if not codes:
             return EMPTY_BLOCK
         self.flushed = False
-        if self.buffer_policy.max_output_tuples is None:
-            for start, stop in block.segment_edges():
-                self._extend(block, start, stop)
-        else:
-            # A bounded buffer overflows (or drops its oldest tuple) at one
-            # specific row: feed it a row at a time.
-            for position in range(len(block)):
-                if self.is_full:
-                    if self.buffer_policy.block_on_full:
-                        raise BufferOverflowError(
-                            f"output buffer for {self.stream!r} at {self.owner!r} is full "
-                            f"({len(self._codes)} tuples)"
-                        )
-                    # Convergent-capable diagrams may drop the oldest buffered tuples.
-                    self._drop_oldest(1)
-                self._extend(block, position, position + 1)
+        for start, stop in block.segment_edges():
+            self._extend(block, start, stop)
         return self._block(first)
 
     def _extend(self, block: TupleBlock, start: int, stop: int) -> None:
@@ -572,15 +543,14 @@ class OutputStreamManager:
 class DataPath:
     """All output stream managers of one node plus batch sending helpers."""
 
-    def __init__(self, owner: str, buffer_policy: BufferPolicy | None = None) -> None:
+    def __init__(self, owner: str) -> None:
         self.owner = owner
-        self.buffer_policy = buffer_policy or BufferPolicy()
         self._outputs: dict[str, OutputStreamManager] = {}
 
     def add_output(self, stream: str) -> OutputStreamManager:
         if stream in self._outputs:
             raise ProtocolError(f"output stream {stream!r} already managed")
-        manager = OutputStreamManager(stream, self.owner, self.buffer_policy)
+        manager = OutputStreamManager(stream, self.owner)
         self._outputs[stream] = manager
         return manager
 

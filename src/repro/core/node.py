@@ -98,7 +98,7 @@ class ProcessingNode:
 
         self.diagram = diagram
         self.engine = LocalEngine(diagram)
-        self.data_path = DataPath(owner=name, buffer_policy=self.config.buffer_policy)
+        self.data_path = DataPath(owner=name)
         for stream in diagram.output_streams:
             self.data_path.add_output(stream)
         #: Output stream -> its manager (the fragment's outputs are fixed).

@@ -54,7 +54,3 @@ class ProtocolError(ReproError):
 
 class BufferTruncatedError(ProtocolError):
     """A replay was requested from a position inside a truncated buffer prefix."""
-
-
-class BufferOverflowError(ReproError):
-    """A bounded buffer filled up and the configured policy forbids growth."""

@@ -110,7 +110,6 @@ class StreamLog:
     """
 
     stream_name: str
-    max_tuples: int | None = None
     _entries: BlockBuffer = field(default_factory=BlockBuffer)
     _truncated_through: int = -1
 
@@ -130,10 +129,6 @@ class StreamLog:
         """Id of the most recently appended tuple, or -1 when empty."""
         ids = self._entries.ids
         return ids[-1] if ids else self._truncated_through
-
-    @property
-    def is_full(self) -> bool:
-        return self.max_tuples is not None and len(self._entries) >= self.max_tuples
 
     def append(self, item: StreamTuple) -> None:
         self.extend((item,))

@@ -28,7 +28,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 from ..config import (
-    BufferPolicy,
     DelayAssignment,
     DelayPolicy,
     DPCConfig,
@@ -399,26 +398,18 @@ def granularity(per_stream: bool = False) -> ScenarioSpec:
 
 
 @_entry("buffers")
-def buffers(checkpoint_interval: float | None = None, max_output_tuples: int | None = None,
-            block_on_full: bool = True) -> ScenarioSpec:
-    """One unreplicated node for 30 s failure-free under one output-buffer policy.
+def buffers(checkpoint_interval: float | None = None) -> ScenarioSpec:
+    """One unreplicated node for 30 s failure-free under one acknowledgment cadence.
 
-    ``checkpoint_interval`` is the acknowledgment cadence that truncates the
-    buffers (``None`` retains the whole run).  A full buffer raises
-    :class:`~repro.errors.BufferOverflowError` with ``block_on_full`` (the
-    back-pressure signal of Section 8.1), else drops its oldest tuples.
+    ``checkpoint_interval`` is the cadence of the acknowledgments that
+    truncate the output buffers and source logs; ``None`` retains the whole run.
     """
-    config = DPCConfig(
-        buffer_policy=BufferPolicy(max_output_tuples=max_output_tuples,
-                                   block_on_full=block_on_full),
-        checkpoint_interval=checkpoint_interval,
-    )
     return ScenarioSpec.single_node(
         name="no truncation" if checkpoint_interval is None
         else f"acks every {checkpoint_interval:g} s",
         replicated=False,
         aggregate_rate=150.0,
-        config=config,
+        config=DPCConfig(checkpoint_interval=checkpoint_interval),
         duration=30.0,
     )
 

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.config import BufferPolicy
 from repro.core.data_path import DataPath, OutputStreamManager
 from repro.core.protocol import SubscribeRequest
-from repro.errors import BufferOverflowError, BufferTruncatedError, ProtocolError
+from repro.errors import BufferTruncatedError, ProtocolError
 from repro.spe.tuples import StreamTuple, TupleType
 
 
@@ -273,30 +272,31 @@ def test_truncation_observer_sees_every_dropped_prefix():
     assert seen == [0, 1, 2, 3, 4, 5, 6]
 
 
-def test_policy_drops_move_the_truncation_point_too():
-    policy = BufferPolicy(max_output_tuples=2, block_on_full=False)
-    mgr = OutputStreamManager("out", owner="node1", buffer_policy=policy)
-    mgr.append_all([stable(0), stable(1), stable(2)])
-    with pytest.raises(BufferTruncatedError):
-        mgr.subscribe(SubscribeRequest(stream="out", subscriber="d", last_stable_seq=-1))
-    replay = mgr.subscribe(SubscribeRequest(stream="out", subscriber="d", last_stable_seq=0))
-    assert [t.stable_seq for t in replay] == [1, 2]
+@pytest.mark.parametrize("by_block", [True, False], ids=["append_all", "append"])
+def test_attached_subscriber_is_sent_every_appended_row(by_block):
+    """Buffers have no capacity: only acknowledgments drop rows, so nothing is
+    dropped before a subscriber has been sent it."""
+    mgr = OutputStreamManager("out", owner="node1")
+    mgr.attach_subscriber("d")
+    rows = [stable(i) if i % 7 else tentative(i) for i in range(500)]
+    if by_block:
+        mgr.append_all(rows)
+    else:
+        for row in rows:
+            mgr.append(row)
+    assert mgr.buffered_tuples == 500 and mgr.truncated_tuples == 0
+    assert [t.value("seq") for t in mgr.pending_for("d")] == list(range(500))
 
 
-def test_bounded_buffer_blocks_when_full():
-    policy = BufferPolicy(max_output_tuples=2, block_on_full=True)
-    mgr = OutputStreamManager("out", owner="node1", buffer_policy=policy)
-    mgr.append_all([stable(0), stable(1)])
-    with pytest.raises(BufferOverflowError):
-        mgr.append(stable(2))
-
-
-def test_bounded_buffer_drops_oldest_when_configured():
-    policy = BufferPolicy(max_output_tuples=2, block_on_full=False)
-    mgr = OutputStreamManager("out", owner="node1", buffer_policy=policy)
-    mgr.append_all([stable(0), stable(1), stable(2)])
-    assert mgr.buffered_tuples == 2
-    assert [t.value("seq") for t in mgr.buffered_items()] == [1, 2]
+def test_retention_grows_while_a_consumer_is_silent_and_shrinks_when_it_acks():
+    """A consumer in an outage pins the buffer; its resumed acks release it."""
+    mgr = acked_manager("up", "down", n=0)
+    for start in range(0, 1000, 100):
+        mgr.append_all([stable(i) for i in range(start, start + 100)])
+        mgr.acknowledge("up", start + 99)
+    assert mgr.buffered_tuples == 1000 and mgr.truncated_tuples == 0
+    assert mgr.acknowledge("down", 949) == 950
+    assert mgr.buffered_tuples == 50 and mgr.acked_through == 949
 
 
 def test_subscribe_for_wrong_stream_rejected():

@@ -8,7 +8,6 @@ Rates are kept low so the whole module runs in a few seconds.
 
 import pytest
 
-from repro.errors import BufferOverflowError
 from repro.experiments import summarize_run
 from repro.workloads.catalogue import CATALOGUE
 
@@ -78,20 +77,6 @@ def _buffers(**point):
     return CATALOGUE["buffers"](**point).with_overrides(aggregate_rate=120.0, duration=20.0)
 
 
-def test_buffer_bound_blocking_overflows():
-    runtime = _buffers(max_output_tuples=200, block_on_full=True).build()
-    with pytest.raises(BufferOverflowError):
-        runtime.run()
-    assert runtime.node("node1").data_path.outputs()[0].buffered_tuples <= 200
-
-
-def test_buffer_bound_dropping_keeps_running():
-    result = summarize_run(_buffers(max_output_tuples=200, block_on_full=False).run())
-    assert result.extra["groups"]["node1"]["buffered"] <= 200
-    assert result.n_stable > 0
-    assert result.label == "no truncation"
-
-
 def test_buffer_unbounded_with_truncation_stays_small():
     bounded = summarize_run(_buffers(checkpoint_interval=1.0).run())
     unbounded = summarize_run(_buffers().run())
@@ -100,6 +85,32 @@ def test_buffer_unbounded_with_truncation_stays_small():
     assert bounded_buffer < unbounded.extra["groups"]["node1"]["buffered"] / 5
     # Truncation must not change what the client receives.
     assert abs(bounded.n_stable - unbounded.n_stable) <= 0.05 * unbounded.n_stable
+
+
+def test_buffer_without_truncation_retains_every_output():
+    runtime = _buffers().run()
+    output = runtime.node("node1").data_path.outputs()[0]
+    stamps = [t.stable_seq for t in output.buffered_items() if t.stable_seq is not None]
+    assert output.truncated_tuples == 0
+    assert stamps == list(range(output.stable_produced)) and len(stamps) > 0
+    assert summarize_run(runtime).label == "no truncation"
+
+
+@pytest.mark.parametrize("checkpoint_interval", [2.0, 0.5])
+def test_a_crashed_consumer_pins_the_source_logs_until_it_rejoins(checkpoint_interval):
+    """node1's first replica is down from 5 s to 13 s: the sources it reads
+    retain everything they produce meanwhile, and its acks after the rejoin
+    release it."""
+    spec = CATALOGUE["recovery"](checkpoint_interval=checkpoint_interval)
+    runtime = spec.build()
+    lengths, now = [], 0.0
+    for until in (4.5, 12.5, spec.total_duration()):
+        runtime.run_for(until - now)
+        now = until
+        lengths.append(min(len(source.log) for source in runtime.sources))
+    before, during, after = lengths
+    assert during > 10 * before
+    assert after < during / 4
 
 
 @pytest.mark.parametrize("per_stream", [False, True])

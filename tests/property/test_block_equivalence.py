@@ -14,12 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import BufferPolicy
 from repro.core.data_path import OutputStreamManager
 from repro.core.input_streams import InputStreamMonitor
 from repro.core.protocol import SubscribeRequest
 from repro.deploy.filters import SubscriptionFilter
-from repro.errors import BufferOverflowError, BufferTruncatedError
+from repro.errors import BufferTruncatedError
 from repro.spe.engine import LocalEngine
 from repro.spe.operators import (
     Aggregate,
@@ -408,54 +407,55 @@ def test_input_monitor(data, from_source, awaiting_replay, already_received, kin
 
 
 # --------------------------------------------------------------------------- output buffer
-def feed(manager, pieces):
-    """Append ``pieces`` (rows or blocks); returns the physical rows and the overflow row."""
-    physical, seen = [], 0
-    for piece in pieces:
-        try:
-            physical += manager.append_all(piece) if isinstance(piece, TupleBlock) else [
-                manager.append(piece)
-            ]
-        except BufferOverflowError:
-            return physical, manager.truncated_tuples + manager.buffered_tuples
-        seen += 1
-    return physical, None
+def feed(manager, pieces, acks):
+    """Append ``pieces`` -- blocks, or lists of rows appended one at a time.
+
+    After each piece both subscribers are flushed (``pending_for``, then
+    ``mark_delivered``) and the declared consumer ``"plain"`` acknowledges
+    through its drawn position, capped at the last stable seq it was sent.
+    Returns the physical rows and the rows each subscriber was sent.
+    """
+    physical, sent = [], {"plain": [], "filtered": []}
+    for piece, through in zip(pieces, acks):
+        if isinstance(piece, TupleBlock):
+            physical += manager.append_all(piece)
+        else:
+            physical += [manager.append(row) for row in piece]
+        for subscriber, rows in sent.items():
+            rows += manager.pending_for(subscriber)
+            manager.mark_delivered(subscriber)
+        seqs = [row.stable_seq for row in sent["plain"] if row.stable_seq is not None]
+        manager.acknowledge("plain", min(through, max(seqs, default=-1)))
+    return physical, sent
 
 
 @COMMON
-@given(st.data(), st.sampled_from([None, 5, 12]), st.booleans())
-def test_output_buffer(data, limit, block_on_full):
+@given(st.data())
+def test_output_buffer(data):
     rows = data.draw(streams())
     blocks = data.draw(cut_into_blocks(rows))
-    policy = BufferPolicy(max_output_tuples=limit, block_on_full=block_on_full)
-    by_row = OutputStreamManager("s", "n", policy)
-    by_block = OutputStreamManager("s", "n", policy)
+    acks = data.draw(
+        st.lists(st.integers(-1, len(rows)), min_size=len(blocks), max_size=len(blocks))
+    )
+    by_row, by_block = OutputStreamManager("s", "n"), OutputStreamManager("s", "n")
     # A filtered subscription whose predicate changes at a cut (two epochs).
-    filters = []
+    filter_ = SubscriptionFilter(lambda v: v["seq"] % 2 == 0, "slice")
+    filter_.advance(0.15, lambda v: v["seq"] % 3 == 0)
     for manager in (by_row, by_block):
-        filter_ = SubscriptionFilter(lambda v: v["seq"] % 2 == 0, "slice")
-        filter_.advance(0.15, lambda v: v["seq"] % 3 == 0)
         manager.attach_subscriber("filtered", filter_)
         manager.attach_subscriber("plain")
         manager.add_consumer("plain")
-        filters.append(filter_)
-    expected, overflow_row = feed(by_row, rows)
-    physical, overflow_block = feed(by_block, blocks)
-    assert overflow_block == overflow_row  # raises (or drops) at the same row
-    if overflow_row is None and limit is None:
-        assert fields(physical) == fields(expected)
+    # Acknowledgments land at the same stream positions (the block ends) on both.
+    expected, sent_by_row = feed(by_row, [list(block) for block in blocks], acks)
+    physical, sent = feed(by_block, blocks, acks)
+    assert fields(physical) == fields(expected)
+    # Truncation never outruns delivery: "plain" was sent every physical row exactly once.
+    assert fields(sent["plain"]) == fields(physical)
+    assert fields(sent["filtered"]) == fields([row for row in physical if filter_.passes(row)])
+    for subscriber, rows in sent.items():
+        assert fields(sent_by_row[subscriber]) == fields(rows)
     assert fields(by_block.buffered_items()) == fields(by_row.buffered_items())
     assert by_block.truncated_tuples == by_row.truncated_tuples
-    for subscriber in ("filtered", "plain"):
-        assert fields(by_block.pending_for(subscriber)) == fields(by_row.pending_for(subscriber))
-    assert fields(by_block.pending_for("filtered")) == fields(
-        [row for row in by_row.pending_for("plain") if filters[0].passes(row)]
-    )
-    # Acknowledgments, replay positions and truncation errors at the same places.
-    produced = by_row.stable_seq
-    for through in sorted(data.draw(st.lists(st.integers(-1, produced + 2), max_size=3))):
-        assert by_block.acknowledge("plain", through) == by_row.acknowledge("plain", through)
-        assert fields(by_block.buffered_items()) == fields(by_row.buffered_items())
     assert_same_replays(by_row, by_block)
 
 

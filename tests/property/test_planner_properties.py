@@ -1,4 +1,4 @@
-"""Property-based tests for delay planning, buffer sizing, and result tables."""
+"""Property-based tests for delay planning and result tables."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from repro.analysis.comparison import check_flat, check_monotonic
 from repro.analysis.tables import pivot_results, render_csv, render_markdown
 from repro.config import DelayAssignment
-from repro.core.buffer_sizing import compute_buffer_sizing, supported_failure_duration
 from repro.core.delay_planner import DelayPlanner
 from repro.experiments import ExperimentResult
 from repro.topology import NodeSpec, Topology
-from repro.workloads.queries import traffic_rollup_diagram
 
 COMMON = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -79,44 +77,6 @@ def test_accumulated_plan_never_exceeds_budget_on_any_path(topology, budget, all
     # The most delayed path spends the whole budget.
     assert plan.worst_case_sequential <= budget + 1e-9
     assert max(d.accumulated_delay for d in planner.diagnose(plan.per_node)) >= budget - 1e-9
-
-
-# --------------------------------------------------------------------------- buffer sizing
-@COMMON
-@given(
-    st.floats(min_value=1.0, max_value=600.0),
-    st.floats(min_value=1.0, max_value=1000.0),
-    st.floats(min_value=0.5, max_value=30.0),
-)
-def test_buffer_sizing_scales_with_window_and_rate(correction_window, rate, agg_window):
-    diagram = traffic_rollup_diagram("n", ["s1"], "out", window=agg_window)
-    small = compute_buffer_sizing(
-        diagram, correction_window=correction_window, input_rates={"s1": rate}
-    )
-    larger_window = compute_buffer_sizing(
-        diagram, correction_window=correction_window * 2, input_rates={"s1": rate}
-    )
-    faster = compute_buffer_sizing(
-        diagram, correction_window=correction_window, input_rates={"s1": rate * 2}
-    )
-    assert small.convergent_capable
-    assert larger_window.input_tuples["s1"] >= small.input_tuples["s1"]
-    assert faster.input_tuples["s1"] >= small.input_tuples["s1"]
-    # The sized buffer always covers at least the requested correction window.
-    assert small.input_span >= correction_window
-
-
-@COMMON
-@given(
-    st.integers(min_value=0, max_value=10_000_000),
-    st.floats(min_value=0.1, max_value=10_000.0),
-    st.floats(min_value=0.0, max_value=100.0),
-)
-def test_supported_failure_duration_is_inverse_of_sizing(buffer_tuples, rate, horizon):
-    duration = supported_failure_duration(buffer_tuples, rate, state_horizon=horizon)
-    assert duration >= 0.0
-    # Feeding the duration back through the sizing formula never exceeds the buffer.
-    assert duration * rate <= buffer_tuples + 1e-6
 
 
 # --------------------------------------------------------------------------- tables & checks

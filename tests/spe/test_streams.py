@@ -70,12 +70,13 @@ def test_log_last_stable_id():
     assert log.last_stable_id() == 0
 
 
-def test_log_bounded_capacity_flag():
-    log = StreamLog("s", max_tuples=2)
-    log.append(StreamTuple.insertion(0, 0.0, {}))
-    assert not log.is_full
-    log.append(StreamTuple.insertion(1, 0.1, {}))
-    assert log.is_full
+def test_log_keeps_every_tuple_until_truncated():
+    log = StreamLog("s")
+    log.extend(StreamTuple.insertion(i, i * 0.1, {"seq": i}) for i in range(1000))
+    assert len(log) == 1000 and log.truncated_through == -1
+    assert [t.tuple_id for t in log.replay_after(-1)] == list(range(1000))
+    log.truncate_through(899)
+    assert [t.tuple_id for t in log] == list(range(900, 1000))
 
 
 def test_apply_undo_removes_suffix():

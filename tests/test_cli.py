@@ -223,10 +223,14 @@ def test_scenario_partition(capsys):
         (["scenario", "fig13", "policy=Foo"], "unknown policy 'Foo'; one of 'Process & Process'"),
         # fanin's failure is a silence: refused before any worker process forks.
         (["scenario", "fanin", "--backend", "live"], "failure kind 'silence' is simulator-only"),
+        # Acknowledgments are the only retention rule: no buffer bound to set.
+        (["scenario", "buffers", "max_output_tuples=400"],
+         "buffers takes no 'max_output_tuples=400'; its keywords: (checkpoint_interval:"),
+        (["scenario", "buffers", "block_on_full=True"], "buffers takes no 'block_on_full=True'"),
     ],
     ids=["scenario-rate", "profile-shards", "plan-delays-depth",
          "unknown-entry", "unknown-key", "key-without-value", "bad-float", "bad-int",
-         "unknown-name", "live-rejects-silence"],
+         "unknown-name", "live-rejects-silence", "no-buffer-bound", "no-block-on-full"],
 )
 def test_bad_flags_exit_2_with_one_line_and_no_traceback(capsys, argv, reason):
     assert cli.main(argv) == 2

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import (
-    BufferPolicy,
     DelayPolicy,
     DPCConfig,
     ProcessingPolicy,
@@ -42,10 +41,14 @@ def test_invalid_safety_factor_and_rates():
         DPCConfig(boundary_interval=0.0).validate()
 
 
-def test_buffer_policy_validation():
-    with pytest.raises(ConfigurationError):
-        BufferPolicy(max_output_tuples=0).validate()
-    BufferPolicy(max_output_tuples=10).validate()
+def test_checkpoint_interval_validation():
+    """The acknowledgment cadence is the one retention knob: positive, or None
+    to retain the whole run."""
+    for bad in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="checkpoint_interval"):
+            DPCConfig(checkpoint_interval=bad).validate()
+    DPCConfig(checkpoint_interval=None).validate()
+    DPCConfig(checkpoint_interval=0.5).validate()
 
 
 def test_with_returns_modified_copy():
