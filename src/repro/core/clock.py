@@ -1,35 +1,27 @@
 """Clock seam shared by the simulated and live execution backends.
 
 Every protocol component (nodes, consistency managers, data sources, client
-proxies) drives its timers and reads "now" through the interface below.  The
-discrete-event :class:`~repro.sim.event_loop.Simulator` has always exposed
-exactly this surface -- it *is* the canonical implementation -- so extracting
-the seam is a typing-only change: simulated runs execute the same bytecode
-and stay byte-identical (the golden digests pin this).
-
-The live backend's :class:`~repro.live.clock.LiveClock` implements the same
-protocol over an asyncio event loop and ``time.monotonic()``, which is what
-lets the identical node/SPE code run as real OS processes in wall-clock time
-(see DESIGN.md, "Live backend").
+proxies) drives its timers and reads "now" through :class:`Clock`.  The
+discrete-event :class:`~repro.sim.event_loop.Simulator` implements it in
+virtual time; the live backend's :class:`~repro.live.clock.LiveClock`
+implements it over an asyncio event loop and ``time.monotonic()`` (see
+DESIGN.md, "Clock seam").
 
 Contract notes, shared by both implementations:
 
 * ``now`` is in seconds from the deployment's time origin (virtual time zero
   for the simulator, the supervisor-chosen epoch for the live clock).
 * Callbacks receive the firing time as their single positional argument.
-* ``schedule_at`` / ``schedule_in`` return a cancellable handle; pass it to
-  :meth:`Clock.cancel` (one-shot timers).
-* ``schedule_periodic`` returns a handle whose ``cancel()`` stops the chain;
-  the first occurrence fires after ``start_delay`` (default: one period) and
-  the chain re-arms *after* the callback runs, so a callback cancelling its
-  own handle stops the chain immediately.
+* Every ``schedule_*`` call returns a :class:`TimerHandle`; ``cancel()`` on it
+  stops the timer.
+* ``schedule_periodic`` first fires one period from now and re-arms *after*
+  the callback runs, so a callback cancelling its own handle stops the chain
+  immediately.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, runtime_checkable
-
-from ..sim.events import EventKind
+from typing import Callable, Protocol, runtime_checkable
 
 #: Timer callback signature: receives the firing time.
 ClockCallback = Callable[[float], None]
@@ -37,7 +29,7 @@ ClockCallback = Callable[[float], None]
 
 @runtime_checkable
 class TimerHandle(Protocol):
-    """Handle for a (periodic) timer chain; cancelling it stops the chain."""
+    """Handle for a one-shot timer or a periodic chain; cancelling it stops it."""
 
     cancelled: bool
 
@@ -46,39 +38,13 @@ class TimerHandle(Protocol):
 
 @runtime_checkable
 class Clock(Protocol):
-    """What protocol components require from their execution backend.
-
-    Structurally satisfied by :class:`~repro.sim.event_loop.Simulator`
-    (virtual time) and :class:`~repro.live.clock.LiveClock` (wall clock).
-    """
+    """What protocol components require from their execution backend."""
 
     @property
     def now(self) -> float: ...
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: ClockCallback,
-        kind: EventKind = EventKind.INTERNAL,
-        description: str = "",
-    ) -> Any: ...
+    def schedule_at(self, time: float, callback: ClockCallback) -> TimerHandle: ...
 
-    def schedule_in(
-        self,
-        delay: float,
-        callback: ClockCallback,
-        kind: EventKind = EventKind.INTERNAL,
-        description: str = "",
-    ) -> Any: ...
+    def schedule_in(self, delay: float, callback: ClockCallback) -> TimerHandle: ...
 
-    def schedule_periodic(
-        self,
-        period: float,
-        callback: ClockCallback,
-        kind: EventKind = EventKind.TIMER,
-        description: str = "",
-        start_delay: float | None = None,
-        stop_condition: Callable[[], bool] | None = None,
-    ) -> TimerHandle: ...
-
-    def cancel(self, event: Any) -> None: ...
+    def schedule_periodic(self, period: float, callback: ClockCallback) -> TimerHandle: ...

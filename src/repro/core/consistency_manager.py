@@ -32,7 +32,6 @@ from typing import Mapping, Protocol, Sequence
 from ..config import DPCConfig
 from ..errors import ProtocolError
 from .clock import Clock
-from ..sim.events import EventKind
 from ..sim.network import Message, Network
 from .input_streams import InputStreamMonitor, ProducerInfo
 from .protocol import (
@@ -210,9 +209,6 @@ class ConsistencyManager:
         self.control_handle = self.simulator.schedule_periodic(
             self.config.keepalive_period,
             self.control_tick,
-            kind=EventKind.TIMER,
-            description=f"{self.owner.endpoint} control tick",
-            start_delay=self.config.keepalive_period,
         )
 
     # ------------------------------------------------------------------ control loop

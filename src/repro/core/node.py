@@ -38,7 +38,6 @@ from typing import Mapping, Sequence
 from ..config import DPCConfig, ProcessingPolicy, SimulationConfig
 from ..errors import ProtocolError
 from .clock import Clock
-from ..sim.events import EventKind
 from ..sim.network import Message, Network
 from ..spe.engine import LocalEngine
 from ..spe.operators.sunion import SUnion
@@ -181,26 +180,10 @@ class ProcessingNode:
         if ratio >= 1.0 and abs(ratio - round(ratio)) < 1e-9:
             self.cm.attach_external_driver()
             self._next_control_at = self.simulator.now + keepalive
-            self._tick_handles.append(
-                self.simulator.schedule_periodic(
-                    batch,
-                    self._unified_tick,
-                    kind=EventKind.TIMER,
-                    description=f"{self.name} tick",
-                    start_delay=batch,
-                )
-            )
+            self._tick_handles.append(self.simulator.schedule_periodic(batch, self._unified_tick))
         else:
             self.cm.start()
-            self._tick_handles.append(
-                self.simulator.schedule_periodic(
-                    batch,
-                    self._periodic_tick,
-                    kind=EventKind.TIMER,
-                    description=f"{self.name} data tick",
-                    start_delay=batch,
-                )
-            )
+            self._tick_handles.append(self.simulator.schedule_periodic(batch, self._periodic_tick))
 
     def _unified_tick(self, now: float) -> None:
         control_due = now + 1e-9 >= self._next_control_at

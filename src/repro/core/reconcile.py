@@ -19,7 +19,6 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING
 
-from ..sim.events import EventKind
 from ..spe.checkpoint import DiagramCheckpoint
 from .states import NodeState
 
@@ -92,9 +91,7 @@ class Reconciler:
                 monitor.clear_stable_buffer()
 
     def _schedule(self, delay: float) -> None:
-        self.owner.simulator.schedule_in(
-            delay, self.step, kind=EventKind.INTERNAL, description=f"{self.owner.name} redo chunk"
-        )
+        self.owner.simulator.schedule_in(delay, self.step)
 
     def step(self, now: float) -> None:
         """Redo one budgeted slice of the buffered stable input."""

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from ..sim.events import EventKind
 from ..statexfer import RecoveryCheckpoint, StreamCursor, transfer_delay
 from . import node as node_module
 from .protocol import CHECKPOINT_REQUEST, CHECKPOINT_RESPONSE, CheckpointRequest, CheckpointResponse
@@ -215,12 +214,7 @@ class Recovery:
             + 2 * owner.sim_config.network_latency
             + 3 * owner.config.keepalive_period
         )
-        owner.simulator.schedule_in(
-            deadline,
-            _Deferred(owner, self._fallback, self._epoch).fire,
-            kind=EventKind.INTERNAL,
-            description=f"{owner.name} checkpoint-recovery fallback",
-        )
+        owner.simulator.schedule_in(deadline, _Deferred(owner, self._fallback, self._epoch).fire)
         return True
 
     def _fallback(self, now: float, epoch: int) -> None:
@@ -310,8 +304,6 @@ class Recovery:
         owner.simulator.schedule_in(
             transfer_delay(owner.config, checkpoint.item_count if checkpoint else 0),
             _Deferred(owner, self._respond, request.requester, checkpoint).fire,
-            kind=EventKind.INTERNAL,
-            description=f"{owner.name} checkpoint transfer",
         )
 
     def _respond(self, now: float, requester: str, checkpoint: RecoveryCheckpoint | None) -> None:

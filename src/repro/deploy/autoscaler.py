@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
-from ..sim.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .deployment import Deployment
@@ -83,12 +82,7 @@ class Autoscaler:
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
         """Arm the periodic policy tick on the deployment's simulator."""
-        self._handle = self.deployment.simulator.schedule_periodic(
-            self.policy.period,
-            self._tick,
-            kind=EventKind.INTERNAL,
-            description="autoscaler policy tick",
-        )
+        self._handle = self.deployment.simulator.schedule_periodic(self.policy.period, self._tick)
 
     def stop(self) -> None:
         if self._handle is not None:

@@ -36,7 +36,6 @@ from ..sharding import RebalancePlan, ShardAssignment, ShardPlanner
 from ..sim.client import ClientApplication
 from ..sim.cluster import Cluster
 from ..sim.event_loop import Simulator
-from ..sim.events import EventKind
 from ..sim.failures import FailureInjector
 from ..sim.network import Network
 from ..spe.operators.sunion import bucket_index
@@ -409,8 +408,6 @@ class Deployment:
             self.simulator.schedule_in(
                 drain_time(self.config, self.sim_config),
                 lambda fire_time, s=shard, r=record: self._decommission(s, r),
-                kind=EventKind.INTERNAL,
-                description=f"decommission drained shard {shard_names[shard]!r}",
             )
         else:
             self.handoff.defer_decommission(shard)

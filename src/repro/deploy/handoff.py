@@ -38,7 +38,6 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from ..sharding import RebalancePlan
-from ..sim.events import EventKind
 from ..statexfer import extract_sjoin_state, merge_sjoin_state, transfer_delay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,40 +90,30 @@ class Handoff:
         now = deployment.simulator.now
         settle = drain_time(deployment.config, deployment.sim_config, max(cut_stime - now, 0.0))
         record.update({"cut_stime": cut_stime, "state_handoff_at": now + settle, "completed": False})
-        self._drain(settle, f"rebalance handoff ({len(plan.moves)} bucket(s))")
+        self._drain(settle)
 
     def defer_decommission(self, shard: int) -> None:
         self.decommission = shard
         self.record["decommission"] = shard
 
     # ------------------------------------------------------------------ phases
-    def _drain(self, delay: float, description: str) -> None:
+    def _drain(self, delay: float) -> None:
         """Enter DRAIN; the transfer starts ``delay`` seconds later."""
         self.phase = Phase.DRAIN
-        self.deployment.simulator.schedule_in(
-            delay, self._start_transfer, kind=EventKind.INTERNAL, description=description
-        )
+        self.deployment.simulator.schedule_in(delay, self._start_transfer)
 
     def _start_transfer(self, now: float) -> None:
         deployment = self.deployment
         if deployment.unstable_replicas():
             self.record["handoff_retries"] = self.record.get("handoff_retries", 0) + 1
-            self._drain(
-                retry_interval(deployment.config, deployment.sim_config),
-                "rebalance handoff retry (deployment unstable)",
-            )
+            self._drain(retry_interval(deployment.config, deployment.sim_config))
             return
         self._extract()
         delay = transfer_delay(deployment.config, self._shipped)
         self.record["transfer_started_at"] = now
         self.record["transfer_delay"] = delay
         self.phase = Phase.TRANSFER
-        deployment.simulator.schedule_in(
-            delay,
-            self._end_transfer,
-            kind=EventKind.INTERNAL,
-            description=f"rebalance state transfer ({self._shipped} tuple(s))",
-        )
+        deployment.simulator.schedule_in(delay, self._end_transfer)
 
     def _extract(self) -> None:
         """Take the moved buckets' state from every live old-owner replica.
@@ -175,10 +164,7 @@ class Handoff:
             self.record.setdefault("aborts", []).append(
                 {"at": now, "reason": reason, "restored_tuples": restored}
             )
-            self._drain(
-                retry_interval(deployment.config, deployment.sim_config),
-                "rebalance handoff re-arm (transfer aborted)",
-            )
+            self._drain(retry_interval(deployment.config, deployment.sim_config))
             return
         trimmed = sum(self._merge(target, canonical) for _s, target, canonical in self._transfers)
         if trimmed:

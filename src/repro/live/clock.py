@@ -12,10 +12,9 @@ Semantics mirrored from the simulator, pinned by the clock-seam tests:
 
 * callbacks receive the firing time (``self.now`` at dispatch) as their
   single positional argument;
-* periodic chains first fire after ``start_delay`` (default one period),
-  check ``cancelled`` then ``stop_condition()`` *before* the callback, and
-  re-arm after it, so a callback cancelling its own handle stops the chain;
-* ``cancel`` accepts the handle returned by any ``schedule_*`` call.
+* periodic chains first fire one period from now and re-arm after the
+  callback, so a callback cancelling its own handle stops the chain;
+* every ``schedule_*`` call returns a :class:`LiveTimer` that cancels itself.
 
 Timers sit on their schedule, not on their firing: ``schedule_at`` arms the
 absolute deadline ``epoch + time`` (``loop.call_at``), and a periodic chain
@@ -43,7 +42,6 @@ import time
 from typing import Callable
 
 from ..core.clock import ClockCallback
-from ..sim.events import EventKind
 
 
 class LiveTimer:
@@ -82,22 +80,10 @@ class LiveClock:
         return max(0.0, time.monotonic() - self._epoch)
 
     # ------------------------------------------------------------------ one-shot
-    def schedule_at(
-        self,
-        time_: float,
-        callback: ClockCallback,
-        kind: EventKind = EventKind.INTERNAL,
-        description: str = "",
-    ) -> LiveTimer:
+    def schedule_at(self, time_: float, callback: ClockCallback) -> LiveTimer:
         return self._once(self._epoch + time_, callback)
 
-    def schedule_in(
-        self,
-        delay: float,
-        callback: ClockCallback,
-        kind: EventKind = EventKind.INTERNAL,
-        description: str = "",
-    ) -> LiveTimer:
+    def schedule_in(self, delay: float, callback: ClockCallback) -> LiveTimer:
         return self._once(self._loop.time() + max(0.0, delay), callback)
 
     def _once(self, deadline: float, callback: ClockCallback) -> LiveTimer:
@@ -113,24 +99,12 @@ class LiveClock:
         return handle
 
     # ------------------------------------------------------------------ periodic
-    def schedule_periodic(
-        self,
-        period: float,
-        callback: ClockCallback,
-        kind: EventKind = EventKind.TIMER,
-        description: str = "",
-        start_delay: float | None = None,
-        stop_condition: Callable[[], bool] | None = None,
-    ) -> LiveTimer:
-        first_delay = period if start_delay is None else start_delay
+    def schedule_periodic(self, period: float, callback: ClockCallback) -> LiveTimer:
         loop = self._loop
-        handle = LiveTimer(loop.time() + max(0.0, first_delay))
+        handle = LiveTimer(loop.time() + period)
 
         def fire() -> None:
             if handle.cancelled:
-                return
-            if stop_condition is not None and stop_condition():
-                handle.cancelled = True
                 return
             self.events_fired += 1
             callback(self.now)
@@ -167,12 +141,6 @@ class LiveClock:
                 self._loop.call_exception_handler(
                     {"message": "LiveClock timer callback failed", "exception": exc}
                 )
-
-    # ------------------------------------------------------------------ cancel
-    def cancel(self, event: object) -> None:
-        cancel = getattr(event, "cancel", None)
-        if callable(cancel):
-            cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LiveClock now={self.now:.3f} events_fired={self.events_fired}>"

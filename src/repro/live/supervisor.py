@@ -245,7 +245,6 @@ class _WorkerHandle:
         self.spec = spec
         self.process = process
         self.conn = conn
-        self.killed = False
 
 
 def hosted_by_worker(placement: Placement) -> dict[str, list[str]]:
@@ -439,9 +438,7 @@ class LiveDeployment:
             endpoint, worker_name = self._endpoint_and_worker(
                 directive.node, directive.replica
             )
-            victim = handles[worker_name]
-            os.kill(victim.process.pid, signal.SIGKILL)
-            victim.killed = True
+            os.kill(handles[worker_name].process.pid, signal.SIGKILL)
             result.kills.append(
                 {"endpoint": endpoint, "at": time.monotonic() - epoch, "worker": worker_name}
             )

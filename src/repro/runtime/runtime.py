@@ -32,7 +32,6 @@ from ..metrics.consistency import client_is_eventually_consistent
 from ..sim.client import ClientApplication
 from ..sim.cluster import Cluster
 from ..sim.event_loop import Simulator
-from ..sim.events import EventKind
 from ..sim.failures import FailureInjector, FailureRecord
 from ..sim.network import Network
 from ..sim.sources import DataSource
@@ -166,8 +165,6 @@ class SimulationRuntime:
             self.simulator.schedule_at(
                 self.spec.rebalance_at,
                 lambda now: self.deployment.rebalance(),
-                kind=EventKind.INTERNAL,
-                description="scheduled rebalance",
             )
         if self.spec.autoscale is not None:
             self.autoscaler = Autoscaler(self.deployment, self.spec.autoscale)

@@ -1,6 +1,6 @@
 """Discrete-event distributed substrate (simulator, network, sources, clients)."""
 
-from .events import Event, EventKind
+from .events import Event
 from .event_loop import Simulator
 from .network import Network, Message, NetworkStats
 from .failures import FailureInjector, FailureRecord, FailureType
@@ -10,7 +10,6 @@ from .cluster import Cluster, merge_diagram
 
 __all__ = [
     "Event",
-    "EventKind",
     "Simulator",
     "Network",
     "Message",

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..errors import SimulationError
 from .event_loop import Simulator
-from .events import EventKind
 from .network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -78,18 +77,8 @@ class FailureInjector:
         self._check_times(start, duration)
         record = FailureRecord(FailureType.STREAM_DISCONNECT, f"{source.name}->{target}", start, duration)
         self.history.append(record)
-        self.simulator.schedule_at(
-            start,
-            lambda now: source.disconnect(target),
-            kind=EventKind.FAILURE,
-            description=f"disconnect {source.name}->{target}",
-        )
-        self.simulator.schedule_at(
-            start + duration,
-            lambda now: source.reconnect(target),
-            kind=EventKind.RECOVERY,
-            description=f"reconnect {source.name}->{target}",
-        )
+        self.simulator.schedule_at(start, lambda now: source.disconnect(target))
+        self.simulator.schedule_at(start + duration, lambda now: source.reconnect(target))
         return record
 
     def silence_boundaries(self, source: "DataSource", start: float, duration: float) -> FailureRecord:
@@ -97,17 +86,10 @@ class FailureInjector:
         self._check_times(start, duration)
         record = FailureRecord(FailureType.BOUNDARY_SILENCE, source.name, start, duration)
         self.history.append(record)
-        self.simulator.schedule_at(
-            start,
-            lambda now: source.set_boundaries_enabled(False),
-            kind=EventKind.FAILURE,
-            description=f"silence boundaries {source.name}",
-        )
+        self.simulator.schedule_at(start, lambda now: source.set_boundaries_enabled(False))
         self.simulator.schedule_at(
             start + duration,
             lambda now: source.set_boundaries_enabled(True),
-            kind=EventKind.RECOVERY,
-            description=f"resume boundaries {source.name}",
         )
         return record
 
@@ -136,18 +118,8 @@ class FailureInjector:
                 check()
             n.crash()
 
-        self.simulator.schedule_at(
-            start,
-            crash,
-            kind=EventKind.FAILURE,
-            description=f"crash {node.name}",
-        )
-        self.simulator.schedule_at(
-            start + duration,
-            lambda now, n=node: n.recover(),
-            kind=EventKind.RECOVERY,
-            description=f"recover {node.name}",
-        )
+        self.simulator.schedule_at(start, crash)
+        self.simulator.schedule_at(start + duration, lambda now, n=node: n.recover())
         return record
 
     def crash_node(self, endpoint: str, start: float, duration: float) -> FailureRecord:
@@ -155,18 +127,8 @@ class FailureInjector:
         self._check_times(start, duration)
         record = FailureRecord(FailureType.NODE_CRASH, endpoint, start, duration)
         self.history.append(record)
-        self.simulator.schedule_at(
-            start,
-            lambda now: self.network.crash(endpoint),
-            kind=EventKind.FAILURE,
-            description=f"crash {endpoint}",
-        )
-        self.simulator.schedule_at(
-            start + duration,
-            lambda now: self.network.recover(endpoint),
-            kind=EventKind.RECOVERY,
-            description=f"recover {endpoint}",
-        )
+        self.simulator.schedule_at(start, lambda now: self.network.crash(endpoint))
+        self.simulator.schedule_at(start + duration, lambda now: self.network.recover(endpoint))
         return record
 
     def partition(self, a: str, b: str, start: float, duration: float) -> FailureRecord:
@@ -174,18 +136,8 @@ class FailureInjector:
         self._check_times(start, duration)
         record = FailureRecord(FailureType.PARTITION, f"{a}<->{b}", start, duration)
         self.history.append(record)
-        self.simulator.schedule_at(
-            start,
-            lambda now: self.network.partition(a, b),
-            kind=EventKind.FAILURE,
-            description=f"partition {a}<->{b}",
-        )
-        self.simulator.schedule_at(
-            start + duration,
-            lambda now: self.network.heal_partition(a, b),
-            kind=EventKind.RECOVERY,
-            description=f"heal {a}<->{b}",
-        )
+        self.simulator.schedule_at(start, lambda now: self.network.partition(a, b))
+        self.simulator.schedule_at(start + duration, lambda now: self.network.heal_partition(a, b))
         return record
 
     def isolate_endpoint(self, endpoint: str, start: float, duration: float) -> FailureRecord:
@@ -213,12 +165,8 @@ class FailureInjector:
             for other in isolated:
                 self.network.heal_partition(endpoint, other)
 
-        self.simulator.schedule_at(
-            start, cut, kind=EventKind.FAILURE, description=f"isolate {endpoint}"
-        )
-        self.simulator.schedule_at(
-            start + duration, heal, kind=EventKind.RECOVERY, description=f"rejoin {endpoint}"
-        )
+        self.simulator.schedule_at(start, cut)
+        self.simulator.schedule_at(start + duration, heal)
         return record
 
     # ------------------------------------------------------------------ schedules

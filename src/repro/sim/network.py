@@ -18,7 +18,6 @@ from typing import Any, Callable, Sequence
 
 from ..errors import NetworkError
 from .event_loop import Simulator
-from .events import EventKind
 
 #: Endpoint handlers receive (message, delivery_time).
 MessageHandler = Callable[["Message", float], None]
@@ -188,12 +187,7 @@ class Network:
             stats.dropped += dropped
             counts["dropped"] += dropped
         for deliver_at, messages in by_instant.items():
-            self.simulator.schedule_at(
-                deliver_at,
-                lambda t, batch=messages: self._deliver(batch, t),
-                kind=EventKind.MESSAGE,
-                description=kind,
-            )
+            self.simulator.schedule_at(deliver_at, lambda t, batch=messages: self._deliver(batch, t))
         return on_the_wire
 
     def _deliver(self, messages: list[Message], now: float) -> None:

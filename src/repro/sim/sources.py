@@ -34,7 +34,6 @@ from ..errors import SimulationError
 from ..spe.streams import StreamLog, StreamWriter
 from ..spe.tuples import BOUNDARY, NO_VALUES, STABLE, TupleBlock
 from ..core.clock import Clock
-from .events import EventKind
 from .network import Network
 
 #: Generates the payload of the ``i``-th tuple, given its stime.
@@ -198,12 +197,7 @@ class DataSource:
             return
         self._started = True
         self._tick_at = max(self.start_time, self.simulator.now)
-        self.simulator.schedule_at(
-            self._tick_at,
-            self._tick,
-            kind=EventKind.SOURCE,
-            description=f"source {self.name} first tick",
-        )
+        self.simulator.schedule_at(self._tick_at, self._tick)
 
     def _stopped(self, now: float) -> bool:
         return self.stop_time is not None and now >= self.stop_time
@@ -226,12 +220,7 @@ class DataSource:
             while tick_at <= now:
                 tick_at += self.batch_interval
             self._tick_at = tick_at
-            self.simulator.schedule_at(
-                tick_at,
-                self._tick,
-                kind=EventKind.SOURCE,
-                description=f"source {self.name} tick",
-            )
+            self.simulator.schedule_at(tick_at, self._tick)
 
     def _produce_until(self, now: float) -> None:
         """Generate data and boundary tuples with stimes up to ``now``.
