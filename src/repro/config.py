@@ -114,8 +114,10 @@ class DPCConfig:
     * ``boundary_interval`` -- period of boundary tuples emitted by sources
       and operators.
     * ``bucket_size`` -- SUnion bucket granularity.
-    * ``keepalive_period`` -- period of heartbeat requests to upstream
-      replicas.
+    * ``keepalive_period`` -- period at which a processing node advertises
+      its state to every consumer that got no data batch in the period (a
+      pushed heartbeat response) and runs its control loop; a whole
+      multiple of ``SimulationConfig.batch_interval``.
     * ``failure_detection_timeout`` -- missing-boundary / missing-heartbeat
       window after which an input stream is declared failed.
     * ``startup_grace`` -- extra allowance right after deployment, before the
@@ -196,18 +198,15 @@ class SimulationConfig:
     """Parameters of the discrete-event substrate.
 
     * ``network_latency`` -- one-way latency of every link (seconds).
-    * ``processing_latency`` -- fixed cost a node adds to every batch it
-      forwards, standing in for per-hop CPU cost.
     * ``batch_interval`` -- sources and nodes flush their output this often.
     """
 
     network_latency: float = 0.005
-    processing_latency: float = 0.01
     batch_interval: float = 0.05
 
     def validate(self) -> None:
-        if self.network_latency < 0 or self.processing_latency < 0:
-            raise ConfigurationError("latencies cannot be negative")
+        if self.network_latency < 0:
+            raise ConfigurationError("network_latency cannot be negative")
         if self.batch_interval <= 0:
             raise ConfigurationError("batch_interval must be positive")
 

@@ -5,14 +5,12 @@ from .protocol import (
     DATA,
     SUBSCRIBE,
     UNSUBSCRIBE,
-    HEARTBEAT_REQUEST,
     HEARTBEAT_RESPONSE,
     RECONCILE_REQUEST,
     RECONCILE_REPLY,
     DataBatch,
     SubscribeRequest,
     UnsubscribeRequest,
-    HeartbeatRequest,
     HeartbeatResponse,
     ReconcileRequest,
     ReconcileReply,
@@ -31,14 +29,12 @@ __all__ = [
     "DATA",
     "SUBSCRIBE",
     "UNSUBSCRIBE",
-    "HEARTBEAT_REQUEST",
     "HEARTBEAT_RESPONSE",
     "RECONCILE_REQUEST",
     "RECONCILE_REPLY",
     "DataBatch",
     "SubscribeRequest",
     "UnsubscribeRequest",
-    "HeartbeatRequest",
     "HeartbeatResponse",
     "ReconcileRequest",
     "ReconcileReply",

@@ -5,13 +5,14 @@ consumes streams (processing nodes and client proxies).  It carries out the
 inter-node runtime communication and the intra-node state monitoring the paper
 assigns to this component:
 
-* it sends periodic keep-alive (heartbeat) requests to every producer of every
-  input stream and records the per-stream consistency states they advertise;
+* it records the per-stream consistency states every producer of every input
+  stream advertises, piggybacked on data batches or pushed as heartbeat
+  responses once per keepalive period (consumers never probe);
 * it detects input-stream failures (missing boundary tuples / heartbeats, or
   tentative tuples arriving) and applies the Table II condition-action rules
   to switch between upstream replicas;
-* it tracks the node's own DPC state machine (Figure 5) and advertises the
-  node's state to downstream neighbors through heartbeat responses;
+* it tracks the node's own DPC state machine (Figure 5), which the node
+  advertises to its downstream neighbors;
 * it runs the inter-replica protocol that staggers state reconciliations so
   that at least one replica keeps processing recent input at all times
   (Figure 9).
@@ -35,7 +36,6 @@ from .clock import Clock
 from ..sim.network import Message, Network
 from .input_streams import InputStreamMonitor, ProducerInfo
 from .protocol import (
-    HEARTBEAT_REQUEST,
     HEARTBEAT_RESPONSE,
     RECONCILE_REPLY,
     RECONCILE_REQUEST,
@@ -43,7 +43,6 @@ from .protocol import (
     SUBSCRIBE,
     UNSUBSCRIBE,
     CheckpointAck,
-    HeartbeatRequest,
     HeartbeatResponse,
     ReconcileReply,
     ReconcileRequest,
@@ -69,9 +68,6 @@ class ConsistencyOwner(Protocol):
 
     def apply_local_undo(self, stream: str, now: float) -> None:
         """Drop locally-held tentative data of ``stream`` (an UNDO arrived)."""
-
-    def output_stream_states(self) -> Mapping[str, NodeState]:
-        """Per-output-stream states to advertise in heartbeat responses."""
 
     def start_reconciliation(self, now: float) -> None:
         """Authorization to enter STABILIZATION was granted."""
@@ -109,13 +105,8 @@ class ConsistencyManager:
         self._reconcile_request_id = 0
         self._reconcile_pending = False
         self._reconcile_requested_at: float | None = None
-        self._started = False
-        #: Handle of the self-driven control chain (None when the owner's
-        #: unified tick drives the loop); cancelled on owner retirement.
-        self.control_handle = None
         # Statistics
         self.switches_performed = 0
-        self.heartbeats_sent = 0
 
     # ------------------------------------------------------------------ state machine
     @property
@@ -140,13 +131,10 @@ class ConsistencyManager:
         stream: str,
         producers: Sequence[str],
         source_producers: Sequence[str] = (),
-        push_producers: Sequence[str] = (),
         subscription_filter: object | None = None,
     ) -> InputStreamMonitor:
         """Declare an input stream and the endpoints that can produce it.
 
-        ``push_producers`` names the producers that advertise their state
-        unsolicited every keepalive period; they are never probed explicitly.
         ``subscription_filter`` optionally attaches the consumer's content
         predicate (a :class:`~repro.deploy.SubscriptionFilter`); it rides on
         every SubscribeRequest this manager sends for ``stream``.
@@ -154,10 +142,8 @@ class ConsistencyManager:
         if stream in self.monitors:
             raise ProtocolError(f"input stream {stream!r} already registered")
         monitor = InputStreamMonitor(stream=stream, subscription_filter=subscription_filter)
-        push = set(push_producers)
         for endpoint in producers:
             info = monitor.add_producer(endpoint, is_source=endpoint in set(source_producers))
-            info.pushes_state = endpoint in push
             info.last_response_at = self.simulator.now + self.config.startup_grace
         # Grace period: do not declare a failure before the first boundaries
         # had a chance to propagate through the freshly deployed diagram.
@@ -193,23 +179,13 @@ class ConsistencyManager:
                 registry.acknowledge(producer, ack)
 
     # ------------------------------------------------------------------ lifecycle
-    def attach_external_driver(self) -> None:
-        """Mark the control loop as driven by the owner's own periodic tick.
-
-        A later :meth:`start` becomes a no-op instead of scheduling a second,
-        duplicate control chain.
-        """
-        self._started = True
-
     def start(self) -> None:
-        """Begin the periodic control loop (heartbeats, detection, switching)."""
-        if self._started:
-            return
-        self._started = True
-        self.control_handle = self.simulator.schedule_periodic(
-            self.config.keepalive_period,
-            self.control_tick,
-        )
+        """Run :meth:`control_tick` every keepalive period on a chain of its own.
+
+        A client calls this; a processing node runs :meth:`control_tick` from
+        its own tick instead.
+        """
+        self.simulator.schedule_periodic(self.config.keepalive_period, self.control_tick)
 
     # ------------------------------------------------------------------ control loop
     def control_tick(self, now: float) -> None:
@@ -218,42 +194,9 @@ class ConsistencyManager:
             # switching would act on monitor state the adoption is about to
             # overwrite, and every outbound message would be wasted.
             return
-        self._send_heartbeats(now)
         self._detect_and_switch(now)
         self._check_healing(now)
         self._maybe_request_reconciliation(now)
-
-    def _send_heartbeats(self, now: float) -> None:
-        """Request a heartbeat response from every *silent* non-source producer.
-
-        Producers whose *data batches* arrived within the last keepalive
-        period already piggybacked their state (see
-        :class:`~repro.core.protocol.DataBatch`), so probing them adds
-        nothing: more data (or its absence, caught by boundary monitoring) is
-        coming.  Only piggyback freshness suppresses a probe -- a probe
-        *response* never does, so silent producers (e.g. the replica we are
-        not subscribed to) keep the original one-probe-per-keepalive cadence
-        and their staleness bound of ``keepalive + RTT``.
-        """
-        fresh_cutoff = now - self.config.keepalive_period
-        targets: set[str] = set()
-        for monitor in self.monitors.values():
-            for endpoint, info in monitor.producers.items():
-                if (
-                    info.is_source
-                    or info.pushes_state
-                    or info.last_piggyback_at > fresh_cutoff
-                ):
-                    continue
-                targets.add(endpoint)
-        for endpoint in sorted(targets):
-            self.network.send(
-                self.owner.endpoint,
-                endpoint,
-                HEARTBEAT_REQUEST,
-                HeartbeatRequest(requester=self.owner.endpoint),
-            )
-            self.heartbeats_sent += 1
 
     def _detect_and_switch(self, now: float) -> None:
         for monitor in self.monitors.values():
@@ -464,15 +407,6 @@ class ConsistencyManager:
             self.owner.start_reconciliation(now)
 
     # ------------------------------------------------------------------ heartbeats
-    def _handle_heartbeat_request(self, message: Message, now: float) -> None:
-        request: HeartbeatRequest = message.payload
-        response = HeartbeatResponse(
-            responder=self.owner.endpoint,
-            node_state=self._state,
-            stream_states=dict(self.owner.output_stream_states()),
-        )
-        self.network.send(self.owner.endpoint, request.requester, HEARTBEAT_RESPONSE, response)
-
     def _handle_heartbeat_response(self, message: Message, now: float) -> None:
         response: HeartbeatResponse = message.payload
         for monitor in self.monitors.values():
@@ -489,9 +423,9 @@ class ConsistencyManager:
 
         The DPC state a producer piggybacks on a batch counts as a heartbeat
         response for the batch's stream: freshness and the advertised state
-        are updated, so the keep-alive machinery can skip producers whose
-        data is flowing.  The returned role is ``"primary"``, ``"correcting"``
-        or ``"ignore"`` (see :meth:`classify_producer`).  A replay-flagged
+        are updated, so a producer whose data is flowing need not push.  The
+        returned role is ``"primary"``, ``"correcting"`` or ``"ignore"`` (see
+        :meth:`classify_producer`).  A replay-flagged
         batch (possibly empty) from a primary or correcting producer disarms
         the monitor's stale-cursor defense at batch granularity: an *empty*
         replay carries no tuples for :meth:`InputStreamMonitor.record_block`
@@ -505,7 +439,6 @@ class ConsistencyManager:
         node_state = batch.producer_node_state
         if node_state is not None and info is not None and not info.is_source:
             info.last_response_at = now
-            info.last_piggyback_at = now
             info.reachable = True
             stream_state = batch.producer_stream_state
             info.advertised_state = stream_state if stream_state is not None else node_state
@@ -524,9 +457,6 @@ class ConsistencyManager:
     # ------------------------------------------------------------------ message dispatch
     def handle_message(self, message: Message, now: float) -> bool:
         """Dispatch control-plane messages; returns True when handled."""
-        if message.kind == HEARTBEAT_REQUEST:
-            self._handle_heartbeat_request(message, now)
-            return True
         if message.kind == HEARTBEAT_RESPONSE:
             self._handle_heartbeat_response(message, now)
             return True

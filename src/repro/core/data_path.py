@@ -577,7 +577,8 @@ class DataPath:
         """Build the network message for a batch on ``stream``.
 
         ``node_state`` / ``stream_state`` are piggybacked on the batch so the
-        receiver's consistency manager can skip its next keep-alive probe.
+        receiver's consistency manager learns the producer's state without a
+        pushed keep-alive.
         ``replay`` marks the direct response to a subscribe request.
         """
         return DATA, TupleBatch(

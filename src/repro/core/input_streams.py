@@ -41,20 +41,12 @@ class ProducerInfo:
 
     endpoint: str
     is_source: bool = False
-    #: Stream state last advertised via heartbeat response (sources are
-    #: considered STABLE unless their boundaries stop flowing).
+    #: Stream state last advertised (sources are considered STABLE unless
+    #: their boundaries stop flowing).
     advertised_state: NodeState = NodeState.STABLE
+    #: When the producer last advertised its state (on a data batch or a
+    #: pushed heartbeat response); its death shows up as this going stale.
     last_response_at: float = 0.0
-    #: When the producer last piggybacked its state on a data batch.  Only
-    #: this freshness suppresses keep-alive probes: while data flows, more is
-    #: coming, so a probe adds nothing -- whereas a probe *response* must not
-    #: suppress the next probe or silent producers would be sampled at half
-    #: the configured rate.
-    last_piggyback_at: float = float("-inf")
-    #: True when the producer pushes unsolicited state advertisements every
-    #: keepalive period, making explicit probes to it unnecessary (its death
-    #: shows up as pushes stopping, exactly like unanswered probes would).
-    pushes_state: bool = False
     reachable: bool = True
 
     def effective_state(self, now: float, timeout: float) -> NodeState:

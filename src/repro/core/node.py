@@ -23,7 +23,7 @@ and implements the DPC behaviours the paper describes:
   authorization and reconciles with checkpoint/redo, streaming corrections to
   its downstream neighbors and finishing with a REC_DONE (Section 4.4).
 
-This module keeps ingest, the periodic ticks, output flushing, the SUnion
+This module keeps ingest, the periodic tick, output flushing, the SUnion
 hold / fragment-dirty flags, the delay policy and the
 :class:`~repro.core.consistency_manager.ConsistencyOwner` callbacks.  The
 checkpoint/redo reconciliation is a :class:`~repro.core.reconcile.Reconciler`
@@ -125,10 +125,10 @@ class ProcessingNode:
         self._started = False
         self._retired = False
         self._next_control_at = 0.0
-        #: Periodic timer chains started by :meth:`start`; cancelled when the
-        #: replica is retired by a scale-in so a decommissioned fragment stops
-        #: consuming simulator events.
-        self._tick_handles: list = []
+        #: The timer chain :meth:`start` arms; cancelled when the replica is
+        #: retired by a scale-in so a decommissioned fragment stops consuming
+        #: simulator events.
+        self._tick_handle = None
 
         #: Peer registry wired by the deploy layer; ``None`` (hand-built
         #: nodes) rejoins through full subscription replay.
@@ -141,6 +141,8 @@ class ProcessingNode:
         #: Endpoints that monitor this node's state (downstream consumers and
         #: the client proxy); they receive a pushed HeartbeatResponse every
         #: keepalive period unless a data batch already carried the state.
+        #: Consumers never probe: this push is how a silent producer's state
+        #: (and its death, as pushes stopping) reaches them.
         self._state_watchers: list[str] = []
         self._last_sent_to: dict[str, float] = {}
         self._next_push_at = 0.0
@@ -160,39 +162,39 @@ class ProcessingNode:
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
-        """Start the unified periodic tick (data flush plus control loop).
+        """Start the node's one timer chain, :meth:`_tick`, every ``batch_interval``.
 
-        When ``keepalive_period`` is a whole multiple of ``batch_interval``
-        (the common case), one timer chain drives both the data path (every
-        ``batch_interval``) and the consistency manager's control work (every
-        ``keepalive_period``, run from the same tick when it comes due),
-        halving the number of timer events per node compared to two
-        independent chains.  Misaligned cadences fall back to two chains so
-        both configured periods are honored exactly.
+        The tick does the data work (tentative emission, flushing, state
+        pushes, buffer trimming, recovery captures) and, from the tick that
+        comes due every ``keepalive_period``, the consistency manager's
+        control loop.  :meth:`~repro.deploy.Placement.deploy` requires the
+        keepalive period to be a whole multiple of the batch interval, so
+        both periods are honoured exactly.
         """
         if self._started:
             return
         self._started = True
-        batch = self.sim_config.batch_interval
-        keepalive = self.config.keepalive_period
-        self._next_push_at = self.simulator.now + keepalive
-        ratio = keepalive / batch
-        if ratio >= 1.0 and abs(ratio - round(ratio)) < 1e-9:
-            self.cm.attach_external_driver()
-            self._next_control_at = self.simulator.now + keepalive
-            self._tick_handles.append(self.simulator.schedule_periodic(batch, self._unified_tick))
-        else:
-            self.cm.start()
-            self._tick_handles.append(self.simulator.schedule_periodic(batch, self._periodic_tick))
+        self._next_push_at = self._next_control_at = (
+            self.simulator.now + self.config.keepalive_period
+        )
+        self._tick_handle = self.simulator.schedule_periodic(
+            self.sim_config.batch_interval, self._tick
+        )
 
-    def _unified_tick(self, now: float) -> None:
+    def _tick(self, now: float) -> None:
         control_due = now + 1e-9 >= self._next_control_at
         if control_due:
             self._next_control_at = now + self.config.keepalive_period
         # Data work first: tentative emission must get a chance to mark the
         # fragment dirty before the control loop evaluates healing.
-        if not self._crashed:
-            self._periodic_tick(now)
+        if not self._crashed and not self.recovery.adopting:
+            if self.cm.state is NodeState.UP_FAILURE and not self.reconciler.active:
+                self._emit_tentative_if_due(now)
+            self.flush_outputs(now)
+            if self._state_watchers and now + 1e-9 >= self._next_push_at:
+                self._push_state(now)
+            self.reconciler.trim_idle_buffers()
+            self.recovery.maybe_capture(now)
         if control_due:
             # The control loop keeps running while the node is crashed (its
             # messages are dropped by the network): failure flags raised while
@@ -219,25 +221,20 @@ class ProcessingNode:
         stream: str,
         producers: Sequence[str],
         source_producers: Sequence[str] = (),
-        push_producers: Sequence[str] = (),
         subscription_filter=None,
     ) -> None:
         """Declare an input stream and who can produce it (build-time wiring)."""
         if stream not in self.diagram.input_streams:
             raise ProtocolError(f"fragment of {self.name!r} has no input stream {stream!r}")
         self.cm.register_input(
-            stream,
-            producers,
-            source_producers,
-            push_producers,
-            subscription_filter=subscription_filter,
+            stream, producers, source_producers, subscription_filter=subscription_filter
         )
 
     def deregister_input_stream(self, stream: str) -> None:
         """Forget an input stream whose producer fragment was decommissioned.
 
         Live scale-in rewiring: the monitor is dropped, so the control loop
-        stops probing the retired producers and data still in flight from
+        stops judging the retired producers and data still in flight from
         them is classified "ignore" and discarded at arrival.
         """
         self.cm.monitors.pop(stream, None)
@@ -268,20 +265,17 @@ class ProcessingNode:
     def retire(self) -> None:
         """Gracefully and permanently remove this replica (scale-in).
 
-        Unlike :meth:`crash`, retirement is final: the periodic timer chains
-        are cancelled so the fragment stops consuming simulator events, and
+        Unlike :meth:`crash`, retirement is final: the tick chain is
+        cancelled so the fragment stops consuming simulator events, and
         the endpoint is unregistered from the network so late traffic is
         dropped at delivery.  The caller (the deployment) is responsible for
         unsubscribing this endpoint from its upstreams *before* retiring it.
         """
         self._retired = True
         self._halt()
-        for handle in self._tick_handles:
-            handle.cancel()
-        self._tick_handles.clear()
-        if self.cm.control_handle is not None:
-            self.cm.control_handle.cancel()
-            self.cm.control_handle = None
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
         self.network.unregister(self.endpoint)
 
     # ------------------------------------------------------------------ message handling
@@ -423,26 +417,15 @@ class ProcessingNode:
                 managers[stream].append_all(block)
 
     # ------------------------------------------------------------------ periodic work
-    def _periodic_tick(self, now: float) -> None:
-        if self._crashed or self.recovery.adopting:
-            return
-        if self.cm.state is NodeState.UP_FAILURE and not self.reconciler.active:
-            self._emit_tentative_if_due(now)
-        self.flush_outputs(now)
-        if self._state_watchers and now + 1e-9 >= self._next_push_at:
-            self._push_state(now)
-        self.reconciler.trim_idle_buffers()
-        self.recovery.maybe_capture(now)
-
     def _push_state(self, now: float) -> None:
         """Advertise this node's state to watchers that saw no recent data.
 
-        Replaces the request/response keep-alive round trip: every keepalive
-        period, watchers that did not receive a data batch (whose piggybacked
-        state already serves as the advertisement) get one multicast
-        HeartbeatResponse.  Watchers detect this node's death as pushes
-        stopping, exactly as they would detect unanswered probes.  Runs once
-        the keepalive period is due, with watchers registered.
+        Stands in for the paper's keep-alive request/response round trip
+        (Section 4.2.3): every keepalive period, watchers that did not
+        receive a data batch (whose piggybacked state already serves as the
+        advertisement) get one multicast HeartbeatResponse.  Watchers detect
+        this node's death as pushes stopping.  Runs once the keepalive
+        period is due, with watchers registered.
         """
         self._next_push_at = now + self.config.keepalive_period
         cutoff = now - self.config.keepalive_period
@@ -567,32 +550,26 @@ class ProcessingNode:
         SUnion), so the search walks downstream from each entry until it
         reaches the first SUnion.
         """
+        diagram = self.diagram
         for operator_name, _port in self.engine.entry_operators(stream):
-            sunion = self._first_sunion_from(operator_name)
-            if sunion is not None:
-                sunion.drop_tentative()
-
-    def _first_sunion_from(self, operator_name: str) -> SUnion | None:
-        """The first SUnion at or downstream of ``operator_name`` (BFS order)."""
-        frontier = [operator_name]
-        seen: set[str] = set()
-        while frontier:
-            name = frontier.pop(0)
-            if name in seen:
-                continue
-            seen.add(name)
-            operator = self.diagram.operator(name)
-            if isinstance(operator, SUnion):
-                return operator
-            frontier.extend(c.target for c in self.diagram.downstream_of(name))
-        return None
+            for name in diagram.reachable_from([operator_name]):
+                operator = diagram.operator(name)
+                if isinstance(operator, SUnion):
+                    operator.drop_tentative()
+                    break
 
     def output_stream_states(self) -> dict[str, NodeState]:
-        """Per-output-stream consistency states advertised in heartbeats."""
+        """Per-output-stream consistency states, advertised on batches and pushes."""
         state = self.cm.state
         if not self.config.per_stream_granularity or state is NodeState.STABLE:
             return dict.fromkeys(self._managers, state)
-        affected = self._outputs_affected_by(self.cm.failed_streams())
+        # Outputs reachable from the entry operators of failed inputs.
+        diagram = self.diagram
+        failed = set(self.cm.failed_streams())
+        reachable = set(
+            diagram.reachable_from(b.operator for b in diagram.inputs if b.stream in failed)
+        )
+        affected = {b.stream for b in diagram.outputs if b.operator in reachable}
         if self._fragment_dirty and not affected:
             # Conservative: once the whole fragment was rolled into tentative
             # processing every output is affected.
@@ -601,27 +578,6 @@ class ProcessingNode:
             stream: (state if stream in affected else NodeState.STABLE)
             for stream in self._managers
         }
-
-    def _outputs_affected_by(self, failed_streams: Sequence[str]) -> set[str]:
-        """Output streams reachable from the entry operators of failed inputs."""
-        reachable: set[str] = set()
-        frontier = [
-            binding.operator
-            for binding in self.diagram.inputs
-            if binding.stream in set(failed_streams)
-        ]
-        seen: set[str] = set()
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for connection in self.diagram.downstream_of(name):
-                frontier.append(connection.target)
-        for binding in self.diagram.outputs:
-            if binding.operator in seen:
-                reachable.add(binding.stream)
-        return reachable
 
     # ------------------------------------------------------------------ crash / recovery
     def crash(self) -> None:

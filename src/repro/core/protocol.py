@@ -7,8 +7,10 @@ matches the communication the paper describes:
 * data tuples between neighbors (``DATA``);
 * subscription management when a node switches upstream replicas
   (``SUBSCRIBE`` / ``UNSUBSCRIBE``, Section 4.3 and Figure 8);
-* keep-alive requests and responses advertising per-stream consistency
-  states (``HEARTBEAT_REQUEST`` / ``HEARTBEAT_RESPONSE``, Section 4.2.3);
+* the keep-alive advertising a producer's per-stream consistency states
+  (``HEARTBEAT_RESPONSE``, Section 4.2.3): producers piggyback their state on
+  every data batch and push one ``HeartbeatResponse`` per keepalive period to
+  each consumer that got no batch in it, so consumers never probe;
 * the inter-replica protocol that staggers reconciliations
   (``RECONCILE_REQUEST`` / ``RECONCILE_REPLY``, Section 4.4.3 and Figure 9);
 * the acknowledgments that let producers truncate their output buffers and
@@ -27,7 +29,6 @@ from .states import NodeState
 DATA = "data"
 SUBSCRIBE = "subscribe"
 UNSUBSCRIBE = "unsubscribe"
-HEARTBEAT_REQUEST = "heartbeat_request"
 HEARTBEAT_RESPONSE = "heartbeat_response"
 RECONCILE_REQUEST = "reconcile_request"
 RECONCILE_REPLY = "reconcile_reply"
@@ -43,8 +44,8 @@ class DataBatch:
 
     One network event carries the whole run of tuples as one
     :class:`~repro.spe.tuples.TupleBlock` (the batched tuple transport).  Processing nodes piggyback their DPC state on every batch so
-    that, while data flows, downstream consistency managers need no separate
-    keep-alive round trips; sources leave the state fields ``None``.
+    that, while data flows, they need not push a separate keep-alive to the
+    batch's receivers; sources leave the state fields ``None``.
 
     ``replay`` marks the direct response to a :class:`SubscribeRequest`: the
     batch starts exactly where the subscriber's quoted cursor ends.  Consumers
@@ -122,16 +123,8 @@ class UnsubscribeRequest:
 
 
 @dataclass(frozen=True)
-class HeartbeatRequest:
-    """Keep-alive probe; the requester wants the state of ``streams``."""
-
-    requester: str
-    streams: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class HeartbeatResponse:
-    """Reply to a keep-alive: overall node state and per-stream states."""
+    """Pushed keep-alive: the producer's overall node state and per-stream states."""
 
     responder: str
     node_state: NodeState

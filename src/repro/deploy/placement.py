@@ -283,6 +283,14 @@ class Placement:
         sim_config = sim_config or SimulationConfig()
         config.validate()
         sim_config.validate()
+        # A node's one tick runs every batch interval and its control work
+        # from the tick due every keepalive period.
+        ratio = config.keepalive_period / sim_config.batch_interval
+        if ratio < 1.0 or abs(ratio - round(ratio)) >= 1e-9:
+            raise ConfigurationError(
+                f"keepalive_period {config.keepalive_period} must be a whole multiple "
+                f"of batch_interval {sim_config.batch_interval}"
+            )
         options = DeployOptions(
             config=config,
             sim_config=sim_config,

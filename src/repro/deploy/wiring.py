@@ -80,9 +80,6 @@ class Wiring:
     options: DeployOptions
     #: Logical node name -> delay budget D of its replicas.
     delay_budgets: dict[str, float]
-    #: Whether producers push their DPC state to their consumers every
-    #: keepalive period (replacing probe round trips).
-    push_state: bool
     #: Logical endpoint (node, source or client name) -> the endpoints of all
     #: its replicas, hosted here or not.
     replicas: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -148,8 +145,10 @@ class Wiring:
         produce it; the *first* producer replica starts delivering (DPC
         switches the consumer if that replica fails); and every producer
         replica declares the consumer -- it retains what the consumer has not
-        acknowledged, whichever replica the consumer reads from -- and pushes
-        its state to it when the keepalive cadence allows.
+        acknowledged, whichever replica the consumer reads from -- and
+        watches it: the consumer learns each producer replica's state only
+        from what that replica sends it, data batches or pushed heartbeat
+        responses, and never probes.
         """
         producers = self.replicas[edge.producer]
         consumers = self.replicas[edge.consumer]
@@ -163,20 +162,14 @@ class Wiring:
                         edge.stream, producers=producers, source_producers=producers
                     )
             return
-        push_producers = producers if self.push_state else ()
         consumer_filter = self.filters[edge.consumer] if edge.filtered else None
         head = self.nodes.get(producers[0])
         for endpoint in consumers:
             if endpoint in self.clients:
-                self.clients[endpoint].register_upstream(
-                    producers=producers, push_producers=push_producers
-                )
+                self.clients[endpoint].register_upstream(producers=producers)
             elif endpoint in self.nodes:
                 self.nodes[endpoint].register_input_stream(
-                    edge.stream,
-                    producers=producers,
-                    push_producers=push_producers,
-                    subscription_filter=consumer_filter,
+                    edge.stream, producers=producers, subscription_filter=consumer_filter
                 )
             if head is not None:
                 head.register_subscriber(
@@ -186,8 +179,7 @@ class Wiring:
                 upstream = self.nodes.get(name)
                 if upstream is not None:
                     upstream.register_consumer(edge.stream, endpoint)
-                    if self.push_state:
-                        upstream.add_state_watcher(endpoint)
+                    upstream.add_state_watcher(endpoint)
 
     def disconnect(self, edge: SubscriptionPlan) -> None:
         """Inverse of :meth:`connect` for a node -> node edge (scale-in).
@@ -233,9 +225,6 @@ def wire_placement(
         hosts=hosts,
         options=options,
         delay_budgets=node_delay_budgets(topology, config, options.per_node_delay),
-        # Push whenever the cadence can keep up with the configured
-        # keepalive; otherwise consumers fall back to probing.
-        push_state=config.keepalive_period + 1e-12 >= sim_config.batch_interval,
     )
     # One offset for every source: the whole workload shifts in time (so runs
     # with different seeds genuinely differ) while the sources stay mutually

@@ -46,7 +46,6 @@ from ..core.protocol import (
     CHECKPOINT_REQUEST,
     CHECKPOINT_RESPONSE,
     DATA,
-    HEARTBEAT_REQUEST,
     HEARTBEAT_RESPONSE,
     RECONCILE_REPLY,
     RECONCILE_REQUEST,
@@ -57,7 +56,6 @@ from ..core.protocol import (
     CheckpointRequest,
     CheckpointResponse,
     DataBatch,
-    HeartbeatRequest,
     HeartbeatResponse,
     ReconcileReply,
     ReconcileRequest,
@@ -271,23 +269,6 @@ def _r_unsubscribe(buf: memoryview, pos: int) -> tuple[UnsubscribeRequest, int]:
     return UnsubscribeRequest(stream=stream, subscriber=subscriber), pos
 
 
-def _w_heartbeat_request(out: bytearray, request: HeartbeatRequest) -> None:
-    _w_str(out, request.requester)
-    _w_uvarint(out, len(request.streams))
-    for stream in request.streams:
-        _w_str(out, stream)
-
-
-def _r_heartbeat_request(buf: memoryview, pos: int) -> tuple[HeartbeatRequest, int]:
-    requester, pos = _r_str(buf, pos)
-    count, pos = _r_uvarint(buf, pos)
-    streams = []
-    for _ in range(count):
-        stream, pos = _r_str(buf, pos)
-        streams.append(stream)
-    return HeartbeatRequest(requester=requester, streams=tuple(streams)), pos
-
-
 def _w_heartbeat_response(out: bytearray, response: HeartbeatResponse) -> None:
     _w_str(out, response.responder)
     _w_opt_state(out, response.node_state)
@@ -404,11 +385,12 @@ def _r_checkpoint_ack(buf: memoryview, pos: int) -> tuple[CheckpointAck, int]:
 
 #: kind -> (wire index, encoder, decoder).  The index is the on-wire byte;
 #: the table order is frozen (append-only) so workers of one version agree.
+#: Index 3 (the retired keep-alive probe) stays unassigned: it decodes as an
+#: unknown kind.
 _CODECS: dict[str, tuple[int, Callable, Callable]] = {
     DATA: (0, _w_batch, _r_batch),
     SUBSCRIBE: (1, _w_subscribe, _r_subscribe),
     UNSUBSCRIBE: (2, _w_unsubscribe, _r_unsubscribe),
-    HEARTBEAT_REQUEST: (3, _w_heartbeat_request, _r_heartbeat_request),
     HEARTBEAT_RESPONSE: (4, _w_heartbeat_response, _r_heartbeat_response),
     RECONCILE_REQUEST: (5, _w_reconcile_request, _r_reconcile_request),
     RECONCILE_REPLY: (6, _w_reconcile_reply, _r_reconcile_reply),

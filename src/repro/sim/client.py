@@ -12,7 +12,7 @@ so experiments can report Proc_new, N_tentative, and the raw output trace.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..config import DPCConfig
 from ..core.consistency_manager import ConsistencyManager
@@ -62,10 +62,9 @@ class ClientApplication:
         self,
         producers: Sequence[str],
         source_producers: Sequence[str] = (),
-        push_producers: Sequence[str] = (),
     ) -> None:
         """Declare which endpoints can produce the client's stream."""
-        self.cm.register_input(self.stream, producers, source_producers, push_producers)
+        self.cm.register_input(self.stream, producers, source_producers)
 
     def start(self) -> None:
         if self._started:
@@ -118,9 +117,6 @@ class ClientApplication:
         """An UNDO reached the application: revoke the tentative suffix."""
         undo = TupleBlock(bytes((UNDO,)), (-1,), (now,), (NO_VALUES,), (-1,))
         self.metrics.consistency.observe_run(undo)
-
-    def output_stream_states(self) -> Mapping[str, NodeState]:
-        return {}
 
     def start_reconciliation(self, now: float) -> None:
         """Clients hold no operator state; nothing to reconcile."""

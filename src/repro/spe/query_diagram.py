@@ -121,8 +121,16 @@ class QueryDiagram:
     def downstream_of(self, name: str) -> list[Connection]:
         return [c for c in self.connections if c.source == name]
 
-    def upstream_of(self, name: str) -> list[Connection]:
-        return [c for c in self.connections if c.target == name]
+    def reachable_from(self, names: Iterable[str]) -> list[str]:
+        """The operators at or downstream of ``names``, in breadth-first order."""
+        order = list(dict.fromkeys(names))
+        seen = set(order)
+        for name in order:  # ``order`` grows while it is walked: the BFS queue
+            for connection in self.downstream_of(name):
+                if connection.target not in seen:
+                    seen.add(connection.target)
+                    order.append(connection.target)
+        return order
 
     # ------------------------------------------------------------------ validation
     def topological_order(self) -> list[str]:

@@ -208,8 +208,7 @@ def serialization(bucket_size: float = 0.01, boundary_interval: float = 0.01,
         boundary_interval=max(boundary_interval, 1e-3),
         max_incremental_latency=10.0,
     )
-    sim_config = SimulationConfig(batch_interval=0.01, network_latency=0.001,
-                                  processing_latency=0.001)
+    sim_config = SimulationConfig(batch_interval=0.01, network_latency=0.001)
     return ScenarioSpec.single_node(
         name="serialization-overhead",
         replicated=False,

@@ -1,13 +1,11 @@
-"""Unit tests for the ConsistencyManager (heartbeats, switching, reconciliation protocol)."""
+"""Unit tests for the ConsistencyManager (pushed heartbeats, switching, reconciliation protocol)."""
 
 from repro.config import DPCConfig
 from repro.core.consistency_manager import ConsistencyManager
 from repro.core.protocol import (
-    HEARTBEAT_REQUEST,
     HEARTBEAT_RESPONSE,
     RECONCILE_REPLY,
     RECONCILE_REQUEST,
-    HeartbeatRequest,
     HeartbeatResponse,
     ReconcileReply,
     ReconcileRequest,
@@ -43,9 +41,6 @@ class FakeOwner:
     def apply_local_undo(self, stream, now):
         self.undone.append(stream)
 
-    def output_stream_states(self):
-        return {"out": NodeState.STABLE}
-
     def start_reconciliation(self, now):
         self.reconciliations += 1
 
@@ -72,18 +67,6 @@ def test_register_input_sets_primary_and_grace():
     monitor = cm.register_input("x", producers=["up1", "up2"])
     assert monitor.primary == "up1"
     assert cm.monitor("x") is monitor
-
-
-def test_heartbeat_request_answered_with_states():
-    sim, net, cm, owner, sent = setup()
-    message = Message(sender="up1", receiver=owner.endpoint, kind=HEARTBEAT_REQUEST,
-                      payload=HeartbeatRequest(requester="up1"), sent_at=0.0)
-    assert cm.handle_message(message, now=0.0)
-    sim.run_until(0.1)
-    responses = [m for e, m in sent if m.kind == HEARTBEAT_RESPONSE]
-    assert len(responses) == 1
-    assert responses[0].payload.node_state is NodeState.STABLE
-    assert responses[0].payload.stream_states == {"out": NodeState.STABLE}
 
 
 def test_heartbeat_response_updates_producer_state():

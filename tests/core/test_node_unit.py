@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import DPCConfig, SimulationConfig
 from repro.core.node import ProcessingNode
-from repro.core.protocol import DATA, SUBSCRIBE, DataBatch, SubscribeRequest
+from repro.core.protocol import DATA, HEARTBEAT_RESPONSE, SUBSCRIBE, DataBatch, SubscribeRequest
 from repro.core.states import NodeState
 from repro.errors import ProtocolError
 from repro.sim.cluster import merge_diagram
@@ -87,6 +87,30 @@ def test_per_stream_granularity_keeps_unaffected_outputs_stable():
     assert node.output_stream_states() == {"out": NodeState.STABLE}
     node.cm.monitor("in").failed = True
     assert node.output_stream_states() == {"out": NodeState.UP_FAILURE}
+
+
+def test_push_state_advertises_only_to_watchers_without_recent_data():
+    diagram = merge_diagram("node1", ["in"], "out", bucket_size=0.1)
+    sim, net, node = make_node(diagram=diagram, config=DPCConfig(per_stream_granularity=True))
+    node.register_input_stream("in", producers=["src"], source_producers=["src"])
+    inboxes = {"fresh": [], "stale": []}
+    for watcher, inbox in inboxes.items():
+        net.register(watcher, lambda msg, now, inbox=inbox: inbox.append(msg))
+        node.add_state_watcher(watcher)
+    node.cm.set_state(NodeState.UP_FAILURE)
+    node.cm.monitor("in").failed = True
+    # "fresh" got a data batch (its subscription replay) within the keepalive
+    # period, which carried the state already; "stale" got nothing.
+    request = SubscribeRequest(stream="out", subscriber="fresh")
+    node._on_message(Message("fresh", node.endpoint, SUBSCRIBE, request, 0.0), now=0.95)
+    node._push_state(now=1.0)
+    sim.run_until(1.1)
+    assert [m.kind for m in inboxes["fresh"]] == [DATA]
+    (push,) = inboxes["stale"]
+    assert push.kind == HEARTBEAT_RESPONSE
+    assert push.payload.responder == "node1"
+    assert push.payload.node_state is NodeState.UP_FAILURE
+    assert push.payload.stream_states == {"out": NodeState.UP_FAILURE}
 
 
 def test_tentative_input_takes_checkpoint_and_dirties_fragment():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import deploy
+from repro.config import DPCConfig, SimulationConfig
 from repro.errors import ConfigurationError
 from repro.topology import NodeSpec, Topology
 
@@ -84,3 +85,16 @@ def test_deploy_materializes_the_plan():
     filt = deployment.subscription_filters["shard1"]
     monitor = deployment.node("shard1").cm.monitor("split.out")
     assert monitor.subscription_filter is filt
+
+
+@pytest.mark.parametrize("backend", ["sim", "live"])
+@pytest.mark.parametrize("keepalive", [0.07, 0.03])
+def test_deploy_rejects_a_keepalive_off_the_batch_grid(keepalive, backend):
+    """A node runs one tick: its control work needs a keepalive on its batch grid."""
+    placement = deploy.compile(Topology.chain(1))
+    with pytest.raises(ConfigurationError, match=f"keepalive_period {keepalive} .* 0.05"):
+        placement.deploy(
+            DPCConfig(keepalive_period=keepalive),
+            SimulationConfig(batch_interval=0.05),
+            backend=backend,
+        )

@@ -20,12 +20,11 @@ from repro.statexfer import PeerRegistry
 
 
 def monitors(cm):
-    """stream -> producers, push producers, source producers, filter name."""
+    """stream -> producers, source producers, filter name."""
     return [
         (
             stream,
             list(monitor.producers),
-            [name for name, info in monitor.producers.items() if info.pushes_state],
             [name for name, info in monitor.producers.items() if info.is_source],
             getattr(monitor.subscription_filter, "name", None),
         )
@@ -85,6 +84,14 @@ def test_every_workers_slice_is_wired_like_the_full_walk(shape):
             assert monitors(client.cm) == monitors(full.clients[name].cm)
     # Every endpoint is built by exactly one worker.
     assert sorted(built) == sorted(list(full.sources) + list(full.nodes) + list(full.clients))
+    # Consumers never probe: every producer replica pushes its state to every
+    # consumer replica of each of its edges.
+    for edge in placement.subscriptions:
+        if edge.kind == "source->node":
+            continue
+        for producer in full.replicas[edge.producer]:
+            watchers = full.nodes[producer]._state_watchers
+            assert set(full.replicas[edge.consumer]) <= set(watchers), (edge, producer)
 
 
 def test_a_scaled_out_fragment_is_wired_like_a_fresh_compile():

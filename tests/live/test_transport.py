@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.core.protocol import DATA, HEARTBEAT_REQUEST, DataBatch, HeartbeatRequest
+from repro.core.protocol import DATA, RECONCILE_REQUEST, DataBatch, ReconcileRequest
 from repro.core.states import NodeState
 from repro.live import transport as transport_module
 from repro.live import wire
@@ -123,10 +123,10 @@ def test_send_many_encodes_the_payload_once_per_call(monkeypatch):
             # One frame per receiver still crossed the socket.
             assert fabric.a.transport_stats()["links"]["wb"]["frames_sent"] >= 2
             # A second call encodes again (once), and control messages ride the same path.
-            request = HeartbeatRequest("src", ("s",))
-            fabric.a.send_many("src", ("n2", "n1"), HEARTBEAT_REQUEST, request)
+            request = ReconcileRequest("src", 7)
+            fabric.a.send_many("src", ("n2", "n1"), RECONCILE_REQUEST, request)
             await eventually(lambda: all(len(inbox) == 2 for inbox in fabric.received.values()))
-            assert calls == [DATA, HEARTBEAT_REQUEST]
+            assert calls == [DATA, RECONCILE_REQUEST]
             assert fabric.received["n1"][1].payload == request
 
     run(scenario())

@@ -133,3 +133,20 @@ def test_make_fault_tolerant_keeps_existing_soutput():
     diagram.bind_output("out", so)
     ft = diagram.make_fault_tolerant()
     assert sum(1 for op in ft if isinstance(op, SOutput)) == 1
+
+
+def test_reachable_from_walks_downstream_breadth_first():
+    # a -> b -> d and a -> c -> d: a diamond, plus an unrelated e -> d.
+    diagram = QueryDiagram("q")
+    for name in ("a", "b", "c", "e"):
+        diagram.add_operator(Filter(name, predicate=lambda v: True))
+    diagram.add_operator(Union("d", arity=3))
+    diagram.connect("a", "b")
+    diagram.connect("a", "c")
+    diagram.connect("b", "d", 0)
+    diagram.connect("c", "d", 1)
+    diagram.connect("e", "d", 2)
+    assert diagram.reachable_from(["a"]) == ["a", "b", "c", "d"]
+    assert diagram.reachable_from(["c", "c"]) == ["c", "d"]
+    assert diagram.reachable_from(["e", "b"]) == ["e", "b", "d"]
+    assert diagram.reachable_from([]) == []

@@ -227,10 +227,14 @@ def test_scenario_partition(capsys):
         (["scenario", "buffers", "max_output_tuples=400"],
          "buffers takes no 'max_output_tuples=400'; its keywords: (checkpoint_interval:"),
         (["scenario", "buffers", "block_on_full=True"], "buffers takes no 'block_on_full=True'"),
+        # A node's control work runs from its one tick: keepalive on the batch grid.
+        (["scenario", "detection", "keepalive_period=0.07"],
+         "keepalive_period 0.07 must be a whole multiple of batch_interval 0.05"),
     ],
     ids=["scenario-rate", "profile-shards", "plan-delays-depth",
          "unknown-entry", "unknown-key", "key-without-value", "bad-float", "bad-int",
-         "unknown-name", "live-rejects-silence", "no-buffer-bound", "no-block-on-full"],
+         "unknown-name", "live-rejects-silence", "no-buffer-bound", "no-block-on-full",
+         "keepalive-off-batch-grid"],
 )
 def test_bad_flags_exit_2_with_one_line_and_no_traceback(capsys, argv, reason):
     assert cli.main(argv) == 2
