@@ -6,7 +6,10 @@
 asyncio event loop and ``time.monotonic()``.  All live workers of one
 deployment share a monotonic *epoch* chosen by the supervisor, so ``now``
 reads the same deployment-time axis in every process (``CLOCK_MONOTONIC`` is
-system-wide on Linux, and it is the asyncio loop's clock).
+system-wide on Linux, and it is the asyncio loop's clock).  A worker builds
+its clock before it knows the epoch -- the supervisor sends it once every
+worker is ready -- and hands it over with :meth:`LiveClock.start` before
+anything is scheduled on it.
 
 Semantics mirrored from the simulator, pinned by the clock-seam tests:
 
@@ -66,17 +69,24 @@ class LiveClock:
     event loop thread; the protocol stack is single-threaded per worker.
     """
 
-    def __init__(self, epoch: float, loop: asyncio.AbstractEventLoop | None = None) -> None:
-        self._epoch = epoch
+    def __init__(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
+        #: Loop time that is deployment t=0; None until :meth:`start`.
+        self._epoch: float | None = None
         self._loop = loop if loop is not None else asyncio.get_event_loop()
         self.events_fired = 0
         #: deadline (loop time) -> the callbacks due then, in arming order.
         self._due: dict[float, list[Callable[[], None]]] = {}
 
+    def start(self, epoch: float) -> None:
+        """Make loop time ``epoch`` deployment time 0."""
+        self._epoch = epoch
+
     @property
     def now(self) -> float:
-        # Clamp: workers may construct their stack slightly before the
-        # shared epoch; protocol code assumes time never goes negative.
+        # Clamp: workers build their stack before the shared epoch; protocol
+        # code assumes time never goes negative.
+        if self._epoch is None:
+            return 0.0
         return max(0.0, time.monotonic() - self._epoch)
 
     # ------------------------------------------------------------------ one-shot

@@ -1,9 +1,10 @@
 """Peer-worker liveness for the live backend: ``ALIVE -> SUSPECT -> DOWN``.
 
-Every worker sends a heartbeat frame to each peer worker every
-:data:`HEARTBEAT_INTERVAL` seconds over the same reliable in-order link its
-data frames take (the paper's keep-alives, Sections 2.2 and 4.1).  Any
-admitted frame from a peer -- heartbeat or data -- counts as hearing it.
+Every :data:`HEARTBEAT_INTERVAL` seconds a worker sends a heartbeat frame
+to each peer worker whose link carried no data within that interval, over
+the same reliable in-order link its data frames take (the paper's
+keep-alives, Sections 2.2 and 4.1).  Any admitted frame from a peer --
+heartbeat or data -- counts as hearing it.
 :class:`PeerLiveness` turns the silence since a peer was last heard into a
 typed verdict: SUSPECT after :data:`SUSPECT_AFTER`, DOWN after
 :data:`DOWN_AFTER`, ALIVE again on the next frame.  The transport's

@@ -8,12 +8,14 @@ hosting every data source and client proxy -- and
 
 1. create a socket directory and the address book (endpoint -> worker ->
    Unix socket path);
-2. pick a shared monotonic *epoch* about a second out and fork all workers;
-   each builds its fragment (see :mod:`repro.live.worker`), binds its
-   socket, and starts its protocol stack exactly at the epoch;
+2. fork all workers; each builds its fragment (see :mod:`repro.live.worker`),
+   binds its socket and reports ready over its control pipe.  Once every
+   worker is ready, send each the shared monotonic *epoch*, ``startup_delay``
+   out, at which all of them start their protocol stacks;
 3. optionally SIGKILL one replica's worker mid-run (:class:`LiveKill`) and
-   respawn it after a downtime with ``recovering={endpoint}``, which drives
-   the checkpoint-shipped statexfer recovery over real sockets;
+   respawn it after a downtime with ``recovering={endpoint}`` (the same
+   handshake, answered with the run's epoch, so it starts at once), which
+   drives the checkpoint-shipped statexfer recovery over real sockets;
 4. after the requested duration, poll the edge worker until every client's
    ledger stops growing (the pipeline has drained), then collect results
    from all workers and tear everything down.
@@ -32,7 +34,7 @@ import signal
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from ..deploy.placement import DeployOptions, Placement
 from ..errors import ConfigurationError, LiveBackendUnavailable, SimulationError
@@ -41,9 +43,9 @@ from ..spe.tuple_codec import decode_tuples
 from .faults import FaultPlan
 from .worker import WorkerSpec, worker_main
 
-#: Seconds between the fork and the shared epoch: every worker must have
-#: built its fragment and bound its socket by then.
-_STARTUP_DELAY = 1.0
+#: Seconds a forked worker has to build its fragment, bind its socket and
+#: report ready (13 workers take about 0.1 s) before the run is abandoned.
+_READY_TIMEOUT = 10.0
 
 #: Consecutive identical ledger polls that count as "drained".
 _DRAIN_STABLE_POLLS = 3
@@ -135,6 +137,9 @@ class LiveRunResult:
 
     duration: float
     wall_seconds: float
+    #: Seconds from ``run()`` entry to the shared epoch: fork, build, bind,
+    #: the ready handshake and the ``startup_delay`` margin.
+    startup_s: float = 0.0
     #: client name -> {"summary", "ledger_segments", "eventually_consistent"};
     #: the segments are the client ledger in the tuple codec, as its worker
     #: sealed them (rows are decoded on demand by :meth:`stable_rows`).
@@ -274,7 +279,7 @@ class LiveDeployment:
 
     # ------------------------------------------------------------------ worker plan
     def _worker_plan(
-        self, socket_dir: str, epoch: float, fault_plan: FaultPlan, profile_dir: str | None
+        self, socket_dir: str, fault_plan: FaultPlan, profile_dir: str | None
     ) -> list[WorkerSpec]:
         hosted = hosted_by_worker(self.placement)
         worker_sockets = {
@@ -290,7 +295,6 @@ class LiveDeployment:
                 socket_path=worker_sockets[worker],
                 worker_sockets=worker_sockets,
                 endpoint_worker=endpoint_worker,
-                epoch=epoch,
                 fault_plan=fault_plan,
                 profile_path=(
                     os.path.join(profile_dir, f"{worker}.pstats") if profile_dir else None
@@ -310,6 +314,37 @@ class LiveDeployment:
         process.start()
         child_conn.close()
         return _WorkerHandle(spec, process, parent_conn)
+
+    @staticmethod
+    def _await_ready(handles: Iterable[_WorkerHandle]) -> None:
+        """Block until every worker of ``handles`` has reported ready.
+
+        Raises :class:`SimulationError` naming a worker that exits first, or
+        that has not reported within ``_READY_TIMEOUT`` seconds.
+        """
+        # Imported here, not with the module: ``ctx.Pipe()`` loads it for a
+        # live run anyway, and simulator-only importers would pay ~6 ms.
+        from multiprocessing.connection import wait
+
+        deadline = time.monotonic() + _READY_TIMEOUT
+        waiting = {handle.conn: handle for handle in handles}
+        while waiting:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                names = ", ".join(sorted(handle.spec.name for handle in waiting.values()))
+                raise SimulationError(
+                    f"live worker(s) {names} did not report ready within {_READY_TIMEOUT:g}s"
+                )
+            for conn in wait(list(waiting), remaining):
+                handle = waiting.pop(conn)
+                try:
+                    conn.recv()  # ("ready", name)
+                except EOFError:  # only the worker held the other end
+                    handle.process.join(timeout=1.0)
+                    raise SimulationError(
+                        f"live worker {handle.spec.name!r} exited before reporting "
+                        f"ready (exitcode={handle.process.exitcode})"
+                    ) from None
 
     # ------------------------------------------------------------------ validation
     def _validate_schedule(self, given, kind: type, duration: float) -> list:
@@ -366,7 +401,7 @@ class LiveDeployment:
         duration: float,
         kill: "LiveKill | Sequence[LiveKill] | None" = None,
         drain_timeout: float = 15.0,
-        startup_delay: float = _STARTUP_DELAY,
+        startup_delay: float = 0.1,
         faults: FaultPlan | None = None,
         pause: "LivePause | Sequence[LivePause] | None" = None,
         profile_dir: str | None = None,
@@ -381,6 +416,8 @@ class LiveDeployment:
         stopping the workers, so in-flight batches are not cut off
         mid-pipeline.  ``profile_dir`` (an existing directory) runs every
         worker under cProfile and leaves one ``<worker>.pstats`` there.
+        ``startup_delay`` is the margin from the last worker's "ready" to the
+        shared epoch, in which the start message reaches every worker.
         """
         kills = self._validate_schedule(kill, LiveKill, duration)
         pauses = self._validate_schedule(pause, LivePause, duration)
@@ -388,9 +425,7 @@ class LiveDeployment:
         started_wall = time.monotonic()
         ctx = multiprocessing.get_context("fork")
         socket_dir = tempfile.mkdtemp(prefix="repro-live-")
-        epoch = time.monotonic() + startup_delay
-        specs = self._worker_plan(socket_dir, epoch, plan, profile_dir)
-        handles = {spec.name: self._spawn(ctx, spec) for spec in specs}
+        handles: dict[str, _WorkerHandle] = {}
         result = LiveRunResult(duration=duration, wall_seconds=0.0)
         result.faults = plan.describe()
         timeline = sorted(
@@ -401,6 +436,13 @@ class LiveDeployment:
             key=lambda event: (event[0], event[1]),
         )
         try:
+            for spec in self._worker_plan(socket_dir, plan, profile_dir):
+                handles[spec.name] = self._spawn(ctx, spec)
+            self._await_ready(handles.values())
+            epoch = time.monotonic() + startup_delay
+            for handle in handles.values():
+                handle.conn.send(("start", epoch))
+            result.startup_s = epoch - started_wall
             for at, _, action, directive in timeline:
                 self._sleep_until(epoch + at)
                 self._apply_action(ctx, handles, epoch, action, directive, result)
@@ -455,7 +497,10 @@ class LiveDeployment:
                 generation=victim.spec.generation + 1,
             )
             victim.process.join(timeout=5.0)
-            handles[worker_name] = self._spawn(ctx, respawn_spec)
+            victim.conn.close()
+            respawned = handles[worker_name] = self._spawn(ctx, respawn_spec)
+            self._await_ready([respawned])
+            respawned.conn.send(("start", epoch))
             for record in result.kills:
                 if record["worker"] == worker_name and "respawned_at" not in record:
                     record["respawned_at"] = time.monotonic() - epoch
@@ -502,11 +547,13 @@ class LiveDeployment:
         deadline = time.monotonic() + drain_timeout
         stable_polls = 0
         last = None
-        while time.monotonic() < deadline and stable_polls < _DRAIN_STABLE_POLLS:
+        while time.monotonic() < deadline:
             status = self._request(edge, "status")
             counts = (status["ledgers"], status["stable"])
             if counts == last:
                 stable_polls += 1
+                if stable_polls == _DRAIN_STABLE_POLLS:
+                    return
             else:
                 stable_polls = 0
                 last = counts

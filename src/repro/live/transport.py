@@ -35,9 +35,11 @@ frame has a bounded retry budget, with frames that exhaust it counted as
 Frames carry the sender's *generation* (bumped by the supervisor on every
 respawn) and a per-link sequence number: receivers reject stale-generation
 frames (a predecessor's zombie writes) and non-monotonic sequences
-(injected duplicates).  Worker-to-worker heartbeat frames ride the same
-fault pipeline and feed :class:`~repro.live.liveness.PeerLiveness`, whose
-DOWN verdict feeds ``can_communicate``.
+(injected duplicates).  Every admitted frame feeds
+:class:`~repro.live.liveness.PeerLiveness`, whose DOWN verdict feeds
+``can_communicate``; a worker-to-worker heartbeat frame, which rides the
+same fault pipeline, goes only to a peer whose link carried no data within
+the last heartbeat interval.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ class _Stamped:
     rules: tuple[LinkRule, ...]
     sender: str
     receiver: str
+    #: An envelope (data) frame, not a heartbeat.
+    data: bool
     #: Write attempts used so far, injected drops included.
     attempts: int = 0
 
@@ -143,6 +147,8 @@ class PeerLink:
         self._connect_failures = 0
         self._next_connect_at = 0.0
         self._last_write = 0.0
+        #: Loop time of the last write that carried an envelope frame.
+        self.data_written_at = float("-inf")
         # ---- counters surfaced in worker stats -------------------------------
         self.frames_sent = 0
         self.dropped_frames = 0  # shed while the peer's socket was down
@@ -216,7 +222,8 @@ class PeerLink:
         seq = self._seq
         self._seq += 1
         head = _FRAME_HEAD.pack(length, entry.ftype, self._transport.generation, seq)
-        frame = _Stamped(b"".join((head, *entry.parts)), rules, entry.sender, entry.receiver)
+        payload = b"".join((head, *entry.parts))
+        frame = _Stamped(payload, rules, entry.sender, entry.receiver, entry.ftype == _FT_ENVELOPE)
         if self._lost(frame):
             return
         if not await self._ensure_connection():
@@ -262,6 +269,8 @@ class PeerLink:
             if await self._write(b"".join(frame.payload for frame in frames)):
                 self.frames_sent += len(frames)
                 self._last_write = self._loop.time()
+                if any(frame.data for frame in frames):
+                    self.data_written_at = self._last_write
                 await self._duplicate(frames)
                 return
             retried = [frame for frame in frames if self._retry(frame)]
@@ -409,10 +418,12 @@ class LiveTransport:
         self.heartbeats_sent = 0
         self.heartbeats_received = 0
         self.heartbeats_suppressed = 0
+        self.heartbeats_skipped = 0
 
     # ------------------------------------------------------------------ lifecycle
     async def start(self) -> None:
-        """Bind this worker's Unix socket and start accepting peer frames."""
+        """Bind this worker's Unix socket and start accepting peer frames;
+        heartbeats wait for :meth:`start_heartbeats`."""
         try:
             # A SIGKILLed predecessor leaves its socket file behind; the
             # respawned worker rebinds the same path.
@@ -420,6 +431,9 @@ class LiveTransport:
         except FileNotFoundError:
             pass
         self._server = await asyncio.start_unix_server(self._on_connection, path=self.socket_path)
+
+    def start_heartbeats(self) -> None:
+        """Start the heartbeat loop (a worker does at the shared epoch)."""
         if len(self._worker_sockets) > 1:
             self._heartbeat_task = self._loop.create_task(self._heartbeat_loop())
 
@@ -539,6 +553,9 @@ class LiveTransport:
     def _heartbeat_tick(self, now: float) -> None:
         mine = self._hosted_by.get(self.worker, ())
         body = self.worker.encode("utf-8")
+        # A link that carried data within the interval has just been heard;
+        # heartbeats do not count, so an idle link keeps the full cadence.
+        recent = self._loop.time() - HEARTBEAT_INTERVAL
         for peer in self.liveness.peers:
             if self.faults.active and self.faults.plan.blocked_worker(
                 mine, self._hosted_by.get(peer, ()), now
@@ -548,7 +565,11 @@ class LiveTransport:
                 # suspecting us, exactly like a real network split.
                 self.heartbeats_suppressed += 1
                 continue
-            self._link_to(peer).enqueue(_FT_HEARTBEAT, self.worker, peer, "heartbeat", body)
+            link = self._link_to(peer)
+            if link.data_written_at > recent:
+                self.heartbeats_skipped += 1
+                continue
+            link.enqueue(_FT_HEARTBEAT, self.worker, peer, "heartbeat", body)
             self.heartbeats_sent += 1
         self.liveness.sweep(now)
 
@@ -666,6 +687,7 @@ class LiveTransport:
             "heartbeats_sent": self.heartbeats_sent,
             "heartbeats_received": self.heartbeats_received,
             "heartbeats_suppressed": self.heartbeats_suppressed,
+            "heartbeats_skipped": self.heartbeats_skipped,
             "suspicions": self.liveness.suspicions,
             "confirmations": self.liveness.confirmations,
             "peer_states": self.liveness.states(),

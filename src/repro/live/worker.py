@@ -15,6 +15,11 @@ process -- serves the checkpoint-shipped recovery over real sockets.
 Workers are spawned with the ``fork`` start method: the compiled placement
 (which holds closure predicates and payload generators) crosses into the
 child by memory inheritance, never by pickling.
+
+Start-up is a handshake on the control pipe: a worker builds its fragment,
+binds its socket and sends ``("ready", name)``, then waits for ``("start",
+epoch)`` -- the shared monotonic time that is deployment t=0 -- and starts
+its sources, nodes, clients and heartbeats at that epoch.
 """
 
 from __future__ import annotations
@@ -72,8 +77,6 @@ class WorkerSpec:
     worker_sockets: Mapping[str, str]
     #: endpoint -> worker name (full deployment).
     endpoint_worker: Mapping[str, str]
-    #: Shared time origin: ``time.monotonic()`` value that is deployment t=0.
-    epoch: float
     #: Endpoints that must run ``recover()`` right after starting (respawn).
     recovering: frozenset[str] = frozenset()
     #: Incarnation number; the supervisor bumps it on every respawn so peers
@@ -184,7 +187,8 @@ def worker_main(spec: WorkerSpec, placement: Placement, options: DeployOptions, 
 async def _worker_async(
     spec: WorkerSpec, placement: Placement, options: DeployOptions, conn
 ) -> None:
-    clock = LiveClock(spec.epoch, loop=asyncio.get_running_loop())
+    loop = asyncio.get_running_loop()
+    clock = LiveClock(loop=loop)
     transport = LiveTransport(
         worker=spec.name,
         socket_path=spec.socket_path,
@@ -207,11 +211,18 @@ async def _worker_async(
     # SUBSCRIBE carrying any consumer's filter during failover.
     for subscription_filter in wiring.filters.values():
         wire.register_filter(subscription_filter)
+    # The handshake.  Waiting for the start message blocks the loop, so no
+    # peer frame reaches the fragment before it starts: a respawned worker's
+    # peers are already running, and its epoch is in the past.
+    conn.send(("ready", spec.name))
+    _, epoch = conn.recv()  # ("start", epoch)
+    clock.start(epoch)
     # All workers start their protocol stacks at the shared epoch, so the
     # startup grace and keepalive cadences line up across processes.
-    delay = spec.epoch - time.monotonic()
+    delay = epoch - time.monotonic()
     if delay > 0:
         await asyncio.sleep(delay)
+    transport.start_heartbeats()
     for source in wiring.sources.values():
         source.start()
     for node in wiring.nodes.values():
@@ -228,7 +239,6 @@ async def _worker_async(
 
     # The control pipe is a reader of the loop: an idle worker sleeps, and
     # "status" / "stop" are answered the moment they arrive.
-    loop = asyncio.get_running_loop()
     stopped = loop.create_future()
 
     def on_control() -> None:

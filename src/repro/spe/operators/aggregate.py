@@ -166,23 +166,15 @@ class Aggregate(Operator):
         closed: set[int] = set()
         # Windows derived from live panes: closed by the new watermark and
         # not emitted at an earlier one (panes are shared across windows, so
-        # emission cannot simply delete the cells that fed it).  The
-        # candidate range spans the live panes; each candidate is kept only
-        # if one of its panes is actually live, so a gap in the pane
-        # population never surfaces as a spurious empty window.
-        threshold = self._last_closed_watermark
+        # emission cannot simply delete the cells that fed it).  Only a
+        # window one of whose panes is actually live counts, so a gap in the
+        # pane population never surfaces as a spurious empty window.
         if self._cells:
-            live_panes = {pane for pane, _key in self._cells}
-            first = window.pane_windows(min(live_panes)).start
-            last = window.pane_windows(max(live_panes)).stop
-            window_end = window.window_end
-            window_panes = window.window_panes
-            for index in range(first, last):
-                end = window_end(index)
-                if end <= current and end > threshold and any(
-                    pane in live_panes for pane in window_panes(index)
-                ):
-                    closed.add(index)
+            closed.update(
+                window.live_windows_closed(
+                    {pane for pane, _key in self._cells}, self._last_closed_watermark, current
+                )
+            )
         if self.emit_empty_windows:
             closed.update(window.windows_closed_by(previous, current))
         out: list[StreamTuple] = []

@@ -11,9 +11,10 @@ to Borealis' *independent-window-alignment* flag.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from ..errors import ConfigurationError
 
@@ -230,6 +231,27 @@ class WindowSpec:
         while first <= last and self.window_end(last) > watermark:
             last -= 1
         return range(first, last + 1)
+
+    def live_windows_closed(
+        self, live_panes: AbstractSet[int], after: float, through: float
+    ) -> list[int]:
+        """Windows holding a pane of ``live_panes`` whose end falls in ``(after, through]``.
+
+        ``window_end`` is non-decreasing in the index, so the windows spanned
+        by the live panes that end in the interval are one index range, found
+        by bisecting both of its ends.
+        """
+        candidates = range(
+            self.pane_windows(min(live_panes)).start, self.pane_windows(max(live_panes)).stop
+        )
+        first = bisect_right(candidates, after, key=self.window_end)
+        last = bisect_right(candidates, through, key=self.window_end)
+        window_panes = self.window_panes
+        return [
+            index
+            for index in candidates[first:last]
+            if any(pane in live_panes for pane in window_panes(index))
+        ]
 
     def is_closed(self, index: int, watermark: float) -> bool:
         """True once the watermark passes the end of window ``index``."""

@@ -124,7 +124,8 @@ def test_live_chain_re_arms_on_its_deadline_and_skips_missed_ones():
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        clock = LiveClock(time.monotonic(), loop=loop)
+        clock = LiveClock(loop=loop)
+        clock.start(time.monotonic())
         turns = TurnCounter(loop)
         fired = []  # (deadline, firing loop time, turn, loop time the callback returned)
 
@@ -166,7 +167,8 @@ def test_live_ticks_on_one_grid_fire_in_one_turn():
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        clock = LiveClock(time.monotonic(), loop=loop)
+        clock = LiveClock(loop=loop)
+        clock.start(time.monotonic())
         turns = TurnCounter(loop)
         fired = {"x": [], "y": []}
         # One-shot ticks at the same deployment time (sources on one grid),
@@ -193,7 +195,8 @@ def test_live_timers_due_together_run_in_arming_order():
         loop = asyncio.get_running_loop()
         failures = []
         loop.set_exception_handler(lambda loop, context: failures.append(context["exception"]))
-        clock = LiveClock(time.monotonic(), loop=loop)
+        clock = LiveClock(loop=loop)
+        clock.start(time.monotonic())
         order = []
 
         def tick(index: int):

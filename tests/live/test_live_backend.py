@@ -9,13 +9,18 @@ ledger, in replica-independent row form, at the same seed.
 
 from __future__ import annotations
 
+import inspect
+import multiprocessing
 import os
+import time
 
 import pytest
 
 from repro.config import DPCConfig
 from repro.deploy.placement import compile as compile_topology
-from repro.live.supervisor import LiveKill, require_fork
+from repro.errors import SimulationError
+from repro.live.supervisor import LiveDeployment, LiveKill, require_fork
+from repro.live.transport import LiveTransport
 from repro.live.worker import stable_ledger_rows
 from repro.topology import Topology
 
@@ -66,6 +71,9 @@ def test_live_chain_parity_with_simulator(seed):
     result = live.run(duration=STOP + 1.0, drain_timeout=15.0)
     assert result.eventually_consistent
     assert result.stable_rows() == sim_rows
+    # Fork, build, bind, the ready handshake and the margin: well under the
+    # one fixed second the supervisor used to sleep.
+    assert 0.0 < result.startup_s < 1.0
 
 
 @live_only
@@ -170,6 +178,36 @@ def test_live_edge_worker_retention_matches_the_node_workers():
     nodes = [usage["peak_rss_mb"] for name, usage in result.workers.items() if name != "edge"]
     assert edge <= max(nodes) + 15.0, result.workers
     assert edge <= 2.0 * min(nodes), result.workers
+
+
+@live_only
+@pytest.mark.skipif(not _fork_available(), reason="no fork start method")
+def test_live_worker_not_ready_fails_the_run_at_once(monkeypatch):
+    """A worker that dies before reporting ready ends the run with an error
+    naming it, instead of the run waiting out its duration; every child is
+    reaped.  The patch reaches the workers because fork inherits it."""
+    bind = LiveTransport.start
+
+    async def failing_bind(self):
+        if self.worker == "node1-r1":
+            raise RuntimeError("injected start-up failure")
+        await bind(self)
+
+    monkeypatch.setattr(LiveTransport, "start", failing_bind)
+    placement = compile_topology(Topology.chain(2), replicas_per_node=2)
+    live = placement.deploy(seed=1, aggregate_rate=RATE, source_stop_time=STOP, backend="live")
+    began = time.monotonic()
+    with pytest.raises(SimulationError, match="'node1-r1' exited before reporting ready"):
+        live.run(duration=30.0)
+    assert time.monotonic() - began < 5.0
+    assert multiprocessing.active_children() == []
+
+
+def test_startup_delay_default_is_a_float_margin():
+    """``benchmarks/e2e/workloads.py`` reads this default by name at import;
+    it is the margin from the last "ready" to the epoch, not a fixed second."""
+    default = inspect.signature(LiveDeployment.run).parameters["startup_delay"].default
+    assert isinstance(default, float) and 0.0 < default < 1.0
 
 
 def test_fork_unavailable_raises_cleanly(monkeypatch):

@@ -26,6 +26,7 @@ from repro.live import transport as transport_module
 from repro.live import wire
 from repro.live.clock import LiveClock
 from repro.live.faults import DELAY, DROP, DUPLICATE, REORDER, THROTTLE, FaultPlan, LinkRule
+from repro.live.liveness import DOWN_AFTER, HEARTBEAT_INTERVAL, SUSPECT_AFTER, PeerState
 from repro.live.transport import LiveTransport
 from repro.spe.tuples import StreamTuple
 
@@ -40,7 +41,8 @@ class Fabric:
         # Unix socket paths are limited to ~100 bytes: keep the directory short.
         self.directory = tempfile.mkdtemp(prefix="rt-")
         self.sockets = {w: f"{self.directory}/{w}.sock" for w in ("wa", "wb")}
-        clock = LiveClock(time.monotonic())
+        clock = LiveClock()
+        clock.start(time.monotonic())
         self.a, self.b = (
             LiveTransport(
                 worker, self.sockets[worker], ENDPOINTS, self.sockets, clock,
@@ -144,6 +146,51 @@ def test_local_delivery_never_encodes(monkeypatch):
     run(scenario())
 
 
+# ---------------------------------------------------------------------- heartbeats
+def test_a_link_that_carried_data_skips_its_heartbeat_and_an_idle_link_does_not():
+    async def scenario():
+        async with Fabric() as fabric:
+            a, b = fabric.a, fabric.b
+            a.send("src", "n1", DATA, batch())
+            await eventually(lambda: fabric.received["n1"])
+            a._heartbeat_tick(a.clock.now)  # wa -> wb carried data within the interval
+            b._heartbeat_tick(b.clock.now)  # wb -> wa is idle
+            assert (a.heartbeats_sent, a.heartbeats_skipped) == (0, 1)
+            assert (b.heartbeats_sent, b.heartbeats_skipped) == (1, 0)
+            await eventually(lambda: a.heartbeats_received == 1)
+            assert b.liveness.state("wa") is PeerState.ALIVE
+            assert a.transport_stats()["heartbeats_skipped"] == 1
+            # A whole interval without data: the heartbeat is due again.
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
+            a._heartbeat_tick(a.clock.now)
+            assert (a.heartbeats_sent, a.heartbeats_skipped) == (1, 1)
+            await eventually(lambda: b.heartbeats_received == 1)
+
+    run(scenario())
+
+
+def test_a_sender_that_stops_writing_is_suspect_then_down():
+    """Skipped heartbeats leave the receiver's thresholds where they were."""
+
+    async def scenario():
+        async with Fabric() as fabric:
+            a, b = fabric.a, fabric.b
+            a.send("src", "n1", DATA, batch())
+            await eventually(lambda: fabric.received["n1"])
+            heard = fabric.received["n1"][0].sent_at
+            for silence, state in (
+                (SUSPECT_AFTER - 0.01, PeerState.ALIVE),
+                (SUSPECT_AFTER + 1e-6, PeerState.SUSPECT),
+                (DOWN_AFTER - 0.01, PeerState.SUSPECT),
+                (DOWN_AFTER + 1e-6, PeerState.DOWN),
+            ):
+                b.liveness.sweep(heard + silence)
+                assert b.liveness.state("wa") is state, silence
+
+    assert (SUSPECT_AFTER, DOWN_AFTER) == (0.75, 2.5)
+    run(scenario())
+
+
 # ---------------------------------------------------------------------- malformed input
 def test_garbage_and_oversized_frames_are_counted_drops():
     async def scenario():
@@ -216,7 +263,7 @@ def record_writes(monkeypatch) -> list[bytes]:
 
 
 def data_writes(writes: list[bytes]) -> list[list[tuple[int, int, bytes]]]:
-    """The writes that carried envelope frames (heartbeats may ride along)."""
+    """The writes that carried envelope frames."""
     frames = [split_frames(data) for data in writes]
     return [w for w in frames if any(ftype == transport_module._FT_ENVELOPE for ftype, *_ in w)]
 
@@ -362,11 +409,11 @@ def test_duplicate_is_drawn_only_for_a_written_frame(monkeypatch):
     async def scenario():
         directory = tempfile.mkdtemp(prefix="rt-")
         sockets = {w: f"{directory}/{w}.sock" for w in ("wa", "wb")}
-        clock = LiveClock(time.monotonic())
-        # Only ``wb`` is listed as a worker socket: no heartbeat frames share the link.
-        only_wb = {"wb": sockets["wb"]}
-        a = LiveTransport("wa", sockets["wa"], ENDPOINTS, only_wb, clock, fault_plan=plan)
-        b = LiveTransport("wb", sockets["wb"], ENDPOINTS, only_wb, clock, fault_plan=plan)
+        clock = LiveClock()
+        clock.start(time.monotonic())
+        # No heartbeat loop is started: no heartbeat frames share the link.
+        a = LiveTransport("wa", sockets["wa"], ENDPOINTS, sockets, clock, fault_plan=plan)
+        b = LiveTransport("wb", sockets["wb"], ENDPOINTS, sockets, clock, fault_plan=plan)
         await a.start()
         await b.start()
         try:
@@ -453,13 +500,13 @@ def test_wire_fault_decision_stream_is_pinned():
     async def scenario():
         directory = tempfile.mkdtemp(prefix="rt-")
         sockets = {w: f"{directory}/{w}.sock" for w in ("wa", "wb")}
-        clock = LiveClock(time.monotonic())
-        # Only ``wb`` is listed as a worker socket, so neither transport runs
-        # a heartbeat loop: its frames would join the link's queue on a
-        # wall-clock cadence and make the reorder decisions timing-dependent.
-        only_wb = {"wb": sockets["wb"]}
-        a = LiveTransport("wa", sockets["wa"], ENDPOINTS, only_wb, clock, fault_plan=STREAM_PLAN)
-        b = LiveTransport("wb", sockets["wb"], ENDPOINTS, only_wb, clock, fault_plan=STREAM_PLAN)
+        clock = LiveClock()
+        clock.start(time.monotonic())
+        # No heartbeat loop is started: its frames would join the link's
+        # queue on a wall-clock cadence and make the reorder decisions
+        # timing-dependent.
+        a = LiveTransport("wa", sockets["wa"], ENDPOINTS, sockets, clock, fault_plan=STREAM_PLAN)
+        b = LiveTransport("wb", sockets["wb"], ENDPOINTS, sockets, clock, fault_plan=STREAM_PLAN)
         delivered = []
         for endpoint in ("n1", "n2"):
             b.register(endpoint, lambda message, now: delivered.append(

@@ -144,3 +144,41 @@ def test_pane_spans_files_a_contained_run_in_one_span():
     assert window.pane_spans([]) == []
     with pytest.raises((ValueError, OverflowError)):
         window.pane_spans([7.3, math.inf])
+
+
+# --------------------------------------------------------------------------- closed windows
+def scanned_windows_closed(window, live_panes, after, through):
+    """``live_windows_closed``'s definition: one ``window_end`` per spanned index."""
+    first = window.pane_windows(min(live_panes)).start
+    last = window.pane_windows(max(live_panes)).stop
+    return [
+        index
+        for index in range(first, last)
+        if after < window.window_end(index) <= through
+        and any(pane in live_panes for pane in window.window_panes(index))
+    ]
+
+
+@st.composite
+def watermarks_near_window_ends(draw, window):
+    """A window end, one ulp either side of one, or a point between two."""
+    end = window.window_end(draw(st.integers(-80, 80)))
+    choice = draw(st.integers(0, 3))
+    return (
+        end if choice == 0
+        else math.nextafter(end, -math.inf) if choice == 1
+        else math.nextafter(end, math.inf) if choice == 2
+        else end + window.slide * draw(st.floats(0.0, 1.0))
+    )
+
+
+@COMMON
+@given(st.data(), SPECS, ORIGINS)
+def test_bisected_closed_windows_are_the_scanned_ones(data, spec, origin):
+    window = WindowSpec.sliding(size=spec[0], slide=spec[1], origin=origin)
+    live_panes = data.draw(st.sets(st.integers(-60, 60), min_size=1, max_size=12))
+    after = data.draw(st.one_of(st.just(-math.inf), watermarks_near_window_ends(window)))
+    through = data.draw(watermarks_near_window_ends(window))
+    assert window.live_windows_closed(live_panes, after, through) == scanned_windows_closed(
+        window, live_panes, after, through
+    )
