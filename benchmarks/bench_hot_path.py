@@ -14,7 +14,8 @@ Not a paper figure.  Two measurements the simulator-level checks do not make:
   held under fixed upper bounds, and the chain-4 disconnect's
   ``StreamTuple`` row constructions, held at zero (its tentative, UNDO and
   redo path is columnar): seconds cannot tell a re-introduced per-row loop
-  or per-batch step from a noisy host, counts can.  The steady shard(4)
+  or per-batch step from a noisy host, counts can.  The window crash's
+  sources slice no rows for sends that reach nobody.  The steady shard(4)
   counterpart is the tier-1 ``tests/runtime/test_row_construction_guard.py``.
 
 Run with ``cd benchmarks && PYTHONPATH=../src python -m pytest -q -s bench_hot_path.py``.
@@ -128,17 +129,21 @@ def test_engine_fragment_hot_path():
 
 def test_failure_path_work_counters():
     """Calls and row constructions per source tuple of sim-window-crash and sim-chain4-disconnect (seed 1)."""
-    specs = {
-        "window_crash": CATALOGUE["sim-window-crash"](),
-        "chain4_disconnect": CATALOGUE["sim-chain4-disconnect"](),
+    runtimes = {
+        "window_crash": CATALOGUE["sim-window-crash"]().build(),
+        "chain4_disconnect": CATALOGUE["sim-chain4-disconnect"]().build(),
     }
-    counters = {label: spec.build().run_profiled()[1] for label, spec in specs.items()}
+    counters = {label: runtime.run_profiled()[1] for label, runtime in runtimes.items()}
+    unreached = sum(source.unreached_rows for source in runtimes["window_crash"].sources)
     print("\n" + "\n".join(
         f"{label:<18} {c['calls_per_source_tuple']:>8.2f} calls, "
         f"{c['row_constructions_per_source_tuple']:.2f} row constructions per source tuple"
         for label, c in counters.items()
-    ))
+    ) + f"\nwindow_crash       {unreached} source rows sliced for sends that reached nobody")
     assert counters["window_crash"]["calls_per_source_tuple"] <= WINDOW_CRASH_CALLS, counters
+    # The crashed replica's backlog is not sliced every tick (2.44 M rows
+    # over 600 dropped sends when the sources sent to it regardless).
+    assert unreached == 0
     chain4 = counters["chain4_disconnect"]
     assert chain4["calls_per_source_tuple"] <= CHAIN4_DISCONNECT_CALLS, counters
     assert chain4["row_constructions_per_source_tuple"] == 0, counters

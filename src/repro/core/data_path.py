@@ -21,9 +21,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import itemgetter, not_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import BufferTruncatedError, ProtocolError
 from ..spe.streams import StreamWriter
@@ -400,10 +400,10 @@ class OutputStreamManager:
         same subscription filter share one batch, so in the steady state a
         node sends one :class:`~repro.core.protocol.TupleBatch` (one simulator
         event) per filter group to all of that group's replicas instead of one
-        message each.  Filtered groups whose pending slice contains nothing
-        for them (every data tuple foreign, no control tuples) are advanced
-        past the slice without a send: the filter is deterministic, so the
-        slice will never hold anything for them.
+        message each; the filters of one slice share its route columns.
+        Filtered groups whose pending slice holds nothing for them (every data
+        tuple foreign, no control tuples) are advanced past the slice without
+        a send: the filter is deterministic, so it never will.
         """
         groups: dict[tuple[int, str], list[_Subscription]] = {}
         end = self._base_index + len(self._codes)
@@ -418,14 +418,14 @@ class OutputStreamManager:
             else:
                 group.append(subscription)
         batches: list[tuple[TupleBlock, list[str]]] = []
-        slices: dict[int, TupleBlock] = {}
+        slices: dict[int, tuple[TupleBlock, dict]] = {}
         for (index, _filter_key), subscriptions in sorted(groups.items(), key=itemgetter(0)):
-            entries = slices.get(index)
-            if entries is None:
-                entries = slices[index] = self._block(index, end)
+            if index not in slices:
+                slices[index] = (self._block(index, end), {})
+            entries, columns = slices[index]
             filter_ = subscriptions[0].filter
             if filter_ is not None:
-                entries = filter_.select(entries)
+                entries = filter_.select(entries, columns)
             if not entries.codes:
                 for subscription in subscriptions:
                     subscription.next_index = end
@@ -527,10 +527,6 @@ class OutputStreamManager:
     def buffered_items(self) -> TupleBlock:
         """The buffered tuples, in production order (diagnostics and tests)."""
         return self._block(self._base_index)
-
-    def stable_payloads(self) -> Iterator[Mapping]:
-        """Payload mappings of the buffered stable tuples, read in place."""
-        return compress(self._values, map(not_, self._codes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -115,9 +115,7 @@ class Deployment:
             for replica in cluster.node_group(producer):
                 counts = self._truncated_loads[replica.endpoint] = {}
                 replica.data_path.output(stream).truncation_observer = (
-                    lambda dropped, counts=counts: self._count_loads(
-                        compress(dropped.values, map(not_, dropped.codes)), counts
-                    )
+                    lambda dropped, counts=counts: self._count_loads(dropped, counts)
                 )
 
     # ------------------------------------------------------------------ delegation
@@ -178,19 +176,14 @@ class Deployment:
         histories = []
         for replica in candidates:
             loads = dict(self._truncated_loads.get(replica.endpoint, ()))
-            self._count_loads(replica.data_path.output(stream).stable_payloads(), loads)
+            self._count_loads(replica.data_path.output(stream).buffered_items(), loads)
             histories.append(loads)
         return max(histories, key=lambda loads: sum(loads.values()))
 
-    def _count_loads(self, payloads, loads: dict[int, float]) -> None:
-        """Add stable tuples, given by their ``payloads``, to the per-bucket ``loads``.
-
-        The distinct (tie-grouped) shard keys are counted first, so each is
-        hashed to its bucket once, however many tuples carry it.
-        """
-        spec = self.current_assignment.spec
-        for key, count in Counter(map(spec.key_of, payloads)).items():
-            bucket = spec.bucket_of(key)
+    def _count_loads(self, block, loads: dict[int, float]) -> None:
+        """Add ``block``'s stable rows to ``loads``, bucketed by the shard filters' route column."""
+        buckets = self.current_assignment.spec.route(block)
+        for bucket, count in Counter(compress(buckets, map(not_, block.codes))).items():
             loads[bucket] = loads.get(bucket, 0.0) + count
 
     def plan_rebalance(self, tolerance: float = 0.10) -> RebalancePlan:

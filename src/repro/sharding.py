@@ -12,8 +12,9 @@ vocabulary:
   (shard count, key attribute, hash-bucket count, tie-group width);
 * :class:`ShardAssignment` -- a concrete, planner-owned mapping of hash
   buckets to shards.  Assignments are what deployments compile into
-  ``select`` predicates: the predicates of one assignment are *disjoint and
-  exhaustive* by construction (every bucket belongs to exactly one shard);
+  ``select`` predicates (:class:`ShardSlice`): the predicates of one
+  assignment are *disjoint and exhaustive* by construction (every bucket
+  belongs to exactly one shard);
 * :class:`ShardPlanner` -- produces the initial assignment and, given
   observed per-bucket loads, emits a :class:`RebalancePlan` (a sequence of
   :class:`ShardMove` bucket migrations) when shard loads skew.
@@ -33,18 +34,22 @@ tie-groups would reorder the merged stream.
 
 from __future__ import annotations
 
+import re
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from collections import Counter
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .spe.tuples import TupleBlock
 
 #: Default number of hash buckets; a multiple of every supported shard count
 #: so the initial contiguous-range assignment is even.
 DEFAULT_BUCKETS = 64
 
-#: A shard predicate (same shape as :data:`repro.topology.SelectPredicate`).
-ShardPredicate = Callable[[Mapping[str, Any]], bool]
+_CONTROL_ROW = re.compile(rb"[^\x00\x01]")  # a type code but stable (0) or tentative (1)
 
 
 def stable_key_hash(value: Any) -> int:
@@ -55,6 +60,8 @@ def stable_key_hash(value: Any) -> int:
     type-tagged byte encoding instead -- the same trick the consistency
     managers use for their seeded tie-breaking RNG identity.
     """
+    if type(value) is int:  # the common key; the int branch below, formatted at C speed
+        return zlib.crc32(b"i%d" % value) & 0xFFFFFFFF
     if isinstance(value, bool):
         data = b"b1" if value else b"b0"
     elif isinstance(value, int):
@@ -108,6 +115,7 @@ class ShardSpec:
             )
         if self.group < 1:
             raise ConfigurationError(f"group must be >= 1, got {self.group}")
+        object.__setattr__(self, "_buckets", {})  # route()'s key -> bucket memo; not a field
 
     def group_key(self, value: Any) -> Any:
         """Collapse one raw key-attribute value into its tie-grouped shard key.
@@ -134,6 +142,30 @@ class ShardSpec:
     def bucket_of(self, key: Any) -> int:
         """The hash bucket a shard key falls into."""
         return stable_key_hash(key) % self.buckets
+
+    #: Keys the :meth:`route` memo holds before it starts over.
+    _MEMO_LIMIT = 65536
+
+    def route(self, block: "TupleBlock") -> list[int | None]:
+        """The route column of ``block``: each data row's hash bucket, ``None`` per control row.
+
+        Shard filters select from it and the load history counts it; a memo hashes each key once.
+        """
+        key, group, memo = self.key, self.group, self._buckets  # type: ignore[attr-defined]
+        keys = [
+            value // group if type(value := row.get(key, 0)) is int else self.group_key(value)
+            for row in block.values
+        ]
+        column = list(map(memo.get, keys))
+        if None in column:
+            if len(memo) >= self._MEMO_LIMIT:
+                memo.clear()
+            for unseen in set(keys).difference(memo):
+                memo[unseen] = self.bucket_of(unseen)
+            column = list(map(memo.__getitem__, keys))
+        for match in _CONTROL_ROW.finditer(block.codes):
+            column[match.start()] = None
+        return column
 
 
 @dataclass(frozen=True)
@@ -178,13 +210,6 @@ class ShardAssignment:
         if missing:
             raise ConfigurationError(f"buckets {sorted(missing)} are assigned to no shard")
         object.__setattr__(self, "_shard_by_bucket", seen)
-        # key -> shard routing memo shared by every predicate of this
-        # assignment: each of the N shard fragments evaluates its predicate
-        # against every tuple, so without the memo the same key is hashed N
-        # times.  Bounded (cleared when full) so unbounded key spaces cannot
-        # grow it without limit; purely derived state, so it does not affect
-        # equality or hashing of the assignment.
-        object.__setattr__(self, "_routing_memo", {})
 
     # ------------------------------------------------------------------ routing
     def shard_of_bucket(self, bucket: int) -> int:
@@ -195,26 +220,12 @@ class ShardAssignment:
                 f"bucket {bucket} out of range for {self.spec.buckets} buckets"
             ) from exc
 
-    #: Routing-memo entries kept before the memo is reset.
-    _MEMO_LIMIT = 65536
-
-    def shard_of_key(self, key: Any) -> int:
-        """The shard responsible for one (already tie-grouped) shard key."""
-        memo: dict = self._routing_memo  # type: ignore[attr-defined]
-        shard = memo.get(key)
-        if shard is None:
-            shard = self.shard_of_bucket(self.spec.bucket_of(key))
-            if len(memo) >= self._MEMO_LIMIT:
-                memo.clear()
-            memo[key] = shard
-        return shard
-
     def shard_of(self, values: Mapping[str, Any]) -> int:
         """The shard responsible for one tuple's attribute mapping."""
-        return self.shard_of_key(self.spec.key_of(values))
+        return self.shard_of_bucket(self.spec.bucket_of(self.spec.key_of(values)))
 
     # ------------------------------------------------------------------ predicates
-    def predicate(self, shard: int) -> ShardPredicate:
+    def predicate(self, shard: int) -> "ShardSlice":
         """The ``select`` predicate of one shard fragment.
 
         The predicates of all shards of one assignment are disjoint and
@@ -225,36 +236,9 @@ class ShardAssignment:
             raise ConfigurationError(
                 f"shard {shard} out of range for {self.spec.shards} shards"
             )
+        return ShardSlice(self.spec, frozenset(self.buckets_by_shard[shard]))
 
-        # The predicate runs once per tuple per shard fragment (the split's
-        # data path evaluates every fragment's slice), so the routing chain
-        # (key extraction -> tie grouping -> memoized key-hash lookup) is
-        # flattened into one closure over locals instead of four method calls.
-        spec = self.spec
-        key_attr = spec.key
-        group = spec.group
-        group_key = spec.group_key
-        memo: dict = self._routing_memo  # type: ignore[attr-defined]
-        shard_of_key = self.shard_of_key
-
-        def select(values: Mapping[str, Any]) -> bool:
-            value = values.get(key_attr, 0)
-            if isinstance(value, (int, float, bool)):
-                key = int(value) // group
-            else:
-                # Non-numeric keys: delegate for the group-width validation.
-                key = group_key(value)
-            route = memo.get(key)
-            if route is None:
-                route = shard_of_key(key)
-            return route == shard
-
-        select.__name__ = (
-            f"keyhash_{self.spec.key}_div{self.spec.group}_shard{shard}of{self.spec.shards}"
-        )
-        return select
-
-    def predicates(self) -> list[ShardPredicate]:
+    def predicates(self) -> list["ShardSlice"]:
         return [self.predicate(shard) for shard in range(self.spec.shards)]
 
     # ------------------------------------------------------------------ load accounting
@@ -296,6 +280,20 @@ class ShardAssignment:
         return [
             shard for shard, buckets in enumerate(self.buckets_by_shard) if not buckets
         ]
+
+
+@dataclass(frozen=True)
+class ShardSlice:
+    """One shard's ``select`` predicate: the rows whose bucket is in ``keep``.
+
+    A filtered subscription reads ``spec.route``, the column all shards share.
+    """
+
+    spec: ShardSpec
+    keep: frozenset[int]
+
+    def __call__(self, values: Mapping[str, Any]) -> bool:
+        return self.spec.bucket_of(self.spec.key_of(values)) in self.keep
 
 
 @dataclass(frozen=True)
@@ -529,9 +527,5 @@ def bucket_loads_from_keys(
     ``keys`` are raw key-attribute values (e.g. a client ledger's sequence
     column); ``grouped=False`` treats them as already tie-grouped shard keys.
     """
-    loads: dict[int, int] = {}
-    for key in keys:
-        shard_key = spec.group_key(key) if grouped else key
-        bucket = spec.bucket_of(shard_key)
-        loads[bucket] = loads.get(bucket, 0) + 1
-    return loads
+    shard_keys = map(spec.group_key, keys) if grouped else keys
+    return dict(Counter(map(spec.bucket_of, shard_keys)))

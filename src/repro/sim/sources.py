@@ -102,6 +102,8 @@ class DataSource:
         #: (their cursor was repositioned while they were disconnected).
         self._pending_replay: set[str] = set()
         self._started = False
+        #: Rows sliced from the log for flush batches that reached no subscriber.
+        self.unreached_rows = 0
         #: Time the next production tick is scheduled for.
         self._tick_at = start_time
         # Addressable for cursor-repositioning requests from recovering nodes
@@ -283,11 +285,13 @@ class DataSource:
 
         Subscribers that are caught up to the same log position share a single
         multicast batch, so the steady-state cost is one simulator event per
-        tick regardless of how many replicas consume the stream.
+        tick regardless of how many replicas consume the stream.  A subscriber the
+        network reports down is left out: its cursor holds, its backlog unsliced.
         """
         groups: dict[int, list[str]] = {}
+        is_down = self.network.is_down
         for endpoint, last_id in self._subscribers.items():
-            if self._connected[endpoint]:
+            if self._connected[endpoint] and not is_down(endpoint):
                 groups.setdefault(last_id, []).append(endpoint)
         for last_id, endpoints in sorted(groups.items()):
             pending = self.log.replay_after(last_id)
@@ -299,6 +303,8 @@ class DataSource:
                 DATA_MESSAGE,
                 TupleBatch.of(self.stream, pending, producer=self.name),
             )
+            if not sent:
+                self.unreached_rows += len(pending)
             for endpoint in sent:
                 self._subscribers[endpoint] = pending.ids[-1]
 

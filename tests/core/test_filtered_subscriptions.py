@@ -9,6 +9,7 @@ from repro.core.data_path import OutputStreamManager
 from repro.core.input_streams import InputStreamMonitor
 from repro.core.protocol import SubscribeRequest, TupleBatch
 from repro.deploy import SubscriptionFilter
+from repro.sharding import ShardPlanner, ShardSpec
 from repro.spe.tuples import StreamTuple
 
 
@@ -53,6 +54,32 @@ def test_pending_batches_group_by_filter():
     by_members = {tuple(sorted(subs)): [t.values["seq"] for t in items] for items, subs in batches}
     assert by_members[("full",)] == [0, 1, 2, 3, 4, 5]
     assert by_members[("replica-a", "replica-b")] == [0, 2, 4]
+
+
+def test_shard_filters_share_one_route_column_per_slice(monkeypatch):
+    routed = []
+    route = ShardSpec.route
+    monkeypatch.setattr(
+        ShardSpec, "route", lambda spec, block: routed.append(len(block)) or route(spec, block)
+    )
+    assignment = ShardPlanner(ShardSpec(shards=4)).plan()
+    manager = OutputStreamManager("s.out", owner="split")
+    shard_of_replica = {}
+    for index, predicate in enumerate(assignment.predicates()):
+        filt = SubscriptionFilter(predicate, name=f"shard{index + 1}.slice")
+        for replica in (f"shard{index + 1}", f"shard{index + 1}'"):
+            subscribe(manager, replica, filt=filt)
+            shard_of_replica[replica] = index
+    routed.clear()  # the (empty) subscribe replays
+    fill(manager, count=40)
+    batches = manager.pending_batches()
+    # Four filter groups, one routing pass over the 40-row slice.
+    assert routed == [40]
+    slices = [[t.values["seq"] for t in items] for items, _ in batches]
+    assert sorted(seq for rows in slices for seq in rows) == list(range(40))
+    for items, subscribers in batches:
+        shards = {assignment.shard_of(t.values) for t in items}
+        assert shards == {shard_of_replica[subscriber] for subscriber in subscribers}
 
 
 def test_all_foreign_slice_advances_cursor_without_a_send():

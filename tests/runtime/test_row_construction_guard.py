@@ -10,9 +10,12 @@ benchmark would drown in host noise.
 
 from repro.workloads.catalogue import CATALOGUE
 
-#: Calls per source tuple: 55.13 on Python 3.11 (the row-at-a-time data path
-#: read 242.5); a per-row loop on one hop adds several calls per tuple.
-CALLS_PER_SOURCE_TUPLE = 75
+#: Calls per source tuple: 31.88 on Python 3.11, plus 3 % (the row-at-a-time
+#: data path read 242.5, and 54.65 when each of the four shard filters ran its
+#: predicate on every row).  A per-row loop on one hop adds several calls per
+#: tuple; so does routing a slice once per shard filter, since the route
+#: column reads each row's key with one counted ``dict.get``.
+CALLS_PER_SOURCE_TUPLE = 32.8
 
 
 def test_stable_spine_builds_no_row_per_tuple():
