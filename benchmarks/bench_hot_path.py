@@ -12,10 +12,12 @@ Not a paper figure.  Two measurements the simulator-level checks do not make:
   replica crash, where a per-row loop in the pane Aggregate roughly doubles
   the count, and the chain-4 disconnect, whose cost is per-batch overhead),
   held under fixed upper bounds, and the chain-4 disconnect's
-  ``StreamTuple`` row constructions, held at zero (its tentative, UNDO and
-  redo path is columnar): seconds cannot tell a re-introduced per-row loop
-  or per-batch step from a noisy host, counts can.  The window crash's
-  sources slice no rows for sends that reach nobody.  The steady shard(4)
+  ``StreamTuple`` row constructions and payload mappings, held at zero (its
+  tentative, UNDO and redo path is columnar): seconds cannot tell a
+  re-introduced per-row loop or per-batch step from a noisy host, counts
+  can.  The window crash builds a payload mapping only for its Map's
+  transform, one per window result, and its sources slice no rows for sends
+  that reach nobody.  The steady shard(4)
   counterpart is the tier-1 ``tests/runtime/test_row_construction_guard.py``.
 
 Run with ``cd benchmarks && PYTHONPATH=../src python -m pytest -q -s bench_hot_path.py``.
@@ -133,17 +135,34 @@ def test_failure_path_work_counters():
         "window_crash": CATALOGUE["sim-window-crash"]().build(),
         "chain4_disconnect": CATALOGUE["sim-chain4-disconnect"]().build(),
     }
-    counters = {label: runtime.run_profiled()[1] for label, runtime in runtimes.items()}
+    profiles = {label: runtime.run_profiled() for label, runtime in runtimes.items()}
+    counters = {label: profile[1] for label, profile in profiles.items()}
     unreached = sum(source.unreached_rows for source in runtimes["window_crash"].sources)
     print("\n" + "\n".join(
         f"{label:<18} {c['calls_per_source_tuple']:>8.2f} calls, "
-        f"{c['row_constructions_per_source_tuple']:.2f} row constructions per source tuple"
+        f"{c['row_constructions_per_source_tuple']:.2f} row constructions, "
+        f"{c['mapping_constructions_per_source_tuple']:.4f} payload mappings per source tuple"
         for label, c in counters.items()
     ) + f"\nwindow_crash       {unreached} source rows sliced for sends that reached nobody")
-    assert counters["window_crash"]["calls_per_source_tuple"] <= WINDOW_CRASH_CALLS, counters
+    window_crash = counters["window_crash"]
+    assert window_crash["calls_per_source_tuple"] <= WINDOW_CRASH_CALLS, counters
+    # The one user callable on its path is the Map stamping each window
+    # result: a mapping per transform call, and none anywhere else.
+    runtime = runtimes["window_crash"]
+    transforms = {
+        (code.co_filename, code.co_firstlineno, code.co_name)
+        for node in runtime.nodes()
+        for operator in node.diagram
+        if isinstance(operator, Map) and (code := operator.transform.__code__)
+    }
+    stamped = sum(profiles["window_crash"][0].stats[key][1] for key in transforms)
+    produced = sum(source.tuples_produced for source in runtime.sources)
+    assert stamped > 0
+    assert window_crash["mapping_constructions_per_source_tuple"] == stamped / produced, counters
     # The crashed replica's backlog is not sliced every tick (2.44 M rows
     # over 600 dropped sends when the sources sent to it regardless).
     assert unreached == 0
     chain4 = counters["chain4_disconnect"]
     assert chain4["calls_per_source_tuple"] <= CHAIN4_DISCONNECT_CALLS, counters
     assert chain4["row_constructions_per_source_tuple"] == 0, counters
+    assert chain4["mapping_constructions_per_source_tuple"] == 0, counters

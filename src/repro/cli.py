@@ -275,7 +275,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     stats.sort_stats(args.sort).print_stats(top)
     print(
         f"per source tuple: {counters['calls_per_source_tuple']:.1f} calls, "
-        f"{counters['row_constructions_per_source_tuple']:.2f} StreamTuple row constructions"
+        f"{counters['row_constructions_per_source_tuple']:.2f} StreamTuple row constructions, "
+        f"{counters['mapping_constructions_per_source_tuple']:.2f} payload mappings"
     )
     return 0
 

@@ -26,11 +26,11 @@ from operator import itemgetter, not_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import BufferTruncatedError, ProtocolError
+from ..spe.payload import cut_runs, drop_runs, grow_runs
 from ..spe.streams import StreamWriter
 from ..spe.tuples import (
     BOUNDARY,
     EMPTY_BLOCK,
-    NO_VALUES,
     REC_DONE,
     STABLE,
     UNDO,
@@ -76,7 +76,7 @@ class OutputStreamManager:
         #: ``undo_from_id``.
         self._codes = bytearray()
         self._stimes: list[float] = []
-        self._values: list = []
+        self._payload: list = []  # schema runs, grown in place (see grow_runs)
         self._seqs: list[int] = []
         self._undos: dict[int, int] = {}
         self._base_index = 0  # history index of row 0
@@ -130,6 +130,7 @@ class OutputStreamManager:
         self.flushed = False
         for start, stop in block.segment_edges():
             self._extend(block, start, stop)
+        grow_runs(self._payload, block.payload)
         return self._block(first)
 
     def _extend(self, block: TupleBlock, start: int, stop: int) -> None:
@@ -158,12 +159,8 @@ class OutputStreamManager:
             self.stable_produced += stable
             self.tentative_produced += data - stable
             if closed:
-                self._values.extend(block.values[start : stop - 1])
-                self._values.append(NO_VALUES)
                 self._seqs.append(self._stable_seq)
                 stimes = [*stimes[:-1], self._boundary_stime(stimes[-1])]
-            else:
-                self._values.extend(block.values[start:stop])
         else:
             if code == BOUNDARY:
                 stimes = (self._boundary_stime(stimes[0]),)
@@ -177,7 +174,6 @@ class OutputStreamManager:
             else:
                 codes = _REC_DONE_CODE
             self._seqs.append(self._stable_seq)
-            self._values.append(NO_VALUES)
         self._writer.next_id += len(codes)
         self._codes += codes
         self._stimes.extend(stimes)
@@ -231,7 +227,7 @@ class OutputStreamManager:
             codes,
             self._ids(start, stop),
             self._stimes[start - base : stop - base],
-            self._values[start - base : stop - base],
+            cut_runs(self._payload, start - base, stop - base),
             undos,
             seqs,
         )
@@ -271,7 +267,8 @@ class OutputStreamManager:
         self.last_appended_stime = float(state["last_appended_stime"])
         self._codes = bytearray(buffer.codes)
         self._stimes = list(buffer.stimes)
-        self._values = list(buffer.values)
+        self._payload = []
+        grow_runs(self._payload, buffer.payload)
         self._seqs = [
             (seq := seq if stamped is None else stamped)
             for stamped in buffer.stable_seqs or repeat(None, len(buffer))
@@ -454,7 +451,8 @@ class OutputStreamManager:
         base = self._base_index
         if self.truncation_observer is not None:
             self.truncation_observer(self._block(base, base + count))
-        del self._codes[:count], self._stimes[:count], self._values[:count], self._seqs[:count]
+        drop_runs(self._payload, 0, count, len(self._codes))
+        del self._codes[:count], self._stimes[:count], self._seqs[:count]
         for index in [index for index in self._undos if index < base + count]:
             del self._undos[index]
         self._base_index = base + count

@@ -61,8 +61,8 @@ def _route(predicate: Predicate) -> tuple[Callable[[TupleBlock], list], frozense
         return predicate.spec.route, predicate.keep | {None}
 
     def router(block: TupleBlock) -> list:
-        codes, rows = block.codes, block.values
-        return [None if code > 1 else bool(predicate(row)) for code, row in zip(codes, rows)]
+        rows = block.mappings()
+        return [None if code > 1 else bool(predicate(row)) for code, row in zip(block.codes, rows)]
 
     return router, frozenset((True, None))
 
@@ -136,8 +136,7 @@ class SubscriptionFilter:
 
     def passes(self, item: StreamTuple) -> bool:
         """Whether ``item`` reaches this subscription's consumer: a one-row :meth:`select`."""
-        row = TupleBlock(b"\x00", (item.tuple_id,), (item.stime,), (item.values,))
-        return not item.is_data or bool(self.select(row))
+        return not item.is_data or bool(self.select(TupleBlock.of((item,))))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SubscriptionFilter {self.name!r} epochs={len(self._epochs)}>"

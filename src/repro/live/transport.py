@@ -599,11 +599,11 @@ class LiveTransport:
         return self.liveness.state(owner) is PeerState.DOWN
 
     def can_communicate(self, sender: str, receiver: str) -> bool:
-        # Scheduled windows answer first (they are the experiment's oracle);
-        # otherwise heartbeat-confirmed DOWN peers are unreachable, and the
-        # rest is optimistic True -- what a real deployment can know at send
-        # time, letting the protocol's own failure detection do its job.
-        if self.faults.active and self.faults.plan.blocked(sender, receiver, self.clock.now):
+        # Scheduled windows answer first (the experiment's oracle; a denial is
+        # counted here as at send time), then heartbeat-confirmed DOWN peers;
+        # the rest is optimistic True -- what a real deployment can know at
+        # send time, letting the protocol's own failure detection do its job.
+        if self.faults.active and self.faults.denies(sender, receiver, self.clock.now):
             return False
         return not (self.is_down(sender) or self.is_down(receiver))
 

@@ -44,7 +44,7 @@ class MetricsCollector:
         for run in block.runs():
             self.consistency.observe_run(run)
             if run.codes[0] < BOUNDARY:
-                sequences = [values.get(attribute) for values in run.values]
+                sequences = run.column(attribute)
                 new += self.latency.observe_run(now, run.stimes, run.codes, sequences)
             else:
                 self.latency.arrivals.extend(now, run.stimes, run.codes, (False,), [0])

@@ -13,10 +13,10 @@ built only by whoever reads them, one segment at a time.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator
 
-from ..spe.tuple_codec import decode_column, decode_tuples, encode_tuples
+from ..spe.tuple_codec import decode_tuples, encode_tuples
 from ..spe.tuples import STABLE, TENTATIVE, BlockBuffer, StreamTuple, TupleBlock
 
 #: Tuples per sealed segment.  Large enough that the codec's per-run header
@@ -118,16 +118,10 @@ class TupleLedger(Sequence):
 
     def stable_values(self, attribute: str) -> list:
         """``attribute`` of every stable tuple in order (``None`` where absent),
-        decoding only that payload column of each sealed segment."""
+        read from the payload columns of each segment and of the tail."""
         values: list = []
-        for segment in self._sealed:
-            codes, column = decode_column(segment, attribute)
-            values += compress(column, map(STABLE.__eq__, codes))
-        tail = self._tail
-        values += [
-            payload.get(attribute)
-            for payload in compress(tail.values, map(STABLE.__eq__, tail.codes))
-        ]
+        for block in chain(map(decode_tuples, self._sealed), (self._tail,)):  # one at a time
+            values += compress(block.column(attribute), map(STABLE.__eq__, block.codes))
         return values
 
     def __eq__(self, other: object) -> bool:

@@ -35,7 +35,7 @@ from ..sim.event_loop import Simulator
 from ..sim.failures import FailureInjector, FailureRecord
 from ..sim.network import Network
 from ..sim.sources import DataSource
-from ..spe import tuples
+from ..spe import payload, tuples
 from ..workloads.scenarios import resolve_failures
 from .spec import ScenarioSpec
 
@@ -193,21 +193,23 @@ class SimulationRuntime:
         return self.run(duration=duration)
 
     def run_profiled(self) -> "tuple[pstats.Stats, dict[str, float]]":
-        """Run the scenario under cProfile; returns the stats and two exact counters.
+        """Run the scenario under cProfile; returns the stats and three exact counters.
 
         Per source tuple produced: ``calls_per_source_tuple`` is every call
         the profiler saw, ``row_constructions_per_source_tuple`` the calls of
         the two functions of :mod:`repro.spe.tuples` that build a
-        :class:`~repro.spe.tuples.StreamTuple`.  Both repeat exactly for a
+        :class:`~repro.spe.tuples.StreamTuple` and ``mapping_...`` those of
+        the one that builds a payload mapping.  All repeat exactly for a
         seed, so they gate the block data path where seconds cannot: a
         per-row loop on the stable spine shows up as >= 1 construction per
         tuple and hop.
         """
-        stats, calls, rows = profile_calls(self.run)
+        stats, calls, rows, mappings = profile_calls(self.run)
         produced = sum(source.tuples_produced for source in self.sources)
         return stats, {
             "calls_per_source_tuple": calls / produced,
             "row_constructions_per_source_tuple": rows / produced,
+            "mapping_constructions_per_source_tuple": mappings / produced,
         }
 
     # ------------------------------------------------------------------ results
@@ -283,8 +285,9 @@ def run_scenario(spec: ScenarioSpec) -> SimulationRuntime:
     return SimulationRuntime(spec).run()
 
 
-def profile_calls(run: "Callable[[], object]") -> "tuple[pstats.Stats, int, int]":
-    """Call ``run()`` under cProfile: the stats, every call, and the row constructions.
+def profile_calls(run: "Callable[[], object]") -> "tuple[pstats.Stats, int, int, int]":
+    """Call ``run()`` under cProfile: the stats, every call, the row constructions and
+    the payload mappings built.
 
     The counts are summed over the profiler's raw entries, one per code
     object.  ``pstats.Stats`` keys functions by ``(file, line, name)``, under
@@ -304,4 +307,5 @@ def profile_calls(run: "Callable[[], object]") -> "tuple[pstats.Stats, int, int]
     constructors = (tuples._row.__code__, tuples.StreamTuple.__init__.__code__)
     calls = sum(entry.callcount for entry in entries)
     rows = sum(entry.callcount for entry in entries if entry.code in constructors)
-    return pstats.Stats(profiler), calls, rows
+    mappings = sum(entry.callcount for entry in entries if entry.code is payload._mapping.__code__)
+    return pstats.Stats(profiler), calls, rows, mappings

@@ -153,8 +153,8 @@ class ShardSpec:
         """
         key, group, memo = self.key, self.group, self._buckets  # type: ignore[attr-defined]
         keys = [
-            value // group if type(value := row.get(key, 0)) is int else self.group_key(value)
-            for row in block.values
+            value // group if type(value) is int else self.group_key(value)
+            for value in block.column(key, 0)
         ]
         column = list(map(memo.get, keys))
         if None in column:

@@ -21,7 +21,8 @@ from ..core.states import NodeState
 from ..metrics.collector import MetricsCollector
 from ..core.clock import Clock
 from ..sim.network import Message, Network
-from ..spe.tuples import BOUNDARY, NO_VALUES, TENTATIVE, UNDO, TupleBlock
+from ..spe.payload import CONTROL_PAYLOAD
+from ..spe.tuples import BOUNDARY, TENTATIVE, UNDO, TupleBlock
 
 
 class ClientApplication:
@@ -115,7 +116,7 @@ class ClientApplication:
 
     def apply_local_undo(self, stream: str, now: float) -> None:
         """An UNDO reached the application: revoke the tentative suffix."""
-        undo = TupleBlock(bytes((UNDO,)), (-1,), (now,), (NO_VALUES,), (-1,))
+        undo = TupleBlock(bytes((UNDO,)), (-1,), (now,), CONTROL_PAYLOAD, (-1,))
         self.metrics.consistency.observe_run(undo)
 
     def start_reconciliation(self, now: float) -> None:

@@ -20,7 +20,8 @@ stabilize downstream).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from bisect import bisect_left
+from typing import Callable, Sequence
 
 from ..core.protocol import (
     CHECKPOINT_ACK,
@@ -32,20 +33,19 @@ from ..core.protocol import (
 )
 from ..errors import SimulationError
 from ..spe.streams import StreamLog, StreamWriter
-from ..spe.tuples import BOUNDARY, NO_VALUES, STABLE, TupleBlock
+from ..spe.payload import interleaved
+from ..spe.tuples import BOUNDARY, TupleBlock
+from ..workloads.generators import PayloadGenerator
 from ..core.clock import Clock
 from .network import Network
-
-#: Generates the payload of the ``i``-th tuple, given its stime.
-PayloadGenerator = Callable[[int, float], Mapping[str, Any]]
 
 #: Network message kind used for stream data (alias of the DPC protocol kind).
 DATA_MESSAGE = DATA
 
 
-def sequential_payload(sequence: int, stime: float) -> dict[str, Any]:
+def sequential_payload(sequences: range, stimes: Sequence[float]) -> dict[str, list]:
     """Default workload: monotonically increasing sequence numbers."""
-    return {"seq": sequence, "value": float(sequence)}
+    return {"seq": list(sequences), "value": list(map(float, sequences))}
 
 
 class DataSource:
@@ -227,58 +227,48 @@ class DataSource:
     def _produce_until(self, now: float) -> None:
         """Generate data and boundary tuples with stimes up to ``now``.
 
-        The tick's tuples are produced straight into columns and logged as
-        one block: at high rates this loop makes most of the tuples in a run.
-        The payload mapping is materialized exactly once per tuple (``dict``
-        of whatever the generator returns, which may be a reused mapping).
+        The tick is produced straight into columns and logged as one block:
+        its data stimes by repeated addition of the period, its payload by one
+        generator call, and its boundaries inserted where they fall, ``None``
+        in each payload column (a boundary precedes the data at its stime).
         """
-        period = 1.0 / self.rate
-        rate_profile = self.rate_profile
-        payload = self.payload
-        boundaries_enabled = self._boundaries_enabled
-        boundary_interval = self.boundary_interval
-        next_tuple_time = self._next_tuple_time
-        next_boundary_time = self._next_boundary_time
-        sequence = self._sequence
-        codes = bytearray()
-        stimes: list[float] = []
-        values: list = []
-        while next_tuple_time <= now or (boundaries_enabled and next_boundary_time <= now):
-            if (
-                boundaries_enabled
-                and next_boundary_time <= next_tuple_time
-                and next_boundary_time <= now
-            ):
-                self._writer.advance_boundary(next_boundary_time)
-                codes.append(BOUNDARY)
-                stimes.append(next_boundary_time)
-                values.append(NO_VALUES)
-                next_boundary_time += boundary_interval
+        period, rate_profile = 1.0 / self.rate, self.rate_profile
+        stimes, stime = [], self._next_tuple_time
+        while stime <= now:
+            stimes += (stime,)
+            if rate_profile is None:
+                stime += period
                 continue
-            if next_tuple_time <= now:
-                codes.append(STABLE)
-                stimes.append(next_tuple_time)
-                values.append(dict(payload(sequence, next_tuple_time)))
-                sequence += 1
-                if rate_profile is None:
-                    next_tuple_time += period
-                else:
-                    factor = rate_profile(next_tuple_time)
-                    if factor <= 0:
-                        raise SimulationError(
-                            f"rate profile of source {self.name!r} returned "
-                            f"{factor!r} at stime {next_tuple_time}; factors must be positive"
-                        )
-                    next_tuple_time += period / factor
-                continue
-            break
-        self._next_tuple_time = next_tuple_time
-        self._next_boundary_time = next_boundary_time
-        self._sequence = sequence
+            factor = rate_profile(stime)
+            if factor <= 0:
+                raise SimulationError(
+                    f"rate profile of source {self.name!r} returned "
+                    f"{factor!r} at stime {stime}; factors must be positive"
+                )
+            stime += period / factor
+        self._next_tuple_time = stime
+        bounds = []
+        while self._boundaries_enabled and self._next_boundary_time <= now:
+            bounds += (self._next_boundary_time,)
+            self._next_boundary_time += self.boundary_interval
+        keys, values, width, codes = None, [], 0, bytearray(len(stimes))
+        if stimes:
+            first = self._sequence
+            self._sequence = first + len(stimes)
+            generated = self.payload(range(first, self._sequence), stimes)
+            keys, values = tuple(generated), interleaved(tuple(generated.values()))
+            width = len(keys)
+        for stime in bounds:
+            # A boundary goes before the data at its own stime; its values are None.
+            self._writer.advance_boundary(stime)
+            at = bisect_left(stimes, stime)
+            stimes.insert(at, stime)
+            codes.insert(at, BOUNDARY)
+            values[at * width : at * width] = (None,) * width
         if codes:
-            self.log.extend(
-                TupleBlock(bytes(codes), self._writer.take(len(codes)), stimes, values)
-            )
+            payload = ((len(codes), keys, values),)
+            ids = self._writer.take(len(codes))
+            self.log.extend(TupleBlock(bytes(codes), ids, stimes, payload))
 
     def _flush(self) -> None:
         """Deliver the pending suffix of the log to every connected subscriber.

@@ -21,6 +21,8 @@ O(tuples x overlap) value buffers.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_not
 from typing import Any, Mapping, Sequence
 
 from ...errors import OperatorError
@@ -117,19 +119,20 @@ class Aggregate(Operator):
 
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
         """One bulk fold per ``(pane span, group)`` of the run, read straight
-        from the stime / payload / type columns.  Rows are grouped by key in
+        from the stime, type and payload columns.  Rows are grouped by key in
         row order, so cells are created and fed exactly as a row-by-row walk
         would."""
-        values, codes, group_attrs = run.values, run.codes, self.group_by
+        codes, group_attrs = run.codes, self.group_by
+        columns = {attr: run.column(attr) for attr in self._attributes if attr is not None}
+        keys = list(zip(*map(run.column, group_attrs))) if group_attrs else None
         for pane, start, stop in self.window.pane_spans(run.stimes):
             tentative = TENTATIVE in codes[start:stop]
-            if not group_attrs:
-                self._fold((pane, ()), values[start:stop], tentative)
+            if keys is None:
+                self._fold((pane, ()), range(start, stop), tentative, columns)
                 continue
             groups: dict[tuple, list[int]] = {}
             for row in range(start, stop):
-                payload = values[row]
-                key = tuple(payload.get(attr) for attr in group_attrs)
+                key = keys[row]
                 members = groups.get(key)
                 if members is None:
                     members = groups[key] = []
@@ -137,24 +140,29 @@ class Aggregate(Operator):
             for key, members in groups.items():
                 self._fold(
                     (pane, key),
-                    [values[row] for row in members],
+                    members,
                     tentative and any(codes[row] == TENTATIVE for row in members),
+                    columns,
                 )
         return []
 
-    def _fold(self, cell_key: tuple[int, tuple], rows: Sequence[Mapping], tentative: bool) -> None:
-        """Fold ``rows`` into one cell: one column per attribute, one ``add_many`` per spec."""
+    def _fold(
+        self, cell_key: tuple[int, tuple], rows: Sequence[int], tentative: bool, columns: Mapping
+    ) -> None:
+        """Fold ``rows`` of a run into one cell: each attribute's values of them,
+        ``None`` left out, one ``add_many`` per spec."""
         cell = self._cells.get(cell_key)
         if cell is None:
             cell = self._cells[cell_key] = self._new_cell()
-        columns = {
-            attr: [1] * len(rows)
-            if attr is None
-            else [v for row in rows if (v := row.get(attr)) is not None]
-            for attr in self._attributes
-        }
+        values = {None: [1] * len(rows)}
+        for attr, column in columns.items():
+            if rows.__class__ is range:
+                picked = column[rows.start : rows.stop]
+            else:
+                picked = [column[row] for row in rows]
+            values[attr] = list(compress(picked, map(is_not, picked, repeat(None))))
         for accumulator, spec in zip(cell.accumulators, self.specs):
-            accumulator.add_many(columns[spec.attribute])
+            accumulator.add_many(values[spec.attribute])
         cell.count += len(rows)
         cell.has_tentative = cell.has_tentative or tentative
 

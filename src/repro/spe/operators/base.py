@@ -26,7 +26,8 @@ from ...errors import OperatorError
 from ..checkpoint import OperatorCheckpoint
 from ..schema import ANY_SCHEMA, Schema
 from ..streams import StreamWriter
-from ..tuples import BOUNDARY, NO_VALUES, REC_DONE, TENTATIVE, UNDO, StreamTuple, TupleBlock
+from ..payload import CONTROL_PAYLOAD, merged_runs
+from ..tuples import BOUNDARY, REC_DONE, TENTATIVE, UNDO, StreamTuple, TupleBlock
 
 _BOUNDARY_CODE = bytes((BOUNDARY,))
 _NEG_INF = float("-inf")
@@ -199,7 +200,7 @@ class Operator:
                     codes + _BOUNDARY_CODE,
                     range(ids.start, ids.stop + 1),
                     [*last.stimes, stime],
-                    [*last.values, NO_VALUES],
+                    merged_runs(last.payload + CONTROL_PAYLOAD),
                 )
                 return
         out.append(writer.control(BOUNDARY, stime))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Callable, Mapping
 
 from ..schema import ANY_SCHEMA, Schema
@@ -24,7 +25,7 @@ class Filter(StatelessOperator):
     therefore keep seeing the upstream id space -- which is also why
     :meth:`handle_undo` forwards UNDO tuples verbatim: their ``undo_from_id``
     already names a position in exactly that space.  This keeps the
-    per-tuple cost of a filter to one predicate call.
+    per-tuple cost of a filter to one mapping and one predicate call.
     """
 
     def __init__(self, name: str, predicate: Predicate, output_schema: Schema = ANY_SCHEMA) -> None:
@@ -32,9 +33,9 @@ class Filter(StatelessOperator):
         self.predicate = predicate
 
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
-        """One predicate call per row; the matching rows pass through unchanged."""
+        """One mapping and predicate call per row; the matching rows pass through unchanged."""
         predicate = self.predicate
-        kept = run.take([i for i, values in enumerate(run.values) if predicate(values)])
+        kept = run.take(list(compress(range(len(run)), map(predicate, run.mappings()))))
         return [kept] if kept else []
 
     def handle_undo(self, port: int, undo: TupleBlock) -> list[TupleBlock]:

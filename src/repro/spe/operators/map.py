@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 from ..schema import ANY_SCHEMA, Schema
+from ..payload import schema_runs
 from ..tuples import TupleBlock
 from .base import StatelessOperator
 
@@ -16,8 +17,8 @@ class Map(StatelessOperator):
 
     ``transform`` must be a pure function of the input attributes; the output
     tuple keeps the input's ``stime`` so downstream window boundaries stay
-    deterministic.  The transform's result is copied exactly once into the
-    output tuple (so a transform may safely return a mapping it reuses).
+    deterministic.  The transform's result is copied once (so a transform may
+    safely return a mapping it reuses) into the output block's columns.
     """
 
     def __init__(self, name: str, transform: Transform, output_schema: Schema = ANY_SCHEMA) -> None:
@@ -25,7 +26,7 @@ class Map(StatelessOperator):
         self.transform = transform
 
     def _process_run(self, port: int, run: TupleBlock) -> list[TupleBlock]:
-        """One transform call per row; ids, stimes and labels stay columns."""
+        """One mapping and transform call per row; ids, stimes and labels stay columns."""
         transform = self.transform
-        values = [dict(transform(values)) for values in run.values]
-        return [TupleBlock(run.codes, self.writer.take(len(run)), run.stimes, values)]
+        values = [dict(transform(values)) for values in run.mappings()]
+        return [TupleBlock(run.codes, self.writer.take(len(run)), run.stimes, schema_runs(values))]

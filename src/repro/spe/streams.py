@@ -19,9 +19,9 @@ from operator import lt
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import StreamError
+from .payload import CONTROL_PAYLOAD
 from .tuples import (
     BOUNDARY,
-    NO_VALUES,
     REC_DONE,
     UNDO,
     BlockBuffer,
@@ -70,7 +70,7 @@ class StreamWriter:
         if code == BOUNDARY:
             self.advance_boundary(stime)
         undo = None if undo_from_id is None else (undo_from_id,)
-        return TupleBlock(bytes((code,)), self.take(1), (stime,), (NO_VALUES,), undo)
+        return TupleBlock(bytes((code,)), self.take(1), (stime,), CONTROL_PAYLOAD, undo)
 
     def boundary(self, stime: float) -> StreamTuple:
         return self.control(BOUNDARY, stime)[0]

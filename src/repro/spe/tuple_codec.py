@@ -25,13 +25,16 @@ the remaining bytes before anything is allocated.
 from __future__ import annotations
 
 import pickle
+import re
 import struct
 import sys
 from array import array
-from itertools import groupby
-from typing import Any, Callable, Sequence
+from itertools import compress, repeat
+from operator import is_not
+from typing import Any, Callable, Iterator, Sequence
 
 from ..errors import ReproError
+from .payload import interleaved, merged_runs
 from .tuples import EMPTY_BLOCK, TYPE_BY_CODE, StreamTuple, TupleBlock
 
 
@@ -119,11 +122,13 @@ _SWAP = sys.byteorder != "little"
 _INT64 = "q"
 _FLOAT64 = "d"
 _ONE_FLOAT = struct.Struct("<d")
+_PRESENT = re.compile(rb"\x01+")
+_CONTROL_ROWS, _DATA_ROWS = re.compile(rb"[^\x00\x01]+"), re.compile(rb"[\x00\x01]")
 
 
 def _packed(typecode: str, values: Sequence) -> bytes:
     """8 bytes per value; OverflowError/TypeError when a value does not fit."""
-    column = array(typecode, values)
+    column = array(typecode, values if values.__class__ is list else list(values))
     if _SWAP:
         column.byteswap()
     return column.tobytes()
@@ -211,8 +216,9 @@ def _w_sparse(out: bytearray, column: list | None) -> None:
         out.append(0)
         return
     out.append(1)
-    out += bytes([value is not None for value in column])
-    out += _packed(_INT64, [value for value in column if value is not None])
+    presence = bytes(map(is_not, column, repeat(None)))
+    out += presence
+    out += _packed(_INT64, list(compress(column, presence)) if 0 in presence else column)
 
 
 def _r_sparse(buf: memoryview, pos: int, count: int) -> tuple[list | None, int]:
@@ -227,11 +233,17 @@ def _r_sparse(buf: memoryview, pos: int, count: int) -> tuple[list | None, int]:
     if present + presence.count(0) != count:
         raise WireError("sparse column presence bytes must be 0 or 1")
     values, pos = _r_packed(buf, pos, _INT64, present)
-    following = iter(values)
-    return [next(following) if flag else None for flag in presence], pos
+    if present == count:
+        return values, pos
+    column, taken = [None] * count, 0
+    for match in _PRESENT.finditer(presence):  # one stretch of values per gap
+        start, end = match.span()
+        column[start:end] = values[taken : taken + end - start]
+        taken += end - start
+    return column, pos
 
 
-def _w_column(out: bytearray, column: tuple) -> None:
+def _w_column(out: bytearray, column: Sequence) -> None:
     kinds = set(map(type, column))
     if kinds == _ALL_FLOAT:
         out.append(_C_FLOAT64)
@@ -284,23 +296,33 @@ def _w_tuples(out: bytearray, tuples: Sequence[StreamTuple]) -> None:
     except (OverflowError, TypeError) as exc:
         raise WireError(f"tuple header field does not fit its packed column: {exc}") from None
     # Schema runs: key names once per run, then one column per key.
-    payloads = block.values
-    start = 0
-    for keys, run in groupby(map(tuple, payloads)):
-        length = len(list(run))
+    for length, keys, values in merged_runs(_wire_runs(block)):
         _w_uvarint(out, length)
         _w_uvarint(out, len(keys))
-        if keys:
-            for key in keys:
-                _w_str(out, key)
-            rows = [payload.values() for payload in payloads[start : start + length]]
-            for column in zip(*rows):
-                _w_column(out, column)
-        start += length
+        for key in keys:
+            _w_str(out, key)
+        for index in range(len(keys)):
+            _w_column(out, values[index :: len(keys)])
+
+
+def _wire_runs(block: TupleBlock) -> Iterator[tuple]:
+    """The block's runs as the codec writes them: control rows are the empty schema."""
+    at, codes = 0, block.codes
+    for count, keys, values in block.payload:
+        stop, start, width = at + count, at, len(keys or ())
+        for control in _CONTROL_ROWS.finditer(codes, at, stop) if keys else ():
+            if control.start() > start:
+                cut = slice((start - at) * width, (control.start() - at) * width)
+                yield control.start() - start, keys, values[cut]
+            yield control.end() - control.start(), (), ()
+            start = control.end()
+        if start < stop:
+            yield stop - start, keys or (), values[(start - at) * width :] if start > at else values
+        at = stop
 
 
 def _r_tuples(buf: memoryview, pos: int) -> tuple[TupleBlock, int]:
-    """Decode a run straight into a block: no row object is built."""
+    """Decode a run straight into a block: its payload columns, and no row or mapping."""
     count, pos = _r_uvarint(buf, pos)
     if not count:
         return EMPTY_BLOCK, pos
@@ -314,21 +336,29 @@ def _r_tuples(buf: memoryview, pos: int) -> tuple[TupleBlock, int]:
     stimes, pos = _r_packed(buf, pos, _FLOAT64, count)
     undo_from_ids, pos = _r_sparse(buf, pos, count)
     stable_seqs, pos = _r_sparse(buf, pos, count)
-    payloads: list[dict] = []
-    while len(payloads) < count:
-        length, keys, pos = _r_schema_run(buf, pos, count - len(payloads))
-        if not keys:
-            payloads += [{} for _ in range(length)]
-            continue
+    payload = []
+    remaining = count
+    while remaining:
+        length, keys, pos = _r_schema_run(buf, pos, remaining)
         columns = []
         for _ in keys:
             column, pos = _r_column(buf, pos, length)
             columns.append(column)
-        payloads += [dict(zip(keys, row)) for row in zip(*columns)]
-    return TupleBlock(codes, ids, stimes, payloads, undo_from_ids, stable_seqs), pos
+        start = count - remaining
+        remaining -= length
+        if not keys and _DATA_ROWS.search(codes, start, start + length) is None:
+            keys = None  # control rows only: they join the run before them
+        if payload and (keys is None or keys == payload[-1][1]):
+            last = payload[-1]
+            last[0] += length
+            last[2] += interleaved(columns) if keys else (None,) * (length * len(last[1] or ()))
+        else:
+            payload.append([length, keys, interleaved(columns)])
+    payload = tuple(map(tuple, payload))
+    return TupleBlock(codes, ids, stimes, payload, undo_from_ids, stable_seqs), pos
 
 
-def _r_schema_run(buf: memoryview, pos: int, remaining: int) -> tuple[int, list[str], int]:
+def _r_schema_run(buf: memoryview, pos: int, remaining: int) -> tuple[int, tuple[str, ...], int]:
     """A schema run's header: its length (at most ``remaining``) and key names."""
     length, pos = _r_uvarint(buf, pos)
     if not 0 < length <= remaining:
@@ -338,7 +368,7 @@ def _r_schema_run(buf: memoryview, pos: int, remaining: int) -> tuple[int, list[
     for _ in range(n_keys):
         key, pos = _r_str(buf, pos)
         keys.append(key)
-    return length, keys, pos
+    return length, tuple(keys), pos
 
 
 # --------------------------------------------------------------------------- standalone runs
@@ -352,40 +382,6 @@ def encode_tuples(tuples: Sequence[StreamTuple]) -> bytes:
     out = bytearray()
     _w_tuples(out, tuples)
     return bytes(out)
-
-
-def decode_column(data: bytes, key: str) -> tuple[bytes, list]:
-    """The type codes of a run and the values of one payload ``key``.
-
-    ``None`` stands for a tuple without the key, as ``StreamTuple.value``
-    reads it.  No other payload column is decoded: packed ones are skipped
-    by their length, tagged ones read through.
-    """
-    buf = memoryview(data)
-    count, pos = _r_uvarint(buf, 0)
-    if not count:
-        _check_consumed(buf, pos)
-        return b"", []
-    span, pos = _r_span(buf, pos, count)
-    codes = bytes(span)
-    _, pos = _r_span(buf, pos, 16 * count)  # the tuple_id and stime columns
-    _, pos = _r_sparse(buf, pos, count)
-    _, pos = _r_sparse(buf, pos, count)
-    values: list = []
-    while len(values) < count:
-        length, keys, pos = _r_schema_run(buf, pos, count - len(values))
-        wanted = None
-        for name in keys:
-            encoding, _ = _r_byte(buf, pos)
-            if name == key or encoding not in (_C_INT64, _C_FLOAT64):
-                column, pos = _r_column(buf, pos, length)
-                if name == key:
-                    wanted = column
-            else:
-                _, pos = _r_span(buf, pos + 1, 8 * length)
-        values += wanted if wanted is not None else [None] * length
-    _check_consumed(buf, pos)
-    return codes, values
 
 
 def decode_tuples(data: bytes) -> TupleBlock:

@@ -8,23 +8,26 @@ The paper (Section 4.1, Table I) extends the classic Borealis tuple
 Two representations of that model live here (see DESIGN.md, "Performance"):
 
 * :class:`TupleBlock` -- a run of tuples held **column-wise**: one type-code
-  byte per row, an id column, ``stimes`` and payload-mapping lists, and two
-  sparse columns (``undo_from_id``, ``stable_seq``).  It is the unit of work
-  from the data sources to the client ledger: sources, logs, network batches,
-  operators, output buffers, the wire codec and the ledger produce and
-  consume blocks, so a stable tuple crossing a node costs a few C-level list
-  operations, not a Python object per hop.  :class:`BlockBuffer` is its
-  growable sibling for the places that accumulate rows.
+  byte per row, an id column, a ``stimes`` list, two sparse columns
+  (``undo_from_id``, ``stable_seq``) and the payload as schema runs of typed
+  values (:mod:`repro.spe.payload`).  It is the unit of work from the data
+  sources to the client ledger: sources, logs, network batches, operators,
+  output buffers, the wire codec and the ledger produce and consume blocks,
+  so a stable tuple crossing a node costs a few C-level list operations, not
+  a Python object per hop -- nor a mapping: one is built only for a user
+  callable (``Filter``, ``Map``, ``Join``) or a reader of rows.
+  :class:`BlockBuffer` is its growable sibling for the places that
+  accumulate rows.
 * :class:`StreamTuple` -- one row as a ``__slots__`` object whose type
   predicates (``is_data``, ``is_stable``, ...) are plain attributes.  A block
   is a ``Sequence[StreamTuple]``: rows are built only when someone indexes or
   iterates it (control-tuple handlers, operators that work row by row, tests).
 
-Rows, blocks and payload mappings are immutable **by convention**: nothing
-mutates them after construction, so relabeled blocks share the ``stimes`` /
-``values`` lists of the block they came from, and ``copy.copy`` /
-``copy.deepcopy`` return the object itself -- a checkpoint that deep-copies
-captured state holds buffered tuples by reference.
+Rows, blocks, payload values and mappings are immutable **by convention**:
+nothing mutates them after construction, so relabeled blocks share the
+``stimes`` and payload lists of the block they came from, and ``copy.copy``
+/ ``copy.deepcopy`` return the object itself -- a checkpoint that
+deep-copies captured state holds buffered tuples by reference.
 """
 
 from __future__ import annotations
@@ -35,6 +38,17 @@ from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping
+
+from .payload import (
+    _gathered,
+    _mapping,
+    _rows_of,
+    cut_runs,
+    drop_runs,
+    grow_runs,
+    merged_runs,
+    schema_runs,
+)
 
 
 class TupleType(str, Enum):
@@ -268,21 +282,23 @@ class TupleBlock(Sequence):
     """A run of tuples as parallel columns; a ``Sequence[StreamTuple]``.
 
     ``codes`` is one type code per row (``bytes``), ``ids`` any int sequence
-    (a ``range`` when one writer numbered the run), ``stimes`` and ``values``
-    lists that relabeled blocks **share by reference** and nobody mutates;
+    (a ``range`` when one writer numbered the run), ``stimes`` a list that
+    relabeled blocks **share by reference** and nobody mutates;
     ``undo_from_ids`` / ``stable_seqs`` are ``None`` when no row has a value,
-    else full-length lists with ``None`` holes.  The payload column holds row
-    mappings because predicates and transforms are user callables over one
-    mapping.  Indexing or iterating builds :class:`StreamTuple` rows.
+    else full-length lists with ``None`` holes.  ``payload`` holds the
+    attribute values as schema runs ``(count, keys, values)``, values row by
+    row (see :mod:`repro.spe.payload`).  A row's
+    mapping is built only when someone indexes or iterates the block, or asks
+    for :meth:`mappings` (user predicates and transforms take one).
     """
 
-    __slots__ = ("codes", "ids", "stimes", "values", "undo_from_ids", "stable_seqs")
+    __slots__ = ("codes", "ids", "stimes", "payload", "undo_from_ids", "stable_seqs")
 
-    def __init__(self, codes, ids, stimes, values, undo_from_ids=None, stable_seqs=None) -> None:
+    def __init__(self, codes, ids, stimes, payload, undo_from_ids=None, stable_seqs=None) -> None:
         self.codes = codes
         self.ids = ids
         self.stimes = stimes
-        self.values = values
+        self.payload = payload
         self.undo_from_ids = undo_from_ids
         self.stable_seqs = stable_seqs
 
@@ -296,11 +312,12 @@ class TupleBlock(Sequence):
         rows = tuple(rows)
         if not rows:
             return EMPTY_BLOCK
+        codes = bytes([CODE_BY_TYPE[row.tuple_type] for row in rows])
         return TupleBlock(
-            bytes([CODE_BY_TYPE[row.tuple_type] for row in rows]),
+            codes,
             [row.tuple_id for row in rows],
             [row.stime for row in rows],
-            [row.values for row in rows],
+            schema_runs([row.values for row in rows], codes),
             _sparse([row.undo_from_id for row in rows]),
             _sparse([row.stable_seq for row in rows]),
         )
@@ -320,7 +337,7 @@ class TupleBlock(Sequence):
             b"".join([block.codes for block in blocks]),
             list(chain.from_iterable([block.ids for block in blocks])),
             list(chain.from_iterable([block.stimes for block in blocks])),
-            list(chain.from_iterable([block.values for block in blocks])),
+            merged_runs(chain.from_iterable([block.payload for block in blocks])),
             _joined([block.undo_from_ids for block in blocks], blocks),
             _joined([block.stable_seqs for block in blocks], blocks),
         )
@@ -329,37 +346,65 @@ class TupleBlock(Sequence):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def _pick(self, pick) -> "TupleBlock":
-        """A block of ``pick(column)`` for every column (a slice, a gather, ...)."""
-        undos, seqs = self.undo_from_ids, self.stable_seqs
-        return TupleBlock(
-            bytes(pick(self.codes)),
-            pick(self.ids),
-            pick(self.stimes),
-            pick(self.values),
-            _sparse(undos and pick(undos)),
-            _sparse(seqs and pick(seqs)),
-        )
-
     def __getitem__(self, index):
-        undos, seqs = self.undo_from_ids, self.stable_seqs
+        codes, undos, seqs = self.codes, self.undo_from_ids, self.stable_seqs
         if index.__class__ is slice:
+            start, stop, payload = index.start or 0, index.stop, self.payload
+            if stop is not None and stop < 0 <= start:  # [a:-k], the common negative cut
+                stop += len(codes)
+            elif start < 0 or stop is None or stop < 0:
+                start, stop, _ = index.indices(len(codes))
+            if start >= stop:
+                return EMPTY_BLOCK
+            if payload[1:] or not payload or payload.__class__ is list:
+                payload = cut_runs(payload, start, stop)
+            else:  # one run: the common block
+                count, keys, values = payload[0]
+                if keys and (start or stop < count):
+                    width = len(keys)
+                    values = values[start * width : stop * width]
+                payload = (((stop if stop < count else count) - start, keys, values),)
             return TupleBlock(
-                bytes(self.codes[index]),
-                self.ids[index],
-                self.stimes[index],
-                self.values[index],
-                None if undos is None else _sparse(undos[index]),
-                None if seqs is None else _sparse(seqs[index]),
+                bytes(codes[start:stop]),
+                self.ids[start:stop],
+                self.stimes[start:stop],
+                payload,
+                None if undos is None else _sparse(undos[start:stop]),
+                None if seqs is None else _sparse(seqs[start:stop]),
             )
-        head = self.codes[index], self.ids[index], self.stimes[index], self.values[index]
-        return _row(*head, undos and undos[index], seqs and seqs[index])
+        head = codes[index], self.ids[index], self.stimes[index]
+        offset = index + len(codes) if index < 0 else index
+        ((_, keys, values),) = cut_runs(self.payload, offset, offset + 1)
+        values = _mapping(keys, values) if keys and head[0] < 2 else NO_VALUES
+        return _row(*head, values, undos and undos[index], seqs and seqs[index])
 
     def __iter__(self) -> Iterator[StreamTuple]:
         n = len(self.codes)
         undos = self.undo_from_ids or repeat(None, n)
         seqs = self.stable_seqs or repeat(None, n)
-        return map(_row, self.codes, self.ids, self.stimes, self.values, undos, seqs)
+        return map(_row, self.codes, self.ids, self.stimes, self.mappings(), undos, seqs)
+
+    def mappings(self) -> Iterator[Mapping[str, Any]]:
+        """Every row's payload mapping, built now (control rows share ``NO_VALUES``)."""
+        built = chain.from_iterable([
+            map(_mapping, repeat(keys, count), zip(*[iter(values)] * len(keys)))
+            if keys
+            else repeat(NO_VALUES, count)
+            for count, keys, values in self.payload
+        ])
+        if _CONTROL_ROW.search(self.codes) is None:
+            return built
+        return map(_payload, self.codes, built)
+
+    def column(self, key: str, default: Any = None) -> list:
+        """Attribute ``key`` of every row, ``default`` where a row lacks it (no mapping built)."""
+        values = list(chain.from_iterable([
+            values[keys.index(key) :: len(keys)] if keys and key in keys else repeat(default, count)
+            for count, keys, values in self.payload
+        ]))
+        for control in _CONTROL_ROW.finditer(self.codes) if default is not None else ():
+            values[control.start()] = default
+        return values
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -447,12 +492,28 @@ class TupleBlock(Sequence):
         return [self] if len(edges) == 1 else [self[start:stop] for start, stop in edges]
 
     def take(self, picks: Sequence[int]) -> "TupleBlock":
-        """The rows at ``picks``, in that order (``self`` when that is every row in order)."""
-        if len(picks) == len(self.codes) and list(picks) == list(range(len(picks))):
-            return self
-        if len(picks) < 2:
+        """The rows at ``picks``, in that order (a slice when they are consecutive)."""
+        count = len(picks)
+        if count < 2:
             return self[picks[0] : picks[0] + 1] if picks else EMPTY_BLOCK
-        return self._pick(itemgetter(*picks))
+        first = picks[0]
+        if picks[-1] - first + 1 == count and list(picks) == list(range(first, first + count)):
+            return self if count == len(self.codes) else self[first : first + count]
+        pick = itemgetter(*picks)
+        payload, undos, seqs = self.payload, self.undo_from_ids, self.stable_seqs
+        if payload[1:]:
+            payload = _gathered(payload, picks)
+        else:
+            _count, keys, values = payload[0]
+            payload = ((count, keys, _rows_of(values, picks, keys)),)
+        return TupleBlock(
+            bytes(pick(self.codes)),
+            pick(self.ids),
+            pick(self.stimes),
+            payload,
+            _sparse(undos and pick(undos)),
+            _sparse(seqs and pick(seqs)),
+        )
 
     def relabeled(self, ids: Sequence[int], codes: bytes | None = None) -> "TupleBlock":
         """The same data rows on another stream: new ids, shared stimes and payloads.
@@ -460,7 +521,7 @@ class TupleBlock(Sequence):
         Positional metadata (``stable_seq``, ``undo_from_id``) does not
         survive, as for :meth:`StreamTuple.as_tentative`.
         """
-        return TupleBlock(self.codes if codes is None else codes, ids, self.stimes, self.values)
+        return TupleBlock(self.codes if codes is None else codes, ids, self.stimes, self.payload)
 
 
 EMPTY_BLOCK = TupleBlock(b"", range(0), (), ())
@@ -477,8 +538,10 @@ def _joined(columns: list, blocks: "list[TupleBlock]") -> list | None:
 class BlockBuffer(TupleBlock):
     """Growable columns: a block one owner extends and trims in place.
 
-    Slices (``buffer[a:b]``) are independent :class:`TupleBlock` copies, so
-    what leaves the buffer never sees it grow.
+    Its payload is a list of ``[count, keys, values]`` runs whose values it
+    owns (see :func:`~repro.spe.payload.grow_runs`).  Slices
+    (``buffer[a:b]``) are independent :class:`TupleBlock` copies, so what
+    leaves the buffer never sees it grow.
     """
 
     __slots__ = ()
@@ -489,7 +552,7 @@ class BlockBuffer(TupleBlock):
             self.extend(rows)
 
     def extend(self, rows: "Iterable[StreamTuple]") -> None:
-        block = TupleBlock.of(rows)
+        block = rows if rows.__class__ is TupleBlock else TupleBlock.of(rows)
         undos, seqs = block.undo_from_ids, block.stable_seqs
         if undos is not None or self.undo_from_ids is not None:
             if self.undo_from_ids is None:
@@ -502,10 +565,14 @@ class BlockBuffer(TupleBlock):
         self.codes += block.codes
         self.ids.extend(block.ids)
         self.stimes.extend(block.stimes)
-        self.values.extend(block.values)
+        grow_runs(self.payload, block.payload)
 
     def __delitem__(self, index: slice) -> None:
-        del self.codes[index], self.ids[index], self.stimes[index], self.values[index]
+        rows = len(self.codes)
+        start, stop = index.start or 0, rows if index.stop is None else index.stop
+        start, stop = start + rows if start < 0 else start, stop + rows if stop < 0 else stop
+        drop_runs(self.payload, start, stop, rows)
+        del self.codes[index], self.ids[index], self.stimes[index]
         for column in (self.undo_from_ids, self.stable_seqs):
             if column is not None:
                 del column[index]
@@ -518,6 +585,11 @@ class BlockBuffer(TupleBlock):
         return self[:]
 
     __copy__ = None  # a shallow copy would share the growing columns
+
+
+def _payload(code: int, values: Mapping[str, Any]) -> Mapping[str, Any]:
+    """A row's mapping, or ``NO_VALUES`` for a control row (its values are ``None``)."""
+    return values if code < 2 else NO_VALUES
 
 
 # --------------------------------------------------------------------------- helpers

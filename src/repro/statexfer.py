@@ -36,6 +36,8 @@ operators); the node and deploy layers import *it*, never the reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import CheckpointError
@@ -241,32 +243,28 @@ class PeerRegistry:
 # --------------------------------------------------------------------------- SJoin bucket handoff
 def extract_sjoin_state(
     node: "ProcessingNode", spec, buckets: set[int], cut_stime: float
-) -> dict[int, list]:
+) -> dict[int, TupleBlock]:
     """Remove and return the moved buckets' tuples from each SJoin of ``node``.
 
     Keyed by the join's position within the fragment (replica names differ,
     positions align across replicas of one logical node).
     """
-    extracted: dict[int, list] = {}
+    extracted: dict[int, TupleBlock] = {}
     joins = [op for op in node.diagram if isinstance(op, SJoin)]
     for position, join in enumerate(joins):
         state = join.checkpoint().state_copy()
-        moved: list = []
-        kept: list = []
-        for item in state["custom"].get("state", ()):
-            owned = (
-                item.stime < cut_stime
-                and spec.bucket_of(spec.key_of(item.values)) in buckets
-            )
-            (moved if owned else kept).append(item)
+        held = TupleBlock.of(state["custom"].get("state", ()))
+        routes = zip(held.stimes, spec.route(held))
+        owned = [stime < cut_stime and bucket in buckets for stime, bucket in routes]
+        moved = held.take(list(compress(range(len(owned)), owned)))
         extracted[position] = moved
         if moved:
-            state["custom"]["state"] = kept
+            state["custom"]["state"] = held.take(list(compress(range(len(owned)), map(not_, owned))))
             join.restore(OperatorCheckpoint.capture(join.name, state))
     return extracted
 
 
-def merge_sjoin_state(node: "ProcessingNode", canonical: dict[int, list]) -> int:
+def merge_sjoin_state(node: "ProcessingNode", canonical: dict[int, TupleBlock]) -> int:
     """Merge the canonical moved-bucket tuples into each SJoin of ``node``.
 
     Returns the number of merged tuples the join's bounded state window
@@ -280,10 +278,12 @@ def merge_sjoin_state(node: "ProcessingNode", canonical: dict[int, list]) -> int
         if not moved:
             continue
         state = join.checkpoint().state_copy()
-        merged = sorted(
-            list(state["custom"].get("state", ())) + moved,
-            key=lambda item: (item.stime, item.values.get("seq", item.tuple_id)),
-        )
+        held = TupleBlock.concat((state["custom"].get("state", ()), moved))
+        ranks = [
+            (stime, tuple_id if seq is None else seq)
+            for stime, seq, tuple_id in zip(held.stimes, held.column("seq"), held.ids)
+        ]
+        merged = held.take(sorted(range(len(ranks)), key=ranks.__getitem__))
         if len(merged) > join.state_size:
             trimmed += len(merged) - join.state_size
             merged = merged[len(merged) - join.state_size:]

@@ -13,17 +13,23 @@ import bisect
 import math
 import random
 import zlib
-from typing import Any, Callable, Mapping
+from itertools import repeat
+from operator import truediv
+from typing import Any, Callable, Mapping, Sequence
 
-#: A payload generator maps (sequence number, stime) -> attribute mapping.
-PayloadGenerator = Callable[[int, float], Mapping[str, Any]]
+#: A payload generator makes one tick's payload as columns: given the tick's
+#: per-source sequence numbers (a ``range``) and their stimes, one list per
+#: attribute, in the rows' key order.  Calls for consecutive ranges concatenate
+#: to the call for their union, so the simulator's grid ticks and the live
+#: backend's jittered ticks produce one log.
+PayloadGenerator = Callable[[range, Sequence[float]], Mapping[str, list]]
 
 
 def sequential_sequence() -> PayloadGenerator:
     """Tuples numbered 0, 1, 2, ... on a single stream."""
 
-    def generate(sequence: int, stime: float) -> dict[str, Any]:
-        return {"seq": sequence, "value": float(sequence)}
+    def generate(sequences: range, stimes: Sequence[float]) -> dict[str, list]:
+        return {"seq": list(sequences), "value": list(map(float, sequences))}
 
     return generate
 
@@ -39,11 +45,20 @@ def interleaved_sequence(stream_index: int, n_streams: int) -> PayloadGenerator:
     if not 0 <= stream_index < n_streams:
         raise ValueError(f"stream_index {stream_index} out of range for {n_streams} streams")
 
-    def generate(sequence: int, stime: float) -> dict[str, Any]:
-        seq = sequence * n_streams + stream_index
-        return {"seq": seq, "value": float(seq), "stream": stream_index}
+    def generate(sequences: range, stimes: Sequence[float]) -> dict[str, list]:
+        seqs = range(stream_index, sequences.stop * n_streams, n_streams)[sequences.start :]
+        return {
+            "seq": list(seqs),
+            "value": list(map(float, seqs)),
+            "stream": [stream_index] * len(seqs),
+        }
 
     return generate
+
+
+def _by_column(rows: list[dict[str, Any]]) -> dict[str, list]:
+    """Records drawn row by row (the draws stay in row order) as one list per key."""
+    return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
 
 
 def network_monitoring(stream_index: int, n_streams: int, seed: int = 0) -> PayloadGenerator:
@@ -58,7 +73,7 @@ def network_monitoring(stream_index: int, n_streams: int, seed: int = 0) -> Payl
     hosts = [f"10.0.{stream_index}.{i}" for i in range(1, 50)]
     attackers = [f"172.16.{stream_index}.{i}" for i in range(1, 5)]
 
-    def generate(sequence: int, stime: float) -> dict[str, Any]:
+    def record(sequence: int) -> dict[str, Any]:
         suspicious = rng.random() < 0.05
         source = rng.choice(attackers) if suspicious else rng.choice(hosts)
         return {
@@ -70,6 +85,9 @@ def network_monitoring(stream_index: int, n_streams: int, seed: int = 0) -> Payl
             "bytes": rng.randint(40, 1500),
             "suspicious": suspicious,
         }
+
+    def generate(sequences: range, stimes: Sequence[float]) -> dict[str, list]:
+        return _by_column([record(sequence) for sequence in sequences])
 
     return generate
 
@@ -84,7 +102,7 @@ def sensor_readings(stream_index: int, n_streams: int, seed: int = 0) -> Payload
     rng = random.Random(seed * 2000 + stream_index)
     base = 20.0 + stream_index
 
-    def generate(sequence: int, stime: float) -> dict[str, Any]:
+    def record(sequence: int) -> dict[str, Any]:
         drift = (sequence % 200) / 200.0
         spike = 15.0 if rng.random() < 0.01 else 0.0
         return {
@@ -94,6 +112,9 @@ def sensor_readings(stream_index: int, n_streams: int, seed: int = 0) -> Payload
             "temperature": round(base + drift + rng.gauss(0.0, 0.2) + spike, 3),
             "co2": round(400 + 20 * drift + rng.gauss(0.0, 5.0) + 10 * spike, 1),
         }
+
+    def generate(sequences: range, stimes: Sequence[float]) -> dict[str, list]:
+        return _by_column([record(sequence) for sequence in sequences])
 
     return generate
 
@@ -136,17 +157,20 @@ def hot_key_sequence(
     for weight in weights:
         acc += weight / total
         cdf.append(acc)
+    # The rank past the last cdf entry (a rounding artefact) is the last key.
+    ranks = [*range(keys), keys - 1]
+    prefix = f"hotkey:{seed}:"
 
-    def generate(sequence: int, stime: float) -> dict[str, Any]:
-        seq = sequence * n_streams + stream_index
+    def generate(sequences: range, stimes: Sequence[float]) -> dict[str, list]:
+        seqs = range(stream_index, sequences.stop * n_streams, n_streams)[sequences.start :]
         # One uniform draw per tick, identical across the interleaved sources.
-        draw = zlib.crc32(f"hotkey:{seed}:{sequence}".encode("ascii")) / 2**32
-        rank = bisect.bisect_left(cdf, draw)
+        labels = map(str.encode, map(prefix.__add__, map(str, sequences)))
+        draws = map(truediv, map(zlib.crc32, labels), repeat(2**32))
         return {
-            "seq": seq,
-            "value": float(seq),
-            "stream": stream_index,
-            "key": min(rank, keys - 1),
+            "seq": list(seqs),
+            "value": list(map(float, seqs)),
+            "stream": [stream_index] * len(seqs),
+            "key": list(map(ranks.__getitem__, map(bisect.bisect_left, repeat(cdf), draws))),
         }
 
     return generate

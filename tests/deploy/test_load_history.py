@@ -19,7 +19,7 @@ from repro.workloads.catalogue import CATALOGUE
 
 
 def stable_payloads(block):
-    return [values for code, values in zip(block.codes, block.values) if code == STABLE]
+    return [values for code, values in zip(block.codes, block.mappings()) if code == STABLE]
 
 
 @pytest.mark.parametrize("entry", ["shard4-rebalance", "shard2-autoscale"])

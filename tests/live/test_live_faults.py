@@ -103,6 +103,15 @@ def test_live_fault_schedule_matches_sim_oracle(topology, seed, kind):
 
     assert result.total_tentative > 0, "outage produced no tentative output"
     assert result.injected_faults(), "plan injected nothing"
+    if kind == "partition":
+        # The partitioned node's own outputs are held back by its flush,
+        # which asks can_communicate: those denials are counted as well.
+        senders = {
+            event["sender"]
+            for stats in result.transport.values()
+            for event in stats["fault_events"]
+        }
+        assert senders - {source.name for source in placement.sources}, senders
     assert result.dead_letters == 0
     assert result.eventually_consistent
     assert result.stable_rows() == sim_rows

@@ -25,7 +25,16 @@ from repro.core.states import NodeState
 from repro.live import transport as transport_module
 from repro.live import wire
 from repro.live.clock import LiveClock
-from repro.live.faults import DELAY, DROP, DUPLICATE, REORDER, THROTTLE, FaultPlan, LinkRule
+from repro.live.faults import (
+    DELAY,
+    DISCONNECT,
+    DROP,
+    DUPLICATE,
+    REORDER,
+    THROTTLE,
+    FaultPlan,
+    LinkRule,
+)
 from repro.live.liveness import DOWN_AFTER, HEARTBEAT_INTERVAL, SUSPECT_AFTER, PeerState
 from repro.live.transport import LiveTransport
 from repro.spe.tuples import StreamTuple
@@ -428,6 +437,24 @@ def test_duplicate_is_drawn_only_for_a_written_frame(monkeypatch):
             await a.close()
             await b.close()
             shutil.rmtree(directory, ignore_errors=True)
+
+    run(scenario())
+
+
+# ---------------------------------------------------------------------- window denials
+def test_a_window_denial_decided_by_can_communicate_is_counted():
+    # A node leaves a subscriber out of its flush when ``can_communicate``
+    # answers a window rule, so no send reaches the transport to be denied:
+    # the denial is counted where it is decided.
+    plan = FaultPlan(seed=1, rules=(LinkRule(DISCONNECT, sender="src", receiver="n1"),))
+
+    async def scenario():
+        async with Fabric(plan) as fabric:
+            assert not fabric.a.can_communicate("src", "n1")
+            assert fabric.a.can_communicate("src", "n2")
+            assert fabric.a.injected == {DISCONNECT: 1}
+            event = fabric.a.transport_stats()["fault_events"][0]
+            assert (event["kind"], event["sender"], event["receiver"]) == (DISCONNECT, "src", "n1")
 
     run(scenario())
 

@@ -29,7 +29,7 @@ def _build_both():
 
 
 def test_two_dataclass_constructors_are_both_counted():
-    stats, calls, rows = profile_calls(_build_both)
+    stats, calls, rows, mappings = profile_calls(_build_both)
     constructors = [
         entry for entry in stats.stats if entry[0] == "<string>" and entry[2] == "__init__"
     ]
@@ -38,11 +38,19 @@ def test_two_dataclass_constructors_are_both_counted():
     assert stats.total_calls == calls - 50
     # ... the raw entries did not: 100 constructions plus _build_both itself.
     assert calls >= 101
-    assert rows == 0
+    assert rows == mappings == 0
 
 
 def test_row_constructions_are_counted():
     block = TupleBlock.of([StreamTuple.boundary(0, 1.0), StreamTuple.boundary(1, 2.0)])
-    _stats, _calls, rows = profile_calls(lambda: list(block))
-    # Only the profiled call counts: iterating builds the block's two rows.
-    assert rows == 2
+    _stats, _calls, rows, mappings = profile_calls(lambda: list(block))
+    # Only the profiled call counts: iterating builds the block's two rows,
+    # whose control payloads are the shared empty mapping.
+    assert (rows, mappings) == (2, 0)
+
+
+def test_payload_mappings_are_counted():
+    block = TupleBlock.of([StreamTuple.insertion(i, 0.5 * i, {"seq": i}) for i in range(3)])
+    _stats, _calls, rows, mappings = profile_calls(lambda: list(block.mappings()))
+    # Reading the mappings builds one per data row and no row.
+    assert (rows, mappings) == (0, 3)

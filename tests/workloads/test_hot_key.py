@@ -6,11 +6,17 @@ from repro.sharding import ShardPlanner, ShardSpec, bucket_loads_from_keys
 from repro.workloads.generators import hot_key_payload_factory, hot_key_sequence
 
 
+def row(generate, tick, stime=0.0):
+    """One tuple's payload: the generator's columns for a one-tick call."""
+    columns = generate(range(tick, tick + 1), [stime])
+    return {key: column[0] for key, column in columns.items()}
+
+
 def test_key_is_constant_across_a_tie_group():
     n_streams = 3
     generators = [hot_key_sequence(i, n_streams) for i in range(n_streams)]
     for tick in range(200):
-        keys = {gen(tick, tick * 0.01)["key"] for gen in generators}
+        keys = {row(gen, tick, tick * 0.01)["key"] for gen in generators}
         assert len(keys) == 1, f"tick {tick} straddles keys {keys}"
 
 
@@ -18,7 +24,7 @@ def test_seq_attribute_stays_the_interleaved_global_sequence():
     n_streams = 3
     generators = [hot_key_sequence(i, n_streams) for i in range(n_streams)]
     seqs = sorted(
-        gen(tick, 0.0)["seq"] for tick in range(50) for gen in generators
+        row(gen, tick)["seq"] for tick in range(50) for gen in generators
     )
     assert seqs == list(range(150))
 
@@ -26,14 +32,14 @@ def test_seq_attribute_stays_the_interleaved_global_sequence():
 def test_generator_is_deterministic_across_instances():
     a = hot_key_sequence(0, 3, seed=5)
     b = hot_key_sequence(0, 3, seed=5)
-    assert [a(t, 0.0) for t in range(100)] == [b(t, 0.0) for t in range(100)]
+    assert [row(a, t) for t in range(100)] == [row(b, t) for t in range(100)]
     c = hot_key_sequence(0, 3, seed=6)
-    assert [a(t, 0.0) for t in range(100)] != [c(t, 0.0) for t in range(100)]
+    assert [row(a, t) for t in range(100)] != [row(c, t) for t in range(100)]
 
 
 def test_skew_concentrates_load_enough_to_trigger_the_planner():
     gen = hot_key_sequence(0, 1, skew=1.2, keys=64)
-    keys = [gen(t, 0.0)["key"] for t in range(3000)]
+    keys = gen(range(3000), [0.0] * 3000)["key"]
     counts = {}
     for key in keys:
         counts[key] = counts.get(key, 0) + 1
@@ -55,7 +61,7 @@ def test_skew_concentrates_load_enough_to_trigger_the_planner():
 def test_factory_binds_skew_and_seed():
     factory = hot_key_payload_factory(skew=1.5, keys=8, seed=2)
     gen = factory(1, 3)
-    payload = gen(0, 0.0)
+    payload = row(gen, 0)
     assert set(payload) == {"seq", "value", "stream", "key"}
     assert 0 <= payload["key"] < 8
 

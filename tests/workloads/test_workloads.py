@@ -15,15 +15,21 @@ from repro.workloads.generators import (
 from repro.workloads.scenarios import FailureSpec, resolve_failures
 
 
+def row(generate, sequence, stime=0.0):
+    """One tuple's payload: the generator's columns for a one-sequence tick."""
+    columns = generate(range(sequence, sequence + 1), [stime])
+    return {key: column[0] for key, column in columns.items()}
+
+
 def test_sequential_sequence():
     generate = sequential_sequence()
-    assert generate(0, 0.0)["seq"] == 0
-    assert generate(5, 0.5)["seq"] == 5
+    assert row(generate, 0)["seq"] == 0
+    assert row(generate, 5, 0.5)["seq"] == 5
 
 
 def test_interleaved_sequence_covers_all_integers():
     generators = [interleaved_sequence(i, 3) for i in range(3)]
-    values = sorted(g(k, 0.0)["seq"] for k in range(4) for g in generators)
+    values = sorted(row(g, k)["seq"] for k in range(4) for g in generators)
     assert values == list(range(12))
 
 
@@ -35,14 +41,14 @@ def test_interleaved_sequence_validates_index():
 def test_network_monitoring_is_deterministic_per_seed():
     a = network_monitoring(0, 3, seed=1)
     b = network_monitoring(0, 3, seed=1)
-    assert [a(i, 0.0) for i in range(10)] == [b(i, 0.0) for i in range(10)]
-    record = a(0, 0.0)
+    assert [row(a, i) for i in range(10)] == [row(b, i) for i in range(10)]
+    record = row(a, 10)
     assert {"src", "dst", "dst_port", "bytes", "suspicious"} <= set(record)
 
 
 def test_sensor_readings_shape():
     generate = sensor_readings(1, 3, seed=2)
-    record = generate(0, 0.0)
+    record = row(generate, 0)
     assert {"sensor", "location", "temperature", "co2"} <= set(record)
     assert record["sensor"] == 1
 
