@@ -32,7 +32,7 @@ from operator import not_
 from ..core.node import ProcessingNode
 from ..core.states import NodeState
 from ..errors import ConfigurationError, SimulationError
-from ..sharding import RebalancePlan, ShardAssignment, ShardPlanner
+from ..sharding import RebalancePlan, ShardAssignment, ShardPlanner, ShardSlice
 from ..sim.client import ClientApplication
 from ..sim.cluster import Cluster
 from ..sim.event_loop import Simulator
@@ -333,7 +333,7 @@ class Deployment:
            observed bucket loads, skipping decommissioned slots;
         2. attach one relay fragment + replica group per new shard: build the
            diagrams, register the replicas in the :class:`PeerRegistry`, wire
-           a fresh all-reject :class:`SubscriptionFilter` into the split's
+           a fresh empty-slice :class:`SubscriptionFilter` into the split's
            producer-side routing, seed the input cursors from a live donor
            shard's :class:`RecoveryCheckpoint` (``statexfer.seed_cursors``),
            and widen every merge replica's fan-in SUnion by one port;
@@ -469,10 +469,11 @@ class Deployment:
         self._replan(
             placement.nodes + (node_plan,), placement.subscriptions + (feed, drain), drain.consumer
         )
-        # The fresh slice owns nothing until the cut installs its predicate.
-        wiring.filters[name] = SubscriptionFilter(lambda values: False, name=feed.filter_name)
+        # The fresh slice owns nothing until the cut installs its buckets.
+        empty = ShardSlice(self.current_assignment.spec, frozenset())
+        wiring.filters[name] = SubscriptionFilter(empty, name=feed.filter_name)
         wiring.delay_budgets[name] = wiring.delay_budgets[template.name]
-        group = wiring.build_group(node_plan, select=None)
+        group = wiring.build_group(node_plan)
         self.cluster.nodes.append(group)
         self.cluster.node_groups[name] = group
         # Pins the split's buffers from here until the new replicas' first

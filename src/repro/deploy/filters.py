@@ -1,14 +1,17 @@
 """Content filters attached to subscriptions (producer-side routing).
 
-A :class:`SubscriptionFilter` is the deployment-owned predicate of one
-*filtered subscription*: the producer selects a pending slice through it
-before putting the slice on the wire, so a consumer that only wants part of
-a stream (a shard fragment's key-hash slice) never receives -- and never
-pays serialization, transport, or ingress-drop work for -- the foreign
-remainder.  Control tuples (boundaries, undos, REC_DONE markers) always
-pass: punctuation and failure semantics are slice-independent.  A filter
+A :class:`SubscriptionFilter` is the deployment-owned slice of one
+*filtered subscription*: the producer selects a pending block through it
+before putting it on the wire, so a consumer that only wants part of a
+stream (a shard fragment's key-hash slice, a diamond branch's partition)
+never receives -- and never pays serialization, transport, or ingress-drop
+work for -- the foreign remainder.  Control tuples (boundaries, undos,
+REC_DONE markers) always pass: punctuation and failure semantics are
+slice-independent.  A filter
 selects by a *route column*, one value per row, which every filter sharing
 the router reads: a shard(4) split routes each row once, not four times.
+Every topology ``select`` is such a slice (:data:`repro.sharding.Slice`),
+so there is one way to select rows.
 
 Two properties make filtered subscriptions safe under DPC's replica
 machinery:
@@ -24,9 +27,9 @@ machinery:
   :meth:`repro.core.input_streams.InputStreamMonitor.record_tuple`).
 
 * **Epoch determinism.**  A filter is a piecewise function of the tuple's
-  serialization timestamp: :meth:`advance` installs a new predicate for
+  serialization timestamp: :meth:`advance` installs a new slice for
   every tuple with ``stime >= cut_stime`` while older tuples keep routing
-  through the predicate that governed them when they were first delivered.
+  through the slice that governed them when they were first delivered.
   Routing is therefore a pure function of the tuple, which keeps a live
   rebalance gap-free and duplicate-free: tuples below the cut belong to the
   old owner, tuples at or above it to the new one, and a tie group (tuples
@@ -41,47 +44,39 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import compress
-from typing import Any, Callable, Mapping
+from typing import Callable
 
 from ..errors import ConfigurationError
-from ..sharding import ShardSlice
+from ..sharding import Slice
 from ..spe.tuples import StreamTuple, TupleBlock
 
-#: Deterministic tuple predicate (same shape as repro.topology.SelectPredicate).
-Predicate = Callable[[Mapping[str, Any]], bool]
 
-
-def _route(predicate: Predicate) -> tuple[Callable[[TupleBlock], list], frozenset]:
-    """``predicate`` as ``(router, keep)``: a shard slice's bucket column, else itself per row.
+def _route(slice_: Slice) -> tuple[Callable[[TupleBlock], list], frozenset]:
+    """``slice_`` as ``(router, keep)``: its spec's route column and the routes that pass.
 
     A router maps a block to one route per row, ``None`` for each control row;
     ``keep`` holds the routes that pass, ``None`` among them.
     """
-    if isinstance(predicate, ShardSlice):
-        return predicate.spec.route, predicate.keep | {None}
-
-    def router(block: TupleBlock) -> list:
-        rows = block.mappings()
-        return [None if code > 1 else bool(predicate(row)) for code, row in zip(block.codes, rows)]
-
-    return router, frozenset((True, None))
+    if not isinstance(slice_, Slice):
+        raise ConfigurationError(f"a subscription filter selects by a slice, not {slice_!r}")
+    return slice_.spec.route, slice_.keep | {None}
 
 
 class SubscriptionFilter:
-    """The content predicate of one filtered subscription, with stime epochs."""
+    """The slice of one filtered subscription, with stime epochs."""
 
-    def __init__(self, predicate: Predicate, name: str) -> None:
+    def __init__(self, slice_: Slice, name: str) -> None:
         if not name:
             raise ConfigurationError("subscription filter needs a non-empty name")
         self.name = name
         #: ``(cut_stime, router, keep)`` triples; epoch i governs tuples with
         #: ``cut_stime[i] <= stime < cut_stime[i+1]``.  The first epoch
         #: starts at -inf (it governs everything until the first advance).
-        self._epochs = [(float("-inf"), *_route(predicate))]
+        self._epochs = [(float("-inf"), *_route(slice_))]
 
     # ------------------------------------------------------------------ epochs
-    def advance(self, cut_stime: float, predicate: Predicate) -> None:
-        """Install ``predicate`` for every tuple with ``stime >= cut_stime``.
+    def advance(self, cut_stime: float, slice_: Slice) -> None:
+        """Install ``slice_`` for every tuple with ``stime >= cut_stime``.
 
         Cuts must move forward: re-routing tuples an earlier epoch already
         governed would break the determinism that makes replays safe.
@@ -92,7 +87,7 @@ class SubscriptionFilter:
                 f"filter {self.name!r}: epoch cut {cut_stime:g} does not advance "
                 f"past the current cut {last_cut:g}"
             )
-        self._epochs.append((cut_stime, *_route(predicate)))
+        self._epochs.append((cut_stime, *_route(slice_)))
 
     @property
     def epochs(self) -> int:

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .deployment import Deployment
 
 #: Fragment shapes a node plan can take: one SUnion over the plan's inputs
-#: (+ optional SJoin / Filter) + SOutput, named for what feeds it.
+#: (+ optional SJoin) + SOutput, named for what feeds it.
 FRAGMENT_ENTRY = "entry"  # every input is a source stream (honours diagram_factory)
 FRAGMENT_RELAY = "relay"  # one upstream node
 FRAGMENT_FANIN = "fanin"  # several upstream streams
@@ -79,9 +79,6 @@ class NodePlan:
     replica_names: tuple[str, ...]
     #: Whether this node hosts the deployment's stateful SJoin.
     stateful: bool
-    #: Whether the node's spec carries a select predicate (and where it runs).
-    has_select: bool = False
-    select_at: str = "egress"
     is_sink: bool = False
     #: Index into the shard assignment when this node is a shard fragment.
     shard_index: int | None = None
@@ -95,8 +92,8 @@ class NodePlan:
 class SubscriptionPlan:
     """One logical edge: every replica of ``consumer`` subscribes to ``producer``.
 
-    ``filtered`` marks a *filtered subscription*: the consumer's content
-    predicate is evaluated at the producer (producer-side routing), so only
+    ``filtered`` marks a *filtered subscription*: the consumer's slice is
+    selected at the producer (producer-side routing), so only
     the passing slice travels.  ``filter_name`` names the shared
     :class:`~repro.deploy.SubscriptionFilter` the deploy step creates.
     """
@@ -173,7 +170,6 @@ class Placement:
                     "output": n.output_stream,
                     "replicas": list(n.replica_names),
                     "stateful": n.stateful,
-                    "select_at": n.select_at if n.has_select else None,
                     "sink": n.is_sink,
                     "shard_index": n.shard_index,
                 }
@@ -214,12 +210,6 @@ class Placement:
                 changes.append(f"node {name!r}: stateful {a.stateful} -> {b.stateful}")
             if a.inputs != b.inputs:
                 changes.append(f"node {name!r}: inputs {a.inputs} -> {b.inputs}")
-            if (a.has_select, a.select_at) != (b.has_select, b.select_at):
-                changes.append(
-                    f"node {name!r}: select "
-                    f"{a.select_at if a.has_select else None} -> "
-                    f"{b.select_at if b.has_select else None}"
-                )
             if a.is_sink != b.is_sink:
                 changes.append(f"node {name!r}: sink {a.is_sink} -> {b.is_sink}")
 
@@ -331,9 +321,10 @@ def compile(  # noqa: A001 - the control-plane verb, deliberately builtin-shadow
 
     Entry nodes run the Figure 12 merge fragment, single-input internal nodes
     relay, multi-input internal nodes fan in, and each sink feeds one client.
-    A node whose spec asks for an *ingress* select (the shard fragments of
-    ``Topology.shard``) is planned as a **filtered subscription**: its slice
-    predicate runs at the producer and the fragment itself is a plain relay.
+    A node whose spec has a ``select`` (the shard fragments of
+    ``Topology.shard``, the diamond's branches) is planned as a **filtered
+    subscription**: its slice runs at the producer and the fragment itself
+    is a plain relay.
     """
     if replicas_per_node < 1:
         raise ConfigurationError("replicas_per_node must be >= 1")
@@ -360,7 +351,7 @@ def compile(  # noqa: A001 - the control-plane verb, deliberately builtin-shadow
             spec.name + ("" if r == 0 else "'" * r) for r in range(replicas)
         )
         stateful = spec.stateful if spec.stateful is not None else topology.is_entry(spec)
-        filtered = spec.select is not None and spec.select_at == "ingress"
+        filtered = spec.select is not None
         if topology.is_entry(spec):
             fragment = FRAGMENT_ENTRY
         elif len(input_streams) == 1:
@@ -379,8 +370,6 @@ def compile(  # noqa: A001 - the control-plane verb, deliberately builtin-shadow
                 output_stream=spec.output_stream,
                 replica_names=replica_names,
                 stateful=stateful,
-                has_select=spec.select is not None,
-                select_at=spec.select_at,
                 is_sink=spec.name in sink_names,
                 shard_index=index,
             )

@@ -33,7 +33,7 @@ from ..sim.cluster import merge_diagram
 from ..sim.network import Network
 from ..sim.sources import DataSource
 from ..statexfer import PeerRegistry
-from ..topology import SelectPredicate, Topology
+from ..topology import Topology
 from .filters import SubscriptionFilter
 from .placement import FRAGMENT_ENTRY, DeployOptions, NodePlan, Placement, SubscriptionPlan
 
@@ -90,15 +90,13 @@ class Wiring:
     #: Consumer node name -> the shared filter of its filtered subscription.
     filters: dict[str, SubscriptionFilter] = field(default_factory=dict)
 
-    def build_group(self, plan: NodePlan, select: SelectPredicate | None) -> list[ProcessingNode]:
+    def build_group(self, plan: NodePlan) -> list[ProcessingNode]:
         """Build the hosted replicas of one logical node.
 
         Every fragment is the Figure 12 shape over the plan's inputs -- one
-        SUnion (+ SJoin when the plan is stateful, + ``select`` as an egress
-        Filter) + SOutput -- except that entry fragments honour the
-        ``diagram_factory`` option.  A filtered consumer's slice arrives
-        pre-cut (its predicate runs at the producer), so its caller passes
-        ``select=None``.
+        SUnion (+ SJoin when the plan is stateful) + SOutput -- except that
+        entry fragments honour the ``diagram_factory`` option.  A filtered
+        consumer's slice arrives pre-cut: its select runs at the producer.
         """
         options = self.options
         self.replicas[plan.name] = plan.replica_names
@@ -115,7 +113,6 @@ class Wiring:
                     plan.output_stream,
                     bucket_size=options.config.bucket_size,
                     join_state_size=options.join_state_size if plan.stateful else None,
-                    select=select,
                 )
             node = ProcessingNode(
                 name=name,
@@ -265,8 +262,7 @@ def wire_placement(
             topology.node(edge.consumer).select, name=edge.filter_name
         )
     for plan in placement.nodes:
-        filtered = plan.name in wiring.filters
-        wiring.build_group(plan, None if filtered else topology.node(plan.name).select)
+        wiring.build_group(plan)
 
     for plan in placement.clients:
         wiring.replicas[plan.name] = (plan.name,)

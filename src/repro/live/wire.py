@@ -22,9 +22,11 @@ before anything is allocated.
 
 Two payload kinds cannot be encoded field-by-field:
 
-* **Subscription filters** hold closure predicates, so they travel *by
-  name*: each worker process rebuilds the deployment's filters from the
-  (fork-inherited) placement and registers them with
+* **Subscription filters** travel *by name*: one filter object is shared
+  by every subscription of its consumer fragment and its epochs advance in
+  place, so a decoded copy would split that shared state.  Each worker
+  process rebuilds the deployment's filters from the (fork-inherited)
+  placement and registers them with
   :func:`register_filter`; decoding resolves the name against that
   process-local registry.  Filter epochs only advance during a simulated
   rebalance, so name-identified filters stay equivalent across workers.
@@ -111,10 +113,10 @@ def _r_opt_state(buf: memoryview, pos: int) -> tuple[NodeState | None, int]:
 
 
 # --------------------------------------------------------------------------- filter registry
-#: Process-local registry of the deployment's subscription filters.  Filters
-#: hold closure predicates, so they cross the wire by name; each worker
-#: rebuilds the full set from its fork-inherited placement and registers it
-#: here before any frame is decoded.
+#: Process-local registry of the deployment's subscription filters.  A filter
+#: is one shared object whose epochs advance in place, so it crosses the wire
+#: by name; each worker rebuilds the full set from its fork-inherited
+#: placement and registers it here before any frame is decoded.
 _FILTERS: dict[str, SubscriptionFilter] = {}
 
 

@@ -13,7 +13,7 @@ a worker therefore kills exactly one replica, and its partner -- a different
 process -- serves the checkpoint-shipped recovery over real sockets.
 
 Workers are spawned with the ``fork`` start method: the compiled placement
-(which holds closure predicates and payload generators) crosses into the
+(which holds payload generators and diagram factories) crosses into the
 child by memory inheritance, never by pickling.
 
 Start-up is a handshake on the control pipe: a worker builds its fragment,

@@ -1,8 +1,9 @@
 """Key-hash sharding: shard specs, hash-bucket assignments, and the planner.
 
-The paper's SUnion/SOutput machinery is topology-agnostic, but until now the
-reproduction's deployments only *split* streams with hand-written modulo
-predicates (the diamond shape).  This module is the first-class scale-out
+The paper's SUnion/SOutput machinery is topology-agnostic; this module is
+how a deployment splits one stream into disjoint slices.  Every topology
+``select`` is a :data:`Slice`: a router mapping a block to one route column,
+shared by every slice of one split, plus the routes the slice keeps.  The
 vocabulary:
 
 * :func:`stable_key_hash` -- a process- and platform-stable hash (crc32 over
@@ -17,7 +18,9 @@ vocabulary:
   belongs to exactly one shard);
 * :class:`ShardPlanner` -- produces the initial assignment and, given
   observed per-bucket loads, emits a :class:`RebalancePlan` (a sequence of
-  :class:`ShardMove` bucket migrations) when shard loads skew.
+  :class:`ShardMove` bucket migrations) when shard loads skew;
+* :func:`modulo_partition` -- a :class:`PartitionSlice` of a
+  :class:`PartitionSpec`, the fixed modulo split of the diamond's branches.
 
 Hashing runs per tuple, so the module is dependency-light (``zlib`` plus
 :mod:`repro.errors`); :mod:`repro.topology` builds on it for the
@@ -28,7 +31,7 @@ stime ties by input port, so tuples sharing an stime must never straddle
 shards.  ``ShardSpec.group`` encodes that: the shard key of a tuple is
 ``attribute_value // group``, and deployments partitioning an interleaved
 multi-source workload set ``group`` to the source count (exactly like
-``modulo_partition``).  Sharding on a key that does not refine the stime
+:class:`PartitionSpec`).  Sharding on a key that does not refine the stime
 tie-groups would reorder the merged stream.
 """
 
@@ -294,6 +297,63 @@ class ShardSlice:
 
     def __call__(self, values: Mapping[str, Any]) -> bool:
         return self.spec.bucket_of(self.spec.key_of(values)) in self.keep
+
+
+@dataclass(frozen=True)
+class PartitionSpec:
+    """A modulo split: each row routes to ``(int(value) // group) % modulus``.
+
+    ``group`` keeps runs of consecutive ``key`` values on one partition, like
+    :attr:`ShardSpec.group`; a row without the attribute reads 0.
+    """
+
+    modulus: int
+    key: str = "seq"
+    group: int = 1
+
+    def __post_init__(self) -> None:
+        if self.modulus < 1:
+            raise ConfigurationError("modulus must be >= 1")
+        if self.group < 1:
+            raise ConfigurationError("group must be >= 1")
+
+    def route(self, block: "TupleBlock") -> list[int | None]:
+        """The route column of ``block``: each data row's partition, ``None`` per control row."""
+        group, modulus = self.group, self.modulus
+        column: list = [int(value) // group % modulus for value in block.column(self.key, 0)]
+        for match in _CONTROL_ROW.finditer(block.codes):
+            column[match.start()] = None
+        return column
+
+
+@dataclass(frozen=True)
+class PartitionSlice:
+    """One branch's ``select``: the rows whose partition is in ``keep``."""
+
+    spec: PartitionSpec
+    keep: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if not self.keep <= set(range(self.spec.modulus)):
+            raise ConfigurationError(f"remainders {sorted(self.keep)} out of range for {self.spec}")
+
+
+#: A topology ``select``: a shared router (``spec.route``, one route per row of
+#: a block) plus the routes the slice keeps.  It runs at the producer.
+Slice = ShardSlice | PartitionSlice
+
+
+def modulo_partition(
+    remainder: int, modulus: int = 2, attribute: str = "seq", group: int = 1
+) -> PartitionSlice:
+    """The slice keeping rows whose ``attribute // group`` is ``remainder`` mod ``modulus``.
+
+    The branches of a fan-out deployment carve the stream into disjoint slices
+    this way, and a fan-in SUnion reunites them.  Over an interleaved
+    multi-source workload ``group`` is the source count, so tuples sharing an
+    stime never straddle branches (the fan-in SUnion orders stime ties by port).
+    """
+    return PartitionSlice(PartitionSpec(modulus, attribute, group), frozenset({remainder}))
 
 
 @dataclass(frozen=True)

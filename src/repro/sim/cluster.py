@@ -19,9 +19,9 @@ from typing import Sequence
 
 from ..core.node import ProcessingNode
 from ..errors import ConfigurationError
-from ..spe.operators import Filter, SJoin, SOutput, SUnion
+from ..spe.operators import SJoin, SOutput, SUnion
 from ..spe.query_diagram import QueryDiagram
-from ..topology import SelectPredicate, Topology
+from ..topology import Topology
 from .client import ClientApplication
 from .event_loop import Simulator
 from .failures import FailureInjector
@@ -113,17 +113,15 @@ def merge_diagram(
     output_stream: str,
     bucket_size: float,
     join_state_size: int | None = None,
-    select: SelectPredicate | None = None,
 ) -> QueryDiagram:
-    """The fragment every replica runs: SUnion (+ SJoin) (+ Filter) + SOutput.
+    """The fragment every replica runs: SUnion (+ SJoin) + SOutput.
 
     Over several source streams this is the experimental setup of Section
     5.2 / Figure 12: "an SUnion that merges these streams into one, an SJoin
     with a 100-tuple state size, and an SOutput".  Over one upstream stream
     it is a relay, over several a cross-node fan-in.  ``join_state_size``
-    gives the fragment the deployment's stateful SJoin; ``select`` inserts a
-    deterministic Filter before the SOutput (the branch-partitioning
-    fragments of DAG deployments).
+    gives the fragment the deployment's stateful SJoin.  A node's ``select``
+    is not part of its fragment: it runs at the producer.
     """
     diagram = QueryDiagram(name=name)
     merge = SUnion(name=f"{name}.sunion", arity=len(input_streams), bucket_size=bucket_size)
@@ -134,11 +132,6 @@ def merge_diagram(
         diagram.add_operator(sjoin)
         diagram.connect(last, sjoin)
         last = sjoin
-    if select is not None:
-        selector = Filter(name=f"{name}.filter", predicate=select)
-        diagram.add_operator(selector)
-        diagram.connect(last, selector)
-        last = selector
     soutput = SOutput(name=f"{name}.soutput")
     diagram.add_operator(soutput)
     diagram.connect(last, soutput)

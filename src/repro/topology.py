@@ -17,57 +17,29 @@ topology vocabulary for everything else:
   experiments (:meth:`Topology.chain`, :meth:`Topology.diamond`,
   :meth:`Topology.fanin`).
 
-The module is deliberately dependency-light (only :mod:`repro.errors`) so
-that the simulation substrate, the DPC core, and the runtime layer can all
-import it without cycles.
+The module is deliberately dependency-light (only :mod:`repro.errors` and
+:mod:`repro.sharding`) so that the simulation substrate, the DPC core, and
+the runtime layer can all import it without cycles.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 from .errors import ConfigurationError
-from .sharding import DEFAULT_BUCKETS, ShardAssignment, ShardPlanner, ShardSpec
+from .sharding import (
+    DEFAULT_BUCKETS,
+    ShardAssignment,
+    ShardPlanner,
+    ShardSpec,
+    Slice,
+    modulo_partition,
+)
 
 #: The conventional source-stream names; reserved, never valid as node names.
 _SOURCE_NAME = re.compile(r"s\d+")
-
-#: Deterministic tuple predicate applied by a node's fragment (see NodeSpec.select).
-SelectPredicate = Callable[[Mapping[str, Any]], bool]
-
-#: Where a node's ``select`` predicate runs (see NodeSpec.select_at).
-SELECT_PLACEMENTS = ("egress", "ingress")
-
-
-def modulo_partition(
-    remainder: int, modulus: int = 2, attribute: str = "seq", group: int = 1
-) -> SelectPredicate:
-    """Predicate keeping tuples whose ``attribute // group`` is ``remainder`` mod ``modulus``.
-
-    This is how the branch nodes of a fan-out deployment carve the upstream
-    stream into disjoint slices (like a sharded dataflow): the fan-in SUnion
-    downstream then reunites the slices into the original stream instead of
-    duplicating it.  ``group`` keeps runs of consecutive values on the same
-    branch -- deployments partitioning an interleaved multi-source workload
-    set it to the source count so that tuples sharing an stime never straddle
-    branches (the fan-in SUnion orders stime ties by input port, so a
-    straddling tie-group would be reordered).
-    """
-    if modulus < 1:
-        raise ConfigurationError("modulus must be >= 1")
-    if group < 1:
-        raise ConfigurationError("group must be >= 1")
-    if not 0 <= remainder < modulus:
-        raise ConfigurationError(f"remainder {remainder} out of range for modulus {modulus}")
-
-    def select(values: Mapping[str, Any]) -> bool:
-        return (int(values.get(attribute, 0)) // group) % modulus == remainder
-
-    select.__name__ = f"{attribute}_div{group}_mod{modulus}_eq{remainder}"
-    return select
-
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -82,19 +54,13 @@ class NodeSpec:
     ``replicas`` overrides the deployment-wide replication factor for this
     node; ``None`` keeps the deployment default.
 
-    ``select`` optionally filters the node's tuples with a deterministic
-    ``Filter``.  ``select_at`` places the filter within the fragment:
-
-    * ``"egress"`` (default) -- between the node's SUnion and its SOutput;
-      branch nodes of reconvergent (diamond) deployments use this to emit
-      disjoint partitions of the fanned-out stream.
-    * ``"ingress"`` -- before the tuples reach the node: the deployment
-      evaluates the predicate at the *producer* (a filtered subscription),
-      so the fragment only receives, serializes, buffers, and emits its own
-      slice of the input.  This is the sharded scale-out placement
-      (``Topology.shard``): per-shard work drops to 1/N while boundaries,
-      undos, and REC_DONE markers still flow through untouched.  Only
-      single-input internal nodes support it.
+    ``select`` optionally keeps only a slice of the node's input (a
+    :data:`~repro.sharding.Slice`: a shard's key-hash buckets, a diamond
+    branch's modulo partition).  It runs at the *producer*, as a filtered
+    subscription, so the fragment only receives, serializes, buffers, and
+    emits its own slice while boundaries, undos, and REC_DONE markers still
+    flow through untouched.  A node with a ``select`` has exactly one input,
+    and that input is another node.
 
     ``stateful`` places the deployment's stateful operator (the SJoin whose
     state the checkpoints capture): ``None`` keeps the legacy placement
@@ -107,8 +73,7 @@ class NodeSpec:
     name: str
     inputs: tuple[str, ...]
     replicas: int | None = None
-    select: SelectPredicate | None = None
-    select_at: str = "egress"
+    select: Slice | None = None
     stateful: bool | None = None
 
     def __post_init__(self) -> None:
@@ -123,14 +88,10 @@ class NodeSpec:
             raise ConfigurationError(f"node {self.name!r} cannot consume its own output")
         if self.replicas is not None and self.replicas < 1:
             raise ConfigurationError(f"node {self.name!r} must have replicas >= 1")
-        if self.select_at not in SELECT_PLACEMENTS:
+        if self.select is not None and not isinstance(self.select, Slice):
             raise ConfigurationError(
-                f"node {self.name!r} has select_at {self.select_at!r}; "
-                f"expected one of {SELECT_PLACEMENTS}"
-            )
-        if self.select is None and self.select_at != "egress":
-            raise ConfigurationError(
-                f"node {self.name!r} sets select_at={self.select_at!r} without a select"
+                f"node {self.name!r} has select {self.select!r}, which is not a slice "
+                f"(a ShardSlice or PartitionSlice)"
             )
 
     @property
@@ -193,26 +154,20 @@ class Topology:
         """Reconvergent dataflow: ingest fans out to two branches that re-merge.
 
         ``ingest`` merges the source streams and feeds both ``left`` and
-        ``right`` (2-way fan-out via the multicast transport).  Each branch
-        processes a disjoint partition of the stream (even vs odd
-        ``partition_attribute``, the sharded-dataflow shape), and ``merge``
+        ``right``.  Each branch selects a disjoint partition of the stream
+        (even vs odd ``partition_attribute``, the sharded-dataflow shape) at
+        ``ingest``, through one router both slices share, and ``merge``
         reunites the partitions with a 2-way fan-in SUnion -- the Figure 21
         shape where paths reconverge.
         """
         sources = tuple(f"s{i + 1}" for i in range(n_input_streams))
+        left = modulo_partition(0, 2, partition_attribute, group=n_input_streams)
+        right = replace(left, keep=frozenset({1}))  # left's router: one route per slice
         return cls(
             [
                 NodeSpec(name="ingest", inputs=sources),
-                NodeSpec(
-                    name="left",
-                    inputs=("ingest",),
-                    select=modulo_partition(0, 2, partition_attribute, group=n_input_streams),
-                ),
-                NodeSpec(
-                    name="right",
-                    inputs=("ingest",),
-                    select=modulo_partition(1, 2, partition_attribute, group=n_input_streams),
-                ),
+                NodeSpec(name="left", inputs=("ingest",), select=left),
+                NodeSpec(name="right", inputs=("ingest",), select=right),
                 NodeSpec(name="merge", inputs=("left", "right")),
             ],
             name=name,
@@ -253,8 +208,8 @@ class Topology:
 
         ``split`` merges the source streams and routes its output to the
         shards; ``shard1`` ... ``shardN`` each receive only their slice of
-        the key space (an *ingress* key-hash select, evaluated at the split,
-        so per-shard serialization, buffering, and output work is 1/N); and
+        the key space (a key-hash select, evaluated at the split, so
+        per-shard serialization, buffering, and output work is 1/N); and
         ``merge`` reunites the slices with an N-way fan-in SUnion.
 
         The slice predicates are owned by a :class:`~repro.sharding.ShardPlanner`:
@@ -301,7 +256,6 @@ class Topology:
                     name=f"shard{index + 1}",
                     inputs=("split",),
                     select=assignment.predicate(index),
-                    select_at="ingress",
                     stateful=True,
                 )
             )
@@ -439,15 +393,14 @@ class Topology:
                     f"node name {spec.name!r} is reserved for source streams "
                     f"(s1, s2, ...); rename the node"
                 )
-            # An ingress select is one filtered subscription to one upstream
-            # node; entry fragments (fed by sources) and fan-in fragments
-            # have no single producer to evaluate it.
-            if spec.select_at == "ingress" and (
-                len(spec.inputs) != 1 or self.is_entry(spec)
-            ):
+            # A select is one filtered subscription to one upstream node:
+            # entry fragments (fed by sources) and fan-in fragments have no
+            # single producer to run it.
+            if spec.select is not None and (self.is_entry(spec) or len(spec.inputs) != 1):
+                shape = "an entry" if self.is_entry(spec) else "a fan-in"
                 raise ConfigurationError(
-                    f"node {spec.name!r} uses an ingress select, which requires "
-                    f"exactly one node-typed input (got inputs {spec.inputs!r})"
+                    f"node {spec.name!r} has a select but is {shape} node (inputs "
+                    f"{spec.inputs!r}); a select runs at one upstream node"
                 )
         if not self.sinks():  # pragma: no cover - impossible once acyclic
             raise ConfigurationError("topology has no sink node")

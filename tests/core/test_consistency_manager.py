@@ -16,6 +16,7 @@ from repro.core.protocol import (
 )
 from repro.core.states import NodeState
 from repro.deploy.filters import SubscriptionFilter
+from repro.sharding import modulo_partition
 from repro.sim.event_loop import Simulator
 from repro.sim.network import Message, Network
 from repro.spe.tuples import StreamTuple
@@ -194,7 +195,7 @@ def test_resubscribe_repositions_a_source_primary():
 
 def test_resubscribe_quotes_the_cursor_and_filter_to_a_node_primary():
     sim, _net, cm, _owner, sent = setup()
-    slice_filter = SubscriptionFilter(lambda values: True, name="x.slice")
+    slice_filter = SubscriptionFilter(modulo_partition(0, 1), name="x.slice")
     monitor = cm.register_input("x", producers=["up1", "up2"], subscription_filter=slice_filter)
     monitor.stable_received = 7
     cm.resubscribe(monitor, had_tentative=True)

@@ -9,12 +9,11 @@ from repro.core.data_path import OutputStreamManager
 from repro.core.input_streams import InputStreamMonitor
 from repro.core.protocol import SubscribeRequest, TupleBatch
 from repro.deploy import SubscriptionFilter
-from repro.sharding import ShardPlanner, ShardSpec
+from repro.sharding import PartitionSlice, ShardPlanner, ShardSpec, modulo_partition
 from repro.spe.tuples import StreamTuple
 
-
-def even(values):
-    return values["seq"] % 2 == 0
+even = modulo_partition(0, 2)
+nothing = PartitionSlice(even.spec, frozenset())
 
 
 def fill(manager, count=6, start=0):
@@ -84,7 +83,7 @@ def test_shard_filters_share_one_route_column_per_slice(monkeypatch):
 
 def test_all_foreign_slice_advances_cursor_without_a_send():
     manager = OutputStreamManager("s.out", owner="node")
-    never = SubscriptionFilter(lambda values: False, name="never")
+    never = SubscriptionFilter(nothing, name="never")
     subscribe(manager, "nobody", filt=never)
     fill(manager)
     assert manager.pending_batches() == []
@@ -94,7 +93,7 @@ def test_all_foreign_slice_advances_cursor_without_a_send():
 
 def test_control_tuples_reach_filtered_subscribers():
     manager = OutputStreamManager("s.out", owner="node")
-    never = SubscriptionFilter(lambda values: False, name="never")
+    never = SubscriptionFilter(nothing, name="never")
     subscribe(manager, "nobody", filt=never)
     fill(manager, count=2)
     manager.append(StreamTuple.boundary(tuple_id=99, stime=5.0))

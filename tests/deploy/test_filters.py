@@ -7,15 +7,12 @@ import pytest
 
 from repro.deploy import SubscriptionFilter
 from repro.errors import ConfigurationError
+from repro.sharding import PartitionSlice, modulo_partition
 from repro.spe.tuples import StreamTuple, TupleBlock
 
-
-def even(values):
-    return values["seq"] % 2 == 0
-
-
-def odd(values):
-    return values["seq"] % 2 == 1
+even = modulo_partition(0, 2)
+odd = modulo_partition(1, 2)
+nothing = PartitionSlice(even.spec, frozenset())
 
 
 def stable(seq, stime):
@@ -38,7 +35,7 @@ def test_initial_epoch_governs_everything():
 
 
 def test_control_tuples_always_pass():
-    filt = SubscriptionFilter(lambda values: False, name="never")
+    filt = SubscriptionFilter(nothing, name="never")
     assert kept(filt, StreamTuple.boundary(tuple_id=0, stime=1.0))
     assert kept(filt, StreamTuple.undo(tuple_id=1, stime=1.0, undo_from_id=0))
     assert kept(filt, StreamTuple.rec_done(tuple_id=2, stime=1.0))
@@ -84,3 +81,12 @@ def test_cut_must_move_forward():
 def test_name_required():
     with pytest.raises(ConfigurationError):
         SubscriptionFilter(even, name="")
+
+
+def test_only_a_slice_selects():
+    with pytest.raises(ConfigurationError, match="selects by a slice"):
+        SubscriptionFilter(lambda values: True, name="s")
+    filt = SubscriptionFilter(even, name="s")
+    with pytest.raises(ConfigurationError, match="selects by a slice"):
+        filt.advance(5.0, lambda values: True)
+    assert filt.epochs == 1

@@ -5,7 +5,7 @@ import pytest
 from repro import deploy
 from repro.config import DPCConfig, SimulationConfig
 from repro.errors import ConfigurationError
-from repro.topology import NodeSpec, Topology
+from repro.topology import NodeSpec, Topology, modulo_partition
 
 
 def test_chain_placement_plans_entry_and_relays():
@@ -25,8 +25,13 @@ def test_diamond_placement_plans_fanin_merge():
     placement = deploy.compile(Topology.diamond())
     assert placement.node_plan("merge").fragment == deploy.FRAGMENT_FANIN
     assert placement.node_plan("left").fragment == deploy.FRAGMENT_RELAY
-    # Egress selects stay in the fragment: no filtered subscriptions.
-    assert placement.filtered_subscriptions() == []
+    # Each branch's partition is selected at ingest: two filtered edges.
+    filtered = placement.filtered_subscriptions()
+    assert [(edge.producer, edge.consumer) for edge in filtered] == [
+        ("ingest", "left"),
+        ("ingest", "right"),
+    ]
+    assert [edge.filter_name for edge in filtered] == ["left.slice", "right.slice"]
 
 
 def test_shard_placement_plans_filtered_subscriptions():
@@ -61,11 +66,11 @@ def test_diff_reports_structural_changes():
     d = deploy.compile(Topology.shard(2), replicas_per_node=3)
     assert any("replicas 2 -> 3" in line for line in a.diff(d))
 
-    def selecting(select_at):
-        consumer = NodeSpec("b", ("a",), select=lambda values: True, select_at=select_at)
+    def selecting(select):
+        consumer = NodeSpec("b", ("a",), select=select)
         return deploy.compile(Topology([NodeSpec("a", ("s1",)), consumer]))
 
-    changes = selecting("ingress").diff(selecting("egress"))
+    changes = selecting(modulo_partition(0, 2)).diff(selecting(None))
     assert any("filtered True -> False" in line for line in changes)
 
 

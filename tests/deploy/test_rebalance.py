@@ -161,7 +161,6 @@ def test_state_handoff_with_unequal_replica_counts_neither_duplicates_nor_drops(
             name="shard1",
             inputs=("split",),
             select=assignment.predicate(0),
-            select_at="ingress",
             stateful=True,
             replicas=2,
         ),
@@ -169,7 +168,6 @@ def test_state_handoff_with_unequal_replica_counts_neither_duplicates_nor_drops(
             name="shard2",
             inputs=("split",),
             select=assignment.predicate(1),
-            select_at="ingress",
             stateful=True,
             replicas=1,
         ),

@@ -46,3 +46,12 @@ def test_replica_crash_spec_matches_oracle():
     assert [record["endpoint"] for record in result.recoveries()] == ["node1"]
     assert result.eventually_consistent
     assert result.stable_rows() == stable_ledger_rows(spec.oracle().client)
+
+
+def test_diamond_slices_match_oracle():
+    """The branches' modulo slices are selected at ingest and cross the wire by name."""
+    spec = ScenarioSpec.diamond(aggregate_rate=90.0, warmup=1.0, settle=2.0, seed=1)
+    result = spec.run_live()
+    assert result.eventually_consistent
+    rows = result.stable_rows()
+    assert rows and rows == stable_ledger_rows(spec.oracle().client)

@@ -39,6 +39,7 @@ from repro.core.protocol import (
 from repro.core.states import NodeState
 from repro.deploy.filters import SubscriptionFilter
 from repro.live import wire
+from repro.sharding import modulo_partition
 from repro.spe.tuples import DATA_TYPES, StreamTuple, TupleType
 
 COMMON = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -407,7 +408,7 @@ def test_checkpoint_ack_is_a_small_typed_frame_without_pickle():
 def test_subscribe_filter_travels_by_name():
     wire.clear_filters()
     try:
-        f = SubscriptionFilter(lambda item: item.values.get("k", 0) > 0, name="sink.slice")
+        f = SubscriptionFilter(modulo_partition(1, 2, "k"), name="sink.slice")
         wire.register_filter(f)
         request = SubscribeRequest(stream="s", subscriber="sink", filter=f)
         _, decoded = wire.decode_message(wire.encode_message(SUBSCRIBE, request))
@@ -418,7 +419,7 @@ def test_subscribe_filter_travels_by_name():
 
 def test_unregistered_filter_rejected():
     wire.clear_filters()
-    f = SubscriptionFilter(lambda item: True, name="nobody.slice")
+    f = SubscriptionFilter(modulo_partition(0, 1), name="nobody.slice")
     frame = wire.encode_message(SUBSCRIBE, SubscribeRequest("s", "sub", filter=f))
     with pytest.raises(wire.WireError, match="not registered"):
         wire.decode_message(frame)

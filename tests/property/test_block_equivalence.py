@@ -19,6 +19,7 @@ from repro.core.input_streams import InputStreamMonitor
 from repro.core.protocol import SubscribeRequest
 from repro.deploy.filters import SubscriptionFilter
 from repro.errors import BufferTruncatedError
+from repro.sharding import modulo_partition
 from repro.spe.engine import LocalEngine
 from repro.spe.operators import (
     Aggregate,
@@ -439,8 +440,8 @@ def test_output_buffer(data):
     )
     by_row, by_block = OutputStreamManager("s", "n"), OutputStreamManager("s", "n")
     # A filtered subscription whose predicate changes at a cut (two epochs).
-    filter_ = SubscriptionFilter(lambda v: v["seq"] % 2 == 0, "slice")
-    filter_.advance(0.15, lambda v: v["seq"] % 3 == 0)
+    filter_ = SubscriptionFilter(modulo_partition(0, 2), "slice")
+    filter_.advance(0.15, modulo_partition(0, 3))
     for manager in (by_row, by_block):
         manager.attach_subscriber("filtered", filter_)
         manager.attach_subscriber("plain")

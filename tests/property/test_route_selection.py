@@ -8,16 +8,23 @@ keep exactly the rows ``code > 1 or predicate(values)`` keeps, with the
 predicate of the epoch governing the row's stime evaluated row by row
 (``ShardSlice.__call__`` hashes each key afresh).  Every data row then lands
 in exactly one fragment and every control row in all of them.
+
+A partition filter (the diamond's branches) selects the same way by
+``(int(value) // group) % modulus``; the per-row reference is written below,
+and the diamond's two branches route each pending slice once between them.
 """
 
 from bisect import bisect_right
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.data_path import OutputStreamManager
 from repro.deploy import SubscriptionFilter
-from repro.sharding import ShardAssignment, ShardPlanner, ShardSpec
+from repro.sharding import PartitionSlice, PartitionSpec, ShardAssignment, ShardPlanner, ShardSpec
 from repro.spe.tuples import StreamTuple, TupleBlock
+from repro.topology import Topology
 
 COMMON = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -43,8 +50,8 @@ def assignments(draw, spec: ShardSpec) -> ShardAssignment:
 
 
 @st.composite
-def rows(draw, spec: ShardSpec) -> list[StreamTuple]:
-    keys = opaque_keys if spec.group == 1 else numeric_keys
+def rows(draw, spec: ShardSpec | PartitionSpec) -> list[StreamTuple]:
+    keys = opaque_keys if isinstance(spec, ShardSpec) and spec.group == 1 else numeric_keys
     made = []
     for tuple_id in range(draw(st.integers(0, 30))):
         stime = draw(st.floats(0.0, 10.0))
@@ -99,3 +106,74 @@ def test_route_column_select_is_the_per_row_predicate(case, shared_columns):
             landed[tuple_id] += 1
     for item in made:
         assert landed[item.tuple_id] == (1 if item.is_data else spec.shards), item
+
+
+def in_partition(spec: PartitionSpec, keep: frozenset, values: dict) -> bool:
+    """The per-row reference: a missing attribute reads 0."""
+    return int(values.get(spec.key, 0)) // spec.group % spec.modulus in keep
+
+
+@st.composite
+def partition_cases(draw):
+    spec = PartitionSpec(modulus=draw(st.integers(1, 4)), group=draw(st.integers(1, 4)))
+    keeps = st.frozensets(st.integers(0, spec.modulus - 1))  # the empty slice included
+    epochs = [(float("-inf"), draw(keeps))]
+    for cut in sorted(set(draw(st.lists(st.floats(0.0, 10.0), max_size=3)))):
+        epochs.append((cut, draw(keeps)))
+    return spec, epochs, draw(rows(spec))
+
+
+@COMMON
+@given(partition_cases(), st.booleans())
+def test_partition_route_select_is_the_per_row_reference(case, shared_columns):
+    spec, epochs, made = case
+    block = TupleBlock.of(made)
+    cuts = [cut for cut, _ in epochs]
+    filt = SubscriptionFilter(PartitionSlice(spec, epochs[0][1]), name="left.slice")
+    for cut, keep in epochs[1:]:
+        filt.advance(cut, PartitionSlice(spec, keep))
+    expected = [
+        item.tuple_id
+        for item in made
+        if not item.is_data
+        or in_partition(spec, epochs[bisect_right(cuts, item.stime) - 1][1], item.values)
+    ]
+    selected = filt.select(block, {} if shared_columns else None)
+    assert list(selected.ids) == expected
+    assert list(selected.codes) == [block.codes[block.ids.index(i)] for i in expected]
+
+
+@COMMON
+@given(st.data())
+def test_diamond_branches_route_each_pending_slice_once(data):
+    topology = Topology.diamond(n_input_streams=data.draw(st.integers(1, 4)))
+    left, right = topology.node("left").select, topology.node("right").select
+    spec = left.spec
+    made = sorted(data.draw(rows(spec)), key=lambda item: item.stime)
+    routed = []
+
+    def route(partition, block):
+        routed.append(block)
+        return PartitionSpec.route(partition, block)
+
+    manager = OutputStreamManager("ingest.out", owner="ingest")
+    manager.attach_subscriber("plain")
+    with mock.patch.object(PartitionSpec, "route", route):
+        for slice_ in (left, right):
+            filt = SubscriptionFilter(slice_, name=f"{sorted(slice_.keep)}.slice")
+            for replica in ("r0", "r1"):
+                manager.attach_subscriber(f"{sorted(slice_.keep)}-{replica}", filt)
+    manager.append_all(made)
+    pending = manager.pending_batches()
+    # One route call for both branches (none when nothing is pending).
+    assert len(routed) == (1 if made else 0)
+    batches = {tuple(sorted(subscribers)): list(items) for items, subscribers in pending}
+    physical = batches.get(("plain",), [])
+    for slice_ in (left, right):
+        members = tuple(f"{sorted(slice_.keep)}-{replica}" for replica in ("r0", "r1"))
+        expected = [
+            item.tuple_id
+            for item in physical
+            if not item.is_data or in_partition(spec, slice_.keep, item.values)
+        ]
+        assert [item.tuple_id for item in batches.get(members, [])] == expected

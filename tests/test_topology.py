@@ -4,6 +4,8 @@ import pytest
 
 from repro.deploy import compile as compile_topology
 from repro.errors import ConfigurationError
+from repro.sharding import PartitionSlice, ShardSlice
+from repro.spe.tuples import StreamTuple, TupleBlock
 from repro.topology import NodeSpec, Topology, modulo_partition
 from repro.workloads.scenarios import FailureSpec, resolve_failures
 
@@ -23,12 +25,15 @@ def test_node_spec_validation():
     assert NodeSpec(name="a", inputs=("s1",)).output_stream == "a.out"
 
 
-def test_modulo_partition_predicates():
+def seq_block(count):
+    return TupleBlock.of([StreamTuple.insertion(seq, 0.0, {"seq": seq}) for seq in range(count)])
+
+
+def test_modulo_partition_routes_by_column():
     left = modulo_partition(0, 2, "seq", group=3)
     right = modulo_partition(1, 2, "seq", group=3)
-    for seq in range(24):
-        assert left({"seq": seq}) != right({"seq": seq})
-        assert left({"seq": seq}) == ((seq // 3) % 2 == 0)
+    assert left.spec == right.spec and left.keep == {0} and right.keep == {1}
+    assert left.spec.route(seq_block(24)) == [(seq // 3) % 2 for seq in range(24)]
     with pytest.raises(ConfigurationError):
         modulo_partition(2, 2)
     with pytest.raises(ConfigurationError):
@@ -80,10 +85,10 @@ def test_diamond_topology_shape():
     assert [s.name for s in topo.sinks()] == ["merge"]
     merge = topo.node("merge")
     assert topo.input_streams(merge) == ["left.out", "right.out"]
-    # The branches partition the stream disjointly.
-    left, right = topo.node("left"), topo.node("right")
-    for seq in range(30):
-        assert left.select({"seq": seq}) != right.select({"seq": seq})
+    # The branches partition the stream disjointly, through one router.
+    left, right = topo.node("left").select, topo.node("right").select
+    assert left.spec is right.spec and not left.keep & right.keep
+    assert set(left.spec.route(seq_block(30))) == left.keep | right.keep
 
 
 def test_fanin_topology_shape():
@@ -139,12 +144,12 @@ def test_shard_topology_shape_and_assignment():
     assert assignment is not None
     assert assignment.spec.shards == 4
     assert assignment.spec.group == 3  # tie-groups never straddle shards
-    # The shard fragments carry the planner's predicates at the ingress and
+    # The shard fragments carry the planner's slices (run at the split) and
     # own the deployment's stateful join; the split is a stateless router.
     assert topo.node("split").stateful is False
     for index in range(4):
         spec = topo.node(f"shard{index + 1}")
-        assert spec.select_at == "ingress"
+        assert spec.select == assignment.predicate(index)
         assert spec.stateful is True
         assert spec.select({"seq": 0}) == (assignment.shard_of({"seq": 0}) == index)
 
@@ -186,21 +191,26 @@ def test_shard_topology_accepts_rebalanced_assignment():
     assert topo.shard_assignment is plan.after
 
 
-def test_ingress_select_requires_single_internal_input():
+def test_select_is_a_slice_of_one_upstream_node():
     select = modulo_partition(0, 2)
-    with pytest.raises(ConfigurationError):
-        NodeSpec(name="a", inputs=("s1",), select_at="ingress")  # no select
-    with pytest.raises(ConfigurationError):
-        NodeSpec(name="a", inputs=("s1",), select=select, select_at="sideways")
-    # Ingress on an entry node is rejected at topology validation.
-    with pytest.raises(ConfigurationError):
-        Topology([NodeSpec(name="a", inputs=("s1",), select=select, select_at="ingress")])
-    # Ingress on a multi-input (fan-in) node is rejected too.
-    with pytest.raises(ConfigurationError):
+    # A bare callable is not a slice: it has no router to run at a producer.
+    with pytest.raises(ConfigurationError, match="'a' has select .* not a slice"):
+        NodeSpec(name="a", inputs=("s1",), select=lambda values: True)
+    # An entry node is fed by sources, which run no select.
+    with pytest.raises(ConfigurationError, match="'a' has a select but is an entry node"):
+        Topology([NodeSpec(name="a", inputs=("s1",), select=select)])
+    # A fan-in node has several producers.
+    with pytest.raises(ConfigurationError, match="'c' has a select but is a fan-in node"):
         Topology(
             [
                 NodeSpec(name="a", inputs=("s1",)),
                 NodeSpec(name="b", inputs=("s2",)),
-                NodeSpec(name="c", inputs=("a", "b"), select=select, select_at="ingress"),
+                NodeSpec(name="c", inputs=("a", "b"), select=select),
             ]
         )
+    with pytest.raises(ConfigurationError, match="'c' has a select but is a fan-in node"):
+        Topology([NodeSpec(name="a", inputs=("s1",)), NodeSpec("c", ("a", "s2"), select=select)])
+    # One upstream node: the select is valid, whatever its kind of slice.
+    for slice_ in (select, Topology.shard(2).shard_assignment.predicate(0)):
+        assert isinstance(slice_, (PartitionSlice, ShardSlice))
+        Topology([NodeSpec(name="a", inputs=("s1",)), NodeSpec("b", ("a",), select=slice_)])
